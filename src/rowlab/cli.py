@@ -102,9 +102,9 @@ def _cmd_eval(args) -> int:
             "calculus": cfg.name,
             "term": show_term(term),
             "result": show_term(result),
-            "steps": [s.tag for s in steps],
+            "steps": [tag for tag, _ in steps],
         },
-        "\n".join(f"  {s.tag}" for s in steps) + ("\n" if steps and args.trace else "")
+        "\n".join(f"  {tag}" for tag, _ in steps) + ("\n" if steps and args.trace else "")
         + show_term(result)
         if args.trace
         else show_term(result),
@@ -253,6 +253,9 @@ def run(argv: list[str] | None = None) -> int:
     ) as e:
         msg = e.args[0] if e.args else str(e)
         print(f"rowlab: error: {msg}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("rowlab: error: term nested too deeply", file=sys.stderr)
         return 1
 
 

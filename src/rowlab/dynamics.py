@@ -1,9 +1,21 @@
 """Small-step reduction, upcast evaluation, erasure, and term approximation.
 
 Reduction is presented as a family of tagged rewrite relations so that the
-verification harness can match exact step patterns.  ``step_all`` enumerates
-every redex in leftmost-outermost order together with its position path;
-``normalize`` repeatedly fires the first one.
+verification harness can match exact step patterns.  ``step_all`` is the
+reference relation: it enumerates every redex in leftmost-outermost order
+together with its position path and the whole term after firing it.
+
+``step_once``, ``normalize`` and ``reduction_trace`` fire the first of those
+redexes again and again, but without searching from the root each time.
+They run one focused machine (``_Machine``) that keeps the evaluation
+context between steps as a stack of frames, one per ancestor of the focus,
+each holding the ancestor, its children, the index of the child in focus,
+and whether a child has changed.  The machine visits nodes in the same
+preorder as ``step_all``.  Every rule looks only at a node and its
+immediate children, so after a contraction only the parent of the
+contractum can have become a redex: the machine re-checks that parent and
+then the contractum itself, and never revisits anything to the left.  A
+changed ancestor is rebuilt once, when the machine leaves it.
 """
 
 from __future__ import annotations
@@ -274,31 +286,170 @@ def step_all(term: Term, rels: RelationSet) -> list[Step]:
     return out
 
 
+def _with_children(term: Term, kids: list[Term]) -> Term:
+    """``term`` with its ``_children`` replaced, in the same order."""
+    if isinstance(term, Lam):
+        return Lam(term.var, term.annot, kids[0])
+    if isinstance(term, App):
+        return App(kids[0], kids[1])
+    if isinstance(term, Inject):
+        return Inject(term.label, kids[0], term.annot)
+    if isinstance(term, Case):
+        branches = tuple(
+            (l, x, b) for (l, x, _), b in zip(term.branches, kids[1:])
+        )
+        return Case(kids[0], branches)
+    if isinstance(term, RecordLit):
+        fields = tuple((l, v) for (l, _), v in zip(term.fields, kids))
+        return RecordLit(fields, term.annot)
+    if isinstance(term, Project):
+        return Project(kids[0], term.label)
+    if isinstance(term, Upcast):
+        return Upcast(kids[0], term.target)
+    if isinstance(term, RowAbs):
+        return RowAbs(term.var, term.kind, kids[0])
+    if isinstance(term, PresAbs):
+        return PresAbs(term.var, kids[0])
+    if isinstance(term, RowApp):
+        return RowApp(kids[0], term.row, term.origin)
+    if isinstance(term, PresApp):
+        return PresApp(kids[0], term.presence, term.origin)
+    if isinstance(term, Let):
+        return Let(term.var, kids[0], kids[1])
+    if isinstance(term, Prim):
+        return Prim(term.op, tuple(kids))
+    raise DynamicsError(f"no children in {type(term).__name__}")
+
+
+# The forms ``_rewrite_here`` can fire at; no other node becomes a redex
+# when one of its children is contracted.
+_HEADS = (App, Case, Project, Let, Prim, Upcast, RowApp, PresApp)
+
+
+class _Frame:
+    """An ancestor of the focus: the node, its children (the one in focus
+    may be stale), their slot names, the index of the child in focus, and
+    whether ``kids`` differs from the node's own children."""
+
+    __slots__ = ("node", "kids", "slots", "index", "dirty")
+
+    def __init__(self, node: Term, children: list[tuple[str, Term]]):
+        self.node = node
+        self.slots = [slot for slot, _ in children]
+        self.kids = [child for _, child in children]
+        self.index = 0
+        self.dirty = False
+
+
+class _Machine:
+    """Leftmost-outermost reduction with the context kept between steps."""
+
+    def __init__(self, term: Term, rels: RelationSet):
+        self.rels = rels
+        self.focus = term
+        self.frames: list[_Frame] = []
+        self.path: list[str] = []  # the focus's slot names from the root
+        self.hit = _rewrite_here(term, rels)  # the rewrite the focus heads
+
+    def seek(self) -> bool:
+        """Move the focus to the next redex; False once the term is normal."""
+        while self.hit is None:
+            if not self._advance():
+                return False
+            self.hit = _rewrite_here(self.focus, self.rels)
+        return True
+
+    def contract(self) -> tuple[str, Path]:
+        """Fire the redex in focus; the focus moves up when the parent
+        becomes a redex, and stays on the contractum otherwise."""
+        new, tag = self.hit
+        step = (tag, tuple(self.path))
+        self.focus = new
+        if self.frames:
+            frame = self.frames[-1]
+            frame.kids[frame.index] = new
+            if isinstance(frame.node, _HEADS):
+                frame.node = _with_children(frame.node, frame.kids)
+                frame.dirty = False
+                up = _rewrite_here(frame.node, self.rels)
+                if up is not None:
+                    self.frames.pop()
+                    self.path.pop()
+                    self.focus, self.hit = frame.node, up
+                    return step
+            else:
+                frame.dirty = True
+        self.hit = _rewrite_here(new, self.rels)
+        return step
+
+    def _advance(self) -> bool:
+        """Step the focus to the next node in preorder, rebuilding each
+        changed ancestor as it is left; False at the end of the term."""
+        children = _children(self.focus)
+        if children:
+            frame = _Frame(self.focus, children)
+            self.frames.append(frame)
+            self.path.append(frame.slots[0])
+            self.focus = frame.kids[0]
+            return True
+        node = self.focus
+        while self.frames:
+            frame = self.frames[-1]
+            if frame.kids[frame.index] is not node:
+                frame.kids[frame.index] = node
+                frame.dirty = True
+            frame.index += 1
+            if frame.index < len(frame.kids):
+                self.path[-1] = frame.slots[frame.index]
+                self.focus = frame.kids[frame.index]
+                return True
+            self.frames.pop()
+            self.path.pop()
+            node = _with_children(frame.node, frame.kids) if frame.dirty else frame.node
+        self.focus = node
+        return False
+
+    def term(self) -> Term:
+        """The whole term as it stands, with the focus plugged back in."""
+        node = self.focus
+        for frame in reversed(self.frames):
+            if frame.dirty or frame.kids[frame.index] is not node:
+                kids = list(frame.kids)
+                kids[frame.index] = node
+                node = _with_children(frame.node, kids)
+            else:
+                node = frame.node
+        return node
+
+
 def step_once(term: Term, rels: RelationSet) -> Step | None:
-    steps = step_all(term, rels)
-    return steps[0] if steps else None
+    """The first step ``step_all`` lists, found without listing the rest."""
+    machine = _Machine(term, rels)
+    if not machine.seek():
+        return None
+    tag, path = machine.contract()
+    return Step(machine.term(), tag, path)
 
 
 def normalize(term: Term, rels: RelationSet, fuel: int = 10_000) -> Term:
-    for _ in range(fuel):
-        nxt = step_once(term, rels)
-        if nxt is None:
-            return term
-        term = nxt.term
-    raise OutOfFuel(f"no normal form within {fuel} steps: {show_term(term)}")
+    """The normal form, reached within ``fuel`` steps or OutOfFuel."""
+    return reduction_trace(term, rels, fuel)[0]
 
 
 def reduction_trace(
     term: Term, rels: RelationSet, fuel: int = 10_000
-) -> tuple[Term, list[Step]]:
-    steps: list[Step] = []
-    for _ in range(fuel):
-        nxt = step_once(term, rels)
-        if nxt is None:
-            return term, steps
-        steps.append(nxt)
-        term = nxt.term
-    raise OutOfFuel(f"no normal form within {fuel} steps: {show_term(term)}")
+) -> tuple[Term, list[tuple[str, Path]]]:
+    """The normal form and the (tag, path) of every step taken to reach it;
+    OutOfFuel when it takes more than ``fuel`` steps."""
+    machine = _Machine(term, rels)
+    steps: list[tuple[str, Path]] = []
+    while machine.seek():
+        if len(steps) >= fuel:
+            raise OutOfFuel(
+                f"no normal form within {fuel} steps: {show_term(machine.term())}"
+            )
+        steps.append(machine.contract())
+    return machine.focus, steps
 
 
 # ---------------------------------------------------------------------------

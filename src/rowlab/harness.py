@@ -1290,9 +1290,6 @@ def check_subject_reduction(
 # Batch driver
 
 
-_SUBST_SCOPE = ("var-sub-to-var", "var-sub-to-row", "rec-sub-to-rec", "rec-sub-to-pre")
-
-
 def run_property(
     prop: str,
     *,
@@ -1304,6 +1301,8 @@ def run_property(
     max_size: int = 8,
 ) -> PropertyReport:
     """Generate inputs and fold one property's report over them."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     start = time.perf_counter()
     merged: PropertyReport | None = None
 

@@ -552,8 +552,3 @@ def scheme_instance(general: TypeScheme, specific: TypeScheme) -> bool:
     except InferError:
         return False
     return True
-
-
-def scheme_more_general(a: TypeScheme, b: TypeScheme) -> bool:
-    """Every instance of ``b`` is an instance of ``a``."""
-    return scheme_instance(a, b)

@@ -395,64 +395,6 @@ def term_names(term: Term) -> set[str]:
     return out
 
 
-def type_level_names(term: Term) -> set[str]:
-    """Every type-level name occurring anywhere in the term."""
-    out: set[str] = set()
-
-    def go_ty(ty: Type | None) -> None:
-        if ty is not None:
-            out.update(free_type_names(ty))
-            out.update(_bound_type_names(ty))
-
-    def go(sub: Term) -> None:
-        if isinstance(sub, Lam):
-            go_ty(sub.annot)
-            go(sub.body)
-        elif isinstance(sub, App):
-            go(sub.fn)
-            go(sub.arg)
-        elif isinstance(sub, Inject):
-            go_ty(sub.annot)
-            go(sub.payload)
-        elif isinstance(sub, Case):
-            go(sub.scrutinee)
-            for _, _, body in sub.branches:
-                go(body)
-        elif isinstance(sub, RecordLit):
-            go_ty(sub.annot)
-            for _, inner in sub.fields:
-                go(inner)
-        elif isinstance(sub, Project):
-            go(sub.term)
-        elif isinstance(sub, Upcast):
-            go_ty(sub.target)
-            go(sub.term)
-        elif isinstance(sub, RowAbs):
-            out.add(sub.var)
-            go(sub.body)
-        elif isinstance(sub, RowApp):
-            out.update(free_row_names(sub.row))
-            go(sub.term)
-        elif isinstance(sub, PresAbs):
-            out.add(sub.var)
-            go(sub.body)
-        elif isinstance(sub, PresApp):
-            if isinstance(sub.presence, PresVar):
-                out.add(sub.presence.name)
-            go(sub.term)
-        elif isinstance(sub, Let):
-            go(sub.bound)
-            go(sub.body)
-        elif isinstance(sub, Prim):
-            for inner in sub.args:
-                go(inner)
-        elif not isinstance(sub, (Var, Lit)):
-            raise TypeError(f"not a term: {sub!r}")
-
-    go(term)
-    return out
-
-
 def _bound_type_names(ty: Type) -> set[str]:
     if isinstance(ty, (TyVar, Base)):
         return set()

@@ -746,28 +746,6 @@ def trans_b_inst_rows(ty: Type, rows: list[Row]) -> Type:
     return body
 
 
-def env_translate(
-    gamma: dict[str, Type], let_bound: set[str], _counter=None
-) -> tuple[dict[str, TypeScheme], list[str]]:
-    """Translate a source environment for the row-polymorphic target.
-
-    Let-bound names receive full schemes; lambda-bound names receive
-    instantiations whose fresh row tails stay free, returned second so the
-    caller can extend its kind environment.
-    """
-    counter = _counter if _counter is not None else itertools.count()
-    out: dict[str, TypeScheme] = {}
-    free: list[str] = []
-    for name, ty in gamma.items():
-        if name in let_bound:
-            out[name] = trans_a(ty)
-        else:
-            names = _fresh_rows(row_seq_b(ty), counter)
-            free.extend(names)
-            out[name] = TypeScheme((), trans_b_inst(ty, names))
-    return out, free
-
-
 # ---------------------------------------------------------------------------
 # The weakening preorder on target types and its instantiation builder
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rowlab.config import preset
+from rowlab.config import PRESETS, preset
 from rowlab.dynamics import (
     OutOfFuel,
     RelationSet,
@@ -14,8 +14,10 @@ from rowlab.dynamics import (
     step_once,
     term_preorder,
 )
+from rowlab.harness import GenSpec, gen_typed_term
 from rowlab.parser import parse_term_str
-from rowlab.syntax import Lit, alpha_eq
+from rowlab.pretty import show_term
+from rowlab.syntax import Lit, Prim, alpha_eq
 
 M = parse_term_str
 
@@ -31,7 +33,7 @@ def nf(src, rels=BETA):
 
 def tags(src, rels=BETA):
     _, steps = reduction_trace(M(src), rels)
-    return [s.tag for s in steps]
+    return [tag for tag, _ in steps]
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,80 @@ def test_fuel_runs_out_on_loops():
     loop = M("(\\x. x x) (\\x. x x)")
     with pytest.raises(OutOfFuel):
         normalize(loop, BETA, fuel=50)
+
+
+def test_fuel_counts_steps_allowed():
+    src = '(\\x:{Name:String}. x.Name) ({Name = "Alice", Age = 9} :> {Name:String})'
+    assert normalize(M(src), SIMPLE, fuel=3) == Lit("Alice")
+    with pytest.raises(OutOfFuel, match='within 2 steps: .*"Alice"'):
+        normalize(M(src), SIMPLE, fuel=2)
+    assert normalize(Lit(1), BETA, fuel=0) == Lit(1)
+
+
+def test_deep_prim_chain_normalizes():
+    term = Lit(1)
+    for _ in range(5000):
+        term = Prim("+", (term, Lit(1)))
+    result, steps = reduction_trace(term, BETA)
+    assert result == Lit(5001)
+    assert len(steps) == 5000
+
+
+# ---------------------------------------------------------------------------
+# The machine behind step_once/normalize/reduction_trace against iterating
+# the reference relation step_all(...)[0]
+
+
+def _reference(term, rels, fuel):
+    """Iterate step_all's first redex; checks step_once at every term."""
+    steps = []
+    for _ in range(fuel):
+        listed = step_all(term, rels)
+        assert step_once(term, rels) == (listed[0] if listed else None)
+        if not listed:
+            return term, steps
+        steps.append((listed[0].tag, listed[0].path))
+        term = listed[0].term
+    if step_all(term, rels):
+        return term, None
+    return term, steps
+
+
+def _assert_machine_matches(term, rels, fuel=60):
+    want, want_steps = _reference(term, rels, fuel)
+    if want_steps is None:
+        with pytest.raises(OutOfFuel) as exc:
+            reduction_trace(term, rels, fuel)
+        assert str(exc.value) == f"no normal form within {fuel} steps: {show_term(want)}"
+        return
+    got, got_steps = reduction_trace(term, rels, fuel)
+    assert got_steps == want_steps
+    assert got == want
+    assert normalize(term, rels, fuel) == want
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@pytest.mark.parametrize("full_upcast", [False, True])
+def test_machine_matches_reference(name, full_upcast):
+    cfg = preset(name)
+    rels = relations_for(cfg, full_upcast=full_upcast)
+    spec = GenSpec(cfg, max_size=10, seed=2)
+    for i in range(10):
+        _assert_machine_matches(gen_typed_term(spec, i)[0], rels)
+
+
+@pytest.mark.parametrize("src", [
+    "(\\x. x x) (\\x. x x)",
+    "(\\f. f (f 1)) ((\\g. g) (\\y. y + (1 + 1)))",
+    "(/\\r0:Row!{Year}. \\x:[Year:Int; r0]. x) @ [Age:Int]",
+    "((/\\r0:Row!{Year}. \\x:[Year:Int; r0]. x) @@ [Age:Int]) (<Age 1> : [Age:Int; Year:Int])",
+    '((/\\p0. {Name = "A"} : {Name^p0:String}) @ *).Name ++ "B"',
+    "{P = (1 + 2) + 3, Q = {A = 1 + 1, B = 2} :> {A:Int}} :> {P:Int; Q:{A:Int}}",
+    "case (<A (\\x:Int. x) 1> : [A:Int; B:Int]) {A a -> a + a; B b -> b}",
+])
+@pytest.mark.parametrize("rels", [BETA, SIMPLE, FULL, POLY], ids=["beta", "simple", "full", "poly"])
+def test_machine_matches_reference_by_hand(src, rels):
+    _assert_machine_matches(M(src), rels)
 
 
 # ---------------------------------------------------------------------------
