@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .config import CalculusConfig
 from .pretty import show_term
 from .syntax import (
+    SHAPES,
     App,
     Arrow,
     Base,
@@ -42,11 +43,11 @@ from .syntax import (
     RowAbs,
     RowApp,
     Term,
-    Type,
     TyVar,
     Upcast,
     Var,
     Variant,
+    rebuild,
     subst_term,
     subst_type_in_term,
 )
@@ -196,129 +197,28 @@ def _full_cast(term: Upcast) -> tuple[Term, str] | None:
     return None
 
 
-def _children(term: Term) -> list[tuple[str, Term]]:
-    if isinstance(term, Lam):
-        return [("body", term.body)]
-    if isinstance(term, App):
-        return [("fn", term.fn), ("arg", term.arg)]
-    if isinstance(term, Inject):
-        return [("payload", term.payload)]
-    if isinstance(term, Case):
-        out = [("scrutinee", term.scrutinee)]
-        out += [(f"branch:{l}", b) for l, _, b in term.branches]
-        return out
-    if isinstance(term, RecordLit):
-        return [(f"field:{l}", v) for l, v in term.fields]
-    if isinstance(term, Project):
-        return [("term", term.term)]
-    if isinstance(term, Upcast):
-        return [("term", term.term)]
-    if isinstance(term, (RowAbs, PresAbs)):
-        return [("body", term.body)]
-    if isinstance(term, (RowApp, PresApp)):
-        return [("term", term.term)]
-    if isinstance(term, Let):
-        return [("bound", term.bound), ("body", term.body)]
-    if isinstance(term, Prim):
-        return [(f"arg:{i}", a) for i, a in enumerate(term.args)]
-    return []
-
-
-def _replace_child(term: Term, slot: str, new: Term) -> Term:
-    if isinstance(term, Lam):
-        return Lam(term.var, term.annot, new)
-    if isinstance(term, App):
-        return App(new, term.arg) if slot == "fn" else App(term.fn, new)
-    if isinstance(term, Inject):
-        return Inject(term.label, new, term.annot)
-    if isinstance(term, Case):
-        if slot == "scrutinee":
-            return Case(new, term.branches)
-        label = slot.split(":", 1)[1]
-        branches = tuple(
-            (l, x, new if l == label else b) for l, x, b in term.branches
-        )
-        return Case(term.scrutinee, branches)
-    if isinstance(term, RecordLit):
-        label = slot.split(":", 1)[1]
-        fields = tuple((l, new if l == label else v) for l, v in term.fields)
-        return RecordLit(fields, term.annot)
-    if isinstance(term, Project):
-        return Project(new, term.label)
-    if isinstance(term, Upcast):
-        return Upcast(new, term.target)
-    if isinstance(term, RowAbs):
-        return RowAbs(term.var, term.kind, new)
-    if isinstance(term, PresAbs):
-        return PresAbs(term.var, new)
-    if isinstance(term, RowApp):
-        return RowApp(new, term.row, term.origin)
-    if isinstance(term, PresApp):
-        return PresApp(new, term.presence, term.origin)
-    if isinstance(term, Let):
-        if slot == "bound":
-            return Let(term.var, new, term.body)
-        return Let(term.var, term.bound, new)
-    if isinstance(term, Prim):
-        idx = int(slot.split(":", 1)[1])
-        args = tuple(new if i == idx else a for i, a in enumerate(term.args))
-        return Prim(term.op, args)
-    raise DynamicsError(f"no child slot {slot} in {type(term).__name__}")
-
-
 def step_all(term: Term, rels: RelationSet) -> list[Step]:
     """Every enabled redex, outermost first, left to right."""
     out: list[Step] = []
+    context: list[tuple[Term, list, int]] = []  # (ancestor, its children, index)
 
-    def walk(node: Term, path: Path, rebuild) -> None:
+    def walk(node: Term, path: Path) -> None:
         hit = _rewrite_here(node, rels)
         if hit is not None:
             new, tag = hit
-            out.append(Step(rebuild(new), tag, path))
-        for slot, child in _children(node):
-            walk(
-                child,
-                path + (slot,),
-                lambda t, n=node, s=slot: rebuild(_replace_child(n, s, t)),
-            )
+            for parent, parts, i in reversed(context):
+                kids = [child for _, child, _ in parts]
+                kids[i] = new
+                new = rebuild(parent, kids)
+            out.append(Step(new, tag, path))
+        parts = SHAPES[type(node)].children(node)
+        for i, (slot, child, _) in enumerate(parts):
+            context.append((node, parts, i))
+            walk(child, path + (slot,))
+            context.pop()
 
-    walk(term, (), lambda t: t)
+    walk(term, ())
     return out
-
-
-def _with_children(term: Term, kids: list[Term]) -> Term:
-    """``term`` with its ``_children`` replaced, in the same order."""
-    if isinstance(term, Lam):
-        return Lam(term.var, term.annot, kids[0])
-    if isinstance(term, App):
-        return App(kids[0], kids[1])
-    if isinstance(term, Inject):
-        return Inject(term.label, kids[0], term.annot)
-    if isinstance(term, Case):
-        branches = tuple(
-            (l, x, b) for (l, x, _), b in zip(term.branches, kids[1:])
-        )
-        return Case(kids[0], branches)
-    if isinstance(term, RecordLit):
-        fields = tuple((l, v) for (l, _), v in zip(term.fields, kids))
-        return RecordLit(fields, term.annot)
-    if isinstance(term, Project):
-        return Project(kids[0], term.label)
-    if isinstance(term, Upcast):
-        return Upcast(kids[0], term.target)
-    if isinstance(term, RowAbs):
-        return RowAbs(term.var, term.kind, kids[0])
-    if isinstance(term, PresAbs):
-        return PresAbs(term.var, kids[0])
-    if isinstance(term, RowApp):
-        return RowApp(kids[0], term.row, term.origin)
-    if isinstance(term, PresApp):
-        return PresApp(kids[0], term.presence, term.origin)
-    if isinstance(term, Let):
-        return Let(term.var, kids[0], kids[1])
-    if isinstance(term, Prim):
-        return Prim(term.op, tuple(kids))
-    raise DynamicsError(f"no children in {type(term).__name__}")
 
 
 # The forms ``_rewrite_here`` can fire at; no other node becomes a redex
@@ -333,10 +233,10 @@ class _Frame:
 
     __slots__ = ("node", "kids", "slots", "index", "dirty")
 
-    def __init__(self, node: Term, children: list[tuple[str, Term]]):
+    def __init__(self, node: Term, children: list[tuple[str, Term, str | None]]):
         self.node = node
-        self.slots = [slot for slot, _ in children]
-        self.kids = [child for _, child in children]
+        self.slots = [slot for slot, _, _ in children]
+        self.kids = [child for _, child, _ in children]
         self.index = 0
         self.dirty = False
 
@@ -369,7 +269,7 @@ class _Machine:
             frame = self.frames[-1]
             frame.kids[frame.index] = new
             if isinstance(frame.node, _HEADS):
-                frame.node = _with_children(frame.node, frame.kids)
+                frame.node = rebuild(frame.node, frame.kids)
                 frame.dirty = False
                 up = _rewrite_here(frame.node, self.rels)
                 if up is not None:
@@ -385,7 +285,7 @@ class _Machine:
     def _advance(self) -> bool:
         """Step the focus to the next node in preorder, rebuilding each
         changed ancestor as it is left; False at the end of the term."""
-        children = _children(self.focus)
+        children = SHAPES[type(self.focus)].children(self.focus)
         if children:
             frame = _Frame(self.focus, children)
             self.frames.append(frame)
@@ -405,7 +305,7 @@ class _Machine:
                 return True
             self.frames.pop()
             self.path.pop()
-            node = _with_children(frame.node, frame.kids) if frame.dirty else frame.node
+            node = rebuild(frame.node, frame.kids) if frame.dirty else frame.node
         self.focus = node
         return False
 
@@ -416,7 +316,7 @@ class _Machine:
             if frame.dirty or frame.kids[frame.index] is not node:
                 kids = list(frame.kids)
                 kids[frame.index] = node
-                node = _with_children(frame.node, kids)
+                node = rebuild(frame.node, kids)
             else:
                 node = frame.node
         return node
@@ -456,36 +356,19 @@ def reduction_trace(
 # Erasure
 
 
+# The forms erasure removes, keeping their one child.
+_TYPE_LEVEL = (Upcast, RowAbs, RowApp, PresAbs, PresApp)
+
+
 def erase(term: Term) -> Term:
     """Strip annotations, casts, and type-level abstraction/application."""
-    if isinstance(term, (Var, Lit)):
-        return term
-    if isinstance(term, Lam):
-        return Lam(term.var, None, erase(term.body))
-    if isinstance(term, App):
-        return App(erase(term.fn), erase(term.arg))
-    if isinstance(term, Inject):
-        return Inject(term.label, erase(term.payload), None)
-    if isinstance(term, Case):
-        return Case(
-            erase(term.scrutinee),
-            tuple((l, x, erase(b)) for l, x, b in term.branches),
-        )
-    if isinstance(term, RecordLit):
-        return RecordLit(tuple((l, erase(v)) for l, v in term.fields), None)
-    if isinstance(term, Project):
-        return Project(erase(term.term), term.label)
-    if isinstance(term, Upcast):
-        return erase(term.term)
-    if isinstance(term, (RowAbs, PresAbs)):
-        return erase(term.body)
-    if isinstance(term, (RowApp, PresApp)):
-        return erase(term.term)
-    if isinstance(term, Let):
-        return Let(term.var, erase(term.bound), erase(term.body))
-    if isinstance(term, Prim):
-        return Prim(term.op, tuple(erase(a) for a in term.args))
-    raise DynamicsError(f"unhandled term form {type(term).__name__}")
+    shape = SHAPES[type(term)]
+    kids = []
+    for _, child, _ in shape.children(term):
+        kids.append(erase(child))
+    if isinstance(term, _TYPE_LEVEL):
+        return kids[0]
+    return shape.rebuild(term, kids, None, lambda annotation: None)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from .syntax import (
     Var,
     Variant,
     alpha_eq,
+    children,
     subst_term,
     subst_type_in_term,
     type_equal,
@@ -111,31 +112,10 @@ _DEFAULT_WEIGHTS = {
 
 
 def term_size(term: Term) -> int:
-    if isinstance(term, (Var, Lit)):
-        return 1
-    if isinstance(term, Lam):
-        return 1 + term_size(term.body)
-    if isinstance(term, App):
-        return 1 + term_size(term.fn) + term_size(term.arg)
-    if isinstance(term, Inject):
-        return 1 + term_size(term.payload)
-    if isinstance(term, Case):
-        return 1 + term_size(term.scrutinee) + sum(
-            term_size(b) for _, _, b in term.branches
-        )
-    if isinstance(term, RecordLit):
-        return 1 + sum(term_size(v) for _, v in term.fields)
-    if isinstance(term, Project):
-        return 1 + term_size(term.term)
-    if isinstance(term, Let):
-        return 1 + term_size(term.bound) + term_size(term.body)
-    if isinstance(term, Prim):
-        return 1 + sum(term_size(a) for a in term.args)
-    if isinstance(term, Upcast):
-        return 1 + term_size(term.term)
-    # type abstraction and application nodes
-    inner = getattr(term, "term", None) or getattr(term, "body", None)
-    return 1 + (term_size(inner) if inner is not None else 0)
+    size = 1
+    for _, child, _ in children(term):
+        size += term_size(child)
+    return size
 
 
 class _Gen:
@@ -572,34 +552,25 @@ def _cast_normal(term: Term, rels: RelationSet, fuel: int = 400) -> Term:
     return term
 
 
+# the slot that is a head position in each form that has one; every
+# argument of a primitive is one
+_HEAD_SLOT = {
+    App: "fn", Project: "term", Upcast: "term", Case: "scrutinee",
+    RowApp: "term", PresApp: "term",
+}
+
+
 def _on_spine(x: Term, path) -> bool:
     """True when every hop of path sits in a head position: reductions there
     can expose a redex at the node above, so a standard reduction may need
     them before contracting the root."""
     node = x
     for slot in path:
-        if isinstance(node, App):
-            if slot != "fn":
-                return False
-            node = node.fn
-        elif isinstance(node, (Project, Upcast)):
-            if slot != "term":
-                return False
-            node = node.term
-        elif isinstance(node, Case):
-            if slot != "scrutinee":
-                return False
-            node = node.scrutinee
-        elif isinstance(node, Prim):
-            if not slot.startswith("arg:"):
-                return False
-            node = node.args[int(slot.split(":", 1)[1])]
-        elif slot == "term" and hasattr(node, "term") and hasattr(
-            node, "origin"
+        if slot != _HEAD_SLOT.get(type(node)) and not (
+            type(node) is Prim and slot.startswith("arg:")
         ):
-            node = node.term
-        else:
             return False
+        node = next(child for s, child, _ in children(node) if s == slot)
     return True
 
 
@@ -1303,6 +1274,8 @@ def run_property(
     """Generate inputs and fold one property's report over them."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     start = time.perf_counter()
     merged: PropertyReport | None = None
 
@@ -1310,11 +1283,16 @@ def run_property(
         nonlocal merged
         merged = r if merged is None else merged.merge(r)
 
-    if prop in ("type-preservation", "simulation", "reflection", "erasure",
-                "substitution"):
+    if any(prop in t.properties for t in TRANSLATIONS.values()):
         if translation is None:
             raise ValueError(f"property {prop} needs a translation id")
-        t = TRANSLATIONS[translation]
+        t = TRANSLATIONS.get(translation)
+        if t is None or prop not in t.properties:
+            covered = [tid for tid, u in TRANSLATIONS.items() if prop in u.properties]
+            raise ValueError(
+                f"no theorem covers {prop} on {translation}; "
+                f"it is checked on {', '.join(covered)}"
+            )
         spec = GenSpec(preset(t.pairs[0][0]), max_size=max_size, seed=seed)
         for i in range(count):
             cid = f"seed={seed} index={i}"

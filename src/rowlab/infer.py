@@ -24,8 +24,6 @@ from .syntax import (
     Arrow,
     Base,
     Case,
-    ForallPres,
-    ForallRow,
     Inject,
     KPre,
     KRow,
@@ -48,7 +46,7 @@ from .syntax import (
     TyVar,
     Var,
     Variant,
-    subst_type_in_type,
+    rename_type_name,
 )
 
 
@@ -317,40 +315,6 @@ def _free_meta_names(ty: Type) -> set[str]:
     return set(out)
 
 
-def _replace_tyvar(ty: Type, old: str, rep: Type) -> Type:
-    if isinstance(ty, TyVar):
-        return rep if ty.name == old else ty
-    if isinstance(ty, Base):
-        return ty
-    if isinstance(ty, Arrow):
-        return Arrow(
-            _replace_tyvar(ty.dom, old, rep), _replace_tyvar(ty.cod, old, rep)
-        )
-    if isinstance(ty, (Record, Variant)):
-        return type(ty)(
-            Row(
-                tuple(
-                    (l, p, _replace_tyvar(a, old, rep))
-                    for l, p, a in ty.row.entries
-                ),
-                ty.row.tail,
-            )
-        )
-    if isinstance(ty, ForallRow):
-        return ForallRow(ty.var, ty.kind, _replace_tyvar(ty.body, old, rep))
-    if isinstance(ty, ForallPres):
-        return ForallPres(ty.var, _replace_tyvar(ty.body, old, rep))
-    raise InferError(f"unexpected type form {type(ty).__name__}")
-
-
-def _substitute_name(ty: Type, old: str, kind: Kind, new_name: str) -> Type:
-    if isinstance(kind, KRow):
-        return subst_type_in_type(ty, Row((), new_name), old)
-    if isinstance(kind, KPre):
-        return subst_type_in_type(ty, PresVar(new_name), old)
-    return _replace_tyvar(ty, old, TyVar(new_name))
-
-
 def instantiate(state: _State, scheme: TypeScheme) -> Type:
     body = scheme.body
     for name, kind in scheme.quants:
@@ -360,7 +324,7 @@ def instantiate(state: _State, scheme: TypeScheme) -> Type:
             meta = state.fresh_pres().name
         else:
             meta = state.fresh_type().name
-        body = _substitute_name(body, name, kind, meta)
+        body = rename_type_name(body, name, kind, meta)
     return body
 
 
@@ -409,7 +373,7 @@ def generalize(state: _State, env: dict[str, TypeScheme], ty: Type) -> TypeSchem
             fresh = f"{prefix}{next(counters[prefix])}"
             if fresh not in taken:
                 break
-        body = _substitute_name(body, name, kind, fresh)
+        body = rename_type_name(body, name, kind, fresh)
         quants.append((fresh, kind))
     return TypeScheme(tuple(quants), body)
 
@@ -545,7 +509,7 @@ def scheme_instance(general: TypeScheme, specific: TypeScheme) -> bool:
         skolem = f"!s{i}"
         if isinstance(kind, KRow):
             state.lacks[skolem] = kind.lacks
-        body_s = _substitute_name(body_s, name, kind, skolem)
+        body_s = rename_type_name(body_s, name, kind, skolem)
     body_g = instantiate(state, general)
     try:
         unify_type(state, body_g, body_s)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
+    SHAPES,
     Absent,
     App,
     Arrow,
@@ -53,6 +54,7 @@ from .syntax import (
     Upcast,
     Var,
     Variant,
+    row_use_lacks,
 )
 
 
@@ -454,24 +456,6 @@ def _type_abstract(var: str, kind: Kind | None, body: Term) -> Term:
     raise ParseError(f"binder {var} cannot have kind Type", 0, 0)
 
 
-def _find_row_use(name: str, ty: Type) -> frozenset[str] | None:
-    """Lacks set implied by the first use of `name` as a row tail, if any."""
-    if isinstance(ty, Arrow):
-        found = _find_row_use(name, ty.dom)
-        return found if found is not None else _find_row_use(name, ty.cod)
-    if isinstance(ty, (Variant, Record)):
-        if ty.row.tail == name:
-            return frozenset(ty.row.labels())
-        for _, _, sub in ty.row.entries:
-            found = _find_row_use(name, sub)
-            if found is not None:
-                return found
-        return None
-    if isinstance(ty, (ForallRow, ForallPres)):
-        return None if ty.var == name else _find_row_use(name, ty.body)
-    return None
-
-
 def _pres_use(name: str, ty: Type) -> bool:
     if isinstance(ty, Arrow):
         return _pres_use(name, ty.dom) or _pres_use(name, ty.cod)
@@ -488,7 +472,7 @@ def _pres_use(name: str, ty: Type) -> bool:
 
 
 def _infer_binder_kind(name: str, body: Type) -> Kind:
-    lacks = _find_row_use(name, body)
+    lacks = row_use_lacks(name, body)
     if lacks is not None:
         return KRow(lacks)
     if _pres_use(name, body):
@@ -497,63 +481,26 @@ def _infer_binder_kind(name: str, body: Type) -> Kind:
 
 
 def _infer_binder_kind_term(var: str, body: Term) -> Kind:
-    row_lacks: list[frozenset[str]] = []
-    pres_hit: list[bool] = []
+    """A row kind lacking the labels beside the first use of ``var`` as a
+    row tail in ``body``'s annotations and arguments; Pre when there is none."""
 
-    def scan_ty(ty: Type | None) -> None:
-        if ty is None:
-            return
-        lacks = _find_row_use(var, ty)
-        if lacks is not None:
-            row_lacks.append(lacks)
-        if _pres_use(var, ty):
-            pres_hit.append(True)
+    def scan(sub: Term) -> frozenset[str] | None:
+        shape = SHAPES[type(sub)]
+        if shape.tybinder and sub.var == var:
+            return None
+        for name in shape.types:
+            part = getattr(sub, name)
+            found = row_use_lacks(var, Record(part) if isinstance(part, Row) else part)
+            if found is not None:
+                return found
+        for _, child, _ in shape.children(sub):
+            found = scan(child)
+            if found is not None:
+                return found
+        return None
 
-    def scan(sub: Term) -> None:
-        if isinstance(sub, Lam):
-            scan_ty(sub.annot)
-            scan(sub.body)
-        elif isinstance(sub, App):
-            scan(sub.fn)
-            scan(sub.arg)
-        elif isinstance(sub, Inject):
-            scan_ty(sub.annot)
-            scan(sub.payload)
-        elif isinstance(sub, Case):
-            scan(sub.scrutinee)
-            for _, _, b in sub.branches:
-                scan(b)
-        elif isinstance(sub, RecordLit):
-            scan_ty(sub.annot)
-            for _, t in sub.fields:
-                scan(t)
-        elif isinstance(sub, (Project, PresApp)):
-            if isinstance(sub, PresApp) and isinstance(sub.presence, PresVar) and sub.presence.name == var:
-                pres_hit.append(True)
-            scan(sub.term)
-        elif isinstance(sub, Upcast):
-            scan_ty(sub.target)
-            scan(sub.term)
-        elif isinstance(sub, (RowAbs, PresAbs)):
-            if sub.var != var:
-                scan(sub.body)
-        elif isinstance(sub, RowApp):
-            if sub.row.tail == var:
-                row_lacks.append(frozenset(sub.row.labels()))
-            for _, _, t in sub.row.entries:
-                scan_ty(t)
-            scan(sub.term)
-        elif isinstance(sub, Let):
-            scan(sub.bound)
-            scan(sub.body)
-        elif isinstance(sub, Prim):
-            for t in sub.args:
-                scan(t)
-
-    scan(body)
-    if row_lacks:
-        return KRow(row_lacks[0])
-    return KPre()
+    lacks = scan(body)
+    return KPre() if lacks is None else KRow(lacks)
 
 
 # ---------------------------------------------------------------------------

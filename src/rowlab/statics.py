@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from .config import CalculusConfig
 from .pretty import show_kind, show_term, show_type
 from .syntax import (
+    SHAPES,
     Absent,
     App,
     Arrow,
@@ -27,7 +28,6 @@ from .syntax import (
     Lam,
     Let,
     Lit,
-    MalformedRowError,
     Present,
     PresAbs,
     PresApp,
@@ -267,51 +267,23 @@ def _subtype_struct(a: Type, b: Type, depth_fun: bool) -> SubtypeEvidence | None
 # Rank predicates
 
 
-def record_rank_ok(n: int, ty: Type) -> bool:
-    """Records allowed only in positions of function-nesting depth < n."""
-    if isinstance(ty, (TyVar, Base)):
-        return True
+def rank_ok(ctor: type, n: int, ty: Type) -> bool:
+    """``ctor`` types (Record or Variant) allowed only in positions of
+    function-nesting depth < n."""
     if isinstance(ty, Arrow):
-        if n >= 1:
-            return record_rank_ok(n - 1, ty.dom) and record_rank_ok(n, ty.cod)
-        return record_rank_ok(0, ty.dom) and record_rank_ok(0, ty.cod)
-    if isinstance(ty, Record):
-        if n == 0:
+        return rank_ok(ctor, max(n - 1, 0), ty.dom) and rank_ok(ctor, n, ty.cod)
+    if isinstance(ty, (Record, Variant)):
+        if n == 0 and isinstance(ty, ctor):
             return False
-        return all(record_rank_ok(n, t) for _, _, t in ty.row.entries)
-    if isinstance(ty, Variant):
-        return all(record_rank_ok(n, t) for _, _, t in ty.row.entries)
+        return all(rank_ok(ctor, n, t) for _, _, t in ty.row.entries)
     if isinstance(ty, (ForallRow, ForallPres)):
-        return record_rank_ok(n, ty.body)
-    return True
-
-
-def variant_rank_ok(n: int, ty: Type) -> bool:
-    if isinstance(ty, (TyVar, Base)):
-        return True
-    if isinstance(ty, Arrow):
-        if n >= 1:
-            return variant_rank_ok(n - 1, ty.dom) and variant_rank_ok(n, ty.cod)
-        return variant_rank_ok(0, ty.dom) and variant_rank_ok(0, ty.cod)
-    if isinstance(ty, Variant):
-        if n == 0:
-            return False
-        return all(variant_rank_ok(n, t) for _, _, t in ty.row.entries)
-    if isinstance(ty, Record):
-        return all(variant_rank_ok(n, t) for _, _, t in ty.row.entries)
-    if isinstance(ty, (ForallRow, ForallPres)):
-        return variant_rank_ok(n, ty.body)
+        return rank_ok(ctor, n, ty.body)
     return True
 
 
 def check_rank_limit(config: CalculusConfig, ty: Type) -> bool:
-    if config.record_rank_limit is not None:
-        if not record_rank_ok(config.record_rank_limit, ty):
-            return False
-    if config.variant_rank_limit is not None:
-        if not variant_rank_ok(config.variant_rank_limit, ty):
-            return False
-    return True
+    limits = ((Record, config.record_rank_limit), (Variant, config.variant_rank_limit))
+    return all(n is None or rank_ok(ctor, n, ty) for ctor, n in limits)
 
 
 # ---------------------------------------------------------------------------
@@ -381,33 +353,6 @@ class Derivation:
         gg = ", ".join(f"{n}:{show_type(t)}" for n, t in sorted(self.gamma.items()))
         return f"{dd} ; {gg} |- {show_term(self.term)} : {show_type(self.type)}"
 
-    def to_json(self) -> dict:
-        out = {
-            "rule": self.rule,
-            "judgment": self.judgment(),
-            "type": show_type(self.type),
-        }
-        if self.evidence is not None:
-            out["evidence"] = _evidence_json(self.evidence)
-        if self.premises:
-            out["premises"] = [p.to_json() for p in self.premises]
-        return out
-
-
-def _evidence_json(ev: SubtypeEvidence) -> dict:
-    out = {
-        "rule": ev.rule,
-        "lhs": show_type(ev.lhs),
-        "rhs": show_type(ev.rhs),
-    }
-    if ev.rule in ("CoFun", "FFun"):
-        out["premises"] = [_evidence_json(p) for p in ev.premises]
-    elif ev.rule in ("FVariant", "FRecord"):
-        out["premises"] = [
-            {"label": label, **_evidence_json(p)} for label, p in ev.premises
-        ]
-    return out
-
 
 def _presence_config(config: CalculusConfig) -> bool:
     return config.pres_poly == "higher"
@@ -443,12 +388,9 @@ def _enforce_rank(config: CalculusConfig, deriv: Derivation) -> None:
 
 
 def _term_annotations(term: Term):
-    if isinstance(term, Lam) and term.annot is not None:
-        yield term.annot
-    elif isinstance(term, (Inject, RecordLit)) and term.annot is not None:
-        yield term.annot
-    elif isinstance(term, Upcast):
-        yield term.target
+    for name in SHAPES[type(term)].types:
+        if name in ("annot", "target") and getattr(term, name) is not None:
+            yield getattr(term, name)
 
 
 def _check(

@@ -5,9 +5,14 @@ Structure:
 - rows, types, type schemes
 - terms, including explicit type-manipulation nodes (upcast, row/presence
   abstraction and application with an origin mark)
+- SHAPES, one table keyed by term class that gives each form's child terms
+  with their slot names, the term variable each child binds, the way to
+  rebuild the node, and its type-level parts and binder; free variables,
+  substitution, erasure, reduction and the other single-term walkers all
+  read it instead of matching on the forms themselves
 - capture-avoiding substitution at the term and type level
-- canonical row normalization, type equality, alpha equivalence
-- row algebra helpers (difference, restriction, domain)
+- canonical row normalization, the row domain, type equality, alpha
+  equivalence
 
 Rows are stored in source order; comparisons normalize. Names are plain
 strings; fresh names come from a NameSupply and look like "x$3".
@@ -16,10 +21,11 @@ strings; fresh names come from a NameSupply and look like "x$3".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 
 class MalformedRowError(Exception):
-    """A row with duplicate labels (or a restriction missing a label)."""
+    """A row with duplicate labels."""
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +276,131 @@ Term = (
 
 
 # ---------------------------------------------------------------------------
+# term shapes
+
+
+@dataclass(frozen=True)
+class Shape:
+    """How one term form holds its parts; every single-term walker reads it.
+
+    ``children(t)`` gives ``(slot, child, binder)`` for each child term, left
+    to right: the slot name a reduction path uses, the child, and the term
+    variable the child is under (None for none).  ``types`` names the
+    fields that hold type-level parts (an annotation, a cast target, a row or
+    a presence argument), and ``tybinder`` marks the forms whose ``var``
+    binds a type-level name over their body.
+
+    ``rebuild(t, kids, names=None, fn=None)`` is ``t`` with new children in
+    the same order, new binder names (one per child) when ``names`` is
+    given, and ``fn`` applied to each type-level part when it is given.
+    """
+
+    children: Callable[[Any], list[tuple[str, "Term", str | None]]]
+    rebuild: Callable[..., "Term"]
+    types: tuple[str, ...] = ()
+    tybinder: bool = False
+
+
+def _under(slot: str) -> Callable[[Any], list]:
+    return lambda t: [(slot, getattr(t, slot), None)]
+
+
+_LEAF = Shape(lambda t: [], lambda t, k, n=None, f=None: t)
+
+SHAPES: dict[type, Shape] = {
+    Var: _LEAF,
+    Lit: _LEAF,
+    Lam: Shape(
+        lambda t: [("body", t.body, t.var)],
+        lambda t, k, n=None, f=None: Lam(
+            n[0] if n else t.var, f(t.annot) if f else t.annot, k[0]
+        ),
+        types=("annot",),
+    ),
+    App: Shape(
+        lambda t: [("fn", t.fn, None), ("arg", t.arg, None)],
+        lambda t, k, n=None, f=None: App(k[0], k[1]),
+    ),
+    Inject: Shape(
+        _under("payload"),
+        lambda t, k, n=None, f=None: Inject(
+            t.label, k[0], f(t.annot) if f else t.annot
+        ),
+        types=("annot",),
+    ),
+    Case: Shape(
+        lambda t: [("scrutinee", t.scrutinee, None)]
+        + [(f"branch:{l}", b, x) for l, x, b in t.branches],
+        lambda t, k, n=None, f=None: Case(
+            k[0],
+            tuple(
+                (l, n[i] if n else x, k[i])
+                for i, (l, x, _) in enumerate(t.branches, 1)
+            ),
+        ),
+    ),
+    RecordLit: Shape(
+        lambda t: [(f"field:{l}", v, None) for l, v in t.fields],
+        lambda t, k, n=None, f=None: RecordLit(
+            tuple(zip([l for l, _ in t.fields], k)),
+            f(t.annot) if f else t.annot,
+        ),
+        types=("annot",),
+    ),
+    Project: Shape(
+        _under("term"), lambda t, k, n=None, f=None: Project(k[0], t.label)
+    ),
+    Upcast: Shape(
+        _under("term"),
+        lambda t, k, n=None, f=None: Upcast(k[0], f(t.target) if f else t.target),
+        types=("target",),
+    ),
+    RowAbs: Shape(
+        _under("body"),
+        lambda t, k, n=None, f=None: RowAbs(t.var, t.kind, k[0]),
+        tybinder=True,
+    ),
+    RowApp: Shape(
+        _under("term"),
+        lambda t, k, n=None, f=None: RowApp(
+            k[0], f(t.row) if f else t.row, t.origin
+        ),
+        types=("row",),
+    ),
+    PresAbs: Shape(
+        _under("body"),
+        lambda t, k, n=None, f=None: PresAbs(t.var, k[0]),
+        tybinder=True,
+    ),
+    PresApp: Shape(
+        _under("term"),
+        lambda t, k, n=None, f=None: PresApp(
+            k[0], f(t.presence) if f else t.presence, t.origin
+        ),
+        types=("presence",),
+    ),
+    Let: Shape(
+        lambda t: [("bound", t.bound, None), ("body", t.body, t.var)],
+        lambda t, k, n=None, f=None: Let(n[1] if n else t.var, k[0], k[1]),
+    ),
+    Prim: Shape(
+        lambda t: [(f"arg:{i}", a, None) for i, a in enumerate(t.args)],
+        lambda t, k, n=None, f=None: Prim(t.op, tuple(k)),
+    ),
+}
+
+
+def children(term: Term) -> list[tuple[str, Term, str | None]]:
+    """The term's (slot, child, binder) triples; see Shape."""
+    return SHAPES[type(term)].children(term)
+
+
+def rebuild(term: Term, kids: list[Term]) -> Term:
+    """``term`` with its children replaced, in ``children`` order."""
+    return SHAPES[type(term)].rebuild(term, kids)
+
+
+# ---------------------------------------------------------------------------
 # names
 
 
@@ -292,38 +423,18 @@ class NameSupply:
 
 def free_vars(term: Term) -> set[str]:
     """Free term variables."""
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Lam):
-        return free_vars(term.body) - {term.var}
-    if isinstance(term, App):
-        return free_vars(term.fn) | free_vars(term.arg)
-    if isinstance(term, Inject):
-        return free_vars(term.payload)
-    if isinstance(term, Case):
-        out = free_vars(term.scrutinee)
-        for _, binder, body in term.branches:
-            out |= free_vars(body) - {binder}
-        return out
-    if isinstance(term, RecordLit):
-        out: set[str] = set()
-        for _, sub in term.fields:
-            out |= free_vars(sub)
-        return out
-    if isinstance(term, (Project, Upcast, RowApp, PresApp)):
-        return free_vars(term.term)
-    if isinstance(term, (RowAbs, PresAbs)):
-        return free_vars(term.body)
-    if isinstance(term, Let):
-        return free_vars(term.bound) | (free_vars(term.body) - {term.var})
-    if isinstance(term, Lit):
-        return set()
-    if isinstance(term, Prim):
-        out = set()
-        for sub in term.args:
-            out |= free_vars(sub)
-        return out
-    raise TypeError(f"not a term: {term!r}")
+    out: set[str] = set()
+
+    def go(sub: Term, bound: frozenset[str]) -> None:
+        if type(sub) is Var:
+            if sub.name not in bound:
+                out.add(sub.name)
+            return
+        for _, child, binder in SHAPES[type(sub)].children(sub):
+            go(child, bound if binder is None else bound | {binder})
+
+    go(term, frozenset())
+    return out
 
 
 def free_type_names(ty: Type) -> set[str]:
@@ -359,40 +470,33 @@ def term_names(term: Term) -> set[str]:
     out: set[str] = set()
 
     def go(sub: Term) -> None:
-        if isinstance(sub, Var):
+        if type(sub) is Var:
             out.add(sub.name)
-        elif isinstance(sub, Lam):
-            out.add(sub.var)
-            go(sub.body)
-        elif isinstance(sub, App):
-            go(sub.fn)
-            go(sub.arg)
-        elif isinstance(sub, Inject):
-            go(sub.payload)
-        elif isinstance(sub, Case):
-            go(sub.scrutinee)
-            for _, binder, body in sub.branches:
+        for _, child, binder in SHAPES[type(sub)].children(sub):
+            if binder is not None:
                 out.add(binder)
-                go(body)
-        elif isinstance(sub, RecordLit):
-            for _, inner in sub.fields:
-                go(inner)
-        elif isinstance(sub, (Project, Upcast, RowApp, PresApp)):
-            go(sub.term)
-        elif isinstance(sub, (RowAbs, PresAbs)):
-            go(sub.body)
-        elif isinstance(sub, Let):
-            out.add(sub.var)
-            go(sub.bound)
-            go(sub.body)
-        elif isinstance(sub, Prim):
-            for inner in sub.args:
-                go(inner)
-        elif not isinstance(sub, Lit):
-            raise TypeError(f"not a term: {sub!r}")
+            go(child)
 
     go(term)
     return out
+
+
+def row_use_lacks(name: str, ty: Type) -> frozenset[str] | None:
+    """Lacks set implied by the first use of `name` as a row tail, if any."""
+    if isinstance(ty, Arrow):
+        found = row_use_lacks(name, ty.dom)
+        return found if found is not None else row_use_lacks(name, ty.cod)
+    if isinstance(ty, (Variant, Record)):
+        if ty.row.tail == name:
+            return frozenset(ty.row.labels())
+        for _, _, sub in ty.row.entries:
+            found = row_use_lacks(name, sub)
+            if found is not None:
+                return found
+        return None
+    if isinstance(ty, (ForallRow, ForallPres)):
+        return None if ty.var == name else row_use_lacks(name, ty.body)
+    return None
 
 
 def _bound_type_names(ty: Type) -> set[str]:
@@ -418,13 +522,11 @@ def subst_term(body: Term, replacement: Term, var: str) -> Term:
     """body[replacement/var], capture-avoiding with deterministic renames."""
     fvs = free_vars(replacement)
 
-    def rename_binder(binder: str, *scopes: Term) -> str:
-        # Only rename when the binder would capture or shadow what we need.
-        if binder != var and binder not in fvs:
+    def rename_binder(binder: str, scope: Term) -> str:
+        # Only rename a binder that would capture a free name of the replacement.
+        if binder not in fvs:
             return binder
-        taken = fvs | {var}
-        for scope in scopes:
-            taken |= term_names(scope)
+        taken = fvs | {var} | term_names(scope)
         base = binder.split("$", 1)[0] or "x"
         n = 0
         while f"{base}${n}" in taken:
@@ -432,54 +534,28 @@ def subst_term(body: Term, replacement: Term, var: str) -> Term:
         return f"{base}${n}"
 
     def go(sub: Term) -> Term:
-        if isinstance(sub, Var):
+        if type(sub) is Var:
             return replacement if sub.name == var else sub
-        if isinstance(sub, Lam):
-            if sub.var == var:
-                return sub
-            new = rename_binder(sub.var, sub.body)
-            inner = sub.body if new == sub.var else subst_term(sub.body, Var(new), sub.var)
-            return Lam(new, sub.annot, go(inner))
-        if isinstance(sub, App):
-            return App(go(sub.fn), go(sub.arg))
-        if isinstance(sub, Inject):
-            return Inject(sub.label, go(sub.payload), sub.annot)
-        if isinstance(sub, Case):
-            branches = []
-            for label, binder, branch in sub.branches:
-                if binder == var:
-                    branches.append((label, binder, branch))
-                    continue
-                new = rename_binder(binder, branch)
-                inner = branch if new == binder else subst_term(branch, Var(new), binder)
-                branches.append((label, new, go(inner)))
-            return Case(go(sub.scrutinee), tuple(branches))
-        if isinstance(sub, RecordLit):
-            return RecordLit(tuple((l, go(t)) for l, t in sub.fields), sub.annot)
-        if isinstance(sub, Project):
-            return Project(go(sub.term), sub.label)
-        if isinstance(sub, Upcast):
-            return Upcast(go(sub.term), sub.target)
-        if isinstance(sub, RowAbs):
-            return RowAbs(sub.var, sub.kind, go(sub.body))
-        if isinstance(sub, RowApp):
-            return RowApp(go(sub.term), sub.row, sub.origin)
-        if isinstance(sub, PresAbs):
-            return PresAbs(sub.var, go(sub.body))
-        if isinstance(sub, PresApp):
-            return PresApp(go(sub.term), sub.presence, sub.origin)
-        if isinstance(sub, Let):
-            bound = go(sub.bound)
-            if sub.var == var:
-                return Let(sub.var, bound, sub.body)
-            new = rename_binder(sub.var, sub.body)
-            inner = sub.body if new == sub.var else subst_term(sub.body, Var(new), sub.var)
-            return Let(new, bound, go(inner))
-        if isinstance(sub, Lit):
-            return sub
-        if isinstance(sub, Prim):
-            return Prim(sub.op, tuple(go(t) for t in sub.args))
-        raise TypeError(f"not a term: {sub!r}")
+        shape = SHAPES[type(sub)]
+        parts = shape.children(sub)
+        kids: list[Term] = []
+        names = None  # the binder names, once one of them changes
+        walked = False
+        for _, child, binder in parts:
+            # a child under a binder of `var` itself is left alone
+            if binder != var:
+                if binder is not None:
+                    new = rename_binder(binder, child)
+                    if new != binder:
+                        names = names or [b for _, _, b in parts]
+                        names[len(kids)] = new
+                        child = subst_term(child, Var(new), binder)
+                child = go(child)
+                walked = True
+            kids.append(child)
+        if parts and not walked:
+            return sub  # every child is under a binder of `var`
+        return shape.rebuild(sub, kids, names)
 
     return go(body)
 
@@ -544,60 +620,57 @@ def subst_type_in_type(ty: Type, arg: Row | Presence, var: str) -> Type:
     return go(ty)
 
 
+def _replace_tyvar(ty: Type, old: str, rep: Type) -> Type:
+    """ty with every type variable named ``old`` replaced by ``rep``."""
+    if isinstance(ty, TyVar):
+        return rep if ty.name == old else ty
+    if isinstance(ty, Base):
+        return ty
+    if isinstance(ty, Arrow):
+        return Arrow(_replace_tyvar(ty.dom, old, rep), _replace_tyvar(ty.cod, old, rep))
+    if isinstance(ty, (Record, Variant)):
+        row = Row(
+            tuple((l, p, _replace_tyvar(a, old, rep)) for l, p, a in ty.row.entries),
+            ty.row.tail,
+        )
+        return type(ty)(row)
+    if isinstance(ty, ForallRow):
+        return ForallRow(ty.var, ty.kind, _replace_tyvar(ty.body, old, rep))
+    if isinstance(ty, ForallPres):
+        return ForallPres(ty.var, _replace_tyvar(ty.body, old, rep))
+    raise TypeError(f"not a type: {ty!r}")
+
+
+def rename_type_name(ty: Type, old: str, kind: Kind, new: str) -> Type:
+    """ty with the type-level name ``old``, of kind ``kind``, renamed ``new``."""
+    if isinstance(kind, KRow):
+        return subst_type_in_type(ty, Row((), new), old)
+    if isinstance(kind, KPre):
+        return subst_type_in_type(ty, PresVar(new), old)
+    return _replace_tyvar(ty, old, TyVar(new))
+
+
 def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
     """Substitute a type-level name throughout a term's annotations and arguments."""
 
-    def go_ty(ty: Type | None) -> Type | None:
-        return None if ty is None else subst_type_in_type(ty, arg, var)
-
-    def go_row(row: Row) -> Row:
-        wrapped = subst_type_in_type(Record(row), arg, var)
-        assert isinstance(wrapped, Record)
-        return wrapped.row
-
-    def go_pres(p: Presence) -> Presence:
-        if isinstance(p, PresVar) and p.name == var and isinstance(arg, (Absent, Present, PresVar)):
-            return arg
-        return p
+    def go_part(part):
+        if part is None:
+            return None
+        if isinstance(part, Row):
+            return subst_type_in_type(Record(part), arg, var).row
+        if isinstance(part, (Absent, Present, PresVar)):
+            hit = isinstance(part, PresVar) and part.name == var
+            return arg if hit and not isinstance(arg, Row) else part
+        return subst_type_in_type(part, arg, var)
 
     def go(sub: Term) -> Term:
-        if isinstance(sub, Var):
+        shape = SHAPES[type(sub)]
+        if shape.tybinder and sub.var == var:
             return sub
-        if isinstance(sub, Lam):
-            return Lam(sub.var, go_ty(sub.annot), go(sub.body))
-        if isinstance(sub, App):
-            return App(go(sub.fn), go(sub.arg))
-        if isinstance(sub, Inject):
-            return Inject(sub.label, go(sub.payload), go_ty(sub.annot))
-        if isinstance(sub, Case):
-            return Case(go(sub.scrutinee), tuple((l, x, go(b)) for l, x, b in sub.branches))
-        if isinstance(sub, RecordLit):
-            return RecordLit(tuple((l, go(t)) for l, t in sub.fields), go_ty(sub.annot))
-        if isinstance(sub, Project):
-            return Project(go(sub.term), sub.label)
-        if isinstance(sub, Upcast):
-            target = go_ty(sub.target)
-            assert target is not None
-            return Upcast(go(sub.term), target)
-        if isinstance(sub, RowAbs):
-            if sub.var == var:
-                return sub
-            return RowAbs(sub.var, sub.kind, go(sub.body))
-        if isinstance(sub, RowApp):
-            return RowApp(go(sub.term), go_row(sub.row), sub.origin)
-        if isinstance(sub, PresAbs):
-            if sub.var == var:
-                return sub
-            return PresAbs(sub.var, go(sub.body))
-        if isinstance(sub, PresApp):
-            return PresApp(go(sub.term), go_pres(sub.presence), sub.origin)
-        if isinstance(sub, Let):
-            return Let(sub.var, go(sub.bound), go(sub.body))
-        if isinstance(sub, Lit):
-            return sub
-        if isinstance(sub, Prim):
-            return Prim(sub.op, tuple(go(t) for t in sub.args))
-        raise TypeError(f"not a term: {sub!r}")
+        kids = []
+        for _, child, _ in shape.children(sub):
+            kids.append(go(child))
+        return shape.rebuild(sub, kids, None, go_part)
 
     return go(term)
 
@@ -624,24 +697,6 @@ def normalize_row(row: Row, presence_aware: bool = True) -> Row:
 
 def row_dom(row: Row) -> frozenset[str]:
     return frozenset(row.labels())
-
-
-def row_restrict(row: Row, labels: frozenset[str] | set[str]) -> Row:
-    missing = set(labels) - set(row.labels())
-    if missing:
-        raise MalformedRowError(f"labels not in row: {sorted(missing)}")
-    return Row(tuple(e for e in row.entries if e[0] in labels), None)
-
-
-def row_difference(row: Row, other: Row) -> Row:
-    """Entries of `row` whose (label, type) pair does not occur in `other`.
-
-    Both rows must be closed; presence marks are ignored for the pair test.
-    """
-    if row.tail is not None or other.tail is not None:
-        raise MalformedRowError("row difference needs closed rows")
-    other_pairs = {(label, ty) for label, _, ty in other.entries}
-    return Row(tuple(e for e in row.entries if (e[0], e[2]) not in other_pairs), None)
 
 
 def type_equal(a: Type, b: Type) -> bool:

@@ -30,12 +30,9 @@ from .syntax import (
     ForallPres,
     ForallRow,
     Inject,
-    KPre,
     KRow,
-    Kind,
     Lam,
     Let,
-    Lit,
     NameSupply,
     PresAbs,
     PresApp,
@@ -56,10 +53,13 @@ from .syntax import (
     Upcast,
     Var,
     Variant,
+    children,
+    rebuild,
+    rename_type_name,
     row_dom,
+    row_use_lacks,
     subst_type_in_type,
     term_names,
-    type_equal,
 )
 
 
@@ -583,32 +583,12 @@ def t7(deriv: Derivation, config: CalculusConfig) -> Term:
 
 def strip_upcasts(term: Term) -> Term:
     """Remove cast nodes but keep all other annotations intact."""
-    if isinstance(term, (Var, Lit)):
-        return term
     if isinstance(term, Upcast):
         return strip_upcasts(term.term)
-    if isinstance(term, Lam):
-        return Lam(term.var, term.annot, strip_upcasts(term.body))
-    if isinstance(term, App):
-        return App(strip_upcasts(term.fn), strip_upcasts(term.arg))
-    if isinstance(term, Inject):
-        return Inject(term.label, strip_upcasts(term.payload), term.annot)
-    if isinstance(term, Case):
-        return Case(
-            strip_upcasts(term.scrutinee),
-            tuple((l, x, strip_upcasts(b)) for l, x, b in term.branches),
-        )
-    if isinstance(term, RecordLit):
-        return RecordLit(
-            tuple((l, strip_upcasts(v)) for l, v in term.fields), term.annot
-        )
-    if isinstance(term, Project):
-        return Project(strip_upcasts(term.term), term.label)
-    if isinstance(term, Let):
-        return Let(term.var, strip_upcasts(term.bound), strip_upcasts(term.body))
-    if isinstance(term, Prim):
-        return Prim(term.op, tuple(strip_upcasts(a) for a in term.args))
-    raise TranslationError(f"unhandled term form {type(term).__name__}")
+    kids = []
+    for _, child, _ in children(term):
+        kids.append(strip_upcasts(child))
+    return rebuild(term, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -697,25 +677,7 @@ def trans_b(ty: Type, _counter=None) -> TypeScheme:
 
 
 def _row_kind_in(body: Type, name: str) -> KRow:
-    lacks = _tail_lacks(body, name)
-    return KRow(lacks if lacks is not None else frozenset())
-
-
-def _tail_lacks(ty: Type, name: str) -> frozenset[str] | None:
-    if isinstance(ty, Arrow):
-        hit = _tail_lacks(ty.dom, name)
-        return hit if hit is not None else _tail_lacks(ty.cod, name)
-    if isinstance(ty, (Record, Variant)):
-        if ty.row.tail == name:
-            return row_dom(ty.row)
-        for _, _, a in ty.row.entries:
-            hit = _tail_lacks(a, name)
-            if hit is not None:
-                return hit
-        return None
-    if isinstance(ty, (ForallRow, ForallPres)):
-        return _tail_lacks(ty.body, name)
-    return None
+    return KRow(row_use_lacks(name, body) or frozenset())
 
 
 def _inst_scheme(scheme: TypeScheme, names: list[str]) -> Type:
@@ -735,115 +697,6 @@ def trans_b_inst(ty: Type, names: list[str]) -> Type:
     return _inst_scheme(trans_b(ty), names)
 
 
-def trans_b_inst_rows(ty: Type, rows: list[Row]) -> Type:
-    """Instantiate trans_b(ty)'s prefix with concrete rows."""
-    scheme = trans_b(ty)
-    if len(scheme.quants) != len(rows):
-        raise TranslationError("row sequence does not cover the prefix")
-    body = scheme.body
-    for (old, _), row in zip(scheme.quants, rows):
-        body = subst_type_in_type(body, row, old)
-    return body
-
-
-# ---------------------------------------------------------------------------
-# The weakening preorder on target types and its instantiation builder
-
-
-def weak_sub(a, b) -> bool:
-    """Syntactic weakening: open tails on the left may be dropped.
-
-    Covers exactly five shapes: equal atoms, closed records pointwise, an
-    open record against a closed one with the same labels, functions with
-    equal domains, and quantifier prefixes matched positionally with equal
-    kinds.
-    """
-    if isinstance(a, TypeScheme) or isinstance(b, TypeScheme):
-        qa = a.quants if isinstance(a, TypeScheme) else ()
-        qb = b.quants if isinstance(b, TypeScheme) else ()
-        if len(qa) != len(qb):
-            return False
-        body_a = a.body if isinstance(a, TypeScheme) else a
-        body_b = b.body if isinstance(b, TypeScheme) else b
-        for (na, ka), (nb, kb) in zip(qa, qb):
-            if ka != kb:
-                return False
-            body_a = _rename_binder(body_a, na, nb, ka)
-        return _weak_sub_ty(body_a, body_b)
-    return _weak_sub_ty(a, b)
-
-
-def _rename_binder(ty: Type, old: str, new: str, kind: Kind) -> Type:
-    if old == new:
-        return ty
-    if isinstance(kind, KRow):
-        return subst_type_in_type(ty, Row((), new), old)
-    if isinstance(kind, KPre):
-        return subst_type_in_type(ty, PresVar(new), old)
-    return _subst_tyvar(ty, old, TyVar(new))
-
-
-def _subst_tyvar(ty: Type, old: str, rep: Type) -> Type:
-    if isinstance(ty, TyVar):
-        return rep if ty.name == old else ty
-    if isinstance(ty, Base):
-        return ty
-    if isinstance(ty, Arrow):
-        return Arrow(_subst_tyvar(ty.dom, old, rep), _subst_tyvar(ty.cod, old, rep))
-    if isinstance(ty, (Record, Variant)):
-        row = Row(
-            tuple((l, p, _subst_tyvar(a, old, rep)) for l, p, a in ty.row.entries),
-            ty.row.tail,
-        )
-        return type(ty)(row)
-    if isinstance(ty, ForallRow):
-        return ForallRow(ty.var, ty.kind, _subst_tyvar(ty.body, old, rep))
-    if isinstance(ty, ForallPres):
-        return ForallPres(ty.var, _subst_tyvar(ty.body, old, rep))
-    raise TranslationError(f"unhandled type form {type(ty).__name__}")
-
-
-def _weak_sub_ty(a: Type, b: Type) -> bool:
-    if isinstance(a, (TyVar, Base)):
-        return a == b
-    if isinstance(a, Arrow) and isinstance(b, Arrow):
-        return type_equal(a.dom, b.dom) and _weak_sub_ty(a.cod, b.cod)
-    if isinstance(a, Record) and isinstance(b, Record):
-        if b.row.tail is not None:
-            return type_equal(a, b)
-        ea = {l: t for l, _, t in a.row.entries}
-        eb = {l: t for l, _, t in b.row.entries}
-        if set(ea) != set(eb):
-            return False
-        return all(_weak_sub_ty(ea[l], eb[l]) for l in ea)
-    return False
-
-
-def row_inst_for_sub(tau: Type, sup: Type) -> list[Row]:
-    """Rows making trans_b_inst_rows(sup, rows) equal tau, given tau fits.
-
-    Heads collect the fields dropped by the subtyping (keeping tau's tail
-    when open), then deep sequences recurse through the matching labels.
-    """
-    if isinstance(tau, (TyVar, Base)):
-        return []
-    if isinstance(tau, Arrow) and isinstance(sup, Arrow):
-        return row_inst_for_sub(tau.cod, sup.cod)
-    if isinstance(tau, Record) and isinstance(sup, Record):
-        sup_labels = row_dom(sup.row)
-        extra = tuple(
-            (label, Present(), ty)
-            for label, ty in _closed_entries(tau.row)
-            if label not in sup_labels
-        )
-        out = [Row(extra, tau.row.tail)]
-        tau_fields = dict(_closed_entries(tau.row))
-        for label, a in _closed_entries(sup.row):
-            out.extend(row_inst_for_sub(tau_fields[label], a))
-        return out
-    raise TranslationError("shapes do not match for row instantiation")
-
-
 # ---------------------------------------------------------------------------
 # Matcher: can the inferred principal scheme be weakened below a goal?
 
@@ -860,7 +713,7 @@ def weak_sub_instance(principal: TypeScheme, goal: TypeScheme) -> bool:
     for i, (name, kind) in enumerate(principal.quants):
         meta = f"?m{i}"
         flex.add(meta)
-        body = _rename_binder(body, name, meta, kind)
+        body = rename_type_name(body, name, kind, meta)
 
     subst: dict[str, Type | Row] = {}
 
@@ -944,14 +797,26 @@ def weak_sub_instance(principal: TypeScheme, goal: TypeScheme) -> bool:
 
 @dataclass(frozen=True)
 class Translation:
+    """One encoding: its (source, target) calculus pairs, the term and type
+    maps, and the properties a theorem of the paper covers for it (the only
+    ones ``harness.run_property`` checks on it)."""
+
     tid: str
     pairs: tuple[tuple[str, str], ...]
     term: Callable[[Derivation, CalculusConfig], Term]
     type_map: Callable[[Type], Type] | None
+    properties: tuple[str, ...]
 
 
 def _identity_type(ty: Type) -> Type:
     return ty
+
+
+# Every translation preserves typing; t1-t4 also simulate and reflect
+# reduction and commute with substitution; the ones that add no code to the
+# erased term also preserve erasure.
+_TYPED = ("type-preservation",)
+_STEPS = ("simulation", "reflection", "substitution")
 
 
 TRANSLATIONS: dict[str, Translation] = {
@@ -962,36 +827,42 @@ TRANSLATIONS: dict[str, Translation] = {
             (("var-sub", "var"),),
             lambda d, c: t1(d),
             _identity_type,
+            _TYPED + _STEPS,
         ),
         Translation(
             "var-sub-to-row",
             (("var-sub", "var-row"),),
             lambda d, c: t2(d),
             type_translate2,
+            _TYPED + _STEPS + ("erasure",),
         ),
         Translation(
             "rec-sub-to-rec",
             (("rec-sub", "rec"),),
             lambda d, c: t3(d),
             _identity_type,
+            _TYPED + _STEPS,
         ),
         Translation(
             "rec-sub-to-pre",
             (("rec-sub", "rec-pre"),),
             lambda d, c: t4(d),
             type_translate4,
+            _TYPED + _STEPS + ("erasure",),
         ),
         Translation(
             "full-sub-coerce",
             (("var-rec-sub-full", "var-rec"),),
             lambda d, c: t5(d),
             _identity_type,
+            _TYPED,
         ),
         Translation(
             "rec-co-to-pre",
             (("rec-sub-co", "rec-pre"),),
             lambda d, c: t6(d),
             type_translate6,
+            _TYPED + ("erasure",),
         ),
         Translation(
             "erase-upcasts",
@@ -1003,6 +874,7 @@ TRANSLATIONS: dict[str, Translation] = {
             ),
             t7,
             None,
+            _TYPED + ("erasure",),
         ),
     )
 }

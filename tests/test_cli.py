@@ -28,6 +28,22 @@ def test_verify_zero_count_is_a_user_error(capsys):
     assert capsys.readouterr().err.startswith("rowlab: error: count must be at least 1")
 
 
+def test_verify_refuses_a_pair_no_theorem_covers(capsys):
+    code = run(["verify", "--property", "erasure",
+                "--translation", "rec-sub-to-rec", "--count", "30"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "rowlab: error: no theorem covers erasure on rec-sub-to-rec"
+    )
+
+
+def test_verify_depth_below_one_is_a_user_error(capsys):
+    code = run(["verify", "--property", "simulation",
+                "--translation", "rec-sub-to-rec", "--count", "3", "--depth", "0"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("rowlab: error: depth must be at least 1")
+
+
 def test_deep_term_is_a_user_error(tmp_path, capsys):
     src = tmp_path / "plus.row"
     src.write_text(" + ".join(["1"] * 2000), encoding="utf-8")

@@ -1,5 +1,7 @@
 """Term generator, property checkers, and the report plumbing around them."""
 
+from pathlib import Path
+
 import pytest
 
 from rowlab.config import PRESETS, preset
@@ -161,6 +163,39 @@ def test_run_property_argument_checks():
         run_property("subject-reduction")
     with pytest.raises(ValueError):
         run_property("no-such-property", count=1)
+    for depth in (0, -3):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            run_property(
+                "simulation", translation="rec-sub-to-rec", count=1, depth=depth
+            )
+
+
+@pytest.mark.parametrize(
+    "prop,tid",
+    [
+        ("erasure", "var-sub-to-var"),
+        ("erasure", "rec-sub-to-rec"),
+        ("erasure", "full-sub-coerce"),
+        ("simulation", "full-sub-coerce"),
+        ("reflection", "rec-co-to-pre"),
+        ("substitution", "erase-upcasts"),
+        ("simulation", "no-such-translation"),
+    ],
+)
+def test_run_property_refuses_pairs_no_theorem_covers(prop, tid):
+    with pytest.raises(ValueError, match=f"no theorem covers {prop} on {tid}"):
+        run_property(prop, translation=tid, count=1)
+
+
+def test_benchmark_pairs_are_ones_the_registry_accepts(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    for prop, subject in workloads.SEARCH_PAIRS + workloads.SWEEP_PAIRS:
+        if prop in ("subject-reduction", "preorder-correspondence"):
+            assert subject in PRESETS
+        else:
+            assert prop in TRANSLATIONS[subject].properties, (prop, subject)
 
 
 def test_mismatched_derivation_fails_loudly():

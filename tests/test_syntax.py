@@ -1,11 +1,17 @@
-"""Oracles for the syntax layer: substitution, row algebra, equality."""
+"""Oracles for the syntax layer: the term shape table, substitution, row
+algebra, equality."""
 
 from __future__ import annotations
+
+from typing import get_args
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rowlab.config import PRESETS, preset
+from rowlab.harness import GenError, GenSpec, gen_typed_term
 from rowlab.syntax import (
+    SHAPES,
     Absent,
     App,
     Arrow,
@@ -20,6 +26,8 @@ from rowlab.syntax import (
     Lit,
     MalformedRowError,
     NameSupply,
+    PresAbs,
+    PresApp,
     PresVar,
     Present,
     Project,
@@ -28,25 +36,28 @@ from rowlab.syntax import (
     Row,
     RowAbs,
     RowApp,
+    Term,
     TyVar,
     TypeScheme,
     Upcast,
     Var,
     Variant,
     alpha_eq,
+    children,
     closed_row,
     free_vars,
     normalize_row,
+    rebuild,
     record,
-    row_difference,
     row_dom,
-    row_restrict,
     scheme_alpha_eq,
     subst_term,
+    subst_type_in_term,
     subst_type_in_type,
     type_equal,
     variant,
 )
+from rowlab.translate import TRANSLATIONS, run_translation
 
 A0 = TyVar("a0")
 INT = Base("Int")
@@ -185,29 +196,10 @@ def test_type_equal_pres_quantifiers():
 # row algebra
 
 
-def test_row_difference_pairwise():
-    r = closed_row(("Age", INT), ("Year", INT))
-    assert row_difference(r, closed_row(("Year", INT))) == closed_row(("Age", INT))
-
-
-def test_row_difference_self_and_empty():
-    r = closed_row(("Age", INT), ("Year", INT))
-    assert row_difference(r, r) == Row((), None)
-    assert row_difference(r, Row((), None)) == r
-
-
-def test_row_difference_type_mismatch_keeps_entry():
-    r = closed_row(("Age", INT))
-    assert row_difference(r, closed_row(("Age", STR))) == r
-
-
-def test_row_restrict_and_dom():
+def test_row_dom():
     r = closed_row(("Name", STR), ("Age", INT))
-    assert row_restrict(r, {"Name"}) == closed_row(("Name", STR))
-    assert row_restrict(r, row_dom(r)).entries == r.entries
+    assert row_dom(r) == frozenset({"Name", "Age"})
     assert row_dom(Row((), None)) == frozenset()
-    with pytest.raises(MalformedRowError):
-        row_restrict(r, {"Year"})
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +275,6 @@ def test_normalize_permutation_invariant(row, rnd):
     assert normalize_row(Row(tuple(entries), row.tail)) == normalize_row(row)
 
 
-@given(rows())
-def test_row_difference_partition(row):
-    row = normalize_row(Row(row.entries, None), presence_aware=False)
-    other = Row(row.entries[: len(row.entries) // 2], None)
-    diff = row_difference(row, other)
-    kept = {(l, t) for l, _, t in diff.entries}
-    removed = {(l, t) for l, _, t in row.entries} - kept
-    assert removed == {(l, t) for l, _, t in other.entries}
-    assert kept | removed == {(l, t) for l, _, t in row.entries}
-
-
 @given(st.sampled_from(["x", "y", "z"]))
 def test_fresh_names_avoid(base):
     supply = NameSupply(avoid={f"{base}$0", f"{base}$1"})
@@ -310,3 +291,121 @@ def test_free_vars():
 def test_upcast_project_structure():
     m = Upcast(Project(Var("x"), "Name"), STR)
     assert free_vars(m) == {"x"}
+
+
+# ---------------------------------------------------------------------------
+# term shapes
+
+ROW_KIND = KRow(frozenset())
+
+
+def test_every_term_form_has_a_shape():
+    assert set(get_args(Term)) == set(SHAPES)
+
+
+def _generated_terms():
+    """A few generated terms of every preset, and their translations (which
+    bring in row and presence abstraction and application)."""
+    for name in sorted(PRESETS):
+        spec = GenSpec(preset(name), max_size=10, seed=4)
+        for i in range(4):
+            try:
+                term, deriv = gen_typed_term(spec, i)
+            except GenError:
+                continue
+            yield term
+            for tid, t in sorted(TRANSLATIONS.items()):
+                if deriv is not None and t.pairs[0][0] == name:
+                    yield run_translation(tid, deriv)
+
+
+def _subterms(term):
+    yield term
+    for _, child, _ in children(term):
+        yield from _subterms(child)
+
+
+def test_rebuild_from_own_parts_gives_an_equal_term():
+    forms = set()
+    for term in _generated_terms():
+        for sub in _subterms(term):
+            shape = SHAPES[type(sub)]
+            parts = shape.children(sub)
+            kids = [child for _, child, _ in parts]
+            assert rebuild(sub, kids) == sub
+            names = [binder for _, _, binder in parts]
+            assert shape.rebuild(sub, kids, names, lambda part: part) == sub
+            forms.add(type(sub))
+    assert forms == set(SHAPES)
+
+
+def test_slot_names_and_binders():
+    m = Case(Var("s"), (("A", "a", Var("a")), ("B", "b", Lit(1))))
+    assert [(slot, binder) for slot, _, binder in children(m)] == [
+        ("scrutinee", None), ("branch:A", "a"), ("branch:B", "b"),
+    ]
+    m = Let("x", Lit(1), Var("x"))
+    assert [(slot, binder) for slot, _, binder in children(m)] == [
+        ("bound", None), ("body", "x"),
+    ]
+
+
+def test_free_vars_through_type_abstraction_and_application():
+    m = RowAbs(
+        "r", ROW_KIND,
+        PresAbs("p", RowApp(PresApp(Var("f"), PresVar("p")), Row((), "r"))),
+    )
+    assert free_vars(m) == {"f"}
+    assert free_vars(Lam("f", None, m)) == set()
+
+
+def test_subst_renames_a_capturing_case_binder():
+    m = Case(Var("z"), (("A", "y", App(Var("x"), Var("y"))), ("B", "x", Var("x"))))
+    assert subst_term(m, Var("y"), "x") == Case(
+        Var("z"),
+        (("A", "y$0", App(Var("y"), Var("y$0"))), ("B", "x", Var("x"))),
+    )
+
+
+def test_subst_renames_a_capturing_let_binder_in_the_body_only():
+    m = Let("y", Var("x"), App(Var("x"), Var("y")))
+    assert subst_term(m, Var("y"), "x") == Let(
+        "y$0", Var("y"), App(Var("y"), Var("y$0"))
+    )
+
+
+def test_subst_passes_type_abstraction_and_application():
+    m = RowAbs("r", ROW_KIND, RowApp(PresAbs("p", Var("x")), Row((), "r")))
+    assert subst_term(m, Lit(1), "x") == RowAbs(
+        "r", ROW_KIND, RowApp(PresAbs("p", Lit(1)), Row((), "r"))
+    )
+
+
+def test_subst_type_in_term_stops_at_its_own_binder():
+    body = Lam("x", Record(Row((), "r")), PresApp(Var("x"), PresVar("p")))
+    row_abs = RowAbs("r", ROW_KIND, body)
+    assert subst_type_in_term(row_abs, Row((), "s"), "r") == row_abs
+    assert subst_type_in_term(PresAbs("p", body), Absent(), "p") == PresAbs("p", body)
+
+
+def test_subst_type_in_term_reaches_annotations_under_other_binders():
+    body = Lam("x", Record(Row((), "r")), Upcast(Var("x"), Record(Row((), "r"))))
+    out = subst_type_in_term(
+        PresAbs("p", RowAbs("q", ROW_KIND, body)), closed_row(("A", INT)), "r"
+    )
+    want = Lam("x", record(("A", INT)), Upcast(Var("x"), record(("A", INT))))
+    assert out == PresAbs("p", RowAbs("q", ROW_KIND, want))
+
+
+def test_subst_type_in_term_rewrites_row_and_presence_arguments():
+    m = PresApp(
+        RowApp(Var("f"), Row((("A", PresVar("p"), INT),), "r"), "upcast"),
+        PresVar("p"),
+    )
+    assert subst_type_in_term(m, Absent(), "p") == PresApp(
+        RowApp(Var("f"), Row((("A", Absent(), INT),), "r"), "upcast"), Absent()
+    )
+    row = Row((("A", PresVar("p"), INT), ("B", Present(), STR)), None)
+    assert subst_type_in_term(m, closed_row(("B", STR)), "r") == PresApp(
+        RowApp(Var("f"), row, "upcast"), PresVar("p")
+    )

@@ -8,13 +8,11 @@ from rowlab.parser import parse_term_str, parse_type_str
 from rowlab.statics import subtype, type_check
 from rowlab.syntax import (
     App,
-    Base,
     KRow,
     KType,
     Lit,
     NameSupply,
     Present,
-    Row,
     TypeScheme,
     alpha_eq,
     type_equal,
@@ -26,7 +24,6 @@ from rowlab.translate import (
     coerce,
     pres_arity,
     pres_seq,
-    row_inst_for_sub,
     row_seq_a,
     row_seq_b,
     run_translation,
@@ -40,12 +37,10 @@ from rowlab.translate import (
     t7,
     trans_a,
     trans_b,
-    trans_b_inst_rows,
     translation_for,
     type_translate2,
     type_translate4,
     type_translate6,
-    weak_sub,
     weak_sub_instance,
 )
 
@@ -388,44 +383,6 @@ def test_row_seq_lengths():
     assert row_seq_a(T("Int")) == 0
     assert row_seq_b(T("{Child:{Name:String}}")) == 2
     assert row_seq_b(T("({Name:String} -> String) -> Int")) == 0
-
-
-def test_weak_sub_drops_open_tail():
-    assert weak_sub(T("{Name:String; r0}"), T("{Name:String}"))
-    assert not weak_sub(T("{Name:String; Age:Int; r0}"), T("{Name:String}"))
-
-
-def test_weak_sub_requires_equal_function_domains():
-    assert not weak_sub(T("{Name:String; r0} -> Int"), T("{Name:String} -> Int"))
-    assert weak_sub(
-        T("{Name:String; r0} -> {Age:Int; r1}"),
-        T("{Name:String; r0} -> {Age:Int}"),
-    )
-
-
-def test_weak_sub_schemes_match_positionally():
-    a = TypeScheme(
-        (("r0", KRow(frozenset({"Name"}))),), T("{Name:String; r0} -> String")
-    )
-    b = TypeScheme(
-        (("r9", KRow(frozenset({"Name"}))),), T("{Name:String; r9} -> String")
-    )
-    assert weak_sub(a, b)
-    c = TypeScheme((("a0", KType()),), T("{Name:String; r0} -> String"))
-    assert not weak_sub(c, b)
-
-
-def test_row_inst_for_sub_collects_dropped_fields():
-    rows = row_inst_for_sub(T("{Age:Int; Name:String}"), T("{Name:String}"))
-    assert rows == [Row((("Age", Present(), Base("Int")),), None)]
-    rebuilt = trans_b_inst_rows(T("{Name:String}"), rows)
-    assert type_equal(rebuilt, T("{Age:Int; Name:String}"))
-
-
-def test_row_inst_for_sub_keeps_open_tail():
-    rows = row_inst_for_sub(T("{Age:Int; Name:String; r5}"), T("{Name:String}"))
-    rebuilt = trans_b_inst_rows(T("{Name:String}"), rows)
-    assert type_equal(rebuilt, T("{Age:Int; Name:String; r5}"))
 
 
 def test_weak_sub_instance_allows_more_general_principal():
