@@ -21,22 +21,12 @@ from .dynamics import (
     reduction_trace,
     relations_for,
 )
-from .harness import run_property
+from .harness import PROPERTIES, run_property
 from .infer import InferError, infer
 from .parser import ParseError, parse_file_str
 from .pretty import show_scheme, show_term, show_type
 from .statics import StaticError, type_check
 from .translate import TranslationError, translation_for
-
-PROPERTIES = (
-    "type-preservation",
-    "simulation",
-    "reflection",
-    "erasure",
-    "substitution",
-    "subject-reduction",
-    "preorder-correspondence",
-)
 
 
 def _read(path: str) -> str:

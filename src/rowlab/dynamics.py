@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .config import CalculusConfig
 from .pretty import show_term
 from .syntax import (
+    NO_NAMES,
     SHAPES,
     App,
     Arrow,
@@ -34,6 +35,7 @@ from .syntax import (
     Lam,
     Let,
     Lit,
+    Names,
     PresAbs,
     PresApp,
     Prim,
@@ -47,7 +49,10 @@ from .syntax import (
     Upcast,
     Var,
     Variant,
+    bind,
     rebuild,
+    same_data,
+    same_name,
     subst_term,
     subst_type_in_term,
 )
@@ -377,48 +382,24 @@ def erase(term: Term) -> Term:
 
 
 def term_preorder(m: Term, n: Term) -> bool:
-    return _approx(m, n, {})
+    return _approx(m, n, NO_NAMES)
 
 
-def _approx(m: Term, n: Term, env: dict[str, str]) -> bool:
-    if isinstance(m, Var) and isinstance(n, Var):
-        return env.get(m.name, m.name) == n.name
-    if isinstance(m, Lam) and isinstance(n, Lam):
-        return _approx(m.body, n.body, {**env, m.var: n.var})
-    if isinstance(m, App) and isinstance(n, App):
-        return _approx(m.fn, n.fn, env) and _approx(m.arg, n.arg, env)
-    if isinstance(m, Inject) and isinstance(n, Inject):
-        return m.label == n.label and _approx(m.payload, n.payload, env)
-    if isinstance(m, Case) and isinstance(n, Case):
-        if not _approx(m.scrutinee, n.scrutinee, env):
+def _approx(m: Term, n: Term, env: Names) -> bool:
+    # annotations are ignored; casts and type-level forms are never related
+    if type(m) is not type(n) or isinstance(m, _TYPE_LEVEL):
+        return False
+    if type(m) is Var:
+        return same_name(env, m.name, n.name)
+    shape = SHAPES[type(m)]
+    if not same_data(shape, m, n):
+        return False
+    mk = {slot: (child, x) for slot, child, x in shape.children(m)}
+    nk = {slot: (child, y) for slot, child, y in shape.children(n)}
+    if not (nk.keys() <= mk.keys() if type(m) is RecordLit else nk.keys() == mk.keys()):
+        return False
+    for slot, (b, y) in nk.items():
+        a, x = mk[slot]
+        if not _approx(a, b, env if x is None else bind(env, x, y)):
             return False
-        mb = {l: (x, b) for l, x, b in m.branches}
-        nb = {l: (x, b) for l, x, b in n.branches}
-        if set(mb) != set(nb):
-            return False
-        for label, (mx, mbody) in mb.items():
-            nx, nbody = nb[label]
-            if not _approx(mbody, nbody, {**env, mx: nx}):
-                return False
-        return True
-    if isinstance(m, RecordLit) and isinstance(n, RecordLit):
-        mf = {l: v for l, v in m.fields}
-        nf = {l: v for l, v in n.fields}
-        if not set(nf) <= set(mf):
-            return False
-        return all(_approx(mf[l], nf[l], env) for l in nf)
-    if isinstance(m, Project) and isinstance(n, Project):
-        return m.label == n.label and _approx(m.term, n.term, env)
-    if isinstance(m, Let) and isinstance(n, Let):
-        return _approx(m.bound, n.bound, env) and _approx(
-            m.body, n.body, {**env, m.var: n.var}
-        )
-    if isinstance(m, Lit) and isinstance(n, Lit):
-        return m.value == n.value
-    if isinstance(m, Prim) and isinstance(n, Prim):
-        return (
-            m.op == n.op
-            and len(m.args) == len(n.args)
-            and all(_approx(a, b, env) for a, b in zip(m.args, n.args))
-        )
-    return False
+    return True

@@ -30,6 +30,8 @@ from .statics import (
     type_check,
 )
 from .syntax import (
+    SHAPES,
+    Absent,
     App,
     Arrow,
     Base,
@@ -39,7 +41,6 @@ from .syntax import (
     Lam,
     Let,
     Lit,
-    PresAbs,
     PresApp,
     Present,
     PresVar,
@@ -48,7 +49,6 @@ from .syntax import (
     Record,
     RecordLit,
     Row,
-    RowAbs,
     RowApp,
     Term,
     Type,
@@ -59,6 +59,7 @@ from .syntax import (
     Variant,
     alpha_eq,
     children,
+    same_data,
     subst_term,
     subst_type_in_term,
     type_equal,
@@ -645,93 +646,47 @@ class _Reach:
         return (subst_term(xb, Var(fresh), xv), subst_term(gb, Var(fresh), gv))
 
     def _decompose(self, x: Term, g: Term):
+        """The (state, goal) pairs of the children of two nodes of one form
+        that agree on everything else, positionally; None when they do not."""
         if type(x) is not type(g):
             return None
-        if isinstance(x, (Var, Lit)):
+        if type(x) is Var:
             return [] if x == g else None
-        if isinstance(x, Lam):
-            if (x.annot is None) != (g.annot is None):
+        shape = SHAPES[type(x)]
+        if not same_data(shape, x, g):
+            return None
+        xs, gs = shape.children(x), shape.children(g)
+        if [s for s, _, _ in xs] != [s for s, _, _ in gs]:
+            return None
+        for name in shape.types:
+            if not _part_agrees(getattr(x, name), getattr(g, name)):
                 return None
-            if x.annot is not None and not type_equal(x.annot, g.annot):
-                return None
-            return [self._pair_bound(x.body, x.var, g.body, g.var)]
-        if isinstance(x, App):
-            return [(x.fn, g.fn), (x.arg, g.arg)]
-        if isinstance(x, Inject):
-            if x.label != g.label:
-                return None
-            if (x.annot is None) != (g.annot is None):
-                return None
-            if x.annot is not None and not type_equal(x.annot, g.annot):
-                return None
-            return [(x.payload, g.payload)]
-        if isinstance(x, Case):
-            if len(x.branches) != len(g.branches):
-                return None
-            pairs = [(x.scrutinee, g.scrutinee)]
-            for (lx, vx, bx), (lg, vg, bg) in zip(x.branches, g.branches):
-                if lx != lg:
-                    return None
-                pairs.append(self._pair_bound(bx, vx, bg, vg))
-            return pairs
-        if isinstance(x, RecordLit):
-            if [l for l, _ in x.fields] != [l for l, _ in g.fields]:
-                return None
-            if (x.annot is None) != (g.annot is None):
-                return None
-            if x.annot is not None and not type_equal(x.annot, g.annot):
-                return None
-            return [
-                (a, b) for (_, a), (_, b) in zip(x.fields, g.fields)
-            ]
-        if isinstance(x, Project):
-            if x.label != g.label:
-                return None
-            return [(x.term, g.term)]
-        if isinstance(x, Let):
-            return [
-                (x.bound, g.bound),
-                self._pair_bound(x.body, x.var, g.body, g.var),
-            ]
-        if isinstance(x, Prim):
-            if x.op != g.op or len(x.args) != len(g.args):
-                return None
-            return list(zip(x.args, g.args))
-        if isinstance(x, Upcast):
-            if not type_equal(x.target, g.target):
-                return None
-            return [(x.term, g.term)]
-        # type-level binders get alpha-renamed: independently produced
-        # translations pick different fresh row/presence names
-        if isinstance(x, PresAbs):
-            fresh = PresVar(f"_q{next(self._fresh)}")
+        if shape.tybinder:
+            # type-level binders get alpha-renamed: independently produced
+            # translations pick different fresh row/presence names
+            fresh = shape.tybinder(f"_q{next(self._fresh)}")
             return [
                 (
                     subst_type_in_term(x.body, fresh, x.var),
                     subst_type_in_term(g.body, fresh, g.var),
                 )
             ]
-        if isinstance(x, RowAbs):
-            if x.kind != g.kind:
-                return None
-            fresh = Row((), f"_q{next(self._fresh)}")
-            return [
-                (
-                    subst_type_in_term(x.body, fresh, x.var),
-                    subst_type_in_term(g.body, fresh, g.var),
-                )
-            ]
-        if isinstance(x, RowApp):
-            if x.origin != g.origin or not type_equal(
-                Record(x.row), Record(g.row)
-            ):
-                return None
-            return [(x.term, g.term)]
-        if isinstance(x, PresApp):
-            if x.origin != g.origin or x.presence != g.presence:
-                return None
-            return [(x.term, g.term)]
-        return None
+        return [
+            (a, b) if xv is None else self._pair_bound(a, xv, b, gv)
+            for (_, a, xv), (_, b, gv) in zip(xs, gs)
+        ]
+
+
+def _part_agrees(a, b) -> bool:
+    """Two type-level parts of one field, as the search compares them:
+    presences exactly, rows and types by ``type_equal``."""
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, Row):
+        return type_equal(Record(a), Record(b))
+    if isinstance(a, (Absent, Present, PresVar)):
+        return a == b
+    return type_equal(a, b)
 
 
 def _recheck(cfg: CalculusConfig, deriv: Derivation, term: Term) -> Derivation:
@@ -1259,6 +1214,13 @@ def check_subject_reduction(
 
 # ---------------------------------------------------------------------------
 # Batch driver
+
+
+# every property run_property checks: the ones a theorem covers for some
+# translation, then the two checked on a calculus
+PROPERTIES = tuple(
+    dict.fromkeys(p for t in TRANSLATIONS.values() for p in t.properties)
+) + ("subject-reduction", "preorder-correspondence")
 
 
 def run_property(

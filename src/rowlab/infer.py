@@ -46,6 +46,7 @@ from .syntax import (
     TyVar,
     Var,
     Variant,
+    free_type_names,
     rename_type_name,
 )
 
@@ -206,13 +207,18 @@ def unify_rows(state: _State, ra: Row, rb: Row) -> None:
             state.subst[tb] = Row(
                 tuple((l, p, t) for l, (p, t) in sorted(into_b.items())), shared
             )
-        elif _is_meta(ta):
-            state.subst[ta] = Row(
-                tuple((l, p, t) for l, (p, t) in sorted(into_a.items())), tb
-            )
-        elif _is_meta(tb):
-            state.subst[tb] = Row(
-                tuple((l, p, t) for l, (p, t) in sorted(into_b.items())), ta
+        elif _is_meta(ta) or _is_meta(tb):
+            meta, other, into = (ta, tb, into_a) if _is_meta(ta) else (tb, ta, into_b)
+            # the rest of the row must lack every label the meta lacks
+            if other is not None:
+                missing = state.lacks[meta] - state.lacks.get(other, frozenset())
+                if missing:
+                    raise InferError(
+                        f"row {other} does not lack {', '.join(sorted(missing))} "
+                        f"as {meta} must"
+                    )
+            state.subst[meta] = Row(
+                tuple((l, p, t) for l, (p, t) in sorted(into.items())), other
             )
         else:
             # two distinct rigid tails (or one rigid, one closed)
@@ -285,36 +291,6 @@ def _zonk_row(state: _State, row: Row) -> Row:
         tail = rep.tail
 
 
-def _meta_occurrences(ty: Type, seen: dict[str, Kind], lacks) -> None:
-    """Collect metavariables with kinds in first-occurrence order."""
-    if isinstance(ty, TyVar):
-        if _is_meta(ty.name) and ty.name not in seen:
-            seen[ty.name] = KType()
-        return
-    if isinstance(ty, Base):
-        return
-    if isinstance(ty, Arrow):
-        _meta_occurrences(ty.dom, seen, lacks)
-        _meta_occurrences(ty.cod, seen, lacks)
-        return
-    if isinstance(ty, (Record, Variant)):
-        for _, pres, a in ty.row.entries:
-            if isinstance(pres, PresVar) and _is_meta(pres.name):
-                seen.setdefault(pres.name, KPre())
-            _meta_occurrences(a, seen, lacks)
-        tail = ty.row.tail
-        if _is_meta(tail) and tail not in seen:
-            seen[tail] = KRow(lacks.get(tail, frozenset()))
-        return
-    raise InferError(f"unexpected type form {type(ty).__name__}")
-
-
-def _free_meta_names(ty: Type) -> set[str]:
-    out: dict[str, Kind] = {}
-    _meta_occurrences(ty, out, {})
-    return set(out)
-
-
 def instantiate(state: _State, scheme: TypeScheme) -> Type:
     body = scheme.body
     for name, kind in scheme.quants:
@@ -328,47 +304,24 @@ def instantiate(state: _State, scheme: TypeScheme) -> Type:
     return body
 
 
-def _rigid_names(ty: Type) -> set[str]:
-    out: set[str] = set()
-
-    def walk(t: Type) -> None:
-        if isinstance(t, TyVar):
-            if not _is_meta(t.name):
-                out.add(t.name)
-            return
-        if isinstance(t, Base):
-            return
-        if isinstance(t, Arrow):
-            walk(t.dom)
-            walk(t.cod)
-            return
-        if isinstance(t, (Record, Variant)):
-            for _, pres, a in t.row.entries:
-                if isinstance(pres, PresVar) and not _is_meta(pres.name):
-                    out.add(pres.name)
-                walk(a)
-            if t.row.tail is not None and not _is_meta(t.row.tail):
-                out.add(t.row.tail)
-            return
-
-    walk(ty)
-    return out
-
-
 def generalize(state: _State, env: dict[str, TypeScheme], ty: Type) -> TypeScheme:
     body = zonk_type(state, ty)
-    env_metas: set[str] = set()
+    env_names: set[str] = set()
     for scheme in env.values():
-        env_metas |= _free_meta_names(zonk_type(state, scheme.body))
-    metas: dict[str, Kind] = {}
-    _meta_occurrences(body, metas, state.lacks)
-    taken = _rigid_names(body)
+        env_names.update(free_type_names(zonk_type(state, scheme.body)))
+    names = free_type_names(body)
+    taken = {name for name in names if not _is_meta(name)}
     counters = {"a": itertools.count(), "r": itertools.count(), "p": itertools.count()}
     quants: list[tuple[str, Kind]] = []
-    for name, kind in metas.items():
-        if name in env_metas:
+    for name, kind_class in names.items():
+        if not _is_meta(name) or name in env_names:
             continue
-        prefix = "r" if isinstance(kind, KRow) else "p" if isinstance(kind, KPre) else "a"
+        if kind_class is KRow:
+            kind, prefix = KRow(state.lacks.get(name, frozenset())), "r"
+        elif kind_class is KPre:
+            kind, prefix = KPre(), "p"
+        else:
+            kind, prefix = KType(), "a"
         while True:
             fresh = f"{prefix}{next(counters[prefix])}"
             if fresh not in taken:

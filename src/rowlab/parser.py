@@ -54,6 +54,7 @@ from .syntax import (
     Upcast,
     Var,
     Variant,
+    free_type_names,
     row_use_lacks,
 )
 
@@ -456,26 +457,11 @@ def _type_abstract(var: str, kind: Kind | None, body: Term) -> Term:
     raise ParseError(f"binder {var} cannot have kind Type", 0, 0)
 
 
-def _pres_use(name: str, ty: Type) -> bool:
-    if isinstance(ty, Arrow):
-        return _pres_use(name, ty.dom) or _pres_use(name, ty.cod)
-    if isinstance(ty, (Variant, Record)):
-        for _, pres, sub in ty.row.entries:
-            if isinstance(pres, PresVar) and pres.name == name:
-                return True
-            if _pres_use(name, sub):
-                return True
-        return False
-    if isinstance(ty, (ForallRow, ForallPres)):
-        return False if ty.var == name else _pres_use(name, ty.body)
-    return False
-
-
 def _infer_binder_kind(name: str, body: Type) -> Kind:
     lacks = row_use_lacks(name, body)
     if lacks is not None:
         return KRow(lacks)
-    if _pres_use(name, body):
+    if free_type_names(body).get(name) is KPre:
         return KPre()
     return KRow(frozenset())
 

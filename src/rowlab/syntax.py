@@ -7,9 +7,12 @@ Structure:
   abstraction and application with an origin mark)
 - SHAPES, one table keyed by term class that gives each form's child terms
   with their slot names, the term variable each child binds, the way to
-  rebuild the node, and its type-level parts and binder; free variables,
-  substitution, erasure, reduction and the other single-term walkers all
-  read it instead of matching on the forms themselves
+  rebuild the node, its type-level parts and binder, and the fields two
+  nodes of the form must agree on; free variables, substitution, erasure,
+  reduction, the equality and preorder walkers and the translations' default
+  rule all read it instead of matching on the forms themselves
+- a two-sided binder environment (``bind``, ``same_name``) that every
+  comparison up to renaming shares, at the term and the type level
 - capture-avoiding substitution at the term and type level
 - canonical row normalization, the row domain, type equality, alpha
   equivalence
@@ -281,14 +284,20 @@ Term = (
 
 @dataclass(frozen=True)
 class Shape:
-    """How one term form holds its parts; every single-term walker reads it.
+    """How one term form holds its parts; every term walker reads it.
 
     ``children(t)`` gives ``(slot, child, binder)`` for each child term, left
     to right: the slot name a reduction path uses, the child, and the term
     variable the child is under (None for none).  ``types`` names the
     fields that hold type-level parts (an annotation, a cast target, a row or
-    a presence argument), and ``tybinder`` marks the forms whose ``var``
-    binds a type-level name over their body.
+    a presence argument).  ``tybinder``, on the forms whose ``var`` binds a
+    type-level name over their body, makes the argument that names it (a
+    row with that tail, or that presence variable).  ``data`` names the
+    fields two nodes of the form must agree on to be equal: a label, an
+    operator, an origin mark, a row kind or a literal value.  A ``Var``'s
+    name is none of these: the comparisons look it up in their binder
+    environment (``same_name``).  Labels of case branches and record fields
+    are in their slot names.
 
     ``rebuild(t, kids, names=None, fn=None)`` is ``t`` with new children in
     the same order, new binder names (one per child) when ``names`` is
@@ -298,18 +307,21 @@ class Shape:
     children: Callable[[Any], list[tuple[str, "Term", str | None]]]
     rebuild: Callable[..., "Term"]
     types: tuple[str, ...] = ()
-    tybinder: bool = False
+    tybinder: Callable[[str], "Row | Presence"] | None = None
+    data: tuple[str, ...] = ()
 
 
 def _under(slot: str) -> Callable[[Any], list]:
     return lambda t: [(slot, getattr(t, slot), None)]
 
 
-_LEAF = Shape(lambda t: [], lambda t, k, n=None, f=None: t)
+def _leaf(*data: str) -> Shape:
+    return Shape(lambda t: [], lambda t, k, n=None, f=None: t, data=data)
+
 
 SHAPES: dict[type, Shape] = {
-    Var: _LEAF,
-    Lit: _LEAF,
+    Var: _leaf(),
+    Lit: _leaf("value"),
     Lam: Shape(
         lambda t: [("body", t.body, t.var)],
         lambda t, k, n=None, f=None: Lam(
@@ -327,6 +339,7 @@ SHAPES: dict[type, Shape] = {
             t.label, k[0], f(t.annot) if f else t.annot
         ),
         types=("annot",),
+        data=("label",),
     ),
     Case: Shape(
         lambda t: [("scrutinee", t.scrutinee, None)]
@@ -348,7 +361,9 @@ SHAPES: dict[type, Shape] = {
         types=("annot",),
     ),
     Project: Shape(
-        _under("term"), lambda t, k, n=None, f=None: Project(k[0], t.label)
+        _under("term"),
+        lambda t, k, n=None, f=None: Project(k[0], t.label),
+        data=("label",),
     ),
     Upcast: Shape(
         _under("term"),
@@ -358,7 +373,8 @@ SHAPES: dict[type, Shape] = {
     RowAbs: Shape(
         _under("body"),
         lambda t, k, n=None, f=None: RowAbs(t.var, t.kind, k[0]),
-        tybinder=True,
+        tybinder=lambda name: Row((), name),
+        data=("kind",),
     ),
     RowApp: Shape(
         _under("term"),
@@ -366,11 +382,12 @@ SHAPES: dict[type, Shape] = {
             k[0], f(t.row) if f else t.row, t.origin
         ),
         types=("row",),
+        data=("origin",),
     ),
     PresAbs: Shape(
         _under("body"),
         lambda t, k, n=None, f=None: PresAbs(t.var, k[0]),
-        tybinder=True,
+        tybinder=PresVar,
     ),
     PresApp: Shape(
         _under("term"),
@@ -378,6 +395,7 @@ SHAPES: dict[type, Shape] = {
             k[0], f(t.presence) if f else t.presence, t.origin
         ),
         types=("presence",),
+        data=("origin",),
     ),
     Let: Shape(
         lambda t: [("bound", t.bound, None), ("body", t.body, t.var)],
@@ -386,6 +404,7 @@ SHAPES: dict[type, Shape] = {
     Prim: Shape(
         lambda t: [(f"arg:{i}", a, None) for i, a in enumerate(t.args)],
         lambda t, k, n=None, f=None: Prim(t.op, tuple(k)),
+        data=("op",),
     ),
 }
 
@@ -398,6 +417,38 @@ def children(term: Term) -> list[tuple[str, Term, str | None]]:
 def rebuild(term: Term, kids: list[Term]) -> Term:
     """``term`` with its children replaced, in ``children`` order."""
     return SHAPES[type(term)].rebuild(term, kids)
+
+
+def same_data(shape: Shape, m: Term, n: Term) -> bool:
+    """The two nodes of ``shape``'s form agree on every ``data`` field."""
+    for name in shape.data:
+        a, b = getattr(m, name), getattr(n, name)
+        if type(a) is not type(b) or a != b:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# binder environments: a comparison of two terms or types up to renaming
+# maps each binder on the left to its partner on the right and back, so a
+# free name on one side never matches a bound name on the other
+
+
+Names = tuple[dict[str, str], dict[str, str]]
+NO_NAMES: Names = ({}, {})
+
+
+def bind(env: Names, x: str, y: str) -> Names:
+    """``env`` under a left binder ``x`` paired with a right binder ``y``."""
+    left, right = env
+    return {**left, x: y}, {**right, y: x}
+
+
+def same_name(env: Names, x: str, y: str) -> bool:
+    """``x`` on the left and ``y`` on the right name the same thing: the
+    innermost binders of both are partners, or both are free and equal."""
+    left, right = env
+    return left.get(x, x) == y and right.get(y, y) == x
 
 
 # ---------------------------------------------------------------------------
@@ -437,32 +488,36 @@ def free_vars(term: Term) -> set[str]:
     return out
 
 
-def free_type_names(ty: Type) -> set[str]:
-    """Free type-level names (type, row, and presence variables share one space)."""
-    if isinstance(ty, TyVar):
-        return {ty.name}
-    if isinstance(ty, Base):
-        return set()
-    if isinstance(ty, Arrow):
-        return free_type_names(ty.dom) | free_type_names(ty.cod)
-    if isinstance(ty, (Variant, Record)):
-        return free_row_names(ty.row)
-    if isinstance(ty, ForallRow):
-        return free_type_names(ty.body) - {ty.var}
-    if isinstance(ty, ForallPres):
-        return free_type_names(ty.body) - {ty.var}
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def free_row_names(row: Row) -> set[str]:
-    out: set[str] = set()
-    for _, pres, ty in row.entries:
-        if isinstance(pres, PresVar):
-            out.add(pres.name)
-        out |= free_type_names(ty)
-    if row.tail is not None:
-        out.add(row.tail)
+def free_type_names(ty: Type) -> dict[str, type]:
+    """Free type-level names in first-occurrence order (type, row and presence
+    variables share one space), each with the kind class of its first
+    occurrence: KType for a type variable, KRow for a row tail, KPre for a
+    presence variable."""
+    out: dict[str, type] = {}
+    _free_names(ty, frozenset(), out)
     return out
+
+
+def _free_names(t: Type, bound: frozenset[str], out: dict[str, type]) -> None:
+    if isinstance(t, TyVar):
+        if t.name not in bound:
+            out.setdefault(t.name, KType)
+    elif isinstance(t, Base):
+        return
+    elif isinstance(t, (Variant, Record)):
+        for _, pres, a in t.row.entries:
+            if isinstance(pres, PresVar) and pres.name not in bound:
+                out.setdefault(pres.name, KPre)
+            _free_names(a, bound, out)
+        if t.row.tail is not None and t.row.tail not in bound:
+            out.setdefault(t.row.tail, KRow)
+    elif isinstance(t, Arrow):
+        _free_names(t.dom, bound, out)
+        _free_names(t.cod, bound, out)
+    elif isinstance(t, (ForallRow, ForallPres)):
+        _free_names(t.body, bound | {t.var}, out)
+    else:
+        raise TypeError(f"not a type: {t!r}")
 
 
 def term_names(term: Term) -> set[str]:
@@ -562,16 +617,14 @@ def subst_term(body: Term, replacement: Term, var: str) -> Term:
 
 def subst_type_in_type(ty: Type, arg: Row | Presence, var: str) -> Type:
     """ty[arg/var]; arg is a row (for row variables) or a presence mark."""
-    arg_names: set[str]
+    arg_names: set[str] = set()
     if isinstance(arg, Row):
-        arg_names = free_row_names(arg)
+        arg_names = set(free_type_names(Record(arg)))
     elif isinstance(arg, PresVar):
         arg_names = {arg.name}
-    else:
-        arg_names = set()
 
     def fresh_against(binder: str, body: Type) -> str:
-        taken = arg_names | {var} | free_type_names(body) | _bound_type_names(body)
+        taken = arg_names | {var} | set(free_type_names(body)) | _bound_type_names(body)
         base = binder.split("$", 1)[0] or "r"
         n = 0
         while f"{base}${n}" in taken:
@@ -701,13 +754,12 @@ def row_dom(row: Row) -> frozenset[str]:
 
 def type_equal(a: Type, b: Type) -> bool:
     """Structural equality modulo alpha-renaming and row normalization."""
-    return _ty_eq(a, b, {})
+    return _ty_eq(a, b, NO_NAMES)
 
 
-def _ty_eq(a: Type, b: Type, env: dict[str, str]) -> bool:
-    """env maps a-side bound type names to b-side names."""
+def _ty_eq(a: Type, b: Type, env: Names) -> bool:
     if isinstance(a, TyVar) and isinstance(b, TyVar):
-        return env.get(a.name, a.name) == b.name
+        return same_name(env, a.name, b.name)
     if isinstance(a, Base) and isinstance(b, Base):
         return a.tag == b.tag
     if isinstance(a, Arrow) and isinstance(b, Arrow):
@@ -719,26 +771,28 @@ def _ty_eq(a: Type, b: Type, env: dict[str, str]) -> bool:
     if isinstance(a, ForallRow) and isinstance(b, ForallRow):
         if a.kind.lacks != b.kind.lacks:
             return False
-        return _ty_eq(a.body, b.body, {**env, a.var: b.var})
+        return _ty_eq(a.body, b.body, bind(env, a.var, b.var))
     if isinstance(a, ForallPres) and isinstance(b, ForallPres):
-        return _ty_eq(a.body, b.body, {**env, a.var: b.var})
+        return _ty_eq(a.body, b.body, bind(env, a.var, b.var))
     return False
 
 
-def _pres_eq(a: Presence, b: Presence, env: dict[str, str]) -> bool:
+def _pres_eq(a: Presence, b: Presence, env: Names) -> bool:
     if isinstance(a, PresVar) and isinstance(b, PresVar):
-        return env.get(a.name, a.name) == b.name
+        return same_name(env, a.name, b.name)
     return type(a) is type(b)
 
 
-def _row_eq(a: Row, b: Row, env: dict[str, str]) -> bool:
+def _row_eq(a: Row, b: Row, env: Names) -> bool:
     try:
         na = normalize_row(a)
         nb = normalize_row(b)
     except MalformedRowError:
         return False
-    tail_a = na.tail if na.tail is None else env.get(na.tail, na.tail)
-    if tail_a != nb.tail:
+    if na.tail is None or nb.tail is None:
+        if na.tail is not nb.tail:
+            return False
+    elif not same_name(env, na.tail, nb.tail):
         return False
     if len(na.entries) != len(nb.entries):
         return False
@@ -752,13 +806,13 @@ def scheme_alpha_eq(a: TypeScheme, b: TypeScheme) -> bool:
     """Scheme equality up to renaming; quantifier order must correspond."""
     if len(a.quants) != len(b.quants):
         return False
-    env: dict[str, str] = {}
+    env = NO_NAMES
     for (na, ka), (nb, kb) in zip(a.quants, b.quants):
         if type(ka) is not type(kb):
             return False
         if isinstance(ka, KRow) and isinstance(kb, KRow) and ka.lacks != kb.lacks:
             return False
-        env[na] = nb
+        env = bind(env, na, nb)
     return _ty_eq(a.body, b.body, env)
 
 
@@ -767,96 +821,64 @@ def scheme_alpha_eq(a: TypeScheme, b: TypeScheme) -> bool:
 
 
 def alpha_eq(m: Term, n: Term) -> bool:
-    """Equality modulo bound renaming, row normalization in annotations, and
-    record fields marked absent by their annotation."""
-    return _tm_eq(m, n, {}, {})
+    """Equality modulo bound renaming, row normalization in annotations, the
+    order of case branches and record fields, and record fields marked absent
+    by their annotation."""
+    return _tm_eq(m, n, NO_NAMES, NO_NAMES)
 
 
-def _annot_eq(a: Type | None, b: Type | None, tyenv: dict[str, str]) -> bool:
+def _part_eq(a, b, tyenv: Names) -> bool:
+    """Two type-level parts of the same field: types, rows or presences."""
     if a is None or b is None:
-        return (a is None) == (b is None)
+        return a is b
+    if isinstance(a, Row):
+        return isinstance(b, Row) and _row_eq(a, b, tyenv)
+    if isinstance(a, (Absent, Present, PresVar)):
+        return _pres_eq(a, b, tyenv)
     return _ty_eq(a, b, tyenv)
 
 
-def _live_fields(rec: RecordLit) -> tuple[tuple[str, Term], ...]:
-    dropped: set[str] = set()
-    if rec.annot is not None and isinstance(rec.annot, Record):
-        dropped = {l for l, p, _ in rec.annot.row.entries if isinstance(p, Absent)}
-    return tuple(sorted((f for f in rec.fields if f[0] not in dropped), key=lambda f: f[0]))
+def _slot(part: tuple) -> str:
+    return part[0]
 
 
-def _tm_eq(m: Term, n: Term, env: dict[str, str], tyenv: dict[str, str]) -> bool:
-    if isinstance(m, Var) and isinstance(n, Var):
-        return env.get(m.name, m.name) == n.name
-    if isinstance(m, Lam) and isinstance(n, Lam):
-        return _annot_eq(m.annot, n.annot, tyenv) and _tm_eq(
-            m.body, n.body, {**env, m.var: n.var}, tyenv
-        )
-    if isinstance(m, App) and isinstance(n, App):
-        return _tm_eq(m.fn, n.fn, env, tyenv) and _tm_eq(m.arg, n.arg, env, tyenv)
-    if isinstance(m, Inject) and isinstance(n, Inject):
-        return (
-            m.label == n.label
-            and _annot_eq(m.annot, n.annot, tyenv)
-            and _tm_eq(m.payload, n.payload, env, tyenv)
-        )
-    if isinstance(m, Case) and isinstance(n, Case):
-        if not _tm_eq(m.scrutinee, n.scrutinee, env, tyenv):
+def _tm_eq(m: Term, n: Term, env: Names, tyenv: Names) -> bool:
+    if type(m) is not type(n):
+        return False
+    if type(m) is Var:
+        return same_name(env, m.name, n.name)
+    shape = SHAPES[type(m)]
+    if shape.data and not same_data(shape, m, n):
+        return False
+    for name in shape.types:
+        if not _part_eq(getattr(m, name), getattr(n, name), tyenv):
             return False
-        bm = sorted(m.branches, key=lambda b: b[0])
-        bn = sorted(n.branches, key=lambda b: b[0])
-        if len(bm) != len(bn):
+    if shape.tybinder:
+        tyenv = bind(tyenv, m.var, n.var)
+    mk, nk = shape.children(m), shape.children(n)
+    if type(m) is RecordLit:
+        mk, nk = _live_fields(m, mk), _live_fields(n, nk)
+    if len(mk) != len(nk):
+        return False
+    # children pair up by slot; sort only when the two orders differ
+    for a, b in zip(mk, nk):
+        if a[0] != b[0]:
+            mk, nk = sorted(mk, key=_slot), sorted(nk, key=_slot)
+            break
+    for (sm, cm, xm), (sn, cn, xn) in zip(mk, nk):
+        if sm != sn:
             return False
-        for (lm, xm, tm), (ln, xn, tn) in zip(bm, bn):
-            if lm != ln or not _tm_eq(tm, tn, {**env, xm: xn}, tyenv):
-                return False
-        return True
-    if isinstance(m, RecordLit) and isinstance(n, RecordLit):
-        if not _annot_eq(m.annot, n.annot, tyenv):
+        if not _tm_eq(cm, cn, env if xm is None else bind(env, xm, xn), tyenv):
             return False
-        fm = _live_fields(m)
-        fn = _live_fields(n)
-        if len(fm) != len(fn):
-            return False
-        for (lm, tm), (ln, tn) in zip(fm, fn):
-            if lm != ln or not _tm_eq(tm, tn, env, tyenv):
-                return False
-        return True
-    if isinstance(m, Project) and isinstance(n, Project):
-        return m.label == n.label and _tm_eq(m.term, n.term, env, tyenv)
-    if isinstance(m, Upcast) and isinstance(n, Upcast):
-        return _ty_eq(m.target, n.target, tyenv) and _tm_eq(m.term, n.term, env, tyenv)
-    if isinstance(m, RowAbs) and isinstance(n, RowAbs):
-        if m.kind.lacks != n.kind.lacks:
-            return False
-        return _tm_eq(m.body, n.body, env, {**tyenv, m.var: n.var})
-    if isinstance(m, RowApp) and isinstance(n, RowApp):
-        return (
-            m.origin == n.origin
-            and _row_eq(m.row, n.row, tyenv)
-            and _tm_eq(m.term, n.term, env, tyenv)
-        )
-    if isinstance(m, PresAbs) and isinstance(n, PresAbs):
-        return _tm_eq(m.body, n.body, env, {**tyenv, m.var: n.var})
-    if isinstance(m, PresApp) and isinstance(n, PresApp):
-        return (
-            m.origin == n.origin
-            and _pres_eq(m.presence, n.presence, tyenv)
-            and _tm_eq(m.term, n.term, env, tyenv)
-        )
-    if isinstance(m, Let) and isinstance(n, Let):
-        return _tm_eq(m.bound, n.bound, env, tyenv) and _tm_eq(
-            m.body, n.body, {**env, m.var: n.var}, tyenv
-        )
-    if isinstance(m, Lit) and isinstance(n, Lit):
-        return type(m.value) is type(n.value) and m.value == n.value
-    if isinstance(m, Prim) and isinstance(n, Prim):
-        return (
-            m.op == n.op
-            and len(m.args) == len(n.args)
-            and all(_tm_eq(a, b, env, tyenv) for a, b in zip(m.args, n.args))
-        )
-    return False
+    return True
+
+
+def _live_fields(rec: RecordLit, kids: list) -> list:
+    """The field children of ``rec`` its annotation does not mark absent."""
+    if not isinstance(rec.annot, Record):
+        return kids
+    dropped = {f"field:{l}" for l, p, _ in rec.annot.row.entries if isinstance(p, Absent)}
+    return [k for k in kids if k[0] not in dropped]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ quantifiers (t2, t4, t6), or applying coercion functions built from the
 subtyping evidence (t5).  t7 simply erases casts; its typing story is weak
 and goes through the scheme translation at the bottom of this module.
 
+t1-t6 give a rule only for the derivation rules they compile their own way;
+every other rule of their source family rebuilds the node from its
+translated premises (``_congruent``), and a rule from outside the family is
+a TranslationError.
+
 Binder naming is deterministic: term-level quantifiers introduced by a
 translation count up left to right over the derivation (r0, r1, ... for
 rows, p0, p1, ... for presence), while quantifiers inside translated type
@@ -22,6 +27,7 @@ from typing import Callable
 from .config import CalculusConfig, preset
 from .statics import Derivation, SubtypeEvidence, check_rank_limit
 from .syntax import (
+    SHAPES,
     Absent,
     App,
     Arrow,
@@ -32,14 +38,12 @@ from .syntax import (
     Inject,
     KRow,
     Lam,
-    Let,
     NameSupply,
     PresAbs,
     PresApp,
     Presence,
     PresVar,
     Present,
-    Prim,
     Project,
     Record,
     RecordLit,
@@ -71,20 +75,33 @@ def _closed_entries(row: Row) -> list[tuple[str, Type]]:
     return sorted((label, ty) for label, _, ty in row.entries)
 
 
-def _congruent(d: Derivation, go) -> Term | None:
-    """Translate rules that all encodings treat homomorphically, or None."""
+def _congruent(d: Derivation, go, fn=None) -> Term:
+    """The node of ``d`` rebuilt from its premises, translated in order, with
+    the translation's type map ``fn`` applied to its type-level parts."""
     t = d.term
-    if d.rule == "TyVar":
-        return t
-    if d.rule == "TyApp":
-        return App(go(d.premises[0]), go(d.premises[1]))
-    if d.rule == "TyLit":
-        return t
-    if d.rule == "TyPrim":
-        return Prim(t.op, tuple(go(p) for p in d.premises))
-    if d.rule == "TyLet":
-        return Let(t.var, go(d.premises[0]), go(d.premises[1]))
-    return None
+    return SHAPES[type(t)].rebuild(t, [go(p) for p in d.premises], None, fn)
+
+
+# the rules of each source family that a translation may treat congruently;
+# every family also has TyUpcast, which each translation compiles its own way
+_CORE = ("TyVar", "TyApp", "TyLam", "TyLit", "TyPrim", "TyLet")
+_VARIANTS = ("TyInject", "TyCase")
+_RECORDS = ("TyRecord", "TyProject")
+
+
+def _translator(name: str, family: tuple[str, ...], rules: dict, fn=None):
+    """Translate a derivation by ``rules[d.rule](d)`` where there is one, and
+    by ``_congruent`` for the other rules of the source ``family``."""
+
+    def go(d: Derivation) -> Term:
+        rule = rules.get(d.rule)
+        if rule is not None:
+            return rule(d)
+        if d.rule not in family:
+            raise TranslationError(f"unexpected rule {d.rule} for {name}")
+        return _congruent(d, go, fn)
+
+    return go
 
 
 # ---------------------------------------------------------------------------
@@ -94,35 +111,20 @@ def _congruent(d: Derivation, go) -> Term | None:
 def t1(deriv: Derivation) -> Term:
     supply = NameSupply(term_names(deriv.term) | set(deriv.gamma))
 
-    def go(d: Derivation) -> Term:
-        out = _congruent(d, go)
-        if out is not None:
-            return out
-        t = d.term
-        if d.rule == "TyLam":
-            return Lam(t.var, t.annot, go(d.premises[0]))
-        if d.rule == "TyInject":
-            return Inject(t.label, go(d.premises[0]), t.annot)
-        if d.rule == "TyCase":
-            branches = tuple(
-                (label, var, go(p))
-                for (label, var, _), p in zip(t.branches, d.premises[1:])
-            )
-            return Case(go(d.premises[0]), branches)
-        if d.rule == "TyUpcast":
-            ev = d.evidence
-            inner = go(d.premises[0])
-            if ev.rule == "SRefl":
-                return inner
-            if ev.rule != "SVariant":
-                raise TranslationError(f"unexpected evidence {ev.rule} for t1")
-            branches = []
-            for label, _ in _closed_entries(ev.lhs.row):
-                x = supply.fresh("x")
-                branches.append((label, x, Inject(label, Var(x), ev.rhs)))
-            return Case(inner, tuple(branches))
-        raise TranslationError(f"unexpected rule {d.rule} for t1")
+    def upcast(d: Derivation) -> Term:
+        ev = d.evidence
+        inner = go(d.premises[0])
+        if ev.rule == "SRefl":
+            return inner
+        if ev.rule != "SVariant":
+            raise TranslationError(f"unexpected evidence {ev.rule} for t1")
+        branches = []
+        for label, _ in _closed_entries(ev.lhs.row):
+            x = supply.fresh("x")
+            branches.append((label, x, Inject(label, Var(x), ev.rhs)))
+        return Case(inner, tuple(branches))
 
+    go = _translator("t1", _CORE + _VARIANTS, {"TyUpcast": upcast})
     return go(deriv)
 
 
@@ -151,47 +153,40 @@ def type_translate2(ty: Type, _counter=None) -> Type:
 def t2(deriv: Derivation) -> Term:
     counter = itertools.count()
 
-    def go(d: Derivation) -> Term:
-        out = _congruent(d, go)
-        if out is not None:
-            return out
+    def inject(d: Derivation) -> Term:
         t = d.term
-        if d.rule == "TyLam":
-            return Lam(t.var, type_translate2(t.annot), go(d.premises[0]))
-        if d.rule == "TyInject":
-            rho = f"r{next(counter)}"
-            row = t.annot.row
-            entries = tuple(
-                (label, pres, type_translate2(a)) for label, pres, a in row.entries
-            )
-            ann = Variant(Row(entries, rho))
-            return RowAbs(
-                rho, KRow(row_dom(row)), Inject(t.label, go(d.premises[0]), ann)
-            )
-        if d.rule == "TyCase":
-            scrut = RowApp(go(d.premises[0]), Row((), None), "source")
-            branches = tuple(
-                (label, var, go(p))
-                for (label, var, _), p in zip(t.branches, d.premises[1:])
-            )
-            return Case(scrut, branches)
-        if d.rule == "TyUpcast":
-            ev = d.evidence
-            if ev.rule == "SRefl":
-                return go(d.premises[0])
-            if ev.rule != "SVariant":
-                raise TranslationError(f"unexpected evidence {ev.rule} for t2")
-            rho = f"r{next(counter)}"
-            have = row_dom(ev.lhs.row)
-            extra = tuple(
-                (label, Present(), type_translate2(a))
-                for label, a in _closed_entries(ev.rhs.row)
-                if label not in have
-            )
-            out = RowApp(go(d.premises[0]), Row(extra, rho), "upcast")
-            return RowAbs(rho, KRow(row_dom(ev.rhs.row)), out)
-        raise TranslationError(f"unexpected rule {d.rule} for t2")
+        rho = f"r{next(counter)}"
+        row = t.annot.row
+        entries = tuple(
+            (label, pres, type_translate2(a)) for label, pres, a in row.entries
+        )
+        ann = Variant(Row(entries, rho))
+        return RowAbs(
+            rho, KRow(row_dom(row)), Inject(t.label, go(d.premises[0]), ann)
+        )
 
+    def case(d: Derivation) -> Term:
+        out = _congruent(d, go)
+        return Case(RowApp(out.scrutinee, Row((), None), "source"), out.branches)
+
+    def upcast(d: Derivation) -> Term:
+        ev = d.evidence
+        if ev.rule == "SRefl":
+            return go(d.premises[0])
+        if ev.rule != "SVariant":
+            raise TranslationError(f"unexpected evidence {ev.rule} for t2")
+        rho = f"r{next(counter)}"
+        have = row_dom(ev.lhs.row)
+        extra = tuple(
+            (label, Present(), type_translate2(a))
+            for label, a in _closed_entries(ev.rhs.row)
+            if label not in have
+        )
+        out = RowApp(go(d.premises[0]), Row(extra, rho), "upcast")
+        return RowAbs(rho, KRow(row_dom(ev.rhs.row)), out)
+
+    rules = {"TyInject": inject, "TyCase": case, "TyUpcast": upcast}
+    go = _translator("t2", _CORE + _VARIANTS, rules, type_translate2)
     return go(deriv)
 
 
@@ -200,34 +195,25 @@ def t2(deriv: Derivation) -> Term:
 
 
 def t3(deriv: Derivation) -> Term:
-    def go(d: Derivation) -> Term:
-        out = _congruent(d, go)
-        if out is not None:
-            return out
-        t = d.term
-        if d.rule == "TyLam":
-            return Lam(t.var, t.annot, go(d.premises[0]))
-        if d.rule == "TyRecord":
-            fields = tuple(
-                (label, go(p)) for (label, _), p in zip(t.fields, d.premises)
-            )
-            return RecordLit(fields, None)
-        if d.rule == "TyProject":
-            return Project(go(d.premises[0]), t.label)
-        if d.rule == "TyUpcast":
-            ev = d.evidence
-            inner = go(d.premises[0])
-            if ev.rule == "SRefl":
-                return inner
-            if ev.rule != "SRecord":
-                raise TranslationError(f"unexpected evidence {ev.rule} for t3")
-            fields = tuple(
-                (label, Project(inner, label))
-                for label, _ in _closed_entries(ev.rhs.row)
-            )
-            return RecordLit(fields, None)
-        raise TranslationError(f"unexpected rule {d.rule} for t3")
+    def record(d: Derivation) -> Term:
+        # the target has no record annotations
+        return RecordLit(_congruent(d, go).fields, None)
 
+    def upcast(d: Derivation) -> Term:
+        ev = d.evidence
+        inner = go(d.premises[0])
+        if ev.rule == "SRefl":
+            return inner
+        if ev.rule != "SRecord":
+            raise TranslationError(f"unexpected evidence {ev.rule} for t3")
+        fields = tuple(
+            (label, Project(inner, label))
+            for label, _ in _closed_entries(ev.rhs.row)
+        )
+        return RecordLit(fields, None)
+
+    rules = {"TyRecord": record, "TyUpcast": upcast}
+    go = _translator("t3", _CORE + _RECORDS, rules)
     return go(deriv)
 
 
@@ -260,51 +246,45 @@ def type_translate4(ty: Type, _counter=None) -> Type:
 def t4(deriv: Derivation) -> Term:
     counter = itertools.count()
 
-    def go(d: Derivation) -> Term:
-        out = _congruent(d, go)
-        if out is not None:
-            return out
-        t = d.term
-        if d.rule == "TyLam":
-            return Lam(t.var, type_translate4(t.annot), go(d.premises[0]))
-        if d.rule == "TyRecord":
-            row = d.type.row
-            names = {label: f"p{next(counter)}" for label in sorted(row_dom(row))}
-            ann_entries = tuple(
-                (label, PresVar(names[label]), type_translate4(a))
-                for label, a in _closed_entries(row)
-            )
-            fields = tuple(
-                (label, go(p)) for (label, _), p in zip(t.fields, d.premises)
-            )
-            out: Term = RecordLit(fields, Record(Row(ann_entries, None)))
-            for label in sorted(names, reverse=True):
-                out = PresAbs(names[label], out)
-            return out
-        if d.rule == "TyProject":
-            row = d.premises[0].type.row
-            out = go(d.premises[0])
-            for label, _ in _closed_entries(row):
-                pres = Present() if label == t.label else Absent()
-                out = PresApp(out, pres, "source")
-            return Project(out, t.label)
-        if d.rule == "TyUpcast":
-            ev = d.evidence
-            if ev.rule == "SRefl":
-                return go(d.premises[0])
-            if ev.rule != "SRecord":
-                raise TranslationError(f"unexpected evidence {ev.rule} for t4")
-            kept = row_dom(ev.rhs.row)
-            names = {label: f"p{next(counter)}" for label in sorted(kept)}
-            out = go(d.premises[0])
-            for label, _ in _closed_entries(ev.lhs.row):
-                pres = PresVar(names[label]) if label in kept else Absent()
-                out = PresApp(out, pres, "upcast")
-            for label in sorted(names, reverse=True):
-                out = PresAbs(names[label], out)
-            return out
-        raise TranslationError(f"unexpected rule {d.rule} for t4")
+    def record(d: Derivation) -> Term:
+        row = d.type.row
+        names = {label: f"p{next(counter)}" for label in sorted(row_dom(row))}
+        ann_entries = tuple(
+            (label, PresVar(names[label]), type_translate4(a))
+            for label, a in _closed_entries(row)
+        )
+        fields = _congruent(d, go).fields
+        out: Term = RecordLit(fields, Record(Row(ann_entries, None)))
+        for label in sorted(names, reverse=True):
+            out = PresAbs(names[label], out)
+        return out
 
+    def project(d: Derivation) -> Term:
+        row = d.premises[0].type.row
+        out = go(d.premises[0])
+        for label, _ in _closed_entries(row):
+            pres = Present() if label == d.term.label else Absent()
+            out = PresApp(out, pres, "source")
+        return Project(out, d.term.label)
+
+    def upcast(d: Derivation) -> Term:
+        ev = d.evidence
+        if ev.rule == "SRefl":
+            return go(d.premises[0])
+        if ev.rule != "SRecord":
+            raise TranslationError(f"unexpected evidence {ev.rule} for t4")
+        kept = row_dom(ev.rhs.row)
+        names = {label: f"p{next(counter)}" for label in sorted(kept)}
+        out = go(d.premises[0])
+        for label, _ in _closed_entries(ev.lhs.row):
+            pres = PresVar(names[label]) if label in kept else Absent()
+            out = PresApp(out, pres, "upcast")
+        for label in sorted(names, reverse=True):
+            out = PresAbs(names[label], out)
+        return out
+
+    rules = {"TyRecord": record, "TyProject": project, "TyUpcast": upcast}
+    go = _translator("t4", _CORE + _RECORDS, rules, type_translate4)
     return go(deriv)
 
 
@@ -354,32 +334,10 @@ def coerce(ev: SubtypeEvidence, supply: NameSupply) -> Term:
 def t5(deriv: Derivation) -> Term:
     supply = NameSupply(term_names(deriv.term) | set(deriv.gamma))
 
-    def go(d: Derivation) -> Term:
-        out = _congruent(d, go)
-        if out is not None:
-            return out
-        t = d.term
-        if d.rule == "TyLam":
-            return Lam(t.var, t.annot, go(d.premises[0]))
-        if d.rule == "TyInject":
-            return Inject(t.label, go(d.premises[0]), t.annot)
-        if d.rule == "TyCase":
-            branches = tuple(
-                (label, var, go(p))
-                for (label, var, _), p in zip(t.branches, d.premises[1:])
-            )
-            return Case(go(d.premises[0]), branches)
-        if d.rule == "TyRecord":
-            fields = tuple(
-                (label, go(p)) for (label, _), p in zip(t.fields, d.premises)
-            )
-            return RecordLit(fields, t.annot)
-        if d.rule == "TyProject":
-            return Project(go(d.premises[0]), t.label)
-        if d.rule == "TyUpcast":
-            return App(coerce(d.evidence, supply), go(d.premises[0]))
-        raise TranslationError(f"unexpected rule {d.rule} for t5")
+    def upcast(d: Derivation) -> Term:
+        return App(coerce(d.evidence, supply), go(d.premises[0]))
 
+    go = _translator("t5", _CORE + _VARIANTS + _RECORDS, {"TyUpcast": upcast})
     return go(deriv)
 
 
@@ -495,73 +453,81 @@ def t6(deriv: Derivation) -> Term:
             term = PresAbs(name, term)
         return term
 
-    def go(d: Derivation) -> Term:
-        t = d.term
-        if d.rule == "TyApp":
-            names = [
-                f"p{next(counter)}"
-                for _ in range(pres_arity(d.premises[0].type.cod))
-            ]
-            fn = apply_pres(go(d.premises[0]), names)
-            return quantify(App(fn, go(d.premises[1])), names)
-        out = _congruent(d, go)
-        if out is not None:
-            return out
-        if d.rule == "TyLam":
-            names = [f"p{next(counter)}" for _ in range(pres_arity(d.type.cod))]
-            body = apply_pres(go(d.premises[0]), names)
-            return quantify(Lam(t.var, type_translate6(t.annot), body), names)
-        if d.rule == "TyRecord":
-            pairs = _closed_entries(d.type.row)
-            heads = {label: f"p{next(counter)}" for label, _ in pairs}
-            blocks = {
-                label: [f"p{next(counter)}" for _ in range(pres_arity(a))]
-                for label, a in pairs
-            }
-            ann = Record(
-                Row(
-                    tuple(
-                        (
-                            label,
-                            PresVar(heads[label]),
-                            inst_type(a, [PresVar(n) for n in blocks[label]]),
-                        )
-                        for label, a in pairs
-                    ),
-                    None,
-                )
-            )
-            fields = tuple(
-                (label, apply_pres(go(p), blocks[label]))
-                for (label, _), p in zip(t.fields, d.premises)
-            )
-            names = [heads[label] for label, _ in pairs] + [
-                n for label, _ in pairs for n in blocks[label]
-            ]
-            return quantify(RecordLit(fields, ann), names)
-        if d.rule == "TyProject":
-            row = d.premises[0].type.row
-            names = [f"p{next(counter)}" for _ in range(pres_arity(d.type))]
-            args: list[Presence] = []
-            for label, _ in _closed_entries(row):
-                args.append(Present() if label == t.label else Absent())
-            for label, a in _closed_entries(row):
-                if label == t.label:
-                    args.extend(PresVar(n) for n in names)
-                else:
-                    args.extend(pres_seq(Absent(), a))
-            out = go(d.premises[0])
-            for p in args:
-                out = PresApp(out, p, "source")
-            return quantify(Project(out, t.label), names)
-        if d.rule == "TyUpcast":
-            binders, args = pres_seq_sub(d.evidence, counter)
-            out = go(d.premises[0])
-            for p in args:
-                out = PresApp(out, p, "upcast")
-            return quantify(out, binders)
-        raise TranslationError(f"unexpected rule {d.rule} for t6")
+    def app(d: Derivation) -> Term:
+        names = [
+            f"p{next(counter)}" for _ in range(pres_arity(d.premises[0].type.cod))
+        ]
+        fn = apply_pres(go(d.premises[0]), names)
+        return quantify(App(fn, go(d.premises[1])), names)
 
+    def lam(d: Derivation) -> Term:
+        t = d.term
+        names = [f"p{next(counter)}" for _ in range(pres_arity(d.type.cod))]
+        body = apply_pres(go(d.premises[0]), names)
+        return quantify(Lam(t.var, type_translate6(t.annot), body), names)
+
+    def record(d: Derivation) -> Term:
+        t = d.term
+        pairs = _closed_entries(d.type.row)
+        heads = {label: f"p{next(counter)}" for label, _ in pairs}
+        blocks = {
+            label: [f"p{next(counter)}" for _ in range(pres_arity(a))]
+            for label, a in pairs
+        }
+        ann = Record(
+            Row(
+                tuple(
+                    (
+                        label,
+                        PresVar(heads[label]),
+                        inst_type(a, [PresVar(n) for n in blocks[label]]),
+                    )
+                    for label, a in pairs
+                ),
+                None,
+            )
+        )
+        fields = tuple(
+            (label, apply_pres(go(p), blocks[label]))
+            for (label, _), p in zip(t.fields, d.premises)
+        )
+        names = [heads[label] for label, _ in pairs] + [
+            n for label, _ in pairs for n in blocks[label]
+        ]
+        return quantify(RecordLit(fields, ann), names)
+
+    def project(d: Derivation) -> Term:
+        t = d.term
+        row = d.premises[0].type.row
+        names = [f"p{next(counter)}" for _ in range(pres_arity(d.type))]
+        args: list[Presence] = []
+        for label, _ in _closed_entries(row):
+            args.append(Present() if label == t.label else Absent())
+        for label, a in _closed_entries(row):
+            if label == t.label:
+                args.extend(PresVar(n) for n in names)
+            else:
+                args.extend(pres_seq(Absent(), a))
+        out = go(d.premises[0])
+        for p in args:
+            out = PresApp(out, p, "source")
+        return quantify(Project(out, t.label), names)
+
+    def upcast(d: Derivation) -> Term:
+        binders, args = pres_seq_sub(d.evidence, counter)
+        out = go(d.premises[0])
+        for p in args:
+            out = PresApp(out, p, "upcast")
+        return quantify(out, binders)
+
+    rules = {
+        "TyApp": app,
+        "TyLam": lam,
+        "TyRecord": record,
+        "TyProject": project,
+        "TyUpcast": upcast,
+    }
+    go = _translator("t6", _CORE + _RECORDS, rules)
     return go(deriv)
 
 

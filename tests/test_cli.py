@@ -51,3 +51,17 @@ def test_deep_term_is_a_user_error(tmp_path, capsys):
         code = run([command, "--calculus", "lam", str(src)])
         assert code == 1
         assert capsys.readouterr().err == "rowlab: error: term nested too deeply\n"
+
+
+def test_verify_offers_each_property_once():
+    from rowlab.cli import PROPERTIES
+
+    assert sorted(PROPERTIES) == [
+        "erasure",
+        "preorder-correspondence",
+        "reflection",
+        "simulation",
+        "subject-reduction",
+        "substitution",
+        "type-preservation",
+    ]

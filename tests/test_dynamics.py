@@ -339,3 +339,22 @@ def test_preorder_congruence():
 
 def test_preorder_respects_binding():
     assert not term_preorder(M("\\x. \\y. x"), M("\\a. \\b. b"))
+
+
+def test_preorder_free_name_never_matches_a_bound_one():
+    # a free y on one side is not the bound y on the other, either way round
+    assert not term_preorder(M("\\x. y"), M("\\y. y"))
+    assert not term_preorder(M("\\y. y"), M("\\x. y"))
+    assert not term_preorder(M("let x = 1 in y"), M("let y = 1 in y"))
+    assert not term_preorder(M("let y = 1 in y"), M("let x = 1 in y"))
+    assert not term_preorder(
+        M("case z {A x -> {V = y, W = 1}}"), M("case z {A y -> {V = y}}")
+    )
+    assert not term_preorder(M("case z {A y -> {V = y}}"), M("case z {A x -> {V = y}}"))
+    assert term_preorder(M("\\x. y"), M("\\z. y"))
+
+
+def test_preorder_is_false_on_casts_and_type_level_forms():
+    assert not term_preorder(M("x :> {A:Int}"), M("x :> {A:Int}"))
+    src = "(/\\r:Row!{Name}. \\x:{Name:String; r}. x.Name) @ [Age:Int]"
+    assert not term_preorder(M(src), M(src))

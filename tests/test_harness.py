@@ -198,9 +198,26 @@ def test_benchmark_pairs_are_ones_the_registry_accepts(monkeypatch):
             assert prop in TRANSLATIONS[subject].properties, (prop, subject)
 
 
-def test_mismatched_derivation_fails_loudly():
-    with pytest.raises(TranslationError):
-        check_simulation("var-sub-to-var", deriv("rec-sub", "{Age = 1}.Age"))
+RECORD_SRC = ("rec-sub", "{Age = 1}.Age")
+VARIANT_SRC = ("var-sub", "case (<Year 1984> : [Year:Int]) {Year y -> y}")
+ROW_ABS_SRC = ("rec-row", "/\\r:Row!{Name}. \\x:{Name:String; r}. x.Name")
+
+
+# a derivation from outside each translation's source family
+WRONG_FAMILY = {
+    "var-sub-to-var": RECORD_SRC,
+    "var-sub-to-row": RECORD_SRC,
+    "rec-sub-to-rec": VARIANT_SRC,
+    "rec-sub-to-pre": VARIANT_SRC,
+    "full-sub-coerce": ROW_ABS_SRC,
+    "rec-co-to-pre": VARIANT_SRC,
+}
+
+
+@pytest.mark.parametrize("tid", list(WRONG_FAMILY))
+def test_mismatched_derivation_fails_loudly(tid):
+    with pytest.raises(TranslationError, match="unexpected rule"):
+        check_simulation(tid, deriv(*WRONG_FAMILY[tid]))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,32 @@ def test_unify_meta_row_against_rigid_tail():
     assert type_equal(zonk_type(state, left), T("{Name:Int; r0}"))
 
 
+def test_unify_meta_row_needs_a_rigid_tail_that_lacks_as_much():
+    state = _State()
+    state.lacks["r0"] = frozenset()
+    r = state.fresh_row_tail(frozenset({"Name"}))
+    with pytest.raises(InferError, match="does not lack Name"):
+        unify_type(state, Record(Row((), r)), Record(Row((), "r0")))
+    with pytest.raises(InferError, match="does not lack Name"):
+        unify_type(_State(lacks={"r0": frozenset(), r: frozenset({"Name"})}),
+                   Record(Row((), "r0")), Record(Row((), r)))
+
+
+def test_infer_respects_the_kind_of_a_rigid_row():
+    # f needs a row lacking Name; y's row r may hold Name
+    gamma = {
+        "f": TypeScheme(
+            (("s", KRow(frozenset({"Name"}))),), T("{s} -> Int")
+        ),
+        "y": T("{r}"),
+    }
+    with pytest.raises(InferError, match="does not lack Name"):
+        run("rec-row1", "f y", gamma, {"r": KRow(frozenset())})
+    # a rigid row that lacks Name is accepted
+    ok = run("rec-row1", "f y", gamma, {"r": KRow(frozenset({"Name"}))})
+    assert scheme_alpha_eq(ok, mono(INT))
+
+
 # ---------------------------------------------------------------------------
 # Inference goldens
 

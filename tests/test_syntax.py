@@ -3,13 +3,15 @@ algebra, equality."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from typing import get_args
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rowlab.config import PRESETS, preset
-from rowlab.harness import GenError, GenSpec, gen_typed_term
+from rowlab.harness import GenError, GenSpec, gen_typed_term, term_size
 from rowlab.syntax import (
     SHAPES,
     Absent,
@@ -319,6 +321,11 @@ def _generated_terms():
                     yield run_translation(tid, deriv)
 
 
+@functools.lru_cache(maxsize=1)
+def _generated_term_list():
+    return list(_generated_terms())
+
+
 def _subterms(term):
     yield term
     for _, child, _ in children(term):
@@ -409,3 +416,240 @@ def test_subst_type_in_term_rewrites_row_and_presence_arguments():
     assert subst_type_in_term(m, closed_row(("B", STR)), "r") == PresApp(
         RowApp(Var("f"), row, "upcast"), PresVar("p")
     )
+
+
+# ---------------------------------------------------------------------------
+# the two-sided binder environment
+
+
+def test_alpha_eq_free_name_never_matches_a_bound_one():
+    # \x:Int. y and \y:Int. y: the free y on the left is not the bound y
+    assert not alpha_eq(Lam("x", INT, Var("y")), Lam("y", INT, Var("y")))
+    assert not alpha_eq(Lam("y", INT, Var("y")), Lam("x", INT, Var("y")))
+    assert not alpha_eq(Let("x", Lit(1), Var("y")), Let("y", Lit(1), Var("y")))
+    case_x = Case(Var("z"), (("A", "x", Var("y")),))
+    case_y = Case(Var("z"), (("A", "y", Var("y")),))
+    assert not alpha_eq(case_x, case_y)
+    assert not alpha_eq(case_y, case_x)
+    assert alpha_eq(Lam("x", INT, Var("y")), Lam("z", INT, Var("y")))
+
+
+def test_type_equal_free_name_never_matches_a_bound_one():
+    # forall r:Row!{}. {s} and forall s:Row!{}. {s}
+    a = ForallRow("r", ROW_KIND, Record(Row((), "s")))
+    b = ForallRow("s", ROW_KIND, Record(Row((), "s")))
+    assert not type_equal(a, b)
+    assert not type_equal(b, a)
+    p = ForallPres("p", Record(Row((("A", PresVar("q"), INT),), None)))
+    q = ForallPres("q", Record(Row((("A", PresVar("q"), INT),), None)))
+    assert not type_equal(p, q)
+    assert not type_equal(q, p)
+
+
+def test_alpha_eq_type_binders_are_two_sided():
+    m = RowAbs("r", ROW_KIND, Lam("x", Record(Row((), "s")), Var("x")))
+    n = RowAbs("s", ROW_KIND, Lam("x", Record(Row((), "s")), Var("x")))
+    assert not alpha_eq(m, n)
+    assert not alpha_eq(n, m)
+
+
+def test_scheme_alpha_eq_is_two_sided():
+    a = TypeScheme((("r", ROW_KIND),), Record(Row((), "s")))
+    b = TypeScheme((("s", ROW_KIND),), Record(Row((), "s")))
+    assert not scheme_alpha_eq(a, b)
+    assert not scheme_alpha_eq(b, a)
+
+
+def test_every_term_field_is_in_the_shape_table():
+    """A field two nodes can differ in is compared by every pairwise walker
+    only if the table names it: as a child, a type-level part, the binder or
+    a data field (a Var's name goes through the binder environment)."""
+    for cls, shape in SHAPES.items():
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert set(shape.types) <= names and set(shape.data) <= names, cls
+        for f in dataclasses.fields(cls):
+            child = "Term" in f.type
+            binder = f.name == "var" and (shape.tybinder or cls in (Lam, Let))
+            own = cls is Var and f.name == "name"
+            listed = f.name in shape.types or f.name in shape.data
+            assert child or binder or own or listed, (cls.__name__, f.name)
+
+
+# ---------------------------------------------------------------------------
+# alpha_eq against a locally nameless reference: bound names become the
+# distance to their binder, free names stay, rows are normalized, and
+# branches and live fields are sorted by label
+
+
+def _ln_name(name, env):
+    for depth, bound in enumerate(reversed(env)):
+        if bound == name:
+            return ("bound", depth)
+    return ("free", name)
+
+
+def _ln_type(ty, tyenv):
+    if ty is None:
+        return None
+    if isinstance(ty, TyVar):
+        return _ln_name(ty.name, tyenv)
+    if isinstance(ty, Base):
+        return ("Base", ty.tag)
+    if isinstance(ty, Arrow):
+        return ("Arrow", _ln_type(ty.dom, tyenv), _ln_type(ty.cod, tyenv))
+    if isinstance(ty, (Variant, Record)):
+        return (type(ty).__name__, _ln_row(ty.row, tyenv))
+    if isinstance(ty, ForallRow):
+        return ("ForallRow", ty.kind.lacks, _ln_type(ty.body, tyenv + (ty.var,)))
+    return ("ForallPres", _ln_type(ty.body, tyenv + (ty.var,)))
+
+
+def _ln_pres(p, tyenv):
+    return _ln_name(p.name, tyenv) if isinstance(p, PresVar) else type(p).__name__
+
+
+def _ln_row(row, tyenv):
+    try:
+        row = normalize_row(row)
+    except MalformedRowError:
+        return object()  # equal to nothing
+    entries = tuple(
+        (l, _ln_pres(p, tyenv), _ln_type(a, tyenv)) for l, p, a in row.entries
+    )
+    return entries, None if row.tail is None else _ln_name(row.tail, tyenv)
+
+
+def _ln(t, env=(), tyenv=()):
+    def go(sub, inner=env):
+        return _ln(sub, inner, tyenv)
+
+    if isinstance(t, Var):
+        return _ln_name(t.name, env)
+    if isinstance(t, Lam):
+        return ("Lam", _ln_type(t.annot, tyenv), go(t.body, env + (t.var,)))
+    if isinstance(t, App):
+        return ("App", go(t.fn), go(t.arg))
+    if isinstance(t, Inject):
+        return ("Inject", t.label, _ln_type(t.annot, tyenv), go(t.payload))
+    if isinstance(t, Case):
+        branches = sorted(t.branches, key=lambda b: b[0])
+        return ("Case", go(t.scrutinee)) + tuple(
+            (l, go(b, env + (x,))) for l, x, b in branches
+        )
+    if isinstance(t, RecordLit):
+        dropped = set()
+        if isinstance(t.annot, Record):
+            dropped = {l for l, p, _ in t.annot.row.entries if isinstance(p, Absent)}
+        live = sorted((f for f in t.fields if f[0] not in dropped), key=lambda f: f[0])
+        return ("Record", _ln_type(t.annot, tyenv)) + tuple((l, go(v)) for l, v in live)
+    if isinstance(t, Project):
+        return ("Project", t.label, go(t.term))
+    if isinstance(t, Upcast):
+        return ("Upcast", _ln_type(t.target, tyenv), go(t.term))
+    if isinstance(t, RowAbs):
+        return ("RowAbs", t.kind, _ln(t.body, env, tyenv + (t.var,)))
+    if isinstance(t, PresAbs):
+        return ("PresAbs", _ln(t.body, env, tyenv + (t.var,)))
+    if isinstance(t, RowApp):
+        return ("RowApp", t.origin, _ln_row(t.row, tyenv), go(t.term))
+    if isinstance(t, PresApp):
+        return ("PresApp", t.origin, _ln_pres(t.presence, tyenv), go(t.term))
+    if isinstance(t, Let):
+        return ("Let", go(t.bound), go(t.body, env + (t.var,)))
+    if isinstance(t, Lit):
+        return ("Lit", type(t.value).__name__, t.value)
+    return ("Prim", t.op) + tuple(go(a) for a in t.args)
+
+
+def _binders(term):
+    """(kind, name) of every binder in the term."""
+    for sub in _subterms(term):
+        for _, _, binder in children(sub):
+            if binder is not None:
+                yield "term", binder
+        if SHAPES[type(sub)].tybinder:
+            yield "type", sub.var
+
+
+def _rename_binders(term, suffix):
+    """The term with every binder renamed to name + suffix, capture-free."""
+    shape = SHAPES[type(term)]
+    parts = shape.children(term)
+    kids, names = [], []
+    for _, child, binder in parts:
+        if binder is not None:
+            child = subst_term(child, Var(binder + suffix), binder)
+            binder += suffix
+        kids.append(_rename_binders(child, suffix))
+        names.append(binder)
+    if shape.tybinder:
+        new = term.var + suffix
+        body = subst_type_in_term(kids[0], shape.tybinder(new), term.var)
+        return dataclasses.replace(term, var=new, body=body)
+    return shape.rebuild(term, kids, names)
+
+
+def _replace_free(term, old, new, bound=frozenset()):
+    """Free occurrences of ``old`` replaced by ``new``, captured or not."""
+    if isinstance(term, Var):
+        return Var(new) if term.name == old and old not in bound else term
+    shape = SHAPES[type(term)]
+    kids = [
+        _replace_free(child, old, new, bound if b is None else bound | {b})
+        for _, child, b in shape.children(term)
+    ]
+    return shape.rebuild(term, kids)
+
+
+def _capture_binder(term, name, free):
+    """The term with each binder ``name`` renamed ``free``, naively: the
+    binder captures any free ``free`` below it."""
+    shape = SHAPES[type(term)]
+    parts = shape.children(term)
+    kids = [
+        _replace_free(_capture_binder(child, name, free), name, free)
+        if binder == name
+        else _capture_binder(child, name, free)
+        for _, child, binder in parts
+    ]
+    names = [free if binder == name else binder for _, _, binder in parts]
+    return shape.rebuild(term, kids, names)
+
+
+def _oracle_cases():
+    """Generated terms and their translations, each with the terms to compare
+    it to: itself, the next term, a binder-renamed copy, and copies where a
+    free variable is renamed to a bound name or a binder to a free name."""
+    # t3 can blow a term up to tens of thousands of nodes; those add time,
+    # not cases
+    terms = [t for t in _generated_term_list() if term_size(t) <= 500]
+    for m, other in zip(terms, terms[1:] + terms[:1]):
+        copies = [m, other, _rename_binders(m, "'")]
+        bound = sorted({name for kind, name in _binders(m) if kind == "term"})
+        for free in sorted(free_vars(m))[:2]:
+            for name in bound[:3]:
+                copies.append(_replace_free(m, free, name))
+                copies.append(_capture_binder(m, name, free))
+        yield m, copies
+
+
+def test_alpha_eq_matches_the_locally_nameless_reference():
+    outcomes = {True: 0, False: 0}
+    for m, copies in _oracle_cases():
+        ln_m = _ln(m)
+        for n in copies:
+            want = ln_m == _ln(n)
+            assert alpha_eq(m, n) == want, (m, n)
+            assert alpha_eq(n, m) == want, (n, m)
+            outcomes[want] += 1
+    # both answers are exercised, the captured copies included
+    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+
+
+def test_binder_renamed_copies_are_alpha_equal():
+    renamed = 0
+    for m in _generated_term_list():
+        copy = _rename_binders(m, "'")
+        assert alpha_eq(m, copy) and _ln(m) == _ln(copy)
+        renamed += copy != m
+    assert renamed > 50
