@@ -202,8 +202,21 @@ def _full_cast(term: Upcast) -> tuple[Term, str] | None:
     return None
 
 
-def step_all(term: Term, rels: RelationSet) -> list[Step]:
-    """Every enabled redex, outermost first, left to right."""
+# The slot that is a head position in each form that has one; every
+# argument of a primitive is one too.  A redex on the head spine (reached
+# through head positions only) can expose a redex at the node above it.
+_HEAD_SLOT = {
+    App: "fn", Project: "term", Upcast: "term", Case: "scrutinee",
+    RowApp: "term", PresApp: "term",
+}
+
+
+def step_all(term: Term, rels: RelationSet, spine: bool = False) -> list[Step]:
+    """Every enabled redex, outermost first, left to right.
+
+    With ``spine``, the walk enters only head slots and the arguments of a
+    primitive, so it lists exactly the redexes on the head spine, in the
+    same order, without visiting the rest of the term."""
     out: list[Step] = []
     context: list[tuple[Term, list, int]] = []  # (ancestor, its children, index)
 
@@ -218,6 +231,8 @@ def step_all(term: Term, rels: RelationSet) -> list[Step]:
             out.append(Step(new, tag, path))
         parts = SHAPES[type(node)].children(node)
         for i, (slot, child, _) in enumerate(parts):
+            if spine and type(node) is not Prim and slot != _HEAD_SLOT.get(type(node)):
+                continue
             context.append((node, parts, i))
             walk(child, path + (slot,))
             context.pop()

@@ -13,10 +13,12 @@ split and recombined.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .config import CalculusConfig, preset
 from .dynamics import RelationSet, erase, relations_for, step_all, term_preorder
@@ -41,7 +43,6 @@ from .syntax import (
     Lam,
     Let,
     Lit,
-    PresApp,
     Present,
     PresVar,
     Prim,
@@ -49,7 +50,6 @@ from .syntax import (
     Record,
     RecordLit,
     Row,
-    RowApp,
     Term,
     Type,
     TypeScheme,
@@ -553,52 +553,54 @@ def _cast_normal(term: Term, rels: RelationSet, fuel: int = 400) -> Term:
     return term
 
 
-# the slot that is a head position in each form that has one; every
-# argument of a primitive is one
-_HEAD_SLOT = {
-    App: "fn", Project: "term", Upcast: "term", Case: "scrutinee",
-    RowApp: "term", PresApp: "term",
-}
+class _Keys:
+    """Structural keys for terms: an int interned from a node's form, its
+    fields, its binder names and its children's keys, computed once per
+    object.  Two terms get the same key exactly when they are equal (a
+    literal's type included), however their nodes are shared, and keying a
+    term costs what its distinct subterms cost, not its tree unfolding."""
 
+    def __init__(self):
+        self._keys: dict[int, tuple[Term, int]] = {}  # id -> (term, key)
+        self._interned: dict[tuple, int] = {}
 
-def _on_spine(x: Term, path) -> bool:
-    """True when every hop of path sits in a head position: reductions there
-    can expose a redex at the node above, so a standard reduction may need
-    them before contracting the root."""
-    node = x
-    for slot in path:
-        if slot != _HEAD_SLOT.get(type(node)) and not (
-            type(node) is Prim and slot.startswith("arg:")
-        ):
-            return False
-        node = next(child for s, child, _ in children(node) if s == slot)
-    return True
+    def __call__(self, t: Term) -> int:
+        # hold the term itself so ids cannot be recycled under us
+        hit = self._keys.get(id(t))
+        if hit is not None:
+            return hit[1]
+        shape = SHAPES[type(t)]
+        parts: list = [type(t)]
+        # the value's type too: Lit(True) == Lit(1) as Python values
+        parts += [(type(v), v) for v in (getattr(t, f) for f in shape.data)]
+        parts += [getattr(t, f) for f in shape.types]
+        if type(t) is Var or shape.tybinder:
+            parts.append(t.name if type(t) is Var else t.var)
+        for slot, child, binder in shape.children(t):
+            parts += (slot, binder, self(child))
+        key = self._interned.setdefault(tuple(parts), len(self._interned))
+        self._keys[id(t)] = (t, key)
+        return key
 
 
 class _Reach:
     """Goal-directed reachability in an orthogonal rewriting system.
 
     Searching all interleavings of independent redexes blows up (translated
-    cast stacks duplicate subterms), so instead we contract root redexes and
-    otherwise descend congruently, memoising on rendered (state, goal) pairs.
-    need_beta threads the 'exactly one beta somewhere' obligation through the
-    descent."""
+    cast stacks duplicate subterms), so instead we contract redexes at the
+    root or on its head spine (``step_all``'s spine mode, which never walks
+    the rest of the term) and otherwise descend congruently, memoising on
+    (state, goal) pairs of structural keys (``_Keys``), so that the search
+    costs what the distinct subterms cost.  need_beta threads the 'exactly
+    one beta somewhere' obligation through the descent."""
 
     def __init__(self, rels: RelationSet, classes: set[str], budget: int = 6000):
         self.rels = rels
         self.classes = classes
         self.budget = budget
         self.memo: dict = {}
-        self._strs: dict[int, tuple[Term, str]] = {}
+        self._key = _Keys()
         self._fresh = itertools.count()
-
-    def _key(self, t: Term) -> str:
-        # hold the term itself so ids cannot be recycled under us
-        hit = self._strs.get(id(t))
-        if hit is None:
-            hit = (t, show_term(t))
-            self._strs[id(t)] = hit
-        return hit[1]
 
     def go(self, x: Term, g: Term, need_beta: bool = False) -> bool:
         key = (self._key(x), self._key(g), need_beta)
@@ -613,10 +615,8 @@ class _Reach:
             self.memo[key] = out
             return out
         out = False
-        for s in step_all(x, self.rels):
-            # contract the root, or a head-spine position that can expose it
-            if s.path != () and not _on_spine(x, s.path):
-                continue
+        # contract the root, or a head-spine position that can expose it
+        for s in step_all(x, self.rels, spine=True):
             cls = _step_class(s.tag)
             if cls in self.classes and self.go(s.term, g, need_beta):
                 out = True
@@ -865,6 +865,7 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
     src_rels = relations_for(src_cfg)
     tgt_rels = relations_for(tgt_cfg)
     seen: set[str] = set()
+    keys = _Keys()
 
     def obligations(tm):
         # Match modes: "exact" compares endpoints directly; "img-tau" allows
@@ -937,37 +938,41 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
             "nu": _Reach(tgt_rels, {"nu"}),
             "tau": _Reach(tgt_rels, {"tau"}),
         }
-        deeper: list[Term] | None = None
+        # translated source reducts two or more steps away, breadth first,
+        # and the queue of source reducts not yet stepped
+        deeper: list[Term] = []
+        queue = collections.deque(nd for _, nd, _ in sources)
+        known = {keys(nd.term) for nd in queue}
 
-        def deeper_images() -> list[Term]:
+        def deeper_images() -> Iterator[Term]:
             # when a cast expansion lets the target contract an outer redex
             # first, the matching source run takes the cast step and then the
-            # outer step: close over two more source levels on demand
-            nonlocal deeper
-            if deeper is None:
-                deeper = []
-                known = {show_term(nd.term) for _, nd, _ in sources}
-                frontier = [nd for _, nd, _ in sources]
-                for _ in range(3):
-                    nxt = []
-                    for fd in frontier:
-                        for s in step_all(fd.term, src_rels):
-                            k = show_term(s.term)
-                            if k in known:
-                                continue
-                            known.add(k)
-                            try:
-                                fnd = _recheck(src_cfg, fd, s.term)
-                            except StaticError:
-                                continue
-                            nxt.append(fnd)
-                            deeper.append(run_translation(tid, fnd))
-                    frontier = nxt
-            return deeper
+            # outer step: search the source reducts level by level, going one
+            # reduct further only when every image so far has failed.  The
+            # source calculi have no recursion, so the queue runs dry.
+            i = 0
+            while True:
+                while i < len(deeper):
+                    yield deeper[i]
+                    i += 1
+                if not queue:
+                    return
+                fd = queue.popleft()
+                for s in step_all(fd.term, src_rels):
+                    k = keys(s.term)
+                    if k in known:
+                        continue
+                    known.add(k)
+                    try:
+                        fnd = _recheck(src_cfg, fd, s.term)
+                    except StaticError:
+                        continue
+                    queue.append(fnd)
+                    deeper.append(run_translation(tid, fnd))
 
-        done: set[str] = set()
+        done: set[tuple[str, int]] = set()
         for desc, u, allowed, mode in obligations(tm):
-            key_u = mode + "|" + show_term(u)
+            key_u = (mode, keys(u))
             if key_u in done:
                 continue
             done.add(key_u)

@@ -574,13 +574,13 @@ def _bound_type_names(ty: Type) -> set[str]:
 
 
 def subst_term(body: Term, replacement: Term, var: str) -> Term:
-    """body[replacement/var], capture-avoiding with deterministic renames."""
+    """body[replacement/var], capture-avoiding with deterministic renames.
+
+    Every subterm the substitution leaves unchanged comes back as the same
+    object, the whole body included when ``var`` is not free in it."""
     fvs = free_vars(replacement)
 
     def rename_binder(binder: str, scope: Term) -> str:
-        # Only rename a binder that would capture a free name of the replacement.
-        if binder not in fvs:
-            return binder
         taken = fvs | {var} | term_names(scope)
         base = binder.split("$", 1)[0] or "x"
         n = 0
@@ -594,35 +594,42 @@ def subst_term(body: Term, replacement: Term, var: str) -> Term:
         shape = SHAPES[type(sub)]
         parts = shape.children(sub)
         kids: list[Term] = []
-        names = None  # the binder names, once one of them changes
-        walked = False
+        same = True
         for _, child, binder in parts:
             # a child under a binder of `var` itself is left alone
-            if binder != var:
-                if binder is not None:
-                    new = rename_binder(binder, child)
-                    if new != binder:
-                        names = names or [b for _, _, b in parts]
-                        names[len(kids)] = new
-                        child = subst_term(child, Var(new), binder)
-                child = go(child)
-                walked = True
-            kids.append(child)
-        if parts and not walked:
-            return sub  # every child is under a binder of `var`
+            new = child if binder == var else go(child)
+            same = same and new is child
+            kids.append(new)
+        if same:
+            return sub
+        names = None  # the binder names, once one of them changes
+        for i, (_, child, binder) in enumerate(parts):
+            if binder in fvs and binder != var:
+                # the binder would capture a free name of the replacement
+                names = names or [b for _, _, b in parts]
+                names[i] = rename_binder(binder, child)
+                kids[i] = go(subst_term(child, Var(names[i]), binder))
         return shape.rebuild(sub, kids, names)
 
     return go(body)
 
 
 def subst_type_in_type(ty: Type, arg: Row | Presence, var: str) -> Type:
-    """ty[arg/var]; arg is a row (for row variables) or a presence mark."""
-    arg_names: set[str] = set()
-    if isinstance(arg, Row):
-        arg_names = set(free_type_names(Record(arg)))
-    elif isinstance(arg, PresVar):
-        arg_names = {arg.name}
+    """ty[arg/var]; arg is a row (for row variables) or a presence mark.
+    Unchanged parts come back as the same objects."""
+    return _subst_type(ty, arg, var, _arg_names(arg))
 
+
+def _arg_names(arg: Row | Presence) -> set[str]:
+    """The free type-level names of a substituted row or presence."""
+    if isinstance(arg, Row):
+        return set(free_type_names(Record(arg)))
+    if isinstance(arg, PresVar):
+        return {arg.name}
+    return set()
+
+
+def _subst_type(ty: Type, arg: Row | Presence, var: str, arg_names: set[str]) -> Type:
     def fresh_against(binder: str, body: Type) -> str:
         taken = arg_names | {var} | set(free_type_names(body)) | _bound_type_names(body)
         base = binder.split("$", 1)[0] or "r"
@@ -635,40 +642,44 @@ def subst_type_in_type(ty: Type, arg: Row | Presence, var: str) -> Type:
         if isinstance(t, (TyVar, Base)):
             return t
         if isinstance(t, Arrow):
-            return Arrow(go(t.dom), go(t.cod))
-        if isinstance(t, Variant):
-            return Variant(go_row(t.row))
-        if isinstance(t, Record):
-            return Record(go_row(t.row))
-        if isinstance(t, ForallRow):
+            dom, cod = go(t.dom), go(t.cod)
+            return t if dom is t.dom and cod is t.cod else Arrow(dom, cod)
+        if isinstance(t, (Variant, Record)):
+            row = go_row(t.row)
+            return t if row is t.row else type(t)(row)
+        if isinstance(t, (ForallRow, ForallPres)):
             if t.var == var:
                 return t
+            new, body = t.var, t.body
             if t.var in arg_names:
                 new = fresh_against(t.var, t.body)
-                body = subst_type_in_type(t.body, Row((), new), t.var)
-                return ForallRow(new, t.kind, go(body))
-            return ForallRow(t.var, t.kind, go(t.body))
-        if isinstance(t, ForallPres):
-            if t.var == var:
+                fresh = Row((), new) if isinstance(t, ForallRow) else PresVar(new)
+                body = subst_type_in_type(body, fresh, t.var)
+            body = go(body)
+            if new == t.var and body is t.body:
                 return t
-            if t.var in arg_names:
-                new = fresh_against(t.var, t.body)
-                body = subst_type_in_type(t.body, PresVar(new), t.var)
-                return ForallPres(new, go(body))
-            return ForallPres(t.var, go(t.body))
+            if isinstance(t, ForallRow):
+                return ForallRow(new, t.kind, body)
+            return ForallPres(new, body)
         raise TypeError(f"not a type: {t!r}")
 
     def go_row(row: Row) -> Row:
         entries = []
-        for label, pres, t in row.entries:
+        same = True
+        for entry in row.entries:
+            label, pres, t = entry
             if isinstance(pres, PresVar) and pres.name == var and isinstance(arg, (Absent, Present, PresVar)):
                 pres = arg
-            entries.append((label, pres, go(t)))
+            new = go(t)
+            if pres is not entry[1] or new is not t:
+                same = False
+                entry = (label, pres, new)
+            entries.append(entry)
         if row.tail == var:
             if not isinstance(arg, Row):
                 raise TypeError("row variable substituted with a presence")
             return Row(tuple(entries) + arg.entries, arg.tail)
-        return Row(tuple(entries), row.tail)
+        return row if same else Row(tuple(entries), row.tail)
 
     return go(ty)
 
@@ -704,25 +715,43 @@ def rename_type_name(ty: Type, old: str, kind: Kind, new: str) -> Type:
 
 
 def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
-    """Substitute a type-level name throughout a term's annotations and arguments."""
+    """Substitute a type-level name throughout a term's annotations and
+    arguments; unchanged subterms and types come back as the same objects."""
+    arg_names = _arg_names(arg)
+    done: dict[int, tuple] = {}  # id -> (part, its image): parts are shared
 
     def go_part(part):
+        hit = done.get(id(part))
+        if hit is None:
+            hit = done[id(part)] = (part, subst_part(part))
+        return hit[1]
+
+    def subst_part(part):
         if part is None:
             return None
         if isinstance(part, Row):
-            return subst_type_in_type(Record(part), arg, var).row
+            record = Record(part)
+            new = _subst_type(record, arg, var, arg_names)
+            return part if new is record else new.row
         if isinstance(part, (Absent, Present, PresVar)):
             hit = isinstance(part, PresVar) and part.name == var
             return arg if hit and not isinstance(arg, Row) else part
-        return subst_type_in_type(part, arg, var)
+        return _subst_type(part, arg, var, arg_names)
 
     def go(sub: Term) -> Term:
         shape = SHAPES[type(sub)]
         if shape.tybinder and sub.var == var:
             return sub
-        kids = []
+        kids: list[Term] = []
+        same = True
         for _, child, _ in shape.children(sub):
-            kids.append(go(child))
+            new = go(child)
+            same = same and new is child
+            kids.append(new)
+        if same and all(
+            go_part(getattr(sub, name)) is getattr(sub, name) for name in shape.types
+        ):
+            return sub
         return shape.rebuild(sub, kids, None, go_part)
 
     return go(term)

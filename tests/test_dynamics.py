@@ -4,6 +4,7 @@ import pytest
 
 from rowlab.config import PRESETS, preset
 from rowlab.dynamics import (
+    _HEAD_SLOT,
     OutOfFuel,
     RelationSet,
     erase,
@@ -14,10 +15,11 @@ from rowlab.dynamics import (
     step_once,
     term_preorder,
 )
-from rowlab.harness import GenSpec, gen_typed_term
+from rowlab.harness import GenError, GenSpec, gen_typed_term
 from rowlab.parser import parse_term_str
 from rowlab.pretty import show_term
-from rowlab.syntax import Lit, Prim, alpha_eq
+from rowlab.syntax import Lit, Prim, alpha_eq, children
+from rowlab.translate import TRANSLATIONS, run_translation
 
 M = parse_term_str
 
@@ -286,6 +288,54 @@ def test_machine_matches_reference(name, full_upcast):
 @pytest.mark.parametrize("rels", [BETA, SIMPLE, FULL, POLY], ids=["beta", "simple", "full", "poly"])
 def test_machine_matches_reference_by_hand(src, rels):
     _assert_machine_matches(M(src), rels)
+
+
+# ---------------------------------------------------------------------------
+# The spine mode of step_all against filtering the reference relation
+
+
+def _on_spine(x, path):
+    """True when every hop of path sits in a head position, a primitive's
+    arguments included."""
+    node = x
+    for slot in path:
+        if slot != _HEAD_SLOT.get(type(node)) and type(node) is not Prim:
+            return False
+        node = next(child for s, child, _ in children(node) if s == slot)
+    return True
+
+
+def _spine_cases(name):
+    """Generated terms of the preset under its relations, and their
+    translations under the target's relations, with a few reducts of each."""
+    cfg = preset(name)
+    spec = GenSpec(cfg, max_size=10, seed=5)
+    for i in range(6):
+        try:
+            term, deriv = gen_typed_term(spec, i)
+        except GenError:
+            continue
+        cases = [(term, relations_for(cfg, full_upcast=True))]
+        for tid, t in sorted(TRANSLATIONS.items()):
+            if deriv is not None and t.pairs[0][0] == name:
+                cases.append((run_translation(tid, deriv), relations_for(preset(t.pairs[0][1]))))
+        for t, rels in cases:
+            yield t, rels
+            for s in step_all(t, rels)[:3]:
+                yield s.term, rels
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_spine_mode_is_the_reference_filtered_to_the_spine(name):
+    listed = 0
+    for term, rels in _spine_cases(name):
+        want = [
+            (s.tag, s.path, s.term) for s in step_all(term, rels) if _on_spine(term, s.path)
+        ]
+        got = [(s.tag, s.path, s.term) for s in step_all(term, rels, spine=True)]
+        assert got == want, show_term(term)
+        listed += len(got)
+    assert listed > 0
 
 
 # ---------------------------------------------------------------------------

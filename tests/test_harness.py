@@ -1,14 +1,19 @@
 """Term generator, property checkers, and the report plumbing around them."""
 
+import dataclasses
+import functools
 from pathlib import Path
 
 import pytest
+
+from rowlab import dynamics, harness
 
 from rowlab.config import PRESETS, preset
 from rowlab.dynamics import erase, relations_for, step_all
 from rowlab.harness import (
     GenSpec,
     PropertyReport,
+    _Reach,
     ambient_delta,
     ambient_gamma,
     check_erasure,
@@ -28,7 +33,7 @@ from rowlab.infer import infer
 from rowlab.parser import parse_term_str
 from rowlab.pretty import show_term
 from rowlab.statics import type_check
-from rowlab.syntax import Lit, Upcast, alpha_eq
+from rowlab.syntax import SHAPES, Lit, Prim, Upcast, alpha_eq, children
 from rowlab.translate import TRANSLATIONS, TranslationError, run_translation
 
 M = parse_term_str
@@ -388,3 +393,157 @@ def test_subject_reduction_sweep(cfg):
 def test_preorder_sweep():
     rep = run_property("preorder-correspondence", count=10, seed=2, depth=2)
     assert rep.passed, rep.failures[:2]
+
+
+# ---------------------------------------------------------------------------
+# The search on shared terms: structural keys, spine-only steps and a
+# breadth-first source search for reflection
+
+
+@functools.lru_cache(maxsize=None)
+def rec_sub_input(index):
+    """The derivation of the rec-sub term at ``index`` (size 8, seed 0)."""
+    return gen_typed_term(GenSpec(preset("rec-sub"), max_size=8, seed=0), index)[1]
+
+
+def unshared(term):
+    """A copy of the term in which no two term nodes are one object."""
+    shape = SHAPES[type(term)]
+    parts = shape.children(term)
+    if not parts:
+        return dataclasses.replace(term)
+    return shape.rebuild(term, [unshared(child) for _, child, _ in parts])
+
+
+def subterms(term):
+    yield term
+    for _, child, _ in children(term):
+        yield from subterms(child)
+
+
+def key_pool():
+    """Generated terms, their translations and every subterm of those, and
+    small terms that differ only in a binder name, an origin mark or a
+    literal's type."""
+    # Lit(True) == Lit(1) as Python values: the bool case is checked apart
+    pool = [Lit(1), Lit(0), Lit("1")]
+    pool += [M("(\\x:Int. x) 1"), M("(\\y:Int. y) 1"), M("\\x. x")]
+    pool += [M("f @ [A:Int]"), M("f @@ [A:Int]"), M("f @ *"), M("f @@ *")]
+    pool += [M("/\\r:Row!{}. x"), M("/\\s:Row!{}. x")]
+    for name in ("rec-sub", "var-sub"):
+        spec = GenSpec(preset(name), max_size=8, seed=1)
+        for i in range(8):
+            _, d = gen_typed_term(spec, i)
+            for tid, t in sorted(TRANSLATIONS.items()):
+                if t.pairs[0][0] == name and tid != "erase-upcasts":
+                    pool.append(run_translation(tid, d))
+            pool.append(d.term)
+    return [sub for t in pool for sub in subterms(t) if term_size(sub) <= 300]
+
+
+def test_search_keys_are_equal_exactly_when_the_terms_are():
+    reach = _Reach(relations_for(preset("rec")), {"beta"})
+    pool = key_pool()
+    keys = [reach._key(t) for t in pool]
+    equal_pairs = 0
+    for i, (a, ka) in enumerate(zip(pool, keys)):
+        for b, kb in zip(pool[i + 1:], keys[i + 1:]):
+            assert (ka == kb) == (a == b), (a, b)
+            equal_pairs += ka == kb
+    assert equal_pairs > 100 and len(set(keys)) > 200
+    assert reach._key(Lit(True)) != reach._key(Lit(1))
+
+
+def test_search_keys_do_not_depend_on_sharing():
+    d = rec_sub_input(86)
+    tm = run_translation("rec-sub-to-rec", d)
+    copy = unshared(tm)
+    assert term_size(tm) > 2000 and len({id(t) for t in subterms(tm)}) < 40
+    assert len({id(t) for t in subterms(copy)}) == term_size(copy)
+    reach = _Reach(relations_for(preset("rec")), {"beta"})
+    assert reach._key(copy) == reach._key(tm)
+
+
+@pytest.mark.parametrize("tid", ["rec-sub-to-rec", "rec-sub-to-pre"])
+def test_search_verdicts_do_not_depend_on_sharing(tid, monkeypatch):
+    def verdicts():
+        return [
+            (rep.cases, rep.failures)
+            for d in map(rec_sub_input, (86, 120, 3, 7, 11))
+            for rep in (check_simulation(tid, d, 2), check_reflection(tid, d, 2))
+        ]
+
+    want = verdicts()
+    translate = harness.run_translation
+    monkeypatch.setattr(
+        harness, "run_translation", lambda tid, d: unshared(translate(tid, d))
+    )
+    assert verdicts() == want
+
+
+@pytest.mark.parametrize("index", [86, 120, 132, 1990])
+def test_reflection_searches_source_reducts_until_one_matches(index):
+    # each needs a source run longer than a fixed number of levels
+    rep = check_reflection("rec-sub-to-rec", rec_sub_input(index), 2)
+    assert rep.passed, rep.failures[:1]
+    assert rep.cases > 0
+
+
+def spine_nodes(term):
+    """The term's nodes on its head spine, in preorder."""
+    out = [term]
+    for slot, child, _ in children(term):
+        if type(term) is Prim or slot == dynamics._HEAD_SLOT.get(type(term)):
+            out += spine_nodes(child)
+    return out
+
+
+def test_search_renders_nothing_and_steps_only_the_spine(monkeypatch):
+    """A deterministic work guard: on index 86 (a 16-node source term whose
+    translations are trees of up to 2,051 nodes) the search never renders a
+    term, and each of its step enumerations visits only the head spine."""
+    depth = [0]
+    go = _Reach.go
+
+    def counted_go(self, *args, **kwargs):
+        depth[0] += 1
+        try:
+            return go(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_Reach, "go", counted_go)
+    rendered = []
+    for module in (harness, dynamics):
+        show = module.show_term
+        monkeypatch.setattr(
+            module,
+            "show_term",
+            lambda t, *rest, show=show: (rendered.append(t) if depth[0] else None)
+            or show(t, *rest),
+        )
+    visited = []
+    rewrite = dynamics._rewrite_here
+    monkeypatch.setattr(
+        dynamics, "_rewrite_here", lambda t, rels: visited.append(t) or rewrite(t, rels)
+    )
+    enumerations = []
+    step = harness.step_all
+
+    def recorded_step_all(term, rels, spine=False):
+        visited.clear()
+        out = step(term, rels, spine=spine)
+        if depth[0]:
+            assert spine
+            enumerations.append((term, list(visited)))
+        return out
+
+    monkeypatch.setattr(harness, "step_all", recorded_step_all)
+    rep = check_reflection("rec-sub-to-rec", rec_sub_input(86), 2)
+    assert rep.passed and rep.cases > 0
+    assert rendered == []
+    assert len(enumerations) > 100
+    for term, seen in enumerations:
+        assert [id(t) for t in seen] == [id(t) for t in spine_nodes(term)]
+    walked = sum(len(seen) for _, seen in enumerations[:50])
+    assert walked * 20 < sum(term_size(term) for term, _ in enumerations[:50])

@@ -47,6 +47,7 @@ from rowlab.syntax import (
     alpha_eq,
     children,
     closed_row,
+    free_type_names,
     free_vars,
     normalize_row,
     rebuild,
@@ -56,6 +57,7 @@ from rowlab.syntax import (
     subst_term,
     subst_type_in_term,
     subst_type_in_type,
+    term_names,
     type_equal,
     variant,
 )
@@ -653,3 +655,219 @@ def test_binder_renamed_copies_are_alpha_equal():
         assert alpha_eq(m, copy) and _ln(m) == _ln(copy)
         renamed += copy != m
     assert renamed > 50
+
+
+# ---------------------------------------------------------------------------
+# substitutions share what they leave unchanged: checked against copying
+# references that rebuild every node they pass
+
+
+def _copying_subst_term(body, replacement, var):
+    fvs = free_vars(replacement)
+
+    def go(sub):
+        if type(sub) is Var:
+            return replacement if sub.name == var else sub
+        shape = SHAPES[type(sub)]
+        parts = shape.children(sub)
+        kids, names, walked = [], None, False
+        for _, child, binder in parts:
+            if binder != var:
+                if binder in fvs:
+                    taken = fvs | {var} | term_names(child)
+                    base, n = binder.split("$", 1)[0] or "x", 0
+                    while f"{base}${n}" in taken:
+                        n += 1
+                    names = names or [b for _, _, b in parts]
+                    names[len(kids)] = f"{base}${n}"
+                    child = _copying_subst_term(child, Var(f"{base}${n}"), binder)
+                child = go(child)
+                walked = True
+            kids.append(child)
+        if parts and not walked:
+            return sub
+        return shape.rebuild(sub, kids, names)
+
+    return go(body)
+
+
+def _copying_subst_type(ty, arg, var):
+    arg_names = set()
+    if isinstance(arg, Row):
+        arg_names = set(free_type_names(Record(arg)))
+    elif isinstance(arg, PresVar):
+        arg_names = {arg.name}
+
+    def go(t):
+        if isinstance(t, (TyVar, Base)):
+            return t
+        if isinstance(t, Arrow):
+            return Arrow(go(t.dom), go(t.cod))
+        if isinstance(t, (Variant, Record)):
+            return type(t)(go_row(t.row))
+        if t.var == var:
+            return t
+        new, body = t.var, t.body
+        if t.var in arg_names:
+            taken = arg_names | {var} | set(free_type_names(body)) | _all_type_binders(body)
+            base, n = t.var.split("$", 1)[0] or "r", 0
+            while f"{base}${n}" in taken:
+                n += 1
+            new = f"{base}${n}"
+            fresh = Row((), new) if isinstance(t, ForallRow) else PresVar(new)
+            body = _copying_subst_type(body, fresh, t.var)
+        if isinstance(t, ForallRow):
+            return ForallRow(new, t.kind, go(body))
+        return ForallPres(new, go(body))
+
+    def go_row(row):
+        entries = []
+        for label, pres, t in row.entries:
+            if isinstance(pres, PresVar) and pres.name == var and not isinstance(arg, Row):
+                pres = arg
+            entries.append((label, pres, go(t)))
+        if row.tail == var:
+            return Row(tuple(entries) + arg.entries, arg.tail)
+        return Row(tuple(entries), row.tail)
+
+    return go(ty)
+
+
+def _all_type_binders(ty):
+    if isinstance(ty, (TyVar, Base)):
+        return set()
+    if isinstance(ty, Arrow):
+        return _all_type_binders(ty.dom) | _all_type_binders(ty.cod)
+    if isinstance(ty, (Variant, Record)):
+        return set().union(*(_all_type_binders(t) for _, _, t in ty.row.entries))
+    return {ty.var} | _all_type_binders(ty.body)
+
+
+def _copying_subst_type_in_term(term, arg, var):
+    def go_part(part):
+        if part is None:
+            return None
+        if isinstance(part, Row):
+            return _copying_subst_type(Record(part), arg, var).row
+        if isinstance(part, (Absent, Present, PresVar)):
+            hit = isinstance(part, PresVar) and part.name == var
+            return arg if hit and not isinstance(arg, Row) else part
+        return _copying_subst_type(part, arg, var)
+
+    def go(sub):
+        shape = SHAPES[type(sub)]
+        if shape.tybinder and sub.var == var:
+            return sub
+        kids = [go(child) for _, child, _ in shape.children(sub)]
+        return shape.rebuild(sub, kids, None, go_part)
+
+    return go(term)
+
+
+def _type_parts(term):
+    """Every type (and row, as a record) in the term's type-level parts."""
+    for sub in _subterms(term):
+        for name in SHAPES[type(sub)].types:
+            part = getattr(sub, name)
+            if isinstance(part, Row):
+                yield Record(part)
+            elif part is not None and not isinstance(part, (Absent, Present, PresVar)):
+                yield part
+
+
+def _subst_cases(capturing):
+    """(body, replacement, var) triples from the generated terms: every free
+    and bound variable of each term, replaced by a literal and by the next
+    term, or (``capturing``) by a variable named like one of the term's
+    binders, which forces renames."""
+    terms = [t for t in _generated_term_list() if term_size(t) <= 500]
+    for m, other in zip(terms, terms[1:] + terms[:1]):
+        bound = sorted({name for kind, name in _binders(m) if kind == "term"})
+        reps = [Var(b) for b in bound[:2]] if capturing else [Lit(0), other]
+        for var in sorted(free_vars(m)) + bound[:2]:
+            for rep in reps:
+                yield m, rep, var
+
+
+def _type_subst_cases():
+    """(term, argument, name) triples: the body of every type abstraction in
+    the generated terms with rows and presences for its name, some of them
+    naming the term's own type binders."""
+    for m in _generated_term_list():
+        if term_size(m) > 500:
+            continue
+        tybound = sorted({name for kind, name in _binders(m) if kind == "type"})
+        for sub in _subterms(m):
+            if not SHAPES[type(sub)].tybinder:
+                continue
+            if isinstance(sub, RowAbs):
+                args = [Row((), None), closed_row(("Age", INT))]
+                args += [Row((("Zip", Present(), TyVar(n)),), n) for n in tybound[:2]]
+            else:
+                args = [Present(), Absent()] + [PresVar(n) for n in tybound[:2]]
+            for arg in args:
+                yield sub.body, arg, sub.var
+
+
+def test_sharing_substitutions_equal_the_copying_ones():
+    changed = 0
+    for m, rep, var in _subst_cases(capturing=False):
+        out = subst_term(m, rep, var)
+        assert out == _copying_subst_term(m, rep, var), (m, rep, var)
+        changed += out is not m
+    assert changed > 200
+    # a binder that would capture is renamed only above an occurrence of
+    # `var`, where the copying reference renames it everywhere it walks
+    renamed = 0
+    for m, rep, var in _subst_cases(capturing=True):
+        out, want = subst_term(m, rep, var), _copying_subst_term(m, rep, var)
+        assert _ln(out) == _ln(want), (m, rep, var)
+        renamed += out != want
+    assert renamed > 0
+    changed = 0
+    for body, arg, var in _type_subst_cases():
+        out = subst_type_in_term(body, arg, var)
+        assert out == _copying_subst_type_in_term(body, arg, var), (body, arg, var)
+        for ty in _type_parts(body):
+            assert subst_type_in_type(ty, arg, var) == _copying_subst_type(ty, arg, var)
+        changed += out is not body
+    assert changed > 50
+
+
+def test_substituting_a_name_that_is_not_free_returns_the_input():
+    kept = 0
+    for m in _generated_term_list():
+        bound = sorted({name for kind, name in _binders(m) if kind == "term"})
+        # a replacement that a binder of the term would capture
+        for rep in [Lit(0)] + [Var(b) for b in bound[:2]]:
+            assert subst_term(m, rep, "absent") is m
+        for arg in (closed_row(("Age", INT)), Row((), "r"), PresVar("p"), Absent()):
+            assert subst_type_in_term(m, arg, "absent") is m
+            for ty in _type_parts(m):
+                assert subst_type_in_type(ty, arg, "absent") is ty
+        kept += 1
+    assert kept > 50
+
+
+def test_substitution_shares_the_untouched_children():
+    m = App(Lam("y", A0, Var("y")), App(Var("x"), Lit(1)))
+    out = subst_term(m, Lit(2), "x")
+    assert out.fn is m.fn and out.arg.arg is m.arg.arg
+    annot = Record(Row((("A", Present(), INT),), "r"))
+    t = App(Lam("y", annot, Var("y")), Upcast(Var("z"), Arrow(INT, INT)))
+    out = subst_type_in_term(t, closed_row(("B", STR)), "r")
+    assert out.fn.annot == record(("A", INT), ("B", STR))
+    assert out.arg is t.arg
+
+
+def test_subst_type_in_term_reads_the_argument_names_once(monkeypatch):
+    from rowlab import syntax
+
+    calls = []
+    real = syntax.free_type_names
+    monkeypatch.setattr(syntax, "free_type_names", lambda ty: calls.append(ty) or real(ty))
+    annot = Record(Row((("A", Present(), INT),), "r"))
+    m = Lam("x", annot, Upcast(App(Lam("y", annot, Var("y")), Var("x")), annot))
+    out = subst_type_in_term(m, Row((("B", Present(), A0),), "s"), "r")
+    assert out.annot.row.tail == "s"
+    assert len(calls) == 1
