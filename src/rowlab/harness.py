@@ -98,6 +98,10 @@ class GenSpec:
     seed: int = 0
     weights: dict[str, float] | None = None
 
+    def __post_init__(self):
+        if self.max_size < 1:
+            raise ValueError("max_size must be at least 1")
+
 
 _DEFAULT_WEIGHTS = {
     "var": 2.0,
@@ -407,8 +411,6 @@ def gen_typed_term(spec: GenSpec, index: int = 0):
     derivation slot is None (principality is checked through inference
     instead).  Deterministic in (spec, index).
     """
-    if spec.max_size < 1:
-        raise ValueError("max_size must be at least 1")
     last: Exception | None = None
     for attempt in range(10):
         rng = random.Random(spec.seed * 1_000_003 + index + 7_919 * attempt)

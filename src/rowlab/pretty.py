@@ -76,31 +76,37 @@ def show_row(row: Row) -> str:
     return "; ".join(parts)
 
 
+# the highest prec each form prints at without parentheses
+_PREC = {ForallRow: 0, ForallPres: 0, Arrow: 1}
+
+
 def show_type(ty: Type, prec: int = 0) -> str:
-    # prec 0: quantifiers, 1: arrows, 2: atoms
-    if isinstance(ty, (ForallRow, ForallPres)):
-        binders = []
-        body: Type = ty
-        while isinstance(body, (ForallRow, ForallPres)):
-            if isinstance(body, ForallRow):
-                binders.append(f"{body.var}:{show_kind(body.kind)}")
-            else:
-                binders.append(f"{body.var}:Pre")
-            body = body.body
-        out = f"forall {' '.join(binders)}. {show_type(body)}"
-        return f"({out})" if prec > 0 else out
-    if isinstance(ty, Arrow):
-        out = f"{show_type(ty.dom, 2)} -> {show_type(ty.cod, 1)}"
-        return f"({out})" if prec > 1 else out
-    if isinstance(ty, TyVar):
-        return ty.name
-    if isinstance(ty, Base):
-        return ty.tag
-    if isinstance(ty, Variant):
-        return f"[{show_row(ty.row)}]"
-    if isinstance(ty, Record):
-        return "{" + show_row(ty.row) + "}"
-    raise TypeError(f"not a type: {ty!r}")
+    """The type's text at ``prec`` (0: quantifiers, 1: arrows, 2: atoms).
+    Types are frozen, so the bare text is kept on the object (``_text``)."""
+    out = getattr(ty, "_text", None)
+    if out is None:
+        if isinstance(ty, (ForallRow, ForallPres)):
+            binders = []
+            body: Type = ty
+            while isinstance(body, (ForallRow, ForallPres)):
+                kind = body.kind if isinstance(body, ForallRow) else KPre()
+                binders.append(f"{body.var}:{show_kind(kind)}")
+                body = body.body
+            out = f"forall {' '.join(binders)}. {show_type(body)}"
+        elif isinstance(ty, Arrow):
+            out = f"{show_type(ty.dom, 2)} -> {show_type(ty.cod, 1)}"
+        elif isinstance(ty, TyVar):
+            out = ty.name
+        elif isinstance(ty, Base):
+            out = ty.tag
+        elif isinstance(ty, Variant):
+            out = f"[{show_row(ty.row)}]"
+        elif isinstance(ty, Record):
+            out = "{" + show_row(ty.row) + "}"
+        else:
+            raise TypeError(f"not a type: {ty!r}")
+        object.__setattr__(ty, "_text", out)
+    return f"({out})" if prec > _PREC.get(type(ty), 2) else out
 
 
 def show_scheme(scheme: TypeScheme) -> str:

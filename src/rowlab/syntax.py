@@ -12,10 +12,11 @@ Structure:
   reduction, the equality and preorder walkers and the translations' default
   rule all read it instead of matching on the forms themselves
 - a two-sided binder environment (``bind``, ``same_name``) that every
-  comparison up to renaming shares, at the term and the type level
+  comparison of terms up to renaming shares
 - capture-avoiding substitution at the term and type level
-- canonical row normalization, the row domain, type equality, alpha
-  equivalence
+- canonical row normalization, the row domain, alpha equivalence
+- canonical type keys (``type_key``), which type and scheme equality and the
+  annotations of alpha equivalence compare; frozen nodes keep their keys
 
 Rows are stored in source order; comparisons normalize. Names are plain
 strings; fresh names come from a NameSupply and look like "x$3".
@@ -24,7 +25,7 @@ strings; fresh names come from a NameSupply and look like "x$3".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, get_args
 
 
 class MalformedRowError(Exception):
@@ -429,9 +430,9 @@ def same_data(shape: Shape, m: Term, n: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# binder environments: a comparison of two terms or types up to renaming
-# maps each binder on the left to its partner on the right and back, so a
-# free name on one side never matches a bound name on the other
+# binder environments: a comparison of two terms up to renaming maps each
+# binder on the left to its partner on the right and back, so a free name on
+# one side never matches a bound name on the other
 
 
 Names = tuple[dict[str, str], dict[str, str]]
@@ -781,68 +782,88 @@ def row_dom(row: Row) -> frozenset[str]:
     return frozenset(row.labels())
 
 
+def _ref(name: str, names: tuple[str, ...]) -> int | str:
+    """``name`` in a key: its de Bruijn index if ``names`` binds it, else itself."""
+    return names.index(name) if name in names else name
+
+
+def _row_key(row: Row, names: tuple[str, ...]) -> tuple:
+    labels = row.labels()
+    if len(set(labels)) != len(labels):
+        raise MalformedRowError(f"duplicate label in {labels!r}")
+    entries = [
+        (label, type_key(pres, names), type_key(ty, names))
+        for label, pres, ty in row.entries
+        if type(pres) is not Absent
+    ]
+    entries.sort()
+    tail = None if row.tail is None else _ref(row.tail, names)
+    return Row, tuple(entries), tail
+
+
+_KEY_FORMS: dict[type, Callable[[Any, tuple[str, ...]], tuple]] = {
+    TyVar: lambda t, ns: (TyVar, _ref(t.name, ns)),
+    Base: lambda t, ns: (Base, t.tag),
+    Arrow: lambda t, ns: (Arrow, type_key(t.dom, ns), type_key(t.cod, ns)),
+    Variant: lambda t, ns: (Variant, type_key(t.row, ns)),
+    Record: lambda t, ns: (Record, type_key(t.row, ns)),
+    ForallRow: lambda t, ns: (ForallRow, t.kind.lacks, type_key(t.body, (t.var, *ns))),
+    ForallPres: lambda t, ns: (ForallPres, type_key(t.body, (t.var, *ns))),
+    Row: _row_key,
+    Absent: lambda t, ns: (Absent,),
+    Present: lambda t, ns: (Present,),
+    PresVar: lambda t, ns: (PresVar, _ref(t.name, ns)),
+}
+_TYPE_FORMS = frozenset(get_args(Type))
+
+
+def type_key(t: Type | Row | Presence, names: tuple[str, ...] = ()) -> tuple:
+    """The key of a type, row or presence under the type-level binders
+    ``names`` (innermost first): a nested tuple of its form and its parts'
+    keys, with each bound name as its de Bruijn index and each free name as
+    itself, and rows normalized as ``normalize_row`` does.  A duplicate label
+    raises MalformedRowError, and what is not a type raises TypeError.
+
+    Types and rows are frozen, so a key computed outside every binder is
+    kept on the object and can never go stale; one under binders is not."""
+    key = None if names else getattr(t, "_key", None)
+    if key is None:
+        form = _KEY_FORMS.get(type(t))
+        if form is None:
+            raise TypeError(f"not a type: {t!r}")
+        key = form(t, names)
+        if not names:
+            object.__setattr__(t, "_key", key)
+    return key
+
+
 def type_equal(a: Type, b: Type) -> bool:
-    """Structural equality modulo alpha-renaming and row normalization."""
-    return _ty_eq(a, b, NO_NAMES)
+    """Equality modulo alpha-renaming and row normalization: the types have
+    the same ``type_key`` (bound names as de Bruijn indices, rows sorted).
+    Types are frozen, so each keeps its key once computed.  A duplicate label
+    or a non-type (a row included) makes them unequal."""
+    if type(a) is not type(b) or type(a) not in _TYPE_FORMS:
+        return False
+    ka, kb = getattr(a, "_key", None), getattr(b, "_key", None)
+    if ka is None or kb is None:
+        return _same_key(a, (), b, ())
+    return ka == kb
 
 
-def _ty_eq(a: Type, b: Type, env: Names) -> bool:
-    if isinstance(a, TyVar) and isinstance(b, TyVar):
-        return same_name(env, a.name, b.name)
-    if isinstance(a, Base) and isinstance(b, Base):
-        return a.tag == b.tag
-    if isinstance(a, Arrow) and isinstance(b, Arrow):
-        return _ty_eq(a.dom, b.dom, env) and _ty_eq(a.cod, b.cod, env)
-    if isinstance(a, Variant) and isinstance(b, Variant):
-        return _row_eq(a.row, b.row, env)
-    if isinstance(a, Record) and isinstance(b, Record):
-        return _row_eq(a.row, b.row, env)
-    if isinstance(a, ForallRow) and isinstance(b, ForallRow):
-        if a.kind.lacks != b.kind.lacks:
-            return False
-        return _ty_eq(a.body, b.body, bind(env, a.var, b.var))
-    if isinstance(a, ForallPres) and isinstance(b, ForallPres):
-        return _ty_eq(a.body, b.body, bind(env, a.var, b.var))
-    return False
-
-
-def _pres_eq(a: Presence, b: Presence, env: Names) -> bool:
-    if isinstance(a, PresVar) and isinstance(b, PresVar):
-        return same_name(env, a.name, b.name)
-    return type(a) is type(b)
-
-
-def _row_eq(a: Row, b: Row, env: Names) -> bool:
+def _same_key(a, left: tuple[str, ...], b, right: tuple[str, ...]) -> bool:
+    """``a`` under ``left`` and ``b`` under ``right`` have one key (not none)."""
     try:
-        na = normalize_row(a)
-        nb = normalize_row(b)
-    except MalformedRowError:
+        return type_key(a, left) == type_key(b, right)
+    except (MalformedRowError, TypeError):
         return False
-    if na.tail is None or nb.tail is None:
-        if na.tail is not nb.tail:
-            return False
-    elif not same_name(env, na.tail, nb.tail):
-        return False
-    if len(na.entries) != len(nb.entries):
-        return False
-    for (la, pa, ta), (lb, pb, tb) in zip(na.entries, nb.entries):
-        if la != lb or not _pres_eq(pa, pb, env) or not _ty_eq(ta, tb, env):
-            return False
-    return True
 
 
 def scheme_alpha_eq(a: TypeScheme, b: TypeScheme) -> bool:
     """Scheme equality up to renaming; quantifier order must correspond."""
-    if len(a.quants) != len(b.quants):
+    if [k for _, k in a.quants] != [k for _, k in b.quants]:
         return False
-    env = NO_NAMES
-    for (na, ka), (nb, kb) in zip(a.quants, b.quants):
-        if type(ka) is not type(kb):
-            return False
-        if isinstance(ka, KRow) and isinstance(kb, KRow) and ka.lacks != kb.lacks:
-            return False
-        env = bind(env, na, nb)
-    return _ty_eq(a.body, b.body, env)
+    left, right = (tuple(n for n, _ in reversed(s.quants)) for s in (a, b))
+    return _same_key(a.body, left, b.body, right)
 
 
 # ---------------------------------------------------------------------------
@@ -853,25 +874,22 @@ def alpha_eq(m: Term, n: Term) -> bool:
     """Equality modulo bound renaming, row normalization in annotations, the
     order of case branches and record fields, and record fields marked absent
     by their annotation."""
-    return _tm_eq(m, n, NO_NAMES, NO_NAMES)
+    return _tm_eq(m, n, NO_NAMES, ((), ()))
 
 
-def _part_eq(a, b, tyenv: Names) -> bool:
-    """Two type-level parts of the same field: types, rows or presences."""
+def _part_eq(a, b, tyenv: tuple[tuple[str, ...], tuple[str, ...]]) -> bool:
+    """Two type-level parts of the same field (types, rows or presences)
+    under the type binders ``tyenv``: a left and a right stack."""
     if a is None or b is None:
         return a is b
-    if isinstance(a, Row):
-        return isinstance(b, Row) and _row_eq(a, b, tyenv)
-    if isinstance(a, (Absent, Present, PresVar)):
-        return _pres_eq(a, b, tyenv)
-    return _ty_eq(a, b, tyenv)
+    return _same_key(a, tyenv[0], b, tyenv[1])
 
 
 def _slot(part: tuple) -> str:
     return part[0]
 
 
-def _tm_eq(m: Term, n: Term, env: Names, tyenv: Names) -> bool:
+def _tm_eq(m: Term, n: Term, env: Names, tyenv: tuple) -> bool:
     if type(m) is not type(n):
         return False
     if type(m) is Var:
@@ -883,7 +901,7 @@ def _tm_eq(m: Term, n: Term, env: Names, tyenv: Names) -> bool:
         if not _part_eq(getattr(m, name), getattr(n, name), tyenv):
             return False
     if shape.tybinder:
-        tyenv = bind(tyenv, m.var, n.var)
+        tyenv = ((m.var, *tyenv[0]), (n.var, *tyenv[1]))
     mk, nk = shape.children(m), shape.children(n)
     if type(m) is RecordLit:
         mk, nk = _live_fields(m, mk), _live_fields(n, nk)

@@ -44,6 +44,16 @@ def test_verify_depth_below_one_is_a_user_error(capsys):
     assert capsys.readouterr().err.startswith("rowlab: error: depth must be at least 1")
 
 
+def test_verify_max_size_below_one_is_a_user_error(capsys):
+    for prop, tid in (("substitution", "rec-sub-to-rec"), ("simulation", "rec-sub-to-rec")):
+        for size in ("0", "-5"):
+            code = run(["verify", "--property", prop, "--translation", tid,
+                        "--count", "2", "--max-size", size])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("rowlab: error: max_size must be at least 1"), err
+
+
 def test_deep_term_is_a_user_error(tmp_path, capsys):
     src = tmp_path / "plus.row"
     src.write_text(" + ".join(["1"] * 2000), encoding="utf-8")

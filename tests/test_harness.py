@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from rowlab import dynamics, harness
 from rowlab.config import PRESETS, preset
 from rowlab.dynamics import erase, relations_for, step_all
 from rowlab.harness import (
+    GenError,
     GenSpec,
     PropertyReport,
     _Reach,
@@ -547,3 +549,62 @@ def test_search_renders_nothing_and_steps_only_the_spine(monkeypatch):
         assert [id(t) for t in seen] == [id(t) for t in spine_nodes(term)]
     walked = sum(len(seen) for _, seen in enumerations[:50])
     assert walked * 20 < sum(term_size(term) for term, _ in enumerations[:50])
+
+
+# ---------------------------------------------------------------------------
+# the generator's output, pinned: a change that moves the terms any seed
+# generates (and so the benchmark's inputs) fails here and must update the
+# hashes on purpose
+
+GENERATED_SHA256 = {
+    "lam": "87217346fe845a1c",
+    "rec": "4626802b6fe1e76b",
+    "rec-pre": "ec7827c94f751f34",
+    "rec-pre1": "a8281080a8b3e8e4",
+    "rec-row": "4626802b6fe1e76b",
+    "rec-row-pre": "ec7827c94f751f34",
+    "rec-row1": "a8281080a8b3e8e4",
+    "rec-sub": "3b16cd63837cfd1b",
+    "rec-sub-co": "6a969b9fc6d52b82",
+    "rec-sub-full": "4f1ae1694a61fbc4",
+    "rec-sub-full-rank1": "72ba4aad925eaeb4",
+    "rec-sub-full-rank2": "1f228ab96ef0ac0d",
+    "var": "3b94d2e1aafe9dfd",
+    "var-pre": "3b94d2e1aafe9dfd",
+    "var-pre1": "251622c9efbbf18c",
+    "var-rec": "bf379d9c3bb4a8c5",
+    "var-rec-sub-full": "199551531e602b89",
+    "var-row": "3b94d2e1aafe9dfd",
+    "var-row-pre": "3b94d2e1aafe9dfd",
+    "var-row1": "2ab97f923330eaba",
+    "var-sub": "8462453585b2b0b3",
+    "var-sub-co": "1d6574296f641352",
+    "var-sub-full": "977a2dd8c1e49d29",
+    "var-sub-full-rank1": "1d8e2e510915a31a",
+    "var-sub-full-rank2": "1cd9ea6c59703d09",
+}
+
+
+def _generated_lines(name):
+    """The printed terms of both generators, or their errors, for the first
+    40 indices of ``name`` at sizes 8 and 12, seed 0."""
+    for size in (8, 12):
+        spec = GenSpec(preset(name), max_size=size, seed=0)
+        for i in range(40):
+            try:
+                yield show_term(gen_typed_term(spec, i)[0])
+            except GenError as e:
+                yield f"GenError: {e}"
+            try:
+                dm, dn, var = gen_subst_pair(spec, i)
+                yield f"{show_term(dm.term)} / {var} := {show_term(dn.term)}"
+            except GenError as e:
+                yield f"GenError: {e}"
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_generator_output_is_pinned(name):
+    digest = hashlib.sha256()
+    for line in _generated_lines(name):
+        digest.update(line.encode("utf-8") + b"\n")
+    assert digest.hexdigest()[:16] == GENERATED_SHA256[name]

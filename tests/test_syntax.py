@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import random
 from typing import get_args
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rowlab.config import PRESETS, preset
-from rowlab.harness import GenError, GenSpec, gen_typed_term, term_size
+from rowlab.harness import GenError, GenSpec, _Gen, gen_typed_term, term_size
+from rowlab.pretty import show_kind, show_presence, show_type
 from rowlab.syntax import (
     SHAPES,
     Absent,
@@ -22,10 +24,13 @@ from rowlab.syntax import (
     ForallPres,
     ForallRow,
     Inject,
+    KPre,
     KRow,
+    KType,
     Lam,
     Let,
     Lit,
+    NO_NAMES,
     MalformedRowError,
     NameSupply,
     PresAbs,
@@ -45,6 +50,7 @@ from rowlab.syntax import (
     Var,
     Variant,
     alpha_eq,
+    bind,
     children,
     closed_row,
     free_type_names,
@@ -52,13 +58,16 @@ from rowlab.syntax import (
     normalize_row,
     rebuild,
     record,
+    rename_type_name,
     row_dom,
+    same_name,
     scheme_alpha_eq,
     subst_term,
     subst_type_in_term,
     subst_type_in_type,
     term_names,
     type_equal,
+    type_key,
     variant,
 )
 from rowlab.translate import TRANSLATIONS, run_translation
@@ -871,3 +880,408 @@ def test_subst_type_in_term_reads_the_argument_names_once(monkeypatch):
     out = subst_type_in_term(m, Row((("B", Present(), A0),), "s"), "r")
     assert out.annot.row.tail == "s"
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# type keys and printed text, kept on each object: checked against the
+# structural walkers they replaced, which compare two types in one pass
+# under a two-sided binder environment and print without keeping anything
+
+
+def _ty_eq(a, b, env):
+    if isinstance(a, TyVar) and isinstance(b, TyVar):
+        return same_name(env, a.name, b.name)
+    if isinstance(a, Base) and isinstance(b, Base):
+        return a.tag == b.tag
+    if isinstance(a, Arrow) and isinstance(b, Arrow):
+        return _ty_eq(a.dom, b.dom, env) and _ty_eq(a.cod, b.cod, env)
+    if isinstance(a, Variant) and isinstance(b, Variant):
+        return _row_eq(a.row, b.row, env)
+    if isinstance(a, Record) and isinstance(b, Record):
+        return _row_eq(a.row, b.row, env)
+    if isinstance(a, ForallRow) and isinstance(b, ForallRow):
+        if a.kind.lacks != b.kind.lacks:
+            return False
+        return _ty_eq(a.body, b.body, bind(env, a.var, b.var))
+    if isinstance(a, ForallPres) and isinstance(b, ForallPres):
+        return _ty_eq(a.body, b.body, bind(env, a.var, b.var))
+    return False
+
+
+def _pres_eq(a, b, env):
+    if isinstance(a, PresVar) and isinstance(b, PresVar):
+        return same_name(env, a.name, b.name)
+    return type(a) is type(b)
+
+
+def _row_eq(a, b, env):
+    try:
+        na = normalize_row(a)
+        nb = normalize_row(b)
+    except MalformedRowError:
+        return False
+    if na.tail is None or nb.tail is None:
+        if na.tail is not nb.tail:
+            return False
+    elif not same_name(env, na.tail, nb.tail):
+        return False
+    if len(na.entries) != len(nb.entries):
+        return False
+    for (la, pa, ta), (lb, pb, tb) in zip(na.entries, nb.entries):
+        if la != lb or not _pres_eq(pa, pb, env) or not _ty_eq(ta, tb, env):
+            return False
+    return True
+
+
+def _reference_scheme_alpha_eq(a, b):
+    if len(a.quants) != len(b.quants):
+        return False
+    env = NO_NAMES
+    for (na, ka), (nb, kb) in zip(a.quants, b.quants):
+        if type(ka) is not type(kb):
+            return False
+        if isinstance(ka, KRow) and isinstance(kb, KRow) and ka.lacks != kb.lacks:
+            return False
+        env = bind(env, na, nb)
+    return _ty_eq(a.body, b.body, env)
+
+
+def _reference_show_row(row):
+    parts = []
+    for label, pres, ty in row.entries:
+        if isinstance(pres, Present):
+            parts.append(f"{label}:{_reference_show_type(ty)}")
+        else:
+            parts.append(f"{label}^{show_presence(pres)}:{_reference_show_type(ty)}")
+    if row.tail is not None:
+        parts.append(row.tail)
+    return "; ".join(parts)
+
+
+def _reference_show_type(ty, prec=0):
+    if isinstance(ty, (ForallRow, ForallPres)):
+        binders = []
+        body = ty
+        while isinstance(body, (ForallRow, ForallPres)):
+            if isinstance(body, ForallRow):
+                binders.append(f"{body.var}:{show_kind(body.kind)}")
+            else:
+                binders.append(f"{body.var}:Pre")
+            body = body.body
+        out = f"forall {' '.join(binders)}. {_reference_show_type(body)}"
+        return f"({out})" if prec > 0 else out
+    if isinstance(ty, Arrow):
+        out = f"{_reference_show_type(ty.dom, 2)} -> {_reference_show_type(ty.cod, 1)}"
+        return f"({out})" if prec > 1 else out
+    if isinstance(ty, TyVar):
+        return ty.name
+    if isinstance(ty, Base):
+        return ty.tag
+    if isinstance(ty, Variant):
+        return f"[{_reference_show_row(ty.row)}]"
+    if isinstance(ty, Record):
+        return "{" + _reference_show_row(ty.row) + "}"
+    raise TypeError(f"not a type: {ty!r}")
+
+
+def _fresh(x):
+    """An equal copy built from new objects, so nothing kept on ``x`` is."""
+    if isinstance(x, tuple):
+        return tuple(_fresh(y) for y in x)
+    if dataclasses.is_dataclass(x):
+        return type(x)(*(_fresh(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    return x
+
+
+def _map_type(ty, fn):
+    """``ty`` with ``fn`` applied bottom-up to every type and row in it."""
+    if isinstance(ty, Arrow):
+        ty = Arrow(_map_type(ty.dom, fn), _map_type(ty.cod, fn))
+    elif isinstance(ty, (Variant, Record)):
+        row = ty.row
+        entries = tuple((l, p, _map_type(a, fn)) for l, p, a in row.entries)
+        ty = type(ty)(fn(Row(entries, row.tail)))
+    elif isinstance(ty, (ForallRow, ForallPres)):
+        ty = dataclasses.replace(ty, body=_map_type(ty.body, fn))
+    return fn(ty)
+
+
+def _sub_types(ty):
+    yield ty
+    if isinstance(ty, Arrow):
+        yield from _sub_types(ty.dom)
+        yield from _sub_types(ty.cod)
+    elif isinstance(ty, (Variant, Record)):
+        for _, _, a in ty.row.entries:
+            yield from _sub_types(a)
+    elif isinstance(ty, (ForallRow, ForallPres)):
+        yield from _sub_types(ty.body)
+
+
+def _kind_of(cls):
+    """A kind of the class ``free_type_names`` reports."""
+    return KRow(frozenset()) if cls is KRow else cls()
+
+
+def _permuted(ty):
+    """Every row of ``ty`` with its entries reversed: an equal type."""
+    return _map_type(ty, lambda t: Row(t.entries[::-1], t.tail) if isinstance(t, Row) else t)
+
+
+def _renamed(ty, name, kind, new):
+    """``ty`` with ``name`` renamed, or None where ``name`` is used at
+    another kind than ``kind`` too (a row tail and a presence)."""
+    try:
+        return rename_type_name(ty, name, kind, new)
+    except TypeError:
+        return None
+
+
+def _binders_renamed(ty, suffix="'"):
+    """Every quantifier of ``ty`` renamed apart: alpha-equivalent where each
+    bound name is used at one kind."""
+    def go(t):
+        if isinstance(t, (ForallRow, ForallPres)):
+            kind = t.kind if isinstance(t, ForallRow) else KPre()
+            body = _renamed(t.body, t.var, kind, t.var + suffix)
+            return t if body is None else dataclasses.replace(t, var=t.var + suffix, body=body)
+        return t
+    return _map_type(ty, go)
+
+
+def _captured(ty, free):
+    """``ty`` with its outermost quantifier renamed ``free`` naively, so that
+    it captures the free occurrences of ``free`` in its body."""
+    if isinstance(ty, (ForallRow, ForallPres)):
+        return dataclasses.replace(ty, var=free)
+    return ty
+
+
+def _type_copies(ty):
+    """Copies of ``ty`` the comparisons must agree on: fresh, row-permuted,
+    binder-renamed, with a free name renamed to a new name or to a name a
+    quantifier binds, and with a quantifier capturing a free name."""
+    copies = [_fresh(ty), _permuted(ty), _binders_renamed(ty)]
+    bound = sorted({t.var for t in _sub_types(ty) if isinstance(t, (ForallRow, ForallPres))})
+    for name, cls in list(free_type_names(ty).items())[:2]:
+        kind = _kind_of(cls)
+        copies += [_renamed(ty, name, kind, new) for new in ["fresh", *bound[:2]]]
+        copies.append(_captured(ty, name))
+    return [c for c in copies if c is not None]
+
+
+@functools.lru_cache(maxsize=1)
+def _generated_types():
+    """Distinct types of every preset: sampled goal types, the types of
+    generated derivations and their images under every type translation,
+    and the annotations, casts and rows (as records) of the generated terms
+    and their translations."""
+    out = []
+    for name in sorted(PRESETS):
+        spec = GenSpec(preset(name), max_size=10, seed=4)
+        gen = _Gen(random.Random(0), spec)
+        out += [gen.sample_type(size) for size in range(1, 8)]
+        for i in range(4):
+            try:
+                _, deriv = gen_typed_term(spec, i)
+            except GenError:
+                continue
+            if deriv is None:
+                continue
+            out.append(deriv.type)
+            for t in TRANSLATIONS.values():
+                if t.type_map is not None and t.pairs[0][0] == name:
+                    out.append(t.type_map(deriv.type))
+    for m in _generated_term_list():
+        out += _type_parts(m)
+    return list(dict.fromkeys(out))
+
+
+def _hand_types():
+    """Absent entries, duplicate labels (one inside an absent entry),
+    shadowed quantifiers and free names next to bound ones."""
+    r0 = KRow(frozenset())
+    dup = Record(Row((("l", Present(), INT), ("l", Present(), INT)), None))
+    return [
+        Record(Row((("l", Absent(), INT), ("m", Present(), STR)), None)),
+        Record(Row((("m", Present(), STR),), None)),
+        Record(Row((("m", Present(), STR), ("l", Absent(), dup)), None)),
+        dup,
+        Record(Row((("l", Absent(), INT), ("l", Present(), INT)), None)),
+        Arrow(dup, INT),
+        Variant(Row((("l", Present(), dup),), "r")),
+        ForallRow("r", r0, ForallRow("r", r0, Record(Row((), "r")))),
+        ForallRow("s", r0, ForallRow("t", r0, Record(Row((), "t")))),
+        ForallRow("s", r0, ForallRow("t", r0, Record(Row((), "s")))),
+        ForallRow("r", r0, Record(Row((), "s"))),
+        ForallRow("s", r0, Record(Row((), "s"))),
+        ForallRow("s", KRow(frozenset({"l"})), Record(Row((), "s"))),
+        ForallPres("p", ForallPres("p", Record(Row((("A", PresVar("p"), A0),), None)))),
+        ForallPres("q", Record(Row((("A", PresVar("p"), A0),), None))),
+        ForallPres("p", Arrow(TyVar("p"), Record(Row((("A", PresVar("p"), A0),), "p")))),
+        ForallPres("q", Arrow(TyVar("q"), Record(Row((("A", PresVar("q"), A0),), "q")))),
+    ]
+
+
+def _assert_type_equal_agrees(a, b, outcomes):
+    want = _ty_eq(a, b, NO_NAMES)
+    assert type_equal(a, b) == want, (a, b)
+    assert type_equal(a, b) == want, (a, b)  # now from the kept keys
+    assert type_equal(b, a) == _ty_eq(b, a, NO_NAMES), (b, a)
+    outcomes[want] += 1
+
+
+def test_type_equal_matches_the_structural_reference():
+    types = _generated_types() + _hand_types()
+    rng = random.Random(0)
+    outcomes = {True: 0, False: 0}
+    for i, ty in enumerate(types):
+        others = [ty, types[(i + 1) % len(types)], rng.choice(types)]
+        for other in others + _type_copies(ty):
+            _assert_type_equal_agrees(ty, other, outcomes)
+    for a in _hand_types():
+        for b in _hand_types():
+            _assert_type_equal_agrees(a, b, outcomes)
+    assert outcomes[True] > 500 and outcomes[False] > 500, outcomes
+    forms = {type(t) for ty in types for t in _sub_types(ty)}
+    assert forms == {TyVar, Base, Arrow, Variant, Record, ForallRow, ForallPres}
+
+
+_NAMES = st.sampled_from(["r", "s", "p"])
+_PRESENCES = st.one_of(st.just(Present()), st.just(Absent()), st.builds(PresVar, _NAMES))
+
+
+def _compound(inner):
+    entry = st.tuples(st.sampled_from(["a", "b", "c"]), _PRESENCES, inner)
+    row = st.builds(Row, st.lists(entry, max_size=3).map(tuple), st.one_of(st.none(), _NAMES))
+    return st.one_of(
+        st.builds(Arrow, inner, inner),
+        st.builds(Record, row),
+        st.builds(Variant, row),
+        st.builds(ForallRow, _NAMES, st.sampled_from([KRow(frozenset()), KRow(frozenset("a"))]), inner),
+        st.builds(ForallPres, _NAMES, inner),
+    )
+
+
+_TYPES = st.recursive(st.one_of(st.builds(TyVar, _NAMES), st.just(INT)), _compound, max_leaves=6)
+
+
+@given(_TYPES, _TYPES)
+def test_type_equal_matches_the_structural_reference_on_random_binders(a, b):
+    outcomes = {True: 0, False: 0}
+    for other in [a, b] + _type_copies(a):
+        _assert_type_equal_agrees(a, other, outcomes)
+
+
+def test_keys_kept_on_objects_equal_fresh_ones():
+    for ty in _generated_types() + _hand_types():
+        try:
+            kept = type_key(ty)
+        except MalformedRowError:
+            continue
+        assert type_key(ty) is kept
+        assert type_key(_fresh(ty)) == kept
+    row = closed_row(("A", INT))
+    assert type_key(Record(row)) == (Record, type_key(row))
+
+
+def test_keys_under_binders_are_not_kept():
+    # the same body object, keyed under its binder and outside it, in both orders
+    r0 = KRow(frozenset())
+    for binder_first in (True, False):
+        body = Record(Row((), "r"))
+        checks = [
+            lambda: type_equal(ForallRow("r", r0, body), ForallRow("s", r0, Record(Row((), "s")))),
+            lambda: type_equal(body, Record(Row((), "r"))),
+        ]
+        for check in checks if binder_first else checks[::-1]:
+            assert check()
+
+
+def test_type_equal_on_what_is_not_a_type():
+    row = closed_row(("A", INT))
+    assert type_equal(Record(row), Record(row))
+    assert not type_equal(row, row)
+    assert not type_equal(None, INT) and not type_equal(INT, None)
+    assert not type_equal(None, None)
+    assert not type_equal(Arrow(None, INT), Arrow(None, INT))
+    with pytest.raises(TypeError):
+        type_key(None)
+
+
+def _generalized(ty):
+    """``ty`` quantified over its free names, in order of first occurrence."""
+    quants = tuple((n, _kind_of(c)) for n, c in free_type_names(ty).items())
+    return TypeScheme(quants, ty)
+
+
+def _scheme_copies(s):
+    """Copies of a scheme: renamed quantifiers, quantifiers reversed, the
+    last one dropped, and a free name renamed to a quantified one."""
+    renamed = s.body
+    for name, kind in s.quants:
+        renamed = rename_type_name(renamed, name, kind, name + "'")
+    out = [
+        TypeScheme(tuple((n + "'", k) for n, k in s.quants), renamed),
+        TypeScheme(s.quants[::-1], s.body),
+        TypeScheme(s.quants[:-1], s.body),
+    ]
+    if len(s.quants) > 1:
+        (first, kind), (second, _) = s.quants[:2]
+        out.append(TypeScheme(s.quants[1:], rename_type_name(s.body, first, kind, second)))
+    return out
+
+
+def test_scheme_alpha_eq_matches_the_structural_reference():
+    outcomes = {True: 0, False: 0}
+    schemes = []
+    for m, copies in _oracle_cases():
+        for n in [m] + copies[1:2]:
+            schemes += [_generalized(ty) for ty in _type_parts(n)]
+    schemes = list(dict.fromkeys(schemes))
+    r0 = KRow(frozenset())
+    shadowing = [  # a repeated quantifier name: the later one binds
+        TypeScheme((("r", r0), ("r", r0)), Record(Row((), "r"))),
+        TypeScheme((("s", r0), ("t", r0)), Record(Row((), "t"))),
+        TypeScheme((("s", r0), ("t", r0)), Record(Row((), "s"))),
+    ]
+    for s, other in [(a, b) for a in shadowing for b in shadowing] + list(
+        zip(schemes, schemes[1:] + schemes[:1])
+    ):
+        for t in [s, other] + _scheme_copies(s):
+            want = _reference_scheme_alpha_eq(s, t)
+            assert scheme_alpha_eq(s, t) == want, (s, t)
+            assert scheme_alpha_eq(t, s) == _reference_scheme_alpha_eq(t, s), (t, s)
+            outcomes[want] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+
+
+def test_show_type_matches_the_uncached_renderer():
+    printed = 0
+    for ty in _generated_types() + _hand_types():
+        for first in (0, 1, 2):
+            copy = _fresh(ty)
+            assert show_type(copy, first) == _reference_show_type(ty, first)
+            # later calls, on the type and on every part the first one printed
+            for sub, ref in zip(_sub_types(copy), _sub_types(ty)):
+                for prec in (0, 1, 2):
+                    assert show_type(sub, prec) == _reference_show_type(ref, prec)
+                    printed += 1
+    assert printed > 5000
+
+
+def test_equal_objects_print_the_same():
+    for ty in _generated_types():
+        a, b = _fresh(ty), _fresh(ty)
+        assert a == b and a is not b
+        assert show_type(a, 2) == _reference_show_type(ty, 2)
+        assert show_type(b) == show_type(a) == _reference_show_type(ty)
+
+
+def test_show_type_refuses_what_is_not_a_type():
+    row = closed_row(("A", INT))
+    assert show_type(Record(row)) == "{A:Int}"
+    type_key(row)
+    for junk in (None, row, Var("x"), Present()):
+        with pytest.raises(TypeError):
+            show_type(junk)
