@@ -21,7 +21,7 @@ from .dynamics import (
     reduction_trace,
     relations_for,
 )
-from .harness import PROPERTIES, run_property
+from .harness import BY_TRANSLATION, PROPERTIES, run_property
 from .infer import InferError, infer
 from .parser import ParseError, parse_file_str
 from .pretty import show_scheme, show_term, show_type
@@ -73,6 +73,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.fuel < 0:
+        raise ValueError(f"fuel must be at least 0, got {args.fuel}")
     cfg, delta, gamma, term = _load(args)
     if cfg.rank1:
         infer(cfg, delta, gamma, term)
@@ -128,6 +130,12 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for option, value, users in (
+        ("--translation", args.translation, BY_TRANSLATION),
+        ("--calculus", args.calculus, ("subject-reduction",)),
+    ):
+        if value is not None and not set(users) & set(args.properties):
+            raise ValueError(f"{option} is used by none of {', '.join(args.properties)}")
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("ROWLAB_SEED", "0"))

@@ -9,11 +9,24 @@ construction.  Everything is driven by a seeded generator: the same
 Each check_* function verifies one theorem-shaped property on one input and
 returns a PropertyReport; reports merge associatively so large runs can be
 split and recombined.
+
+The step shapes of the operational correspondence theorems are data on each
+``translate.Translation``, read by one matcher.  A pattern is a run of step
+classes (``_step_class``: beta, tau, nu, upcast, nested): ``c`` is one c
+step, ``c?`` at most one, ``c*`` any number.  Simulation lists the ends of
+a finite pattern and decides a starred one (``c*``, ``c* beta``) by the
+``_Reach`` search.  Reflection matches each end u of a target run against
+the translated source reducts of the listed classes: ``exact`` up to alpha,
+``tau`` when a reduct reaches u by tau steps, ``fwd`` when u reaches a
+translated reduct, any number of source steps away, by steps of the run's
+one class.  Every stepping check runs on one walk: ``_explore`` keeps the
+seen set and descends, ``_reducts`` steps and re-typechecks.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import random
 import time
@@ -52,7 +65,6 @@ from .syntax import (
     Row,
     Term,
     Type,
-    TypeScheme,
     TyVar,
     Upcast,
     Var,
@@ -498,17 +510,7 @@ class PropertyReport:
 
 
 def _step_class(tag: str) -> str:
-    if tag.startswith("beta"):
-        return "beta"
-    if tag == "nested-upcast":
-        return "nested"
-    if tag.startswith("upcast"):
-        return "upcast"
-    if tag.startswith("tau"):
-        return "tau"
-    if tag.startswith("nu"):
-        return "nu"
-    return tag
+    return tag.split("-", 1)[0]
 
 
 def _class_steps(term: Term, rels: RelationSet, cls: str) -> list[Term]:
@@ -536,8 +538,28 @@ def _closure(
     return out
 
 
-def _any_alpha(terms, target) -> bool:
-    return any(alpha_eq(t, target) for t in terms)
+def _pattern_steps(pattern: str, term: Term, rels: RelationSet) -> list[Term]:
+    """The ends of the runs from ``term`` that the pattern spells, in order."""
+    ends = [term]
+    for token in pattern.split():
+        cls = token.rstrip("?*")
+        if token.endswith("*"):
+            ends = [v for u in ends for v in _closure(u, rels, {cls})]
+        else:
+            stepped = [v for u in ends for v in _class_steps(u, rels, cls)]
+            ends = ends + stepped if token.endswith("?") else stepped
+    return ends
+
+
+def _simulates(pattern: str, tm: Term, tn: Term, rels: RelationSet) -> bool:
+    """Whether ``tm`` reaches ``tn`` by a run the pattern spells: ``c*`` and
+    ``c* beta`` by the search, a finite pattern by listing its ends."""
+    first, *rest = pattern.split()
+    if not first.endswith("*"):
+        return any(alpha_eq(u, tn) for u in _pattern_steps(pattern, tm, rels))
+    if rest not in ([], ["beta"]):
+        raise ValueError(f"no search for the pattern {pattern!r}")
+    return _Reach(rels, {first[:-1]}).go(tm, tn, need_beta=bool(rest))
 
 
 def _cast_normal(term: Term, rels: RelationSet, fuel: int = 400) -> Term:
@@ -691,13 +713,51 @@ def _part_agrees(a, b) -> bool:
     return type_equal(a, b)
 
 
-def _recheck(cfg: CalculusConfig, deriv: Derivation, term: Term) -> Derivation:
-    return type_check(cfg, deriv.delta, deriv.gamma, term)
+# ---------------------------------------------------------------------------
+# The one walk and the one-case checks
 
 
-def _translation_cfgs(tid: str):
-    t = TRANSLATIONS[tid]
-    return preset(t.pairs[0][0]), preset(t.pairs[0][1])
+def _explore(root, depth: int, key, expand) -> None:
+    """Expand ``root`` and, depth first, each node that ``expand(node,
+    level)`` yields, as soon as it yields it, down to ``depth`` levels; a
+    node whose key was seen before is not expanded again."""
+    seen = set()
+
+    def visit(node, level: int):
+        k = key(node)
+        if k in seen:
+            return
+        seen.add(k)
+        for child in expand(node, level):
+            if level + 1 < depth:
+                visit(child, level + 1)
+
+    visit(root, 0)
+
+
+def _reducts(rep: PropertyReport, cfg: CalculusConfig, d: Derivation, rels, cid):
+    """(step, derivation) for each reduct of ``d`` that re-typechecks; one
+    that does not is a failed case."""
+    for s in step_all(d.term, rels):
+        try:
+            nd = type_check(cfg, d.delta, d.gamma, s.term)
+        except StaticError as e:
+            rep.tally(
+                cid, d.term, False, "reduct re-typechecks", f"{type(e).__name__}: {e}"
+            )
+            continue
+        yield s, nd
+
+
+def _single(prop: str, case_id: str, term: Term, errors, expected: str, check):
+    """A report of one case: ``check()`` gives (ok, expected, got), and an
+    exception from ``errors`` that it raises fails the case."""
+    rep = PropertyReport(prop)
+    try:
+        rep.tally(case_id, term, *check())
+    except errors as e:
+        rep.tally(case_id, term, False, expected, f"{type(e).__name__}: {e}")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -705,241 +765,99 @@ def _translation_cfgs(tid: str):
 
 
 def check_type_preservation(tid: str, deriv: Derivation, case_id: str = ""):
-    if tid == "erase-upcasts":
-        return check_weak_preservation(deriv, case_id)
-    rep = PropertyReport(f"type-preservation[{tid}]")
-    start = time.perf_counter()
     t = TRANSLATIONS[tid]
-    _, tgt_cfg = _translation_cfgs(tid)
-    try:
+    if t.type_map is None:
+        return check_weak_preservation(deriv, case_id)
+    tgt_cfg = preset(t.pairs[0][1])
+
+    def check():
         out = run_translation(tid, deriv)
         tgamma = {x: t.type_map(a) for x, a in deriv.gamma.items()}
         od = type_check(tgt_cfg, dict(deriv.delta), tgamma, out)
         want = t.type_map(deriv.type)
-        rep.tally(
-            case_id,
-            deriv.term,
-            type_equal(od.type, want),
-            show_type(want),
-            show_type(od.type),
-        )
-    except (StaticError, TranslationError) as e:
-        rep.tally(
-            case_id,
-            deriv.term,
-            False,
-            "output typechecks at the mapped type",
-            f"{type(e).__name__}: {e}",
-        )
-    rep.elapsed = time.perf_counter() - start
-    return rep
+        return type_equal(od.type, want), show_type(want), show_type(od.type)
+
+    return _single(
+        f"type-preservation[{tid}]", case_id, deriv.term,
+        (StaticError, TranslationError), "output typechecks at the mapped type", check,
+    )
 
 
 def check_weak_preservation(deriv: Derivation, case_id: str = ""):
     """Erasing casts from a rank-2 record derivation keeps an inferable type
-    weakly below the translated bound."""
-    rep = PropertyReport("type-preservation[erase-upcasts]")
-    start = time.perf_counter()
-    src_cfg = preset("rec-sub-full-rank2")
-    tgt_cfg = preset("rec-row1")
-    try:
+    weakly below the translated bound: the typing story of the translation
+    that has no type map, on its first pair."""
+    t = next(t for t in TRANSLATIONS.values() if t.type_map is None)
+    src_cfg, tgt_cfg = map(preset, t.pairs[0])
+
+    def check():
         stripped = strip_upcasts(deriv.term)
         d2 = type_check(
             src_cfg.with_app_sub(), dict(deriv.delta), dict(deriv.gamma), stripped
         )
         if subtype("full", d2.type, deriv.type) is None:
-            rep.tally(
-                case_id,
-                deriv.term,
+            return (
                 False,
                 "cast-free type below the original",
                 f"{show_type(d2.type)} vs {show_type(deriv.type)}",
             )
-        else:
-            bare = erase(deriv.term)
-            sigma = infer(tgt_cfg, dict(deriv.delta), dict(deriv.gamma), bare)
-            bound = trans_a(d2.type)
-            rep.tally(
-                case_id,
-                deriv.term,
-                weak_sub_instance(sigma, bound),
-                show_scheme(bound),
-                show_scheme(sigma),
-            )
-    except (StaticError, TranslationError, InferError) as e:
-        rep.tally(
-            case_id,
-            deriv.term,
-            False,
-            "inferred scheme weakly below the translated bound",
-            f"{type(e).__name__}: {e}",
-        )
-    rep.elapsed = time.perf_counter() - start
-    return rep
+        bare = erase(deriv.term)
+        sigma = infer(tgt_cfg, dict(deriv.delta), dict(deriv.gamma), bare)
+        bound = trans_a(d2.type)
+        return weak_sub_instance(sigma, bound), show_scheme(bound), show_scheme(sigma)
+
+    return _single(
+        f"type-preservation[{t.tid}]", case_id, deriv.term,
+        (StaticError, TranslationError, InferError),
+        "inferred scheme weakly below the translated bound", check,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Operational correspondence
 
 
-def _sim_pattern(tid, tm, tn, cls, tgt_rels):
-    if tid == "var-sub-to-var":
-        return (
-            _any_alpha(_class_steps(tm, tgt_rels, "beta"), tn),
-            "one beta step reaching the translated reduct",
-        )
-    if tid == "var-sub-to-row":
-        if cls == "beta":
-            cand = _class_steps(tm, tgt_rels, "beta")
-            for u in _class_steps(tm, tgt_rels, "tau"):
-                cand += _class_steps(u, tgt_rels, "beta")
-            return _any_alpha(cand, tn), "an optional tau step then one beta"
-        return (
-            _any_alpha(_class_steps(tm, tgt_rels, "nu"), tn),
-            "exactly one nu step",
-        )
-    if tid == "rec-sub-to-rec":
-        return (
-            _Reach(tgt_rels, {"beta"}).go(tm, tn),
-            "a sequence of beta steps",
-        )
-    if tid == "rec-sub-to-pre":
-        if cls == "beta":
-            return (
-                _Reach(tgt_rels, {"tau"}).go(tm, tn, need_beta=True),
-                "tau steps then one beta",
-            )
-        return (
-            _Reach(tgt_rels, {"nu"}).go(tm, tn),
-            "a sequence of nu steps",
-        )
-    raise ValueError(f"no single-step correspondence for {tid}")
-
-
 def check_simulation(tid: str, deriv: Derivation, depth: int = 1, case_id: str = ""):
-    """Every source step maps onto the target pattern its theorem states."""
+    """Every source step maps onto the target run its theorem states."""
     rep = PropertyReport(f"simulation[{tid}]")
-    start = time.perf_counter()
-    src_cfg, tgt_cfg = _translation_cfgs(tid)
-    src_rels = relations_for(src_cfg)
-    tgt_rels = relations_for(tgt_cfg)
-    seen: set[str] = set()
+    t = TRANSLATIONS[tid]
+    src_cfg, tgt_cfg = map(preset, t.pairs[0])
+    src_rels, tgt_rels = relations_for(src_cfg), relations_for(tgt_cfg)
 
-    def visit(d: Derivation, level: int):
-        key = show_term(d.term)
-        if key in seen:
-            return
-        seen.add(key)
+    def expand(d: Derivation, level: int):
+        cid = f"{case_id}@{level}"
         tm = run_translation(tid, d)
-        for s in step_all(d.term, src_rels):
-            cls = _step_class(s.tag)
-            try:
-                nd = _recheck(src_cfg, d, s.term)
-            except StaticError as e:
+        for s, nd in _reducts(rep, src_cfg, d, src_rels, cid):
+            pattern = t.simulation.get(_step_class(s.tag))
+            if pattern is not None:
+                ok = _simulates(pattern, tm, run_translation(tid, nd), tgt_rels)
                 rep.tally(
-                    f"{case_id}@{level}",
-                    d.term,
-                    False,
-                    "reduct re-typechecks",
-                    f"{type(e).__name__}: {e}",
+                    cid, d.term, ok,
+                    f"target steps {pattern} reaching the translated reduct",
+                    f"no match for {s.tag}",
                 )
-                continue
-            if cls != "nested":
-                # nested-cast collapse is outside the stated patterns
-                tn = run_translation(tid, nd)
-                ok, expected = _sim_pattern(tid, tm, tn, cls, tgt_rels)
-                rep.tally(
-                    f"{case_id}@{level}", d.term, ok, expected, f"no match for {s.tag}"
-                )
-            if level + 1 < depth:
-                visit(nd, level + 1)
+            yield nd
 
-    visit(deriv, 0)
-    rep.elapsed = time.perf_counter() - start
+    _explore(deriv, depth, lambda d: show_term(d.term), expand)
     return rep
 
 
 def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str = ""):
-    """Every target step (in its theorem's pattern) reflects a source step."""
+    """Every target run its theorem lists reflects a source step."""
     rep = PropertyReport(f"reflection[{tid}]")
-    start = time.perf_counter()
-    src_cfg, tgt_cfg = _translation_cfgs(tid)
-    src_rels = relations_for(src_cfg)
-    tgt_rels = relations_for(tgt_cfg)
-    seen: set[str] = set()
+    t = TRANSLATIONS[tid]
+    src_cfg, tgt_cfg = map(preset, t.pairs[0])
+    src_rels, tgt_rels = relations_for(src_cfg), relations_for(tgt_cfg)
     keys = _Keys()
 
-    def obligations(tm):
-        # Match modes: "exact" compares endpoints directly; "img-tau" allows
-        # trailing administrative steps on the translated source reduct (the
-        # correspondence is stated modulo tau); "fwd-beta"/"fwd-nu" continue
-        # from the target endpoint to a translated reduct.
-        if tid == "var-sub-to-var":
-            return [
-                ("beta step", u, {"beta", "upcast"}, "exact")
-                for u in _class_steps(tm, tgt_rels, "beta")
-            ]
-        if tid == "var-sub-to-row":
-            obls = [
-                ("beta step", u, {"beta"}, "img-tau")
-                for u in _class_steps(tm, tgt_rels, "beta")
-            ]
-            for v in _class_steps(tm, tgt_rels, "tau"):
-                obls += [
-                    ("tau then beta", u, {"beta"}, "img-tau")
-                    for u in _class_steps(v, tgt_rels, "beta")
-                ]
-            obls += [
-                ("nu step", u, {"upcast", "nested"}, "exact")
-                for u in _class_steps(tm, tgt_rels, "nu")
-            ]
-            return obls
-        if tid == "rec-sub-to-rec":
-            return [
-                ("beta step continues to a translated reduct", u,
-                 {"beta", "upcast", "nested"}, "fwd-beta")
-                for u in _class_steps(tm, tgt_rels, "beta")
-            ]
-        if tid == "rec-sub-to-pre":
-            obls = []
-            for v in _closure(tm, tgt_rels, {"tau"}):
-                obls += [
-                    ("tau steps then beta", u, {"beta"}, "img-tau")
-                    for u in _class_steps(v, tgt_rels, "beta")
-                ]
-            obls += [
-                ("nu step continues to a translated reduct", u,
-                 {"upcast", "nested"}, "fwd-nu")
-                for u in _class_steps(tm, tgt_rels, "nu")
-            ]
-            return obls
-        raise ValueError(f"no single-step correspondence for {tid}")
-
-    def visit(d: Derivation, level: int):
-        key = show_term(d.term)
-        if key in seen:
-            return
-        seen.add(key)
+    def expand(d: Derivation, level: int):
+        cid = f"{case_id}@{level}"
         tm = run_translation(tid, d)
-        sources = []
-        for s in step_all(d.term, src_rels):
-            try:
-                nd = _recheck(src_cfg, d, s.term)
-            except StaticError as e:
-                rep.tally(
-                    f"{case_id}@{level}",
-                    d.term,
-                    False,
-                    "reduct re-typechecks",
-                    f"{type(e).__name__}: {e}",
-                )
-                continue
-            sources.append((_step_class(s.tag), nd, run_translation(tid, nd)))
-        reach_by: dict[str, _Reach] = {
-            "beta": _Reach(tgt_rels, {"beta"}),
-            "nu": _Reach(tgt_rels, {"nu"}),
-            "tau": _Reach(tgt_rels, {"tau"}),
-        }
+        sources = [
+            (_step_class(s.tag), nd, run_translation(tid, nd))
+            for s, nd in _reducts(rep, src_cfg, d, src_rels, cid)
+        ]
+        reach_by = {cls: _Reach(tgt_rels, {cls}) for cls in ("beta", "nu", "tau")}
         # translated source reducts two or more steps away, breadth first,
         # and the queue of source reducts not yet stepped
         deeper: list[Term] = []
@@ -966,51 +884,46 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
                         continue
                     known.add(k)
                     try:
-                        fnd = _recheck(src_cfg, fd, s.term)
+                        fnd = type_check(src_cfg, fd.delta, fd.gamma, s.term)
                     except StaticError:
                         continue
                     queue.append(fnd)
                     deeper.append(run_translation(tid, fnd))
 
-        done: set[tuple[str, int]] = set()
-        for desc, u, allowed, mode in obligations(tm):
-            key_u = (mode, keys(u))
+        obligations = [
+            (i, u)
+            for i, (run, _, _) in enumerate(t.reflection)
+            for u in _pattern_steps(run, tm, tgt_rels)
+        ]
+        done: set[tuple[int, int]] = set()
+        for i, u in obligations:
+            key_u = (i, keys(u))
             if key_u in done:
                 continue
             done.add(key_u)
-            if mode in ("fwd-beta", "fwd-nu"):
-                reach = reach_by[mode.removeprefix("fwd-")]
-                ok = any(
-                    cls in allowed and reach.go(u, tk)
-                    for cls, _, tk in sources
-                )
-                if not ok:
-                    ok = any(reach.go(u, tk) for tk in deeper_images())
-            elif mode == "exact":
-                ok = any(
-                    cls in allowed and alpha_eq(tk, u)
-                    for cls, _, tk in sources
-                )
-            else:
-                # the translated source reduct matches u up to trailing
-                # administrative steps
+            run, allowed, mode = t.reflection[i]
+            if mode == "exact":
+                ok = any(cls in allowed and alpha_eq(tk, u) for cls, _, tk in sources)
+            elif mode == "tau":
                 ok = any(
                     cls in allowed and reach_by["tau"].go(tk, u)
                     for cls, _, tk in sources
                 )
+            elif mode == "fwd":
+                reach = reach_by[run.rstrip("?*")]
+                ok = any(
+                    cls in allowed and reach.go(u, tk) for cls, _, tk in sources
+                ) or any(reach.go(u, tk) for tk in deeper_images())
+            else:
+                raise ValueError(f"unknown match mode {mode!r}")
             rep.tally(
-                f"{case_id}@{level}",
-                d.term,
-                ok,
-                f"a source step matching the target {desc}",
+                cid, d.term, ok, f"a source step matching the target run {run}",
                 "no source step matches",
             )
-        if level + 1 < depth:
-            for _, nd, _ in sources:
-                visit(nd, level + 1)
+        for _, nd, _ in sources:
+            yield nd
 
-    visit(deriv, 0)
-    rep.elapsed = time.perf_counter() - start
+    _explore(deriv, depth, lambda d: show_term(d.term), expand)
     return rep
 
 
@@ -1019,24 +932,15 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
 
 
 def check_erasure(tid: str, deriv: Derivation, case_id: str = ""):
-    rep = PropertyReport(f"erasure[{tid}]")
-    start = time.perf_counter()
-    try:
+    def check():
         lhs = erase(run_translation(tid, deriv))
         rhs = erase(deriv.term)
-        rep.tally(
-            case_id,
-            deriv.term,
-            alpha_eq(lhs, rhs),
-            show_term(rhs),
-            show_term(lhs),
-        )
-    except (StaticError, TranslationError) as e:
-        rep.tally(
-            case_id, deriv.term, False, "erasures agree", f"{type(e).__name__}: {e}"
-        )
-    rep.elapsed = time.perf_counter() - start
-    return rep
+        return alpha_eq(lhs, rhs), show_term(rhs), show_term(lhs)
+
+    return _single(
+        f"erasure[{tid}]", case_id, deriv.term, (StaticError, TranslationError),
+        "erasures agree", check,
+    )
 
 
 def check_preorder_correspondence(
@@ -1045,32 +949,20 @@ def check_preorder_correspondence(
     """Cast-rule evaluation and erased evaluation track each other through
     the record-width preorder."""
     rep = PropertyReport("preorder-correspondence")
-    start = time.perf_counter()
     cfg = preset("var-rec-sub-full")
     rels = relations_for(cfg, full_upcast=True)
-    seen: set[str] = set()
 
-    def visit(d: Derivation, u: Term, level: int):
-        key = show_term(d.term) + "|" + show_term(u)
-        if key in seen:
-            return
-        seen.add(key)
+    def expand(node, level: int):
+        d, u = node
+        cid = f"{case_id}@{level}"
         if not term_preorder(u, erase(d.term)):
             rep.tally(
-                f"{case_id}@{level}", d.term, False,
-                "untyped side stays below the erasure", show_term(u),
+                cid, d.term, False, "untyped side stays below the erasure",
+                show_term(u),
             )
             return
         # simulation direction
-        for s in step_all(d.term, rels):
-            try:
-                nd = _recheck(cfg, d, s.term)
-            except StaticError as e:
-                rep.tally(
-                    f"{case_id}@{level}", d.term, False,
-                    "reduct re-typechecks", f"{type(e).__name__}: {e}",
-                )
-                continue
+        for s, nd in _reducts(rep, cfg, d, rels, cid):
             if _step_class(s.tag) == "beta":
                 matches = [
                     n2
@@ -1078,21 +970,21 @@ def check_preorder_correspondence(
                     if term_preorder(n2, erase(nd.term))
                 ]
                 rep.tally(
-                    f"{case_id}@{level}", d.term, bool(matches),
+                    cid, d.term, bool(matches),
                     "an untyped beta step below the reduct's erasure",
                     f"none of the untyped steps track {s.tag}",
                 )
-                if matches and level + 1 < depth:
-                    visit(nd, matches[0], level + 1)
+                if matches:
+                    yield nd, matches[0]
             else:
                 ok = term_preorder(u, erase(nd.term))
                 rep.tally(
-                    f"{case_id}@{level}", d.term, ok,
+                    cid, d.term, ok,
                     "cast steps leave the untyped side below the erasure",
                     f"preorder broken after {s.tag}",
                 )
-                if ok and level + 1 < depth:
-                    visit(nd, u, level + 1)
+                if ok:
+                    yield nd, u
         # reflection direction: contracting every cast can only narrow the
         # erasure further and never destroys a beta redex, so the cast-normal
         # form is the one candidate worth checking.
@@ -1103,13 +995,15 @@ def check_preorder_correspondence(
                 for w in _class_steps(v, rels, "beta")
             )
             rep.tally(
-                f"{case_id}@{level}", d.term, found,
+                cid, d.term, found,
                 "cast steps then a beta step covering the untyped reduct",
                 "no typed counterpart found",
             )
 
-    visit(deriv, erase(deriv.term), 0)
-    rep.elapsed = time.perf_counter() - start
+    _explore(
+        (deriv, erase(deriv.term)), depth,
+        lambda node: show_term(node[0].term) + "|" + show_term(node[1]), expand,
+    )
     return rep
 
 
@@ -1121,10 +1015,9 @@ def check_subst_lemma(
     tid: str, deriv_m: Derivation, deriv_n: Derivation, var: str, case_id: str = ""
 ):
     """Translating after substitution agrees with substituting translations."""
-    rep = PropertyReport(f"substitution[{tid}]")
-    start = time.perf_counter()
-    src_cfg, _ = _translation_cfgs(tid)
-    try:
+    src_cfg = preset(TRANSLATIONS[tid].pairs[0][0])
+
+    def check():
         tm = run_translation(tid, deriv_m)
         tn = run_translation(tid, deriv_n)
         combined = subst_term(deriv_m.term, deriv_n.term, var)
@@ -1132,23 +1025,13 @@ def check_subst_lemma(
         dc = type_check(src_cfg, dict(deriv_m.delta), gamma, combined)
         lhs = run_translation(tid, dc)
         rhs = subst_term(tm, tn, var)
-        rep.tally(
-            case_id,
-            deriv_m.term,
-            alpha_eq(lhs, rhs),
-            show_term(rhs),
-            show_term(lhs),
-        )
-    except (StaticError, TranslationError) as e:
-        rep.tally(
-            case_id,
-            deriv_m.term,
-            False,
-            "translation commutes with substitution",
-            f"{type(e).__name__}: {e}",
-        )
-    rep.elapsed = time.perf_counter() - start
-    return rep
+        return alpha_eq(lhs, rhs), show_term(rhs), show_term(lhs)
+
+    return _single(
+        f"substitution[{tid}]", case_id, deriv_m.term,
+        (StaticError, TranslationError), "translation commutes with substitution",
+        check,
+    )
 
 
 def check_subject_reduction(
@@ -1156,66 +1039,40 @@ def check_subject_reduction(
 ):
     """Stepping preserves the type (or keeps the principal scheme as general)."""
     rep = PropertyReport(f"subject-reduction[{config.name}]")
-    start = time.perf_counter()
     rels = relations_for(config)
-    seen: set[str] = set()
+
+    def expand(d: Derivation, level: int):
+        cid = f"{case_id}@{level}"
+        for _, nd in _reducts(rep, config, d, rels, cid):
+            rep.tally(
+                cid, d.term, type_equal(nd.type, d.type), show_type(d.type),
+                show_type(nd.type),
+            )
+            yield nd
+
+    def expand_bare(node, level: int):
+        term, scheme = node
+        cid = f"{case_id}@{level}"
+        for s in step_all(term, rels):
+            try:
+                ns = infer(config, ambient_delta(), ambient_gamma(), s.term)
+            except InferError as e:
+                rep.tally(
+                    cid, term, False, "reduct still infers", f"{type(e).__name__}: {e}"
+                )
+                continue
+            rep.tally(
+                cid, term, scheme_instance(ns, scheme), show_scheme(scheme),
+                show_scheme(ns),
+            )
+            yield s.term, ns
 
     if config.rank1:
         term = subject.term if isinstance(subject, Derivation) else subject
-
-        def visit_bare(term: Term, scheme: TypeScheme, level: int):
-            key = show_term(term)
-            if key in seen:
-                return
-            seen.add(key)
-            for s in step_all(term, rels):
-                try:
-                    ns = infer(config, ambient_delta(), ambient_gamma(), s.term)
-                except InferError as e:
-                    rep.tally(
-                        f"{case_id}@{level}", term, False,
-                        "reduct still infers", f"{type(e).__name__}: {e}",
-                    )
-                    continue
-                rep.tally(
-                    f"{case_id}@{level}",
-                    term,
-                    scheme_instance(ns, scheme),
-                    show_scheme(scheme),
-                    show_scheme(ns),
-                )
-                if level + 1 < depth:
-                    visit_bare(s.term, ns, level + 1)
-
-        visit_bare(term, infer(config, ambient_delta(), ambient_gamma(), term), 0)
+        root = (term, infer(config, ambient_delta(), ambient_gamma(), term))
+        _explore(root, depth, lambda node: show_term(node[0]), expand_bare)
     else:
-
-        def visit(d: Derivation, level: int):
-            key = show_term(d.term)
-            if key in seen:
-                return
-            seen.add(key)
-            for s in step_all(d.term, rels):
-                try:
-                    nd = _recheck(config, d, s.term)
-                except StaticError as e:
-                    rep.tally(
-                        f"{case_id}@{level}", d.term, False,
-                        "reduct re-typechecks", f"{type(e).__name__}: {e}",
-                    )
-                    continue
-                rep.tally(
-                    f"{case_id}@{level}",
-                    d.term,
-                    type_equal(nd.type, d.type),
-                    show_type(d.type),
-                    show_type(nd.type),
-                )
-                if level + 1 < depth:
-                    visit(nd, level + 1)
-
-        visit(subject, 0)
-    rep.elapsed = time.perf_counter() - start
+        _explore(subject, depth, lambda d: show_term(d.term), expand)
     return rep
 
 
@@ -1225,9 +1082,10 @@ def check_subject_reduction(
 
 # every property run_property checks: the ones a theorem covers for some
 # translation, then the two checked on a calculus
-PROPERTIES = tuple(
+BY_TRANSLATION = tuple(
     dict.fromkeys(p for t in TRANSLATIONS.values() for p in t.properties)
-) + ("subject-reduction", "preorder-correspondence")
+)
+PROPERTIES = BY_TRANSLATION + ("subject-reduction", "preorder-correspondence")
 
 
 def run_property(
@@ -1246,13 +1104,7 @@ def run_property(
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     start = time.perf_counter()
-    merged: PropertyReport | None = None
-
-    def fold(r: PropertyReport):
-        nonlocal merged
-        merged = r if merged is None else merged.merge(r)
-
-    if any(prop in t.properties for t in TRANSLATIONS.values()):
+    if prop in BY_TRANSLATION:
         if translation is None:
             raise ValueError(f"property {prop} needs a translation id")
         t = TRANSLATIONS.get(translation)
@@ -1263,46 +1115,39 @@ def run_property(
                 f"it is checked on {', '.join(covered)}"
             )
         spec = GenSpec(preset(t.pairs[0][0]), max_size=max_size, seed=seed)
-        for i in range(count):
-            cid = f"seed={seed} index={i}"
+        stepped = {"simulation": check_simulation, "reflection": check_reflection}
+        single = {"type-preservation": check_type_preservation, "erasure": check_erasure}
+
+        def one(i: int, cid: str) -> PropertyReport:
             if prop == "substitution":
-                dm, dn, var = gen_subst_pair(spec, i)
-                fold(check_subst_lemma(translation, dm, dn, var, cid))
-                continue
+                return check_subst_lemma(translation, *gen_subst_pair(spec, i), cid)
             _, deriv = gen_typed_term(spec, i)
-            if prop == "type-preservation":
-                fold(check_type_preservation(translation, deriv, cid))
-            elif prop == "simulation":
-                fold(check_simulation(translation, deriv, depth, cid))
-            elif prop == "reflection":
-                fold(check_reflection(translation, deriv, depth, cid))
-            else:
-                fold(check_erasure(translation, deriv, cid))
+            if prop in stepped:
+                return stepped[prop](translation, deriv, depth, cid)
+            return single[prop](translation, deriv, cid)
+
     elif prop == "subject-reduction":
         if config is None:
             raise ValueError("subject-reduction needs a calculus id")
         cfg = preset(config)
         spec = GenSpec(cfg, max_size=max_size, seed=seed)
-        for i in range(count):
+
+        def one(i: int, cid: str) -> PropertyReport:
             term, deriv = gen_typed_term(spec, i)
-            fold(
-                check_subject_reduction(
-                    cfg, deriv if deriv is not None else term, depth,
-                    f"seed={seed} index={i}",
-                )
-            )
+            subject = deriv if deriv is not None else term
+            return check_subject_reduction(cfg, subject, depth, cid)
+
     elif prop == "preorder-correspondence":
         spec = GenSpec(preset("var-rec-sub-full"), max_size=max_size, seed=seed)
-        for i in range(count):
+
+        def one(i: int, cid: str) -> PropertyReport:
             _, deriv = gen_typed_term(spec, i)
-            fold(
-                check_preorder_correspondence(
-                    deriv, depth, f"seed={seed} index={i}"
-                )
-            )
+            return check_preorder_correspondence(deriv, depth, cid)
+
     else:
         raise ValueError(f"unknown property {prop}")
-
-    assert merged is not None
+    merged = functools.reduce(
+        PropertyReport.merge, (one(i, f"seed={seed} index={i}") for i in range(count))
+    )
     merged.elapsed = time.perf_counter() - start
     return merged

@@ -21,7 +21,7 @@ annotations use a q prefix so they can never shadow a term-level binder.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .config import CalculusConfig, preset
@@ -765,13 +765,21 @@ def weak_sub_instance(principal: TypeScheme, goal: TypeScheme) -> bool:
 class Translation:
     """One encoding: its (source, target) calculus pairs, the term and type
     maps, and the properties a theorem of the paper covers for it (the only
-    ones ``harness.run_property`` checks on it)."""
+    ones ``harness.run_property`` checks on it).
+
+    The operational correspondence theorems are data, read by the harness's
+    one matcher (its docstring has the notation).  ``simulation`` maps a
+    source step class to the target run its theorem states; a class it does
+    not list is outside the theorem.  ``reflection`` lists (target run,
+    source classes it may reflect, match mode) triples."""
 
     tid: str
     pairs: tuple[tuple[str, str], ...]
     term: Callable[[Derivation, CalculusConfig], Term]
     type_map: Callable[[Type], Type] | None
     properties: tuple[str, ...]
+    simulation: dict[str, str] = field(default_factory=dict)
+    reflection: tuple[tuple[str, set[str], str], ...] = ()
 
 
 def _identity_type(ty: Type) -> Type:
@@ -794,6 +802,8 @@ TRANSLATIONS: dict[str, Translation] = {
             lambda d, c: t1(d),
             _identity_type,
             _TYPED + _STEPS,
+            {"beta": "beta", "upcast": "beta"},
+            (("beta", {"beta", "upcast"}, "exact"),),
         ),
         Translation(
             "var-sub-to-row",
@@ -801,6 +811,11 @@ TRANSLATIONS: dict[str, Translation] = {
             lambda d, c: t2(d),
             type_translate2,
             _TYPED + _STEPS + ("erasure",),
+            {"beta": "tau? beta", "upcast": "nu"},
+            (
+                ("tau? beta", {"beta"}, "tau"),
+                ("nu", {"upcast", "nested"}, "exact"),
+            ),
         ),
         Translation(
             "rec-sub-to-rec",
@@ -808,6 +823,8 @@ TRANSLATIONS: dict[str, Translation] = {
             lambda d, c: t3(d),
             _identity_type,
             _TYPED + _STEPS,
+            {"beta": "beta*", "upcast": "beta*"},
+            (("beta", {"beta", "upcast", "nested"}, "fwd"),),
         ),
         Translation(
             "rec-sub-to-pre",
@@ -815,6 +832,11 @@ TRANSLATIONS: dict[str, Translation] = {
             lambda d, c: t4(d),
             type_translate4,
             _TYPED + _STEPS + ("erasure",),
+            {"beta": "tau* beta", "upcast": "nu*"},
+            (
+                ("tau* beta", {"beta"}, "tau"),
+                ("nu", {"upcast", "nested"}, "fwd"),
+            ),
         ),
         Translation(
             "full-sub-coerce",

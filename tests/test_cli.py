@@ -75,3 +75,37 @@ def test_verify_offers_each_property_once():
         "substitution",
         "type-preservation",
     ]
+
+
+def test_verify_refuses_options_no_requested_property_uses(capsys):
+    for argv, option in (
+        (["--property", "simulation", "--translation", "rec-sub-to-rec",
+          "--calculus", "var-sub"], "--calculus"),
+        (["--property", "preorder-correspondence", "--calculus", "rec-sub"],
+         "--calculus"),
+        (["--property", "subject-reduction", "--calculus", "rec-sub",
+          "--translation", "rec-sub-to-rec"], "--translation"),
+    ):
+        code = run(["verify", *argv, "--count", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"rowlab: error: {option} is used by none of"), err
+    # each option is used when some requested property takes it
+    code = run(["verify", "--property", "simulation",
+                "--property", "subject-reduction", "--translation", "rec-sub-to-rec",
+                "--calculus", "rec-sub", "--count", "2"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "simulation[rec-sub-to-rec]" in out and "subject-reduction[rec-sub]" in out
+
+
+def test_eval_negative_fuel_is_a_user_error(tmp_path, capsys):
+    code = run(["eval", "--calculus", "rec-sub", "--fuel", "-5",
+                str(CORPUS / "getName_alice.row")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("rowlab: error: fuel must be at least 0")
+    # no fuel still returns a term that is already normal
+    src = tmp_path / "one.row"
+    src.write_text("1", encoding="utf-8")
+    assert run(["eval", "--calculus", "lam", "--fuel", "0", str(src)]) == 0
+    assert capsys.readouterr().out.strip() == "1"

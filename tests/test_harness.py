@@ -1,13 +1,26 @@
 """Term generator, property checkers, and the report plumbing around them."""
 
+import collections
 import dataclasses
 import functools
 import hashlib
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from rowlab import dynamics, harness
+from rowlab import (
+    cli,
+    dynamics,
+    harness,
+    infer as infer_module,
+    parser,
+    pretty,
+    statics,
+    syntax,
+    translate,
+)
 
 from rowlab.config import PRESETS, preset
 from rowlab.dynamics import erase, relations_for, step_all
@@ -342,6 +355,108 @@ def test_preservation_golden():
 
 
 # ---------------------------------------------------------------------------
+# The theorem patterns on the registry entries
+
+VARIANT_CASE = "case <Year 1984> : [Year:Int] { Year y -> 1 + 2 }"
+RECORD_WIDE = '{Age = 9, Name = "Alice", Size = 1} :> {Age:Int; Name:String}'
+GOLDEN = {"var-sub": (VARIANT_UP, VARIANT_CASE), "rec-sub": (RECORD_UP, RECORD_WIDE)}
+
+# the class of every rewrite tag dynamics emits
+STEP_CLASSES = {
+    "beta-lam": "beta", "beta-case": "beta", "beta-project": "beta",
+    "beta-let": "beta", "beta-prim": "beta", "nested-upcast": "nested",
+    "upcast-variant": "upcast", "upcast-record": "upcast", "upcast-var": "upcast",
+    "upcast-lam": "upcast", "tau-row": "tau", "tau-pres": "tau", "nu-row": "nu",
+    "nu-pres": "nu",
+}
+
+
+def _stepped_tags():
+    """The tags of the steps of generated terms of every preset and of
+    their translations."""
+    tags = set()
+    for name in sorted(PRESETS):
+        cfg = preset(name)
+        spec = GenSpec(cfg, max_size=8, seed=0)
+        for i in range(10):
+            term, d = gen_typed_term(spec, i)
+            subjects = [(term, cfg)]
+            for tid, t in TRANSLATIONS.items():
+                if d is not None and t.pairs[0][0] == name:
+                    subjects.append((run_translation(tid, d), preset(t.pairs[0][1])))
+            for u, c in subjects:
+                for rels in (relations_for(c), relations_for(c, full_upcast=True)):
+                    tags |= {s.tag for s in step_all(u, rels)}
+    return tags
+
+
+def test_patterns_name_step_classes_and_known_modes():
+    tags = _stepped_tags()
+    assert tags <= STEP_CLASSES.keys()
+    assert all(harness._step_class(tag) == STEP_CLASSES[tag] for tag in tags)
+    classes = {harness._step_class(tag) for tag in tags}
+    assert classes == set(STEP_CLASSES.values())
+    for t in TRANSLATIONS.values():
+        runs = list(t.simulation.values()) + [run for run, _, _ in t.reflection]
+        named = set(t.simulation).union(*(allowed for _, allowed, _ in t.reflection))
+        named |= {token.rstrip("?*") for run in runs for token in run.split()}
+        assert named <= classes, t.tid
+        assert {mode for *_, mode in t.reflection} <= {"exact", "tau", "fwd"}, t.tid
+
+
+@pytest.mark.parametrize("tid", sorted(TRANSLATIONS))
+def test_step_properties_exactly_where_patterns_are(tid):
+    t = TRANSLATIONS[tid]
+    assert ("simulation" in t.properties) == bool(t.simulation)
+    assert ("reflection" in t.properties) == bool(t.reflection)
+
+
+def test_unknown_pattern_or_mode_is_refused(monkeypatch):
+    t = TRANSLATIONS["rec-sub-to-rec"]
+    d = deriv("rec-sub", RECORD_UP)
+    monkeypatch.setitem(
+        TRANSLATIONS, t.tid,
+        dataclasses.replace(t, reflection=(("beta", {"beta"}, "near"),)),
+    )
+    with pytest.raises(ValueError, match="unknown match mode 'near'"):
+        check_reflection(t.tid, d)
+    monkeypatch.setitem(
+        TRANSLATIONS, t.tid,
+        dataclasses.replace(t, simulation={"upcast": "beta* nu"}),
+    )
+    with pytest.raises(ValueError, match="no search for the pattern 'beta\\* nu'"):
+        check_simulation(t.tid, d)
+
+
+# each mutant states a theorem the translation does not satisfy, and some
+# golden input refutes it
+PATTERN_MUTANTS = [
+    ("var-sub-to-var", "simulation", {"beta": "beta", "upcast": "nu"}),
+    ("var-sub-to-var", "reflection", (("beta", {"beta"}, "exact"),)),
+    ("var-sub-to-row", "simulation", {"beta": "beta", "upcast": "nu"}),
+    ("var-sub-to-row", "reflection", (
+        ("tau? beta", {"beta"}, "exact"), ("nu", {"upcast", "nested"}, "exact"),
+    )),
+    ("rec-sub-to-rec", "simulation", {"beta": "beta", "upcast": "beta"}),
+    ("rec-sub-to-rec", "reflection", (("beta", {"beta", "upcast", "nested"}, "exact"),)),
+    ("rec-sub-to-pre", "simulation", {"beta": "tau* beta", "upcast": "nu"}),
+    ("rec-sub-to-pre", "reflection", (
+        ("tau* beta", {"beta"}, "tau"), ("nu", {"upcast", "nested"}, "exact"),
+    )),
+]
+
+
+@pytest.mark.parametrize("tid,prop,mutant", PATTERN_MUTANTS)
+def test_every_pattern_is_load_bearing(tid, prop, mutant, monkeypatch):
+    t = TRANSLATIONS[tid]
+    check = check_simulation if prop == "simulation" else check_reflection
+    golden = [deriv(t.pairs[0][0], src) for src in GOLDEN[t.pairs[0][0]]]
+    assert all(check(tid, d, depth=3).passed for d in golden)
+    monkeypatch.setitem(TRANSLATIONS, tid, dataclasses.replace(t, **{prop: mutant}))
+    assert not all(check(tid, d, depth=3).passed for d in golden)
+
+
+# ---------------------------------------------------------------------------
 # Randomized sweeps (small; the acceptance suite runs the big ones)
 
 
@@ -608,3 +723,128 @@ def test_generator_output_is_pinned(name):
     for line in _generated_lines(name):
         digest.update(line.encode("utf-8") + b"\n")
     assert digest.hexdigest()[:16] == GENERATED_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# Reports and benchmark charges, pinned over one small sweep: every registry
+# pair, subject reduction on every preset, and two inputs the preorder check
+# fails (ROADMAP 2c), so that the failure path is pinned too.  A change that
+# moves a case count, a failure's (case, term, got) or a work-budget charge
+# fails here and must update the pins on purpose.  ``expected`` is left out:
+# it describes the pattern, not the verdict.
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROWLAB = {
+    "cli": cli, "dynamics": dynamics, "harness": harness, "infer": infer_module,
+    "parser": parser, "pretty": pretty, "statics": statics, "syntax": syntax,
+    "translate": translate,
+}
+
+
+def _pinned_sweep():
+    groups = {"registry": [], "subject-reduction": [], "preorder": []}
+    for tid, t in sorted(TRANSLATIONS.items()):
+        for prop in t.properties:
+            groups["registry"].append(
+                run_property(prop, translation=tid, count=20, seed=0)
+            )
+    for name in sorted(PRESETS):
+        groups["subject-reduction"].append(
+            run_property("subject-reduction", config=name, count=5, seed=0)
+        )
+    spec = GenSpec(preset("var-rec-sub-full"), max_size=12, seed=0)
+    for i in (158, 195):
+        d = gen_typed_term(spec, i)[1]
+        groups["preorder"].append(check_preorder_correspondence(d, case_id=f"{i}"))
+    return groups
+
+
+def _report_digest(reports):
+    digest = hashlib.sha256()
+    for rep in reports:
+        digest.update(f"{rep.prop} {rep.cases}\n".encode("utf-8"))
+        for case_id, term, _, got in rep.failures:
+            digest.update(f"{case_id} | {term} | {got}\n".encode("utf-8"))
+    return digest.hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def charged_sweep():
+    """The pinned sweep run as the benchmark counts it: the report digests,
+    the calls per ``tracing.LAYERS`` layer and the work-budget units spent."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        import budget
+        import tracing
+
+        # the benchmark's self-tests re-import rowlab; count the modules
+        # these tests call, and put every wrapped name back afterwards
+        names = {fn for layer in tracing.LAYERS.values() for _, fn in layer}
+        for name, mod in ROWLAB.items():
+            mp.setitem(sys.modules, f"rowlab.{name}", mod)
+            for fn in names & set(vars(mod)):
+                mp.setattr(mod, fn, getattr(mod, fn))
+        mp.setattr(harness._Gen, "term_for", budget.counted(harness._Gen.term_for))
+        calls = collections.Counter()
+        layers = list(tracing.LAYERS)
+
+        def make(layer, fn):
+            charged = budget.counted(fn)
+
+            def counted(*args, **kwargs):
+                calls[layers[layer]] += 1
+                return charged(*args, **kwargs)
+
+            return counted
+
+        tracing.install(make)
+        budget.start(2**50)
+        try:
+            groups = _pinned_sweep()
+        finally:
+            spent = 2**50 - budget.left
+            budget.start(math.inf)
+    return {g: _report_digest(r) for g, r in groups.items()}, dict(calls), spent
+
+
+REPORT_SHA256 = {
+    "registry": "d2276f7d445cd694",
+    "subject-reduction": "222b1b7d1126f890",
+    "preorder": "a449a3e8e040120b",
+}
+
+LAYER_CALLS = {
+    "dynamics.erase": 213,
+    "dynamics.step_all": 1644,
+    "dynamics.term_preorder": 31,
+    "harness.check": 605,
+    "harness.gen": 585,
+    "infer.infer": 88,
+    "pretty.show_term": 958,
+    "pretty.show_type": 11411,
+    "statics.subtype": 2973,
+    "statics.type_check": 1311,
+    "syntax.alpha_eq": 1091,
+    "syntax.subst_term": 850,
+    "syntax.type_equal": 55775,
+    "translate.run_translation": 1071,
+}
+
+UNITS_SPENT = 170704
+
+
+def test_reports_are_pinned(charged_sweep):
+    assert charged_sweep[0] == REPORT_SHA256
+
+
+def test_pinned_preorder_inputs_fail():
+    spec = GenSpec(preset("var-rec-sub-full"), max_size=12, seed=0)
+    for i in (158, 195):
+        rep = check_preorder_correspondence(gen_typed_term(spec, i)[1])
+        assert rep.failures and rep.cases > len(rep.failures)
+
+
+def test_benchmark_charges_are_pinned(charged_sweep):
+    _, calls, spent = charged_sweep
+    assert calls == LAYER_CALLS
+    assert spent == UNITS_SPENT
