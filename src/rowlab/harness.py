@@ -441,7 +441,14 @@ def gen_typed_term(spec: GenSpec, index: int = 0):
 
 
 def gen_subst_pair(spec: GenSpec, index: int = 0):
-    """(deriv_m, deriv_n, var) where var is free in m's context at n's type."""
+    """(deriv_m, deriv_n, var) where var is free in m's context at n's type.
+
+    Rank-1 configurations generate bare terms, which have no derivation, so
+    they are refused."""
+    if spec.config.rank1:
+        raise GenError(
+            f"no substitution pairs in {spec.config.name}: its terms are bare"
+        )
     hole = "z0"
     last: Exception | None = None
     for attempt in range(10):
@@ -671,7 +678,7 @@ class _Reach:
 
     def _decompose(self, x: Term, g: Term):
         """The (state, goal) pairs of the children of two nodes of one form
-        that agree on everything else, positionally; None when they do not."""
+        that agree on everything else, paired by slot; None when they do not."""
         if type(x) is not type(g):
             return None
         if type(x) is Var:
@@ -681,7 +688,10 @@ class _Reach:
             return None
         xs, gs = shape.children(x), shape.children(g)
         if [s for s, _, _ in xs] != [s for s, _, _ in gs]:
-            return None
+            # record literals may list their fields in another order
+            xs, gs = (sorted(kids, key=lambda c: c[0]) for kids in (xs, gs))
+            if [s for s, _, _ in xs] != [s for s, _, _ in gs]:
+                return None
         for name in shape.types:
             if not _part_agrees(getattr(x, name), getattr(g, name)):
                 return None

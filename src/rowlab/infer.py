@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .config import CalculusConfig
 from .pretty import show_presence, show_term, show_type
-from .statics import INT, PRIM_SIGS, STRING
+from .statics import INT, PRIM_SIGS, STRING, refuse_missing
 from .syntax import (
     Absent,
     App,
@@ -53,6 +53,12 @@ from .syntax import (
 
 class InferError(Exception):
     pass
+
+
+# the term forms inference handles; the calculus may still lack some
+_INFERRED = frozenset(
+    {Var, Lam, App, Let, Lit, Prim, RecordLit, Project, Inject, Case}
+)
 
 
 def _is_meta(name: str | None) -> bool:
@@ -268,27 +274,10 @@ def zonk_type(state: _State, ty: Type) -> Type:
     if isinstance(ty, Arrow):
         return Arrow(zonk_type(state, ty.dom), zonk_type(state, ty.cod))
     if isinstance(ty, (Record, Variant)):
-        return type(ty)(_zonk_row(state, ty.row))
+        entries, tail = _expand_row(state, ty.row)
+        zonked = ((l, p, zonk_type(state, t)) for l, (p, t) in entries.items())
+        return type(ty)(Row(tuple(zonked), tail))
     raise InferError(f"unexpected type form {type(ty).__name__}")
-
-
-def _zonk_row(state: _State, row: Row) -> Row:
-    # entries whose presence solved to absent are dropped: the row denotes
-    # the same thing without them
-    out: list[tuple[str, Presence, Type]] = []
-    tail = row.tail
-    pending = list(row.entries)
-    while True:
-        for label, pres, ty in pending:
-            pres = _resolve_pres(state, pres)
-            if isinstance(pres, Absent):
-                continue
-            out.append((label, pres, zonk_type(state, ty)))
-        if tail is None or tail not in state.subst:
-            return Row(tuple(out), tail)
-        rep = state.subst[tail]
-        pending = list(rep.entries)
-        tail = rep.tail
 
 
 def instantiate(state: _State, scheme: TypeScheme) -> Type:
@@ -360,6 +349,11 @@ def infer(
             raise
 
     def dispatch(t: Term, env: dict[str, TypeScheme]) -> Type:
+        if type(t) not in _INFERRED:
+            raise InferError(
+                f"inference input must not contain {type(t).__name__} nodes"
+            )
+        refuse_missing(config, t, InferError)
         if isinstance(t, Var):
             scheme = env.get(t.name)
             if scheme is None:
@@ -378,18 +372,12 @@ def infer(
             unify_type(state, fn, Arrow(arg, res))
             return res
         if isinstance(t, Let):
-            if not config.allows_let:
-                raise InferError("let bindings not available in this calculus")
             bound = rec(t.bound, env)
             scheme = generalize(state, env, bound)
             return rec(t.body, {**env, t.var: scheme})
         if isinstance(t, Lit):
-            if not config.builtins:
-                raise InferError("literals not available in this calculus")
             return INT if isinstance(t.value, int) else STRING
         if isinstance(t, Prim):
-            if not config.builtins:
-                raise InferError("primitives not available in this calculus")
             sig = PRIM_SIGS.get(t.op)
             if sig is None or len(t.args) != 2:
                 raise InferError(f"unknown primitive {t.op}")
@@ -397,8 +385,6 @@ def infer(
             unify_type(state, rec(t.args[1], env), sig[1])
             return sig[2]
         if isinstance(t, RecordLit):
-            if not config.records:
-                raise InferError("record literals not available in this calculus")
             if t.annot is not None:
                 raise InferError("inference input must not carry annotations")
             labels = [l for l, _ in t.fields]
@@ -410,8 +396,6 @@ def infer(
                 entries.append((label, pres, rec(value, env)))
             return Record(Row(tuple(entries), None))
         if isinstance(t, Project):
-            if not config.records:
-                raise InferError("record projection not available in this calculus")
             rec_ty = rec(t.term, env)
             out = state.fresh_type()
             tail = state.fresh_row_tail(frozenset({t.label})) if open_rows else None
@@ -419,36 +403,29 @@ def infer(
             unify_type(state, rec_ty, want)
             return out
         if isinstance(t, Inject):
-            if not config.variants:
-                raise InferError("injection not available in this calculus")
             if t.annot is not None:
                 raise InferError("inference input must not carry annotations")
             payload = rec(t.payload, env)
             tail = state.fresh_row_tail(frozenset({t.label})) if open_rows else None
             return Variant(Row(((t.label, Present(), payload),), tail))
-        if isinstance(t, Case):
-            if not config.variants:
-                raise InferError("case analysis not available in this calculus")
-            labels = [l for l, _, _ in t.branches]
-            if len(set(labels)) != len(labels):
-                raise InferError("duplicate case branch labels")
-            scrut = rec(t.scrutinee, env)
-            entries = []
-            payloads: dict[str, Type] = {}
-            for label in labels:
-                a = state.fresh_type()
-                payloads[label] = a
-                pres = Present() if open_rows else state.fresh_pres()
-                entries.append((label, pres, a))
-            unify_type(state, scrut, Variant(Row(tuple(entries), None)))
-            result = state.fresh_type()
-            for label, binder, body in t.branches:
-                branch_env = {**env, binder: TypeScheme((), payloads[label])}
-                unify_type(state, rec(body, branch_env), result)
-            return result
-        raise InferError(
-            f"inference input must not contain {type(t).__name__} nodes"
-        )
+        # Case, the last form of _INFERRED
+        labels = [l for l, _, _ in t.branches]
+        if len(set(labels)) != len(labels):
+            raise InferError("duplicate case branch labels")
+        scrut = rec(t.scrutinee, env)
+        entries = []
+        payloads: dict[str, Type] = {}
+        for label in labels:
+            a = state.fresh_type()
+            payloads[label] = a
+            pres = Present() if open_rows else state.fresh_pres()
+            entries.append((label, pres, a))
+        unify_type(state, scrut, Variant(Row(tuple(entries), None)))
+        result = state.fresh_type()
+        for label, binder, body in t.branches:
+            branch_env = {**env, binder: TypeScheme((), payloads[label])}
+            unify_type(state, rec(body, branch_env), result)
+        return result
 
     ty = rec(term, env)
     return generalize(state, env, ty)

@@ -3,11 +3,19 @@
 Checking is syntax-directed over fully annotated terms.  Every successful
 check returns a Derivation tree; Upcast nodes carry subtyping evidence so
 that later passes can compile the cast away without re-deriving it.
+
+Which calculus has which form is said once, in ``FEATURES``: it maps each
+gated type, presence mark and term form to the switch of ``CalculusConfig``
+that turns it on and the full text that refuses it.  ``refuse_missing``
+reads it for the checker (on entry to every term node), for the annotation
+scan ``check_type_features``, and for ``infer``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable
 
 from .config import CalculusConfig
 from .pretty import show_kind, show_term, show_type
@@ -97,8 +105,8 @@ def kind_check(delta: dict[str, Kind], ty: Type) -> Kind:
     if isinstance(ty, Base):
         return KType()
     if isinstance(ty, Arrow):
-        _expect_type_kind(delta, ty.dom)
-        _expect_type_kind(delta, ty.cod)
+        kind_check(delta, ty.dom)
+        kind_check(delta, ty.cod)
         return KType()
     if isinstance(ty, (Variant, Record)):
         row_check(delta, ty.row, frozenset())
@@ -108,20 +116,14 @@ def kind_check(delta: dict[str, Kind], ty: Type) -> Kind:
             raise KindError(f"type binder {ty.var} shadows an outer binder")
         if not isinstance(ty.kind, KRow):
             raise KindError(f"row binder {ty.var} must have a row kind")
-        _expect_type_kind({**delta, ty.var: ty.kind}, ty.body)
+        kind_check({**delta, ty.var: ty.kind}, ty.body)
         return KType()
     if isinstance(ty, ForallPres):
         if ty.var in delta:
             raise KindError(f"type binder {ty.var} shadows an outer binder")
-        _expect_type_kind({**delta, ty.var: KPre()}, ty.body)
+        kind_check({**delta, ty.var: KPre()}, ty.body)
         return KType()
     raise KindError(f"unhandled type form {type(ty).__name__}")
-
-
-def _expect_type_kind(delta: dict[str, Kind], ty: Type) -> None:
-    k = kind_check(delta, ty)
-    if not isinstance(k, KType):
-        raise KindError(f"{show_type(ty)} has kind {show_kind(k)}, expected Type")
 
 
 def row_check(delta: dict[str, Kind], row: Row, lacks: frozenset[str]) -> None:
@@ -134,7 +136,7 @@ def row_check(delta: dict[str, Kind], row: Row, lacks: frozenset[str]) -> None:
             raise KindError(f"label {label} must be absent from this row")
         seen.add(label)
         _presence_check(delta, pres)
-        _expect_type_kind(delta, ty)
+        kind_check(delta, ty)
     if row.tail is not None:
         k = delta.get(row.tail)
         if k is None:
@@ -287,51 +289,74 @@ def check_rank_limit(config: CalculusConfig, ty: Type) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Feature scan over annotation types
+# Features: which calculus has which form
+
+
+def _higher_rows(config: CalculusConfig) -> bool:
+    return config.row_poly == "higher"
+
+
+def _higher_pres(config: CalculusConfig) -> bool:
+    return config.pres_poly == "higher"
+
+
+_builtins = attrgetter("builtins")
+_variants = attrgetter("variants")
+_records = attrgetter("records")
+_PRESENCE_MARKS = "presence annotations not available in this calculus"
+
+FEATURES: dict[type, tuple[Callable[[CalculusConfig], bool], str]] = {
+    Base: (_builtins, "base type {form.tag} not available here"),
+    Variant: (_variants, "variant types not available in this calculus"),
+    Record: (_records, "record types not available in this calculus"),
+    ForallRow: (_higher_rows, "row quantifiers not available in this calculus"),
+    ForallPres: (_higher_pres, "presence quantifiers not available in this calculus"),
+    Absent: (_higher_pres, _PRESENCE_MARKS),
+    PresVar: (_higher_pres, _PRESENCE_MARKS),
+    Inject: (_variants, "variant injection not available in this calculus"),
+    Case: (_variants, "case analysis not available in this calculus"),
+    RecordLit: (_records, "record literals not available in this calculus"),
+    Project: (_records, "record projection not available in this calculus"),
+    Upcast: (
+        lambda c: c.subtyping != "none",
+        "upcasts not available in this calculus",
+    ),
+    RowAbs: (_higher_rows, "row abstraction not available in this calculus"),
+    RowApp: (_higher_rows, "row application not available in this calculus"),
+    PresAbs: (_higher_pres, "presence abstraction not available in this calculus"),
+    PresApp: (_higher_pres, "presence application not available in this calculus"),
+    Let: (attrgetter("allows_let"), "let bindings not available in this calculus"),
+    Lit: (_builtins, "literals not available in this calculus"),
+    Prim: (_builtins, "primitives not available in this calculus"),
+}
+
+
+def refuse_missing(
+    config: CalculusConfig, form, error: type[Exception] = FeatureError
+) -> None:
+    """Raise ``error`` with the refusal text of ``FEATURES`` when ``config``
+    lacks the constructor of ``form``; forms the table omits are everywhere."""
+    gate = FEATURES.get(type(form))
+    if gate is not None and not gate[0](config):
+        raise error(gate[1].format(form=form))
 
 
 def check_type_features(config: CalculusConfig, ty: Type) -> None:
     """Reject annotations that mention constructors the calculus lacks."""
-    if isinstance(ty, (TyVar,)):
-        return
-    if isinstance(ty, Base):
-        if not config.builtins:
-            raise FeatureError(f"base type {ty.tag} not available here")
-        return
+    refuse_missing(config, ty)
     if isinstance(ty, Arrow):
         check_type_features(config, ty.dom)
         check_type_features(config, ty.cod)
-        return
-    if isinstance(ty, Variant):
-        if not config.variants:
-            raise FeatureError("variant types not available in this calculus")
-        _check_row_features(config, ty.row)
-        return
-    if isinstance(ty, Record):
-        if not config.records:
-            raise FeatureError("record types not available in this calculus")
-        _check_row_features(config, ty.row)
-        return
-    if isinstance(ty, ForallRow):
-        if config.row_poly != "higher":
-            raise FeatureError("row quantifiers not available in this calculus")
+    elif isinstance(ty, (Variant, Record)):
+        if ty.row.tail is not None and not _higher_rows(config):
+            raise FeatureError("open rows not available in this calculus")
+        for _, pres, sub in ty.row.entries:
+            refuse_missing(config, pres)
+            check_type_features(config, sub)
+    elif isinstance(ty, (ForallRow, ForallPres)):
         check_type_features(config, ty.body)
-        return
-    if isinstance(ty, ForallPres):
-        if config.pres_poly != "higher":
-            raise FeatureError("presence quantifiers not available in this calculus")
-        check_type_features(config, ty.body)
-        return
-    raise FeatureError(f"unhandled type form {type(ty).__name__}")
-
-
-def _check_row_features(config: CalculusConfig, row: Row) -> None:
-    if row.tail is not None and config.row_poly != "higher":
-        raise FeatureError("open rows not available in this calculus")
-    for _, pres, ty in row.entries:
-        if not isinstance(pres, Present) and config.pres_poly != "higher":
-            raise FeatureError("presence annotations not available in this calculus")
-        check_type_features(config, ty)
+    elif not isinstance(ty, (TyVar, Base)):
+        raise FeatureError(f"unhandled type form {type(ty).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +377,6 @@ class Derivation:
         dd = ", ".join(f"{n}:{show_kind(k)}" for n, k in sorted(self.delta.items()))
         gg = ", ".join(f"{n}:{show_type(t)}" for n, t in sorted(self.gamma.items()))
         return f"{dd} ; {gg} |- {show_term(self.term)} : {show_type(self.type)}"
-
-
-def _presence_config(config: CalculusConfig) -> bool:
-    return config.pres_poly == "higher"
 
 
 def type_check(
@@ -402,6 +423,7 @@ def _check(
     def rec(d: dict[str, Kind], g: dict[str, Type], t: Term) -> Derivation:
         return _check(config, d, g, t)
 
+    refuse_missing(config, term)
     if isinstance(term, Var):
         ty = gamma.get(term.name)
         if ty is None:
@@ -439,8 +461,6 @@ def _check(
         )
 
     if isinstance(term, Inject):
-        if not config.variants:
-            raise FeatureError("variant injection not available in this calculus")
         if term.annot is None:
             raise TypingError("variant injection needs a type annotation")
         check_type_features(config, term.annot)
@@ -464,8 +484,6 @@ def _check(
         return Derivation("TyInject", delta, gamma, term, term.annot, (payload,))
 
     if isinstance(term, Case):
-        if not config.variants:
-            raise FeatureError("case analysis not available in this calculus")
         scrut = rec(delta, gamma, term.scrutinee)
         if not isinstance(scrut.type, Variant):
             raise TypingError(
@@ -507,8 +525,6 @@ def _check(
         return Derivation("TyCase", delta, gamma, term, result, tuple(prems))
 
     if isinstance(term, RecordLit):
-        if not config.records:
-            raise FeatureError("record literals not available in this calculus")
         field_labels = [label for label, _ in term.fields]
         if len(set(field_labels)) != len(field_labels):
             raise TypingError("duplicate record field labels")
@@ -542,7 +558,7 @@ def _check(
             return Derivation(
                 "TyRecord", delta, gamma, term, term.annot, tuple(prems)
             )
-        if _presence_config(config):
+        if _higher_pres(config):
             raise TypingError("record literal needs a type annotation here")
         prems = []
         row_entries = []
@@ -554,8 +570,6 @@ def _check(
         return Derivation("TyRecord", delta, gamma, term, ty, tuple(prems))
 
     if isinstance(term, Project):
-        if not config.records:
-            raise FeatureError("record projection not available in this calculus")
         rd = rec(delta, gamma, term.term)
         if not isinstance(rd.type, Record):
             raise TypingError(
@@ -570,8 +584,6 @@ def _check(
         return Derivation("TyProject", delta, gamma, term, ty, (rd,))
 
     if isinstance(term, Upcast):
-        if config.subtyping == "none":
-            raise FeatureError("upcasts not available in this calculus")
         check_type_features(config, term.target)
         kind_check(delta, term.target)
         sub = rec(delta, gamma, term.term)
@@ -583,8 +595,6 @@ def _check(
         return Derivation("TyUpcast", delta, gamma, term, term.target, (sub,), ev)
 
     if isinstance(term, RowAbs):
-        if config.row_poly != "higher":
-            raise FeatureError("row abstraction not available in this calculus")
         if term.var in delta:
             raise TypingError(f"binder {term.var} shadows an outer binder")
         body = rec({**delta, term.var: term.kind}, gamma, term.body)
@@ -598,8 +608,6 @@ def _check(
         )
 
     if isinstance(term, RowApp):
-        if config.row_poly != "higher":
-            raise FeatureError("row application not available in this calculus")
         fd = rec(delta, gamma, term.term)
         if not isinstance(fd.type, ForallRow):
             raise TypingError(
@@ -610,8 +618,6 @@ def _check(
         return Derivation("TyRowApp", delta, gamma, term, ty, (fd,))
 
     if isinstance(term, PresAbs):
-        if config.pres_poly != "higher":
-            raise FeatureError("presence abstraction not available in this calculus")
         if term.var in delta:
             raise TypingError(f"binder {term.var} shadows an outer binder")
         body = rec({**delta, term.var: KPre()}, gamma, term.body)
@@ -620,8 +626,6 @@ def _check(
         )
 
     if isinstance(term, PresApp):
-        if config.pres_poly != "higher":
-            raise FeatureError("presence application not available in this calculus")
         fd = rec(delta, gamma, term.term)
         if not isinstance(fd.type, ForallPres):
             raise TypingError(
@@ -632,8 +636,6 @@ def _check(
         return Derivation("TyPreApp", delta, gamma, term, ty, (fd,))
 
     if isinstance(term, Let):
-        if not config.allows_let:
-            raise FeatureError("let bindings not available in this calculus")
         if term.var in gamma:
             raise TypingError(f"binder {term.var} shadows an outer binder")
         bound = rec(delta, gamma, term.bound)
@@ -641,14 +643,10 @@ def _check(
         return Derivation("TyLet", delta, gamma, term, body.type, (bound, body))
 
     if isinstance(term, Lit):
-        if not config.builtins:
-            raise FeatureError("literals not available in this calculus")
         ty = INT if isinstance(term.value, int) else STRING
         return Derivation("TyLit", delta, gamma, term, ty)
 
     if isinstance(term, Prim):
-        if not config.builtins:
-            raise FeatureError("primitives not available in this calculus")
         sig = PRIM_SIGS.get(term.op)
         if sig is None:
             raise TypingError(f"unknown primitive {term.op}")

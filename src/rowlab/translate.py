@@ -61,7 +61,6 @@ from .syntax import (
     rebuild,
     rename_type_name,
     row_dom,
-    row_use_lacks,
     subst_type_in_type,
     term_names,
 )
@@ -561,106 +560,50 @@ def strip_upcasts(term: Term) -> Term:
 # Scheme translation giving erased record programs row-polymorphic types
 
 
-def row_seq_a(ty: Type) -> int:
-    """Prefix length of trans_a(ty)."""
-    if isinstance(ty, (TyVar, Base)):
-        return 0
-    if isinstance(ty, Arrow):
-        return row_seq_b(ty.dom) + row_seq_a(ty.cod)
-    if isinstance(ty, Record):
-        return sum(row_seq_a(a) for _, a in _closed_entries(ty.row))
-    raise TranslationError("type outside the rank-2 record fragment")
-
-
-def row_seq_b(ty: Type) -> int:
-    """Prefix length of trans_b(ty)."""
-    if isinstance(ty, (TyVar, Base)):
-        return 0
-    if isinstance(ty, Arrow):
-        return row_seq_b(ty.cod)
-    if isinstance(ty, Record):
-        return 1 + sum(row_seq_b(a) for _, a in _closed_entries(ty.row))
-    raise TranslationError("type outside the rank-2 record fragment")
-
-
-def _fresh_rows(n: int, counter) -> list[str]:
-    return [f"r{next(counter)}" for _ in range(n)]
-
-
 def trans_a(ty: Type, _counter=None) -> TypeScheme:
     """Open up the records a consumer may widen, in argument positions.
 
     Function parameters go through trans_b, which gives every record an
     open tail; records in result positions keep closed heads.  The scheme
-    quantifies all freshly created tails.
+    quantifies all freshly created tails, r0, r1, ... in the order they are
+    made; sub-schemes draw from the same supply.
     """
     counter = _counter if _counter is not None else itertools.count()
     if isinstance(ty, (TyVar, Base)):
         return TypeScheme((), ty)
     if isinstance(ty, Arrow):
-        dom_names = _fresh_rows(row_seq_b(ty.dom), counter)
-        cod_names = _fresh_rows(row_seq_a(ty.cod), counter)
-        body = Arrow(
-            trans_b_inst(ty.dom, dom_names), trans_a_inst(ty.cod, cod_names)
-        )
-        quants = tuple((n, _row_kind_in(body, n)) for n in dom_names + cod_names)
-        return TypeScheme(quants, body)
+        dom, cod = trans_b(ty.dom, counter), trans_a(ty.cod, counter)
+        return TypeScheme(dom.quants + cod.quants, Arrow(dom.body, cod.body))
     if isinstance(ty, Record):
-        names: list[str] = []
-        fields = []
-        for label, a in _closed_entries(ty.row):
-            block = _fresh_rows(row_seq_a(a), counter)
-            names.extend(block)
-            fields.append((label, Present(), trans_a_inst(a, block)))
-        body = Record(Row(tuple(fields), None))
-        quants = tuple((n, _row_kind_in(body, n)) for n in names)
-        return TypeScheme(quants, body)
+        return _record_scheme(ty, None, trans_a, counter)
     raise TranslationError("type outside the rank-2 record fragment")
 
 
 def trans_b(ty: Type, _counter=None) -> TypeScheme:
-    """Open every record in ``ty`` with a fresh tail, domains untouched."""
+    """Open every record in ``ty`` with a fresh tail, domains untouched.
+
+    A record's own tail is made before the tails inside its fields; the
+    scheme quantifies them in the order they are made, as trans_a does."""
     counter = _counter if _counter is not None else itertools.count()
     if isinstance(ty, (TyVar, Base)):
         return TypeScheme((), ty)
     if isinstance(ty, Arrow):
-        names = _fresh_rows(row_seq_b(ty.cod), counter)
-        body = Arrow(ty.dom, trans_b_inst(ty.cod, names))
-        quants = tuple((n, _row_kind_in(body, n)) for n in names)
-        return TypeScheme(quants, body)
+        cod = trans_b(ty.cod, counter)
+        return TypeScheme(cod.quants, Arrow(ty.dom, cod.body))
     if isinstance(ty, Record):
-        tail = f"r{next(counter)}"
-        names = [tail]
-        fields = []
-        for label, a in _closed_entries(ty.row):
-            block = _fresh_rows(row_seq_b(a), counter)
-            names.extend(block)
-            fields.append((label, Present(), trans_b_inst(a, block)))
-        body = Record(Row(tuple(fields), tail))
-        quants = tuple((n, _row_kind_in(body, n)) for n in names)
-        return TypeScheme(quants, body)
+        return _record_scheme(ty, f"r{next(counter)}", trans_b, counter)
     raise TranslationError("type outside the rank-2 record fragment")
 
 
-def _row_kind_in(body: Type, name: str) -> KRow:
-    return KRow(row_use_lacks(name, body) or frozenset())
-
-
-def _inst_scheme(scheme: TypeScheme, names: list[str]) -> Type:
-    if len(scheme.quants) != len(names):
-        raise TranslationError("row sequence does not cover the prefix")
-    body = scheme.body
-    for (old, _), new in zip(scheme.quants, names):
-        body = subst_type_in_type(body, Row((), new), old)
-    return body
-
-
-def trans_a_inst(ty: Type, names: list[str]) -> Type:
-    return _inst_scheme(trans_a(ty), names)
-
-
-def trans_b_inst(ty: Type, names: list[str]) -> Type:
-    return _inst_scheme(trans_b(ty), names)
+def _record_scheme(ty: Record, tail: str | None, trans, counter) -> TypeScheme:
+    """``ty`` with ``tail`` and its fields translated by ``trans``."""
+    quants = [] if tail is None else [(tail, KRow(row_dom(ty.row)))]
+    fields = []
+    for label, a in _closed_entries(ty.row):
+        sub = trans(a, counter)
+        quants.extend(sub.quants)
+        fields.append((label, Present(), sub.body))
+    return TypeScheme(tuple(quants), Record(Row(tuple(fields), tail)))
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +641,9 @@ def weak_sub_instance(principal: TypeScheme, goal: TypeScheme) -> bool:
             tail = rep.tail
         return entries, tail
 
-    def unify(a: Type, b: Type) -> bool:
+    def match(a: Type, b: Type, weaken: bool) -> bool:
+        """``a``'s instance equals ``b``, up to open tails ``a`` may drop
+        while ``weaken`` holds: in result positions of a closed goal."""
         a, b = resolve(a), resolve(b)
         if isinstance(a, TyVar) and a.name in flex:
             subst[a.name] = b
@@ -706,55 +651,25 @@ def weak_sub_instance(principal: TypeScheme, goal: TypeScheme) -> bool:
         if isinstance(a, (TyVar, Base)):
             return a == b
         if isinstance(a, Arrow) and isinstance(b, Arrow):
-            return unify(a.dom, b.dom) and unify(a.cod, b.cod)
+            return match(a.dom, b.dom, False) and match(a.cod, b.cod, weaken)
         if isinstance(a, Record) and isinstance(b, Record):
             ea, ta = row_parts(a.row)
             eb, tb = row_parts(b.row)
+            weaken = weaken and tb is None
             if set(ea) != set(eb):
-                missing = {l: eb[l] for l in set(eb) - set(ea)}
-                if missing and ta in flex and not (set(ea) - set(eb)):
-                    subst[ta] = Row(
-                        tuple((l, Present(), t) for l, t in sorted(missing.items())),
-                        tb,
-                    )
-                    return all(unify(ea[l], eb[l]) for l in ea)
-                return False
-            if ta in flex:
+                if ta not in flex or not set(ea) <= set(eb):
+                    return False
+                missing = sorted((l, t) for l, t in eb.items() if l not in ea)
+                subst[ta] = Row(tuple((l, Present(), t) for l, t in missing), tb)
+            elif ta in flex and not weaken:
                 subst[ta] = Row((), tb)
-                return all(unify(ea[l], eb[l]) for l in ea)
-            if ta != tb:
+            elif ta != tb and not weaken:
                 return False
-            return all(unify(ea[l], eb[l]) for l in ea)
+            # under weakening an open tail on the left simply dangles
+            return all(match(ea[l], eb[l], weaken) for l in ea)
         return False
 
-    def match(a: Type, b: Type) -> bool:
-        a, b = resolve(a), resolve(b)
-        if isinstance(a, TyVar) and a.name in flex:
-            subst[a.name] = b
-            return True
-        if isinstance(a, (TyVar, Base)):
-            return a == b
-        if isinstance(a, Arrow) and isinstance(b, Arrow):
-            return unify(a.dom, b.dom) and match(a.cod, b.cod)
-        if isinstance(a, Record) and isinstance(b, Record):
-            ea, ta = row_parts(a.row)
-            eb, tb = row_parts(b.row)
-            if tb is not None:
-                return unify(a, b)
-            if set(ea) != set(eb):
-                if ta in flex and not (set(ea) - set(eb)):
-                    missing = {l: eb[l] for l in set(eb) - set(ea)}
-                    subst[ta] = Row(
-                        tuple((l, Present(), t) for l, t in sorted(missing.items())),
-                        None,
-                    )
-                    return all(match(ea[l], eb[l]) for l in ea)
-                return False
-            # an open tail on the left simply dangles here
-            return all(match(ea[l], eb[l]) for l in ea)
-        return False
-
-    return match(body, goal.body)
+    return match(body, goal.body, True)
 
 
 # ---------------------------------------------------------------------------

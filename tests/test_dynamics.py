@@ -1,5 +1,7 @@
 """Reduction, cast evaluation, erasure, and the approximation preorder."""
 
+import sys
+
 import pytest
 
 from rowlab.config import PRESETS, preset
@@ -17,7 +19,8 @@ from rowlab.dynamics import (
 )
 from rowlab.harness import GenError, GenSpec, gen_typed_term
 from rowlab.parser import parse_term_str
-from rowlab.pretty import show_term
+from rowlab.pretty import show_term, show_type
+from rowlab.statics import type_check
 from rowlab.syntax import Lit, Prim, alpha_eq, children
 from rowlab.translate import TRANSLATIONS, run_translation
 
@@ -408,3 +411,28 @@ def test_preorder_is_false_on_casts_and_type_level_forms():
     assert not term_preorder(M("x :> {A:Int}"), M("x :> {A:Int}"))
     src = "(/\\r:Row!{Name}. \\x:{Name:String; r}. x.Name) @ [Age:Int]"
     assert not term_preorder(M(src), M(src))
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_300_operand_sum_checks_in_two_frames_per_operand():
+    # the largest `+` chain the eval-scale benchmark decides under Python's
+    # default limit of 1,000 frames; checking walks it two frames per
+    # operand, so a walker that added a frame per nesting level fails here
+    ops = [i % 9 + 1 for i in range(300)]
+    term = M(" + ".join(map(str, ops)))
+    cfg = preset("lam")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 2 * len(ops) + 50)
+    try:
+        ty = type_check(cfg, {}, {}, term).type
+        result, steps = reduction_trace(term, relations_for(cfg))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert show_type(ty) == "Int"
+    assert result == Lit(sum(ops)) and len(steps) == 299

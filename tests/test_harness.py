@@ -151,6 +151,13 @@ def test_subst_pair_is_well_typed():
         assert rep.passed, rep.failures[:1]
 
 
+def test_subst_pairs_refuse_rank1_presets():
+    # their generated terms are bare: there is no derivation to pair
+    for name in ("var-row1", "rec-pre1"):
+        with pytest.raises(GenError, match=f"in {name}: its terms are bare"):
+            gen_subst_pair(GenSpec(preset(name), max_size=8, seed=0), 0)
+
+
 # ---------------------------------------------------------------------------
 # Report plumbing
 
@@ -359,7 +366,13 @@ def test_preservation_golden():
 
 VARIANT_CASE = "case <Year 1984> : [Year:Int] { Year y -> 1 + 2 }"
 RECORD_WIDE = '{Age = 9, Name = "Alice", Size = 1} :> {Age:Int; Name:String}'
-GOLDEN = {"var-sub": (VARIANT_UP, VARIANT_CASE), "rec-sub": (RECORD_UP, RECORD_WIDE)}
+# the same cast with its fields out of label order: the search pairs the
+# fields of two record literals by label, not by position
+RECORD_UNSORTED = '{Name = "Alice", Age = 9, Size = 1} :> {Age:Int; Name:String}'
+GOLDEN = {
+    "var-sub": (VARIANT_UP, VARIANT_CASE),
+    "rec-sub": (RECORD_UP, RECORD_WIDE, RECORD_UNSORTED),
+}
 
 # the class of every rewrite tag dynamics emits
 STEP_CLASSES = {
@@ -675,10 +688,10 @@ GENERATED_SHA256 = {
     "lam": "87217346fe845a1c",
     "rec": "4626802b6fe1e76b",
     "rec-pre": "ec7827c94f751f34",
-    "rec-pre1": "a8281080a8b3e8e4",
+    "rec-pre1": "0cb086c646f35afb",
     "rec-row": "4626802b6fe1e76b",
     "rec-row-pre": "ec7827c94f751f34",
-    "rec-row1": "a8281080a8b3e8e4",
+    "rec-row1": "b3e6ab6dfec22974",
     "rec-sub": "3b16cd63837cfd1b",
     "rec-sub-co": "6a969b9fc6d52b82",
     "rec-sub-full": "4f1ae1694a61fbc4",
@@ -686,12 +699,12 @@ GENERATED_SHA256 = {
     "rec-sub-full-rank2": "1f228ab96ef0ac0d",
     "var": "3b94d2e1aafe9dfd",
     "var-pre": "3b94d2e1aafe9dfd",
-    "var-pre1": "251622c9efbbf18c",
+    "var-pre1": "d928877365ae6d38",
     "var-rec": "bf379d9c3bb4a8c5",
     "var-rec-sub-full": "199551531e602b89",
     "var-row": "3b94d2e1aafe9dfd",
     "var-row-pre": "3b94d2e1aafe9dfd",
-    "var-row1": "2ab97f923330eaba",
+    "var-row1": "cd6c728bd7dc75a9",
     "var-sub": "8462453585b2b0b3",
     "var-sub-co": "1d6574296f641352",
     "var-sub-full": "977a2dd8c1e49d29",

@@ -10,6 +10,8 @@ from rowlab.config import preset
 from rowlab.dynamics import erase
 from rowlab.infer import (
     InferError,
+    _resolve_pres,
+    _resolve_type,
     _State,
     infer,
     scheme_instance,
@@ -18,6 +20,7 @@ from rowlab.infer import (
 )
 from rowlab.parser import parse_term_str, parse_type_str
 from rowlab.syntax import (
+    Absent,
     Arrow,
     Base,
     KPre,
@@ -27,6 +30,7 @@ from rowlab.syntax import (
     Record,
     Row,
     TypeScheme,
+    TyVar,
     Variant,
     scheme_alpha_eq,
     type_equal,
@@ -520,3 +524,47 @@ def test_unification_is_stable_under_reapplication(seed):
     za, zb = zonk_type(state, a), zonk_type(state, b)
     unify_type(state, za, zb)
     assert type_equal(zonk_type(state, za), zonk_type(state, zb))
+
+
+# the row zonking inference used before it reused ``_expand_row``, kept as
+# the reference the new one must agree with entry for entry
+
+
+def _reference_zonk(state, ty):
+    ty = _resolve_type(state, ty)
+    if isinstance(ty, (TyVar, Base)):
+        return ty
+    if isinstance(ty, Arrow):
+        return Arrow(_reference_zonk(state, ty.dom), _reference_zonk(state, ty.cod))
+    return type(ty)(_reference_zonk_row(state, ty.row))
+
+
+def _reference_zonk_row(state, row):
+    out = []
+    tail = row.tail
+    pending = list(row.entries)
+    while True:
+        for label, pres, ty in pending:
+            pres = _resolve_pres(state, pres)
+            if isinstance(pres, Absent):
+                continue
+            out.append((label, pres, _reference_zonk(state, ty)))
+        if tail is None or tail not in state.subst:
+            return Row(tuple(out), tail)
+        rep = state.subst[tail]
+        pending = list(rep.entries)
+        tail = rep.tail
+
+
+def test_zonking_agrees_with_the_reference_row_walk():
+    solved = 0
+    for seed in range(400):
+        state, a, b = _build(seed)
+        try:
+            unify_type(state, a, b)
+            solved += 1
+        except InferError:
+            pass  # a failed unification leaves a partial substitution
+        for ty in (a, b):
+            assert zonk_type(state, ty) == _reference_zonk(state, ty)
+    assert solved > 50

@@ -6,30 +6,52 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rowlab.config import preset
+from rowlab.config import PRESETS, CalculusConfig, preset
+from rowlab.infer import InferError, infer
 from rowlab.parser import parse_term_str, parse_type_str
+from rowlab.pretty import show_term
 from rowlab.statics import (
     FeatureError,
     KindError,
     RankError,
     TypingError,
     check_rank_limit,
+    check_type_features,
     kind_check,
     rank_ok,
+    refuse_missing,
     row_check,
     subtype,
     type_check,
 )
 from rowlab.syntax import (
     Absent,
+    App,
+    Arrow,
     Base,
+    Case,
+    ForallPres,
+    ForallRow,
+    Inject,
     KPre,
     KRow,
     KType,
+    Lam,
+    Let,
+    Lit,
+    PresAbs,
+    PresApp,
     Present,
+    Prim,
+    Project,
     Record,
+    RecordLit,
     Row,
+    RowAbs,
+    RowApp,
     TyVar,
+    Upcast,
+    Var,
     Variant,
     type_equal,
 )
@@ -497,3 +519,165 @@ def test_string_concat():
     assert type_equal(d.type, T("String"))
     with pytest.raises(TypingError):
         check("lam", '"a" ++ 1')
+
+
+# ---------------------------------------------------------------------------
+# The feature table against the gates it replaced.  The reference copies
+# below are the checker's and inference's inline gates and the annotation
+# scan as they were written before ``FEATURES``; every message must stay the
+# same, except inference's injection refusal, which took the checker's text.
+
+
+def _reference_type_features(config, ty):
+    if isinstance(ty, (TyVar,)):
+        return
+    if isinstance(ty, Base):
+        if not config.builtins:
+            raise FeatureError(f"base type {ty.tag} not available here")
+        return
+    if isinstance(ty, Arrow):
+        _reference_type_features(config, ty.dom)
+        _reference_type_features(config, ty.cod)
+        return
+    if isinstance(ty, Variant):
+        if not config.variants:
+            raise FeatureError("variant types not available in this calculus")
+        _reference_row_features(config, ty.row)
+        return
+    if isinstance(ty, Record):
+        if not config.records:
+            raise FeatureError("record types not available in this calculus")
+        _reference_row_features(config, ty.row)
+        return
+    if isinstance(ty, ForallRow):
+        if config.row_poly != "higher":
+            raise FeatureError("row quantifiers not available in this calculus")
+        _reference_type_features(config, ty.body)
+        return
+    if isinstance(ty, ForallPres):
+        if config.pres_poly != "higher":
+            raise FeatureError("presence quantifiers not available in this calculus")
+        _reference_type_features(config, ty.body)
+        return
+    raise FeatureError(f"unhandled type form {type(ty).__name__}")
+
+
+def _reference_row_features(config, row):
+    if row.tail is not None and config.row_poly != "higher":
+        raise FeatureError("open rows not available in this calculus")
+    for _, pres, ty in row.entries:
+        if not isinstance(pres, Present) and config.pres_poly != "higher":
+            raise FeatureError("presence annotations not available in this calculus")
+        _reference_type_features(config, ty)
+
+
+def _reference_check_gate(config, term):
+    """The refusal the checker's inline gate gave at the root of ``term``."""
+    gates = [
+        (Inject, config.variants, "variant injection"),
+        (Case, config.variants, "case analysis"),
+        (RecordLit, config.records, "record literals"),
+        (Project, config.records, "record projection"),
+        (Upcast, config.subtyping != "none", "upcasts"),
+        (RowAbs, config.row_poly == "higher", "row abstraction"),
+        (RowApp, config.row_poly == "higher", "row application"),
+        (PresAbs, config.pres_poly == "higher", "presence abstraction"),
+        (PresApp, config.pres_poly == "higher", "presence application"),
+        (Let, config.allows_let, "let bindings"),
+        (Lit, config.builtins, "literals"),
+        (Prim, config.builtins, "primitives"),
+    ]
+    for form, present, what in gates:
+        if isinstance(term, form) and not present:
+            return f"{what} not available in this calculus"
+    return None
+
+
+def _reference_infer_gate(config, term):
+    """The refusal inference's inline gates gave at the root of ``term``."""
+    if not config.rank1:
+        return f"calculus {config.name} does not support inference"
+    inferred = (Var, Lam, App, Let, Lit, Prim, RecordLit, Project, Inject, Case)
+    if not isinstance(term, inferred):
+        return f"inference input must not contain {type(term).__name__} nodes"
+    gates = [
+        (Let, config.allows_let, "let bindings"),
+        (Lit, config.builtins, "literals"),
+        (Prim, config.builtins, "primitives"),
+        (RecordLit, config.records, "record literals"),
+        (Project, config.records, "record projection"),
+        (Inject, config.variants, "injection"),
+        (Case, config.variants, "case analysis"),
+    ]
+    for form, present, what in gates:
+        if isinstance(term, form) and not present:
+            return f"{what} not available in this calculus"
+    return None
+
+
+# the one message that changed: inference now says what the checker says
+_RENAMED = {
+    "injection not available in this calculus":
+        "variant injection not available in this calculus",
+}
+
+GATED_TYPES = [
+    "Int", "a0", "[A:Int]", "{A:Int}", "{A:Int; r0}", "{A^o:Int}", "{A^p0:Int}",
+    "Int -> {A:Int}", "forall r0:Row!{}. {A:Int; r0}", "forall p0. {A^p0:Int}",
+]
+ONE = Lit(1)
+REC = RecordLit((("A", ONE),))
+# forms both sides see alike; the checker's terms carry annotations, the
+# inferred ones do not
+_BOTH = [
+    Var("x"), REC, Project(REC, "A"),
+    Upcast(REC, Record(Row((("A", Present(), Base("Int")),)))),
+    RowAbs("r0", KRow(frozenset()), ONE), RowApp(Var("f"), Row((), None)),
+    PresAbs("p0", ONE), PresApp(Var("f"), Present()), M("let x = 1 in x"),
+    ONE, M("1 + 2"),
+]
+CHECKED = _BOTH + [
+    Lam("x", Base("Int"), Var("x")), App(Var("x"), ONE),
+    M("<A 1> : [A:Int]"), M("case <A 1> : [A:Int] {A a -> a}"),
+]
+INFERRED = _BOTH + [
+    M("\\x. x"), M("(\\x. x) 1"), M("<A 1>"), M("case <A 1> {A a -> a}"),
+]
+
+
+def _refusal(run, error):
+    try:
+        run()
+    except error as e:
+        return str(e)
+    return None
+
+
+# every preset, and one without literals, primitives and base types
+@pytest.mark.parametrize(
+    "config",
+    [PRESETS[name] for name in sorted(PRESETS)] + [CalculusConfig("bare", builtins=False)],
+    ids=lambda c: c.name,
+)
+def test_feature_table_refuses_as_the_inline_gates_did(config):
+    for src in GATED_TYPES:
+        ty = T(src)
+        want = _refusal(lambda: _reference_type_features(config, ty), FeatureError)
+        assert _refusal(lambda: check_type_features(config, ty), FeatureError) == want
+    gamma = {"x": Base("Int")}
+    for term in CHECKED:
+        want = _reference_check_gate(config, term)
+        if want is None:
+            refuse_missing(config, term)
+        else:
+            got = _refusal(lambda: type_check(config, {}, gamma, term), FeatureError)
+            assert got == want
+    for term in INFERRED:
+        want = _reference_infer_gate(config, term)
+        got = _refusal(lambda: infer(config, {}, {"x": Base("Int")}, term), InferError)
+        if want is None:
+            assert got is None
+        elif want.startswith("calculus "):
+            assert got == want
+        else:
+            assert got == f"{_RENAMED.get(want, want)} (while typing {show_term(term)})"

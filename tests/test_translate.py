@@ -4,17 +4,26 @@ import pytest
 
 from rowlab.config import preset
 from rowlab.dynamics import RelationSet, erase, normalize, relations_for
+from rowlab.harness import GenSpec, gen_typed_term
+from rowlab.infer import infer
 from rowlab.parser import parse_term_str, parse_type_str
-from rowlab.statics import subtype, type_check
+from rowlab.pretty import show_scheme
+from rowlab.statics import kind_check, subtype, type_check
 from rowlab.syntax import (
     App,
+    Arrow,
+    Base,
     KRow,
     KType,
     Lit,
     NameSupply,
     Present,
+    Record,
+    Row,
     TypeScheme,
+    TyVar,
     alpha_eq,
+    rename_type_name,
     type_equal,
 )
 from rowlab.translate import (
@@ -24,8 +33,6 @@ from rowlab.translate import (
     coerce,
     pres_arity,
     pres_seq,
-    row_seq_a,
-    row_seq_b,
     run_translation,
     strip_upcasts,
     t1,
@@ -379,10 +386,21 @@ def test_trans_b_opens_every_record_with_head_tail_first():
 
 
 def test_row_seq_lengths():
-    assert row_seq_a(T("{Name:String} -> String")) == 1
-    assert row_seq_a(T("Int")) == 0
-    assert row_seq_b(T("{Child:{Name:String}}")) == 2
-    assert row_seq_b(T("({Name:String} -> String) -> Int")) == 0
+    assert len(trans_a(T("{Name:String} -> String")).quants) == 1
+    assert len(trans_a(T("Int")).quants) == 0
+    assert len(trans_b(T("{Child:{Name:String}}")).quants) == 2
+    assert len(trans_b(T("({Name:String} -> String) -> Int")).quants) == 0
+
+
+def test_trans_a_gives_every_tail_its_own_well_kinded_name():
+    # two tails in one field's scheme: renaming a sub-scheme's names one
+    # after another onto a later block would merge them
+    s = trans_a(T("{A:{B:Int} -> Int; C:{X:Int} -> {Y:Int} -> Int}"))
+    kind_check(dict(s.quants), s.body)
+    assert show_scheme(s) == (
+        "forall r0:Row!{B} r1:Row!{X} r2:Row!{Y}. "
+        "{A:{B:Int; r0} -> Int; C:{X:Int; r1} -> {Y:Int; r2} -> Int}"
+    )
 
 
 def test_weak_sub_instance_allows_more_general_principal():
@@ -400,6 +418,16 @@ def test_weak_sub_instance_rejects_wrong_field_type():
     )
     goal = trans_a(T("{Name:String} -> String"))
     assert not weak_sub_instance(principal, goal)
+
+
+def test_weak_sub_instance_weakens_in_result_positions_only():
+    # a domain pins the tail it shares with the result to the empty row
+    principal = TypeScheme(
+        (("r0", KRow(frozenset({"A"}))),), T("{A:Int; r0} -> {A:Int; r0}")
+    )
+    assert weak_sub_instance(principal, TypeScheme((), T("{A:Int} -> {A:Int}")))
+    wider = TypeScheme((), T("{A:Int} -> {A:Int; B:Int}"))
+    assert not weak_sub_instance(principal, wider)
 
 
 def test_weak_sub_instance_literal_match():
@@ -456,3 +484,115 @@ def test_translation_for_refuses_unknown_pairs():
     assert translation_for("var-sub", "var").tid == "var-sub-to-var"
     with pytest.raises(TranslationError):
         translation_for("var-sub", "rec")
+
+
+# the matcher as two mutually recursive functions, before ``weaken`` made
+# them one; kept as the reference the new one must agree with
+
+
+def _reference_weak_sub_instance(principal, goal):
+    body = principal.body
+    flex = set()
+    for i, (name, kind) in enumerate(principal.quants):
+        meta = f"?m{i}"
+        flex.add(meta)
+        body = rename_type_name(body, name, kind, meta)
+
+    subst = {}
+
+    def resolve(ty):
+        while isinstance(ty, TyVar) and ty.name in subst:
+            ty = subst[ty.name]
+        return ty
+
+    def row_parts(row):
+        entries = {l: t for l, _, t in row.entries}
+        tail = row.tail
+        while tail is not None and tail in subst:
+            rep = subst[tail]
+            for l, _, t in rep.entries:
+                entries[l] = t
+            tail = rep.tail
+        return entries, tail
+
+    def unify(a, b):
+        a, b = resolve(a), resolve(b)
+        if isinstance(a, TyVar) and a.name in flex:
+            subst[a.name] = b
+            return True
+        if isinstance(a, (TyVar, Base)):
+            return a == b
+        if isinstance(a, Arrow) and isinstance(b, Arrow):
+            return unify(a.dom, b.dom) and unify(a.cod, b.cod)
+        if isinstance(a, Record) and isinstance(b, Record):
+            ea, ta = row_parts(a.row)
+            eb, tb = row_parts(b.row)
+            if set(ea) != set(eb):
+                missing = {l: eb[l] for l in set(eb) - set(ea)}
+                if missing and ta in flex and not (set(ea) - set(eb)):
+                    subst[ta] = Row(
+                        tuple((l, Present(), t) for l, t in sorted(missing.items())),
+                        tb,
+                    )
+                    return all(unify(ea[l], eb[l]) for l in ea)
+                return False
+            if ta in flex:
+                subst[ta] = Row((), tb)
+                return all(unify(ea[l], eb[l]) for l in ea)
+            if ta != tb:
+                return False
+            return all(unify(ea[l], eb[l]) for l in ea)
+        return False
+
+    def match(a, b):
+        a, b = resolve(a), resolve(b)
+        if isinstance(a, TyVar) and a.name in flex:
+            subst[a.name] = b
+            return True
+        if isinstance(a, (TyVar, Base)):
+            return a == b
+        if isinstance(a, Arrow) and isinstance(b, Arrow):
+            return unify(a.dom, b.dom) and match(a.cod, b.cod)
+        if isinstance(a, Record) and isinstance(b, Record):
+            ea, ta = row_parts(a.row)
+            eb, tb = row_parts(b.row)
+            if tb is not None:
+                return unify(a, b)
+            if set(ea) != set(eb):
+                if ta in flex and not (set(ea) - set(eb)):
+                    missing = {l: eb[l] for l in set(eb) - set(ea)}
+                    subst[ta] = Row(
+                        tuple((l, Present(), t) for l, t in sorted(missing.items())),
+                        None,
+                    )
+                    return all(match(ea[l], eb[l]) for l in ea)
+                return False
+            return all(match(ea[l], eb[l]) for l in ea)
+        return False
+
+    return match(body, goal.body)
+
+
+def test_weak_matcher_agrees_with_the_reference_on_generated_pairs():
+    # principals: the inferred schemes of erased rank-2 terms and both scheme
+    # translations of their types; bounds: both translations of every type
+    # (trans_b's leave open tails in result positions), so most pairs come
+    # from different terms and do not match
+    principals, bounds = [], []
+    for size in (8, 12):
+        spec = GenSpec(preset("rec-sub-full-rank2"), max_size=size, seed=5)
+        for i in range(20):
+            _, d = gen_typed_term(spec, i)
+            schemes = [trans_a(d.type), trans_b(d.type)]
+            bounds += schemes
+            bare = erase(d.term)
+            principals += schemes
+            principals.append(infer(preset("rec-row1"), d.delta, d.gamma, bare))
+    verdicts = []
+    for p in principals:
+        for b in bounds:
+            verdicts.append(weak_sub_instance(p, b))
+            assert verdicts[-1] == _reference_weak_sub_instance(p, b), (
+                show_scheme(p), show_scheme(b)
+            )
+    assert 0 < sum(verdicts) < len(verdicts) // 2
