@@ -70,10 +70,10 @@ from .syntax import (
     Var,
     Variant,
     alpha_eq,
-    children,
     same_data,
     subst_term,
     subst_type_in_term,
+    term_size,  # kept here too: bench/budget.py sizes terms through harness
     type_equal,
 )
 from .translate import (
@@ -126,13 +126,6 @@ _DEFAULT_WEIGHTS = {
     "project": 1.2,
     "upcast": 3.0,
 }
-
-
-def term_size(term: Term) -> int:
-    size = 1
-    for _, child, _ in children(term):
-        size += term_size(child)
-    return size
 
 
 class _Gen:

@@ -16,7 +16,15 @@ Structure:
 - capture-avoiding substitution at the term and type level
 - canonical row normalization, the row domain, alpha equivalence
 - canonical type keys (``type_key``), which type and scheme equality and the
-  annotations of alpha equivalence compare; frozen nodes keep their keys
+  annotations of alpha equivalence compare
+
+Frozen nodes keep facts computed once from their parts' copies: a type or
+row its key ``_key`` and printed text ``_text`` (``pretty.show_type``), a
+term its tree size ``_size`` (``term_size``), and a term, type or row the
+set ``_names`` of every type-level name it mentions (``type_level_names``),
+which lets ``subst_type_in_term`` return untouched subterms without a walk.
+They are stored with ``object.__setattr__``, outside the dataclass fields,
+and read with ``getattr(node, name, None)``, never through ``__dict__``.
 
 Rows are stored in source order; comparisons normalize. Names are plain
 strings; fresh names come from a NameSupply and look like "x$3".
@@ -430,6 +438,111 @@ def same_data(shape: Shape, m: Term, n: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# kept facts (see the module docstring): outside the dataclass fields they
+# never join ==, hash or repr, and a node made anew (by rebuild or
+# dataclasses.replace) starts without them; reading them through __dict__
+# would make every attribute read of the node slower
+
+
+_PRESENCE_FORMS = (Absent, Present, PresVar)
+_NO_NAMES: frozenset[str] = frozenset()
+
+# the parts of a type or row whose names it mentions, and the names it
+# mentions itself
+_TYPE_NAMES: dict[type, Callable[[Any], tuple[list, list[str]]]] = {
+    TyVar: lambda t: ([], [t.name]),
+    Base: lambda t: ([], []),
+    Arrow: lambda t: ([t.dom, t.cod], []),
+    Variant: lambda t: ([t.row], []),
+    Record: lambda t: ([t.row], []),
+    ForallRow: lambda t: ([t.body], [t.var]),
+    ForallPres: lambda t: ([t.body], [t.var]),
+    Row: lambda r: (
+        [t for _, _, t in r.entries],
+        ([] if r.tail is None else [r.tail])
+        + [p.name for _, p, _ in r.entries if type(p) is PresVar],
+    ),
+}
+
+
+def _keep(top, attr: str, visit: Callable):
+    """``top``'s kept fact ``attr``, computed first for every node under it
+    that has none.  ``visit(node, stack)`` pushes onto ``stack`` the parts of
+    ``node`` that have no fact yet; when it pushes none, what it returns is
+    the node's fact, made from its parts' facts (a node is never its own
+    part).  The walk keeps an explicit stack, so a term of any depth is
+    fine."""
+    stack = [top]
+    while stack:
+        node = stack[-1]
+        fact = visit(node, stack)
+        if stack[-1] is node:  # it pushed no part
+            object.__setattr__(node, attr, fact)
+            stack.pop()
+    return getattr(top, attr)
+
+
+def _visit_size(term: Term, stack: list) -> int:
+    size = 1
+    for _, child, _ in SHAPES[type(term)].children(term):
+        kept = getattr(child, "_size", None)
+        if kept is None:
+            stack.append(child)
+        else:
+            size += kept
+    return size
+
+
+def term_size(term: Term) -> int:
+    """The number of nodes of the term as a tree, kept on each node as
+    ``_size``: after the first call on a term, a read of one attribute.
+
+    The facts a frozen node keeps are ``_key`` and ``_text`` (types and
+    rows: ``type_key`` and ``pretty.show_type``), ``_size`` (terms) and
+    ``_names`` (terms, types and rows: ``type_level_names``).  They are read
+    with ``getattr``, never through ``__dict__``."""
+    size = getattr(term, "_size", None)
+    return _keep(term, "_size", _visit_size) if size is None else size
+
+
+def _visit_names(node, stack: list) -> frozenset[str]:
+    shape = SHAPES.get(type(node))
+    if shape is None:
+        parts, own = _TYPE_NAMES[type(node)](node)
+    else:
+        # a term: its children, its type-level parts and its type binder
+        parts = [child for _, child, _ in shape.children(node)]
+        own = [node.var] if shape.tybinder else []
+        for name in shape.types:
+            part = getattr(node, name)
+            if type(part) is PresVar:
+                own.append(part.name)
+            elif part is not None and type(part) not in _PRESENCE_FORMS:
+                parts.append(part)
+    names = _NO_NAMES
+    for part in parts:
+        kept = getattr(part, "_names", None)
+        if kept is None:
+            stack.append(part)
+        elif not kept <= names:  # reuse a part's set where it holds them all
+            names = names | kept if names else kept
+    return names.union(own) if own and not names.issuperset(own) else names
+
+
+def type_level_names(x: Term | Type | Row | Presence) -> frozenset[str]:
+    """Every type-level name that a term, type, row or presence mentions,
+    bound or free: type variables, row tails, presence variables, the names
+    quantifiers and type abstractions bind, and those in a term's
+    annotations, cast targets and row and presence arguments.  Terms, types
+    and rows keep it as ``_names`` (see ``term_size``); a presence's is read
+    off it."""
+    if isinstance(x, _PRESENCE_FORMS):
+        return frozenset((x.name,)) if type(x) is PresVar else _NO_NAMES
+    names = getattr(x, "_names", None)
+    return _keep(x, "_names", _visit_names) if names is None else names
+
+
+# ---------------------------------------------------------------------------
 # binder environments: a comparison of two terms up to renaming maps each
 # binder on the left to its partner on the right and back, so a free name on
 # one side never matches a bound name on the other
@@ -555,21 +668,6 @@ def row_use_lacks(name: str, ty: Type) -> frozenset[str] | None:
     return None
 
 
-def _bound_type_names(ty: Type) -> set[str]:
-    if isinstance(ty, (TyVar, Base)):
-        return set()
-    if isinstance(ty, Arrow):
-        return _bound_type_names(ty.dom) | _bound_type_names(ty.cod)
-    if isinstance(ty, (Variant, Record)):
-        out: set[str] = set()
-        for _, _, t in ty.row.entries:
-            out |= _bound_type_names(t)
-        return out
-    if isinstance(ty, (ForallRow, ForallPres)):
-        return {ty.var} | _bound_type_names(ty.body)
-    raise TypeError(f"not a type: {ty!r}")
-
-
 # ---------------------------------------------------------------------------
 # substitution
 
@@ -632,7 +730,7 @@ def _arg_names(arg: Row | Presence) -> set[str]:
 
 def _subst_type(ty: Type, arg: Row | Presence, var: str, arg_names: set[str]) -> Type:
     def fresh_against(binder: str, body: Type) -> str:
-        taken = arg_names | {var} | set(free_type_names(body)) | _bound_type_names(body)
+        taken = arg_names | {var} | type_level_names(body)
         base = binder.split("$", 1)[0] or "r"
         n = 0
         while f"{base}${n}" in taken:
@@ -717,26 +815,30 @@ def rename_type_name(ty: Type, old: str, kind: Kind, new: str) -> Type:
 
 def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
     """Substitute a type-level name throughout a term's annotations and
-    arguments; unchanged subterms and types come back as the same objects."""
+    arguments; unchanged subterms and types come back as the same objects.
+    A subterm or type part whose kept names (``type_level_names``) do not
+    include ``var`` is returned as it is, without a walk."""
+    if var not in type_level_names(term):
+        return term
     arg_names = _arg_names(arg)
     done: dict[int, tuple] = {}  # id -> (part, its image): parts are shared
 
     def go_part(part):
+        if isinstance(part, _PRESENCE_FORMS):
+            hit = type(part) is PresVar and part.name == var
+            return arg if hit and not isinstance(arg, Row) else part
+        if part is None or var not in part._names:
+            return part
         hit = done.get(id(part))
         if hit is None:
             hit = done[id(part)] = (part, subst_part(part))
         return hit[1]
 
     def subst_part(part):
-        if part is None:
-            return None
         if isinstance(part, Row):
             record = Record(part)
             new = _subst_type(record, arg, var, arg_names)
             return part if new is record else new.row
-        if isinstance(part, (Absent, Present, PresVar)):
-            hit = isinstance(part, PresVar) and part.name == var
-            return arg if hit and not isinstance(arg, Row) else part
         return _subst_type(part, arg, var, arg_names)
 
     def go(sub: Term) -> Term:
@@ -746,7 +848,7 @@ def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
         kids: list[Term] = []
         same = True
         for _, child, _ in shape.children(sub):
-            new = go(child)
+            new = go(child) if var in child._names else child
             same = same and new is child
             kids.append(new)
         if same and all(

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rowlab.config import PRESETS, preset
+from rowlab.dynamics import RelationSet, step_all
 from rowlab.harness import GenError, GenSpec, _Gen, gen_typed_term, term_size
 from rowlab.pretty import show_kind, show_presence, show_type
 from rowlab.syntax import (
@@ -37,6 +38,7 @@ from rowlab.syntax import (
     PresApp,
     PresVar,
     Present,
+    Prim,
     Project,
     Record,
     RecordLit,
@@ -68,6 +70,7 @@ from rowlab.syntax import (
     term_names,
     type_equal,
     type_key,
+    type_level_names,
     variant,
 )
 from rowlab.translate import TRANSLATIONS, run_translation
@@ -1285,3 +1288,147 @@ def test_show_type_refuses_what_is_not_a_type():
     for junk in (None, row, Var("x"), Present()):
         with pytest.raises(TypeError):
             show_type(junk)
+
+
+# ---------------------------------------------------------------------------
+# facts kept on term nodes: the tree size and the type-level names, checked
+# against walks that keep nothing
+
+
+def _reference_size(term):
+    return 1 + sum(_reference_size(child) for _, child, _ in children(term))
+
+
+def _reference_names(x):
+    """Every type-level name in ``x``, read off its dataclass fields rather
+    than the shape table."""
+    if isinstance(x, tuple):
+        return set().union(*map(_reference_names, x))
+    if not dataclasses.is_dataclass(x) or isinstance(x, (KType, KRow, KPre)):
+        return set()
+    if isinstance(x, (TyVar, PresVar)):
+        return {x.name}
+    out = set()
+    if isinstance(x, (ForallRow, ForallPres, RowAbs, PresAbs)):
+        out.add(x.var)
+    if isinstance(x, Row) and x.tail is not None:
+        out.add(x.tail)
+    for f in dataclasses.fields(x):
+        out |= _reference_names(getattr(x, f.name))
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _terms_and_reducts():
+    """The generated terms and, for each of at most 500 nodes, its one-step
+    reducts under the cast and type-application rules, whose new nodes
+    substitution and rebuilding made."""
+    rules = [
+        RelationSet(upcast=True, nested=True, type_redex=True),
+        RelationSet(full_upcast=True, nested=True, type_redex=True),
+    ]
+    out = []
+    for m in _generated_term_list():
+        out.append(m)
+        for rels in rules if term_size(m) <= 500 else []:
+            out += [step.term for step in step_all(m, rels)]
+    return out
+
+
+def test_kept_size_and_names_equal_the_reference_walks():
+    generated = set(map(id, _generated_term_list()))
+    reducts = 0
+    for m in _terms_and_reducts():
+        cold = _fresh(m)
+        before = hash(cold), repr(cold)
+        assert getattr(cold, "_size", None) is None
+        assert term_size(cold) == _reference_size(m)
+        assert type_level_names(cold) == _reference_names(m)
+        # warm: the same kept objects come back, and nothing else moved
+        assert term_size(m) == term_size(m) == _reference_size(m)
+        assert type_level_names(m) is type_level_names(m)
+        assert type_level_names(m) == _reference_names(m)
+        assert cold == m and (hash(cold), repr(cold)) == before
+        for sub in _subterms(m) if term_size(m) <= 500 else []:
+            assert sub._size == _reference_size(sub)
+            assert sub._names == _reference_names(sub)
+            for name in SHAPES[type(sub)].types:
+                part = getattr(sub, name)
+                if part is not None:
+                    assert type_level_names(part) == _reference_names(part)
+        reducts += id(m) not in generated
+    assert reducts > 100
+
+
+def test_kept_names_cover_binders_tails_and_presence_variables():
+    r0 = KRow(frozenset())
+    assert type_level_names(RowAbs("r", r0, Lit(1))) == {"r"}
+    assert type_level_names(PresAbs("p", Var("x"))) == {"p"}
+    assert type_level_names(ForallRow("r", r0, INT)) == {"r"}
+    row = Row((("A", PresVar("p"), INT), ("B", Absent(), A0)), "r")
+    assert type_level_names(row) == {"p", "a0", "r"}
+    assert type_level_names(Record(row)) == {"p", "a0", "r"}
+    assert type_level_names(RowApp(Var("x"), row)) == {"p", "a0", "r"}
+    assert type_level_names(PresApp(Var("x"), PresVar("q"))) == {"q"}
+    assert type_level_names(Upcast(Lam("x", A0, Var("x")), Record(Row((), "s")))) == {
+        "a0",
+        "s",
+    }
+    assert type_level_names(Absent()) == set()
+
+
+def test_new_nodes_start_without_kept_facts():
+    changed = 0
+    for m in _generated_term_list():
+        for sub in _subterms(m) if term_size(m) <= 500 else []:
+            term_size(sub), type_level_names(sub)
+            kids = [Lit(7) for _ in children(sub)]
+            if kids:
+                new = rebuild(sub, kids)
+                assert getattr(new, "_size", None) is None
+                assert term_size(new) == 1 + len(kids)
+                assert type_level_names(new) == _reference_names(new)
+            for name in SHAPES[type(sub)].types:
+                if getattr(sub, name) is None or isinstance(sub, PresApp):
+                    continue
+                part = Record(Row((), "fresh")) if name != "row" else Row((), "fresh")
+                new = dataclasses.replace(sub, **{name: part})
+                assert getattr(new, "_names", None) is None
+                assert "fresh" in type_level_names(new)
+                assert type_level_names(new) == _reference_names(new)
+                changed += 1
+    assert changed > 50
+
+
+def test_deep_terms_are_sized_and_skipped_without_recursion():
+    chain = Lit(0)
+    for i in range(1, 100_000):
+        chain = Prim("+", (chain, Lit(i)))
+    assert term_size(chain) == 199_999
+    assert subst_type_in_term(chain, Row((), "s"), "r") is chain
+
+
+def test_type_substitution_enters_only_the_paths_to_the_name(monkeypatch):
+    untouched = Prim("+", (App(Lam("y", INT, Var("y")), Lit(1)), Lit(2)))
+    hit = Lam("x", Record(Row((), "r")), Var("x"))
+    inner = App(untouched, hit)
+    t = App(inner, Upcast(Var("z"), Arrow(INT, INT)))
+    cases = list(_type_subst_cases())
+    for body in [t] + [body for body, _, _ in cases]:
+        type_level_names(body)  # the kept sets are what the walk prunes by
+    entered = []
+    for cls, shape in list(SHAPES.items()):
+        counted = lambda node, real=shape.children: entered.append(node) or real(node)
+        monkeypatch.setitem(SHAPES, cls, dataclasses.replace(shape, children=counted))
+    out = subst_type_in_term(t, closed_row(("B", STR)), "r")
+    assert len(entered) == 3
+    assert all(a is b for a, b in zip(entered, [t, inner, hit]))
+    assert out.fn.fn is untouched and out.arg is t.arg and out.fn.arg.body is hit.body
+    assert out.fn.arg.annot == record(("B", STR))
+    walked = 0
+    for body, arg, var in cases:
+        entered.clear()
+        subst_type_in_term(body, arg, var)
+        assert all(var in type_level_names(node) for node in entered), (body, var)
+        walked += len(entered)
+    assert walked > 100
