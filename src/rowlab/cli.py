@@ -203,15 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("erase", help="strip casts, annotations, and type operators")
-    p.add_argument("--json", action="store_true", help="structured output")
-    p.add_argument("file")
+    with_common(p, calculus=False)
     p.set_defaults(fn=_cmd_erase)
 
     p = sub.add_parser("translate", help="translate a term between calculi")
     p.add_argument("--from", dest="source", required=True, metavar="ID")
     p.add_argument("--to", dest="target", required=True, metavar="ID")
-    p.add_argument("--json", action="store_true", help="structured output")
-    p.add_argument("file")
+    with_common(p, calculus=False)
     p.set_defaults(fn=_cmd_translate)
 
     p = sub.add_parser("verify", help="run generated-term property checks")

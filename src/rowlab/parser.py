@@ -7,17 +7,20 @@ Terms:   \\x:A. M, M N, <l M> : T, case M { l x -> N; ... },
          M @@ [R], /\\p0. M, M @ o, M @ *, M @ p0, let x = M in N,
          integer and string literals, M - N, M + N, M ++ N
 
-`--` starts a line comment. Files may open with `-- env: name : sig` headers
-declaring type-level names (sig = Type, Row!{...}, Pre) or term variables
-(sig = a type). Quantifier binders may omit their kind; it is recovered from
-how the name is used in the body (row tail vs presence position).
+Tokens come from one pattern (``_TOKEN``).  `--` starts a line comment.
+Files may open with `-- env: name : sig` headers declaring type-level names
+(sig = Type, Row!{...}, Pre) or term variables (sig = a type); the
+tokenizer skips them as the comments they are, and ``parse_file_str`` reads
+them line by line.  Quantifier binders may omit their kind; it is recovered
+from how the name is used in the body (row tail vs presence position).
 
 In presence positions the identifier `o` means absent and `*` means present.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import Any, Callable, NamedTuple
 
 from .syntax import (
     SHAPES,
@@ -66,8 +69,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | string | sym | eof
     text: str
     line: int
@@ -80,68 +82,39 @@ SYMBOLS = [
     "]", "<", ">", "(", ")", "\\", "=", "@", "*", "+", "-",
 ]
 
+# One alternative per token kind, tried in order: a comment before the
+# symbols so that `--` and `-->` stay comments, and the symbols in SYMBOLS
+# order so that two-character symbols win.  A string may span lines; only
+# newlines outside strings start a new line for positions.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>--[^\n]*)"
+    r'|(?P<string>"[^"\\]*(?:\\[\s\S][^"\\]*)*")'
+    r"|(?P<int>\d+)|(?P<ident>[^\W\d][\w'$]*)"
+    r"|(?P<sym>" + "|".join(map(re.escape, SYMBOLS)) + ")"
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t"}
+
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, col)
-            tokens.append(Token("string", "".join(buf), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'$"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            ch = text[pos]
+            message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+            raise ParseError(message, line, pos - line_start + 1)
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "string":
+            body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m[0][1:-1])
+            tokens.append(Token(kind, body, line, pos - line_start + 1))
+        elif kind != "space" and kind != "comment":
+            tokens.append(Token(kind, m[0], line, pos - line_start + 1))
+        pos = m.end()
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -152,39 +125,35 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
+        """The next token, which its caller has checked is not the end."""
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def at(self, text: str) -> bool:
+        """Whether the next token is this symbol or word (never a string
+        literal that spells it); no symbol is spelled like a word."""
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        return tok.text == text and tok.kind != "string"
+
+    def accept(self, text: str) -> bool:
+        if self.at(text):
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
-
-    def at_word(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == text
-
-    def eat_sym(self, text: str) -> Token:
-        if not self.at_sym(text):
-            tok = self.peek()
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return self.next()
-
-    def eat_word(self, text: str) -> Token:
-        if not self.at_word(text):
-            tok = self.peek()
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+    def eat(self, text: str) -> Token:
+        if not self.at(text):
+            self.fail(f"expected {text!r}, found {self.peek().text or 'end of input'!r}")
         return self.next()
 
     def eat_ident(self) -> str:
         tok = self.peek()
         if tok.kind != "ident" or tok.text in KEYWORDS:
-            raise ParseError(f"expected identifier, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+            self.fail(f"expected identifier, found {tok.text or 'end of input'!r}")
         return self.next().text
 
     def fail(self, message: str):
@@ -194,164 +163,123 @@ class Parser:
     # -- kinds -------------------------------------------------------------
 
     def parse_kind(self) -> Kind:
-        if self.at_word("Row"):
-            self.next()
-            self.eat_sym("!")
-            self.eat_sym("{")
+        if self.accept("Row"):
+            self.eat("!")
+            self.eat("{")
             labels: set[str] = set()
-            if not self.at_sym("}"):
+            if not self.at("}"):
                 labels.add(self.eat_ident())
-                while self.at_sym(","):
-                    self.next()
+                while self.accept(","):
                     labels.add(self.eat_ident())
-            self.eat_sym("}")
+            self.eat("}")
             return KRow(frozenset(labels))
-        if self.at_word("Pre"):
-            self.next()
+        if self.accept("Pre"):
             return KPre()
-        if self.at_word("Type"):
-            self.next()
+        if self.accept("Type"):
             return KType()
         self.fail("expected a kind (Type, Row!{...}, Pre)")
+
+    def parse_binder(self) -> tuple[Token, Kind | None]:
+        """A type-level binder ``name`` or ``name:kind``: its name token (for
+        the position of a kind error) and its kind, if written."""
+        tok = self.peek()
+        self.eat_ident()
+        return tok, self.parse_kind() if self.accept(":") else None
 
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> Type:
-        if self.at_word("forall"):
-            self.next()
-            binders: list[tuple[str, Kind | None]] = []
-            while not self.at_sym("."):
-                name = self.eat_ident()
-                kind: Kind | None = None
-                if self.at_sym(":"):
-                    self.next()
-                    kind = self.parse_kind()
-                binders.append((name, kind))
-            self.eat_sym(".")
+        if self.accept("forall"):
+            binders: list[tuple[Token, Kind | None]] = []
+            while not self.at("."):
+                binders.append(self.parse_binder())
+            self.eat(".")
             body = self.parse_type()
-            for name, kind in reversed(binders):
-                body = _quantify(name, kind, body)
+            for binder, kind in reversed(binders):
+                body = _bind_type_name(binder, kind, body)
             return body
-        return self.parse_arrow()
-
-    def parse_arrow(self) -> Type:
         left = self.parse_atom_type()
-        if self.at_sym("->"):
-            self.next()
-            return Arrow(left, self.parse_type())
-        return left
+        return Arrow(left, self.parse_type()) if self.accept("->") else left
 
     def parse_atom_type(self) -> Type:
-        if self.at_sym("("):
-            self.next()
+        if self.accept("("):
             ty = self.parse_type()
-            self.eat_sym(")")
+            self.eat(")")
             return ty
-        if self.at_sym("["):
-            self.next()
-            row = self.parse_row("]")
-            self.eat_sym("]")
-            return Variant(row)
-        if self.at_sym("{"):
-            self.next()
-            row = self.parse_row("}")
-            self.eat_sym("}")
-            return Record(row)
+        if self.accept("["):
+            return Variant(self.parse_row("]"))
+        if self.accept("{"):
+            return Record(self.parse_row("}"))
         tok = self.peek()
         if tok.kind == "ident" and tok.text not in KEYWORDS:
-            name = self.next().text
-            if name in ("Int", "String"):
-                return Base(name)
-            return TyVar(name)
+            self.next()
+            return Base(tok.text) if tok.text in ("Int", "String") else TyVar(tok.text)
         self.fail("expected a type")
 
     def parse_row(self, closer: str) -> Row:
+        """The entries and tail of a row, through its closing bracket."""
         entries: list[tuple[str, Presence, Type]] = []
         tail: str | None = None
-        while not self.at_sym(closer):
+        while not self.accept(closer):
             if tail is not None:
                 self.fail("row tail must come last")
             name = self.eat_ident()
-            if self.at_sym("^") or self.at_sym(":"):
-                pres: Presence = Present()
-                if self.at_sym("^"):
-                    self.next()
-                    pres = self.parse_presence()
-                self.eat_sym(":")
+            if self.at("^") or self.at(":"):
+                pres = self.parse_presence() if self.accept("^") else Present()
+                self.eat(":")
                 entries.append((name, pres, self.parse_type()))
             else:
                 tail = name
-            if self.at_sym(";"):
-                self.next()
-            elif not self.at_sym(closer):
+            if not self.accept(";") and not self.at(closer):
                 self.fail(f"expected ';' or {closer!r} in row")
         return Row(tuple(entries), tail)
 
     def parse_presence(self) -> Presence:
-        if self.at_sym("*"):
-            self.next()
+        if self.accept("*"):
             return Present()
         tok = self.peek()
         if tok.kind == "ident":
-            name = self.next().text
-            return Absent() if name == "o" else PresVar(name)
+            self.next()
+            return Absent() if tok.text == "o" else PresVar(tok.text)
         self.fail("expected a presence (o, *, or a variable)")
 
     # -- terms -------------------------------------------------------------
 
     def parse_term(self, brace_stop: bool = False) -> Term:
-        if self.at_sym("\\"):
-            self.next()
+        if self.accept("\\"):
             var = self.eat_ident()
-            annot: Type | None = None
-            if self.at_sym(":"):
-                self.next()
-                annot = self.parse_type()
-            self.eat_sym(".")
+            annot = self.parse_type() if self.accept(":") else None
+            self.eat(".")
             return Lam(var, annot, self.parse_term())
-        if self.at_sym("/\\"):
-            self.next()
+        if self.accept("/\\"):
+            binder, kind = self.parse_binder()
+            self.eat(".")
+            return _bind_type_name(binder, kind, self.parse_term())
+        if self.accept("let"):
             var = self.eat_ident()
-            kind: Kind | None = None
-            if self.at_sym(":"):
-                self.next()
-                kind = self.parse_kind()
-            self.eat_sym(".")
-            body = self.parse_term()
-            return _type_abstract(var, kind, body)
-        if self.at_word("let"):
-            self.next()
-            var = self.eat_ident()
-            self.eat_sym("=")
+            self.eat("=")
             bound = self.parse_term()
-            self.eat_word("in")
+            self.eat("in")
             return Let(var, bound, self.parse_term())
-        if self.at_word("case"):
-            self.next()
+        if self.accept("case"):
             scrutinee = self.parse_term(brace_stop=True)
-            self.eat_sym("{")
+            self.eat("{")
             branches: list[tuple[str, str, Term]] = []
-            while not self.at_sym("}"):
+            while not self.accept("}"):
                 label = self.eat_ident()
                 binder = self.eat_ident()
-                self.eat_sym("->")
+                self.eat("->")
                 branches.append((label, binder, self.parse_term()))
-                if self.at_sym(";"):
-                    self.next()
-            self.eat_sym("}")
+                self.accept(";")
             return Case(scrutinee, tuple(branches))
-        return self.parse_cast(brace_stop)
-
-    def parse_cast(self, brace_stop: bool) -> Term:
         term = self.parse_additive(brace_stop)
-        while self.at_sym(":>"):
-            self.next()
+        while self.accept(":>"):
             term = Upcast(term, self.parse_type())
         return term
 
     def parse_additive(self, brace_stop: bool) -> Term:
         term = self.parse_app(brace_stop)
-        while self.at_sym("-") or self.at_sym("+") or self.at_sym("++"):
+        while self.at("-") or self.at("+") or self.at("++"):
             op = self.next().text
             term = Prim(op, (term, self.parse_app(brace_stop)))
         return term
@@ -364,29 +292,21 @@ class Parser:
 
     def starts_atom(self, brace_stop: bool) -> bool:
         tok = self.peek()
-        if tok.kind in ("int", "string"):
-            return True
         if tok.kind == "ident":
-            return tok.text not in KEYWORDS and tok.text != "in"
+            return tok.text not in KEYWORDS
         if tok.kind == "sym":
-            if tok.text == "{":
-                return not brace_stop
-            return tok.text in ("(", "<")
-        return False
+            return tok.text in ("(", "<") or (tok.text == "{" and not brace_stop)
+        return tok.kind in ("int", "string")
 
     def parse_postfix(self, brace_stop: bool) -> Term:
         term = self.parse_atom(brace_stop)
         while True:
-            if self.at_sym("."):
-                self.next()
+            if self.accept("."):
                 term = Project(term, self.eat_ident())
-            elif self.at_sym("@") or self.at_sym("@@"):
+            elif self.at("@") or self.at("@@"):
                 origin = "upcast" if self.next().text == "@@" else "source"
-                if self.at_sym("["):
-                    self.next()
-                    row = self.parse_row("]")
-                    self.eat_sym("]")
-                    term = RowApp(term, row, origin)
+                if self.accept("["):
+                    term = RowApp(term, self.parse_row("]"), origin)
                 else:
                     term = PresApp(term, self.parse_presence(), origin)
             else:
@@ -395,41 +315,31 @@ class Parser:
     def parse_atom(self, brace_stop: bool) -> Term:
         tok = self.peek()
         if tok.kind == "int":
-            return Lit(int(self.next().text))
+            self.next()
+            return Lit(int(tok.text))
         if tok.kind == "string":
-            return Lit(self.next().text)
-        if self.at_sym("("):
             self.next()
+            return Lit(tok.text)
+        if self.accept("("):
             term = self.parse_term()
-            self.eat_sym(")")
+            self.eat(")")
             return term
-        if self.at_sym("<"):
-            self.next()
+        if self.accept("<"):
             label = self.eat_ident()
             payload = self.parse_term()
-            self.eat_sym(">")
-            annot = None
-            if self.at_sym(":"):
-                self.next()
-                annot = self.parse_type()
-            return Inject(label, payload, annot)
-        if self.at_sym("{"):
-            self.next()
+            self.eat(">")
+            return Inject(label, payload, self.parse_type() if self.accept(":") else None)
+        if self.accept("{"):
             fields: list[tuple[str, Term]] = []
-            while not self.at_sym("}"):
+            while not self.accept("}"):
                 label = self.eat_ident()
-                self.eat_sym("=")
+                self.eat("=")
                 fields.append((label, self.parse_term()))
-                if self.at_sym(","):
-                    self.next()
-            self.eat_sym("}")
-            annot = None
-            if self.at_sym(":"):
-                self.next()
-                annot = self.parse_type()
-            return RecordLit(tuple(fields), annot)
+                self.accept(",")
+            return RecordLit(tuple(fields), self.parse_type() if self.accept(":") else None)
         if tok.kind == "ident" and tok.text not in KEYWORDS:
-            return Var(self.next().text)
+            self.next()
+            return Var(tok.text)
         self.fail("expected a term")
 
 
@@ -437,24 +347,18 @@ class Parser:
 # binder-kind recovery for omitted annotations
 
 
-def _quantify(name: str, kind: Kind | None, body: Type) -> Type:
+def _bind_type_name(binder: Token, kind: Kind | None, body: Type | Term) -> Type | Term:
+    """Quantify a type, or abstract a term, over the binder's row or presence
+    name; an omitted kind is recovered from the body."""
+    name = binder.text
+    term = type(body) in SHAPES
     if kind is None:
-        kind = _infer_binder_kind(name, body)
+        kind = _infer_binder_kind_term(name, body) if term else _infer_binder_kind(name, body)
     if isinstance(kind, KRow):
-        return ForallRow(name, kind, body)
+        return RowAbs(name, kind, body) if term else ForallRow(name, kind, body)
     if isinstance(kind, KPre):
-        return ForallPres(name, body)
-    raise ParseError(f"binder {name} cannot have kind Type", 0, 0)
-
-
-def _type_abstract(var: str, kind: Kind | None, body: Term) -> Term:
-    if kind is None:
-        kind = _infer_binder_kind_term(var, body)
-    if isinstance(kind, KRow):
-        return RowAbs(var, kind, body)
-    if isinstance(kind, KPre):
-        return PresAbs(var, body)
-    raise ParseError(f"binder {var} cannot have kind Type", 0, 0)
+        return PresAbs(name, body) if term else ForallPres(name, body)
+    raise ParseError(f"binder {name} cannot have kind Type", binder.line, binder.col)
 
 
 def _infer_binder_kind(name: str, body: Type) -> Kind:
@@ -492,52 +396,45 @@ def _infer_binder_kind_term(var: str, body: Term) -> Kind:
 # ---------------------------------------------------------------------------
 # entry points
 
-
-def parse_type_str(text: str) -> Type:
+def _parse_all(text: str, method: Callable[[Parser], Any]) -> Any:
+    """``method`` run on a parser over ``text``, which it must read to the end."""
     parser = Parser(text)
-    ty = parser.parse_type()
+    out = method(parser)
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return ty
+    return out
+
+
+def parse_type_str(text: str) -> Type:
+    return _parse_all(text, Parser.parse_type)
 
 
 def parse_term_str(text: str) -> Term:
-    parser = Parser(text)
-    term = parser.parse_term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return term
+    return _parse_all(text, Parser.parse_term)
 
 
 def parse_file_str(text: str) -> tuple[dict[str, Kind], dict[str, Type], Term]:
-    """Parse a corpus file: optional `-- env:` headers, then one term."""
+    """Parse a corpus file: optional `-- env:` headers, then one term.  The
+    headers are comments to the term, which is parsed from ``text`` as is."""
     delta: dict[str, Kind] = {}
     gamma: dict[str, Type] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line.startswith("-- env:"):
             continue
-        decl = line[len("-- env:"):].strip()
-        name, _, sig = decl.partition(":")
-        name = name.strip()
-        sig = sig.strip()
+        name, _, sig = line[len("-- env:"):].partition(":")
+        name, sig = name.strip(), sig.strip()
         if not name or not sig:
             raise ParseError(f"malformed env header {raw!r}", 1, 1)
-        if sig == "Type":
-            delta[name] = KType()
-        elif sig == "Pre":
-            delta[name] = KPre()
-        elif sig.startswith("Row"):
-            parser = Parser(sig)
-            delta[name] = parser.parse_kind()
+        if sig in ("Type", "Pre") or sig.startswith("Row"):
+            delta[name] = Parser(sig).parse_kind()
         else:
             gamma[name] = parse_type_str(sig)
-    body = "\n".join(
-        line if not line.strip().startswith("-- env:") else "" for line in text.splitlines()
-    )
-    stripped = body.strip()
-    if not stripped or all(l.strip().startswith("--") or not l.strip() for l in body.splitlines()):
-        raise ParseError("empty input", 1, 1)
-    return delta, gamma, parse_term_str(body)
+
+    def term(parser: Parser) -> Term:
+        if parser.peek().kind == "eof":
+            raise ParseError("empty input", 1, 1)
+        return parser.parse_term()
+
+    return delta, gamma, _parse_all(text, term)

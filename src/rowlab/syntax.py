@@ -32,7 +32,7 @@ strings; fresh names come from a NameSupply and look like "x$3".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, get_args
 
 
@@ -728,15 +728,17 @@ def _arg_names(arg: Row | Presence) -> set[str]:
     return set()
 
 
-def _subst_type(ty: Type, arg: Row | Presence, var: str, arg_names: set[str]) -> Type:
-    def fresh_against(binder: str, body: Type) -> str:
-        taken = arg_names | {var} | type_level_names(body)
-        base = binder.split("$", 1)[0] or "r"
-        n = 0
-        while f"{base}${n}" in taken:
-            n += 1
-        return f"{base}${n}"
+def _fresh_binder(binder: str, taken: set[str]) -> str:
+    """The first of ``base$0``, ``base$1``, ... (``base`` the binder's name
+    before any ``$``) that is not taken."""
+    base = binder.split("$", 1)[0] or "r"
+    n = 0
+    while f"{base}${n}" in taken:
+        n += 1
+    return f"{base}${n}"
 
+
+def _subst_type(ty: Type, arg: Row | Presence, var: str, arg_names: set[str]) -> Type:
     def go(t: Type) -> Type:
         if isinstance(t, (TyVar, Base)):
             return t
@@ -751,7 +753,7 @@ def _subst_type(ty: Type, arg: Row | Presence, var: str, arg_names: set[str]) ->
                 return t
             new, body = t.var, t.body
             if t.var in arg_names:
-                new = fresh_against(t.var, t.body)
+                new = _fresh_binder(t.var, arg_names | {var} | type_level_names(t.body))
                 fresh = Row((), new) if isinstance(t, ForallRow) else PresVar(new)
                 body = subst_type_in_type(body, fresh, t.var)
             body = go(body)
@@ -817,7 +819,9 @@ def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
     """Substitute a type-level name throughout a term's annotations and
     arguments; unchanged subterms and types come back as the same objects.
     A subterm or type part whose kept names (``type_level_names``) do not
-    include ``var`` is returned as it is, without a walk."""
+    include ``var`` is returned as it is, without a walk.  A type abstraction
+    whose binder is free in ``arg`` is renamed, as ``subst_type_in_type``
+    renames a quantifier, so that it cannot capture."""
     if var not in type_level_names(term):
         return term
     arg_names = _arg_names(arg)
@@ -845,6 +849,10 @@ def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
         shape = SHAPES[type(sub)]
         if shape.tybinder and sub.var == var:
             return sub
+        if shape.tybinder and sub.var in arg_names:
+            new = _fresh_binder(sub.var, arg_names | {var} | type_level_names(sub.body))
+            body = subst_type_in_term(sub.body, shape.tybinder(new), sub.var)
+            return replace(sub, var=new, body=subst_type_in_term(body, arg, var))
         kids: list[Term] = []
         same = True
         for _, child, _ in shape.children(sub):

@@ -740,11 +740,12 @@ def test_generator_output_is_pinned(name):
 
 # ---------------------------------------------------------------------------
 # Reports and benchmark charges, pinned over one small sweep: every registry
-# pair, subject reduction on every preset, and two inputs the preorder check
-# fails (ROADMAP 2c), so that the failure path is pinned too.  A change that
-# moves a case count, a failure's (case, term, got) or a work-budget charge
-# fails here and must update the pins on purpose.  ``expected`` is left out:
-# it describes the pattern, not the verdict.
+# pair, subject reduction on every preset, and two inputs whose reflection
+# steps the preorder check accepts only through the cast-normal form itself
+# (ROADMAP 1b).  A change that moves a case count, a failure's (case, term,
+# got) or a work-budget charge fails here and must update the pins on
+# purpose.  ``expected`` is left out: it describes the pattern, not the
+# verdict.
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 ROWLAB = {
@@ -823,17 +824,17 @@ def charged_sweep():
 REPORT_SHA256 = {
     "registry": "d2276f7d445cd694",
     "subject-reduction": "222b1b7d1126f890",
-    "preorder": "a449a3e8e040120b",
+    "preorder": "df071665708d6576",
 }
 
 LAYER_CALLS = {
-    "dynamics.erase": 213,
+    "dynamics.erase": 220,
     "dynamics.step_all": 1644,
-    "dynamics.term_preorder": 31,
+    "dynamics.term_preorder": 38,
     "harness.check": 605,
     "harness.gen": 585,
     "infer.infer": 88,
-    "pretty.show_term": 958,
+    "pretty.show_term": 951,
     "pretty.show_type": 11411,
     "statics.subtype": 2973,
     "statics.type_check": 1311,
@@ -843,18 +844,30 @@ LAYER_CALLS = {
     "translate.run_translation": 1071,
 }
 
-UNITS_SPENT = 170704
+UNITS_SPENT = 170637
 
 
 def test_reports_are_pinned(charged_sweep):
     assert charged_sweep[0] == REPORT_SHA256
 
 
-def test_pinned_preorder_inputs_fail():
+def test_pinned_preorder_inputs_pass():
+    # the untyped side beta-reduces inside a field that a cast drops: the
+    # cast-normal form itself covers the reduct, with no typed beta step
+    spec = GenSpec(preset("var-rec-sub-full"), max_size=12, seed=0)
+    for i, cases in ((158, 6), (195, 24)):
+        rep = check_preorder_correspondence(gen_typed_term(spec, i)[1])
+        assert (rep.cases, rep.failures) == (cases, [])
+
+
+def test_preorder_check_rejects_a_wrong_preorder(monkeypatch):
+    # the preorder the wrong way round: the wider side taken as the narrower
+    real = harness.term_preorder
+    monkeypatch.setattr(harness, "term_preorder", lambda m, n: real(n, m))
     spec = GenSpec(preset("var-rec-sub-full"), max_size=12, seed=0)
     for i in (158, 195):
         rep = check_preorder_correspondence(gen_typed_term(spec, i)[1])
-        assert rep.failures and rep.cases > len(rep.failures)
+        assert "no typed counterpart found" in {got for _, _, _, got in rep.failures}
 
 
 def test_benchmark_charges_are_pinned(charged_sweep):

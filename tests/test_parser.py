@@ -1,10 +1,25 @@
-"""Grammar round-trips and the binder-kind recovery rules."""
+"""Grammar round-trips, the binder-kind recovery rules, and the tokenizer
+against a character-by-character reference."""
 
 from __future__ import annotations
 
-import pytest
+from pathlib import Path
 
-from rowlab.parser import ParseError, parse_file_str, parse_term_str, parse_type_str
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rowlab.config import PRESETS, preset
+from rowlab.harness import GenSpec, gen_typed_term
+from rowlab.parser import (
+    KEYWORDS,
+    SYMBOLS,
+    ParseError,
+    Token,
+    parse_file_str,
+    parse_term_str,
+    parse_type_str,
+    tokenize,
+)
 from rowlab.pretty import show_scheme, show_term, show_type
 from rowlab.syntax import (
     Absent,
@@ -203,3 +218,158 @@ def test_show_scheme():
     )
     text = show_scheme(scheme)
     assert text == "forall a0:Type r0:Row!{Name}. {Name:a0; r0} -> a0"
+
+
+def test_round_trip_generated_terms_of_every_preset():
+    for name in sorted(PRESETS):
+        spec = GenSpec(preset(name), max_size=10, seed=0)
+        for i in range(8):
+            term, deriv = gen_typed_term(spec, i)
+            assert alpha_eq(parse_term_str(show_term(term)), term), (name, i)
+            if deriv is not None:
+                assert type_equal(parse_type_str(show_type(deriv.type)), deriv.type)
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer against the character loop it replaced, which tries each rule
+# in turn, with two fixes: the column moves through a comment, and only
+# decimal digits start a number (another `isalnum` character such as `²`
+# starts an identifier; `int("²")` raised ValueError)
+
+
+def _reference_tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            buf = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    esc = text[j + 1]
+                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
+                    j += 2
+                else:
+                    buf.append(text[j])
+                    j += 1
+            if j >= n:
+                raise ParseError("unterminated string", line, col)
+            tokens.append(Token("string", "".join(buf), line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(Token("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalnum() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'$"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append(Token("sym", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except ParseError as e:
+        return str(e)
+
+
+def _assert_same_tokens(text):
+    assert _outcome(tokenize, text) == _outcome(_reference_tokenize, text), text
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_tokens_match_the_reference_on_the_corpus_and_the_tests():
+    files = sorted((TESTS.parent / "corpus").glob("*.row")) + sorted(TESTS.glob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        text = path.read_text()
+        _assert_same_tokens(text)
+        for line in text.splitlines():
+            _assert_same_tokens(line)
+
+
+_PIECES = (
+    SYMBOLS + sorted(KEYWORDS)
+    + ["x", "r0", "p0", "o", "Int", "Row", "Type", "Age", "12", "0", "x'", "f$", "_y"]
+    + ['"s"', '"a\\"b"', '"\\n"', "--", "-- c\n", "-- env: a0 : Type\n"]
+    + [" ", "\n", "\r", "\t", '"', "\\", "#", "é", "٣"]
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=16).map("".join))
+def test_tokens_match_the_reference_on_fuzz(text):
+    _assert_same_tokens(text)
+    # a file with no headers parses as its text does
+    tokens = _outcome(tokenize, text)
+    if isinstance(tokens, list) and tokens[0].kind != "eof" and "-- env:" not in text:
+        file = _outcome(parse_file_str, text)
+        term = _outcome(parse_term_str, text)
+        assert file == term if isinstance(term, str) else file == ({}, {}, term)
+
+
+# Error positions and identifier characters
+
+
+def test_end_of_input_after_a_comment_has_its_column():
+    with pytest.raises(ParseError, match=r"^1:11: expected '\)', found 'end of input'"):
+        parse_term_str("(x -- note")
+
+
+def test_file_end_of_input_is_where_the_text_ends():
+    for parse in (parse_term_str, lambda text: parse_file_str(text)[2]):
+        with pytest.raises(ParseError, match=r"^2:1: expected identifier"):
+            parse("let \n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, where",
+    [(parse_term_str, "/\\a:Type. x", "1:3"), (parse_type_str, "forall a:Type. Int", "1:8"),
+     (parse_type_str, "forall r p\n  a:Type. Int", "2:3")],
+)
+def test_binder_kind_errors_point_at_the_binder(parse, text, where):
+    with pytest.raises(ParseError, match=f"^{where}: binder a cannot have kind Type"):
+        parse(text)
+
+
+def test_non_decimal_numerals_are_identifier_characters():
+    assert parse_term_str("f ² x²") == App(App(Var("f"), Var("²")), Var("x²"))
+    assert parse_term_str("٣") == Lit(3)

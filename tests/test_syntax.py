@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from rowlab.config import PRESETS, preset
 from rowlab.dynamics import RelationSet, step_all
 from rowlab.harness import GenError, GenSpec, _Gen, gen_typed_term, term_size
-from rowlab.pretty import show_kind, show_presence, show_type
+from rowlab.pretty import show_kind, show_presence, show_term, show_type
 from rowlab.syntax import (
     SHAPES,
     Absent,
@@ -407,6 +407,17 @@ def test_subst_type_in_term_stops_at_its_own_binder():
     row_abs = RowAbs("r", ROW_KIND, body)
     assert subst_type_in_term(row_abs, Row((), "s"), "r") == row_abs
     assert subst_type_in_term(PresAbs("p", body), Absent(), "p") == PresAbs("p", body)
+
+
+def test_subst_type_in_term_renames_a_binder_the_argument_names():
+    # the argument's free s must stay free, as it does under the quantifier
+    m = RowAbs("s", ROW_KIND, Lam("x", Record(Row((), "r")), Var("x")))
+    assert show_term(subst_type_in_term(m, Row((), "s"), "r")) == "/\\s$0:Row!{}. \\x:{s}. x"
+    ty = ForallRow("s", ROW_KIND, Record(Row((), "r")))
+    assert show_type(subst_type_in_type(ty, Row((), "s"), "r")) == "forall s$0:Row!{}. {s}"
+    m = PresAbs("p", Lam("x", Record(Row((("A", PresVar("p"), INT),), "r")), Var("x")))
+    out = subst_type_in_term(m, Row((("B", PresVar("p"), INT),), None), "r")
+    assert show_term(out) == "/\\p$0. \\x:{A^p$0:Int; B^p:Int}. x"
 
 
 def test_subst_type_in_term_reaches_annotations_under_other_binders():
