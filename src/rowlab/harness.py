@@ -21,6 +21,12 @@ the translated source reducts of the listed classes: ``exact`` up to alpha,
 translated reduct, any number of source steps away, by steps of the run's
 one class.  Every stepping check runs on one walk: ``_explore`` keeps the
 seen set and descends, ``_reducts`` steps and re-typechecks.
+
+Terms are told apart by structure, never by their printed text: the seen
+sets of ``_explore`` and ``_closure`` and the ``_Reach`` memo hold
+``_Keys`` ints, and ``show_term`` renders only the text reports carry.  The
+search compares a state with its goal as ``alpha_eq`` does, under the binder
+pairs of the nodes above them (``syntax.match_node``), so it renames neither.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ from .statics import (
     type_check,
 )
 from .syntax import (
+    NO_NAMES,
     SHAPES,
-    Absent,
     App,
     Arrow,
     Base,
@@ -56,8 +62,8 @@ from .syntax import (
     Lam,
     Let,
     Lit,
+    Names,
     Present,
-    PresVar,
     Prim,
     Project,
     Record,
@@ -70,9 +76,8 @@ from .syntax import (
     Var,
     Variant,
     alpha_eq,
-    same_data,
+    match_node,
     subst_term,
-    subst_type_in_term,
     term_size,  # kept here too: bench/budget.py sizes terms through harness
     type_equal,
 )
@@ -520,7 +525,8 @@ def _class_steps(term: Term, rels: RelationSet, cls: str) -> list[Term]:
 
 def _closure(term: Term, rels: RelationSet, classes: set[str]) -> list[Term]:
     """Terms reachable through steps from the given classes, incl. the start."""
-    seen = {show_term(term)}
+    keys = _Keys()
+    seen = {keys(term)}
     out = [term]
     queue = [term]
     while queue and len(out) < _CLOSURE_NODES:
@@ -528,7 +534,7 @@ def _closure(term: Term, rels: RelationSet, classes: set[str]) -> list[Term]:
         for s in step_all(u, rels):
             if _step_class(s.tag) not in classes:
                 continue
-            key = show_term(s.term)
+            key = keys(s.term)
             if key in seen:
                 continue
             seen.add(key)
@@ -611,26 +617,32 @@ class _Reach:
     Searching all interleavings of independent redexes blows up (translated
     cast stacks duplicate subterms), so instead we contract redexes at the
     root or on its head spine (``step_all``'s spine mode, which never walks
-    the rest of the term) and otherwise descend congruently, memoising on
-    (state, goal) pairs of structural keys (``_Keys``), so that the search
-    costs what the distinct subterms cost.  need_beta threads the 'exactly
-    one beta somewhere' obligation through the descent."""
+    the rest of the term) and otherwise descend congruently through
+    ``match_node``, as ``alpha_eq`` does: a state and its goal are compared
+    under the binder pairs of the nodes above them (independently produced
+    translations pick different fresh names), so nothing is renamed.  The
+    memo keys (state, goal) pairs by structure (``_Keys``) with their
+    environments, so that the search costs what the distinct subterms cost.
+    need_beta threads the 'exactly one beta somewhere' obligation through
+    the descent."""
 
     def __init__(self, rels: RelationSet, classes: set[str]):
         self.rels = rels
         self.classes = classes
         self.memo: dict = {}
         self._key = _Keys()
-        self._fresh = itertools.count()
 
-    def go(self, x: Term, g: Term, need_beta: bool = False) -> bool:
-        key = (self._key(x), self._key(g), need_beta)
+    def go(
+        self, x: Term, g: Term, need_beta: bool = False, env: Names = NO_NAMES,
+        tyenv: tuple = ((), ()),
+    ) -> bool:
+        key = (self._key(x), self._key(g), need_beta, env, tyenv)
         if key in self.memo:
             return self.memo[key]
         if len(self.memo) > _REACH_MEMO:
             return False
         self.memo[key] = False
-        if alpha_eq(x, g):
+        if alpha_eq(x, g, env, tyenv):
             # no rewrite cycle can return here, so this is definitive
             out = not need_beta
             self.memo[key] = out
@@ -639,14 +651,14 @@ class _Reach:
         # contract the root, or a head-spine position that can expose it
         for s in step_all(x, self.rels, spine=True):
             cls = _step_class(s.tag)
-            if cls in self.classes and self.go(s.term, g, need_beta):
+            if cls in self.classes and self.go(s.term, g, need_beta, env, tyenv):
                 out = True
                 break
-            if need_beta and cls == "beta" and self.go(s.term, g, False):
+            if need_beta and cls == "beta" and self.go(s.term, g, False, env, tyenv):
                 out = True
                 break
         if not out:
-            pairs = self._decompose(x, g)
+            pairs = match_node(x, g, env, tyenv)
             if pairs is not None:
                 out = self._descend(pairs, need_beta)
         self.memo[key] = out
@@ -654,77 +666,29 @@ class _Reach:
 
     def _descend(self, pairs, need_beta: bool) -> bool:
         if not need_beta:
-            return all(self.go(a, b, False) for a, b in pairs)
+            return all(self.go(a, b, False, e, t) for a, b, e, t in pairs)
         for j in range(len(pairs)):
             if all(
-                self.go(a, b, i == j) for i, (a, b) in enumerate(pairs)
+                self.go(a, b, i == j, e, t) for i, (a, b, e, t) in enumerate(pairs)
             ):
                 return True
         return False
-
-    def _pair_bound(self, xb, xv, gb, gv):
-        fresh = f"_r{next(self._fresh)}"
-        return (subst_term(xb, Var(fresh), xv), subst_term(gb, Var(fresh), gv))
-
-    def _decompose(self, x: Term, g: Term):
-        """The (state, goal) pairs of the children of two nodes of one form
-        that agree on everything else, paired by slot; None when they do not."""
-        if type(x) is not type(g):
-            return None
-        if type(x) is Var:
-            return [] if x == g else None
-        shape = SHAPES[type(x)]
-        if not same_data(shape, x, g):
-            return None
-        xs, gs = shape.children(x), shape.children(g)
-        if [s for s, _, _ in xs] != [s for s, _, _ in gs]:
-            # record literals may list their fields in another order
-            xs, gs = (sorted(kids, key=lambda c: c[0]) for kids in (xs, gs))
-            if [s for s, _, _ in xs] != [s for s, _, _ in gs]:
-                return None
-        for name in shape.types:
-            if not _part_agrees(getattr(x, name), getattr(g, name)):
-                return None
-        if shape.tybinder:
-            # type-level binders get alpha-renamed: independently produced
-            # translations pick different fresh row/presence names
-            fresh = shape.tybinder(f"_q{next(self._fresh)}")
-            return [
-                (
-                    subst_type_in_term(x.body, fresh, x.var),
-                    subst_type_in_term(g.body, fresh, g.var),
-                )
-            ]
-        return [
-            (a, b) if xv is None else self._pair_bound(a, xv, b, gv)
-            for (_, a, xv), (_, b, gv) in zip(xs, gs)
-        ]
-
-
-def _part_agrees(a, b) -> bool:
-    """Two type-level parts of one field, as the search compares them:
-    presences exactly, rows and types by ``type_equal``."""
-    if a is None or b is None:
-        return a is b
-    if isinstance(a, Row):
-        return type_equal(Record(a), Record(b))
-    if isinstance(a, (Absent, Present, PresVar)):
-        return a == b
-    return type_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
 # The one walk and the one-case checks
 
 
-def _explore(root, depth: int, key, expand) -> None:
+def _explore(root, depth: int, expand, terms=lambda d: (d.term,)) -> None:
     """Expand ``root`` and, depth first, each node that ``expand(node,
     level)`` yields, as soon as it yields it, down to ``depth`` levels; a
-    node whose key was seen before is not expanded again."""
+    node whose terms (``terms(node)``, a tuple) were seen together before is
+    not expanded again.  Terms are told apart by structure (``_Keys``)."""
     seen = set()
+    keys = _Keys()
 
     def visit(node, level: int):
-        k = key(node)
+        k = tuple(map(keys, terms(node)))
         if k in seen:
             return
         seen.add(k)
@@ -838,7 +802,7 @@ def check_simulation(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
                 )
             yield nd
 
-    _explore(deriv, depth, lambda d: show_term(d.term), expand)
+    _explore(deriv, depth, expand)
     return rep
 
 
@@ -923,7 +887,7 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
         for _, nd, _ in sources:
             yield nd
 
-    _explore(deriv, depth, lambda d: show_term(d.term), expand)
+    _explore(deriv, depth, expand)
     return rep
 
 
@@ -1012,8 +976,7 @@ def check_preorder_correspondence(
             )
 
     _explore(
-        (deriv, erase(deriv.term)), depth,
-        lambda node: show_term(node[0].term) + "|" + show_term(node[1]), expand,
+        (deriv, erase(deriv.term)), depth, expand, lambda node: (node[0].term, node[1])
     )
     return rep
 
@@ -1081,9 +1044,9 @@ def check_subject_reduction(
     if config.rank1:
         term = subject.term if isinstance(subject, Derivation) else subject
         root = (term, infer(config, ambient_delta(), ambient_gamma(), term))
-        _explore(root, depth, lambda node: show_term(node[0]), expand_bare)
+        _explore(root, depth, expand_bare, lambda node: node[:1])
     else:
-        _explore(subject, depth, lambda d: show_term(d.term), expand)
+        _explore(subject, depth, expand)
     return rep
 
 

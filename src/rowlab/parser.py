@@ -416,21 +416,28 @@ def parse_term_str(text: str) -> Term:
 
 def parse_file_str(text: str) -> tuple[dict[str, Kind], dict[str, Type], Term]:
     """Parse a corpus file: optional `-- env:` headers, then one term.  The
-    headers are comments to the term, which is parsed from ``text`` as is."""
+    headers are comments to the term, which is parsed from ``text`` as is.
+    A header is a line (as the tokenizer counts lines) that starts with
+    `-- env:`; its signature is read to its end, and an error in it is
+    reported at its place in the file."""
     delta: dict[str, Kind] = {}
     gamma: dict[str, Type] = {}
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.split("\n")):
         line = raw.strip()
         if not line.startswith("-- env:"):
             continue
         name, _, sig = line[len("-- env:"):].partition(":")
         name, sig = name.strip(), sig.strip()
+        head = raw.index("-- env:")
         if not name or not sig:
-            raise ParseError(f"malformed env header {raw!r}", 1, 1)
+            raise ParseError(f"malformed env header {raw!r}", number + 1, head + 1)
+        # the signature alone, at its line and column in the file
+        start = raw.index(":", head + len("-- env:")) + 1
+        at = "\n" * number + " " * start + raw[start:]
         if sig in ("Type", "Pre") or sig.startswith("Row"):
-            delta[name] = Parser(sig).parse_kind()
+            delta[name] = _parse_all(at, Parser.parse_kind)
         else:
-            gamma[name] = parse_type_str(sig)
+            gamma[name] = _parse_all(at, Parser.parse_type)
 
     def term(parser: Parser) -> Term:
         if parser.peek().kind == "eof":

@@ -11,8 +11,12 @@ Structure:
   nodes of the form must agree on; free variables, substitution, erasure,
   reduction, the equality and preorder walkers and the translations' default
   rule all read it instead of matching on the forms themselves
-- a two-sided binder environment (``bind``, ``same_name``) that every
-  comparison of terms up to renaming shares
+- a two-sided binder environment (``bind``, ``same_name``), a hashable
+  tuple of (left, right) binder pairs, that every comparison of terms up to
+  renaming shares, and ``match_node``, one node of ``alpha_eq``: it pairs
+  two nodes' children with the environments they are compared under, so a
+  search can descend two terms the way ``alpha_eq`` does without renaming
+  either
 - capture-avoiding substitution at the term and type level
 - canonical row normalization, the row domain, alpha equivalence
 - canonical type keys (``type_key``), which type and scheme equality and the
@@ -543,26 +547,28 @@ def type_level_names(x: Term | Type | Row | Presence) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# binder environments: a comparison of two terms up to renaming maps each
-# binder on the left to its partner on the right and back, so a free name on
-# one side never matches a bound name on the other
+# binder environments: a comparison of two terms up to renaming pairs each
+# binder on the left with its partner on the right, so a free name on one
+# side never matches a bound name on the other.  An environment is a tuple
+# of (left, right) pairs, innermost first, so it can be part of a memo key.
 
 
-Names = tuple[dict[str, str], dict[str, str]]
-NO_NAMES: Names = ({}, {})
+Names = tuple[tuple[str, str], ...]
+NO_NAMES: Names = ()
 
 
 def bind(env: Names, x: str, y: str) -> Names:
     """``env`` under a left binder ``x`` paired with a right binder ``y``."""
-    left, right = env
-    return {**left, x: y}, {**right, y: x}
+    return ((x, y),) + env
 
 
 def same_name(env: Names, x: str, y: str) -> bool:
     """``x`` on the left and ``y`` on the right name the same thing: the
     innermost binders of both are partners, or both are free and equal."""
-    left, right = env
-    return left.get(x, x) == y and right.get(y, y) == x
+    for a, b in env:
+        if a == x or b == y:
+            return a == x and b == y
+    return x == y
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +685,6 @@ def subst_term(body: Term, replacement: Term, var: str) -> Term:
     object, the whole body included when ``var`` is not free in it."""
     fvs = free_vars(replacement)
 
-    def rename_binder(binder: str, scope: Term) -> str:
-        taken = fvs | {var} | term_names(scope)
-        base = binder.split("$", 1)[0] or "x"
-        n = 0
-        while f"{base}${n}" in taken:
-            n += 1
-        return f"{base}${n}"
-
     def go(sub: Term) -> Term:
         if type(sub) is Var:
             return replacement if sub.name == var else sub
@@ -706,41 +704,49 @@ def subst_term(body: Term, replacement: Term, var: str) -> Term:
             if binder in fvs and binder != var:
                 # the binder would capture a free name of the replacement
                 names = names or [b for _, _, b in parts]
-                names[i] = rename_binder(binder, child)
+                names[i] = _fresh_binder(binder, fvs | {var} | term_names(child))
                 kids[i] = go(subst_term(child, Var(names[i]), binder))
         return shape.rebuild(sub, kids, names)
 
     return go(body)
 
 
-def subst_type_in_type(ty: Type, arg: Row | Presence, var: str) -> Type:
-    """ty[arg/var]; arg is a row (for row variables) or a presence mark.
-    Unchanged parts come back as the same objects."""
+def subst_type_in_type(ty: Type, arg: Row | Presence | TyVar, var: str) -> Type:
+    """ty[arg/var]; arg is a row (for row variables), a presence mark, or a
+    type variable (for type variables).  Unchanged parts come back as the
+    same objects."""
     return _subst_type(ty, arg, var, _arg_names(arg))
 
 
-def _arg_names(arg: Row | Presence) -> set[str]:
-    """The free type-level names of a substituted row or presence."""
+def _arg_names(arg: Row | Presence | TyVar) -> set[str]:
+    """The free type-level names of a substituted row, presence or type
+    variable."""
     if isinstance(arg, Row):
         return set(free_type_names(Record(arg)))
-    if isinstance(arg, PresVar):
+    if isinstance(arg, (PresVar, TyVar)):
         return {arg.name}
     return set()
 
 
 def _fresh_binder(binder: str, taken: set[str]) -> str:
     """The first of ``base$0``, ``base$1``, ... (``base`` the binder's name
-    before any ``$``) that is not taken."""
-    base = binder.split("$", 1)[0] or "r"
+    before any ``$``, or ``x`` when that is empty, as ``NameSupply`` has it)
+    that is not taken: the name every substitution gives a binder it renames
+    so that it cannot capture."""
+    base = binder.split("$", 1)[0] or "x"
     n = 0
     while f"{base}${n}" in taken:
         n += 1
     return f"{base}${n}"
 
 
-def _subst_type(ty: Type, arg: Row | Presence, var: str, arg_names: set[str]) -> Type:
+def _subst_type(
+    ty: Type, arg: Row | Presence | TyVar, var: str, arg_names: set[str]
+) -> Type:
     def go(t: Type) -> Type:
-        if isinstance(t, (TyVar, Base)):
+        if isinstance(t, TyVar):
+            return arg if t.name == var and isinstance(arg, TyVar) else t
+        if isinstance(t, Base):
             return t
         if isinstance(t, Arrow):
             dom, cod = go(t.dom), go(t.cod)
@@ -778,32 +784,11 @@ def _subst_type(ty: Type, arg: Row | Presence, var: str, arg_names: set[str]) ->
             entries.append(entry)
         if row.tail == var:
             if not isinstance(arg, Row):
-                raise TypeError("row variable substituted with a presence")
+                raise TypeError("row variable substituted with what is not a row")
             return Row(tuple(entries) + arg.entries, arg.tail)
         return row if same else Row(tuple(entries), row.tail)
 
     return go(ty)
-
-
-def _replace_tyvar(ty: Type, old: str, rep: Type) -> Type:
-    """ty with every type variable named ``old`` replaced by ``rep``."""
-    if isinstance(ty, TyVar):
-        return rep if ty.name == old else ty
-    if isinstance(ty, Base):
-        return ty
-    if isinstance(ty, Arrow):
-        return Arrow(_replace_tyvar(ty.dom, old, rep), _replace_tyvar(ty.cod, old, rep))
-    if isinstance(ty, (Record, Variant)):
-        row = Row(
-            tuple((l, p, _replace_tyvar(a, old, rep)) for l, p, a in ty.row.entries),
-            ty.row.tail,
-        )
-        return type(ty)(row)
-    if isinstance(ty, ForallRow):
-        return ForallRow(ty.var, ty.kind, _replace_tyvar(ty.body, old, rep))
-    if isinstance(ty, ForallPres):
-        return ForallPres(ty.var, _replace_tyvar(ty.body, old, rep))
-    raise TypeError(f"not a type: {ty!r}")
 
 
 def rename_type_name(ty: Type, old: str, kind: Kind, new: str) -> Type:
@@ -812,7 +797,7 @@ def rename_type_name(ty: Type, old: str, kind: Kind, new: str) -> Type:
         return subst_type_in_type(ty, Row((), new), old)
     if isinstance(kind, KPre):
         return subst_type_in_type(ty, PresVar(new), old)
-    return _replace_tyvar(ty, old, TyVar(new))
+    return subst_type_in_type(ty, TyVar(new), old)
 
 
 def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
@@ -872,8 +857,8 @@ def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
 # row algebra and equality
 
 
-def normalize_row(row: Row, presence_aware: bool = True) -> Row:
-    """Sort entries by label (bytewise); drop Absent entries if presence_aware.
+def normalize_row(row: Row) -> Row:
+    """Sort entries by label (bytewise) and drop Absent entries.
 
     Raises MalformedRowError on duplicate labels. Idempotent.
     """
@@ -882,9 +867,7 @@ def normalize_row(row: Row, presence_aware: bool = True) -> Row:
         if label in seen:
             raise MalformedRowError(f"duplicate label {label!r}")
         seen.add(label)
-    entries = row.entries
-    if presence_aware:
-        entries = tuple(e for e in entries if not isinstance(e[1], Absent))
+    entries = [e for e in row.entries if not isinstance(e[1], Absent)]
     return Row(tuple(sorted(entries, key=lambda e: e[0])), row.tail)
 
 
@@ -980,11 +963,18 @@ def scheme_alpha_eq(a: TypeScheme, b: TypeScheme) -> bool:
 # alpha equivalence of terms
 
 
-def alpha_eq(m: Term, n: Term) -> bool:
+def alpha_eq(m: Term, n: Term, env: Names = NO_NAMES, tyenv: tuple = ((), ())) -> bool:
     """Equality modulo bound renaming, row normalization in annotations, the
     order of case branches and record fields, and record fields marked absent
-    by their annotation."""
-    return _tm_eq(m, n, NO_NAMES, ((), ()))
+    by their annotation; ``m`` and ``n`` are compared under the term binder
+    pairs ``env`` and the type binders ``tyenv`` (see ``match_node``)."""
+    pairs = match_node(m, n, env, tyenv)
+    if pairs is None:
+        return False
+    for a, b, inner, tyinner in pairs:
+        if not alpha_eq(a, b, inner, tyinner):
+            return False
+    return True
 
 
 def _part_eq(a, b, tyenv: tuple[tuple[str, ...], tuple[str, ...]]) -> bool:
@@ -999,35 +989,45 @@ def _slot(part: tuple) -> str:
     return part[0]
 
 
-def _tm_eq(m: Term, n: Term, env: Names, tyenv: tuple) -> bool:
+def match_node(m: Term, n: Term, env: Names, tyenv: tuple) -> list | None:
+    """One node of ``alpha_eq``: the children of ``m`` and ``n`` paired by
+    slot, each pair as ``(child of m, child of n, env, tyenv)`` with the
+    environments it is compared under, or None when the nodes differ.
+
+    ``env`` pairs the term binders of the two sides (``bind``); ``tyenv`` is
+    the two stacks of type-level binders, innermost first, under which the
+    type-level parts are compared by key (``type_key``).  Two nodes differ in
+    form, in a ``data`` field, in a type-level part, in the slots of their
+    children (record fields that the annotation marks absent left out), or,
+    for two variables, in what they name (``same_name``)."""
     if type(m) is not type(n):
-        return False
+        return None
     if type(m) is Var:
-        return same_name(env, m.name, n.name)
+        return [] if same_name(env, m.name, n.name) else None
     shape = SHAPES[type(m)]
     if shape.data and not same_data(shape, m, n):
-        return False
+        return None
     for name in shape.types:
         if not _part_eq(getattr(m, name), getattr(n, name), tyenv):
-            return False
+            return None
     if shape.tybinder:
         tyenv = ((m.var, *tyenv[0]), (n.var, *tyenv[1]))
     mk, nk = shape.children(m), shape.children(n)
     if type(m) is RecordLit:
         mk, nk = _live_fields(m, mk), _live_fields(n, nk)
     if len(mk) != len(nk):
-        return False
+        return None
     # children pair up by slot; sort only when the two orders differ
     for a, b in zip(mk, nk):
         if a[0] != b[0]:
             mk, nk = sorted(mk, key=_slot), sorted(nk, key=_slot)
             break
+    pairs = []
     for (sm, cm, xm), (sn, cn, xn) in zip(mk, nk):
         if sm != sn:
-            return False
-        if not _tm_eq(cm, cn, env if xm is None else bind(env, xm, xn), tyenv):
-            return False
-    return True
+            return None
+        pairs.append((cm, cn, env if xm is None else bind(env, xm, xn), tyenv))
+    return pairs
 
 
 def _live_fields(rec: RecordLit, kids: list) -> list:

@@ -178,6 +178,22 @@ def test_parse_file_row_kind_header():
     assert delta == {"r0": KRow(frozenset({"Age"}))}
 
 
+def test_parse_file_kind_header_is_read_to_its_end():
+    with pytest.raises(ParseError, match="^1:24: trailing input 'junk'"):
+        parse_file_str("-- env: r0 : Row!{Age} junk here\nx")
+    with pytest.raises(ParseError, match="^2:18: trailing input 'Type'"):
+        parse_file_str("x\n-- env: a0 : Pre Type\n")
+
+
+def test_parse_file_header_errors_are_placed_in_the_file():
+    with pytest.raises(ParseError, match="^3:19: expected ';' or '}' in row"):
+        parse_file_str("x\n\n-- env: y : {A:Int\n")
+    with pytest.raises(ParseError, match="^2:22: expected identifier"):
+        parse_file_str("-- env: a0 : Type\n\t-- env:  r : Row!{A,}\r\nx")
+    with pytest.raises(ParseError, match="^2:3: malformed env header"):
+        parse_file_str("x\n  -- env: y\n")
+
+
 ROUND_TRIP_TERMS = [
     "\\x:[Age:Int; Year:Int]. case x { Age y -> y; Year y -> 2023 - y }",
     "(\\x:{Name:String}. x.Name) ({Name = \"Alice\", Age = 9} :> {Name:String})",

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import random
+import sys
 from typing import get_args
 
 import pytest
@@ -169,8 +170,7 @@ def test_normalize_sorts_labels():
 
 def test_normalize_drops_absent_when_presence_aware():
     row = Row((("l", Absent(), A0),), None)
-    assert normalize_row(row, presence_aware=True) == Row((), None)
-    assert normalize_row(row, presence_aware=False) == row
+    assert normalize_row(row) == Row((), None)
 
 
 def test_normalize_duplicate_label_errors():
@@ -420,6 +420,18 @@ def test_subst_type_in_term_renames_a_binder_the_argument_names():
     assert show_term(out) == "/\\p$0. \\x:{A^p$0:Int; B^p:Int}. x"
 
 
+def test_rename_type_name_shares_unchanged_parts_and_avoids_capture():
+    keep = record(("A", INT))
+    ty = Arrow(keep, TyVar("a"))
+    out = rename_type_name(ty, "a", KType(), "b")
+    assert out == Arrow(keep, TyVar("b")) and out.dom is keep
+    assert rename_type_name(keep, "a", KType(), "b") is keep
+    # one substitution for every kind: a quantifier that would capture the
+    # new name is renamed, as it is for rows and presences
+    ty = ForallPres("b", Arrow(TyVar("a"), Record(Row((("A", PresVar("b"), INT),), None))))
+    assert show_type(rename_type_name(ty, "a", KType(), "b")) == "forall b$0:Pre. b -> {A^b$0:Int}"
+
+
 def test_subst_type_in_term_reaches_annotations_under_other_binders():
     body = Lam("x", Record(Row((), "r")), Upcast(Var("x"), Record(Row((), "r"))))
     out = subst_type_in_term(
@@ -476,6 +488,62 @@ def test_alpha_eq_type_binders_are_two_sided():
     n = RowAbs("s", ROW_KIND, Lam("x", Record(Row((), "s")), Var("x")))
     assert not alpha_eq(m, n)
     assert not alpha_eq(n, m)
+
+
+def _dict_same_name(stack, x, y):
+    """``same_name`` over the dict environment it replaced: each side maps a
+    binder to its innermost partner."""
+    left, right = {}, {}
+    for a, b in stack:  # outermost first
+        left[a], right[b] = b, a
+    return left.get(x, x) == y and right.get(y, y) == x
+
+
+def test_same_name_agrees_with_a_dict_reference():
+    rng = random.Random(0)
+    names = "abcd"
+    shadowed = 0
+    for _ in range(3000):
+        stack = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 6))]
+        env = NO_NAMES
+        for a, b in stack:
+            env = bind(env, a, b)
+        assert hash(env) == hash(tuple(stack[::-1]))
+        shadowed += len({a for a, _ in stack}) < len(stack)
+        for x in names + "e":
+            for y in names + "e":
+                assert same_name(env, x, y) == _dict_same_name(stack, x, y), (stack, x, y)
+    assert shadowed > 1000
+
+
+def test_alpha_eq_under_binder_pairs():
+    env = bind(bind(NO_NAMES, "x", "y"), "z", "z")
+    assert alpha_eq(App(Var("x"), Var("z")), App(Var("y"), Var("z")), env)
+    assert not alpha_eq(Var("x"), Var("x"), env)
+    assert alpha_eq(Var("w"), Var("w"), env)
+    tyenv = (("r",), ("s",))
+    m = Lam("v", Record(Row((), "r")), Var("v"))
+    n = Lam("v", Record(Row((), "s")), Var("v"))
+    assert alpha_eq(m, n, NO_NAMES, tyenv)
+    assert not alpha_eq(m, n) and not alpha_eq(m, m, NO_NAMES, tyenv)
+
+
+def test_alpha_eq_keeps_one_frame_per_nesting_level():
+    depth = 400
+    m, n = Var("x"), Var("y")
+    for i in range(depth):
+        m, n = Lam(f"a{i}", INT, m), Lam(f"b{i}", INT, n)
+    m, n = Lam("x", INT, m), Lam("y", INT, n)
+    here = 0
+    frame = sys._getframe()
+    while frame is not None:
+        frame, here = frame.f_back, here + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(here + depth + 50)
+    try:
+        assert alpha_eq(m, n)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_scheme_alpha_eq_is_two_sided():
