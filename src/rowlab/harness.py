@@ -523,9 +523,10 @@ def _class_steps(term: Term, rels: RelationSet, cls: str) -> list[Term]:
     return [s.term for s in step_all(term, rels) if _step_class(s.tag) == cls]
 
 
-def _closure(term: Term, rels: RelationSet, classes: set[str]) -> list[Term]:
+def _closure(
+    term: Term, rels: RelationSet, classes: set[str], keys: _Keys
+) -> list[Term]:
     """Terms reachable through steps from the given classes, incl. the start."""
-    keys = _Keys()
     seen = {keys(term)}
     out = [term]
     queue = [term]
@@ -543,28 +544,32 @@ def _closure(term: Term, rels: RelationSet, classes: set[str]) -> list[Term]:
     return out
 
 
-def _pattern_steps(pattern: str, term: Term, rels: RelationSet) -> list[Term]:
+def _pattern_steps(
+    pattern: str, term: Term, rels: RelationSet, keys: _Keys
+) -> list[Term]:
     """The ends of the runs from ``term`` that the pattern spells, in order."""
     ends = [term]
     for token in pattern.split():
         cls = token.rstrip("?*")
         if token.endswith("*"):
-            ends = [v for u in ends for v in _closure(u, rels, {cls})]
+            ends = [v for u in ends for v in _closure(u, rels, {cls}, keys)]
         else:
             stepped = [v for u in ends for v in _class_steps(u, rels, cls)]
             ends = ends + stepped if token.endswith("?") else stepped
     return ends
 
 
-def _simulates(pattern: str, tm: Term, tn: Term, rels: RelationSet) -> bool:
+def _simulates(
+    pattern: str, tm: Term, tn: Term, rels: RelationSet, keys: _Keys
+) -> bool:
     """Whether ``tm`` reaches ``tn`` by a run the pattern spells: ``c*`` and
     ``c* beta`` by the search, a finite pattern by listing its ends."""
     first, *rest = pattern.split()
     if not first.endswith("*"):
-        return any(alpha_eq(u, tn) for u in _pattern_steps(pattern, tm, rels))
+        return any(alpha_eq(u, tn) for u in _pattern_steps(pattern, tm, rels, keys))
     if rest not in ([], ["beta"]):
         raise ValueError(f"no search for the pattern {pattern!r}")
-    return _Reach(rels, {first[:-1]}).go(tm, tn, need_beta=bool(rest))
+    return _Reach(rels, {first[:-1]}, keys).go(tm, tn, need_beta=bool(rest))
 
 
 def _cast_normal(term: Term, rels: RelationSet) -> Term:
@@ -586,7 +591,9 @@ class _Keys:
     fields, its binder names and its children's keys, computed once per
     object.  Two terms get the same key exactly when they are equal (a
     literal's type included), however their nodes are shared, and keying a
-    term costs what its distinct subterms cost, not its tree unfolding."""
+    term costs what its distinct subterms cost, not its tree unfolding.
+    Each check that steps terms makes one table for all its searches and
+    seen sets, so a term they share is keyed once."""
 
     def __init__(self):
         self._keys: dict[int, tuple[Term, int]] = {}  # id -> (term, key)
@@ -624,13 +631,13 @@ class _Reach:
     memo keys (state, goal) pairs by structure (``_Keys``) with their
     environments, so that the search costs what the distinct subterms cost.
     need_beta threads the 'exactly one beta somewhere' obligation through
-    the descent."""
+    the descent.  ``keys`` is the table of the check that searches."""
 
-    def __init__(self, rels: RelationSet, classes: set[str]):
+    def __init__(self, rels: RelationSet, classes: set[str], keys: _Keys):
         self.rels = rels
         self.classes = classes
         self.memo: dict = {}
-        self._key = _Keys()
+        self._key = keys
 
     def go(
         self, x: Term, g: Term, need_beta: bool = False, env: Names = NO_NAMES,
@@ -679,13 +686,12 @@ class _Reach:
 # The one walk and the one-case checks
 
 
-def _explore(root, depth: int, expand, terms=lambda d: (d.term,)) -> None:
+def _explore(root, depth: int, expand, keys: _Keys, terms=lambda d: (d.term,)) -> None:
     """Expand ``root`` and, depth first, each node that ``expand(node,
     level)`` yields, as soon as it yields it, down to ``depth`` levels; a
     node whose terms (``terms(node)``, a tuple) were seen together before is
-    not expanded again.  Terms are told apart by structure (``_Keys``)."""
+    not expanded again.  Terms are told apart by structure (``keys``)."""
     seen = set()
-    keys = _Keys()
 
     def visit(node, level: int):
         k = tuple(map(keys, terms(node)))
@@ -787,6 +793,7 @@ def check_simulation(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
     t = TRANSLATIONS[tid]
     src_cfg, tgt_cfg = map(preset, t.pairs[0])
     src_rels, tgt_rels = relations_for(src_cfg), relations_for(tgt_cfg)
+    keys = _Keys()
 
     def expand(d: Derivation, level: int):
         cid = f"{case_id}@{level}"
@@ -794,7 +801,7 @@ def check_simulation(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
         for s, nd in _reducts(rep, src_cfg, d, src_rels, cid):
             pattern = t.simulation.get(_step_class(s.tag))
             if pattern is not None:
-                ok = _simulates(pattern, tm, run_translation(tid, nd), tgt_rels)
+                ok = _simulates(pattern, tm, run_translation(tid, nd), tgt_rels, keys)
                 rep.tally(
                     cid, d.term, ok,
                     f"target steps {pattern} reaching the translated reduct",
@@ -802,7 +809,7 @@ def check_simulation(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
                 )
             yield nd
 
-    _explore(deriv, depth, expand)
+    _explore(deriv, depth, expand, keys)
     return rep
 
 
@@ -821,7 +828,7 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
             (_step_class(s.tag), nd, run_translation(tid, nd))
             for s, nd in _reducts(rep, src_cfg, d, src_rels, cid)
         ]
-        reach_by = {cls: _Reach(tgt_rels, {cls}) for cls in ("beta", "nu", "tau")}
+        reach_by = {c: _Reach(tgt_rels, {c}, keys) for c in ("beta", "nu", "tau")}
         # translated source reducts two or more steps away, breadth first,
         # and the queue of source reducts not yet stepped
         deeper: list[Term] = []
@@ -857,7 +864,7 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
         obligations = [
             (i, u)
             for i, (run, _, _) in enumerate(t.reflection)
-            for u in _pattern_steps(run, tm, tgt_rels)
+            for u in _pattern_steps(run, tm, tgt_rels, keys)
         ]
         done: set[tuple[int, int]] = set()
         for i, u in obligations:
@@ -887,7 +894,7 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
         for _, nd, _ in sources:
             yield nd
 
-    _explore(deriv, depth, expand)
+    _explore(deriv, depth, expand, keys)
     return rep
 
 
@@ -976,7 +983,8 @@ def check_preorder_correspondence(
             )
 
     _explore(
-        (deriv, erase(deriv.term)), depth, expand, lambda node: (node[0].term, node[1])
+        (deriv, erase(deriv.term)), depth, expand, _Keys(),
+        lambda node: (node[0].term, node[1]),
     )
     return rep
 
@@ -1044,9 +1052,9 @@ def check_subject_reduction(
     if config.rank1:
         term = subject.term if isinstance(subject, Derivation) else subject
         root = (term, infer(config, ambient_delta(), ambient_gamma(), term))
-        _explore(root, depth, expand_bare, lambda node: node[:1])
+        _explore(root, depth, expand_bare, _Keys(), lambda node: node[:1])
     else:
-        _explore(subject, depth, expand)
+        _explore(subject, depth, expand, _Keys())
     return rep
 
 

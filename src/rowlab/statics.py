@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 from .config import CalculusConfig
 from .pretty import show_kind, show_term, show_type
@@ -387,25 +387,57 @@ def type_check(
 ) -> Derivation:
     """Check ``term`` in the given environments; returns its derivation.
 
+    A subterm object met again under the same ``delta`` and ``gamma``
+    objects (a shared operand, such as the one t3 copies into every field of
+    a cast) gets back the derivation it had the first time, so a shared term
+    costs what its distinct subterms under their contexts cost, not its tree
+    unfolding, and its derivation shares them too.
+
     Raises TypingError (or a subclass) when the term does not check.
     """
-    deriv = _check(config, delta, gamma, term)
+    memo: dict[int, Derivation] = {}
+
+    def rec(d: dict[str, Kind], g: dict[str, Type], t: Term) -> Derivation:
+        # ``memo`` maps a node's id to its last derivation, which holds the
+        # node and its contexts; leaves are cheaper to check than to look up
+        cls = type(t)
+        if cls is Var or cls is Lit:
+            return _check(config, d, g, t, rec)
+        key = id(t)
+        hit = memo.get(key)
+        if hit is not None and hit.delta is d and hit.gamma is g:
+            return hit
+        out = memo[key] = _check(config, d, g, t, rec)
+        return out
+
+    deriv = _check(config, delta, gamma, term, rec)
     if config.rank_limited:
         _enforce_rank(config, deriv)
     return deriv
 
 
+def derivations(deriv: Derivation) -> Iterator[Derivation]:
+    """``deriv`` and every derivation under it, root first and left to
+    right, a premise that several nodes share (see ``type_check``) once."""
+    seen: set[int] = set()
+    stack = [deriv]
+    while stack:
+        d = stack.pop()
+        if id(d) not in seen:
+            seen.add(id(d))
+            yield d
+            stack.extend(reversed(d.premises))
+
+
 def _enforce_rank(config: CalculusConfig, deriv: Derivation) -> None:
-    if not check_rank_limit(config, deriv.type):
-        raise RankError(
-            f"type {show_type(deriv.type)} exceeds the rank limit "
-            f"in {deriv.judgment()}"
-        )
-    for ann in _term_annotations(deriv.term):
-        if not check_rank_limit(config, ann):
-            raise RankError(f"annotation {show_type(ann)} exceeds the rank limit")
-    for p in deriv.premises:
-        _enforce_rank(config, p)
+    for d in derivations(deriv):
+        if not check_rank_limit(config, d.type):
+            raise RankError(
+                f"type {show_type(d.type)} exceeds the rank limit in {d.judgment()}"
+            )
+        for ann in _term_annotations(d.term):
+            if not check_rank_limit(config, ann):
+                raise RankError(f"annotation {show_type(ann)} exceeds the rank limit")
 
 
 def _term_annotations(term: Term):
@@ -419,10 +451,9 @@ def _check(
     delta: dict[str, Kind],
     gamma: dict[str, Type],
     term: Term,
+    rec: Callable[[dict[str, Kind], dict[str, Type], Term], Derivation],
 ) -> Derivation:
-    def rec(d: dict[str, Kind], g: dict[str, Type], t: Term) -> Derivation:
-        return _check(config, d, g, t)
-
+    """One node's rule; ``rec(delta, gamma, child)`` checks a premise."""
     refuse_missing(config, term)
     if isinstance(term, Var):
         ty = gamma.get(term.name)
@@ -670,10 +701,3 @@ def _row_entry(row: Row, label: str) -> tuple[Presence, Type] | None:
         if l == label:
             return (pres, ty)
     return None
-
-
-def derivation_types(deriv: Derivation):
-    """All judgment types in the tree, root first."""
-    yield deriv.type
-    for p in deriv.premises:
-        yield from derivation_types(p)

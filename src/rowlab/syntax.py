@@ -24,11 +24,13 @@ Structure:
 
 Frozen nodes keep facts computed once from their parts' copies: a type or
 row its key ``_key`` and printed text ``_text`` (``pretty.show_type``), a
-term its tree size ``_size`` (``term_size``), and a term, type or row the
-set ``_names`` of every type-level name it mentions (``type_level_names``),
-which lets ``subst_type_in_term`` return untouched subterms without a walk.
-They are stored with ``object.__setattr__``, outside the dataclass fields,
-and read with ``getattr(node, name, None)``, never through ``__dict__``.
+term its tree size ``_size`` (``term_size``) and its free term variables
+``_free`` (``free_vars``), and a term, type or row the set ``_names`` of
+every type-level name it mentions (``type_level_names``).  The name sets let
+``subst_term`` and ``subst_type_in_term`` return untouched subterms without
+a walk.  They are stored with ``object.__setattr__``, outside the dataclass
+fields, and read with ``getattr(node, name, None)``, never through
+``__dict__``.
 
 Rows are stored in source order; comparisons normalize. Names are plain
 strings; fresh names come from a NameSupply and look like "x$3".
@@ -332,6 +334,21 @@ def _leaf(*data: str) -> Shape:
     return Shape(lambda t: [], lambda t, k, n=None, f=None: t, data=data)
 
 
+class _Slots(dict):
+    """Slot names ``prefix + str(key)``, each made once, on its first use."""
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, key) -> str:
+        slot = self[key] = f"{self.prefix}{key}"
+        return slot
+
+
+_BRANCH, _FIELD, _ARG = _Slots("branch:"), _Slots("field:"), _Slots("arg:")
+
+
 SHAPES: dict[type, Shape] = {
     Var: _leaf(),
     Lit: _leaf("value"),
@@ -356,7 +373,7 @@ SHAPES: dict[type, Shape] = {
     ),
     Case: Shape(
         lambda t: [("scrutinee", t.scrutinee, None)]
-        + [(f"branch:{l}", b, x) for l, x, b in t.branches],
+        + [(_BRANCH[l], b, x) for l, x, b in t.branches],
         lambda t, k, n=None, f=None: Case(
             k[0],
             tuple(
@@ -366,7 +383,7 @@ SHAPES: dict[type, Shape] = {
         ),
     ),
     RecordLit: Shape(
-        lambda t: [(f"field:{l}", v, None) for l, v in t.fields],
+        lambda t: [(_FIELD[l], v, None) for l, v in t.fields],
         lambda t, k, n=None, f=None: RecordLit(
             tuple(zip([l for l, _ in t.fields], k)),
             f(t.annot) if f else t.annot,
@@ -415,7 +432,7 @@ SHAPES: dict[type, Shape] = {
         lambda t, k, n=None, f=None: Let(n[1] if n else t.var, k[0], k[1]),
     ),
     Prim: Shape(
-        lambda t: [(f"arg:{i}", a, None) for i, a in enumerate(t.args)],
+        lambda t: [(_ARG[i], a, None) for i, a in enumerate(t.args)],
         lambda t, k, n=None, f=None: Prim(t.op, tuple(k)),
         data=("op",),
     ),
@@ -502,9 +519,10 @@ def term_size(term: Term) -> int:
     ``_size``: after the first call on a term, a read of one attribute.
 
     The facts a frozen node keeps are ``_key`` and ``_text`` (types and
-    rows: ``type_key`` and ``pretty.show_type``), ``_size`` (terms) and
-    ``_names`` (terms, types and rows: ``type_level_names``).  They are read
-    with ``getattr``, never through ``__dict__``."""
+    rows: ``type_key`` and ``pretty.show_type``), ``_size`` (terms),
+    ``_free`` (terms: ``free_vars``) and ``_names`` (terms, types and rows:
+    ``type_level_names``).  They are read with ``getattr``, never through
+    ``__dict__``."""
     size = getattr(term, "_size", None)
     return _keep(term, "_size", _visit_size) if size is None else size
 
@@ -592,20 +610,27 @@ class NameSupply:
                 return name
 
 
-def free_vars(term: Term) -> set[str]:
-    """Free term variables."""
-    out: set[str] = set()
+def _visit_free(term: Term, stack: list) -> frozenset[str]:
+    if type(term) is Var:
+        return frozenset((term.name,))
+    free = _NO_NAMES
+    for _, child, binder in SHAPES[type(term)].children(term):
+        kept = getattr(child, "_free", None)
+        if kept is None:
+            stack.append(child)
+            continue
+        if binder in kept:
+            kept = kept - {binder}
+        if not kept <= free:  # reuse a child's set where it holds them all
+            free = free | kept if free else kept
+    return free
 
-    def go(sub: Term, bound: frozenset[str]) -> None:
-        if type(sub) is Var:
-            if sub.name not in bound:
-                out.add(sub.name)
-            return
-        for _, child, binder in SHAPES[type(sub)].children(sub):
-            go(child, bound if binder is None else bound | {binder})
 
-    go(term, frozenset())
-    return out
+def free_vars(term: Term) -> frozenset[str]:
+    """The free term variables, kept on each node as ``_free`` (see
+    ``term_size``)."""
+    free = getattr(term, "_free", None)
+    return _keep(term, "_free", _visit_free) if free is None else free
 
 
 def free_type_names(ty: Type) -> dict[str, type]:
@@ -682,19 +707,25 @@ def subst_term(body: Term, replacement: Term, var: str) -> Term:
     """body[replacement/var], capture-avoiding with deterministic renames.
 
     Every subterm the substitution leaves unchanged comes back as the same
-    object, the whole body included when ``var`` is not free in it."""
+    object, the whole body included when ``var`` is not free in it.  A
+    subterm whose kept free variables (``free_vars``) lack ``var`` is
+    returned without a walk, so the substitution enters only the nodes on
+    the paths from the root to the free occurrences of ``var``: a shared
+    subterm once per such path, and nothing of the rest of the body."""
+    if var not in free_vars(body):
+        return body
     fvs = free_vars(replacement)
 
     def go(sub: Term) -> Term:
-        if type(sub) is Var:
-            return replacement if sub.name == var else sub
+        if type(sub) is Var:  # ``var`` is free in ``sub``: an occurrence
+            return replacement
         shape = SHAPES[type(sub)]
         parts = shape.children(sub)
         kids: list[Term] = []
         same = True
         for _, child, binder in parts:
             # a child under a binder of `var` itself is left alone
-            new = child if binder == var else go(child)
+            new = go(child) if binder != var and var in child._free else child
             same = same and new is child
             kids.append(new)
         if same:
@@ -705,7 +736,8 @@ def subst_term(body: Term, replacement: Term, var: str) -> Term:
                 # the binder would capture a free name of the replacement
                 names = names or [b for _, _, b in parts]
                 names[i] = _fresh_binder(binder, fvs | {var} | term_names(child))
-                kids[i] = go(subst_term(child, Var(names[i]), binder))
+                renamed = subst_term(child, Var(names[i]), binder)
+                kids[i] = subst_term(renamed, replacement, var)
         return shape.rebuild(sub, kids, names)
 
     return go(body)
@@ -1034,7 +1066,7 @@ def _live_fields(rec: RecordLit, kids: list) -> list:
     """The field children of ``rec`` its annotation does not mark absent."""
     if not isinstance(rec.annot, Record):
         return kids
-    dropped = {f"field:{l}" for l, p, _ in rec.annot.row.entries if isinstance(p, Absent)}
+    dropped = {_FIELD[l] for l, p, _ in rec.annot.row.entries if isinstance(p, Absent)}
     return [k for k in kids if k[0] not in dropped]
 
 

@@ -536,10 +536,10 @@ def t6(deriv: Derivation) -> Term:
 
 def t7(deriv: Derivation, config: CalculusConfig) -> Term:
     from .dynamics import erase
-    from .statics import derivation_types
+    from .statics import derivations
 
-    for ty in derivation_types(deriv):
-        if not check_rank_limit(config, ty):
+    for d in derivations(deriv):
+        if not check_rank_limit(config, d.type):
             raise TranslationError(
                 "derivation contains a type beyond the rank limit"
             )

@@ -28,6 +28,7 @@ from rowlab.harness import (
     GenError,
     GenSpec,
     PropertyReport,
+    _Keys,
     _Reach,
     ambient_delta,
     ambient_gamma,
@@ -572,7 +573,7 @@ def key_pool():
 
 
 def test_search_keys_are_equal_exactly_when_the_terms_are():
-    reach = _Reach(relations_for(preset("rec")), {"beta"})
+    reach = _Reach(relations_for(preset("rec")), {"beta"}, _Keys())
     pool = key_pool()
     keys = [reach._key(t) for t in pool]
     equal_pairs = 0
@@ -590,7 +591,7 @@ def test_search_keys_do_not_depend_on_sharing():
     copy = unshared(tm)
     assert term_size(tm) > 2000 and len({id(t) for t in subterms(tm)}) < 40
     assert len({id(t) for t in subterms(copy)}) == term_size(copy)
-    reach = _Reach(relations_for(preset("rec")), {"beta"})
+    reach = _Reach(relations_for(preset("rec")), {"beta"}, _Keys())
     assert reach._key(copy) == reach._key(tm)
 
 
@@ -602,7 +603,7 @@ def test_search_pairs_only_the_live_fields_of_a_record():
     rels = relations_for(preset("rec-pre"))
     assert not alpha_eq(x, g)
     assert [alpha_eq(s.term, g) for s in step_all(x, rels)] == [True]
-    assert _Reach(rels, {"beta"}).go(x, g)
+    assert _Reach(rels, {"beta"}, _Keys()).go(x, g)
 
 
 @pytest.mark.parametrize("tid", ["rec-sub-to-rec", "rec-sub-to-pre"])
@@ -874,11 +875,11 @@ LAYER_CALLS = {
     "statics.type_check": 1311,
     "syntax.alpha_eq": 1091,
     "syntax.subst_term": 798,
-    "syntax.type_equal": 55738,
+    "syntax.type_equal": 55734,
     "translate.run_translation": 1071,
 }
 
-UNITS_SPENT = 167360
+UNITS_SPENT = 167356
 
 
 def test_reports_are_pinned(charged_sweep):

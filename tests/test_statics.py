@@ -1,5 +1,7 @@
 """Kinding, subtyping, rank predicates, and the type checker."""
 
+import collections
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from rowlab.config import PRESETS, CalculusConfig, preset
 from rowlab.infer import InferError, infer
 from rowlab.parser import parse_term_str, parse_type_str
 from rowlab.pretty import show_term
+from rowlab import statics
 from rowlab.statics import (
     FeatureError,
     KindError,
@@ -17,6 +20,7 @@ from rowlab.statics import (
     TypingError,
     check_rank_limit,
     check_type_features,
+    derivations,
     kind_check,
     rank_ok,
     refuse_missing,
@@ -53,8 +57,12 @@ from rowlab.syntax import (
     Upcast,
     Var,
     Variant,
+    children,
+    rebuild,
+    term_size,
     type_equal,
 )
+from rowlab.translate import run_translation
 
 T = parse_type_str
 M = parse_term_str
@@ -681,3 +689,114 @@ def test_feature_table_refuses_as_the_inline_gates_did(config):
             assert got == want
         else:
             assert got == f"{_RENAMED.get(want, want)} (while typing {show_term(term)})"
+
+
+# ---------------------------------------------------------------------------
+# Shared terms: t3 copies a cast's operand into every field it keeps, so k
+# stacked casts give O(k) distinct nodes but a tree exponential in k
+
+
+INT = Base("Int")
+
+
+def _t3_stack(k):
+    """The t3 translation of ``({L0 = 1, ..., Lk = k+1} :> ... ).L0`` with k
+    casts, each dropping the last field."""
+    labels = [f"L{i}" for i in range(k + 1)]
+    src = "{" + ", ".join(f"{l} = {i + 1}" for i, l in enumerate(labels)) + "}"
+    for kept in range(k, 0, -1):
+        src += " :> {" + "; ".join(f"{l}:Int" for l in labels[:kept]) + "}"
+    return run_translation("rec-sub-to-rec", check("rec-sub", f"({src}).L0"))
+
+
+def _unshared(term):
+    """An equal copy in which no node object occurs twice."""
+    kids = [_unshared(child) for _, child, _ in children(term)]
+    return rebuild(term, kids) if kids else dataclasses.replace(term)
+
+
+def _distinct(term):
+    seen, stack = {}, [term]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(child for _, child, _ in children(t))
+    return len(seen)
+
+
+def test_shared_cast_stacks_check_in_their_distinct_subterms():
+    for k in range(4, 13):
+        out = _t3_stack(k)
+        d = type_check(preset("rec"), {}, {}, out)
+        assert type_equal(d.type, INT)
+        assert _distinct(out) == (k + 2) * (k + 3) // 2
+        if k <= 5:
+            copy = _unshared(out)
+            assert _distinct(copy) == term_size(copy) == term_size(out)
+            assert type_check(preset("rec"), {}, {}, copy) == d
+    assert term_size(out) > 7 * 10**9  # the tree of k = 12
+
+
+def _count_entries(monkeypatch):
+    """A counter of ``_check`` entries by (node, delta, gamma) object."""
+    entered = collections.Counter()
+    real = statics._check
+
+    def counted(config, delta, gamma, term, rec):
+        entered[id(term), id(delta), id(gamma)] += 1
+        return real(config, delta, gamma, term, rec)
+
+    monkeypatch.setattr(statics, "_check", counted)
+    return entered
+
+
+def test_each_node_is_checked_once_per_context(monkeypatch):
+    entered = _count_entries(monkeypatch)
+    for k in (6, 12):
+        out = _t3_stack(k)
+        entered.clear()
+        d = type_check(preset("rec"), {}, {}, out)
+        assert max(entered.values()) == 1
+        assert len(entered) == _distinct(out)
+        # one derivation per entry, a shared premise visited once
+        assert len(list(derivations(d))) == len(entered)
+
+
+def test_a_node_shared_under_another_context_is_checked_again(monkeypatch):
+    entered = _count_entries(monkeypatch)
+    cfg = preset("rec-sub-full-rank2")
+    s = RecordLit((("C", Var("x")),))
+    term = RecordLit((("A", Let("x", Lit(1), s)), ("B", Let("x", Lit("a"), s))))
+    d = type_check(cfg, {}, {}, term)
+    assert type_equal(d.type, T("{A:{C:Int}; B:{C:String}}"))
+    a, b = (p.premises[1] for p in d.premises)
+    assert a.term is b.term is s and a is not b
+    # equal contexts in different objects: checked once per object
+    entered.clear()
+    lam = Lam("y", INT, s)
+    d = type_check(cfg, {}, {"x": INT}, RecordLit((("A", lam), ("B", lam))))
+    a, b = d.premises
+    assert a is b and a.premises[0].term is s
+    assert sum(n for (node, _, _), n in entered.items() if node == id(s)) == 1
+    entered.clear()
+    twin = Lam("y", INT, s)
+    type_check(cfg, {}, {"x": INT}, RecordLit((("A", lam), ("B", twin))))
+    assert sum(n for (node, _, _), n in entered.items() if node == id(s)) == 2
+
+
+def test_a_failing_shared_subterm_fails_as_an_unshared_one():
+    cfg = preset("rec-sub-full-rank2")
+    bad = Prim("+", (Lit(1), Lit("a")))
+    shared = RecordLit((("A", bad), ("B", bad)))
+    messages = []
+    for term in (shared, _unshared(shared)):
+        with pytest.raises(TypingError) as e:
+            type_check(cfg, {}, {}, term)
+        messages.append(str(e.value))
+    assert messages == ["primitive + applied at Int, String"] * 2
+    # checks under the first context, fails under the second
+    s = Prim("+", (Var("x"), Lit(1)))
+    term = RecordLit((("A", Let("x", Lit(1), s)), ("B", Let("x", Lit("a"), s))))
+    with pytest.raises(TypingError, match="^primitive \\+ applied at String, Int$"):
+        type_check(cfg, {}, {}, term)

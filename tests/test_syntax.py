@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rowlab.config import PRESETS, preset
-from rowlab.dynamics import RelationSet, step_all
+from rowlab import dynamics
+from rowlab.dynamics import RelationSet, normalize, step_all
 from rowlab.harness import GenError, GenSpec, _Gen, gen_typed_term, term_size
 from rowlab.pretty import show_kind, show_presence, show_term, show_type
 from rowlab.syntax import (
@@ -1439,6 +1440,50 @@ def test_kept_size_and_names_equal_the_reference_walks():
     assert reducts > 100
 
 
+def _reference_free(term):
+    """The free term variables of ``term``, read off its dataclass fields
+    rather than the shape table."""
+    if isinstance(term, Var):
+        return {term.name}
+    if isinstance(term, Lam):
+        return _reference_free(term.body) - {term.var}
+    if isinstance(term, Let):
+        return _reference_free(term.bound) | (_reference_free(term.body) - {term.var})
+    if isinstance(term, Case):
+        out = _reference_free(term.scrutinee)
+        for _, binder, body in term.branches:
+            out |= _reference_free(body) - {binder}
+        return out
+    out = set()
+    for f in dataclasses.fields(term):
+        for part in _term_parts(getattr(term, f.name)):
+            out |= _reference_free(part)
+    return out
+
+
+def _term_parts(x):
+    if isinstance(x, tuple):
+        for y in x:
+            yield from _term_parts(y)
+    elif type(x) in get_args(Term):
+        yield x
+
+
+def test_kept_free_variables_equal_the_reference_walk():
+    bound = 0
+    for m in _terms_and_reducts():
+        cold = _fresh(m)
+        assert getattr(cold, "_free", None) is None
+        assert free_vars(cold) == _reference_free(m)
+        # warm: the same kept object comes back
+        assert free_vars(m) is free_vars(m)
+        assert free_vars(m) == _reference_free(m)
+        for sub in _subterms(m) if term_size(m) <= 500 else []:
+            assert sub._free == _reference_free(sub)
+            bound += any(b is not None for _, _, b in children(sub))
+    assert bound > 100
+
+
 def test_kept_names_cover_binders_tails_and_presence_variables():
     r0 = KRow(frozenset())
     assert type_level_names(RowAbs("r", r0, Lit(1))) == {"r"}
@@ -1460,19 +1505,23 @@ def test_new_nodes_start_without_kept_facts():
     changed = 0
     for m in _generated_term_list():
         for sub in _subterms(m) if term_size(m) <= 500 else []:
-            term_size(sub), type_level_names(sub)
+            term_size(sub), type_level_names(sub), free_vars(sub)
             kids = [Lit(7) for _ in children(sub)]
             if kids:
                 new = rebuild(sub, kids)
                 assert getattr(new, "_size", None) is None
+                assert getattr(new, "_free", None) is None
                 assert term_size(new) == 1 + len(kids)
                 assert type_level_names(new) == _reference_names(new)
+                assert free_vars(new) == set()
             for name in SHAPES[type(sub)].types:
                 if getattr(sub, name) is None or isinstance(sub, PresApp):
                     continue
                 part = Record(Row((), "fresh")) if name != "row" else Row((), "fresh")
                 new = dataclasses.replace(sub, **{name: part})
                 assert getattr(new, "_names", None) is None
+                assert getattr(new, "_free", None) is None
+                assert free_vars(new) == _reference_free(sub)
                 assert "fresh" in type_level_names(new)
                 assert type_level_names(new) == _reference_names(new)
                 changed += 1
@@ -1485,6 +1534,11 @@ def test_deep_terms_are_sized_and_skipped_without_recursion():
         chain = Prim("+", (chain, Lit(i)))
     assert term_size(chain) == 199_999
     assert subst_type_in_term(chain, Row((), "s"), "r") is chain
+    top = Prim("+", (chain, Var("y")))
+    assert free_vars(top) == {"y"}
+    assert subst_term(top, Lit(1), "x") is top
+    out = subst_term(top, Lit(1), "y")
+    assert out.args[0] is chain and out.args[1] == Lit(1)
 
 
 def test_type_substitution_enters_only_the_paths_to_the_name(monkeypatch):
@@ -1511,3 +1565,43 @@ def test_type_substitution_enters_only_the_paths_to_the_name(monkeypatch):
         assert all(var in type_level_names(node) for node in entered), (body, var)
         walked += len(entered)
     assert walked > 100
+
+
+def _let_chain(n):
+    """let x0 = 7 in let x1 = {A = x0}.A in ... in xn"""
+    body = Var(f"x{n}")
+    for i in range(n, 0, -1):
+        body = Let(f"x{i}", Project(RecordLit((("A", Var(f"x{i - 1}")),)), "A"), body)
+    return Let("x0", Lit(7), body)
+
+
+def test_let_chain_substitutions_enter_linearly_many_nodes(monkeypatch):
+    # each beta-let substitutes into the rest of the chain, whose one
+    # occurrence of the bound name sits at its head: substitution walks that
+    # path (and keeps the free variables of the nodes it builds), not the
+    # whole body, so the nodes it enters grow linearly with the chain
+    entered, inside = [], [False]
+    for cls, shape in list(SHAPES.items()):
+
+        def counted(node, real=shape.children):
+            if inside[0]:
+                entered.append(node)
+            return real(node)
+
+        monkeypatch.setitem(SHAPES, cls, dataclasses.replace(shape, children=counted))
+    real_subst = dynamics.subst_term
+
+    def subst(*args):
+        inside[0] = True
+        try:
+            return real_subst(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(dynamics, "subst_term", subst)
+    counts = []
+    for n in (50, 100):
+        entered.clear()
+        assert normalize(_let_chain(n), RelationSet()) == Lit(7)
+        counts.append(len(entered))
+    assert counts[0] > 50 and counts[1] <= 2.2 * counts[0], counts
