@@ -22,11 +22,18 @@ translated reduct, any number of source steps away, by steps of the run's
 one class.  Every stepping check runs on one walk: ``_explore`` keeps the
 seen set and descends, ``_reducts`` steps and re-typechecks.
 
-Terms are told apart by structure, never by their printed text: the seen
-sets of ``_explore`` and ``_closure`` and the ``_Reach`` memo hold
-``_Keys`` ints, and ``show_term`` renders only the text reports carry.  The
-search compares a state with its goal as ``alpha_eq`` does, under the binder
-pairs of the nodes above them (``syntax.match_node``), so it renames neither.
+Each stepping check makes one ``_Keys`` table, its memo for as long as it
+runs.  The table keys terms by structure, never by their printed text: the
+seen sets of ``_explore`` and ``_closure`` and the ``_Reach`` memo hold its
+ints.  It also makes every call the check makes into the stepper
+(``step_all``, keyed by term, relation set and spine mode), the checker
+(a reduct, keyed by term and context objects) and the translator
+(``run_translation``, keyed by derivation), so a term reached twice, say as
+a reduct's image and again as the next level's root, is stepped,
+re-typechecked and translated once.  Report text is rendered only for a
+failed case (``PropertyReport.tally``).  The search compares a state with
+its goal as ``alpha_eq`` does, under the binder pairs of the nodes above
+them (``syntax.match_node``), so it renames neither.
 """
 
 from __future__ import annotations
@@ -37,10 +44,10 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .config import CalculusConfig, preset
-from .dynamics import RelationSet, erase, relations_for, step_all, term_preorder
+from .dynamics import RelationSet, Step, erase, relations_for, step_all, term_preorder
 from .infer import InferError, infer, scheme_instance
 from .pretty import show_scheme, show_term, show_type
 from .statics import (
@@ -91,6 +98,7 @@ from .translate import (
 )
 
 _UNTYPED = RelationSet()
+Text = str | Callable[[], str]  # report text, or a function that renders it
 _WORDS = ("Ada", "Alice", "Bob", "Carol", "Dan")
 _LABELS = ("Age", "Name", "Size", "Year")
 
@@ -475,10 +483,13 @@ class PropertyReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def tally(self, case_id: str, term: Term, ok: bool, expected: str, got: str):
+    def tally(self, case_id: str, term: Term, ok: bool, expected: Text, got: Text):
+        """Count one case; ``expected`` and ``got`` are its text, or functions
+        that render it, called only when the case fails."""
         self.cases += 1
         if not ok:
-            self.failures.append((case_id, show_term(term), expected, got))
+            texts = (x() if callable(x) else x for x in (expected, got))
+            self.failures.append((case_id, show_term(term), *texts))
 
     def merge(self, other: "PropertyReport") -> "PropertyReport":
         if other.prop != self.prop:
@@ -519,8 +530,8 @@ def _step_class(tag: str) -> str:
     return tag.split("-", 1)[0]
 
 
-def _class_steps(term: Term, rels: RelationSet, cls: str) -> list[Term]:
-    return [s.term for s in step_all(term, rels) if _step_class(s.tag) == cls]
+def _class_steps(term: Term, rels: RelationSet, cls: str, keys: _Keys) -> list[Term]:
+    return [s.term for s in keys.steps(term, rels) if _step_class(s.tag) == cls]
 
 
 def _closure(
@@ -532,7 +543,7 @@ def _closure(
     queue = [term]
     while queue and len(out) < _CLOSURE_NODES:
         u = queue.pop()
-        for s in step_all(u, rels):
+        for s in keys.steps(u, rels):
             if _step_class(s.tag) not in classes:
                 continue
             key = keys(s.term)
@@ -554,7 +565,7 @@ def _pattern_steps(
         if token.endswith("*"):
             ends = [v for u in ends for v in _closure(u, rels, {cls}, keys)]
         else:
-            stepped = [v for u in ends for v in _class_steps(u, rels, cls)]
+            stepped = [v for u in ends for v in _class_steps(u, rels, cls, keys)]
             ends = ends + stepped if token.endswith("?") else stepped
     return ends
 
@@ -572,12 +583,12 @@ def _simulates(
     return _Reach(rels, {first[:-1]}, keys).go(tm, tn, need_beta=bool(rest))
 
 
-def _cast_normal(term: Term, rels: RelationSet) -> Term:
+def _cast_normal(term: Term, rels: RelationSet, keys: _Keys) -> Term:
     """Contract cast redexes until none remain.  Cast rules only collapse,
     narrow, or push casts inward, so this terminates and (the system being
     orthogonal) the result does not depend on the contraction order."""
     for _ in range(_CAST_FUEL):
-        for s in step_all(term, rels):
+        for s in keys.steps(term, rels):
             if _step_class(s.tag) in ("upcast", "nested"):
                 term = s.term
                 break
@@ -587,17 +598,29 @@ def _cast_normal(term: Term, rels: RelationSet) -> Term:
 
 
 class _Keys:
-    """Structural keys for terms: an int interned from a node's form, its
-    fields, its binder names and its children's keys, computed once per
-    object.  Two terms get the same key exactly when they are equal (a
-    literal's type included), however their nodes are shared, and keying a
-    term costs what its distinct subterms cost, not its tree unfolding.
-    Each check that steps terms makes one table for all its searches and
-    seen sets, so a term they share is keyed once."""
+    """One stepping check's memo.  Calling it gives a term's structural key:
+    an int interned from a node's form, its fields, its binder names and its
+    children's keys, computed once per object.  Two terms get the same key
+    exactly when they are equal (a literal's type included), however their
+    nodes are shared, and keying a term costs what its distinct subterms
+    cost, not its tree unfolding.
+
+    The table also makes every call the check makes into the stepper and
+    the translator, once per distinct question: ``steps`` keys ``step_all``
+    by (term key, relation set, spine mode), ``reducts`` re-typechecks a
+    reduct once per (term key, context objects, configuration), so a term
+    that two runs reach gets one derivation object, and ``image`` keys
+    ``run_translation`` by (translation, derivation object).  Objects keyed
+    by ``id`` are held, so their ids cannot be recycled.  Each check makes
+    one table for all its searches and seen sets, and drops it when it
+    returns."""
 
     def __init__(self):
         self._keys: dict[int, tuple[Term, int]] = {}  # id -> (term, key)
         self._interned: dict[tuple, int] = {}
+        self._steps: dict[tuple, list[Step]] = {}
+        self._typed: dict[tuple, tuple[Derivation, Derivation | StaticError]] = {}
+        self._images: dict[tuple, tuple[Derivation, Term]] = {}
 
     def __call__(self, t: Term) -> int:
         # hold the term itself so ids cannot be recycled under us
@@ -616,6 +639,40 @@ class _Keys:
         key = self._interned.setdefault(tuple(parts), len(self._interned))
         self._keys[id(t)] = (t, key)
         return key
+
+    def steps(self, t: Term, rels: RelationSet, spine: bool = False) -> list[Step]:
+        """What ``step_all`` lists for ``t``; the list is shared, so it is
+        not to be changed."""
+        key = (self(t), rels, spine)
+        hit = self._steps.get(key)
+        if hit is None:
+            hit = self._steps[key] = step_all(t, rels, spine=spine)
+        return hit
+
+    def image(self, tid: str, d: Derivation) -> Term:
+        """``d``'s translation by ``tid``, as ``run_translation`` gives it."""
+        hit = self._images.get((tid, id(d)))
+        if hit is None:
+            hit = self._images[tid, id(d)] = (d, run_translation(tid, d))
+        return hit[1]
+
+    def reducts(
+        self, cfg: CalculusConfig, d: Derivation, rels: RelationSet
+    ) -> list[tuple[Step, Derivation | StaticError]]:
+        """Each step of ``d``'s term with its reduct's derivation, or the
+        error that re-typechecking the reduct raised."""
+        out: list[tuple[Step, Derivation | StaticError]] = []
+        for s in self.steps(d.term, rels):
+            key = (self(s.term), id(d.delta), id(d.gamma), cfg)
+            hit = self._typed.get(key)
+            if hit is None:
+                try:
+                    nd = type_check(cfg, d.delta, d.gamma, s.term)
+                except StaticError as e:
+                    nd = e
+                hit = self._typed[key] = (d, nd)  # d holds the contexts
+            out.append((s, hit[1]))
+        return out
 
 
 class _Reach:
@@ -656,7 +713,7 @@ class _Reach:
             return out
         out = False
         # contract the root, or a head-spine position that can expose it
-        for s in step_all(x, self.rels, spine=True):
+        for s in self._key.steps(x, self.rels, spine=True):
             cls = _step_class(s.tag)
             if cls in self.classes and self.go(s.term, g, need_beta, env, tyenv):
                 out = True
@@ -705,16 +762,15 @@ def _explore(root, depth: int, expand, keys: _Keys, terms=lambda d: (d.term,)) -
     visit(root, 0)
 
 
-def _reducts(rep: PropertyReport, cfg: CalculusConfig, d: Derivation, rels, cid):
+def _reducts(
+    rep: PropertyReport, keys: _Keys, cfg: CalculusConfig, d: Derivation, rels, cid
+):
     """(step, derivation) for each reduct of ``d`` that re-typechecks; one
-    that does not is a failed case."""
-    for s in step_all(d.term, rels):
-        try:
-            nd = type_check(cfg, d.delta, d.gamma, s.term)
-        except StaticError as e:
-            rep.tally(
-                cid, d.term, False, "reduct re-typechecks", f"{type(e).__name__}: {e}"
-            )
+    that does not is a failed case, tallied on each walk over it."""
+    for s, nd in keys.reducts(cfg, d, rels):
+        if isinstance(nd, StaticError):
+            got = f"{type(nd).__name__}: {nd}"
+            rep.tally(cid, d.term, False, "reduct re-typechecks", got)
             continue
         yield s, nd
 
@@ -745,7 +801,10 @@ def check_type_preservation(tid: str, deriv: Derivation, case_id: str = ""):
         tgamma = {x: t.type_map(a) for x, a in deriv.gamma.items()}
         od = type_check(tgt_cfg, dict(deriv.delta), tgamma, out)
         want = t.type_map(deriv.type)
-        return type_equal(od.type, want), show_type(want), show_type(od.type)
+        return (
+            type_equal(od.type, want),
+            lambda: show_type(want), lambda: show_type(od.type),
+        )
 
     return _single(
         f"type-preservation[{tid}]", case_id, deriv.term,
@@ -774,7 +833,10 @@ def check_weak_preservation(deriv: Derivation, case_id: str = ""):
         bare = erase(deriv.term)
         sigma = infer(tgt_cfg, dict(deriv.delta), dict(deriv.gamma), bare)
         bound = trans_a(d2.type)
-        return weak_sub_instance(sigma, bound), show_scheme(bound), show_scheme(sigma)
+        return (
+            weak_sub_instance(sigma, bound),
+            lambda: show_scheme(bound), lambda: show_scheme(sigma),
+        )
 
     return _single(
         f"type-preservation[{t.tid}]", case_id, deriv.term,
@@ -797,11 +859,11 @@ def check_simulation(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
 
     def expand(d: Derivation, level: int):
         cid = f"{case_id}@{level}"
-        tm = run_translation(tid, d)
-        for s, nd in _reducts(rep, src_cfg, d, src_rels, cid):
+        tm = keys.image(tid, d)
+        for s, nd in _reducts(rep, keys, src_cfg, d, src_rels, cid):
             pattern = t.simulation.get(_step_class(s.tag))
             if pattern is not None:
-                ok = _simulates(pattern, tm, run_translation(tid, nd), tgt_rels, keys)
+                ok = _simulates(pattern, tm, keys.image(tid, nd), tgt_rels, keys)
                 rep.tally(
                     cid, d.term, ok,
                     f"target steps {pattern} reaching the translated reduct",
@@ -823,10 +885,10 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
 
     def expand(d: Derivation, level: int):
         cid = f"{case_id}@{level}"
-        tm = run_translation(tid, d)
+        tm = keys.image(tid, d)
         sources = [
-            (_step_class(s.tag), nd, run_translation(tid, nd))
-            for s, nd in _reducts(rep, src_cfg, d, src_rels, cid)
+            (_step_class(s.tag), nd, keys.image(tid, nd))
+            for s, nd in _reducts(rep, keys, src_cfg, d, src_rels, cid)
         ]
         reach_by = {c: _Reach(tgt_rels, {c}, keys) for c in ("beta", "nu", "tau")}
         # translated source reducts two or more steps away, breadth first,
@@ -849,17 +911,15 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
                 if not queue:
                     return
                 fd = queue.popleft()
-                for s in step_all(fd.term, src_rels):
+                for s, fnd in keys.reducts(src_cfg, fd, src_rels):
                     k = keys(s.term)
                     if k in known:
                         continue
                     known.add(k)
-                    try:
-                        fnd = type_check(src_cfg, fd.delta, fd.gamma, s.term)
-                    except StaticError:
+                    if isinstance(fnd, StaticError):
                         continue
                     queue.append(fnd)
-                    deeper.append(run_translation(tid, fnd))
+                    deeper.append(keys.image(tid, fnd))
 
         obligations = [
             (i, u)
@@ -906,7 +966,7 @@ def check_erasure(tid: str, deriv: Derivation, case_id: str = ""):
     def check():
         lhs = erase(run_translation(tid, deriv))
         rhs = erase(deriv.term)
-        return alpha_eq(lhs, rhs), show_term(rhs), show_term(lhs)
+        return alpha_eq(lhs, rhs), lambda: show_term(rhs), lambda: show_term(lhs)
 
     return _single(
         f"erasure[{tid}]", case_id, deriv.term, (StaticError, TranslationError),
@@ -933,6 +993,7 @@ def check_preorder_correspondence(
     rep = PropertyReport("preorder-correspondence")
     cfg = preset("var-rec-sub-full")
     rels = relations_for(cfg, full_upcast=True)
+    keys = _Keys()
 
     def expand(node, level: int):
         d, u = node
@@ -944,11 +1005,11 @@ def check_preorder_correspondence(
             )
             return
         # simulation direction
-        for s, nd in _reducts(rep, cfg, d, rels, cid):
+        for s, nd in _reducts(rep, keys, cfg, d, rels, cid):
             if _step_class(s.tag) == "beta":
                 matches = [
                     n2
-                    for n2 in _class_steps(u, _UNTYPED, "beta")
+                    for n2 in _class_steps(u, _UNTYPED, "beta", keys)
                     if term_preorder(n2, erase(nd.term))
                 ]
                 rep.tally(
@@ -970,11 +1031,11 @@ def check_preorder_correspondence(
         # reflection direction: contracting every cast can only narrow the
         # erasure further and never destroys a beta redex, so the cast-normal
         # form is the one candidate worth checking.
-        v = _cast_normal(d.term, rels)
-        for n_prime in _class_steps(u, _UNTYPED, "beta"):
+        v = _cast_normal(d.term, rels, keys)
+        for n_prime in _class_steps(u, _UNTYPED, "beta", keys):
             found = any(
                 term_preorder(n_prime, erase(w))
-                for w in _class_steps(v, rels, "beta")
+                for w in _class_steps(v, rels, "beta", keys)
             ) or term_preorder(n_prime, erase(v))
             rep.tally(
                 cid, d.term, found,
@@ -983,7 +1044,7 @@ def check_preorder_correspondence(
             )
 
     _explore(
-        (deriv, erase(deriv.term)), depth, expand, _Keys(),
+        (deriv, erase(deriv.term)), depth, expand, keys,
         lambda node: (node[0].term, node[1]),
     )
     return rep
@@ -1007,7 +1068,7 @@ def check_subst_lemma(
         dc = type_check(src_cfg, dict(deriv_m.delta), gamma, combined)
         lhs = run_translation(tid, dc)
         rhs = subst_term(tm, tn, var)
-        return alpha_eq(lhs, rhs), show_term(rhs), show_term(lhs)
+        return alpha_eq(lhs, rhs), lambda: show_term(rhs), lambda: show_term(lhs)
 
     return _single(
         f"substitution[{tid}]", case_id, deriv_m.term,
@@ -1022,20 +1083,21 @@ def check_subject_reduction(
     """Stepping preserves the type (or keeps the principal scheme as general)."""
     rep = PropertyReport(f"subject-reduction[{config.name}]")
     rels = relations_for(config)
+    keys = _Keys()
 
     def expand(d: Derivation, level: int):
         cid = f"{case_id}@{level}"
-        for _, nd in _reducts(rep, config, d, rels, cid):
+        for _, nd in _reducts(rep, keys, config, d, rels, cid):
             rep.tally(
-                cid, d.term, type_equal(nd.type, d.type), show_type(d.type),
-                show_type(nd.type),
+                cid, d.term, type_equal(nd.type, d.type),
+                lambda: show_type(d.type), lambda: show_type(nd.type),
             )
             yield nd
 
     def expand_bare(node, level: int):
         term, scheme = node
         cid = f"{case_id}@{level}"
-        for s in step_all(term, rels):
+        for s in keys.steps(term, rels):
             try:
                 ns = infer(config, ambient_delta(), ambient_gamma(), s.term)
             except InferError as e:
@@ -1044,17 +1106,17 @@ def check_subject_reduction(
                 )
                 continue
             rep.tally(
-                cid, term, scheme_instance(ns, scheme), show_scheme(scheme),
-                show_scheme(ns),
+                cid, term, scheme_instance(ns, scheme),
+                lambda: show_scheme(scheme), lambda: show_scheme(ns),
             )
             yield s.term, ns
 
     if config.rank1:
         term = subject.term if isinstance(subject, Derivation) else subject
         root = (term, infer(config, ambient_delta(), ambient_gamma(), term))
-        _explore(root, depth, expand_bare, _Keys(), lambda node: node[:1])
+        _explore(root, depth, expand_bare, keys, lambda node: node[:1])
     else:
-        _explore(subject, depth, expand, _Keys())
+        _explore(subject, depth, expand, keys)
     return rep
 
 

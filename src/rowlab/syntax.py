@@ -983,14 +983,6 @@ def _same_key(a, left: tuple[str, ...], b, right: tuple[str, ...]) -> bool:
         return False
 
 
-def scheme_alpha_eq(a: TypeScheme, b: TypeScheme) -> bool:
-    """Scheme equality up to renaming; quantifier order must correspond."""
-    if [k for _, k in a.quants] != [k for _, k in b.quants]:
-        return False
-    left, right = (tuple(n for n, _ in reversed(s.quants)) for s in (a, b))
-    return _same_key(a.body, left, b.body, right)
-
-
 # ---------------------------------------------------------------------------
 # alpha equivalence of terms
 

@@ -47,7 +47,7 @@ from rowlab.harness import (
 )
 from rowlab.infer import infer
 from rowlab.parser import parse_term_str
-from rowlab.pretty import show_term
+from rowlab.pretty import show_term, show_type
 from rowlab.statics import type_check
 from rowlab.syntax import SHAPES, Lit, Prim, Upcast, alpha_eq, children
 from rowlab.translate import TRANSLATIONS, TranslationError, run_translation
@@ -177,6 +177,74 @@ def test_report_tally_and_merge():
     assert b.passed and "pass" in b.summary()
     data = m.to_json()
     assert data["cases"] == 3 and data["passed"] is False
+
+
+def test_report_text_is_rendered_only_for_a_failure():
+    rendered = []
+
+    def text(s):
+        return lambda: rendered.append(s) or s
+
+    rep = PropertyReport("demo")
+    rep.tally("c1", Lit(1), True, text("x"), text("y"))
+    assert rendered == []
+    rep.tally("c2", Lit(2), False, text("wanted"), "got")
+    assert rendered == ["wanted"]
+    assert rep.failures == [("c2", "2", "wanted", "got")]
+
+
+@pytest.mark.parametrize("prop", ["erasure", "substitution"])
+def test_passing_sweeps_render_no_terms(prop, monkeypatch):
+    rendered = []
+    show = harness.show_term
+    monkeypatch.setattr(harness, "show_term", lambda t: rendered.append(t) or show(t))
+    rep = run_property(prop, translation="rec-sub-to-pre", count=20, seed=3)
+    assert rep.passed and rep.cases == 20
+    assert rendered == []
+
+
+def test_forced_failures_report_the_text_they_did(monkeypatch):
+    """Each one-case check, made to fail, reports the text it rendered
+    eagerly before: both sides of the failed comparison, printed."""
+    spec = GenSpec(preset("rec-sub"), max_size=8, seed=3)
+    d = gen_typed_term(spec, 4)[1]
+    monkeypatch.setattr(harness, "alpha_eq", lambda *args: False)
+    monkeypatch.setattr(harness, "type_equal", lambda *args: False)
+    rep = check_erasure("rec-sub-to-pre", d, "e")
+    lhs = erase(run_translation("rec-sub-to-pre", d))
+    assert rep.failures == [
+        ("e", show_term(d.term), show_term(erase(d.term)), show_term(lhs))
+    ]
+    dm, dn, var = gen_subst_pair(spec, 4)
+    rep = check_subst_lemma("rec-sub-to-rec", dm, dn, var, "s")
+    tm, tn = (run_translation("rec-sub-to-rec", x) for x in (dm, dn))
+    combined = harness.subst_term(dm.term, dn.term, var)
+    gamma = {k: v for k, v in dm.gamma.items() if k != var}
+    dc = type_check(preset("rec-sub"), dict(dm.delta), gamma, combined)
+    assert rep.failures == [
+        (
+            "s", show_term(dm.term),
+            show_term(harness.subst_term(tm, tn, var)),
+            show_term(run_translation("rec-sub-to-rec", dc)),
+        )
+    ]
+    t = TRANSLATIONS["rec-sub-to-rec"]
+    rep = check_type_preservation("rec-sub-to-rec", d, "t")
+    out = type_check(
+        preset("rec"), dict(d.delta),
+        {x: t.type_map(a) for x, a in d.gamma.items()},
+        run_translation("rec-sub-to-rec", d),
+    )
+    assert rep.failures == [
+        ("t", show_term(d.term), show_type(t.type_map(d.type)), show_type(out.type))
+    ]
+    rep = check_subject_reduction(preset("rec-sub"), d, 1, "r")
+    got = [
+        ("r@0", show_term(d.term), show_type(d.type), show_type(nd.type))
+        for s in step_all(d.term, relations_for(preset("rec-sub")))
+        for nd in [type_check(preset("rec-sub"), d.delta, d.gamma, s.term)]
+    ]
+    assert got and rep.failures == got
 
 
 def test_report_merge_requires_same_property():
@@ -606,12 +674,54 @@ def test_search_pairs_only_the_live_fields_of_a_record():
     assert _Reach(rels, {"beta"}, _Keys()).go(x, g)
 
 
+def same_steps(got, want):
+    return [(s.tag, s.path) for s in got] == [(s.tag, s.path) for s in want] and all(
+        alpha_eq(a.term, b.term) for a, b in zip(got, want)
+    )
+
+
+def test_memoized_steps_agree_with_step_all():
+    """One table steps generated terms of every registry preset, and their
+    translations, under both relation sets of a pair and in both modes, as
+    reflection does: it answers each as ``step_all`` does."""
+    differ = collections.Counter()
+    for tid, t in sorted(TRANSLATIONS.items()):
+        for src, tgt in t.pairs:
+            all_rels = [relations_for(preset(src)), relations_for(preset(tgt))]
+            for name in (src, tgt):
+                keys = _Keys()
+                spec = GenSpec(preset(name), max_size=8, seed=5)
+                for i in range(6):
+                    term, d = gen_typed_term(spec, i)
+                    pool = [term]
+                    if name == src and d is not None:
+                        pool.append(run_translation(tid, d))
+                    for u in pool:
+                        answers = []
+                        for rels in all_rels:
+                            for spine in (False, True):
+                                got = keys.steps(u, rels, spine)
+                                want = step_all(u, rels, spine=spine)
+                                assert same_steps(got, want), (tid, name, i)
+                                answers.append(want)
+                        differ["relations"] += not same_steps(answers[0], answers[2])
+                        differ["spine"] += not same_steps(answers[0], answers[1])
+    # a key without the relation set or the mode would answer wrongly here
+    assert differ["relations"] > 5 and differ["spine"] > 20, differ
+
+
+# cases of the simulation and reflection checks on index 86 at depth 2
+REC_SUB_86_CASES = {"rec-sub-to-rec": [3, 384], "rec-sub-to-pre": [3, 10]}
+
+
 @pytest.mark.parametrize("tid", ["rec-sub-to-rec", "rec-sub-to-pre"])
 def test_passing_search_checks_render_and_rename_nothing(tid, monkeypatch):
     """A work guard on index 86: passing simulation and reflection checks
-    key the terms they explore by structure, so they render none, and the
+    key the terms they explore by structure, so they render none; the
     search compares a state with its goal under their binder pairs, so it
-    substitutes nothing of its own."""
+    substitutes nothing of its own; and each check steps a term under a
+    relation set and mode once, and re-typechecks and translates it once
+    under the same contexts."""
     calls = collections.Counter()
     for module, name in (
         (pretty, "show_term"), (syntax, "subst_term"), (syntax, "subst_type_in_term")
@@ -623,10 +733,39 @@ def test_passing_search_checks_render_and_rename_nothing(tid, monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(harness, name, counted, raising=False)
+    # each check's calls into the stepper, the checker and the translator,
+    # by the term (keyed apart from the check's own table) and contexts
+    work = collections.Counter()
+    keyed = _Keys()
+    step, check_, translate_ = (
+        harness.step_all, harness.type_check, harness.run_translation
+    )
+
+    def recorded_step_all(term, rels, spine=False):
+        work["step", keyed(term), rels, spine] += 1
+        return step(term, rels, spine=spine)
+
+    def recorded_type_check(cfg, delta, gamma, term):
+        work["check", keyed(term), id(delta), id(gamma), cfg] += 1
+        return check_(cfg, delta, gamma, term)
+
+    def recorded_translation(tid, d):
+        work["translate", keyed(d.term), id(d.delta), id(d.gamma)] += 1
+        return translate_(tid, d)
+
+    monkeypatch.setattr(harness, "step_all", recorded_step_all)
+    monkeypatch.setattr(harness, "type_check", recorded_type_check)
+    monkeypatch.setattr(harness, "run_translation", recorded_translation)
+    cases = []
     for check in (check_simulation, check_reflection):
+        work.clear()
         rep = check(tid, rec_sub_input(86), 2)
-        assert rep.passed and rep.cases > 0
+        assert rep.passed and rep.failures == []
+        cases.append(rep.cases)
+        assert max(work.values()) == 1
+        assert {k[0] for k in work} == {"step", "check", "translate"}
     assert calls == {}
+    assert cases == REC_SUB_86_CASES[tid]
 
 
 @pytest.mark.parametrize("tid", ["rec-sub-to-rec", "rec-sub-to-pre"])
@@ -864,22 +1003,22 @@ REPORT_SHA256 = {
 
 LAYER_CALLS = {
     "dynamics.erase": 220,
-    "dynamics.step_all": 1644,
+    "dynamics.step_all": 1260,
     "dynamics.term_preorder": 38,
     "harness.check": 605,
     "harness.gen": 585,
     "infer.infer": 88,
-    "pretty.show_term": 321,
-    "pretty.show_type": 11411,
-    "statics.subtype": 2973,
-    "statics.type_check": 1311,
+    "pretty.show_term": 1,
+    "pretty.show_type": 10967,
+    "statics.subtype": 2913,
+    "statics.type_check": 1190,
     "syntax.alpha_eq": 1091,
-    "syntax.subst_term": 798,
-    "syntax.type_equal": 55734,
-    "translate.run_translation": 1071,
+    "syntax.subst_term": 642,
+    "syntax.type_equal": 55574,
+    "translate.run_translation": 823,
 }
 
-UNITS_SPENT = 167356
+UNITS_SPENT = 158139
 
 
 def test_reports_are_pinned(charged_sweep):

@@ -32,9 +32,9 @@ from rowlab.syntax import (
     TypeScheme,
     TyVar,
     Variant,
-    scheme_alpha_eq,
     type_equal,
 )
+from test_syntax import scheme_alpha_eq
 
 T = parse_type_str
 M = parse_term_str

@@ -53,6 +53,7 @@ from rowlab.syntax import (
     Upcast,
     Var,
     Variant,
+    _same_key,
     alpha_eq,
     bind,
     children,
@@ -65,7 +66,6 @@ from rowlab.syntax import (
     rename_type_name,
     row_dom,
     same_name,
-    scheme_alpha_eq,
     subst_term,
     subst_type_in_term,
     subst_type_in_type,
@@ -78,6 +78,14 @@ from rowlab.syntax import (
 from rowlab.translate import TRANSLATIONS, run_translation
 
 A0 = TyVar("a0")
+
+
+def scheme_alpha_eq(a: TypeScheme, b: TypeScheme) -> bool:
+    """Scheme equality up to renaming; quantifier order must correspond."""
+    if [k for _, k in a.quants] != [k for _, k in b.quants]:
+        return False
+    left, right = (tuple(n for n, _ in reversed(s.quants)) for s in (a, b))
+    return _same_key(a.body, left, b.body, right)
 INT = Base("Int")
 STR = Base("String")
 
