@@ -94,9 +94,9 @@ def _cmd_eval(args) -> int:
             "calculus": cfg.name,
             "term": show_term(term),
             "result": show_term(result),
-            "steps": [tag for tag, _ in steps],
+            "steps": steps,
         },
-        "\n".join(f"  {tag}" for tag, _ in steps) + ("\n" if steps and args.trace else "")
+        "\n".join(f"  {tag}" for tag in steps) + ("\n" if steps and args.trace else "")
         + show_term(result)
         if args.trace
         else show_term(result),

@@ -19,7 +19,6 @@ class CalculusConfig:
     subtyping: str = "none"  # none | simple | covariant | full
     row_poly: str = "none"  # none | higher | rank1
     pres_poly: str = "none"  # none | higher | rank1
-    builtins: bool = True
     record_rank_limit: int | None = None
     variant_rank_limit: int | None = None
     app_sub: bool = False  # subsumption folded into application (algorithmic)

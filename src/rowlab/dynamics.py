@@ -68,12 +68,10 @@ class OutOfFuel(DynamicsError):
 
 @dataclass(frozen=True)
 class RelationSet:
-    """Which rewrite rules are switched on."""
+    """Which rewrite rules are switched on; the beta rules always are."""
 
-    beta: bool = True
-    upcast: bool = False  # value-level cast rules for width subtyping
+    upcast: bool = False  # cast rules for width subtyping, stacked casts collapsed
     full_upcast: bool = False  # structural cast rules, incl. function casts
-    nested: bool = False  # collapse stacked casts into the outer one
     type_redex: bool = False  # row/presence application meeting its binder
 
 
@@ -86,10 +84,8 @@ def relations_for(config: CalculusConfig, *, full_upcast: bool = False) -> Relat
     simple_casts = config.subtyping == "simple"
     structural = full_upcast and config.subtyping in ("covariant", "full")
     return RelationSet(
-        beta=True,
         upcast=simple_casts or structural,
         full_upcast=structural,
-        nested=simple_casts or structural,
         type_redex=config.row_poly == "higher" or config.pres_poly == "higher",
     )
 
@@ -116,30 +112,29 @@ def _prim_eval(op: str, a, b):
 
 def _rewrite_here(term: Term, rels: RelationSet) -> tuple[Term, str] | None:
     """The rewrite this node heads, if any."""
-    if rels.beta:
-        if isinstance(term, App) and isinstance(term.fn, Lam):
-            return subst_term(term.fn.body, term.arg, term.fn.var), "beta-lam"
-        if isinstance(term, Case) and isinstance(term.scrutinee, Inject):
-            inj = term.scrutinee
-            for label, binder, body in term.branches:
-                if label == inj.label:
-                    return subst_term(body, inj.payload, binder), "beta-case"
-        if isinstance(term, Project) and isinstance(term.term, RecordLit):
-            value = term.term.field(term.label)
-            if value is not None:
-                return value, "beta-project"
-        if isinstance(term, Let):
-            return subst_term(term.body, term.bound, term.var), "beta-let"
-        if (
-            isinstance(term, Prim)
-            and all(isinstance(a, Lit) for a in term.args)
-            and len(term.args) == 2
-        ):
-            a, b = term.args
-            return Lit(_prim_eval(term.op, a.value, b.value)), "beta-prim"
+    if isinstance(term, App) and isinstance(term.fn, Lam):
+        return subst_term(term.fn.body, term.arg, term.fn.var), "beta-lam"
+    if isinstance(term, Case) and isinstance(term.scrutinee, Inject):
+        inj = term.scrutinee
+        for label, binder, body in term.branches:
+            if label == inj.label:
+                return subst_term(body, inj.payload, binder), "beta-case"
+    if isinstance(term, Project) and isinstance(term.term, RecordLit):
+        value = term.term.field(term.label)
+        if value is not None:
+            return value, "beta-project"
+    if isinstance(term, Let):
+        return subst_term(term.body, term.bound, term.var), "beta-let"
+    if (
+        isinstance(term, Prim)
+        and all(isinstance(a, Lit) for a in term.args)
+        and len(term.args) == 2
+    ):
+        a, b = term.args
+        return Lit(_prim_eval(term.op, a.value, b.value)), "beta-prim"
 
     if isinstance(term, Upcast):
-        if rels.nested and isinstance(term.term, Upcast):
+        if rels.upcast and isinstance(term.term, Upcast):
             return Upcast(term.term.term, term.target), "nested-upcast"
         if rels.full_upcast:
             hit = _full_cast(term)
@@ -248,14 +243,13 @@ _HEADS = (App, Case, Project, Let, Prim, Upcast, RowApp, PresApp)
 
 class _Frame:
     """An ancestor of the focus: the node, its children (the one in focus
-    may be stale), their slot names, the index of the child in focus, and
-    whether ``kids`` differs from the node's own children."""
+    may be stale), the index of the child in focus, and whether ``kids``
+    differs from the node's own children."""
 
-    __slots__ = ("node", "kids", "slots", "index", "dirty")
+    __slots__ = ("node", "kids", "index", "dirty")
 
     def __init__(self, node: Term, children: list[tuple[str, Term, str | None]]):
         self.node = node
-        self.slots = [slot for slot, _, _ in children]
         self.kids = [child for _, child, _ in children]
         self.index = 0
         self.dirty = False
@@ -268,7 +262,6 @@ class _Machine:
         self.rels = rels
         self.focus = term
         self.frames: list[_Frame] = []
-        self.path: list[str] = []  # the focus's slot names from the root
         self.hit = _rewrite_here(term, rels)  # the rewrite the focus heads
 
     def seek(self) -> bool:
@@ -279,11 +272,16 @@ class _Machine:
             self.hit = _rewrite_here(self.focus, self.rels)
         return True
 
-    def contract(self) -> tuple[str, Path]:
-        """Fire the redex in focus; the focus moves up when the parent
-        becomes a redex, and stays on the contractum otherwise."""
+    def path(self) -> Path:
+        """The focus's slot names from the root."""
+        return tuple(
+            SHAPES[type(f.node)].children(f.node)[f.index][0] for f in self.frames
+        )
+
+    def contract(self) -> str:
+        """Fire the redex in focus and give its tag; the focus moves up when
+        the parent becomes a redex, and stays on the contractum otherwise."""
         new, tag = self.hit
-        step = (tag, tuple(self.path))
         self.focus = new
         if self.frames:
             frame = self.frames[-1]
@@ -294,13 +292,12 @@ class _Machine:
                 up = _rewrite_here(frame.node, self.rels)
                 if up is not None:
                     self.frames.pop()
-                    self.path.pop()
                     self.focus, self.hit = frame.node, up
-                    return step
+                    return tag
             else:
                 frame.dirty = True
         self.hit = _rewrite_here(new, self.rels)
-        return step
+        return tag
 
     def _advance(self) -> bool:
         """Step the focus to the next node in preorder, rebuilding each
@@ -309,7 +306,6 @@ class _Machine:
         if children:
             frame = _Frame(self.focus, children)
             self.frames.append(frame)
-            self.path.append(frame.slots[0])
             self.focus = frame.kids[0]
             return True
         node = self.focus
@@ -320,11 +316,9 @@ class _Machine:
                 frame.dirty = True
             frame.index += 1
             if frame.index < len(frame.kids):
-                self.path[-1] = frame.slots[frame.index]
                 self.focus = frame.kids[frame.index]
                 return True
             self.frames.pop()
-            self.path.pop()
             node = rebuild(frame.node, frame.kids) if frame.dirty else frame.node
         self.focus = node
         return False
@@ -347,7 +341,8 @@ def step_once(term: Term, rels: RelationSet) -> Step | None:
     machine = _Machine(term, rels)
     if not machine.seek():
         return None
-    tag, path = machine.contract()
+    path = machine.path()
+    tag = machine.contract()
     return Step(machine.term(), tag, path)
 
 
@@ -358,11 +353,12 @@ def normalize(term: Term, rels: RelationSet, fuel: int = 10_000) -> Term:
 
 def reduction_trace(
     term: Term, rels: RelationSet, fuel: int = 10_000
-) -> tuple[Term, list[tuple[str, Path]]]:
-    """The normal form and the (tag, path) of every step taken to reach it;
-    OutOfFuel when it takes more than ``fuel`` steps."""
+) -> tuple[Term, list[str]]:
+    """The normal form and the tag of every step taken to reach it;
+    OutOfFuel when it takes more than ``fuel`` steps.  ``step_once`` gives a
+    step's path too."""
     machine = _Machine(term, rels)
-    steps: list[tuple[str, Path]] = []
+    steps: list[str] = []
     while machine.seek():
         if len(steps) >= fuel:
             raise OutOfFuel(

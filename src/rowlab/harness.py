@@ -101,6 +101,7 @@ _UNTYPED = RelationSet()
 Text = str | Callable[[], str]  # report text, or a function that renders it
 _WORDS = ("Ada", "Alice", "Bob", "Carol", "Dan")
 _LABELS = ("Age", "Name", "Size", "Year")
+_LEAF_TYPES = (TyVar("a0"), TyVar("a1"), Base("Int"), Base("String"), Base("Int"))
 
 
 class GenError(Exception):
@@ -157,7 +158,7 @@ class _Gen:
             if not self.config.rank_limited or check_rank_limit(self.config, ty):
                 return ty
             size = max(1, size // 2)
-        return Base("Int") if self.config.builtins else TyVar("a0")
+        return Base("Int")
 
     def _raw_type(self, size: int) -> Type:
         opts = [("base", 2.0)]
@@ -169,10 +170,7 @@ class _Gen:
                 opts.append(("variant", 2.0))
         kind = self._pick(opts)
         if kind == "base":
-            pool: list[Type] = [TyVar("a0"), TyVar("a1")]
-            if self.config.builtins:
-                pool += [Base("Int"), Base("String"), Base("Int")]
-            return self.rng.choice(pool)
+            return self.rng.choice(_LEAF_TYPES)
         if kind == "arrow":
             return Arrow(
                 self._raw_type(size // 2), self._raw_type(max(1, size - size // 2 - 1))
@@ -266,7 +264,7 @@ class _Gen:
         for name in gamma:
             if type_equal(gamma[name], goal):
                 cands.append(("var", _WEIGHTS["var"], name))
-        if isinstance(goal, Base) and self.config.builtins:
+        if isinstance(goal, Base):
             cands.append(("lit", _WEIGHTS["lit"], None))
             if size >= 3:
                 cands.append(("prim", _WEIGHTS["prim"], None))
@@ -350,7 +348,7 @@ class _Gen:
             if self.config.rank_limited and not check_rank_limit(
                 self.config, Arrow(dom, goal)
             ):
-                dom = Base("Int") if self.config.builtins else TyVar("a0")
+                dom = Base("Int")
             half = max(1, (size - 1) // 2)
             fn = self.term_for(Arrow(dom, goal), half, gamma)
             arg = self.term_for(dom, max(1, size - 1 - half), gamma)

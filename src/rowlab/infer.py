@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 from .config import CalculusConfig
 from .pretty import show_presence, show_term, show_type
-from .statics import INT, PRIM_SIGS, STRING, refuse_missing
+from .statics import check_distinct, lit_type, prim_sig, refuse_missing
 from .syntax import (
+    SHAPES,
     Absent,
     App,
     Arrow,
@@ -53,12 +54,6 @@ from .syntax import (
 
 class InferError(Exception):
     pass
-
-
-# the term forms inference handles; the calculus may still lack some
-_INFERRED = frozenset(
-    {Var, Lam, App, Let, Lit, Prim, RecordLit, Project, Inject, Case}
-)
 
 
 def _is_meta(name: str | None) -> bool:
@@ -329,106 +324,130 @@ def infer(
     """Principal scheme of a bare term in a rank-1 calculus."""
     if not config.rank1:
         raise InferError(f"calculus {config.name} does not support inference")
-    state = _State()
+    run = _Inference(config)
     for name, kind in delta.items():
         if isinstance(kind, KRow):
-            state.lacks[name] = kind.lacks
+            run.state.lacks[name] = kind.lacks
     env: dict[str, TypeScheme] = {}
     for name, entry in gamma.items():
         env[name] = entry if isinstance(entry, TypeScheme) else TypeScheme((), entry)
+    ty = run.rec(term, env)
+    return generalize(run.state, env, ty)
 
-    open_rows = config.row_poly == "rank1"
 
-    def rec(t: Term, env: dict[str, TypeScheme]) -> Type:
+class _Inference:
+    """One run of inference: its substitution state, ``rec``, which refuses
+    what inference does not take and then applies the form's rule on
+    ``RULES``, and the rules, which call ``rec`` themselves, so that
+    inference stays at two frames per nesting level, as checking does."""
+
+    def __init__(self, config: CalculusConfig):
+        self.config = config
+        self.state = _State()
+        self.open_rows = config.row_poly == "rank1"
+
+    def rec(self, t: Term, env: dict[str, TypeScheme]) -> Type:
+        cls = type(t)
         try:
-            return dispatch(t, env)
+            rule = RULES.get(cls)
+            if rule is None:
+                raise InferError(
+                    f"inference input must not contain {cls.__name__} nodes"
+                )
+            refuse_missing(self.config, t, InferError)
+            for name in SHAPES[cls].types:
+                if getattr(t, name) is not None:
+                    raise InferError("inference input must not carry annotations")
+            return rule(self, t, env)
         except InferError as e:
             if not getattr(e, "site", None):
                 e.site = t
                 e.args = (f"{e.args[0]} (while typing {show_term(t)})",)
             raise
 
-    def dispatch(t: Term, env: dict[str, TypeScheme]) -> Type:
-        if type(t) not in _INFERRED:
-            raise InferError(
-                f"inference input must not contain {type(t).__name__} nodes"
-            )
-        refuse_missing(config, t, InferError)
-        if isinstance(t, Var):
-            scheme = env.get(t.name)
-            if scheme is None:
-                raise InferError(f"unbound variable {t.name}")
-            return instantiate(state, scheme)
-        if isinstance(t, Lam):
-            if t.annot is not None:
-                raise InferError("inference input must not carry annotations")
-            a = state.fresh_type()
-            body = rec(t.body, {**env, t.var: TypeScheme((), a)})
-            return Arrow(a, body)
-        if isinstance(t, App):
-            fn = rec(t.fn, env)
-            arg = rec(t.arg, env)
-            res = state.fresh_type()
-            unify_type(state, fn, Arrow(arg, res))
-            return res
-        if isinstance(t, Let):
-            bound = rec(t.bound, env)
-            scheme = generalize(state, env, bound)
-            return rec(t.body, {**env, t.var: scheme})
-        if isinstance(t, Lit):
-            return INT if isinstance(t.value, int) else STRING
-        if isinstance(t, Prim):
-            sig = PRIM_SIGS.get(t.op)
-            if sig is None or len(t.args) != 2:
-                raise InferError(f"unknown primitive {t.op}")
-            unify_type(state, rec(t.args[0], env), sig[0])
-            unify_type(state, rec(t.args[1], env), sig[1])
-            return sig[2]
-        if isinstance(t, RecordLit):
-            if t.annot is not None:
-                raise InferError("inference input must not carry annotations")
-            labels = [l for l, _ in t.fields]
-            if len(set(labels)) != len(labels):
-                raise InferError("duplicate record field labels")
-            entries = []
-            for label, value in t.fields:
-                pres = Present() if open_rows else state.fresh_pres()
-                entries.append((label, pres, rec(value, env)))
-            return Record(Row(tuple(entries), None))
-        if isinstance(t, Project):
-            rec_ty = rec(t.term, env)
-            out = state.fresh_type()
-            tail = state.fresh_row_tail(frozenset({t.label})) if open_rows else None
-            want = Record(Row(((t.label, Present(), out),), tail))
-            unify_type(state, rec_ty, want)
-            return out
-        if isinstance(t, Inject):
-            if t.annot is not None:
-                raise InferError("inference input must not carry annotations")
-            payload = rec(t.payload, env)
-            tail = state.fresh_row_tail(frozenset({t.label})) if open_rows else None
-            return Variant(Row(((t.label, Present(), payload),), tail))
-        # Case, the last form of _INFERRED
+    def var(self, t: Var, env: dict[str, TypeScheme]) -> Type:
+        scheme = env.get(t.name)
+        if scheme is None:
+            raise InferError(f"unbound variable {t.name}")
+        return instantiate(self.state, scheme)
+
+    def lam(self, t: Lam, env: dict[str, TypeScheme]) -> Type:
+        a = self.state.fresh_type()
+        body = self.rec(t.body, {**env, t.var: TypeScheme((), a)})
+        return Arrow(a, body)
+
+    def app(self, t: App, env: dict[str, TypeScheme]) -> Type:
+        fn = self.rec(t.fn, env)
+        arg = self.rec(t.arg, env)
+        res = self.state.fresh_type()
+        unify_type(self.state, fn, Arrow(arg, res))
+        return res
+
+    def let(self, t: Let, env: dict[str, TypeScheme]) -> Type:
+        bound = self.rec(t.bound, env)
+        scheme = generalize(self.state, env, bound)
+        return self.rec(t.body, {**env, t.var: scheme})
+
+    def lit(self, t: Lit, env: dict[str, TypeScheme]) -> Type:
+        return lit_type(t.value)
+
+    def prim(self, t: Prim, env: dict[str, TypeScheme]) -> Type:
+        ta, tb, res = prim_sig(t, InferError)
+        unify_type(self.state, self.rec(t.args[0], env), ta)
+        unify_type(self.state, self.rec(t.args[1], env), tb)
+        return res
+
+    def recordlit(self, t: RecordLit, env: dict[str, TypeScheme]) -> Type:
+        labels = [l for l, _ in t.fields]
+        check_distinct(labels, "duplicate record field labels", InferError)
+        entries = []
+        for label, value in t.fields:
+            pres = Present() if self.open_rows else self.state.fresh_pres()
+            entries.append((label, pres, self.rec(value, env)))
+        return Record(Row(tuple(entries), None))
+
+    def project(self, t: Project, env: dict[str, TypeScheme]) -> Type:
+        rec_ty = self.rec(t.term, env)
+        out = self.state.fresh_type()
+        tail = self._tail(t.label)
+        unify_type(self.state, rec_ty, Record(Row(((t.label, Present(), out),), tail)))
+        return out
+
+    def inject(self, t: Inject, env: dict[str, TypeScheme]) -> Type:
+        payload = self.rec(t.payload, env)
+        return Variant(Row(((t.label, Present(), payload),), self._tail(t.label)))
+
+    def case(self, t: Case, env: dict[str, TypeScheme]) -> Type:
         labels = [l for l, _, _ in t.branches]
-        if len(set(labels)) != len(labels):
-            raise InferError("duplicate case branch labels")
-        scrut = rec(t.scrutinee, env)
+        check_distinct(labels, "duplicate case branch labels", InferError)
+        scrut = self.rec(t.scrutinee, env)
         entries = []
         payloads: dict[str, Type] = {}
         for label in labels:
-            a = state.fresh_type()
+            a = self.state.fresh_type()
             payloads[label] = a
-            pres = Present() if open_rows else state.fresh_pres()
+            pres = Present() if self.open_rows else self.state.fresh_pres()
             entries.append((label, pres, a))
-        unify_type(state, scrut, Variant(Row(tuple(entries), None)))
-        result = state.fresh_type()
+        unify_type(self.state, scrut, Variant(Row(tuple(entries), None)))
+        result = self.state.fresh_type()
         for label, binder, body in t.branches:
             branch_env = {**env, binder: TypeScheme((), payloads[label])}
-            unify_type(state, rec(body, branch_env), result)
+            unify_type(self.state, self.rec(body, branch_env), result)
         return result
 
-    ty = rec(term, env)
-    return generalize(state, env, ty)
+    def _tail(self, label: str) -> str | None:
+        """The tail of a row met at ``label``: open where rows are."""
+        if self.open_rows:
+            return self.state.fresh_row_tail(frozenset({label}))
+        return None
+
+
+# the term forms inference handles, each by the method named after it; the
+# calculus may still lack some
+RULES = {
+    cls: getattr(_Inference, cls.__name__.lower())
+    for cls in (Var, Lam, App, Let, Lit, Prim, RecordLit, Project, Inject, Case)
+}
 
 
 def scheme_instance(general: TypeScheme, specific: TypeScheme) -> bool:

@@ -4,11 +4,29 @@ Checking is syntax-directed over fully annotated terms.  Every successful
 check returns a Derivation tree; Upcast nodes carry subtyping evidence so
 that later passes can compile the cast away without re-deriving it.
 
+Each form's typing rule is said once, on ``RULES``: a table from term class
+to the ``_Checker`` method named after the form.  A rule checks its node,
+calls ``rec(delta, gamma, child)`` for each premise, in the order of the
+node's children (the translations rebuild nodes from them), and builds the
+node's Derivation.  ``rec`` alone looks the node up in the memo, refuses a
+form the calculus lacks and dispatches on the table.  Checks that several
+rules make are helpers here, and inference shares the label, literal and
+primitive ones.
+
+Checking takes exactly two frames per nesting level, ``rec`` and the rule,
+so a rule calls ``rec`` itself, never through a helper or a generator.
+Under Python's default limit of 1,000 frames a ``+`` chain of just under
+500 operands then checks; a third frame per level would lower that to about
+330 and change which inputs the benchmark's scaling ladders decide.
+
 Which calculus has which form is said once, in ``FEATURES``: it maps each
 gated type, presence mark and term form to the switch of ``CalculusConfig``
 that turns it on and the full text that refuses it.  ``refuse_missing``
 reads it for the checker (on entry to every term node), for the annotation
-scan ``check_type_features``, and for ``infer``.
+scan ``check_type_features``, and for ``infer``.  Every type-level part of a
+term (an annotation, a cast target, a row or a presence argument) passes one
+gate, ``check_part``: the calculus must have each constructor in it, and
+then it must be well kinded.
 """
 
 from __future__ import annotations
@@ -207,17 +225,26 @@ def _closed_simple_row(row: Row) -> dict[str, Type] | None:
     return out
 
 
+def _width(a: Type, b: Type) -> tuple[dict, dict, dict] | None:
+    """Two closed, all-present rows ``ra`` and ``rb`` of variant types ``a``
+    and ``b``, or of record types, and the narrower of them: a variant
+    subtype's labels must be among its supertype's, a record subtype's must
+    include them.  None when ``a`` and ``b`` are not such a pair."""
+    if type(a) is not type(b) or not isinstance(a, (Variant, Record)):
+        return None
+    ra, rb = _closed_simple_row(a.row), _closed_simple_row(b.row)
+    if ra is None or rb is None:
+        return None
+    narrow, wide = (ra, rb) if isinstance(a, Variant) else (rb, ra)
+    return (ra, rb, narrow) if set(narrow) <= set(wide) else None
+
+
 def _subtype_simple(a: Type, b: Type) -> SubtypeEvidence | None:
-    if isinstance(a, Variant) and isinstance(b, Variant):
-        ra, rb = _closed_simple_row(a.row), _closed_simple_row(b.row)
-        if ra is not None and rb is not None and set(ra) <= set(rb):
-            if all(type_equal(ra[l], rb[l]) for l in ra):
-                return SubtypeEvidence("SVariant", a, b)
-    if isinstance(a, Record) and isinstance(b, Record):
-        ra, rb = _closed_simple_row(a.row), _closed_simple_row(b.row)
-        if ra is not None and rb is not None and set(rb) <= set(ra):
-            if all(type_equal(ra[l], rb[l]) for l in rb):
-                return SubtypeEvidence("SRecord", a, b)
+    width = _width(a, b)
+    if width is not None:
+        ra, rb, labels = width
+        if all(type_equal(ra[l], rb[l]) for l in labels):
+            return SubtypeEvidence("S" + type(a).__name__, a, b)
     if type_equal(a, b):
         return SubtypeEvidence("SRefl", a, b)
     return None
@@ -240,29 +267,17 @@ def _subtype_struct(a: Type, b: Type, depth_fun: bool) -> SubtypeEvidence | None
         if type_equal(a.dom, b.dom):
             return SubtypeEvidence("CoFun", a, b, (cod,))
         return None
-    if isinstance(a, Variant) and isinstance(b, Variant):
-        ra, rb = _closed_simple_row(a.row), _closed_simple_row(b.row)
-        if ra is None or rb is None or not set(ra) <= set(rb):
+    width = _width(a, b)
+    if width is None:
+        return None
+    ra, rb, labels = width
+    prems = []
+    for label in sorted(labels):
+        ev = _subtype_struct(ra[label], rb[label], depth_fun)
+        if ev is None:
             return None
-        prems = []
-        for label in sorted(ra):
-            ev = _subtype_struct(ra[label], rb[label], depth_fun)
-            if ev is None:
-                return None
-            prems.append((label, ev))
-        return SubtypeEvidence("FVariant", a, b, tuple(prems))
-    if isinstance(a, Record) and isinstance(b, Record):
-        ra, rb = _closed_simple_row(a.row), _closed_simple_row(b.row)
-        if ra is None or rb is None or not set(rb) <= set(ra):
-            return None
-        prems = []
-        for label in sorted(rb):
-            ev = _subtype_struct(ra[label], rb[label], depth_fun)
-            if ev is None:
-                return None
-            prems.append((label, ev))
-        return SubtypeEvidence("FRecord", a, b, tuple(prems))
-    return None
+        prems.append((label, ev))
+    return SubtypeEvidence("F" + type(a).__name__, a, b, tuple(prems))
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +315,11 @@ def _higher_pres(config: CalculusConfig) -> bool:
     return config.pres_poly == "higher"
 
 
-_builtins = attrgetter("builtins")
 _variants = attrgetter("variants")
 _records = attrgetter("records")
 _PRESENCE_MARKS = "presence annotations not available in this calculus"
 
 FEATURES: dict[type, tuple[Callable[[CalculusConfig], bool], str]] = {
-    Base: (_builtins, "base type {form.tag} not available here"),
     Variant: (_variants, "variant types not available in this calculus"),
     Record: (_records, "record types not available in this calculus"),
     ForallRow: (_higher_rows, "row quantifiers not available in this calculus"),
@@ -326,8 +339,6 @@ FEATURES: dict[type, tuple[Callable[[CalculusConfig], bool], str]] = {
     PresAbs: (_higher_pres, "presence abstraction not available in this calculus"),
     PresApp: (_higher_pres, "presence application not available in this calculus"),
     Let: (attrgetter("allows_let"), "let bindings not available in this calculus"),
-    Lit: (_builtins, "literals not available in this calculus"),
-    Prim: (_builtins, "primitives not available in this calculus"),
 }
 
 
@@ -341,22 +352,38 @@ def refuse_missing(
         raise error(gate[1].format(form=form))
 
 
-def check_type_features(config: CalculusConfig, ty: Type) -> None:
-    """Reject annotations that mention constructors the calculus lacks."""
+def check_type_features(config: CalculusConfig, ty: Type | Row | Presence) -> None:
+    """Reject a type, row or presence that mentions constructors the
+    calculus lacks."""
     refuse_missing(config, ty)
     if isinstance(ty, Arrow):
         check_type_features(config, ty.dom)
         check_type_features(config, ty.cod)
     elif isinstance(ty, (Variant, Record)):
-        if ty.row.tail is not None and not _higher_rows(config):
+        check_type_features(config, ty.row)
+    elif isinstance(ty, Row):
+        if ty.tail is not None and not _higher_rows(config):
             raise FeatureError("open rows not available in this calculus")
-        for _, pres, sub in ty.row.entries:
+        for _, pres, sub in ty.entries:
             refuse_missing(config, pres)
             check_type_features(config, sub)
     elif isinstance(ty, (ForallRow, ForallPres)):
         check_type_features(config, ty.body)
-    elif not isinstance(ty, (TyVar, Base)):
+    elif not isinstance(ty, (TyVar, Base, Present, Absent, PresVar)):
         raise FeatureError(f"unhandled type form {type(ty).__name__}")
+
+
+def check_part(config: CalculusConfig, delta: dict[str, Kind], part, lacks=frozenset()):
+    """The one gate on a type-level part of a term (an annotation, a cast
+    target, or a row or presence argument, where a row must lack ``lacks``):
+    the calculus must have its constructors, and then it must be well kinded."""
+    check_type_features(config, part)
+    if isinstance(part, Row):
+        row_check(delta, part, lacks)
+    elif isinstance(part, (Present, Absent, PresVar)):
+        _presence_check(delta, part)
+    else:
+        kind_check(delta, part)
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +422,7 @@ def type_check(
 
     Raises TypingError (or a subclass) when the term does not check.
     """
-    memo: dict[int, Derivation] = {}
-
-    def rec(d: dict[str, Kind], g: dict[str, Type], t: Term) -> Derivation:
-        # ``memo`` maps a node's id to its last derivation, which holds the
-        # node and its contexts; leaves are cheaper to check than to look up
-        cls = type(t)
-        if cls is Var or cls is Lit:
-            return _check(config, d, g, t, rec)
-        key = id(t)
-        hit = memo.get(key)
-        if hit is not None and hit.delta is d and hit.gamma is g:
-            return hit
-        out = memo[key] = _check(config, d, g, t, rec)
-        return out
-
-    deriv = _check(config, delta, gamma, term, rec)
+    deriv = _Checker(config).rec(delta, gamma, term)
     if config.rank_limited:
         _enforce_rank(config, deriv)
     return deriv
@@ -446,246 +458,248 @@ def _term_annotations(term: Term):
             yield getattr(term, name)
 
 
-def _check(
-    config: CalculusConfig,
-    delta: dict[str, Kind],
-    gamma: dict[str, Type],
-    term: Term,
-    rec: Callable[[dict[str, Kind], dict[str, Type], Term], Derivation],
-) -> Derivation:
-    """One node's rule; ``rec(delta, gamma, child)`` checks a premise."""
-    refuse_missing(config, term)
-    if isinstance(term, Var):
+# The checks several rules share; inference shares the last three.
+
+
+def _unbound(env: dict, name: str) -> None:
+    if name in env:
+        raise TypingError(f"binder {name} shadows an outer binder")
+
+
+def _expect(ty: Type, form: type, message: str):
+    """``ty``, which a rule needs to be a ``form``; else ``message`` about it."""
+    if not isinstance(ty, form):
+        raise TypingError(message.format(show_type(ty)))
+    return ty
+
+
+def _closed(row: Row, message: str) -> dict[str, tuple[Presence, Type]]:
+    if row.tail is not None:
+        raise TypingError(message)
+    return {label: (pres, ty) for label, pres, ty in row.entries}
+
+
+def _present(ty: Variant | Record, label: str, absent: str) -> Type:
+    """The type at ``label`` in ``ty``'s row, where it must be present."""
+    for l, pres, entry in ty.row.entries:
+        if l == label:
+            if not isinstance(pres, Present):
+                raise TypingError(f"label {label} is not present{absent}")
+            return entry
+    raise TypingError(f"label {label} not in {show_type(ty)}")
+
+
+def check_distinct(labels: list[str], message: str, error=TypingError) -> None:
+    if len(set(labels)) != len(labels):
+        raise error(message)
+
+
+def lit_type(value: int | str) -> Type:
+    return INT if isinstance(value, int) else STRING
+
+
+def prim_sig(term: Prim, error=TypingError) -> tuple[Type, Type, Type]:
+    sig = PRIM_SIGS.get(term.op)
+    if sig is None:
+        raise error(f"unknown primitive {term.op}")
+    if len(term.args) != 2:
+        raise error(f"primitive {term.op} takes two arguments")
+    return sig
+
+
+class _Checker:
+    """One run of ``type_check``: the calculus, ``rec``, and the rules."""
+
+    def __init__(self, config: CalculusConfig):
+        self.config = config
+        # a node's id to its last derivation, which holds the node and its
+        # contexts; leaves are cheaper to check than to look up
+        self.memo: dict[int, Derivation] = {}
+
+    def rec(self, d: dict[str, Kind], g: dict[str, Type], t: Term) -> Derivation:
+        cls = type(t)
+        leaf = cls is Var or cls is Lit
+        if not leaf:
+            hit = self.memo.get(id(t))
+            if hit is not None and hit.delta is d and hit.gamma is g:
+                return hit
+        refuse_missing(self.config, t)
+        rule = RULES.get(cls)
+        if rule is None:
+            raise TypingError(f"unhandled term form {cls.__name__}")
+        out = rule(self, d, g, t)
+        if not leaf:
+            self.memo[id(t)] = out
+        return out
+
+    def var(self, delta, gamma, term: Var) -> Derivation:
         ty = gamma.get(term.name)
         if ty is None:
             raise TypingError(f"unbound variable {term.name}")
         return Derivation("TyVar", delta, gamma, term, ty)
 
-    if isinstance(term, Lam):
+    def lam(self, delta, gamma, term: Lam) -> Derivation:
         if term.annot is None:
             raise TypingError(f"binder {term.var} needs a type annotation")
-        if term.var in gamma:
-            raise TypingError(f"binder {term.var} shadows an outer binder")
-        check_type_features(config, term.annot)
-        kind_check(delta, term.annot)
-        body = rec(delta, {**gamma, term.var: term.annot}, term.body)
-        return Derivation(
-            "TyLam", delta, gamma, term, Arrow(term.annot, body.type), (body,)
-        )
+        _unbound(gamma, term.var)
+        check_part(self.config, delta, term.annot)
+        body = self.rec(delta, {**gamma, term.var: term.annot}, term.body)
+        ty = Arrow(term.annot, body.type)
+        return Derivation("TyLam", delta, gamma, term, ty, (body,))
 
-    if isinstance(term, App):
-        fn = rec(delta, gamma, term.fn)
-        if not isinstance(fn.type, Arrow):
-            raise TypingError(f"applying a non-function of type {show_type(fn.type)}")
-        arg = rec(delta, gamma, term.arg)
-        if type_equal(arg.type, fn.type.dom):
+    def app(self, delta, gamma, term: App) -> Derivation:
+        fn = self.rec(delta, gamma, term.fn)
+        dom = _expect(fn.type, Arrow, "applying a non-function of type {}").dom
+        arg = self.rec(delta, gamma, term.arg)
+        if type_equal(arg.type, dom):
             return Derivation("TyApp", delta, gamma, term, fn.type.cod, (fn, arg))
-        if config.app_sub:
-            ev = subtype("full", arg.type, fn.type.dom)
-            if ev is not None:
-                return Derivation(
-                    "TyAppSub", delta, gamma, term, fn.type.cod, (fn, arg), ev
-                )
-        raise TypingError(
-            f"argument type {show_type(arg.type)} does not match "
-            f"domain {show_type(fn.type.dom)}"
-        )
+        ev = subtype("full", arg.type, dom) if self.config.app_sub else None
+        if ev is None:
+            raise TypingError(
+                f"argument type {show_type(arg.type)} does not match "
+                f"domain {show_type(dom)}"
+            )
+        return Derivation("TyAppSub", delta, gamma, term, fn.type.cod, (fn, arg), ev)
 
-    if isinstance(term, Inject):
+    def inject(self, delta, gamma, term: Inject) -> Derivation:
         if term.annot is None:
             raise TypingError("variant injection needs a type annotation")
-        check_type_features(config, term.annot)
-        kind_check(delta, term.annot)
-        if not isinstance(term.annot, Variant):
-            raise TypingError(
-                f"injection annotation must be a variant type, got {show_type(term.annot)}"
-            )
-        entry = _row_entry(term.annot.row, term.label)
-        if entry is None:
-            raise TypingError(f"label {term.label} not in {show_type(term.annot)}")
-        pres, ty = entry
-        if not isinstance(pres, Present):
-            raise TypingError(f"label {term.label} is not present in the annotation")
-        payload = rec(delta, gamma, term.payload)
+        check_part(self.config, delta, term.annot)
+        annot = _expect(
+            term.annot, Variant, "injection annotation must be a variant type, got {}"
+        )
+        ty = _present(annot, term.label, " in the annotation")
+        payload = self.rec(delta, gamma, term.payload)
         if not type_equal(payload.type, ty):
             raise TypingError(
                 f"payload type {show_type(payload.type)} does not match "
                 f"{show_type(ty)} for label {term.label}"
             )
-        return Derivation("TyInject", delta, gamma, term, term.annot, (payload,))
+        return Derivation("TyInject", delta, gamma, term, annot, (payload,))
 
-    if isinstance(term, Case):
-        scrut = rec(delta, gamma, term.scrutinee)
-        if not isinstance(scrut.type, Variant):
-            raise TypingError(
-                f"case scrutinee must have a variant type, got {show_type(scrut.type)}"
-            )
-        row = scrut.type.row
-        if row.tail is not None:
-            raise TypingError("case scrutinee type must be a closed variant")
-        entries = {label: (pres, ty) for label, pres, ty in row.entries}
-        branch_labels = [label for label, _, _ in term.branches]
-        if len(set(branch_labels)) != len(branch_labels):
-            raise TypingError("duplicate case branch labels")
-        for label in branch_labels:
+    def case(self, delta, gamma, term: Case) -> Derivation:
+        scrut = self.rec(delta, gamma, term.scrutinee)
+        row = _expect(
+            scrut.type, Variant, "case scrutinee must have a variant type, got {}"
+        ).row
+        entries = _closed(row, "case scrutinee type must be a closed variant")
+        labels = [label for label, _, _ in term.branches]
+        check_distinct(labels, "duplicate case branch labels")
+        for label in labels:
             if label not in entries:
                 raise TypingError(f"case branch {label} not in scrutinee type")
         for label, (pres, _) in entries.items():
-            if isinstance(pres, Present) and label not in branch_labels:
+            if isinstance(pres, Present) and label not in labels:
                 raise TypingError(f"case does not cover label {label}")
-            if isinstance(pres, PresVar) and label not in branch_labels:
+            if isinstance(pres, PresVar) and label not in labels:
                 raise TypingError(
                     f"case must cover label {label} with variable presence"
                 )
         prems = [scrut]
         result: Type | None = None
         for label, binder, body in term.branches:
-            if binder in gamma:
-                raise TypingError(f"binder {binder} shadows an outer binder")
-            _, payload_ty = entries[label]
-            bd = rec(delta, {**gamma, binder: payload_ty}, body)
+            _unbound(gamma, binder)
+            bd = self.rec(delta, {**gamma, binder: entries[label][1]}, body)
             if result is None:
                 result = bd.type
             elif not type_equal(result, bd.type):
                 raise TypingError(
-                    f"case branches disagree: {show_type(result)} vs {show_type(bd.type)}"
+                    f"case branches disagree: {show_type(result)} "
+                    f"vs {show_type(bd.type)}"
                 )
             prems.append(bd)
         if result is None:
             raise TypingError("case needs at least one branch")
         return Derivation("TyCase", delta, gamma, term, result, tuple(prems))
 
-    if isinstance(term, RecordLit):
-        field_labels = [label for label, _ in term.fields]
-        if len(set(field_labels)) != len(field_labels):
-            raise TypingError("duplicate record field labels")
+    def recordlit(self, delta, gamma, term: RecordLit) -> Derivation:
+        labels = [label for label, _ in term.fields]
+        check_distinct(labels, "duplicate record field labels")
+        entries = None
         if term.annot is not None:
-            check_type_features(config, term.annot)
-            kind_check(delta, term.annot)
-            if not isinstance(term.annot, Record):
-                raise TypingError(
-                    f"record annotation must be a record type, got {show_type(term.annot)}"
-                )
-            row = term.annot.row
-            if row.tail is not None:
-                raise TypingError("record literal annotation must be a closed row")
-            entries = {label: (pres, ty) for label, pres, ty in row.entries}
-            for label in field_labels:
+            check_part(self.config, delta, term.annot)
+            row = _expect(
+                term.annot, Record, "record annotation must be a record type, got {}"
+            ).row
+            entries = _closed(row, "record literal annotation must be a closed row")
+            for label in labels:
                 if label not in entries:
                     raise TypingError(f"field {label} not in {show_type(term.annot)}")
             for label, (pres, _) in entries.items():
-                if not isinstance(pres, Absent) and label not in field_labels:
+                if not isinstance(pres, Absent) and label not in labels:
                     raise TypingError(f"record literal is missing field {label}")
-            prems = []
-            for label, value in term.fields:
-                _, ty = entries[label]
-                vd = rec(delta, gamma, value)
-                if not type_equal(vd.type, ty):
-                    raise TypingError(
-                        f"field {label} has type {show_type(vd.type)}, "
-                        f"annotation says {show_type(ty)}"
-                    )
-                prems.append(vd)
-            return Derivation(
-                "TyRecord", delta, gamma, term, term.annot, tuple(prems)
-            )
-        if _higher_pres(config):
+        elif _higher_pres(self.config):
             raise TypingError("record literal needs a type annotation here")
         prems = []
-        row_entries = []
         for label, value in term.fields:
-            vd = rec(delta, gamma, value)
+            vd = self.rec(delta, gamma, value)
+            if entries is not None and not type_equal(vd.type, entries[label][1]):
+                raise TypingError(
+                    f"field {label} has type {show_type(vd.type)}, "
+                    f"annotation says {show_type(entries[label][1])}"
+                )
             prems.append(vd)
-            row_entries.append((label, Present(), vd.type))
-        ty = Record(normalize_row(Row(tuple(row_entries), None)))
+        ty = term.annot
+        if ty is None:
+            inferred = tuple((l, Present(), d.type) for l, d in zip(labels, prems))
+            ty = Record(normalize_row(Row(inferred, None)))
         return Derivation("TyRecord", delta, gamma, term, ty, tuple(prems))
 
-    if isinstance(term, Project):
-        rd = rec(delta, gamma, term.term)
-        if not isinstance(rd.type, Record):
-            raise TypingError(
-                f"projecting from a non-record of type {show_type(rd.type)}"
-            )
-        entry = _row_entry(rd.type.row, term.label)
-        if entry is None:
-            raise TypingError(f"label {term.label} not in {show_type(rd.type)}")
-        pres, ty = entry
-        if not isinstance(pres, Present):
-            raise TypingError(f"label {term.label} is not present, cannot project")
+    def project(self, delta, gamma, term: Project) -> Derivation:
+        rd = self.rec(delta, gamma, term.term)
+        rty = _expect(rd.type, Record, "projecting from a non-record of type {}")
+        ty = _present(rty, term.label, ", cannot project")
         return Derivation("TyProject", delta, gamma, term, ty, (rd,))
 
-    if isinstance(term, Upcast):
-        check_type_features(config, term.target)
-        kind_check(delta, term.target)
-        sub = rec(delta, gamma, term.term)
-        ev = subtype(config.subtyping, sub.type, term.target)
+    def upcast(self, delta, gamma, term: Upcast) -> Derivation:
+        check_part(self.config, delta, term.target)
+        sub = self.rec(delta, gamma, term.term)
+        ev = subtype(self.config.subtyping, sub.type, term.target)
         if ev is None:
             raise TypingError(
                 f"{show_type(sub.type)} is not a subtype of {show_type(term.target)}"
             )
         return Derivation("TyUpcast", delta, gamma, term, term.target, (sub,), ev)
 
-    if isinstance(term, RowAbs):
-        if term.var in delta:
-            raise TypingError(f"binder {term.var} shadows an outer binder")
-        body = rec({**delta, term.var: term.kind}, gamma, term.body)
-        return Derivation(
-            "TyRowLam",
-            delta,
-            gamma,
-            term,
-            ForallRow(term.var, term.kind, body.type),
-            (body,),
-        )
+    def rowabs(self, delta, gamma, term: RowAbs) -> Derivation:
+        _unbound(delta, term.var)
+        body = self.rec({**delta, term.var: term.kind}, gamma, term.body)
+        ty = ForallRow(term.var, term.kind, body.type)
+        return Derivation("TyRowLam", delta, gamma, term, ty, (body,))
 
-    if isinstance(term, RowApp):
-        fd = rec(delta, gamma, term.term)
-        if not isinstance(fd.type, ForallRow):
-            raise TypingError(
-                f"row-applying a term of type {show_type(fd.type)}"
-            )
-        row_check(delta, term.row, fd.type.kind.lacks)
-        ty = subst_type_in_type(fd.type.body, term.row, fd.type.var)
+    def rowapp(self, delta, gamma, term: RowApp) -> Derivation:
+        fd = self.rec(delta, gamma, term.term)
+        fty = _expect(fd.type, ForallRow, "row-applying a term of type {}")
+        check_part(self.config, delta, term.row, fty.kind.lacks)
+        ty = subst_type_in_type(fty.body, term.row, fty.var)
         return Derivation("TyRowApp", delta, gamma, term, ty, (fd,))
 
-    if isinstance(term, PresAbs):
-        if term.var in delta:
-            raise TypingError(f"binder {term.var} shadows an outer binder")
-        body = rec({**delta, term.var: KPre()}, gamma, term.body)
-        return Derivation(
-            "TyPreLam", delta, gamma, term, ForallPres(term.var, body.type), (body,)
-        )
+    def presabs(self, delta, gamma, term: PresAbs) -> Derivation:
+        _unbound(delta, term.var)
+        body = self.rec({**delta, term.var: KPre()}, gamma, term.body)
+        ty = ForallPres(term.var, body.type)
+        return Derivation("TyPreLam", delta, gamma, term, ty, (body,))
 
-    if isinstance(term, PresApp):
-        fd = rec(delta, gamma, term.term)
-        if not isinstance(fd.type, ForallPres):
-            raise TypingError(
-                f"presence-applying a term of type {show_type(fd.type)}"
-            )
-        _presence_check(delta, term.presence)
-        ty = subst_type_in_type(fd.type.body, term.presence, fd.type.var)
+    def presapp(self, delta, gamma, term: PresApp) -> Derivation:
+        fd = self.rec(delta, gamma, term.term)
+        fty = _expect(fd.type, ForallPres, "presence-applying a term of type {}")
+        check_part(self.config, delta, term.presence)
+        ty = subst_type_in_type(fty.body, term.presence, fty.var)
         return Derivation("TyPreApp", delta, gamma, term, ty, (fd,))
 
-    if isinstance(term, Let):
-        if term.var in gamma:
-            raise TypingError(f"binder {term.var} shadows an outer binder")
-        bound = rec(delta, gamma, term.bound)
-        body = rec(delta, {**gamma, term.var: bound.type}, term.body)
+    def let(self, delta, gamma, term: Let) -> Derivation:
+        _unbound(gamma, term.var)
+        bound = self.rec(delta, gamma, term.bound)
+        body = self.rec(delta, {**gamma, term.var: bound.type}, term.body)
         return Derivation("TyLet", delta, gamma, term, body.type, (bound, body))
 
-    if isinstance(term, Lit):
-        ty = INT if isinstance(term.value, int) else STRING
-        return Derivation("TyLit", delta, gamma, term, ty)
+    def lit(self, delta, gamma, term: Lit) -> Derivation:
+        return Derivation("TyLit", delta, gamma, term, lit_type(term.value))
 
-    if isinstance(term, Prim):
-        sig = PRIM_SIGS.get(term.op)
-        if sig is None:
-            raise TypingError(f"unknown primitive {term.op}")
-        ta, tb, res = sig
-        if len(term.args) != 2:
-            raise TypingError(f"primitive {term.op} takes two arguments")
-        d0 = rec(delta, gamma, term.args[0])
-        d1 = rec(delta, gamma, term.args[1])
+    def prim(self, delta, gamma, term: Prim) -> Derivation:
+        ta, tb, res = prim_sig(term)
+        d0 = self.rec(delta, gamma, term.args[0])
+        d1 = self.rec(delta, gamma, term.args[1])
         if not type_equal(d0.type, ta) or not type_equal(d1.type, tb):
             raise TypingError(
                 f"primitive {term.op} applied at "
@@ -693,11 +707,8 @@ def _check(
             )
         return Derivation("TyPrim", delta, gamma, term, res, (d0, d1))
 
-    raise TypingError(f"unhandled term form {type(term).__name__}")
 
-
-def _row_entry(row: Row, label: str) -> tuple[Presence, Type] | None:
-    for l, pres, ty in row.entries:
-        if l == label:
-            return (pres, ty)
-    return None
+# each form's rule is the method named after it
+RULES: dict[type, Callable[..., Derivation]] = {
+    cls: getattr(_Checker, cls.__name__.lower()) for cls in SHAPES
+}

@@ -1,6 +1,7 @@
 """Reduction, cast evaluation, erasure, and the approximation preorder."""
 
 import sys
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from rowlab.dynamics import (
     term_preorder,
 )
 from rowlab.harness import GenError, GenSpec, gen_typed_term
+from rowlab.infer import infer
 from rowlab.parser import parse_term_str
 from rowlab.pretty import show_term, show_type
 from rowlab.statics import type_check
@@ -27,8 +29,8 @@ from rowlab.translate import TRANSLATIONS, run_translation
 M = parse_term_str
 
 BETA = RelationSet()
-SIMPLE = RelationSet(upcast=True, nested=True)
-FULL = RelationSet(upcast=True, full_upcast=True, nested=True)
+SIMPLE = RelationSet(upcast=True)
+FULL = RelationSet(upcast=True, full_upcast=True)
 POLY = RelationSet(type_redex=True)
 
 
@@ -37,8 +39,7 @@ def nf(src, rels=BETA):
 
 
 def tags(src, rels=BETA):
-    _, steps = reduction_trace(M(src), rels)
-    return [tag for tag, _ in steps]
+    return reduction_trace(M(src), rels)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +48,7 @@ def tags(src, rels=BETA):
 
 def test_relations_for_presets():
     assert relations_for(preset("var")) == RelationSet()
-    assert relations_for(preset("var-sub")) == RelationSet(upcast=True, nested=True)
+    assert relations_for(preset("var-sub")) == SIMPLE
     assert relations_for(preset("rec-sub-full")) == RelationSet()
     assert relations_for(preset("rec-sub-full"), full_upcast=True) == FULL
     assert relations_for(preset("var-row")) == RelationSet(type_redex=True)
@@ -148,8 +149,7 @@ def test_full_cast_at_base_vanishes():
 
 def test_full_cast_function_rebinds():
     src = '(\\x:{Name:String; Age:Int}. x.Name) :> ({Age:Int; Name:String; Zip:Int} -> String)'
-    rels = RelationSet(beta=False, upcast=True, full_upcast=True, nested=True)
-    step = step_once(M(src), rels)
+    step = step_once(M(src), FULL)
     assert step.tag == "upcast-lam"
     want = M(
         "\\x:{Age:Int; Name:String; Zip:Int}. "
@@ -236,6 +236,21 @@ def test_deep_prim_chain_normalizes():
     assert len(steps) == 5000
 
 
+def test_a_trace_keeps_no_path_per_step():
+    # a path per step would hold depth x steps slot names: 8M at this size
+    term = Lit(1)
+    for _ in range(3999):
+        term = Prim("+", (term, Lit(1)))
+    tracemalloc.start()
+    try:
+        result, steps = reduction_trace(term, BETA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == Lit(4000) and steps == ["beta-prim"] * 3999
+    assert peak < 5 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # The machine behind step_once/normalize/reduction_trace against iterating
 # the reference relation step_all(...)[0]
@@ -249,7 +264,7 @@ def _reference(term, rels, fuel):
         assert step_once(term, rels) == (listed[0] if listed else None)
         if not listed:
             return term, steps
-        steps.append((listed[0].tag, listed[0].path))
+        steps.append(listed[0].tag)
         term = listed[0].term
     if step_all(term, rels):
         return term, None
@@ -436,3 +451,16 @@ def test_a_300_operand_sum_checks_in_two_frames_per_operand():
         sys.setrecursionlimit(limit)
     assert show_type(ty) == "Int"
     assert result == Lit(sum(ops)) and len(steps) == 299
+
+
+def test_a_300_operand_sum_infers_in_two_frames_per_operand():
+    # inference walks a term as checking does: ``rec`` and the form's rule
+    ops = [i % 9 + 1 for i in range(300)]
+    term = M(" + ".join(map(str, ops)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 2 * len(ops) + 50)
+    try:
+        scheme = infer(preset("rec-row1"), {}, {}, term)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert show_type(scheme.body) == "Int"

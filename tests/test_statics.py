@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rowlab.config import PRESETS, CalculusConfig, preset
+from rowlab.config import PRESETS, preset
+from rowlab.infer import RULES as INFERENCE_RULES
 from rowlab.infer import InferError, infer
 from rowlab.parser import parse_term_str, parse_type_str
 from rowlab.pretty import show_term
@@ -29,6 +30,7 @@ from rowlab.statics import (
     type_check,
 )
 from rowlab.syntax import (
+    SHAPES,
     Absent,
     App,
     Arrow,
@@ -537,11 +539,7 @@ def test_string_concat():
 
 
 def _reference_type_features(config, ty):
-    if isinstance(ty, (TyVar,)):
-        return
-    if isinstance(ty, Base):
-        if not config.builtins:
-            raise FeatureError(f"base type {ty.tag} not available here")
+    if isinstance(ty, (TyVar, Base)):
         return
     if isinstance(ty, Arrow):
         _reference_type_features(config, ty.dom)
@@ -592,8 +590,6 @@ def _reference_check_gate(config, term):
         (PresAbs, config.pres_poly == "higher", "presence abstraction"),
         (PresApp, config.pres_poly == "higher", "presence application"),
         (Let, config.allows_let, "let bindings"),
-        (Lit, config.builtins, "literals"),
-        (Prim, config.builtins, "primitives"),
     ]
     for form, present, what in gates:
         if isinstance(term, form) and not present:
@@ -610,8 +606,6 @@ def _reference_infer_gate(config, term):
         return f"inference input must not contain {type(term).__name__} nodes"
     gates = [
         (Let, config.allows_let, "let bindings"),
-        (Lit, config.builtins, "literals"),
-        (Prim, config.builtins, "primitives"),
         (RecordLit, config.records, "record literals"),
         (Project, config.records, "record projection"),
         (Inject, config.variants, "injection"),
@@ -661,11 +655,8 @@ def _refusal(run, error):
     return None
 
 
-# every preset, and one without literals, primitives and base types
 @pytest.mark.parametrize(
-    "config",
-    [PRESETS[name] for name in sorted(PRESETS)] + [CalculusConfig("bare", builtins=False)],
-    ids=lambda c: c.name,
+    "config", [PRESETS[name] for name in sorted(PRESETS)], ids=lambda c: c.name
 )
 def test_feature_table_refuses_as_the_inline_gates_did(config):
     for src in GATED_TYPES:
@@ -739,15 +730,18 @@ def test_shared_cast_stacks_check_in_their_distinct_subterms():
 
 
 def _count_entries(monkeypatch):
-    """A counter of ``_check`` entries by (node, delta, gamma) object."""
+    """A counter of rule entries by (node, delta, gamma) object."""
     entered = collections.Counter()
-    real = statics._check
 
-    def counted(config, delta, gamma, term, rec):
-        entered[id(term), id(delta), id(gamma)] += 1
-        return real(config, delta, gamma, term, rec)
+    def counting(rule):
+        def counted(checker, delta, gamma, term):
+            entered[id(term), id(delta), id(gamma)] += 1
+            return rule(checker, delta, gamma, term)
 
-    monkeypatch.setattr(statics, "_check", counted)
+        return counted
+
+    for cls, rule in list(statics.RULES.items()):
+        monkeypatch.setitem(statics.RULES, cls, counting(rule))
     return entered
 
 
@@ -800,3 +794,111 @@ def test_a_failing_shared_subterm_fails_as_an_unshared_one():
     term = RecordLit((("A", Let("x", Lit(1), s)), ("B", Let("x", Lit("a"), s))))
     with pytest.raises(TypingError, match="^primitive \\+ applied at String, Int$"):
         type_check(cfg, {}, {}, term)
+
+
+def test_every_form_has_a_checking_rule_and_inference_shares_them():
+    assert set(statics.RULES) == set(SHAPES)
+    assert set(INFERENCE_RULES) <= set(statics.RULES)
+
+
+# ---------------------------------------------------------------------------
+# Every refusal of the checker and of inference, one input per place that
+# raises it, with its exact class and text
+
+
+_EMPTY_VARIANT = Variant(Row((), None))
+
+# (calculus, input, message): the input is source text or a built term
+CHECK_MESSAGES = [
+    ("lam", "x", "unbound variable x"),
+    ("lam", Lam("x", None, Var("x")), "binder x needs a type annotation"),
+    ("lam", "\\x:Int. \\x:Int. x", "binder x shadows an outer binder"),
+    ("lam", "1 2", "applying a non-function of type Int"),
+    ("lam", '(\\x:Int. x) "a"', "argument type String does not match domain Int"),
+    ("var", Inject("A", Lit(1), None), "variant injection needs a type annotation"),
+    ("var", "<A 1> : Int", "injection annotation must be a variant type, got Int"),
+    ("var", "<B 1> : [A:Int]", "label B not in [A:Int]"),
+    ("var-pre", "<A 1> : [A^o:Int]", "label A is not present in the annotation"),
+    ("var", '<A "a"> : [A:Int]', "payload type String does not match Int for label A"),
+    ("var", "case 1 {A a -> a}", "case scrutinee must have a variant type, got Int"),
+    ("var-row", "/\\r0:Row!{A}. \\x:[A:Int; r0]. case x {A a -> a}",
+     "case scrutinee type must be a closed variant"),
+    ("var", "case <A 1> : [A:Int] {A a -> a; A b -> b}", "duplicate case branch labels"),
+    ("var", "case <A 1> : [A:Int] {A a -> a; B b -> b}", "case branch B not in scrutinee type"),
+    ("var", "case <A 1> : [A:Int; B:Int] {A a -> a}", "case does not cover label B"),
+    ("var-pre", "/\\p0. case <A 1> : [A:Int; B^p0:Int] {A a -> a}",
+     "case must cover label B with variable presence"),
+    ("var", "\\a:Int. case <A 1> : [A:Int] {A a -> a}", "binder a shadows an outer binder"),
+    ("var", 'case <A 1> : [A:Int; B:Int] {A a -> a; B b -> "s"}',
+     "case branches disagree: Int vs String"),
+    ("var", Case(Var("v"), ()), "case needs at least one branch"),
+    ("rec", "{A = 1, A = 2}", "duplicate record field labels"),
+    ("rec", "{A = 1} : Int", "record annotation must be a record type, got Int"),
+    ("rec-row", "/\\r0:Row!{A}. {A = 1} : {A:Int; r0}",
+     "record literal annotation must be a closed row"),
+    ("rec", "{A = 1, B = 2} : {A:Int}", "field B not in {A:Int}"),
+    ("rec", "{A = 1} : {A:Int; B:Int}", "record literal is missing field B"),
+    ("rec", '{A = "a"} : {A:Int}', "field A has type String, annotation says Int"),
+    ("rec-pre", "{A = 1}", "record literal needs a type annotation here"),
+    ("rec", "(1).A", "projecting from a non-record of type Int"),
+    ("rec", "{A = 1}.B", "label B not in {A:Int}"),
+    ("rec-pre", "({A = 1} : {A:Int; B^o:Int}).B", "label B is not present, cannot project"),
+    ("rec-sub", "{A = 1} :> {B:Int}", "{A:Int} is not a subtype of {B:Int}"),
+    ("rec-row", "/\\r0:Row!{}. /\\r0:Row!{}. 1", "binder r0 shadows an outer binder"),
+    ("rec-row", "1 @ [A:Int]", "row-applying a term of type Int"),
+    ("rec-pre", "/\\p0. /\\p0. 1", "binder p0 shadows an outer binder"),
+    ("rec-pre", "1 @ *", "presence-applying a term of type Int"),
+    ("rec-sub-full-rank2", "let x = 1 in let x = 2 in x", "binder x shadows an outer binder"),
+    ("lam", Prim("*", (Lit(1), Lit(2))), "unknown primitive *"),
+    ("lam", Prim("+", (Lit(1),)), "primitive + takes two arguments"),
+    ("lam", '1 + "a"', "primitive + applied at Int, String"),
+    ("lam", Base("Int"), "unhandled term form Base"),
+]
+
+INFER_MESSAGES = [
+    ("var-row1", "1 :> Int", "inference input must not contain Upcast nodes"),
+    ("var-row1", "x", "unbound variable x"),
+    ("var-row1", "\\x:Int. x", "inference input must not carry annotations"),
+    ("var-row1", Prim("*", (Lit(1), Lit(2))), "unknown primitive *"),
+    ("rec-row1", "{A = 1} : {A:Int}", "inference input must not carry annotations"),
+    ("rec-row1", "{A = 1, A = 2}", "duplicate record field labels"),
+    ("var-row1", "<A 1> : [A:Int]", "inference input must not carry annotations"),
+    ("var-row1", "case <A 1> {A a -> a; A b -> b}", "duplicate case branch labels"),
+]
+
+
+def _term(src):
+    return M(src) if isinstance(src, str) else src
+
+
+@pytest.mark.parametrize("name,src,message", CHECK_MESSAGES, ids=range(len(CHECK_MESSAGES)))
+def test_checker_messages_are_pinned(name, src, message):
+    with pytest.raises(TypingError) as e:
+        type_check(preset(name), {}, {"v": _EMPTY_VARIANT}, _term(src))
+    assert type(e.value) is TypingError
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("name,src,message", INFER_MESSAGES, ids=range(len(INFER_MESSAGES)))
+def test_inference_messages_are_pinned(name, src, message):
+    term = _term(src)
+    with pytest.raises(InferError) as e:
+        infer(preset(name), {}, {}, term)
+    assert type(e.value) is InferError
+    assert str(e.value) == f"{message} (while typing {show_term(term)})"
+
+
+# A row argument is a type-level part like an annotation: the calculus must
+# have every constructor in its entries
+@pytest.mark.parametrize("name,src,message", [
+    ("var-row", "(/\\r:Row!{A}. \\x:[A:Int; r]. x) @ [B:{C:Int}]",
+     "record types not available in this calculus"),
+    ("var-row", "(/\\r:Row!{A}. \\x:[A:Int; r]. x) @ [B^o:Int]",
+     "presence annotations not available in this calculus"),
+    ("rec-row", "(/\\r:Row!{A}. \\x:{A:Int; r}. x) @ [B:[C:Int]]",
+     "variant types not available in this calculus"),
+])
+def test_row_arguments_pass_the_feature_gate(name, src, message):
+    with pytest.raises(FeatureError) as e:
+        check(name, src)
+    assert str(e.value) == message

@@ -1412,8 +1412,8 @@ def _terms_and_reducts():
     reducts under the cast and type-application rules, whose new nodes
     substitution and rebuilding made."""
     rules = [
-        RelationSet(upcast=True, nested=True, type_redex=True),
-        RelationSet(full_upcast=True, nested=True, type_redex=True),
+        RelationSet(upcast=True, type_redex=True),
+        RelationSet(upcast=True, full_upcast=True, type_redex=True),
     ]
     out = []
     for m in _generated_term_list():
