@@ -4,7 +4,8 @@ One command per process: parse, check, infer, evaluate, erase, translate
 between calculi, or verify metatheory properties on generated terms.
 
 Exit codes: 0 success, 1 user error (parse, type, kind, rank, unknown
-calculus, missing translation), 2 property failure.
+calculus, missing translation) or a generator that found no term in its ten
+attempts ("generation budget exhausted"), 2 property failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .dynamics import (
     reduction_trace,
     relations_for,
 )
-from .harness import BY_TRANSLATION, PROPERTIES, run_property
+from .harness import BY_TRANSLATION, PROPERTIES, GenError, run_property
 from .infer import InferError, infer
 from .parser import ParseError, parse_file_str
 from .pretty import show_scheme, show_term, show_type
@@ -243,6 +244,7 @@ def run(argv: list[str] | None = None) -> int:
         InferError,
         TranslationError,
         DynamicsError,
+        GenError,
         KeyError,
         ValueError,
         OSError,

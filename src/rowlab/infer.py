@@ -49,6 +49,7 @@ from .syntax import (
     Variant,
     free_type_names,
     rename_type_name,
+    type_level_names,
 )
 
 
@@ -292,7 +293,10 @@ def generalize(state: _State, env: dict[str, TypeScheme], ty: Type) -> TypeSchem
     body = zonk_type(state, ty)
     env_names: set[str] = set()
     for scheme in env.values():
-        env_names.update(free_type_names(zonk_type(state, scheme.body)))
+        # only metas are tested against env_names, and a scheme that
+        # mentions none zonks to itself: skipping it keeps let chains linear
+        if any(map(_is_meta, type_level_names(scheme.body))):
+            env_names.update(free_type_names(zonk_type(state, scheme.body)))
     names = free_type_names(body)
     taken = {name for name in names if not _is_meta(name)}
     counters = {"a": itertools.count(), "r": itertools.count(), "p": itertools.count()}

@@ -2,7 +2,11 @@
 
 from pathlib import Path
 
+import pytest
+
+from rowlab import harness
 from rowlab.cli import run
+from rowlab.harness import GenError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -109,3 +113,23 @@ def test_eval_negative_fuel_is_a_user_error(tmp_path, capsys):
     src.write_text("1", encoding="utf-8")
     assert run(["eval", "--calculus", "lam", "--fuel", "0", str(src)]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def _no_term(self, goal, size, gamma):
+    raise GenError("no production inhabits Int")
+
+
+@pytest.mark.parametrize("owner, name, value", [
+    (harness, "_GEN_CALLS_PER_NODE", 0),  # every attempt overruns its bound
+    (harness._Gen, "term_for", _no_term),  # every attempt finds no term
+])
+def test_verify_without_a_generated_term_is_a_user_error(
+    monkeypatch, capsys, owner, name, value
+):
+    monkeypatch.setattr(owner, name, value)
+    code = run(["verify", "--property", "subject-reduction", "--calculus", "rec-sub",
+                "--count", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rowlab: error: generation budget exhausted: ")
+    assert "Traceback" not in err

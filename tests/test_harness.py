@@ -159,6 +159,44 @@ def test_subst_pairs_refuse_rank1_presets():
             gen_subst_pair(GenSpec(preset(name), max_size=8, seed=0), 0)
 
 
+@pytest.fixture
+def term_for_calls(monkeypatch):
+    """Count ``_Gen.term_for`` calls per generator, that is per attempt."""
+    calls = collections.Counter()
+    real = harness._Gen.term_for
+
+    def counted(self, *args):
+        calls[self] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(harness._Gen, "term_for", counted)
+    return calls
+
+
+@pytest.mark.parametrize("size", (8, 12, 16))
+def test_no_generation_attempt_exceeds_its_bound(term_for_calls, size):
+    # the call that finds the bound spent raises before it draws anything
+    bound = harness._GEN_CALLS_PER_NODE * size
+    for name in sorted(PRESETS):
+        spec = GenSpec(preset(name), max_size=size, seed=0)
+        for i in range(40):
+            for gen in (gen_typed_term, gen_subst_pair):
+                term_for_calls.clear()
+                try:
+                    gen(spec, i)
+                except GenError:
+                    pass
+                assert max(term_for_calls.values(), default=0) <= bound + 1, (name, i)
+
+
+def test_slow_generation_tail_is_retried_within_its_bound(term_for_calls):
+    # without the bound, its first attempt makes 374,175 calls (about 4 s)
+    spec = GenSpec(preset("rec-sub"), max_size=16, seed=0)
+    term, _ = gen_typed_term(spec, 26)
+    assert sum(term_for_calls.values()) <= 10 * harness._GEN_CALLS_PER_NODE * 16
+    type_check(spec.config, ambient_delta(), ambient_gamma(), term)
+
+
 # ---------------------------------------------------------------------------
 # Report plumbing
 
@@ -862,20 +900,20 @@ GENERATED_SHA256 = {
     "lam": "87217346fe845a1c",
     "rec": "4626802b6fe1e76b",
     "rec-pre": "ec7827c94f751f34",
-    "rec-pre1": "0cb086c646f35afb",
+    "rec-pre1": "79a53bf96b730586",
     "rec-row": "4626802b6fe1e76b",
     "rec-row-pre": "ec7827c94f751f34",
-    "rec-row1": "b3e6ab6dfec22974",
-    "rec-sub": "3b16cd63837cfd1b",
-    "rec-sub-co": "6a969b9fc6d52b82",
-    "rec-sub-full": "4f1ae1694a61fbc4",
-    "rec-sub-full-rank1": "72ba4aad925eaeb4",
-    "rec-sub-full-rank2": "1f228ab96ef0ac0d",
+    "rec-row1": "d9a835b8c4e2cc3c",
+    "rec-sub": "b2670c23f80cd180",
+    "rec-sub-co": "9d232a47f4e0d066",
+    "rec-sub-full": "2e5d3106084882d5",
+    "rec-sub-full-rank1": "65fc85579a7fac50",
+    "rec-sub-full-rank2": "289342c0af0f04a9",
     "var": "3b94d2e1aafe9dfd",
     "var-pre": "3b94d2e1aafe9dfd",
     "var-pre1": "d928877365ae6d38",
-    "var-rec": "bf379d9c3bb4a8c5",
-    "var-rec-sub-full": "199551531e602b89",
+    "var-rec": "877b09b2937a1beb",
+    "var-rec-sub-full": "44077d9f87047037",
     "var-row": "3b94d2e1aafe9dfd",
     "var-row-pre": "3b94d2e1aafe9dfd",
     "var-row1": "cd6c728bd7dc75a9",
@@ -996,29 +1034,29 @@ def charged_sweep():
 
 
 REPORT_SHA256 = {
-    "registry": "d2276f7d445cd694",
-    "subject-reduction": "222b1b7d1126f890",
+    "registry": "c1f7bbc60d64f61b",
+    "subject-reduction": "c13a67d68101c895",
     "preorder": "df071665708d6576",
 }
 
 LAYER_CALLS = {
     "dynamics.erase": 220,
-    "dynamics.step_all": 1260,
+    "dynamics.step_all": 1330,
     "dynamics.term_preorder": 38,
     "harness.check": 605,
     "harness.gen": 585,
     "infer.infer": 88,
     "pretty.show_term": 1,
-    "pretty.show_type": 10967,
-    "statics.subtype": 2913,
-    "statics.type_check": 1190,
-    "syntax.alpha_eq": 1091,
-    "syntax.subst_term": 642,
-    "syntax.type_equal": 55574,
-    "translate.run_translation": 823,
+    "pretty.show_type": 9381,
+    "statics.subtype": 2727,
+    "statics.type_check": 1203,
+    "syntax.alpha_eq": 1170,
+    "syntax.subst_term": 671,
+    "syntax.type_equal": 52258,
+    "translate.run_translation": 835,
 }
 
-UNITS_SPENT = 158139
+UNITS_SPENT = 145674
 
 
 def test_reports_are_pinned(charged_sweep):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rowlab import infer as infer_module
 from rowlab.config import preset
 from rowlab.dynamics import erase
 from rowlab.infer import (
@@ -234,6 +235,26 @@ def test_inner_let_keeps_lambda_metas_monomorphic():
         T("{Name:a0; r0} -> {A:a0; B:a0}"),
     )
     assert scheme_alpha_eq(got, want)
+
+
+def test_let_chains_zonk_linearly(monkeypatch):
+    # generalize skips the environment's schemes that mention no meta, so a
+    # closed let chain zonks a bounded number of types per let
+    calls = []
+    real = infer_module.zonk_type
+    monkeypatch.setattr(
+        infer_module, "zonk_type", lambda state, ty: calls.append(ty) or real(state, ty)
+    )
+    counts = []
+    for n in (100, 200, 400):
+        src = "let x0 = 1 in " + "".join(
+            f"let x{i} = {{A = x{i - 1}}}.A in " for i in range(1, n + 1)
+        )
+        calls.clear()
+        assert run("rec-row1", src + f"x{n}").body == INT
+        counts.append(len(calls))
+    assert counts[2] - counts[1] == 2 * (counts[1] - counts[0])
+    assert counts[2] <= 2 * 400
 
 
 def test_erased_program_infers_like_the_annotated_one():
