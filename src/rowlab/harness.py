@@ -7,7 +7,11 @@ construction.  Everything is driven by a seeded generator: the same
 (spec, index) pair always yields the same term.  Each generation attempt
 may make ``_GEN_CALLS_PER_NODE * max_size`` calls to ``_Gen.term_for``; one
 that makes more is abandoned and the next attempt seed is tried, so an
-overrun means a retry, never a verdict.
+overrun means a retry, never a verdict.  Work an attempt throws away is
+kept cheap: each scope (``_Scope``) indexes its names by ``type_key`` when
+a binder extends it, so ``term_for`` finds a goal's variables by one lookup
+and compares no types, and a dead end's text ("no production inhabits T")
+is formatted only when it is read.
 
 Each check_* function verifies one theorem-shaped property on one input and
 returns a PropertyReport; reports merge associatively so large runs can be
@@ -72,6 +76,7 @@ from .syntax import (
     Lam,
     Let,
     Lit,
+    MalformedRowError,
     Names,
     Present,
     Prim,
@@ -90,6 +95,7 @@ from .syntax import (
     subst_term,
     term_size,  # kept here too: bench/budget.py sizes terms through harness
     type_equal,
+    type_key,
 )
 from .translate import (
     TRANSLATIONS,
@@ -109,6 +115,18 @@ _LEAF_TYPES = (TyVar("a0"), TyVar("a1"), Base("Int"), Base("String"), Base("Int"
 
 class GenError(Exception):
     pass
+
+
+class _NoProduction(GenError):
+    """No production inhabits ``goal``.  Most dead ends are retried and
+    their text never read, so it is formatted only when it is."""
+
+    def __init__(self, goal: Type):
+        super().__init__(goal)
+        self.goal = goal
+
+    def __str__(self) -> str:
+        return f"no production inhabits {show_type(self.goal)}"
 
 
 class _Overrun(Exception):
@@ -148,6 +166,47 @@ _WEIGHTS = {  # of the term productions
 }
 
 
+def _scope_key(ty: Type) -> tuple | None:
+    """``ty``'s ``type_key``, or None for a row that repeats a label, which
+    ``type_equal`` equates with nothing."""
+    try:
+        return type_key(ty)
+    except MalformedRowError:
+        return None
+
+
+class _Scope(dict):
+    """A generation context, names to types in scope order, with the names of
+    each type indexed by ``type_key`` (``by_key``, each tuple in scope order):
+    the variables of a goal's type are one lookup away, and a type's key is
+    taken once, when a binder brings it into scope."""
+
+    def __init__(self, types=(), by_key: dict | None = None):
+        super().__init__(types)
+        if by_key is None:
+            by_key = {}
+            for name, ty in self.items():
+                key = _scope_key(ty)
+                if key is not None:
+                    by_key[key] = (*by_key.get(key, ()), name)
+        self.by_key = by_key
+
+    def bind(self, name: str, ty: Type) -> _Scope:
+        """This scope with ``name`` bound to ``ty``, as ``{**self, name: ty}``."""
+        if name in self:  # a rebound name keeps its place: index afresh
+            return _Scope({**self, name: ty})
+        by_key = self.by_key
+        key = _scope_key(ty)
+        if key is not None:
+            by_key = {**by_key, key: (*by_key.get(key, ()), name)}
+        return _Scope({**self, name: ty}, by_key)
+
+    def names_of(self, goal: Type) -> tuple[str, ...]:
+        """``[x for x in self if type_equal(self[x], goal)]``, by one lookup."""
+        key = _scope_key(goal)
+        return () if key is None else self.by_key.get(key, ())
+
+
 class _Gen:
     def __init__(self, rng: random.Random, spec: GenSpec):
         self.rng = rng
@@ -177,7 +236,7 @@ class _Gen:
                 opts.append(("record", 2.0))
             if self.config.variants:
                 opts.append(("variant", 2.0))
-        kind = self._pick(opts)
+        kind = opts[self._pick(opts)][0]
         if kind == "base":
             return self.rng.choice(_LEAF_TYPES)
         if kind == "arrow":
@@ -259,14 +318,15 @@ class _Gen:
 
     # -- terms -------------------------------------------------------------
 
-    def _pick(self, weighted):
-        total = sum(w for _, w in weighted)
-        roll = self.rng.random() * total
-        for item, w in weighted:
-            roll -= w
+    def _pick(self, options) -> int:
+        """The index of one of ``options``, tuples whose second item is a
+        weight, drawn with chance proportional to it."""
+        roll = self.rng.random() * sum(o[1] for o in options)
+        for i, o in enumerate(options):
+            roll -= o[1]
             if roll <= 0:
-                return item
-        return weighted[-1][0]
+                return i
+        return len(options) - 1
 
     def term_for(self, goal: Type, size: int, gamma: dict[str, Type]) -> Term:
         self.calls_left -= 1
@@ -274,10 +334,11 @@ class _Gen:
             raise _Overrun(
                 f"over {_GEN_CALLS_PER_NODE} term_for calls per unit of max_size"
             )
-        cands: list[tuple[str, float, object]] = []
-        for name in gamma:
-            if type_equal(gamma[name], goal):
-                cands.append(("var", _WEIGHTS["var"], name))
+        if type(gamma) is not _Scope:
+            gamma = _Scope(gamma)
+        cands: list[tuple[str, float, object]] = [
+            ("var", _WEIGHTS["var"], name) for name in gamma.names_of(goal)
+        ]
         if isinstance(goal, Base):
             cands.append(("lit", _WEIGHTS["lit"], None))
             if size >= 3:
@@ -307,14 +368,12 @@ class _Gen:
             cands.append(("upcast", _WEIGHTS["upcast"], None))
 
         while cands:
-            weighted = [(i, w) for i, (_, w, _) in enumerate(cands)]
-            i = self._pick(weighted)
-            kind, _, payload = cands.pop(i)
+            kind, _, payload = cands.pop(self._pick(cands))
             try:
                 return self._produce(kind, payload, goal, size, gamma)
             except GenError:
                 continue
-        raise GenError(f"no production inhabits {show_type(goal)}")
+        raise _NoProduction(goal)
 
     def _produce(self, kind, payload, goal, size, gamma):
         rng = self.rng
@@ -337,7 +396,7 @@ class _Gen:
             )
         if kind == "lam":
             x = self.fresh_var()
-            body = self.term_for(goal.cod, size - 1, {**gamma, x: goal.dom})
+            body = self.term_for(goal.cod, size - 1, gamma.bind(x, goal.dom))
             return Lam(x, None if self.bare else goal.dom, body)
         if kind == "record":
             fields = []
@@ -373,7 +432,7 @@ class _Gen:
             half = max(1, (size - 1) // 2)
             bound = self.term_for(bound_ty, half, gamma)
             body = self.term_for(
-                goal, max(1, size - 1 - half), {**gamma, x: bound_ty}
+                goal, max(1, size - 1 - half), gamma.bind(x, bound_ty)
             )
             return Let(x, bound, body)
         if kind == "case":
@@ -394,7 +453,7 @@ class _Gen:
                         label,
                         binder,
                         self.term_for(
-                            goal, share, {**gamma, binder: payloads[label]}
+                            goal, share, gamma.bind(binder, payloads[label])
                         ),
                     )
                 )

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -49,7 +50,23 @@ from rowlab.infer import infer
 from rowlab.parser import parse_term_str
 from rowlab.pretty import show_term, show_type
 from rowlab.statics import type_check
-from rowlab.syntax import SHAPES, Lit, Prim, Upcast, alpha_eq, children
+from rowlab.syntax import (
+    SHAPES,
+    Arrow,
+    Base,
+    ForallRow,
+    KRow,
+    Lit,
+    Present,
+    Prim,
+    Record,
+    Row,
+    TyVar,
+    Upcast,
+    Variant,
+    alpha_eq,
+    children,
+)
 from rowlab.translate import TRANSLATIONS, TranslationError, run_translation
 
 M = parse_term_str
@@ -195,6 +212,104 @@ def test_slow_generation_tail_is_retried_within_its_bound(term_for_calls):
     term, _ = gen_typed_term(spec, 26)
     assert sum(term_for_calls.values()) <= 10 * harness._GEN_CALLS_PER_NODE * 16
     type_check(spec.config, ambient_delta(), ambient_gamma(), term)
+
+
+def _scanned(gamma, goal):
+    """The variables ``term_for`` once found by comparing every one."""
+    return [x for x in gamma if syntax.type_equal(gamma[x], goal)]
+
+
+def _hand_made_types():
+    a, b, i = TyVar("a0"), TyVar("a1"), Base("Int")
+    row = Row((("Name", Present(), i), ("Age", Present(), a)))
+    dup = Row((("Age", Present(), i), ("Age", Present(), i)))
+    return [
+        ForallRow("r", KRow(frozenset()), Record(Row((("Age", Present(), a),), "r"))),
+        ForallRow("s", KRow(frozenset()), Record(Row((("Age", Present(), a),), "s"))),
+        ForallRow("r", KRow(frozenset()), Record(Row((("Age", Present(), b),), "r"))),
+        Record(row),
+        Variant(row),
+        Record(Row(tuple(reversed(row.entries)))),
+        Record(dup),
+        Variant(dup),
+        Arrow(Record(dup), i),
+        i,
+        a,
+    ]
+
+
+def test_scope_index_finds_the_variables_a_scan_finds():
+    hand = _hand_made_types()
+    cases = [(dict(zip((f"h{k}" for k in range(len(hand))), hand)), hand)]
+    for k in range(60):
+        gen = harness._Gen(random.Random(k), GenSpec(preset("var-rec-sub-full")))
+        gamma = {**ambient_gamma(), **{f"v{j}": gen._raw_type(1 + j % 4) for j in range(8)}}
+        cases.append((gamma, [gen._raw_type(1 + j % 4) for j in range(8)] + hand))
+    for gamma, goals in cases:
+        # built whole, and one binder at a time
+        stepwise = harness._Scope()
+        for name, ty in gamma.items():
+            stepwise = stepwise.bind(name, ty)
+        for scope in (harness._Scope(gamma), stepwise):
+            assert dict(scope) == gamma
+            for goal in [*gamma.values(), *goals]:
+                assert list(scope.names_of(goal)) == _scanned(gamma, goal), goal
+    # a rebound name keeps its place in scope order
+    scope = harness._Scope(cases[0][0]).bind("h0", Base("Int"))
+    want = {**cases[0][0], "h0": Base("Int")}
+    assert list(scope.names_of(Base("Int"))) == _scanned(want, Base("Int"))
+    assert list(scope.names_of(hand[0])) == _scanned(want, hand[0]) == ["h1"]
+
+
+def test_generation_compares_and_prints_no_types(monkeypatch):
+    # variables come from the scope's index, and a dead end's text is only
+    # formatted when read: none of the retried dead ends is read here
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(harness, "type_equal", counting("type_equal", harness.type_equal))
+    for mod in (harness, statics, infer_module):
+        monkeypatch.setattr(mod, "show_type", counting("show_type", mod.show_type))
+    for name in ("rec-sub", "var-rec-sub-full"):
+        spec = GenSpec(preset(name), max_size=12, seed=0)
+        for i in range(40):
+            gen_typed_term(spec, i)
+            gen_subst_pair(spec, i)
+    assert calls == {}
+
+
+def test_dead_end_text_is_unchanged_once_read(monkeypatch, capsys):
+    goal = Arrow(Base("Int"), TyVar("a0"))
+    gen = harness._Gen(random.Random(0), GenSpec(preset("rec-sub")))
+    with pytest.raises(GenError) as dead_end:
+        gen.term_for(goal, 1, {})  # too small for a lambda, and no variable
+    assert str(dead_end.value) == f"no production inhabits {show_type(goal)}"
+    # every attempt ends in a dead end: the CLI prints the last one's text
+    goals = []
+    real = harness._Gen.term_for
+
+    def recorded(self, goal, size, gamma):
+        goals.append(goal)
+        return real(self, goal, size, gamma)
+
+    def no_production(self, *args):
+        raise GenError("no such production")
+
+    monkeypatch.setattr(harness._Gen, "term_for", recorded)
+    monkeypatch.setattr(harness._Gen, "_produce", no_production)
+    code = cli.run(["verify", "--property", "subject-reduction", "--calculus", "rec-sub",
+                    "--count", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "rowlab: error: generation budget exhausted: "
+        f"no production inhabits {show_type(goals[-1])}\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1047,16 +1162,15 @@ LAYER_CALLS = {
     "harness.gen": 585,
     "infer.infer": 88,
     "pretty.show_term": 1,
-    "pretty.show_type": 9381,
     "statics.subtype": 2727,
     "statics.type_check": 1203,
     "syntax.alpha_eq": 1170,
     "syntax.subst_term": 671,
-    "syntax.type_equal": 52258,
+    "syntax.type_equal": 6620,
     "translate.run_translation": 835,
 }
 
-UNITS_SPENT = 145674
+UNITS_SPENT = 57197
 
 
 def test_reports_are_pinned(charged_sweep):
