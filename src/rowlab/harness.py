@@ -605,8 +605,20 @@ _REACH_MEMO = 6000  # (state, goal) pairs _Reach settles
 # many term_for calls per unit of max_size ends (_Overrun) and is retried
 # with the next attempt seed.  At 100, the benchmark's verify-sweep at seed
 # 0 had its p99.8 input time at 41-48 ms, against about 30 ms at 64, and
-# one input ran out of its work budget.
-_GEN_CALLS_PER_NODE = 64
+# one input ran out of its work budget.  At 64, abandoned attempts made 59%
+# of verify-sweep's term_for calls, while a kept size-12 attempt made 11 at
+# the median and 202 at p99.  Benchmark wall_s medians at seed 0, five
+# alternating runs each (two at 64), 2-vCPU machine:
+#
+#   per node   verify-sweep   verify-search   first attempts cut (sweep, search)
+#   64         12.0 s         13.9 s          -
+#   32         10.2 s         12.9 s          13, 246
+#   24          9.8 s         12.5 s          27, 276
+#   16          9.5 s         11.9 s          64, 322
+#
+# 16 gains little more than the runs' spread on verify-sweep and, below the
+# kept attempts' p99, cuts twice as many attempts that would have succeeded.
+_GEN_CALLS_PER_NODE = 24
 
 
 def _step_class(tag: str) -> str:
