@@ -608,9 +608,10 @@ _REACH_MEMO = 6000  # (state, goal) pairs _Reach settles
 # one input ran out of its work budget.  At 64, abandoned attempts made 59%
 # of verify-sweep's term_for calls, while a kept size-12 attempt made 11 at
 # the median and 202 at p99.  Benchmark wall_s medians at seed 0, five
-# alternating runs each (two at 64), 2-vCPU machine:
+# alternating runs each (two at 64), 2-vCPU machine, and how many inputs'
+# kept attempt at 64 the bound would cut:
 #
-#   per node   verify-sweep   verify-search   first attempts cut (sweep, search)
+#   per node   verify-sweep   verify-search   attempts cut (sweep, search)
 #   64         12.0 s         13.9 s          -
 #   32         10.2 s         12.9 s          13, 246
 #   24          9.8 s         12.5 s          27, 276
