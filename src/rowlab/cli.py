@@ -4,8 +4,11 @@ One command per process: parse, check, infer, evaluate, erase, translate
 between calculi, or verify metatheory properties on generated terms.
 
 Exit codes: 0 success, 1 user error (parse, type, kind, rank, unknown
-calculus, missing translation) or a generator that found no term in its ten
-attempts ("generation budget exhausted"), 2 property failure.
+calculus, missing translation, an option out of range) or a generator that
+found no term in its ten attempts ("generation budget exhausted"), 2
+property failure.  A user error prints "rowlab: error: <message>".  Any
+other exception is a defect in rowlab: it prints "rowlab: internal error:
+<Type>: <message>", without a traceback, and exits 1 too.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import os
 import sys
 
-from .config import PRESETS, preset
+from .config import PRESETS, UsageError, preset
 from .dynamics import (
     DynamicsError,
     erase,
@@ -32,7 +35,10 @@ from .translate import TranslationError, translation_for
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise UsageError(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -75,7 +81,7 @@ def _cmd_infer(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.fuel < 0:
-        raise ValueError(f"fuel must be at least 0, got {args.fuel}")
+        raise UsageError(f"fuel must be at least 0, got {args.fuel}")
     cfg, delta, gamma, term = _load(args)
     if cfg.rank1:
         infer(cfg, delta, gamma, term)
@@ -89,26 +95,17 @@ def _cmd_eval(args) -> int:
         # covariant and full configurations evaluate under erasure semantics
         subject = erase(term) if cfg.subtyping in ("covariant", "full") else term
     result, steps = reduction_trace(subject, rels, args.fuel)
-    _emit(
-        args,
-        {
-            "calculus": cfg.name,
-            "term": show_term(term),
-            "result": show_term(result),
-            "steps": steps,
-        },
-        "\n".join(f"  {tag}" for tag in steps) + ("\n" if steps and args.trace else "")
-        + show_term(result)
-        if args.trace
-        else show_term(result),
-    )
+    shown = show_term(result)
+    text = "".join(f"  {tag}\n" for tag in steps) + shown if args.trace else shown
+    payload = {"calculus": cfg.name, "term": show_term(term), "result": shown}
+    _emit(args, {**payload, "steps": steps}, text)
     return 0
 
 
 def _cmd_erase(args) -> int:
     _, _, term = parse_file_str(_read(args.file))
-    out = erase(term)
-    _emit(args, {"term": show_term(term), "erased": show_term(out)}, show_term(out))
+    shown = show_term(erase(term))
+    _emit(args, {"term": show_term(term), "erased": shown}, shown)
     return 0
 
 
@@ -136,7 +133,7 @@ def _cmd_verify(args) -> int:
         ("--calculus", args.calculus, ("subject-reduction",)),
     ):
         if value is not None and not set(users) & set(args.properties):
-            raise ValueError(f"{option} is used by none of {', '.join(args.properties)}")
+            raise UsageError(f"{option} is used by none of {', '.join(args.properties)}")
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("ROWLAB_SEED", "0"))
@@ -245,8 +242,7 @@ def run(argv: list[str] | None = None) -> int:
         TranslationError,
         DynamicsError,
         GenError,
-        KeyError,
-        ValueError,
+        UsageError,
         OSError,
     ) as e:
         msg = e.args[0] if e.args else str(e)
@@ -254,6 +250,9 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     except RecursionError:
         print("rowlab: error: term nested too deeply", file=sys.stderr)
+        return 1
+    except Exception as e:
+        print(f"rowlab: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 

@@ -75,9 +75,15 @@ PRESETS: dict[str, CalculusConfig] = {
 }
 
 
+class UsageError(Exception):
+    """A request that cannot be served as asked: an unknown calculus, or a
+    count, size, depth or fuel out of range, or options that do not fit
+    together.  The CLI reports it as the user's error."""
+
+
 def preset(name: str) -> CalculusConfig:
     try:
         return PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
-        raise KeyError(f"unknown calculus {name!r}; known: {known}") from None
+        raise UsageError(f"unknown calculus {name!r}; known: {known}") from None

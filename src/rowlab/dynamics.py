@@ -1,9 +1,11 @@
 """Small-step reduction, upcast evaluation, erasure, and term approximation.
 
 Reduction is presented as a family of tagged rewrite relations so that the
-verification harness can match exact step patterns.  ``step_all`` is the
-reference relation: it enumerates every redex in leftmost-outermost order
-together with its position path and the whole term after firing it.
+verification harness can match exact step patterns.  ``REDEXES`` maps each
+form that can head a redex to its head slot and its rule, which gives the
+contractum and its tag, or None.  ``step_all`` is the reference relation:
+it enumerates every redex in leftmost-outermost order together with its
+position path and the whole term after firing it.
 
 ``step_once``, ``normalize`` and ``reduction_trace`` fire the first of those
 redexes again and again, but without searching from the root each time.
@@ -15,12 +17,15 @@ preorder as ``step_all``.  Every rule looks only at a node and its
 immediate children, so after a contraction only the parent of the
 contractum can have become a redex: the machine re-checks that parent and
 then the contractum itself, and never revisits anything to the left.  A
-changed ancestor is rebuilt once, when the machine leaves it.
+changed ancestor is rebuilt once, when the machine leaves it.  ``erase``
+rebuilds on an explicit stack (``syntax.strip``), so any depth is fine.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .config import CalculusConfig
 from .pretty import show_term
@@ -53,6 +58,7 @@ from .syntax import (
     rebuild,
     same_data,
     same_name,
+    strip,
     subst_term,
     subst_type_in_term,
 )
@@ -100,110 +106,98 @@ class Step:
     path: Path
 
 
-def _prim_eval(op: str, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "++":
-        return a + b
-    raise DynamicsError(f"unknown primitive {op}")
+_PRIMS = {"+": operator.add, "-": operator.sub, "++": operator.add}
+
+
+def _beta_case(t: Case, rels: RelationSet):
+    inj = t.scrutinee
+    if isinstance(inj, Inject):
+        for label, binder, body in t.branches:
+            if label == inj.label:
+                return subst_term(body, inj.payload, binder), "beta-case"
+    return None
+
+
+def _beta_project(t: Project, rels: RelationSet):
+    value = t.term.field(t.label) if isinstance(t.term, RecordLit) else None
+    return None if value is None else (value, "beta-project")
+
+
+def _beta_prim(t: Prim, rels: RelationSet):
+    if all(isinstance(a, Lit) for a in t.args) and len(t.args) == 2:
+        if t.op not in _PRIMS:
+            raise DynamicsError(f"unknown primitive {t.op}")
+        return Lit(_PRIMS[t.op](*(a.value for a in t.args))), "beta-prim"
+    return None
+
+
+def _upcast(t: Upcast, rels: RelationSet):
+    """Stacked casts collapse.  Under the structural rules a cast at a base
+    type or variable vanishes, a function cast rebinds, and variant and
+    record casts cast each payload or kept field; under the width rules
+    they only re-annotate the injection or drop the fields."""
+    inner, target, full = t.term, t.target, rels.full_upcast
+    if rels.upcast and isinstance(inner, Upcast):
+        return Upcast(inner.term, target), "nested-upcast"
+    if full and isinstance(target, (TyVar, Base)):
+        return inner, "upcast-var"
+    if full and isinstance(inner, Lam) and isinstance(target, Arrow):
+        # Rebinding the same name is safe: every occurrence is replaced by
+        # a cast wrapped around it, bound by the new abstraction.
+        x = inner.var
+        arg = Var(x) if inner.annot is None else Upcast(Var(x), inner.annot)
+        body = Upcast(subst_term(inner.body, arg, x), target.cod)
+        return Lam(x, target.dom, body), "upcast-lam"
+    if not (full or rels.upcast):
+        return None
+    if isinstance(inner, Inject) and isinstance(target, Variant):
+        if not full:
+            return Inject(inner.label, inner.payload, target), "upcast-variant"
+        for label, _, ty in target.row.entries:
+            if label == inner.label:
+                payload = Upcast(inner.payload, ty)
+                return Inject(label, payload, target), "upcast-variant"
+    elif isinstance(inner, RecordLit) and isinstance(target, Record):
+        if not full:
+            keep = set(target.row.labels())
+            fields = tuple(f for f in inner.fields if f[0] in keep)
+            return RecordLit(fields, target), "upcast-record"
+        cast = [(label, inner.field(label), ty) for label, _, ty in target.row.entries]
+        if all(v is not None for _, v, _ in cast):
+            fields = tuple((label, Upcast(v, ty)) for label, v, ty in cast)
+            return RecordLit(fields, target), "upcast-record"
+    return None
+
+
+def _type_app(t, rels: RelationSet, form: type, arg, kind: str):
+    """A row or presence application meeting its binder: tau for a written
+    one, nu for one a cast translation introduced."""
+    if rels.type_redex and isinstance(t.term, form):
+        tag = ("tau-" if t.origin == "source" else "nu-") + kind
+        return subst_type_in_term(t.term.body, arg, t.term.var), tag
+    return None
+
+
+# A redex on the head spine (reached through head slots only) can expose
+# one at the node above it; every argument of a primitive is a head slot
+# ("*"), a let has none, and no form outside the table is ever a redex.
+REDEXES: dict[type, tuple[str | None, Callable[[Any, RelationSet], Any]]] = {
+    App: ("fn", lambda t, rels: (subst_term(t.fn.body, t.arg, t.fn.var), "beta-lam")
+          if isinstance(t.fn, Lam) else None),
+    Case: ("scrutinee", _beta_case),
+    Project: ("term", _beta_project),
+    Let: (None, lambda t, rels: (subst_term(t.body, t.bound, t.var), "beta-let")),
+    Prim: ("*", _beta_prim),
+    Upcast: ("term", _upcast),
+    RowApp: ("term", lambda t, rels: _type_app(t, rels, RowAbs, t.row, "row")),
+    PresApp: ("term", lambda t, rels: _type_app(t, rels, PresAbs, t.presence, "pres")),
+}
 
 
 def _rewrite_here(term: Term, rels: RelationSet) -> tuple[Term, str] | None:
     """The rewrite this node heads, if any."""
-    if isinstance(term, App) and isinstance(term.fn, Lam):
-        return subst_term(term.fn.body, term.arg, term.fn.var), "beta-lam"
-    if isinstance(term, Case) and isinstance(term.scrutinee, Inject):
-        inj = term.scrutinee
-        for label, binder, body in term.branches:
-            if label == inj.label:
-                return subst_term(body, inj.payload, binder), "beta-case"
-    if isinstance(term, Project) and isinstance(term.term, RecordLit):
-        value = term.term.field(term.label)
-        if value is not None:
-            return value, "beta-project"
-    if isinstance(term, Let):
-        return subst_term(term.body, term.bound, term.var), "beta-let"
-    if (
-        isinstance(term, Prim)
-        and all(isinstance(a, Lit) for a in term.args)
-        and len(term.args) == 2
-    ):
-        a, b = term.args
-        return Lit(_prim_eval(term.op, a.value, b.value)), "beta-prim"
-
-    if isinstance(term, Upcast):
-        if rels.upcast and isinstance(term.term, Upcast):
-            return Upcast(term.term.term, term.target), "nested-upcast"
-        if rels.full_upcast:
-            hit = _full_cast(term)
-            if hit is not None:
-                return hit
-        elif rels.upcast:
-            if isinstance(term.term, Inject) and isinstance(term.target, Variant):
-                inj = term.term
-                return Inject(inj.label, inj.payload, term.target), "upcast-variant"
-            if isinstance(term.term, RecordLit) and isinstance(term.target, Record):
-                lit = term.term
-                keep = set(l for l, _, _ in term.target.row.entries)
-                fields = tuple(f for f in lit.fields if f[0] in keep)
-                return RecordLit(fields, term.target), "upcast-record"
-
-    if rels.type_redex:
-        if isinstance(term, RowApp) and isinstance(term.term, RowAbs):
-            out = subst_type_in_term(term.term.body, term.row, term.term.var)
-            return out, ("tau-row" if term.origin == "source" else "nu-row")
-        if isinstance(term, PresApp) and isinstance(term.term, PresAbs):
-            out = subst_type_in_term(term.term.body, term.presence, term.term.var)
-            return out, ("tau-pres" if term.origin == "source" else "nu-pres")
-
-    return None
-
-
-def _full_cast(term: Upcast) -> tuple[Term, str] | None:
-    target = term.target
-    if isinstance(target, (TyVar, Base)):
-        return term.term, "upcast-var"
-    if isinstance(term.term, Lam) and isinstance(target, Arrow):
-        # Rebinding the same name is safe: every occurrence is replaced by
-        # a cast wrapped around it, bound by the new abstraction.
-        lam = term.term
-        arg = (
-            Upcast(Var(lam.var), lam.annot)
-            if lam.annot is not None
-            else Var(lam.var)
-        )
-        body = Upcast(subst_term(lam.body, arg, lam.var), target.cod)
-        return Lam(lam.var, target.dom, body), "upcast-lam"
-    if isinstance(term.term, Inject) and isinstance(target, Variant):
-        inj = term.term
-        for label, _, ty in target.row.entries:
-            if label == inj.label:
-                return (
-                    Inject(inj.label, Upcast(inj.payload, ty), target),
-                    "upcast-variant",
-                )
-        return None
-    if isinstance(term.term, RecordLit) and isinstance(target, Record):
-        lit = term.term
-        fields = []
-        for label, _, ty in target.row.entries:
-            value = lit.field(label)
-            if value is None:
-                return None
-            fields.append((label, Upcast(value, ty)))
-        return RecordLit(tuple(fields), target), "upcast-record"
-    return None
-
-
-# The slot that is a head position in each form that has one; every
-# argument of a primitive is one too.  A redex on the head spine (reached
-# through head positions only) can expose a redex at the node above it.
-_HEAD_SLOT = {
-    App: "fn", Project: "term", Upcast: "term", Case: "scrutinee",
-    RowApp: "term", PresApp: "term",
-}
+    redex = REDEXES.get(type(term))
+    return None if redex is None else redex[1](term, rels)
 
 
 def step_all(term: Term, rels: RelationSet, spine: bool = False) -> list[Step]:
@@ -225,8 +219,9 @@ def step_all(term: Term, rels: RelationSet, spine: bool = False) -> list[Step]:
                 new = rebuild(parent, kids)
             out.append(Step(new, tag, path))
         parts = SHAPES[type(node)].children(node)
+        head = REDEXES.get(type(node), (None,))[0] if spine and parts else "*"
         for i, (slot, child, _) in enumerate(parts):
-            if spine and type(node) is not Prim and slot != _HEAD_SLOT.get(type(node)):
+            if head != "*" and slot != head:
                 continue
             context.append((node, parts, i))
             walk(child, path + (slot,))
@@ -234,11 +229,6 @@ def step_all(term: Term, rels: RelationSet, spine: bool = False) -> list[Step]:
 
     walk(term, ())
     return out
-
-
-# The forms ``_rewrite_here`` can fire at; no other node becomes a redex
-# when one of its children is contracted.
-_HEADS = (App, Case, Project, Let, Prim, Upcast, RowApp, PresApp)
 
 
 class _Frame:
@@ -286,7 +276,7 @@ class _Machine:
         if self.frames:
             frame = self.frames[-1]
             frame.kids[frame.index] = new
-            if isinstance(frame.node, _HEADS):
+            if type(frame.node) in REDEXES:
                 frame.node = rebuild(frame.node, frame.kids)
                 frame.dirty = False
                 up = _rewrite_here(frame.node, self.rels)
@@ -378,13 +368,7 @@ _TYPE_LEVEL = (Upcast, RowAbs, RowApp, PresAbs, PresApp)
 
 def erase(term: Term) -> Term:
     """Strip annotations, casts, and type-level abstraction/application."""
-    shape = SHAPES[type(term)]
-    kids = []
-    for _, child, _ in shape.children(term):
-        kids.append(erase(child))
-    if isinstance(term, _TYPE_LEVEL):
-        return kids[0]
-    return shape.rebuild(term, kids, None, lambda annotation: None)
+    return strip(term, _TYPE_LEVEL, lambda annotation: None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Random well-typed terms and executable checks of the metatheory.
 
 Generation is goal directed: sample a type, then build a term inhabiting it
-using only the features the configuration enables.  Cast nodes are inserted
+using only the features the configuration enables.  The productions are one
+table in offer order (``_PRODUCTIONS``), filtered once per configuration and
+indexed by goal form, so ``term_for`` tests only the ones that build its
+goal, then draws among them and the goal's variables by weight, trying the
+next draw when one fails.  Cast nodes are inserted
 only with evidence found by widening the goal, so generated terms check by
 construction.  Everything is driven by a seeded generator: the same
 (spec, index) pair always yields the same term.  Each generation attempt
@@ -51,9 +55,9 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, get_args
 
-from .config import CalculusConfig, preset
+from .config import CalculusConfig, UsageError, preset
 from .dynamics import RelationSet, Step, erase, relations_for, step_all, term_preorder
 from .infer import InferError, infer, scheme_instance
 from .pretty import show_scheme, show_term, show_type
@@ -92,6 +96,7 @@ from .syntax import (
     Variant,
     alpha_eq,
     match_node,
+    strip,
     subst_term,
     term_size,  # kept here too: bench/budget.py sizes terms through harness
     type_equal,
@@ -101,7 +106,6 @@ from .translate import (
     TRANSLATIONS,
     TranslationError,
     run_translation,
-    strip_upcasts,
     trans_a,
     weak_sub_instance,
 )
@@ -150,20 +154,7 @@ class GenSpec:
 
     def __post_init__(self):
         if self.max_size < 1:
-            raise ValueError("max_size must be at least 1")
-
-
-_WEIGHTS = {  # of the term productions
-    "var": 2.0,
-    "lit": 2.0,
-    "prim": 1.0,
-    "intro": 3.0,
-    "app": 1.2,
-    "let": 0.8,
-    "case": 1.5,
-    "project": 1.2,
-    "upcast": 3.0,
-}
+            raise UsageError("max_size must be at least 1")
 
 
 def _scope_key(ty: Type) -> tuple | None:
@@ -214,6 +205,7 @@ class _Gen:
         self.bare = spec.config.rank1
         self._fresh = itertools.count()
         self.calls_left = _GEN_CALLS_PER_NODE * spec.max_size
+        self.productions = _productions(spec.config)
 
     def fresh_var(self) -> str:
         return f"x{next(self._fresh)}"
@@ -253,13 +245,6 @@ class _Gen:
         return Record(row) if kind == "record" else Variant(row)
 
     # -- subtype widening for cast insertion -------------------------------
-
-    def _can_widen(self, goal: Type) -> bool:
-        if isinstance(goal, Record) and self.config.records:
-            return True
-        if isinstance(goal, Variant) and self.config.variants:
-            return any(isinstance(p, Present) for _, p, _ in goal.row.entries)
-        return isinstance(goal, Arrow) and self.config.subtyping == "full"
 
     def _widen(self, goal: Type, size: int) -> Type:
         rng = self.rng
@@ -336,155 +321,142 @@ class _Gen:
             )
         if type(gamma) is not _Scope:
             gamma = _Scope(gamma)
-        cands: list[tuple[str, float, object]] = [
-            ("var", _WEIGHTS["var"], name) for name in gamma.names_of(goal)
-        ]
-        if isinstance(goal, Base):
-            cands.append(("lit", _WEIGHTS["lit"], None))
-            if size >= 3:
-                cands.append(("prim", _WEIGHTS["prim"], None))
-        if isinstance(goal, Arrow) and size >= 2:
-            cands.append(("lam", _WEIGHTS["intro"], None))
-        if isinstance(goal, Record) and self.config.records:
-            cands.append(("record", _WEIGHTS["intro"], None))
-        if isinstance(goal, Variant) and self.config.variants and any(
-            isinstance(p, Present) for _, p, _ in goal.row.entries
-        ):
-            cands.append(("inject", _WEIGHTS["intro"], None))
-        if size >= 3:
-            cands.append(("app", _WEIGHTS["app"], None))
-            if self.config.allows_let:
-                cands.append(("let", _WEIGHTS["let"], None))
-            if self.config.records:
-                cands.append(("project", _WEIGHTS["project"], None))
-        if size >= 4 and self.config.variants:
-            cands.append(("case", _WEIGHTS["case"], None))
-        if (
-            not self.bare
-            and self.config.subtyping != "none"
-            and size >= 2
-            and self._can_widen(goal)
-        ):
-            cands.append(("upcast", _WEIGHTS["upcast"], None))
-
+        cands: list = [(name, 2.0) for name in gamma.names_of(goal)]
+        for weight, least, fits, make in self.productions[type(goal)]:
+            if size >= least and (fits is None or fits(goal)):
+                cands.append((make, weight))
         while cands:
-            kind, _, payload = cands.pop(self._pick(cands))
+            make = cands.pop(self._pick(cands))[0]
+            if type(make) is str:
+                return Var(make)
             try:
-                return self._produce(kind, payload, goal, size, gamma)
+                return make(self, goal, size, gamma)
             except GenError:
                 continue
         raise _NoProduction(goal)
 
-    def _produce(self, kind, payload, goal, size, gamma):
+    # -- the productions (``_PRODUCTIONS``) --------------------------------
+
+    def _lit(self, goal: Base, size: int, gamma: _Scope) -> Term:
+        if goal.tag == "Int":
+            return Lit(self.rng.randint(0, 99))
+        return Lit(self.rng.choice(_WORDS))
+
+    def _prim(self, goal: Base, size: int, gamma: _Scope) -> Term:
+        op = "++" if goal.tag == "String" else self.rng.choice(("+", "-"))
+        arg_ty = Base("String" if op == "++" else "Int")
+        half = max(1, (size - 1) // 2)
+        left = self.term_for(arg_ty, half, gamma)
+        return Prim(op, (left, self.term_for(arg_ty, max(1, size - 1 - half), gamma)))
+
+    def _lam(self, goal: Arrow, size: int, gamma: _Scope) -> Term:
+        x = self.fresh_var()
+        body = self.term_for(goal.cod, size - 1, gamma.bind(x, goal.dom))
+        return Lam(x, None if self.bare else goal.dom, body)
+
+    def _record(self, goal: Record, size: int, gamma: _Scope) -> Term:
+        present = [e for e in goal.row.entries if isinstance(e[1], Present)]
+        share = max(1, (size - 1) // max(1, len(present)))
+        fields = tuple((l, self.term_for(a, share, gamma)) for l, _, a in present)
+        annot = goal if (not self.bare and self.config.pres_poly != "none") else None
+        return RecordLit(fields, annot)
+
+    def _inject(self, goal: Variant, size: int, gamma: _Scope) -> Term:
+        present = [e for e in goal.row.entries if isinstance(e[1], Present)]
+        label, _, a = self.rng.choice(present)
+        payload = self.term_for(a, max(1, size - 1), gamma)
+        return Inject(label, payload, None if self.bare else goal)
+
+    def _app(self, goal: Type, size: int, gamma: _Scope) -> Term:
+        cfg, dom = self.config, self.sample_type(max(1, min(3, size // 3)))
+        if cfg.rank_limited and not check_rank_limit(cfg, Arrow(dom, goal)):
+            dom = Base("Int")
+        half = max(1, (size - 1) // 2)
+        fn = self.term_for(Arrow(dom, goal), half, gamma)
+        return App(fn, self.term_for(dom, max(1, size - 1 - half), gamma))
+
+    def _let(self, goal: Type, size: int, gamma: _Scope) -> Term:
+        x = self.fresh_var()
+        bound_ty = self.sample_type(max(1, min(3, size // 3)))
+        half = max(1, (size - 1) // 2)
+        bound = self.term_for(bound_ty, half, gamma)
+        body = self.term_for(goal, max(1, size - 1 - half), gamma.bind(x, bound_ty))
+        return Let(x, bound, body)
+
+    def _project(self, goal: Type, size: int, gamma: _Scope) -> Term:
         rng = self.rng
-        if kind == "var":
-            return Var(payload)
-        if kind == "lit":
-            if goal.tag == "Int":
-                return Lit(rng.randint(0, 99))
-            return Lit(rng.choice(_WORDS))
-        if kind == "prim":
-            op = "++" if goal.tag == "String" else rng.choice(("+", "-"))
-            arg_ty = Base("String" if op == "++" else "Int")
-            half = max(1, (size - 1) // 2)
-            return Prim(
-                op,
-                (
-                    self.term_for(arg_ty, half, gamma),
-                    self.term_for(arg_ty, max(1, size - 1 - half), gamma),
-                ),
-            )
-        if kind == "lam":
-            x = self.fresh_var()
-            body = self.term_for(goal.cod, size - 1, gamma.bind(x, goal.dom))
-            return Lam(x, None if self.bare else goal.dom, body)
-        if kind == "record":
-            fields = []
-            present = [e for e in goal.row.entries if isinstance(e[1], Present)]
-            share = max(1, (size - 1) // max(1, len(present)))
-            for label, _, a in present:
-                fields.append((label, self.term_for(a, share, gamma)))
-            annot = (
-                goal if (not self.bare and self.config.pres_poly != "none") else None
-            )
-            return RecordLit(tuple(fields), annot)
-        if kind == "inject":
-            present = [e for e in goal.row.entries if isinstance(e[1], Present)]
-            label, _, a = rng.choice(present)
-            return Inject(
-                label,
-                self.term_for(a, max(1, size - 1), gamma),
-                None if self.bare else goal,
-            )
-        if kind == "app":
-            dom = self.sample_type(max(1, min(3, size // 3)))
-            if self.config.rank_limited and not check_rank_limit(
-                self.config, Arrow(dom, goal)
-            ):
-                dom = Base("Int")
-            half = max(1, (size - 1) // 2)
-            fn = self.term_for(Arrow(dom, goal), half, gamma)
-            arg = self.term_for(dom, max(1, size - 1 - half), gamma)
-            return App(fn, arg)
-        if kind == "let":
-            x = self.fresh_var()
-            bound_ty = self.sample_type(max(1, min(3, size // 3)))
-            half = max(1, (size - 1) // 2)
-            bound = self.term_for(bound_ty, half, gamma)
-            body = self.term_for(
-                goal, max(1, size - 1 - half), gamma.bind(x, bound_ty)
-            )
-            return Let(x, bound, body)
-        if kind == "case":
-            k = rng.randint(1, 2)
-            chosen = sorted(rng.sample(_LABELS, k))
-            payloads = {l: self.sample_type(2) for l in chosen}
-            scr_ty = Variant(
-                Row(tuple((l, Present(), payloads[l]) for l in chosen), None)
-            )
-            half = max(1, (size - 1) // 2)
-            scrutinee = self.term_for(scr_ty, half, gamma)
-            share = max(1, (size - 1 - half) // k)
-            branches = []
-            for label in chosen:
-                binder = self.fresh_var()
-                branches.append(
-                    (
-                        label,
-                        binder,
-                        self.term_for(
-                            goal, share, gamma.bind(binder, payloads[label])
-                        ),
-                    )
-                )
-            return Case(scrutinee, tuple(branches))
-        if kind == "project":
-            label = rng.choice(_LABELS)
-            entries = [(label, Present(), goal)]
-            for extra in rng.sample(
-                [l for l in _LABELS if l != label], rng.randint(0, 2)
-            ):
-                entries.append((extra, Present(), self.sample_type(2)))
-            rec_ty = Record(
-                Row(tuple(sorted(entries, key=lambda e: e[0])), None)
-            )
-            if self.config.rank_limited and not check_rank_limit(
-                self.config, rec_ty
-            ):
-                raise GenError("projection source beyond the rank limit")
-            return Project(self.term_for(rec_ty, max(1, size - 1), gamma), label)
-        if kind == "upcast":
-            sub_ty = self._widen(goal, max(1, min(4, size // 2)))
-            if self.config.rank_limited and not check_rank_limit(
-                self.config, sub_ty
-            ):
-                raise GenError("widened type beyond the rank limit")
-            if subtype(self.config.subtyping, sub_ty, goal) is None:
-                raise GenError("widening produced no evidence")
-            return Upcast(
-                self.term_for(sub_ty, max(1, size - 1), gamma), goal
-            )
-        raise GenError(f"unknown production {kind}")
+        label = rng.choice(_LABELS)
+        entries = [(label, Present(), goal)]
+        for extra in rng.sample([l for l in _LABELS if l != label], rng.randint(0, 2)):
+            entries.append((extra, Present(), self.sample_type(2)))
+        rec_ty = Record(Row(tuple(sorted(entries, key=lambda e: e[0])), None))
+        if self.config.rank_limited and not check_rank_limit(self.config, rec_ty):
+            raise GenError("projection source beyond the rank limit")
+        return Project(self.term_for(rec_ty, max(1, size - 1), gamma), label)
+
+    def _case(self, goal: Type, size: int, gamma: _Scope) -> Term:
+        k = self.rng.randint(1, 2)
+        chosen = sorted(self.rng.sample(_LABELS, k))
+        payloads = {l: self.sample_type(2) for l in chosen}
+        scr_ty = Variant(Row(tuple((l, Present(), payloads[l]) for l in chosen), None))
+        half = max(1, (size - 1) // 2)
+        scrutinee = self.term_for(scr_ty, half, gamma)
+        share = max(1, (size - 1 - half) // k)
+        branches = []
+        for label in chosen:
+            binder = self.fresh_var()
+            body = self.term_for(goal, share, gamma.bind(binder, payloads[label]))
+            branches.append((label, binder, body))
+        return Case(scrutinee, tuple(branches))
+
+    def _upcast(self, goal: Type, size: int, gamma: _Scope) -> Term:
+        sub_ty = self._widen(goal, max(1, min(4, size // 2)))
+        if self.config.rank_limited and not check_rank_limit(self.config, sub_ty):
+            raise GenError("widened type beyond the rank limit")
+        if subtype(self.config.subtyping, sub_ty, goal) is None:
+            raise GenError("widening produced no evidence")
+        return Upcast(self.term_for(sub_ty, max(1, size - 1), gamma), goal)
+
+
+def _has_present(goal: Variant) -> bool:
+    return any(isinstance(p, Present) for _, p, _ in goal.row.entries)
+
+
+def _casts(config: CalculusConfig) -> bool:
+    return not config.rank1 and config.subtyping != "none"
+
+
+# The term productions, offered in this order after the goal's variables
+# (weight 2): the goal form built (None: any), weight, least size, the test
+# on the configuration that enables it, a test on the goal, and the method.
+_PRODUCTIONS = (
+    (Base, 2.0, 1, lambda c: True, None, _Gen._lit),
+    (Base, 1.0, 3, lambda c: True, None, _Gen._prim),
+    (Arrow, 3.0, 2, lambda c: True, None, _Gen._lam),
+    (Record, 3.0, 1, lambda c: c.records, None, _Gen._record),
+    (Variant, 3.0, 1, lambda c: c.variants, _has_present, _Gen._inject),
+    (None, 1.2, 3, lambda c: True, None, _Gen._app),
+    (None, 0.8, 3, lambda c: c.allows_let, None, _Gen._let),
+    (None, 1.2, 3, lambda c: c.records, None, _Gen._project),
+    (None, 1.5, 4, lambda c: c.variants, None, _Gen._case),
+    (Record, 3.0, 2, lambda c: _casts(c) and c.records, None, _Gen._upcast),
+    (Variant, 3.0, 2, lambda c: _casts(c) and c.variants, _has_present, _Gen._upcast),
+    (Arrow, 3.0, 2, lambda c: _casts(c) and c.subtyping == "full", None, _Gen._upcast),
+)
+
+
+@functools.cache
+def _productions(config: CalculusConfig) -> dict[type, list]:
+    """For each goal form, the (weight, least size, goal test, method) of
+    every production ``config`` enables, in offer order."""
+    return {
+        form: [
+            (weight, least, fits, make)
+            for forms, weight, least, enabled, fits, make in _PRODUCTIONS
+            if forms in (None, form) and enabled(config)
+        ]
+        for form in get_args(Type)
+    }
 
 
 def gen_typed_term(spec: GenSpec, index: int = 0):
@@ -499,21 +471,17 @@ def gen_typed_term(spec: GenSpec, index: int = 0):
     to ``term_for``, or whose term does not check, gives way to the next.
     After ten, GenError ("generation budget exhausted").
     """
-    last: Exception | None = None
-    for attempt in range(10):
-        rng = random.Random(spec.seed * 1_000_003 + index + 7_919 * attempt)
-        gen = _Gen(rng, spec)
+
+    def attempt(gen: _Gen):
         goal = gen.sample_type(max(1, spec.max_size // 2))
         gamma = ambient_gamma()
-        try:
-            term = gen.term_for(goal, spec.max_size, gamma)
-            if spec.config.rank1:
-                infer(spec.config, ambient_delta(), gamma, term)
-                return term, None
-            return term, type_check(spec.config, ambient_delta(), gamma, term)
-        except (GenError, _Overrun, StaticError, InferError) as e:
-            last = e
-    raise GenError(f"generation budget exhausted: {last}")
+        term = gen.term_for(goal, spec.max_size, gamma)
+        if spec.config.rank1:
+            infer(spec.config, ambient_delta(), gamma, term)
+            return term, None
+        return term, type_check(spec.config, ambient_delta(), gamma, term)
+
+    return _attempts(spec, spec.seed * 1_000_003 + index, attempt)
 
 
 def gen_subst_pair(spec: GenSpec, index: int = 0):
@@ -527,20 +495,28 @@ def gen_subst_pair(spec: GenSpec, index: int = 0):
             f"no substitution pairs in {spec.config.name}: its terms are bare"
         )
     hole = "z0"
-    last: Exception | None = None
-    for attempt in range(10):
-        rng = random.Random(spec.seed * 1_000_003 + index + 31 + 7_919 * attempt)
-        gen = _Gen(rng, spec)
+
+    def attempt(gen: _Gen):
         hole_ty = gen.sample_type(3)
         goal = gen.sample_type(max(1, spec.max_size // 2))
         gamma_m = {**ambient_gamma(), hole: hole_ty}
+        m = gen.term_for(goal, spec.max_size, gamma_m)
+        n = gen.term_for(hole_ty, max(2, spec.max_size // 2), ambient_gamma())
+        dm = type_check(spec.config, ambient_delta(), gamma_m, m)
+        dn = type_check(spec.config, ambient_delta(), ambient_gamma(), n)
+        return dm, dn, hole
+
+    return _attempts(spec, spec.seed * 1_000_003 + index + 31, attempt)
+
+
+def _attempts(spec: GenSpec, seed: int, attempt: Callable[[_Gen], object]):
+    """``attempt(gen)`` with a generator seeded ``seed + 7_919 * k`` for k =
+    0, 1, ... until one finds a term that checks; after ten, GenError."""
+    last: Exception | None = None
+    for k in range(10):
         try:
-            m = gen.term_for(goal, spec.max_size, gamma_m)
-            n = gen.term_for(hole_ty, max(2, spec.max_size // 2), ambient_gamma())
-            dm = type_check(spec.config, ambient_delta(), gamma_m, m)
-            dn = type_check(spec.config, ambient_delta(), ambient_gamma(), n)
-            return dm, dn, hole
-        except (GenError, _Overrun, StaticError) as e:
+            return attempt(_Gen(random.Random(seed + 7_919 * k), spec))
+        except (GenError, _Overrun, StaticError, InferError) as e:
             last = e
     raise GenError(f"generation budget exhausted: {last}")
 
@@ -916,7 +892,7 @@ def check_weak_preservation(deriv: Derivation, case_id: str = ""):
     src_cfg, tgt_cfg = map(preset, t.pairs[0])
 
     def check():
-        stripped = strip_upcasts(deriv.term)
+        stripped = strip(deriv.term, (Upcast,))
         d2 = type_check(
             src_cfg.with_app_sub(), dict(deriv.delta), dict(deriv.gamma), stripped
         )
@@ -1240,17 +1216,17 @@ def run_property(
 ) -> PropertyReport:
     """Generate inputs and fold one property's report over them."""
     if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+        raise UsageError(f"count must be at least 1, got {count}")
     if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
+        raise UsageError(f"depth must be at least 1, got {depth}")
     start = time.perf_counter()
     if prop in BY_TRANSLATION:
         if translation is None:
-            raise ValueError(f"property {prop} needs a translation id")
+            raise UsageError(f"property {prop} needs a translation id")
         t = TRANSLATIONS.get(translation)
         if t is None or prop not in t.properties:
             covered = [tid for tid, u in TRANSLATIONS.items() if prop in u.properties]
-            raise ValueError(
+            raise UsageError(
                 f"no theorem covers {prop} on {translation}; "
                 f"it is checked on {', '.join(covered)}"
             )
@@ -1268,7 +1244,7 @@ def run_property(
 
     elif prop == "subject-reduction":
         if config is None:
-            raise ValueError("subject-reduction needs a calculus id")
+            raise UsageError("subject-reduction needs a calculus id")
         cfg = preset(config)
         spec = GenSpec(cfg, max_size=max_size, seed=seed)
 
@@ -1285,7 +1261,7 @@ def run_property(
             return check_preorder_correspondence(deriv, depth, cid)
 
     else:
-        raise ValueError(f"unknown property {prop}")
+        raise UsageError(f"unknown property {prop}")
     merged = functools.reduce(
         PropertyReport.merge, (one(i, f"seed={seed} index={i}") for i in range(count))
     )

@@ -2,9 +2,17 @@
 
 Inverse of the parser up to alpha-equivalence and row order: parse(show(x))
 yields x back. Quantifier binders are always printed with explicit kinds.
+
+Terms print from one table, ``_LAYOUT``: each form gives the precedence up
+to which it needs no parentheses and its pieces, text and (child,
+precedence) pairs.  ``show_term`` lays the pieces out from an explicit
+stack and joins the text once, so a term of any depth prints.  Types keep
+their recursive printer, with the text kept on each type.
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable
 
 from .syntax import (
     Absent,
@@ -116,67 +124,66 @@ def show_scheme(scheme: TypeScheme) -> str:
     return f"forall {binders}. {show_type(scheme.body)}"
 
 
+def _annotated(t: Inject | RecordLit, pieces: list) -> tuple[int, list]:
+    if t.annot is None:
+        return 5, pieces
+    return 4, [*pieces, f" : {show_type(t.annot)}"]
+
+
+def _sep(origin: str) -> str:
+    return " @@ " if origin == "upcast" else " @ "
+
+
+# Precedences: 0 binders, case and let; 1 cast chains; 2 additive; 3
+# application; 4 postfix (projection, type application); 5 atoms.
+_LAYOUT: dict[type, Callable[[Any], tuple[int, list]]] = {
+    Var: lambda t: (5, [t.name]),
+    Lit: lambda t: (5, [
+        str(t.value) if isinstance(t.value, int)
+        else '"' + t.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    ]),
+    Lam: lambda t: (0, [
+        f"\\{t.var}{'' if t.annot is None else ':' + show_type(t.annot)}. ", (t.body, 0)
+    ]),
+    RowAbs: lambda t: (0, [f"/\\{t.var}:{show_kind(t.kind)}. ", (t.body, 0)]),
+    PresAbs: lambda t: (0, [f"/\\{t.var}. ", (t.body, 0)]),
+    Let: lambda t: (0, [f"let {t.var} = ", (t.bound, 0), " in ", (t.body, 0)]),
+    # a record scrutinee is parenthesized even bare: 6 is above every level
+    Case: lambda t: (0, [
+        "case ", (t.scrutinee, 6 if isinstance(t.scrutinee, RecordLit) else 1), " { ",
+        *(p for i, (label, binder, body) in enumerate(t.branches)
+          for p in (f"{'; ' if i else ''}{label} {binder} -> ", (body, 0))),
+        " }",
+    ]),
+    Upcast: lambda t: (1, [(t.term, 1), f" :> {show_type(t.target)}"]),
+    Prim: lambda t: (2, [(t.args[0], 2), f" {t.op} ", (t.args[1], 3)]),
+    App: lambda t: (3, [(t.fn, 3), " ", (t.arg, 4)]),
+    Project: lambda t: (5, [(t.term, 4), f".{t.label}"]),
+    RowApp: lambda t: (5, [(t.term, 4), f"{_sep(t.origin)}[{show_row(t.row)}]"]),
+    PresApp: lambda t: (5, [(t.term, 4), _sep(t.origin) + show_presence(t.presence)]),
+    Inject: lambda t: _annotated(t, [f"<{t.label} ", (t.payload, 4), ">"]),
+    RecordLit: lambda t: _annotated(t, [
+        "{",
+        *(p for i, (label, sub) in enumerate(t.fields)
+          for p in (f"{', ' if i else ''}{label} = ", (sub, 0))),
+        "}",
+    ]),
+}
+
+
 def show_term(term: Term, prec: int = 0) -> str:
-    # prec 0: binders/case/let, 1: upcast chains, 2: additive, 3: application,
-    # 4: postfix (project, type application), 5: atoms
-    if isinstance(term, Lam):
-        annot = f":{show_type(term.annot)}" if term.annot is not None else ""
-        out = f"\\{term.var}{annot}. {show_term(term.body)}"
-        return f"({out})" if prec > 0 else out
-    if isinstance(term, RowAbs):
-        out = f"/\\{term.var}:{show_kind(term.kind)}. {show_term(term.body)}"
-        return f"({out})" if prec > 0 else out
-    if isinstance(term, PresAbs):
-        out = f"/\\{term.var}. {show_term(term.body)}"
-        return f"({out})" if prec > 0 else out
-    if isinstance(term, Let):
-        out = f"let {term.var} = {show_term(term.bound)} in {show_term(term.body)}"
-        return f"({out})" if prec > 0 else out
-    if isinstance(term, Case):
-        scrut = show_term(term.scrutinee, 1)
-        if isinstance(term.scrutinee, RecordLit):
-            scrut = f"({scrut})"
-        branches = "; ".join(
-            f"{label} {binder} -> {show_term(body)}" for label, binder, body in term.branches
-        )
-        out = f"case {scrut} {{ {branches} }}"
-        return f"({out})" if prec > 0 else out
-    if isinstance(term, Upcast):
-        out = f"{show_term(term.term, 1)} :> {show_type(term.target)}"
-        return f"({out})" if prec > 1 else out
-    if isinstance(term, Prim):
-        left, right = term.args
-        out = f"{show_term(left, 2)} {term.op} {show_term(right, 3)}"
-        return f"({out})" if prec > 2 else out
-    if isinstance(term, App):
-        out = f"{show_term(term.fn, 3)} {show_term(term.arg, 4)}"
-        return f"({out})" if prec > 3 else out
-    if isinstance(term, Project):
-        return f"{show_term(term.term, 4)}.{term.label}"
-    if isinstance(term, RowApp):
-        sep = "@@" if term.origin == "upcast" else "@"
-        return f"{show_term(term.term, 4)} {sep} [{show_row(term.row)}]"
-    if isinstance(term, PresApp):
-        sep = "@@" if term.origin == "upcast" else "@"
-        return f"{show_term(term.term, 4)} {sep} {show_presence(term.presence)}"
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Lit):
-        if isinstance(term.value, int):
-            return str(term.value)
-        escaped = term.value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(term, Inject):
-        out = f"<{term.label} {show_term(term.payload, 4)}>"
-        if term.annot is not None:
-            out = f"{out} : {show_type(term.annot)}"
-            return f"({out})" if prec > 4 else out
-        return out
-    if isinstance(term, RecordLit):
-        fields = ", ".join(f"{label} = {show_term(sub)}" for label, sub in term.fields)
-        out = "{" + fields + "}"
-        if term.annot is not None:
-            out = f"{out} : {show_type(term.annot)}"
-            return f"({out})" if prec > 4 else out
-        return out
-    raise TypeError(f"not a term: {term!r}")
+    """The term's text at precedence ``prec`` (see ``_LAYOUT``)."""
+    out: list[str] = []
+    stack: list = [(term, prec)]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        node, at = piece
+        layout = _LAYOUT.get(type(node))
+        if layout is None:
+            raise TypeError(f"not a term: {node!r}")
+        level, pieces = layout(node)
+        stack += reversed(["(", *pieces, ")"] if at > level else pieces)
+    return "".join(out)

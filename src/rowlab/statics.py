@@ -423,8 +423,13 @@ def type_check(
     Raises TypingError (or a subclass) when the term does not check.
     """
     deriv = _Checker(config).rec(delta, gamma, term)
+    # an annotation is its node's type or that type's domain: this checks it too
     if config.rank_limited:
-        _enforce_rank(config, deriv)
+        for d in derivations(deriv):
+            if not check_rank_limit(config, d.type):
+                raise RankError(
+                    f"type {show_type(d.type)} exceeds the rank limit in {d.judgment()}"
+                )
     return deriv
 
 
@@ -439,23 +444,6 @@ def derivations(deriv: Derivation) -> Iterator[Derivation]:
             seen.add(id(d))
             yield d
             stack.extend(reversed(d.premises))
-
-
-def _enforce_rank(config: CalculusConfig, deriv: Derivation) -> None:
-    for d in derivations(deriv):
-        if not check_rank_limit(config, d.type):
-            raise RankError(
-                f"type {show_type(d.type)} exceeds the rank limit in {d.judgment()}"
-            )
-        for ann in _term_annotations(d.term):
-            if not check_rank_limit(config, ann):
-                raise RankError(f"annotation {show_type(ann)} exceeds the rank limit")
-
-
-def _term_annotations(term: Term):
-    for name in SHAPES[type(term)].types:
-        if name in ("annot", "target") and getattr(term, name) is not None:
-            yield getattr(term, name)
 
 
 # The checks several rules share; inference shares the last three.

@@ -449,6 +449,33 @@ def rebuild(term: Term, kids: list[Term]) -> Term:
     return SHAPES[type(term)].rebuild(term, kids)
 
 
+def strip(term: Term, forms: tuple[type, ...], fn: Callable | None = None) -> Term:
+    """``term`` with every node of ``forms`` (one-child forms) replaced by its
+    child, and ``fn`` applied to each type-level part of the rest when it is
+    given.  The rebuild runs bottom-up on an explicit stack, so a term of
+    any depth is fine, and a subterm met twice is rebuilt once."""
+    done: dict[int, Term] = {}
+    stack: list = [(term, None)]  # (node, its children once they are due)
+    while stack:
+        node, kids = stack.pop()
+        shape = SHAPES[type(node)]
+        if kids is None:
+            if id(node) in done:
+                continue
+            kids = [c for _, c, _ in shape.children(node)]
+            todo = [(c, None) for c in kids if id(c) not in done]
+            if todo:
+                stack.append((node, kids))
+                stack += todo
+                continue
+        kids = [done[id(c)] for c in kids]
+        if isinstance(node, forms):
+            done[id(node)] = kids[0]
+        else:
+            done[id(node)] = shape.rebuild(node, kids, None, fn)
+    return done[id(term)]
+
+
 def same_data(shape: Shape, m: Term, n: Term) -> bool:
     """The two nodes of ``shape``'s form agree on every ``data`` field."""
     for name in shape.data:
@@ -668,16 +695,15 @@ def _free_names(t: Type, bound: frozenset[str], out: dict[str, type]) -> None:
 def term_names(term: Term) -> set[str]:
     """Every term variable occurring in the term, bound or free."""
     out: set[str] = set()
-
-    def go(sub: Term) -> None:
+    stack = [term]
+    while stack:
+        sub = stack.pop()
         if type(sub) is Var:
             out.add(sub.name)
         for _, child, binder in SHAPES[type(sub)].children(sub):
             if binder is not None:
                 out.add(binder)
-            go(child)
-
-    go(term)
+            stack.append(child)
     return out
 
 

@@ -54,11 +54,8 @@ from .syntax import (
     Type,
     TypeScheme,
     TyVar,
-    Upcast,
     Var,
     Variant,
-    children,
-    rebuild,
     rename_type_name,
     row_dom,
     subst_type_in_type,
@@ -131,22 +128,22 @@ def t1(deriv: Derivation) -> Term:
 # t2: compile variant casts into row instantiation
 
 
-def type_translate2(ty: Type, _counter=None) -> Type:
-    counter = _counter if _counter is not None else itertools.count()
-    if isinstance(ty, (TyVar, Base)):
-        return ty
-    if isinstance(ty, Arrow):
-        return Arrow(
-            type_translate2(ty.dom, counter), type_translate2(ty.cod, counter)
-        )
-    if isinstance(ty, Variant):
-        rho = f"q{next(counter)}"
-        entries = tuple(
-            (label, pres, type_translate2(a, counter))
-            for label, pres, a in ty.row.entries
-        )
-        return ForallRow(rho, KRow(row_dom(ty.row)), Variant(Row(entries, rho)))
-    raise TranslationError("type outside the t2 source calculus")
+def type_translate2(ty: Type) -> Type:
+    """Each variant quantifies a fresh row tail, q0, q1, ... in preorder."""
+    counter = itertools.count()
+
+    def go(ty: Type) -> Type:
+        if isinstance(ty, (TyVar, Base)):
+            return ty
+        if isinstance(ty, Arrow):
+            return Arrow(go(ty.dom), go(ty.cod))
+        if isinstance(ty, Variant):
+            rho = f"q{next(counter)}"
+            entries = tuple((label, pres, go(a)) for label, pres, a in ty.row.entries)
+            return ForallRow(rho, KRow(row_dom(ty.row)), Variant(Row(entries, rho)))
+        raise TranslationError("type outside the t2 source calculus")
+
+    return go(ty)
 
 
 def t2(deriv: Derivation) -> Term:
@@ -220,26 +217,28 @@ def t3(deriv: Derivation) -> Term:
 # t4: compile record casts into presence instantiation
 
 
-def type_translate4(ty: Type, _counter=None) -> Type:
-    counter = _counter if _counter is not None else itertools.count()
-    if isinstance(ty, (TyVar, Base)):
-        return ty
-    if isinstance(ty, Arrow):
-        return Arrow(
-            type_translate4(ty.dom, counter), type_translate4(ty.cod, counter)
-        )
-    if isinstance(ty, Record):
-        pairs = _closed_entries(ty.row)
-        names = [f"q{next(counter)}" for _ in pairs]
-        entries = tuple(
-            (label, PresVar(name), type_translate4(a, counter))
-            for (label, a), name in zip(pairs, names)
-        )
-        out: Type = Record(Row(entries, None))
-        for name in reversed(names):
-            out = ForallPres(name, out)
-        return out
-    raise TranslationError("type outside the t4 source calculus")
+def type_translate4(ty: Type) -> Type:
+    """Each record field's presence is quantified, q0, q1, ... in preorder."""
+    counter = itertools.count()
+
+    def go(ty: Type) -> Type:
+        if isinstance(ty, (TyVar, Base)):
+            return ty
+        if isinstance(ty, Arrow):
+            return Arrow(go(ty.dom), go(ty.cod))
+        if isinstance(ty, Record):
+            pairs = _closed_entries(ty.row)
+            names = [f"q{next(counter)}" for _ in pairs]
+            entries = tuple(
+                (label, PresVar(name), go(a)) for (label, a), name in zip(pairs, names)
+            )
+            out: Type = Record(Row(entries, None))
+            for name in reversed(names):
+                out = ForallPres(name, out)
+            return out
+        raise TranslationError("type outside the t4 source calculus")
+
+    return go(ty)
 
 
 def t4(deriv: Derivation) -> Term:
@@ -362,34 +361,37 @@ def pres_seq(p: Presence, ty: Type) -> list[Presence]:
     return [p] * pres_arity(ty)
 
 
-def type_translate6(ty: Type, _counter=None) -> Type:
-    counter = _counter if _counter is not None else itertools.count()
-    if isinstance(ty, (TyVar, Base)):
-        return ty
-    if isinstance(ty, Arrow):
-        names = [f"q{next(counter)}" for _ in range(pres_arity(ty.cod))]
-        body: Type = Arrow(
-            type_translate6(ty.dom, counter),
-            inst_type(ty.cod, [PresVar(n) for n in names]),
-        )
-        for name in reversed(names):
-            body = ForallPres(name, body)
-        return body
-    if isinstance(ty, Record):
-        pairs = _closed_entries(ty.row)
-        heads = [f"q{next(counter)}" for _ in pairs]
-        blocks = [
-            [f"q{next(counter)}" for _ in range(pres_arity(a))] for _, a in pairs
-        ]
-        row_entries = tuple(
-            (label, PresVar(head), inst_type(a, [PresVar(n) for n in block]))
-            for (label, a), head, block in zip(pairs, heads, blocks)
-        )
-        body = Record(Row(row_entries, None))
-        for name in reversed(heads + [n for block in blocks for n in block]):
-            body = ForallPres(name, body)
-        return body
-    raise TranslationError("type outside the t6 source calculus")
+def type_translate6(ty: Type) -> Type:
+    """Presences hoisted to a prefix, named q0, q1, ... as they are made."""
+    counter = itertools.count()
+
+    def go(ty: Type) -> Type:
+        if isinstance(ty, (TyVar, Base)):
+            return ty
+        if isinstance(ty, Arrow):
+            names = [f"q{next(counter)}" for _ in range(pres_arity(ty.cod))]
+            dom = go(ty.dom)
+            body: Type = Arrow(dom, inst_type(ty.cod, [PresVar(n) for n in names]))
+            for name in reversed(names):
+                body = ForallPres(name, body)
+            return body
+        if isinstance(ty, Record):
+            pairs = _closed_entries(ty.row)
+            heads = [f"q{next(counter)}" for _ in pairs]
+            blocks = [
+                [f"q{next(counter)}" for _ in range(pres_arity(a))] for _, a in pairs
+            ]
+            row_entries = tuple(
+                (label, PresVar(head), inst_type(a, [PresVar(n) for n in block]))
+                for (label, a), head, block in zip(pairs, heads, blocks)
+            )
+            body = Record(Row(row_entries, None))
+            for name in reversed(heads + [n for block in blocks for n in block]):
+                body = ForallPres(name, body)
+            return body
+        raise TranslationError("type outside the t6 source calculus")
+
+    return go(ty)
 
 
 def inst_type(ty: Type, presences: list[Presence]) -> Type:
@@ -546,21 +548,11 @@ def t7(deriv: Derivation, config: CalculusConfig) -> Term:
     return erase(deriv.term)
 
 
-def strip_upcasts(term: Term) -> Term:
-    """Remove cast nodes but keep all other annotations intact."""
-    if isinstance(term, Upcast):
-        return strip_upcasts(term.term)
-    kids = []
-    for _, child, _ in children(term):
-        kids.append(strip_upcasts(child))
-    return rebuild(term, kids)
-
-
 # ---------------------------------------------------------------------------
 # Scheme translation giving erased record programs row-polymorphic types
 
 
-def trans_a(ty: Type, _counter=None) -> TypeScheme:
+def trans_a(ty: Type) -> TypeScheme:
     """Open up the records a consumer may widen, in argument positions.
 
     Function parameters go through trans_b, which gives every record an
@@ -568,42 +560,37 @@ def trans_a(ty: Type, _counter=None) -> TypeScheme:
     quantifies all freshly created tails, r0, r1, ... in the order they are
     made; sub-schemes draw from the same supply.
     """
-    counter = _counter if _counter is not None else itertools.count()
-    if isinstance(ty, (TyVar, Base)):
-        return TypeScheme((), ty)
-    if isinstance(ty, Arrow):
-        dom, cod = trans_b(ty.dom, counter), trans_a(ty.cod, counter)
-        return TypeScheme(dom.quants + cod.quants, Arrow(dom.body, cod.body))
-    if isinstance(ty, Record):
-        return _record_scheme(ty, None, trans_a, counter)
-    raise TranslationError("type outside the rank-2 record fragment")
+    return _open_records(ty, False, itertools.count())
 
 
-def trans_b(ty: Type, _counter=None) -> TypeScheme:
+def trans_b(ty: Type) -> TypeScheme:
     """Open every record in ``ty`` with a fresh tail, domains untouched.
 
     A record's own tail is made before the tails inside its fields; the
     scheme quantifies them in the order they are made, as trans_a does."""
-    counter = _counter if _counter is not None else itertools.count()
+    return _open_records(ty, True, itertools.count())
+
+
+def _open_records(ty: Type, every: bool, counter) -> TypeScheme:
+    """``trans_b(ty)`` when ``every``, else ``trans_a(ty)``, with the tails
+    drawn from ``counter``."""
     if isinstance(ty, (TyVar, Base)):
         return TypeScheme((), ty)
     if isinstance(ty, Arrow):
-        cod = trans_b(ty.cod, counter)
-        return TypeScheme(cod.quants, Arrow(ty.dom, cod.body))
+        # trans_b leaves domains alone; trans_a opens them by trans_b
+        dom = TypeScheme((), ty.dom) if every else _open_records(ty.dom, True, counter)
+        cod = _open_records(ty.cod, every, counter)
+        return TypeScheme(dom.quants + cod.quants, Arrow(dom.body, cod.body))
     if isinstance(ty, Record):
-        return _record_scheme(ty, f"r{next(counter)}", trans_b, counter)
+        tail = f"r{next(counter)}" if every else None
+        quants = [] if tail is None else [(tail, KRow(row_dom(ty.row)))]
+        fields = []
+        for label, a in _closed_entries(ty.row):
+            sub = _open_records(a, every, counter)
+            quants.extend(sub.quants)
+            fields.append((label, Present(), sub.body))
+        return TypeScheme(tuple(quants), Record(Row(tuple(fields), tail)))
     raise TranslationError("type outside the rank-2 record fragment")
-
-
-def _record_scheme(ty: Record, tail: str | None, trans, counter) -> TypeScheme:
-    """``ty`` with ``tail`` and its fields translated by ``trans``."""
-    quants = [] if tail is None else [(tail, KRow(row_dom(ty.row)))]
-    fields = []
-    for label, a in _closed_entries(ty.row):
-        sub = trans(a, counter)
-        quants.extend(sub.quants)
-        fields.append((label, Present(), sub.body))
-    return TypeScheme(tuple(quants), Record(Row(tuple(fields), tail)))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,31 @@ def test_deep_term_is_a_user_error(tmp_path, capsys):
         code = run([command, "--calculus", "lam", str(src)])
         assert code == 1
         assert capsys.readouterr().err == "rowlab: error: term nested too deeply\n"
+    # erasing and printing keep explicit stacks: the chain itself comes back
+    assert run(["erase", str(src)]) == 0
+    assert capsys.readouterr().out == " + ".join(["1"] * 2000) + "\n"
+
+
+def test_a_defect_is_an_internal_error(monkeypatch, capsys):
+    def planted(a, b):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(harness, "type_equal", planted)  # inside the check
+    code = run(["verify", "--property", "type-preservation",
+                "--translation", "rec-sub-to-rec", "--count", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == "rowlab: internal error: KeyError: 'planted'\n"
+
+
+def test_usage_errors_keep_their_text(tmp_path, capsys):
+    code = run(["check", "--calculus", "no-such", str(CORPUS / "getName_alice.row")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rowlab: error: unknown calculus 'no-such'; known: ")
+    src = tmp_path / "latin1.row"
+    src.write_bytes(b'"caf\xe9"')
+    assert run(["erase", str(src)]) == 1
+    assert capsys.readouterr().err == f"rowlab: error: {src}: not UTF-8 text (byte 4)\n"
 
 
 def test_verify_offers_each_property_once():

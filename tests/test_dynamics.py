@@ -7,7 +7,7 @@ import pytest
 
 from rowlab.config import PRESETS, preset
 from rowlab.dynamics import (
-    _HEAD_SLOT,
+    REDEXES,
     OutOfFuel,
     RelationSet,
     erase,
@@ -23,7 +23,7 @@ from rowlab.infer import infer
 from rowlab.parser import parse_term_str
 from rowlab.pretty import show_term, show_type
 from rowlab.statics import type_check
-from rowlab.syntax import Lit, Prim, alpha_eq, children
+from rowlab.syntax import App, Base, Lam, Lit, Prim, Upcast, Var, alpha_eq, children
 from rowlab.translate import TRANSLATIONS, run_translation
 
 M = parse_term_str
@@ -313,11 +313,12 @@ def test_machine_matches_reference_by_hand(src, rels):
 
 
 def _on_spine(x, path):
-    """True when every hop of path sits in a head position, a primitive's
-    arguments included."""
+    """True when every hop of path sits in a head slot of ``REDEXES``, a
+    primitive's arguments included."""
     node = x
     for slot in path:
-        if slot != _HEAD_SLOT.get(type(node)) and type(node) is not Prim:
+        head = REDEXES.get(type(node), (None,))[0]
+        if head != "*" and slot != head:
             return False
         node = next(child for s, child, _ in children(node) if s == slot)
     return True
@@ -378,6 +379,20 @@ def test_erase_keeps_let_and_prims():
 def test_erase_homomorphic_under_binders():
     src = "\\x:[A:Int]. case x {A a -> {V = a} :> {V:Int}}"
     assert alpha_eq(erase(M(src)), M("\\x. case x {A a -> {V = a}}"))
+
+
+def test_erase_rebuilds_a_shared_subterm_once_at_any_depth():
+    shared = M("\\x:{A:Int}. x :> {}")
+    out = erase(App(shared, shared))
+    assert out.fn is out.arg and alpha_eq(out.fn, M("\\x. x"))
+    deep = Var("x")
+    for _ in range(20_000):
+        deep = Upcast(Lam("x", Base("Int"), deep), Base("Int"))
+    out = erase(deep)
+    for _ in range(20_000):
+        assert type(out) is Lam and out.annot is None
+        out = out.body
+    assert out == Var("x")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from rowlab import (
     translate,
 )
 
-from rowlab.config import PRESETS, preset
+from rowlab.config import PRESETS, UsageError, preset
 from rowlab.dynamics import erase, relations_for, step_all
 from rowlab.harness import (
     GenError,
@@ -58,7 +58,6 @@ from rowlab.syntax import (
     KRow,
     Lit,
     Present,
-    Prim,
     Record,
     Row,
     TyVar,
@@ -155,7 +154,7 @@ def test_term_size_counts_nodes():
 
 
 def test_bad_spec_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         gen_typed_term(GenSpec(preset("var"), max_size=0))
 
 
@@ -311,8 +310,14 @@ def test_dead_end_text_is_unchanged_once_read(monkeypatch, capsys):
     def no_production(self, *args):
         raise GenError("no such production")
 
+    # no variable is offered, and every production of the table fails
+    productions = harness._productions
     monkeypatch.setattr(harness._Gen, "term_for", recorded)
-    monkeypatch.setattr(harness._Gen, "_produce", no_production)
+    monkeypatch.setattr(harness._Scope, "names_of", lambda self, goal: ())
+    monkeypatch.setattr(harness, "_productions", lambda config: {
+        form: [(*p[:-1], no_production) for p in table]
+        for form, table in productions(config).items()
+    })
     code = cli.run(["verify", "--property", "subject-reduction", "--calculus", "rec-sub",
                     "--count", "2"])
     assert code == 1
@@ -416,14 +421,14 @@ def test_report_merge_requires_same_property():
 
 
 def test_run_property_argument_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         run_property("simulation")
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         run_property("subject-reduction")
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         run_property("no-such-property", count=1)
     for depth in (0, -3):
-        with pytest.raises(ValueError, match="depth must be at least 1"):
+        with pytest.raises(UsageError, match="depth must be at least 1"):
             run_property(
                 "simulation", translation="rec-sub-to-rec", count=1, depth=depth
             )
@@ -442,7 +447,7 @@ def test_run_property_argument_checks():
     ],
 )
 def test_run_property_refuses_pairs_no_theorem_covers(prop, tid):
-    with pytest.raises(ValueError, match=f"no theorem covers {prop} on {tid}"):
+    with pytest.raises(UsageError, match=f"no theorem covers {prop} on {tid}"):
         run_property(prop, translation=tid, count=1)
 
 
@@ -960,7 +965,8 @@ def spine_nodes(term):
     """The term's nodes on its head spine, in preorder."""
     out = [term]
     for slot, child, _ in children(term):
-        if type(term) is Prim or slot == dynamics._HEAD_SLOT.get(type(term)):
+        head = dynamics.REDEXES.get(type(term), (None,))[0]
+        if head == "*" or slot == head:
             out += spine_nodes(child)
     return out
 
@@ -1165,7 +1171,7 @@ REPORT_SHA256 = {
 }
 
 LAYER_CALLS = {
-    "dynamics.erase": 220,
+    "dynamics.erase": 240,
     "dynamics.step_all": 1202,
     "dynamics.term_preorder": 38,
     "harness.check": 605,
@@ -1180,7 +1186,38 @@ LAYER_CALLS = {
     "translate.run_translation": 819,
 }
 
-UNITS_SPENT = 44231
+UNITS_SPENT = 44251
+
+
+# the layer functions ``tracing.install`` leaves unwrapped in their own
+# module, because they call themselves by name: their inner calls are not
+# counted.  A refactor that makes one recursive, or stops it being so,
+# changes how its layer is charged and shows up here by name.
+SELF_RECURSIVE_LAYERS = {"pretty.show_type", "syntax.alpha_eq", "syntax.subst_term"}
+
+
+def test_every_benchmark_layer_is_a_rowlab_function():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        import tracing
+
+        originals = {}
+        for layer in tracing.LAYERS.values():
+            for mod_name, fn_name in layer:
+                fn = getattr(ROWLAB[mod_name], fn_name, None)
+                assert callable(fn), (mod_name, fn_name)
+                assert fn.__module__ == f"rowlab.{mod_name}", (mod_name, fn_name)
+                originals[mod_name, fn_name] = fn
+        for name, mod in ROWLAB.items():
+            mp.setitem(sys.modules, f"rowlab.{name}", mod)
+            for fn_name in {f for _, f in originals} & set(vars(mod)):
+                mp.setattr(mod, fn_name, getattr(mod, fn_name))
+        tracing.install(lambda layer, fn: lambda *args, **kwargs: fn(*args, **kwargs))
+        unwrapped = {
+            f"{mod_name}.{fn_name}" for (mod_name, fn_name), fn in originals.items()
+            if getattr(ROWLAB[mod_name], fn_name) is fn
+        }
+    assert unwrapped == SELF_RECURSIVE_LAYERS
 
 
 def test_reports_are_pinned(charged_sweep):

@@ -479,6 +479,20 @@ def test_rank_limit_enforced_in_derivation():
         check("rec-sub-full-rank2", src)
 
 
+@pytest.mark.parametrize("name,src", [
+    ("rec-sub-full-rank1", "\\x:{Name:String}. 1"),
+    ("rec-sub-full-rank2", "\\f:{Name:String} -> Int. 1"),
+    ("var-sub-full-rank1", "\\x:[A:Int]. 1"),
+    ("var-sub-full-rank2", "\\f:[A:Int] -> Int. 1"),
+])
+def test_an_annotation_over_the_rank_limit_is_refused(name, src):
+    # the annotation is the domain of the lambda's own type, which is
+    # checked against the limit like every derivation type
+    with pytest.raises(RankError) as e:
+        check(name, src)
+    assert str(e.value).startswith("type ") and "exceeds the rank limit in" in str(e.value)
+
+
 def test_rank_one_allows_flat_records():
     d = check("rec-sub-full-rank1", '{Name = "A"}.Name')
     assert type_equal(d.type, T("String"))

@@ -22,8 +22,10 @@ from rowlab.syntax import (
     Row,
     TypeScheme,
     TyVar,
+    Upcast,
     alpha_eq,
     rename_type_name,
+    strip,
     type_equal,
 )
 from rowlab.translate import (
@@ -34,7 +36,6 @@ from rowlab.translate import (
     pres_arity,
     pres_seq,
     run_translation,
-    strip_upcasts,
     t1,
     t2,
     t3,
@@ -347,9 +348,9 @@ def test_t7_rejects_types_beyond_rank():
 
 
 def test_strip_upcasts_keeps_annotations():
-    out = strip_upcasts(M(ALICE_UP))
+    out = strip(M(ALICE_UP), (Upcast,))
     assert alpha_eq(out, M(ALICE))
-    lam = strip_upcasts(M("\\x:{Name:String}. x :> {}"))
+    lam = strip(M("\\x:{Name:String}. x :> {}"), (Upcast,))
     assert lam.annot is not None
 
 
