@@ -96,9 +96,16 @@ def _cmd_eval(args) -> int:
         subject = erase(term) if cfg.subtyping in ("covariant", "full") else term
     result, steps = reduction_trace(subject, rels, args.fuel)
     shown = show_term(result)
-    text = "".join(f"  {tag}\n" for tag in steps) + shown if args.trace else shown
-    payload = {"calculus": cfg.name, "term": show_term(term), "result": shown}
-    _emit(args, {**payload, "steps": steps}, text)
+    _emit(
+        args,
+        {
+            "calculus": cfg.name,
+            "term": show_term(term),
+            "result": shown,
+            "steps": steps,
+        },
+        "".join(f"  {tag}\n" for tag in steps) + shown if args.trace else shown,
+    )
     return 0
 
 
@@ -136,7 +143,11 @@ def _cmd_verify(args) -> int:
             raise UsageError(f"{option} is used by none of {', '.join(args.properties)}")
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("ROWLAB_SEED", "0"))
+        text = os.environ.get("ROWLAB_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise UsageError(f"ROWLAB_SEED must be an integer, not {text!r}") from None
     reports = []
     for prop in args.properties:
         reports.append(

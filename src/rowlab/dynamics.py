@@ -194,6 +194,13 @@ REDEXES: dict[type, tuple[str | None, Callable[[Any, RelationSet], Any]]] = {
 }
 
 
+def on_spine(node: Term, slot: str) -> bool:
+    """Whether ``slot`` of ``node`` is a head slot, the one slot in each
+    ``REDEXES`` entry, or any of a primitive's ("*")."""
+    head = REDEXES.get(type(node), (None,))[0]
+    return head == "*" or slot == head
+
+
 def _rewrite_here(term: Term, rels: RelationSet) -> tuple[Term, str] | None:
     """The rewrite this node heads, if any."""
     redex = REDEXES.get(type(term))
@@ -219,9 +226,8 @@ def step_all(term: Term, rels: RelationSet, spine: bool = False) -> list[Step]:
                 new = rebuild(parent, kids)
             out.append(Step(new, tag, path))
         parts = SHAPES[type(node)].children(node)
-        head = REDEXES.get(type(node), (None,))[0] if spine and parts else "*"
         for i, (slot, child, _) in enumerate(parts):
-            if head != "*" and slot != head:
+            if spine and not on_spine(node, slot):
                 continue
             context.append((node, parts, i))
             walk(child, path + (slot,))

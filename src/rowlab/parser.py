@@ -315,8 +315,12 @@ class Parser:
     def parse_atom(self, brace_stop: bool) -> Term:
         tok = self.peek()
         if tok.kind == "int":
+            try:
+                value = int(tok.text)
+            except ValueError:  # longer than int() converts
+                self.fail(f"integer literal of {len(tok.text)} digits is too long")
             self.next()
-            return Lit(int(tok.text))
+            return Lit(value)
         if tok.kind == "string":
             self.next()
             return Lit(tok.text)

@@ -453,27 +453,28 @@ def strip(term: Term, forms: tuple[type, ...], fn: Callable | None = None) -> Te
     """``term`` with every node of ``forms`` (one-child forms) replaced by its
     child, and ``fn`` applied to each type-level part of the rest when it is
     given.  The rebuild runs bottom-up on an explicit stack, so a term of
-    any depth is fine, and a subterm met twice is rebuilt once."""
-    done: dict[int, Term] = {}
-    stack: list = [(term, None)]  # (node, its children once they are due)
+    any depth is fine."""
+    done: list[Term] = []  # the rebuilt subterms not yet used, in postorder
+    # (node, its shape once its children are rebuilt, where they start in done)
+    stack: list = [(term, None, 0)]
     while stack:
-        node, kids = stack.pop()
-        shape = SHAPES[type(node)]
-        if kids is None:
-            if id(node) in done:
+        node, shape, start = stack.pop()
+        if shape is None:
+            shape = SHAPES[type(node)]
+            kids = shape.children(node)
+            if not kids:
+                done.append(shape.rebuild(node, kids, None, fn))
                 continue
-            kids = [c for _, c, _ in shape.children(node)]
-            todo = [(c, None) for c in kids if id(c) not in done]
-            if todo:
-                stack.append((node, kids))
-                stack += todo
-                continue
-        kids = [done[id(c)] for c in kids]
+            stack.append((node, shape, len(done)))
+            stack += [(c, None, 0) for _, c, _ in reversed(kids)]
+            continue
+        kids = done[start:]
+        del done[start:]
         if isinstance(node, forms):
-            done[id(node)] = kids[0]
+            done.append(kids[0])
         else:
-            done[id(node)] = shape.rebuild(node, kids, None, fn)
-    return done[id(term)]
+            done.append(shape.rebuild(node, kids, None, fn))
+    return done[0]
 
 
 def same_data(shape: Shape, m: Term, n: Term) -> bool:

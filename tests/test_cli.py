@@ -92,6 +92,25 @@ def test_usage_errors_keep_their_text(tmp_path, capsys):
     assert capsys.readouterr().err == f"rowlab: error: {src}: not UTF-8 text (byte 4)\n"
 
 
+def test_a_seed_that_is_not_an_integer_is_a_user_error(monkeypatch, capsys):
+    monkeypatch.setenv("ROWLAB_SEED", "abc")
+    code = run(["verify", "--property", "simulation",
+                "--translation", "rec-sub-to-rec", "--count", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "rowlab: error: ROWLAB_SEED must be an integer, not 'abc'\n"
+    )
+
+
+def test_a_literal_too_long_to_convert_is_a_parse_error(tmp_path, capsys):
+    src = tmp_path / "long.row"
+    src.write_text("1 + " + "7" * 5000, encoding="utf-8")
+    assert run(["erase", str(src)]) == 1
+    assert capsys.readouterr().err == (
+        "rowlab: error: 1:5: integer literal of 5000 digits is too long\n"
+    )
+
+
 def test_verify_offers_each_property_once():
     from rowlab.cli import PROPERTIES
 

@@ -965,8 +965,7 @@ def spine_nodes(term):
     """The term's nodes on its head spine, in preorder."""
     out = [term]
     for slot, child, _ in children(term):
-        head = dynamics.REDEXES.get(type(term), (None,))[0]
-        if head == "*" or slot == head:
+        if dynamics.on_spine(term, slot):
             out += spine_nodes(child)
     return out
 
