@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from .config import PRESETS, UsageError, preset
 from .dynamics import (
@@ -41,11 +42,10 @@ def _read(path: str) -> str:
             raise UsageError(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+def _emit(args, payload: Callable[[], dict], text: str) -> None:
+    """Print ``text``, or under ``--json`` the dict ``payload()`` builds: a
+    payload that is not printed is not rendered."""
+    print(json.dumps(payload(), indent=2) if args.json else text)
 
 
 def _load(args):
@@ -61,9 +61,7 @@ def _cmd_check(args) -> int:
     else:
         shown = show_type(type_check(cfg, delta, gamma, term).type)
     _emit(
-        args,
-        {"calculus": cfg.name, "term": show_term(term), "type": shown},
-        shown,
+        args, lambda: {"calculus": cfg.name, "term": show_term(term), "type": shown}, shown
     )
     return 0
 
@@ -72,9 +70,7 @@ def _cmd_infer(args) -> int:
     cfg, delta, gamma, term = _load(args)
     shown = show_scheme(infer(cfg, delta, gamma, term))
     _emit(
-        args,
-        {"calculus": cfg.name, "term": show_term(term), "scheme": shown},
-        shown,
+        args, lambda: {"calculus": cfg.name, "term": show_term(term), "scheme": shown}, shown
     )
     return 0
 
@@ -98,11 +94,8 @@ def _cmd_eval(args) -> int:
     shown = show_term(result)
     _emit(
         args,
-        {
-            "calculus": cfg.name,
-            "term": show_term(term),
-            "result": shown,
-            "steps": steps,
+        lambda: {
+            "calculus": cfg.name, "term": show_term(term), "result": shown, "steps": steps
         },
         "".join(f"  {tag}\n" for tag in steps) + shown if args.trace else shown,
     )
@@ -112,7 +105,7 @@ def _cmd_eval(args) -> int:
 def _cmd_erase(args) -> int:
     _, _, term = parse_file_str(_read(args.file))
     shown = show_term(erase(term))
-    _emit(args, {"term": show_term(term), "erased": shown}, shown)
+    _emit(args, lambda: {"term": show_term(term), "erased": shown}, shown)
     return 0
 
 
@@ -121,16 +114,11 @@ def _cmd_translate(args) -> int:
     src_cfg = preset(args.source)
     delta, gamma, term = parse_file_str(_read(args.file))
     deriv = type_check(src_cfg, delta, gamma, term)
-    out = t.term(deriv, src_cfg)
-    payload = {
-        "translation": t.tid,
-        "from": args.source,
-        "to": args.target,
-        "term": show_term(out),
-    }
-    if t.type_map is not None:
-        payload["type"] = show_type(t.type_map(deriv.type))
-    _emit(args, payload, show_term(out))
+    shown = show_term(t.term(deriv, src_cfg))
+    _emit(args, lambda: {
+        "translation": t.tid, "from": args.source, "to": args.target, "term": shown,
+        **({} if t.type_map is None else {"type": show_type(t.type_map(deriv.type))}),
+    }, shown)
     return 0
 
 

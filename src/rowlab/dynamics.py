@@ -19,6 +19,10 @@ contractum can have become a redex: the machine re-checks that parent and
 then the contractum itself, and never revisits anything to the left.  A
 changed ancestor is rebuilt once, when the machine leaves it.  ``erase``
 rebuilds on an explicit stack (``syntax.strip``), so any depth is fine.
+
+No closure outlives its call holding itself: ``step_all`` deletes its
+recursive walker when the walk returns, so the walk leaves no reference
+cycle behind.
 """
 
 from __future__ import annotations
@@ -233,7 +237,10 @@ def step_all(term: Term, rels: RelationSet, spine: bool = False) -> list[Step]:
             walk(child, path + (slot,))
             context.pop()
 
-    walk(term, ())
+    try:
+        walk(term, ())
+    finally:
+        del walk
     return out
 
 

@@ -34,7 +34,8 @@ one class.  Every stepping check runs on one walk: ``_explore`` keeps the
 seen set and descends, ``_reducts`` steps and re-typechecks.
 
 Each stepping check makes one ``_Keys`` table, its memo for as long as it
-runs.  The table keys terms by structure, never by their printed text: the
+runs and freed, by reference counting, when it returns (``_Keys`` says
+how).  The table keys terms by structure, never by their printed text: the
 seen sets of ``_explore`` and ``_closure`` and the ``_Reach`` memo hold its
 ints.  It also makes every call the check makes into the stepper
 (``step_all``, keyed by term, relation set and spine mode), the checker
@@ -509,6 +510,14 @@ def gen_subst_pair(spec: GenSpec, index: int = 0):
     return _attempts(spec, spec.seed * 1_000_003 + index + 31, attempt)
 
 
+def _frameless(e: Exception) -> Exception:
+    """``e`` without its traceback and the error it was raised handling, so
+    that keeping it keeps no frame alive: a frame that holds ``e`` itself
+    would make a cycle that only the garbage collector frees."""
+    e.__context__ = None
+    return e.with_traceback(None)
+
+
 def _attempts(spec: GenSpec, seed: int, attempt: Callable[[_Gen], object]):
     """``attempt(gen)`` with a generator seeded ``seed + 7_919 * k`` for k =
     0, 1, ... until one finds a term that checks; after ten, GenError."""
@@ -517,7 +526,7 @@ def _attempts(spec: GenSpec, seed: int, attempt: Callable[[_Gen], object]):
         try:
             return attempt(_Gen(random.Random(seed + 7_919 * k), spec))
         except (GenError, _Overrun, StaticError, InferError) as e:
-            last = e
+            last = _frameless(e)
     raise GenError(f"generation budget exhausted: {last}")
 
 
@@ -684,8 +693,10 @@ class _Keys:
     that two runs reach gets one derivation object, and ``image`` keys
     ``run_translation`` by (translation, derivation object).  Objects keyed
     by ``id`` are held, so their ids cannot be recycled.  Each check makes
-    one table for all its searches and seen sets, and drops it when it
-    returns."""
+    one table for all its searches and seen sets, and the table is freed
+    when the check returns: nothing the check leaves refers back to it, as
+    ``_explore`` deletes its recursive walker and a kept ``StaticError``
+    has no traceback, whose frames would hold the table (``_frameless``)."""
 
     def __init__(self):
         self._keys: dict[int, tuple[Term, int]] = {}  # id -> (term, key)
@@ -741,7 +752,7 @@ class _Keys:
                 try:
                     nd = type_check(cfg, d.delta, d.gamma, s.term)
                 except StaticError as e:
-                    nd = e
+                    nd = _frameless(e)
                 hit = self._typed[key] = (d, nd)  # d holds the contexts
             out.append((s, hit[1]))
         return out
@@ -831,7 +842,10 @@ def _explore(root, depth: int, expand, keys: _Keys, terms=lambda d: (d.term,)) -
             if level + 1 < depth:
                 visit(child, level + 1)
 
-    visit(root, 0)
+    try:
+        visit(root, 0)
+    finally:
+        del visit
 
 
 def _reducts(

@@ -393,7 +393,10 @@ def _infer_binder_kind_term(var: str, body: Term) -> Kind:
                 return found
         return None
 
-    lacks = scan(body)
+    try:
+        lacks = scan(body)
+    finally:
+        del scan
     return KPre() if lacks is None else KRow(lacks)
 
 

@@ -34,6 +34,12 @@ fields, and read with ``getattr(node, name, None)``, never through
 
 Rows are stored in source order; comparisons normalize. Names are plain
 strings; fresh names come from a NameSupply and look like "x$3".
+
+No closure outlives its call holding itself.  A recursive walker nested in
+a function refers to itself through its cell, a reference cycle that only
+the garbage collector frees, so the function deletes it when the outermost
+call returns (``try: return go(x) finally: del go``) and what the walk made
+is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -767,7 +773,10 @@ def subst_term(body: Term, replacement: Term, var: str) -> Term:
                 kids[i] = subst_term(renamed, replacement, var)
         return shape.rebuild(sub, kids, names)
 
-    return go(body)
+    try:
+        return go(body)
+    finally:
+        del go
 
 
 def subst_type_in_type(ty: Type, arg: Row | Presence | TyVar, var: str) -> Type:
@@ -847,7 +856,10 @@ def _subst_type(
             return Row(tuple(entries) + arg.entries, arg.tail)
         return row if same else Row(tuple(entries), row.tail)
 
-    return go(ty)
+    try:
+        return go(ty)
+    finally:
+        del go, go_row
 
 
 def rename_type_name(ty: Type, old: str, kind: Kind, new: str) -> Type:
@@ -909,7 +921,10 @@ def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
             return sub
         return shape.rebuild(sub, kids, None, go_part)
 
-    return go(term)
+    try:
+        return go(term)
+    finally:
+        del go
 
 
 # ---------------------------------------------------------------------------

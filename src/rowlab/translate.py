@@ -16,6 +16,12 @@ Binder naming is deterministic: term-level quantifiers introduced by a
 translation count up left to right over the derivation (r0, r1, ... for
 rows, p0, p1, ... for presence), while quantifiers inside translated type
 annotations use a q prefix so they can never shadow a term-level binder.
+
+No closure outlives its call holding itself, so a translation leaves no
+reference cycle behind: a rule gets the recursive translator as an
+argument, a type map passes its counter down its own recursion, and the
+two walkers that call themselves (``_translate``'s ``go``,
+``weak_sub_instance``'s ``match``) are deleted when they return.
 """
 
 from __future__ import annotations
@@ -85,19 +91,23 @@ _VARIANTS = ("TyInject", "TyCase")
 _RECORDS = ("TyRecord", "TyProject")
 
 
-def _translator(name: str, family: tuple[str, ...], rules: dict, fn=None):
-    """Translate a derivation by ``rules[d.rule](d)`` where there is one, and
-    by ``_congruent`` for the other rules of the source ``family``."""
+def _translate(name: str, family: tuple[str, ...], rules: dict, deriv, fn=None):
+    """Translate ``deriv`` by ``rules[d.rule](d, go)``, ``go`` the recursive
+    translator, where there is one, and by ``_congruent`` for the other
+    rules of the source ``family``."""
 
     def go(d: Derivation) -> Term:
         rule = rules.get(d.rule)
         if rule is not None:
-            return rule(d)
+            return rule(d, go)
         if d.rule not in family:
             raise TranslationError(f"unexpected rule {d.rule} for {name}")
         return _congruent(d, go, fn)
 
-    return go
+    try:
+        return go(deriv)
+    finally:
+        del go
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +117,7 @@ def _translator(name: str, family: tuple[str, ...], rules: dict, fn=None):
 def t1(deriv: Derivation) -> Term:
     supply = NameSupply(term_names(deriv.term) | set(deriv.gamma))
 
-    def upcast(d: Derivation) -> Term:
+    def upcast(d: Derivation, go) -> Term:
         ev = d.evidence
         inner = go(d.premises[0])
         if ev.rule == "SRefl":
@@ -120,36 +130,34 @@ def t1(deriv: Derivation) -> Term:
             branches.append((label, x, Inject(label, Var(x), ev.rhs)))
         return Case(inner, tuple(branches))
 
-    go = _translator("t1", _CORE + _VARIANTS, {"TyUpcast": upcast})
-    return go(deriv)
+    return _translate("t1", _CORE + _VARIANTS, {"TyUpcast": upcast}, deriv)
 
 
 # ---------------------------------------------------------------------------
 # t2: compile variant casts into row instantiation
 
 
-def type_translate2(ty: Type) -> Type:
-    """Each variant quantifies a fresh row tail, q0, q1, ... in preorder."""
-    counter = itertools.count()
-
-    def go(ty: Type) -> Type:
-        if isinstance(ty, (TyVar, Base)):
-            return ty
-        if isinstance(ty, Arrow):
-            return Arrow(go(ty.dom), go(ty.cod))
-        if isinstance(ty, Variant):
-            rho = f"q{next(counter)}"
-            entries = tuple((label, pres, go(a)) for label, pres, a in ty.row.entries)
-            return ForallRow(rho, KRow(row_dom(ty.row)), Variant(Row(entries, rho)))
-        raise TranslationError("type outside the t2 source calculus")
-
-    return go(ty)
+def type_translate2(ty: Type, counter=None) -> Type:
+    """Each variant quantifies a fresh row tail, q0, q1, ... in preorder
+    (``counter`` numbers them; a new one when None)."""
+    counter = counter or itertools.count()
+    if isinstance(ty, (TyVar, Base)):
+        return ty
+    if isinstance(ty, Arrow):
+        return Arrow(type_translate2(ty.dom, counter), type_translate2(ty.cod, counter))
+    if isinstance(ty, Variant):
+        rho = f"q{next(counter)}"
+        entries = tuple(
+            (label, pres, type_translate2(a, counter)) for label, pres, a in ty.row.entries
+        )
+        return ForallRow(rho, KRow(row_dom(ty.row)), Variant(Row(entries, rho)))
+    raise TranslationError("type outside the t2 source calculus")
 
 
 def t2(deriv: Derivation) -> Term:
     counter = itertools.count()
 
-    def inject(d: Derivation) -> Term:
+    def inject(d: Derivation, go) -> Term:
         t = d.term
         rho = f"r{next(counter)}"
         row = t.annot.row
@@ -161,11 +169,11 @@ def t2(deriv: Derivation) -> Term:
             rho, KRow(row_dom(row)), Inject(t.label, go(d.premises[0]), ann)
         )
 
-    def case(d: Derivation) -> Term:
+    def case(d: Derivation, go) -> Term:
         out = _congruent(d, go)
         return Case(RowApp(out.scrutinee, Row((), None), "source"), out.branches)
 
-    def upcast(d: Derivation) -> Term:
+    def upcast(d: Derivation, go) -> Term:
         ev = d.evidence
         if ev.rule == "SRefl":
             return go(d.premises[0])
@@ -182,8 +190,7 @@ def t2(deriv: Derivation) -> Term:
         return RowAbs(rho, KRow(row_dom(ev.rhs.row)), out)
 
     rules = {"TyInject": inject, "TyCase": case, "TyUpcast": upcast}
-    go = _translator("t2", _CORE + _VARIANTS, rules, type_translate2)
-    return go(deriv)
+    return _translate("t2", _CORE + _VARIANTS, rules, deriv, type_translate2)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +198,11 @@ def t2(deriv: Derivation) -> Term:
 
 
 def t3(deriv: Derivation) -> Term:
-    def record(d: Derivation) -> Term:
+    def record(d: Derivation, go) -> Term:
         # the target has no record annotations
         return RecordLit(_congruent(d, go).fields, None)
 
-    def upcast(d: Derivation) -> Term:
+    def upcast(d: Derivation, go) -> Term:
         ev = d.evidence
         inner = go(d.premises[0])
         if ev.rule == "SRefl":
@@ -209,42 +216,39 @@ def t3(deriv: Derivation) -> Term:
         return RecordLit(fields, None)
 
     rules = {"TyRecord": record, "TyUpcast": upcast}
-    go = _translator("t3", _CORE + _RECORDS, rules)
-    return go(deriv)
+    return _translate("t3", _CORE + _RECORDS, rules, deriv)
 
 
 # ---------------------------------------------------------------------------
 # t4: compile record casts into presence instantiation
 
 
-def type_translate4(ty: Type) -> Type:
-    """Each record field's presence is quantified, q0, q1, ... in preorder."""
-    counter = itertools.count()
-
-    def go(ty: Type) -> Type:
-        if isinstance(ty, (TyVar, Base)):
-            return ty
-        if isinstance(ty, Arrow):
-            return Arrow(go(ty.dom), go(ty.cod))
-        if isinstance(ty, Record):
-            pairs = _closed_entries(ty.row)
-            names = [f"q{next(counter)}" for _ in pairs]
-            entries = tuple(
-                (label, PresVar(name), go(a)) for (label, a), name in zip(pairs, names)
-            )
-            out: Type = Record(Row(entries, None))
-            for name in reversed(names):
-                out = ForallPres(name, out)
-            return out
-        raise TranslationError("type outside the t4 source calculus")
-
-    return go(ty)
+def type_translate4(ty: Type, counter=None) -> Type:
+    """Each record field's presence is quantified, q0, q1, ... in preorder
+    (``counter`` numbers them; a new one when None)."""
+    counter = counter or itertools.count()
+    if isinstance(ty, (TyVar, Base)):
+        return ty
+    if isinstance(ty, Arrow):
+        return Arrow(type_translate4(ty.dom, counter), type_translate4(ty.cod, counter))
+    if isinstance(ty, Record):
+        pairs = _closed_entries(ty.row)
+        names = [f"q{next(counter)}" for _ in pairs]
+        entries = tuple(
+            (label, PresVar(name), type_translate4(a, counter))
+            for (label, a), name in zip(pairs, names)
+        )
+        out: Type = Record(Row(entries, None))
+        for name in reversed(names):
+            out = ForallPres(name, out)
+        return out
+    raise TranslationError("type outside the t4 source calculus")
 
 
 def t4(deriv: Derivation) -> Term:
     counter = itertools.count()
 
-    def record(d: Derivation) -> Term:
+    def record(d: Derivation, go) -> Term:
         row = d.type.row
         names = {label: f"p{next(counter)}" for label in sorted(row_dom(row))}
         ann_entries = tuple(
@@ -257,7 +261,7 @@ def t4(deriv: Derivation) -> Term:
             out = PresAbs(names[label], out)
         return out
 
-    def project(d: Derivation) -> Term:
+    def project(d: Derivation, go) -> Term:
         row = d.premises[0].type.row
         out = go(d.premises[0])
         for label, _ in _closed_entries(row):
@@ -265,7 +269,7 @@ def t4(deriv: Derivation) -> Term:
             out = PresApp(out, pres, "source")
         return Project(out, d.term.label)
 
-    def upcast(d: Derivation) -> Term:
+    def upcast(d: Derivation, go) -> Term:
         ev = d.evidence
         if ev.rule == "SRefl":
             return go(d.premises[0])
@@ -282,8 +286,7 @@ def t4(deriv: Derivation) -> Term:
         return out
 
     rules = {"TyRecord": record, "TyProject": project, "TyUpcast": upcast}
-    go = _translator("t4", _CORE + _RECORDS, rules, type_translate4)
-    return go(deriv)
+    return _translate("t4", _CORE + _RECORDS, rules, deriv, type_translate4)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +335,10 @@ def coerce(ev: SubtypeEvidence, supply: NameSupply) -> Term:
 def t5(deriv: Derivation) -> Term:
     supply = NameSupply(term_names(deriv.term) | set(deriv.gamma))
 
-    def upcast(d: Derivation) -> Term:
+    def upcast(d: Derivation, go) -> Term:
         return App(coerce(d.evidence, supply), go(d.premises[0]))
 
-    go = _translator("t5", _CORE + _VARIANTS + _RECORDS, {"TyUpcast": upcast})
-    return go(deriv)
+    return _translate("t5", _CORE + _VARIANTS + _RECORDS, {"TyUpcast": upcast}, deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -361,37 +363,32 @@ def pres_seq(p: Presence, ty: Type) -> list[Presence]:
     return [p] * pres_arity(ty)
 
 
-def type_translate6(ty: Type) -> Type:
-    """Presences hoisted to a prefix, named q0, q1, ... as they are made."""
-    counter = itertools.count()
-
-    def go(ty: Type) -> Type:
-        if isinstance(ty, (TyVar, Base)):
-            return ty
-        if isinstance(ty, Arrow):
-            names = [f"q{next(counter)}" for _ in range(pres_arity(ty.cod))]
-            dom = go(ty.dom)
-            body: Type = Arrow(dom, inst_type(ty.cod, [PresVar(n) for n in names]))
-            for name in reversed(names):
-                body = ForallPres(name, body)
-            return body
-        if isinstance(ty, Record):
-            pairs = _closed_entries(ty.row)
-            heads = [f"q{next(counter)}" for _ in pairs]
-            blocks = [
-                [f"q{next(counter)}" for _ in range(pres_arity(a))] for _, a in pairs
-            ]
-            row_entries = tuple(
-                (label, PresVar(head), inst_type(a, [PresVar(n) for n in block]))
-                for (label, a), head, block in zip(pairs, heads, blocks)
-            )
-            body = Record(Row(row_entries, None))
-            for name in reversed(heads + [n for block in blocks for n in block]):
-                body = ForallPres(name, body)
-            return body
-        raise TranslationError("type outside the t6 source calculus")
-
-    return go(ty)
+def type_translate6(ty: Type, counter=None) -> Type:
+    """Presences hoisted to a prefix, named q0, q1, ... as they are made
+    (``counter`` numbers them; a new one when None)."""
+    counter = counter or itertools.count()
+    if isinstance(ty, (TyVar, Base)):
+        return ty
+    if isinstance(ty, Arrow):
+        names = [f"q{next(counter)}" for _ in range(pres_arity(ty.cod))]
+        dom = type_translate6(ty.dom, counter)
+        body: Type = Arrow(dom, inst_type(ty.cod, [PresVar(n) for n in names]))
+        for name in reversed(names):
+            body = ForallPres(name, body)
+        return body
+    if isinstance(ty, Record):
+        pairs = _closed_entries(ty.row)
+        heads = [f"q{next(counter)}" for _ in pairs]
+        blocks = [[f"q{next(counter)}" for _ in range(pres_arity(a))] for _, a in pairs]
+        row_entries = tuple(
+            (label, PresVar(head), inst_type(a, [PresVar(n) for n in block]))
+            for (label, a), head, block in zip(pairs, heads, blocks)
+        )
+        body = Record(Row(row_entries, None))
+        for name in reversed(heads + [n for block in blocks for n in block]):
+            body = ForallPres(name, body)
+        return body
+    raise TranslationError("type outside the t6 source calculus")
 
 
 def inst_type(ty: Type, presences: list[Presence]) -> Type:
@@ -454,20 +451,20 @@ def t6(deriv: Derivation) -> Term:
             term = PresAbs(name, term)
         return term
 
-    def app(d: Derivation) -> Term:
+    def app(d: Derivation, go) -> Term:
         names = [
             f"p{next(counter)}" for _ in range(pres_arity(d.premises[0].type.cod))
         ]
         fn = apply_pres(go(d.premises[0]), names)
         return quantify(App(fn, go(d.premises[1])), names)
 
-    def lam(d: Derivation) -> Term:
+    def lam(d: Derivation, go) -> Term:
         t = d.term
         names = [f"p{next(counter)}" for _ in range(pres_arity(d.type.cod))]
         body = apply_pres(go(d.premises[0]), names)
         return quantify(Lam(t.var, type_translate6(t.annot), body), names)
 
-    def record(d: Derivation) -> Term:
+    def record(d: Derivation, go) -> Term:
         t = d.term
         pairs = _closed_entries(d.type.row)
         heads = {label: f"p{next(counter)}" for label, _ in pairs}
@@ -497,7 +494,7 @@ def t6(deriv: Derivation) -> Term:
         ]
         return quantify(RecordLit(fields, ann), names)
 
-    def project(d: Derivation) -> Term:
+    def project(d: Derivation, go) -> Term:
         t = d.term
         row = d.premises[0].type.row
         names = [f"p{next(counter)}" for _ in range(pres_arity(d.type))]
@@ -514,7 +511,7 @@ def t6(deriv: Derivation) -> Term:
             out = PresApp(out, p, "source")
         return quantify(Project(out, t.label), names)
 
-    def upcast(d: Derivation) -> Term:
+    def upcast(d: Derivation, go) -> Term:
         binders, args = pres_seq_sub(d.evidence, counter)
         out = go(d.premises[0])
         for p in args:
@@ -528,8 +525,7 @@ def t6(deriv: Derivation) -> Term:
         "TyProject": project,
         "TyUpcast": upcast,
     }
-    go = _translator("t6", _CORE + _RECORDS, rules)
-    return go(deriv)
+    return _translate("t6", _CORE + _RECORDS, rules, deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +652,10 @@ def weak_sub_instance(principal: TypeScheme, goal: TypeScheme) -> bool:
             return all(match(ea[l], eb[l], weaken) for l in ea)
         return False
 
-    return match(body, goal.body, True)
+    try:
+        return match(body, goal.body, True)
+    finally:
+        del match
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The command-line frontend: output and exit codes on edge inputs."""
 
+import json
 from pathlib import Path
 
 import pytest
 
-from rowlab import harness
+from rowlab import cli, harness
 from rowlab.cli import run
 from rowlab.harness import GenError
+from rowlab.pretty import show_term
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -177,3 +179,46 @@ def test_verify_without_a_generated_term_is_a_user_error(
     err = capsys.readouterr().err
     assert err.startswith("rowlab: error: generation budget exhausted: ")
     assert "Traceback" not in err
+
+
+ALICE = '(\\x:{Name:String}. x.Name) ({Name = "Alice", Age = 9} :> {Name:String})'
+STEPS = ["beta-lam", "upcast-record", "beta-project"]
+# each command's text output, the show_term calls that text needs, and its
+# --json output (the payload, in key order)
+PRINTED = [
+    (["check", "--calculus", "rec-sub", "getName_alice.row"], "String\n", 0,
+     {"calculus": "rec-sub", "term": ALICE, "type": "String"}),
+    (["infer", "--calculus", "rec-row1", "getName_alice_bare.row"], "String\n", 0,
+     {"calculus": "rec-row1", "term": '(\\x. x.Name) {Name = "Alice", Age = 9}',
+      "scheme": "String"}),
+    (["eval", "--calculus", "rec-sub", "getName_alice.row"], '"Alice"\n', 1,
+     {"calculus": "rec-sub", "term": ALICE, "result": '"Alice"', "steps": STEPS}),
+    (["eval", "--calculus", "rec-sub", "--trace", "getName_alice.row"],
+     "".join(f"  {s}\n" for s in STEPS) + '"Alice"\n', 1,
+     {"calculus": "rec-sub", "term": ALICE, "result": '"Alice"', "steps": STEPS}),
+    (["erase", "getName_alice.row"], '(\\x. x.Name) {Name = "Alice", Age = 9}\n', 1,
+     {"term": ALICE, "erased": '(\\x. x.Name) {Name = "Alice", Age = 9}'}),
+    (["translate", "--from", "rec-sub", "--to", "rec-pre", "alice_upcast.row"],
+     '/\\p0. (/\\p1. /\\p2. {Name = "Alice", Age = 9} : {Age^p1:Int; Name^p2:String})'
+     " @@ o @@ p0\n", 1,
+     {"translation": "rec-sub-to-pre", "from": "rec-sub", "to": "rec-pre",
+      "term": '/\\p0. (/\\p1. /\\p2. {Name = "Alice", Age = 9} : '
+              '{Age^p1:Int; Name^p2:String}) @@ o @@ p0',
+      "type": "forall q0:Pre. {Name^q0:String}"}),
+    (["translate", "--from", "rec-sub-full-rank2", "--to", "rec-row1", "alice_upcast.row"],
+     '{Name = "Alice", Age = 9}\n', 1,
+     {"translation": "erase-upcasts", "from": "rec-sub-full-rank2", "to": "rec-row1",
+      "term": '{Name = "Alice", Age = 9}'}),
+]
+
+
+@pytest.mark.parametrize("argv, text, shown, payload", PRINTED)
+def test_commands_render_only_what_they_print(monkeypatch, capsys, argv, text, shown, payload):
+    calls = []
+    monkeypatch.setattr(cli, "show_term", lambda t: calls.append(t) or show_term(t))
+    argv = [*argv[:-1], str(CORPUS / argv[-1])]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == text
+    assert len(calls) == shown  # the input term is not rendered to be dropped
+    assert run([*argv, "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
