@@ -171,9 +171,10 @@ class _Scope(dict):
     """A generation context, names to types in scope order, with the names of
     each type indexed by ``type_key`` (``by_key``, each tuple in scope order):
     the variables of a goal's type are one lookup away, and a type's key is
-    taken once, when a binder brings it into scope."""
+    taken once, when a binder brings it into scope.  A goal of no form in
+    scope (``forms``, the keys' first items) is not keyed at all."""
 
-    def __init__(self, types=(), by_key: dict | None = None):
+    def __init__(self, types=(), by_key: dict | None = None, forms: frozenset = frozenset()):
         super().__init__(types)
         if by_key is None:
             by_key = {}
@@ -181,21 +182,24 @@ class _Scope(dict):
                 key = _scope_key(ty)
                 if key is not None:
                     by_key[key] = (*by_key.get(key, ()), name)
+            forms = frozenset(key[0] for key in by_key)
         self.by_key = by_key
+        self.forms = forms
 
     def bind(self, name: str, ty: Type) -> _Scope:
         """This scope with ``name`` bound to ``ty``, as ``{**self, name: ty}``."""
         if name in self:  # a rebound name keeps its place: index afresh
             return _Scope({**self, name: ty})
-        by_key = self.by_key
+        by_key, forms = self.by_key, self.forms
         key = _scope_key(ty)
         if key is not None:
             by_key = {**by_key, key: (*by_key.get(key, ()), name)}
-        return _Scope({**self, name: ty}, by_key)
+            forms = forms | {key[0]}
+        return _Scope({**self, name: ty}, by_key, forms)
 
     def names_of(self, goal: Type) -> tuple[str, ...]:
         """``[x for x in self if type_equal(self[x], goal)]``, by one lookup."""
-        key = _scope_key(goal)
+        key = _scope_key(goal) if type(goal) in self.forms else None
         return () if key is None else self.by_key.get(key, ())
 
 
@@ -690,13 +694,14 @@ class _Keys:
     the translator, once per distinct question: ``steps`` keys ``step_all``
     by (term key, relation set, spine mode), ``reducts`` re-typechecks a
     reduct once per (term key, context objects, configuration), so a term
-    that two runs reach gets one derivation object, and ``image`` keys
-    ``run_translation`` by (translation, derivation object).  Objects keyed
-    by ``id`` are held, so their ids cannot be recycled.  Each check makes
-    one table for all its searches and seen sets, and the table is freed
-    when the check returns: nothing the check leaves refers back to it, as
-    ``_explore`` deletes its recursive walker and a kept ``StaticError``
-    has no traceback, whose frames would hold the table (``_frameless``)."""
+    that two runs reach gets one derivation object, ``image`` keys
+    ``run_translation`` by (translation, derivation object) and ``erased``
+    keys ``erase`` by term key.  Objects keyed by ``id`` are held, so their
+    ids cannot be recycled.  Each check makes one table for all its searches
+    and seen sets, and the table is freed when the check returns: nothing
+    the check leaves refers back to it, as ``_explore`` deletes its
+    recursive walker and a kept ``StaticError`` has no traceback, whose
+    frames would hold the table (``_frameless``)."""
 
     def __init__(self):
         self._keys: dict[int, tuple[Term, int]] = {}  # id -> (term, key)
@@ -704,6 +709,7 @@ class _Keys:
         self._steps: dict[tuple, list[Step]] = {}
         self._typed: dict[tuple, tuple[Derivation, Derivation | StaticError]] = {}
         self._images: dict[tuple, tuple[Derivation, Term]] = {}
+        self._erased: dict[int, Term] = {}
 
     def __call__(self, t: Term) -> int:
         # hold the term itself so ids cannot be recycled under us
@@ -731,6 +737,13 @@ class _Keys:
         if hit is None:
             hit = self._steps[key] = step_all(t, rels, spine=spine)
         return hit
+
+    def erased(self, t: Term) -> Term:
+        """``erase(t)``, taken once per distinct term."""
+        key = self(t)
+        if key not in self._erased:
+            self._erased[key] = erase(t)
+        return self._erased[key]
 
     def image(self, tid: str, d: Derivation) -> Term:
         """``d``'s translation by ``tid``, as ``run_translation`` gives it."""
@@ -1084,7 +1097,7 @@ def check_preorder_correspondence(
     def expand(node, level: int):
         d, u = node
         cid = f"{case_id}@{level}"
-        if not term_preorder(u, erase(d.term)):
+        if not term_preorder(u, keys.erased(d.term)):
             rep.tally(
                 cid, d.term, False, "untyped side stays below the erasure",
                 show_term(u),
@@ -1096,7 +1109,7 @@ def check_preorder_correspondence(
                 matches = [
                     n2
                     for n2 in _class_steps(u, _UNTYPED, "beta", keys)
-                    if term_preorder(n2, erase(nd.term))
+                    if term_preorder(n2, keys.erased(nd.term))
                 ]
                 rep.tally(
                     cid, d.term, bool(matches),
@@ -1106,7 +1119,7 @@ def check_preorder_correspondence(
                 if matches:
                     yield nd, matches[0]
             else:
-                ok = term_preorder(u, erase(nd.term))
+                ok = term_preorder(u, keys.erased(nd.term))
                 rep.tally(
                     cid, d.term, ok,
                     "cast steps leave the untyped side below the erasure",
@@ -1120,9 +1133,9 @@ def check_preorder_correspondence(
         v = _cast_normal(d.term, rels, keys)
         for n_prime in _class_steps(u, _UNTYPED, "beta", keys):
             found = any(
-                term_preorder(n_prime, erase(w))
+                term_preorder(n_prime, keys.erased(w))
                 for w in _class_steps(v, rels, "beta", keys)
-            ) or term_preorder(n_prime, erase(v))
+            ) or term_preorder(n_prime, keys.erased(v))
             rep.tally(
                 cid, d.term, found,
                 "cast steps and at most one beta step covering the untyped reduct",
@@ -1130,7 +1143,7 @@ def check_preorder_correspondence(
             )
 
     _explore(
-        (deriv, erase(deriv.term)), depth, expand, keys,
+        (deriv, keys.erased(deriv.term)), depth, expand, keys,
         lambda node: (node[0].term, node[1]),
     )
     return rep

@@ -7,12 +7,16 @@ Terms:   \\x:A. M, M N, <l M> : T, case M { l x -> N; ... },
          M @@ [R], /\\p0. M, M @ o, M @ *, M @ p0, let x = M in N,
          integer and string literals, M - N, M + N, M ++ N
 
-Tokens come from one pattern (``_TOKEN``).  `--` starts a line comment.
-Files may open with `-- env: name : sig` headers declaring type-level names
-(sig = Type, Row!{...}, Pre) or term variables (sig = a type); the
-tokenizer skips them as the comments they are, and ``parse_file_str`` reads
-them line by line.  Quantifier binders may omit their kind; it is recovered
-from how the name is used in the body (row tail vs presence position).
+The text is scanned once, by one pattern (``_SCAN``), into flat lists of
+token kinds, words and start and end offsets; the parser reads the words.
+No line or column is worked out unless a ParseError is raised: then they
+are counted from the offsets (``Parser.positions``).  `--` starts a line
+comment.  Files may open with `-- env: name : sig` headers declaring
+type-level names (sig = Type, Row!{...}, Pre) or term variables (sig = a
+type); the scan skips them as the comments they are, and
+``parse_file_str`` reads them line by line.  Quantifier binders may omit
+their kind; it is recovered from how the name is used in the body (row
+tail vs presence position).
 
 In presence positions the identifier `o` means absent and `*` means present.
 """
@@ -20,7 +24,8 @@ In presence positions the identifier `o` means absent and `*` means present.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, NamedTuple
+from itertools import islice
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .syntax import (
     SHAPES,
@@ -82,83 +87,103 @@ SYMBOLS = [
     "]", "<", ">", "(", ")", "\\", "=", "@", "*", "+", "-",
 ]
 
-# One alternative per token kind, tried in order: a comment before the
-# symbols so that `--` and `-->` stay comments, and the symbols in SYMBOLS
-# order so that two-character symbols win.  A string may span lines; only
-# newlines outside strings start a new line for positions.
-_TOKEN = re.compile(
-    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>--[^\n]*)"
-    r'|(?P<string>"[^"\\]*(?:\\[\s\S][^"\\]*)*")'
+# Each match is one token with the spaces, newlines and comments before it,
+# so a blank costs no match of its own.  The skip comes first, so that `--`
+# and `-->` stay comments; symbols go in SYMBOLS order, so that two-character
+# ones win; the end is a token of its own, and any other character an error.
+_SCAN = re.compile(
+    r"(?:[ \t\r\n]|--[^\n]*)*"
+    r'(?:(?P<string>"[^"\\]*(?:\\[\s\S][^"\\]*)*")'
     r"|(?P<int>\d+)|(?P<ident>[^\W\d][\w'$]*)"
     r"|(?P<sym>" + "|".join(map(re.escape, SYMBOLS)) + ")"
+    r"|(?P<eof>\Z)|(?P<error>[\s\S]))"
 )
 _ESCAPE = re.compile(r"\\([\s\S])")
 _ESCAPES = {"n": "\n", "t": "\t"}
 
+# the words that make a term or an operator start here
+_TERM_HEADS = frozenset({"\\", "/\\", "let", "case"})
+_ADDITIVE = frozenset({"-", "+", "++"})
+_POSTFIX = frozenset({".", "@", "@@"})
+
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            ch = text[pos]
-            message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
-            raise ParseError(message, line, pos - line_start + 1)
-        kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "string":
-            body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m[0][1:-1])
-            tokens.append(Token(kind, body, line, pos - line_start + 1))
-        elif kind != "space" and kind != "comment":
-            tokens.append(Token(kind, m[0], line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
+    """The tokens of ``text`` with their positions, as the parser scans them."""
+    p = Parser(text)
+    return [Token(k, p.text_of(i), *at) for i, (k, at) in enumerate(zip(p.kinds, p.positions()))]
 
 
 class Parser:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
+        """Scan ``text`` into flat lists, one entry per token: its kind, its
+        word (None for a string literal, whose value is in ``strings``) and
+        its start and end offsets."""
+        self.text, self.pos, self.strings = text, 0, {}
+        self.kinds, self.words, self.starts, self.ends = kinds, words, starts, ends = [], [], [], []
+        for m in _SCAN.finditer(text):
+            kind = m.lastgroup
+            start, end = m.span(kind)
+            kinds.append(kind)
+            starts.append(start)
+            ends.append(end)
+            if kind == "string":
+                body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text[start + 1:end - 1])
+                self.strings[len(words)] = body
+                words.append(None)
+                continue
+            words.append(text[start:end])
+            if kind == "eof":  # the end matches again after a skip that reaches it
+                break
+            if kind == "error":
+                ch = text[start]
+                message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+                self.fail(message, len(words) - 1)
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def positions(self) -> Iterator[tuple[int, int]]:
+        """Line and column of each token in turn.  Only a newline between
+        tokens starts a line: one inside a string literal does not."""
+        text, line, line_start, end = self.text, 1, 0, 0
+        for start, next_end in zip(self.starts, self.ends):
+            newlines = text.count("\n", end, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", end, start) + 1
+            yield line, start - line_start + 1
+            end = next_end
 
-    def next(self) -> Token:
-        """The next token, which its caller has checked is not the end."""
-        self.pos += 1
-        return self.tokens[self.pos - 1]
+    def fail(self, message: str, index: int | None = None):
+        """Raise a ParseError at token ``index`` (by default the next one)."""
+        line, col = next(islice(self.positions(), self.pos if index is None else index, None))
+        raise ParseError(message, line, col)
+
+    def text_of(self, index: int) -> str:
+        word = self.words[index]
+        return self.strings[index] if word is None else word
 
     def at(self, text: str) -> bool:
-        """Whether the next token is this symbol or word (never a string
-        literal that spells it); no symbol is spelled like a word."""
-        tok = self.tokens[self.pos]
-        return tok.text == text and tok.kind != "string"
+        """Whether the next token is this symbol or word (not a string literal)."""
+        return self.words[self.pos] == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.words[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def eat(self, text: str) -> Token:
-        if not self.at(text):
-            self.fail(f"expected {text!r}, found {self.peek().text or 'end of input'!r}")
-        return self.next()
+    def eat(self, text: str) -> None:
+        if self.words[self.pos] != text:
+            self.fail(f"expected {text!r}, found {self.text_of(self.pos) or 'end of input'!r}")
+        self.pos += 1
 
     def eat_ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            self.fail(f"expected identifier, found {tok.text or 'end of input'!r}")
-        return self.next().text
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        i = self.pos
+        word = self.words[i]
+        if self.kinds[i] != "ident" or word in KEYWORDS:
+            self.fail(f"expected identifier, found {self.text_of(i) or 'end of input'!r}")
+        self.pos = i + 1
+        return word
 
     # -- kinds -------------------------------------------------------------
 
@@ -179,24 +204,37 @@ class Parser:
             return KType()
         self.fail("expected a kind (Type, Row!{...}, Pre)")
 
-    def parse_binder(self) -> tuple[Token, Kind | None]:
-        """A type-level binder ``name`` or ``name:kind``: its name token (for
-        the position of a kind error) and its kind, if written."""
-        tok = self.peek()
+    def parse_binder(self) -> tuple[int, Kind | None]:
+        """A type-level binder ``name`` or ``name:kind``: its name's token
+        index (for the position of a kind error) and its kind, if written."""
+        binder = self.pos
         self.eat_ident()
-        return tok, self.parse_kind() if self.accept(":") else None
+        return binder, self.parse_kind() if self.accept(":") else None
+
+    def bind(self, binder: int, kind: Kind | None, body: Type | Term) -> Type | Term:
+        """Quantify a type, or abstract a term, over the binder's row or
+        presence name; an omitted kind is recovered from the body."""
+        name = self.words[binder]
+        term = type(body) in SHAPES
+        if kind is None:
+            kind = _infer_binder_kind_term(name, body) if term else _infer_binder_kind(name, body)
+        if isinstance(kind, KRow):
+            return RowAbs(name, kind, body) if term else ForallRow(name, kind, body)
+        if isinstance(kind, KPre):
+            return PresAbs(name, body) if term else ForallPres(name, body)
+        self.fail(f"binder {name} cannot have kind Type", binder)
 
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> Type:
         if self.accept("forall"):
-            binders: list[tuple[Token, Kind | None]] = []
+            binders: list[tuple[int, Kind | None]] = []
             while not self.at("."):
                 binders.append(self.parse_binder())
             self.eat(".")
             body = self.parse_type()
             for binder, kind in reversed(binders):
-                body = _bind_type_name(binder, kind, body)
+                body = self.bind(binder, kind, body)
             return body
         left = self.parse_atom_type()
         return Arrow(left, self.parse_type()) if self.accept("->") else left
@@ -210,10 +248,10 @@ class Parser:
             return Variant(self.parse_row("]"))
         if self.accept("{"):
             return Record(self.parse_row("}"))
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.next()
-            return Base(tok.text) if tok.text in ("Int", "String") else TyVar(tok.text)
+        word = self.words[self.pos]
+        if self.kinds[self.pos] == "ident" and word not in KEYWORDS:
+            self.pos += 1
+            return Base(word) if word in ("Int", "String") else TyVar(word)
         self.fail("expected a type")
 
     def parse_row(self, closer: str) -> Row:
@@ -237,50 +275,53 @@ class Parser:
     def parse_presence(self) -> Presence:
         if self.accept("*"):
             return Present()
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            return Absent() if tok.text == "o" else PresVar(tok.text)
+        word = self.words[self.pos]
+        if self.kinds[self.pos] == "ident":
+            self.pos += 1
+            return Absent() if word == "o" else PresVar(word)
         self.fail("expected a presence (o, *, or a variable)")
 
     # -- terms -------------------------------------------------------------
 
     def parse_term(self, brace_stop: bool = False) -> Term:
-        if self.accept("\\"):
+        head = self.words[self.pos]
+        if head not in _TERM_HEADS:
+            term = self.parse_additive(brace_stop)
+            while self.accept(":>"):
+                term = Upcast(term, self.parse_type())
+            return term
+        self.pos += 1
+        if head == "\\":
             var = self.eat_ident()
             annot = self.parse_type() if self.accept(":") else None
             self.eat(".")
             return Lam(var, annot, self.parse_term())
-        if self.accept("/\\"):
+        if head == "/\\":
             binder, kind = self.parse_binder()
             self.eat(".")
-            return _bind_type_name(binder, kind, self.parse_term())
-        if self.accept("let"):
+            return self.bind(binder, kind, self.parse_term())
+        if head == "let":
             var = self.eat_ident()
             self.eat("=")
             bound = self.parse_term()
             self.eat("in")
             return Let(var, bound, self.parse_term())
-        if self.accept("case"):
-            scrutinee = self.parse_term(brace_stop=True)
-            self.eat("{")
-            branches: list[tuple[str, str, Term]] = []
-            while not self.accept("}"):
-                label = self.eat_ident()
-                binder = self.eat_ident()
-                self.eat("->")
-                branches.append((label, binder, self.parse_term()))
-                self.accept(";")
-            return Case(scrutinee, tuple(branches))
-        term = self.parse_additive(brace_stop)
-        while self.accept(":>"):
-            term = Upcast(term, self.parse_type())
-        return term
+        # case
+        scrutinee = self.parse_term(brace_stop=True)
+        self.eat("{")
+        branches: list[tuple[str, str, Term]] = []
+        while not self.accept("}"):
+            label = self.eat_ident()
+            binder = self.eat_ident()
+            self.eat("->")
+            branches.append((label, binder, self.parse_term()))
+            self.accept(";")
+        return Case(scrutinee, tuple(branches))
 
     def parse_additive(self, brace_stop: bool) -> Term:
         term = self.parse_app(brace_stop)
-        while self.at("-") or self.at("+") or self.at("++"):
-            op = self.next().text
+        while (op := self.words[self.pos]) in _ADDITIVE:
+            self.pos += 1
             term = Prim(op, (term, self.parse_app(brace_stop)))
         return term
 
@@ -291,39 +332,39 @@ class Parser:
         return term
 
     def starts_atom(self, brace_stop: bool) -> bool:
-        tok = self.peek()
-        if tok.kind == "ident":
-            return tok.text not in KEYWORDS
-        if tok.kind == "sym":
-            return tok.text in ("(", "<") or (tok.text == "{" and not brace_stop)
-        return tok.kind in ("int", "string")
+        kind, word = self.kinds[self.pos], self.words[self.pos]
+        if kind == "ident":
+            return word not in KEYWORDS
+        if kind == "sym":
+            return word == "(" or word == "<" or (word == "{" and not brace_stop)
+        return kind == "int" or kind == "string"
 
     def parse_postfix(self, brace_stop: bool) -> Term:
         term = self.parse_atom(brace_stop)
-        while True:
-            if self.accept("."):
+        while (op := self.words[self.pos]) in _POSTFIX:
+            self.pos += 1
+            origin = "upcast" if op == "@@" else "source"
+            if op == ".":
                 term = Project(term, self.eat_ident())
-            elif self.at("@") or self.at("@@"):
-                origin = "upcast" if self.next().text == "@@" else "source"
-                if self.accept("["):
-                    term = RowApp(term, self.parse_row("]"), origin)
-                else:
-                    term = PresApp(term, self.parse_presence(), origin)
+            elif self.accept("["):
+                term = RowApp(term, self.parse_row("]"), origin)
             else:
-                return term
+                term = PresApp(term, self.parse_presence(), origin)
+        return term
 
     def parse_atom(self, brace_stop: bool) -> Term:
-        tok = self.peek()
-        if tok.kind == "int":
+        i = self.pos
+        kind, word = self.kinds[i], self.words[i]
+        if kind == "int":
             try:
-                value = int(tok.text)
+                value = int(word)
             except ValueError:  # longer than int() converts
-                self.fail(f"integer literal of {len(tok.text)} digits is too long")
-            self.next()
+                self.fail(f"integer literal of {len(word)} digits is too long")
+            self.pos = i + 1
             return Lit(value)
-        if tok.kind == "string":
-            self.next()
-            return Lit(tok.text)
+        if kind == "string":
+            self.pos = i + 1
+            return Lit(self.strings[i])
         if self.accept("("):
             term = self.parse_term()
             self.eat(")")
@@ -341,28 +382,14 @@ class Parser:
                 fields.append((label, self.parse_term()))
                 self.accept(",")
             return RecordLit(tuple(fields), self.parse_type() if self.accept(":") else None)
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.next()
-            return Var(tok.text)
+        if kind == "ident" and word not in KEYWORDS:
+            self.pos = i + 1
+            return Var(word)
         self.fail("expected a term")
 
 
 # ---------------------------------------------------------------------------
 # binder-kind recovery for omitted annotations
-
-
-def _bind_type_name(binder: Token, kind: Kind | None, body: Type | Term) -> Type | Term:
-    """Quantify a type, or abstract a term, over the binder's row or presence
-    name; an omitted kind is recovered from the body."""
-    name = binder.text
-    term = type(body) in SHAPES
-    if kind is None:
-        kind = _infer_binder_kind_term(name, body) if term else _infer_binder_kind(name, body)
-    if isinstance(kind, KRow):
-        return RowAbs(name, kind, body) if term else ForallRow(name, kind, body)
-    if isinstance(kind, KPre):
-        return PresAbs(name, body) if term else ForallPres(name, body)
-    raise ParseError(f"binder {name} cannot have kind Type", binder.line, binder.col)
 
 
 def _infer_binder_kind(name: str, body: Type) -> Kind:
@@ -407,9 +434,8 @@ def _parse_all(text: str, method: Callable[[Parser], Any]) -> Any:
     """``method`` run on a parser over ``text``, which it must read to the end."""
     parser = Parser(text)
     out = method(parser)
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    if parser.kinds[parser.pos] != "eof":
+        parser.fail(f"trailing input {parser.text_of(parser.pos)!r}")
     return out
 
 
@@ -447,7 +473,7 @@ def parse_file_str(text: str) -> tuple[dict[str, Kind], dict[str, Type], Term]:
             gamma[name] = _parse_all(at, Parser.parse_type)
 
     def term(parser: Parser) -> Term:
-        if parser.peek().kind == "eof":
+        if parser.kinds[parser.pos] == "eof":
             raise ParseError("empty input", 1, 1)
         return parser.parse_term()
 

@@ -1170,7 +1170,7 @@ REPORT_SHA256 = {
 }
 
 LAYER_CALLS = {
-    "dynamics.erase": 240,
+    "dynamics.erase": 219,
     "dynamics.step_all": 1202,
     "dynamics.term_preorder": 38,
     "harness.check": 605,
@@ -1185,7 +1185,7 @@ LAYER_CALLS = {
     "translate.run_translation": 819,
 }
 
-UNITS_SPENT = 44251
+UNITS_SPENT = 44230
 
 
 # the layer functions ``tracing.install`` leaves unwrapped in their own

@@ -1,5 +1,5 @@
 """Grammar round-trips, the binder-kind recovery rules, and the tokenizer
-against a character-by-character reference."""
+and error positions against a character-by-character reference."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from rowlab.parser import (
     KEYWORDS,
     SYMBOLS,
     ParseError,
+    Parser,
     Token,
     parse_file_str,
     parse_term_str,
@@ -345,13 +346,16 @@ def test_tokens_match_the_reference_on_the_corpus_and_the_tests():
 _PIECES = (
     SYMBOLS + sorted(KEYWORDS)
     + ["x", "r0", "p0", "o", "Int", "Row", "Type", "Age", "12", "0", "x'", "f$", "_y"]
-    + ['"s"', '"a\\"b"', '"\\n"', "--", "-- c\n", "-- env: a0 : Type\n"]
+    + ['"s"', '"a\\"b"', '"\\n"', '"a\nb"', "--", "-- c\n", "-- env: a0 : Type\n"]
     + [" ", "\n", "\r", "\t", '"', "\\", "#", "é", "٣"]
 )
 
 
+_FUZZ = st.lists(st.sampled_from(_PIECES), max_size=16).map("".join)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(_PIECES), max_size=16).map("".join))
+@given(_FUZZ)
 def test_tokens_match_the_reference_on_fuzz(text):
     _assert_same_tokens(text)
     # a file with no headers parses as its text does
@@ -362,7 +366,64 @@ def test_tokens_match_the_reference_on_fuzz(text):
         assert file == term if isinstance(term, str) else file == ({}, {}, term)
 
 
-# Error positions and identifier characters
+# Error positions, worked out only for an error, and identifier characters
+
+
+def _assert_error_at_the_reference_token(parse, text):
+    """A ParseError from ``parse(text)`` is placed where the reference puts
+    the token the parser stopped at (the end of input included), or is the
+    reference's own error for a character that starts no token."""
+    stops = []
+    real = Parser.fail
+
+    def fail(self, message, index=None):
+        stops.append((self.text, self.pos if index is None else index))
+        real(self, message, index)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Parser, "fail", fail)
+        try:
+            parse(text)
+        except ParseError as e:
+            error = e
+        else:
+            return
+    if not stops:  # an empty or malformed header, placed by parse_file_str
+        return
+    stopped_in, index = stops[-1]
+    tokens = _outcome(_reference_tokenize, stopped_in)
+    if isinstance(tokens, str):
+        assert str(error) == tokens, text
+    else:
+        assert (error.line, error.col) == tokens[index][2:], text
+
+
+def test_error_positions_match_the_reference_on_every_corpus_prefix():
+    for path in sorted((TESTS.parent / "corpus").glob("*.row")):
+        text = path.read_text()
+        for end in range(len(text) + 1):
+            _assert_error_at_the_reference_token(parse_file_str, text[:end])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_FUZZ)
+def test_error_positions_match_the_reference_on_fuzz(text):
+    for parse in (parse_file_str, parse_term_str, parse_type_str):
+        _assert_error_at_the_reference_token(parse, text)
+
+
+def test_a_parse_works_out_positions_only_for_its_error(monkeypatch):
+    calls = []
+    real = Parser.positions
+    monkeypatch.setattr(Parser, "positions", lambda self: calls.append(1) or real(self))
+    binders = " ".join(f"r{i}:Row!{{}}" for i in range(4000))
+    assert isinstance(parse_type_str(f"forall {binders}. Int"), ForallRow)
+    assert isinstance(parse_term_str(" + ".join(["1"] * 100_000)), Prim)
+    assert calls == []
+    where = len(f"forall {binders} ") + 1
+    with pytest.raises(ParseError, match=f"^1:{where}: binder r3999 cannot have kind Type"):
+        parse_type_str(f"forall {binders} r3999:Type. Int")
+    assert calls == [1]
 
 
 def test_end_of_input_after_a_comment_has_its_column():
