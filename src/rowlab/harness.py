@@ -60,12 +60,13 @@ from typing import Callable, Iterator, get_args
 
 from .config import CalculusConfig, UsageError, preset
 from .dynamics import RelationSet, Step, erase, relations_for, step_all, term_preorder
-from .infer import InferError, infer, scheme_instance
+from .infer import InferError, infer, scheme_instance, weak_sub_instance
 from .pretty import show_scheme, show_term, show_type
 from .statics import (
     Derivation,
     StaticError,
     check_rank_limit,
+    kind_check,
     subtype,
     type_check,
 )
@@ -108,7 +109,6 @@ from .translate import (
     TranslationError,
     run_translation,
     trans_a,
-    weak_sub_instance,
 )
 
 _UNTYPED = RelationSet()
@@ -900,6 +900,7 @@ def check_type_preservation(tid: str, deriv: Derivation, case_id: str = ""):
         tgamma = {x: t.type_map(a) for x, a in deriv.gamma.items()}
         od = type_check(tgt_cfg, dict(deriv.delta), tgamma, out)
         want = t.type_map(deriv.type)
+        kind_check(deriv.delta, want)
         return (
             type_equal(od.type, want),
             lambda: show_type(want), lambda: show_type(od.type),

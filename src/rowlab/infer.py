@@ -469,3 +469,45 @@ def scheme_instance(general: TypeScheme, specific: TypeScheme) -> bool:
     except InferError:
         return False
     return True
+
+
+def weak_sub_instance(principal: TypeScheme, goal: TypeScheme) -> bool:
+    """True when some instance of ``principal`` weakens below ``goal``.
+
+    Goal quantifiers are rigid; principal quantifiers become match
+    variables, metavariables of a fresh ``_State``.  Dropped row tails are
+    permitted exactly where the weakening preorder would drop them.
+    """
+    state = _State()
+    return _weak_match(state, instantiate(state, principal), goal.body, True)
+
+
+def _weak_match(state: _State, a: Type, b: Type, weaken: bool) -> bool:
+    """``a``'s instance equals ``b``, up to open tails ``a`` may drop while
+    ``weaken`` holds: in result positions of a closed goal."""
+    a, b = _resolve_type(state, a), _resolve_type(state, b)
+    if isinstance(a, TyVar) and _is_meta(a.name):
+        state.subst[a.name] = b
+        return True
+    if isinstance(a, (TyVar, Base)):
+        return a == b
+    if isinstance(a, Arrow) and isinstance(b, Arrow):
+        return _weak_match(state, a.dom, b.dom, False) and _weak_match(
+            state, a.cod, b.cod, weaken
+        )
+    if isinstance(a, Record) and isinstance(b, Record):
+        ea, ta = _expand_row(state, a.row)
+        eb, tb = _expand_row(state, b.row)
+        weaken = weaken and tb is None
+        if set(ea) != set(eb):
+            if not _is_meta(ta) or not set(ea) <= set(eb):
+                return False
+            missing = sorted((l, t) for l, (_, t) in eb.items() if l not in ea)
+            state.subst[ta] = Row(tuple((l, Present(), t) for l, t in missing), tb)
+        elif _is_meta(ta) and not weaken:
+            state.subst[ta] = Row((), tb)
+        elif ta != tb and not weaken:
+            return False
+        # under weakening an open tail on the left simply dangles
+        return all(_weak_match(state, ea[l][1], eb[l][1], weaken) for l in ea)
+    return False

@@ -64,6 +64,7 @@ from .syntax import (
     Variant,
     free_type_names,
     row_use_lacks,
+    type_level_names,
 )
 
 
@@ -216,7 +217,10 @@ class Parser:
         presence name; an omitted kind is recovered from the body."""
         name = self.words[binder]
         term = type(body) in SHAPES
-        if kind is None:
+        if kind is None and name not in type_level_names(body):
+            # the walks below would find no use and give the default
+            kind = KPre() if term else KRow(frozenset())
+        elif kind is None:
             kind = _infer_binder_kind_term(name, body) if term else _infer_binder_kind(name, body)
         if isinstance(kind, KRow):
             return RowAbs(name, kind, body) if term else ForallRow(name, kind, body)

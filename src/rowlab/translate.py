@@ -16,12 +16,14 @@ Binder naming is deterministic: term-level quantifiers introduced by a
 translation count up left to right over the derivation (r0, r1, ... for
 rows, p0, p1, ... for presence), while quantifiers inside translated type
 annotations use a q prefix so they can never shadow a term-level binder.
+Each type map draws all its q names from one counter, so no q shadows
+another.
 
 No closure outlives its call holding itself, so a translation leaves no
 reference cycle behind: a rule gets the recursive translator as an
 argument, a type map passes its counter down its own recursion, and the
-two walkers that call themselves (``_translate``'s ``go``,
-``weak_sub_instance``'s ``match``) are deleted when they return.
+one walker that calls itself, ``_translate``'s ``go``, is deleted when it
+returns.
 """
 
 from __future__ import annotations
@@ -62,9 +64,7 @@ from .syntax import (
     TyVar,
     Var,
     Variant,
-    rename_type_name,
     row_dom,
-    subst_type_in_type,
     term_names,
 )
 
@@ -358,165 +358,123 @@ def pres_arity(ty: Type) -> int:
     raise TranslationError("type outside the t6 source calculus")
 
 
-def pres_seq(p: Presence, ty: Type) -> list[Presence]:
-    """Constant presence sequence covering the whole prefix of ``ty``."""
-    return [p] * pres_arity(ty)
+def _hoisted(ty: Type, prefix, counter) -> Type:
+    """The body of the hoisted translation of ``ty``, its prefix taken in
+    order from the iterator ``prefix``: a record's own fields first, then
+    each field's prefix.  Quantifiers inside are named from ``counter``."""
+    if isinstance(ty, (TyVar, Base)):
+        return ty
+    if isinstance(ty, Arrow):
+        dom = type_translate6(ty.dom, counter)
+        return Arrow(dom, _hoisted(ty.cod, prefix, counter))
+    if isinstance(ty, Record):
+        pairs = _closed_entries(ty.row)
+        heads = [next(prefix) for _ in pairs]
+        entries = tuple(
+            (label, head, _hoisted(a, prefix, counter))
+            for (label, a), head in zip(pairs, heads)
+        )
+        return Record(Row(entries, None))
+    raise TranslationError("type outside the t6 source calculus")
 
 
 def type_translate6(ty: Type, counter=None) -> Type:
     """Presences hoisted to a prefix, named q0, q1, ... as they are made
-    (``counter`` numbers them; a new one when None)."""
+    (``counter`` numbers them and every quantifier inside; a new one when
+    None)."""
     counter = counter or itertools.count()
-    if isinstance(ty, (TyVar, Base)):
-        return ty
-    if isinstance(ty, Arrow):
-        names = [f"q{next(counter)}" for _ in range(pres_arity(ty.cod))]
-        dom = type_translate6(ty.dom, counter)
-        body: Type = Arrow(dom, inst_type(ty.cod, [PresVar(n) for n in names]))
-        for name in reversed(names):
-            body = ForallPres(name, body)
-        return body
-    if isinstance(ty, Record):
-        pairs = _closed_entries(ty.row)
-        heads = [f"q{next(counter)}" for _ in pairs]
-        blocks = [[f"q{next(counter)}" for _ in range(pres_arity(a))] for _, a in pairs]
-        row_entries = tuple(
-            (label, PresVar(head), inst_type(a, [PresVar(n) for n in block]))
-            for (label, a), head, block in zip(pairs, heads, blocks)
-        )
-        body = Record(Row(row_entries, None))
-        for name in reversed(heads + [n for block in blocks for n in block]):
-            body = ForallPres(name, body)
-        return body
-    raise TranslationError("type outside the t6 source calculus")
+    names = [f"q{next(counter)}" for _ in range(pres_arity(ty))]
+    out = _hoisted(ty, map(PresVar, names), counter)
+    for name in reversed(names):
+        out = ForallPres(name, out)
+    return out
 
 
 def inst_type(ty: Type, presences: list[Presence]) -> Type:
-    """Peel the hoisted prefix of the translation and substitute into it."""
-    translated = type_translate6(ty)
-    for p in presences:
-        if not isinstance(translated, ForallPres):
-            raise TranslationError("presence sequence longer than prefix")
-        translated = subst_type_in_type(translated.body, p, translated.var)
-    if isinstance(translated, ForallPres):
-        raise TranslationError("presence sequence shorter than prefix")
-    return translated
+    """The body of the hoisted translation of ``ty`` at ``presences``."""
+    if len(presences) != pres_arity(ty):
+        raise TranslationError("presence sequence does not cover the prefix")
+    return _hoisted(ty, iter(presences), itertools.count())
 
 
-def pres_seq_sub(ev: SubtypeEvidence, counter) -> tuple[list[str], list[Presence]]:
-    """Binders covering the target prefix and arguments covering the source.
-
-    Instantiating the translated source type with the arguments and then
-    quantifying the binders lands exactly on the translated target type.
-    """
+def _cast_args(ev: SubtypeEvidence, prefix) -> list[Presence]:
+    """Arguments covering the source prefix of a cast, given ``prefix``, the
+    target's, in order: instantiating the translated source type with them
+    and then quantifying the target prefix lands on the translated target."""
     if ev.rule in ("FVar", "FBase"):
-        return [], []
+        return []
     if ev.rule == "CoFun":
-        (cod_ev,) = ev.premises
-        return pres_seq_sub(cod_ev, counter)
+        return _cast_args(ev.premises[0], prefix)
     if ev.rule == "FRecord":
         prems = dict(ev.premises)
-        target = _closed_entries(ev.rhs.row)
+        heads = {label: next(prefix) for label, _ in _closed_entries(ev.rhs.row)}
         source = _closed_entries(ev.lhs.row)
-        heads = {label: f"p{next(counter)}" for label, _ in target}
-        deep_binders: list[str] = []
-        deep_args: dict[str, list[Presence]] = {}
-        for label, _ in target:
-            sub_binders, sub_args = pres_seq_sub(prems[label], counter)
-            deep_binders.extend(sub_binders)
-            deep_args[label] = sub_args
-        binders = [heads[label] for label, _ in target] + deep_binders
-        args: list[Presence] = []
-        for label, _ in source:
-            args.append(PresVar(heads[label]) if label in heads else Absent())
+        args = [heads.get(label, Absent()) for label, _ in source]
         for label, a in source:
             if label in heads:
-                args.extend(deep_args[label])
+                args += _cast_args(prems[label], prefix)
             else:
-                args.extend(pres_seq(Absent(), a))
-        return binders, args
+                args += [Absent()] * pres_arity(a)
+        return args
     raise TranslationError(f"unexpected evidence {ev.rule} for t6")
+
+
+def _pres_apps(term: Term, presences, origin: str) -> Term:
+    for p in presences:
+        term = PresApp(term, p, origin)
+    return term
+
+
+def _pres_abs(term: Term, names: list[str]) -> Term:
+    for name in reversed(names):
+        term = PresAbs(name, term)
+    return term
 
 
 def t6(deriv: Derivation) -> Term:
     counter = itertools.count()
 
-    def apply_pres(term: Term, names: list[str]) -> Term:
-        for name in names:
-            term = PresApp(term, PresVar(name), "source")
-        return term
-
-    def quantify(term: Term, names: list[str]) -> Term:
-        for name in reversed(names):
-            term = PresAbs(name, term)
-        return term
+    def fresh(ty: Type) -> list[str]:
+        """p names for the prefix of the translation of ``ty``."""
+        return [f"p{next(counter)}" for _ in range(pres_arity(ty))]
 
     def app(d: Derivation, go) -> Term:
-        names = [
-            f"p{next(counter)}" for _ in range(pres_arity(d.premises[0].type.cod))
-        ]
-        fn = apply_pres(go(d.premises[0]), names)
-        return quantify(App(fn, go(d.premises[1])), names)
+        names = fresh(d.premises[0].type.cod)
+        fn = _pres_apps(go(d.premises[0]), map(PresVar, names), "source")
+        return _pres_abs(App(fn, go(d.premises[1])), names)
 
     def lam(d: Derivation, go) -> Term:
         t = d.term
-        names = [f"p{next(counter)}" for _ in range(pres_arity(d.type.cod))]
-        body = apply_pres(go(d.premises[0]), names)
-        return quantify(Lam(t.var, type_translate6(t.annot), body), names)
+        names = fresh(d.type.cod)
+        body = _pres_apps(go(d.premises[0]), map(PresVar, names), "source")
+        return _pres_abs(Lam(t.var, type_translate6(t.annot), body), names)
 
     def record(d: Derivation, go) -> Term:
-        t = d.term
+        names = fresh(d.type)
         pairs = _closed_entries(d.type.row)
-        heads = {label: f"p{next(counter)}" for label, _ in pairs}
-        blocks = {
-            label: [f"p{next(counter)}" for _ in range(pres_arity(a))]
-            for label, a in pairs
-        }
-        ann = Record(
-            Row(
-                tuple(
-                    (
-                        label,
-                        PresVar(heads[label]),
-                        inst_type(a, [PresVar(n) for n in blocks[label]]),
-                    )
-                    for label, a in pairs
-                ),
-                None,
-            )
-        )
+        deep = map(PresVar, names[len(pairs):])
+        blocks = {label: list(itertools.islice(deep, pres_arity(a))) for label, a in pairs}
         fields = tuple(
-            (label, apply_pres(go(p), blocks[label]))
-            for (label, _), p in zip(t.fields, d.premises)
+            (label, _pres_apps(go(p), blocks[label], "source"))
+            for (label, _), p in zip(d.term.fields, d.premises)
         )
-        names = [heads[label] for label, _ in pairs] + [
-            n for label, _ in pairs for n in blocks[label]
-        ]
-        return quantify(RecordLit(fields, ann), names)
+        ann = inst_type(d.type, [PresVar(n) for n in names])
+        return _pres_abs(RecordLit(fields, ann), names)
 
     def project(d: Derivation, go) -> Term:
-        t = d.term
-        row = d.premises[0].type.row
-        names = [f"p{next(counter)}" for _ in range(pres_arity(d.type))]
-        args: list[Presence] = []
-        for label, _ in _closed_entries(row):
-            args.append(Present() if label == t.label else Absent())
-        for label, a in _closed_entries(row):
-            if label == t.label:
-                args.extend(PresVar(n) for n in names)
-            else:
-                args.extend(pres_seq(Absent(), a))
-        out = go(d.premises[0])
-        for p in args:
-            out = PresApp(out, p, "source")
-        return quantify(Project(out, t.label), names)
+        label = d.term.label
+        names = fresh(d.type)
+        source = _closed_entries(d.premises[0].type.row)
+        args = [Present() if l == label else Absent() for l, _ in source]
+        for l, a in source:
+            args += map(PresVar, names) if l == label else [Absent()] * pres_arity(a)
+        out = _pres_apps(go(d.premises[0]), args, "source")
+        return _pres_abs(Project(out, label), names)
 
     def upcast(d: Derivation, go) -> Term:
-        binders, args = pres_seq_sub(d.evidence, counter)
-        out = go(d.premises[0])
-        for p in args:
-            out = PresApp(out, p, "upcast")
-        return quantify(out, binders)
+        names = fresh(d.evidence.rhs)
+        args = _cast_args(d.evidence, map(PresVar, names))
+        return _pres_abs(_pres_apps(go(d.premises[0]), args, "upcast"), names)
 
     rules = {
         "TyApp": app,
@@ -587,75 +545,6 @@ def _open_records(ty: Type, every: bool, counter) -> TypeScheme:
             fields.append((label, Present(), sub.body))
         return TypeScheme(tuple(quants), Record(Row(tuple(fields), tail)))
     raise TranslationError("type outside the rank-2 record fragment")
-
-
-# ---------------------------------------------------------------------------
-# Matcher: can the inferred principal scheme be weakened below a goal?
-
-
-def weak_sub_instance(principal: TypeScheme, goal: TypeScheme) -> bool:
-    """True when some instance of ``principal`` weakens below ``goal``.
-
-    Goal quantifiers are rigid; principal quantifiers become match
-    variables.  Dropped row tails are permitted exactly where the
-    weakening preorder would drop them.
-    """
-    body = principal.body
-    flex: set[str] = set()
-    for i, (name, kind) in enumerate(principal.quants):
-        meta = f"?m{i}"
-        flex.add(meta)
-        body = rename_type_name(body, name, kind, meta)
-
-    subst: dict[str, Type | Row] = {}
-
-    def resolve(ty: Type) -> Type:
-        while isinstance(ty, TyVar) and ty.name in subst:
-            ty = subst[ty.name]
-        return ty
-
-    def row_parts(row: Row) -> tuple[dict[str, Type], str | None]:
-        entries = {l: t for l, _, t in row.entries}
-        tail = row.tail
-        while tail is not None and tail in subst:
-            rep = subst[tail]
-            for l, _, t in rep.entries:
-                entries[l] = t
-            tail = rep.tail
-        return entries, tail
-
-    def match(a: Type, b: Type, weaken: bool) -> bool:
-        """``a``'s instance equals ``b``, up to open tails ``a`` may drop
-        while ``weaken`` holds: in result positions of a closed goal."""
-        a, b = resolve(a), resolve(b)
-        if isinstance(a, TyVar) and a.name in flex:
-            subst[a.name] = b
-            return True
-        if isinstance(a, (TyVar, Base)):
-            return a == b
-        if isinstance(a, Arrow) and isinstance(b, Arrow):
-            return match(a.dom, b.dom, False) and match(a.cod, b.cod, weaken)
-        if isinstance(a, Record) and isinstance(b, Record):
-            ea, ta = row_parts(a.row)
-            eb, tb = row_parts(b.row)
-            weaken = weaken and tb is None
-            if set(ea) != set(eb):
-                if ta not in flex or not set(ea) <= set(eb):
-                    return False
-                missing = sorted((l, t) for l, t in eb.items() if l not in ea)
-                subst[ta] = Row(tuple((l, Present(), t) for l, t in missing), tb)
-            elif ta in flex and not weaken:
-                subst[ta] = Row((), tb)
-            elif ta != tb and not weaken:
-                return False
-            # under weakening an open tail on the left simply dangles
-            return all(match(ea[l], eb[l], weaken) for l in ea)
-        return False
-
-    try:
-        return match(body, goal.body, True)
-    finally:
-        del match
 
 
 # ---------------------------------------------------------------------------

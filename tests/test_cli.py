@@ -222,3 +222,17 @@ def test_commands_render_only_what_they_print(monkeypatch, capsys, argv, text, s
     assert len(calls) == shown  # the input term is not rendered to be dropped
     assert run([*argv, "--json"]) == 0
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_t6_output_with_a_nested_quantifier_checks(tmp_path, capsys):
+    # the codomain's quantifier is named apart from the one around it
+    src = tmp_path / "nested.row"
+    src.write_text("\\f:{A: {B:Int} -> Int}. f\n")
+    assert run(["translate", "--from", "rec-sub-co", "--to", "rec-pre", str(src)]) == 0
+    out = capsys.readouterr().out
+    assert out == (
+        "/\\p0. \\f:forall q0:Pre. {A^q0:(forall q1:Pre. {B^q1:Int}) -> Int}. f @ p0\n"
+    )
+    translated = tmp_path / "translated.row"
+    translated.write_text(out)
+    assert run(["check", "--calculus", "rec-pre", str(translated)]) == 0

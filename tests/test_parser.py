@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rowlab import parser
 from rowlab.config import PRESETS, preset
 from rowlab.harness import GenSpec, gen_typed_term
 from rowlab.parser import (
@@ -88,6 +89,30 @@ def test_parse_forall_kind_recovery_row():
 def test_parse_forall_kind_recovery_pres():
     ty = parse_type_str("forall p0. {Name^p0:String}")
     assert isinstance(ty, ForallPres)
+
+
+def test_an_unused_binder_takes_its_default_kind_without_a_walk(monkeypatch):
+    walked = []
+    for name in ("_infer_binder_kind", "_infer_binder_kind_term"):
+        real = getattr(parser, name)
+        monkeypatch.setattr(
+            parser, name, lambda var, body, real=real: walked.append(var) or real(var, body)
+        )
+    ty = parse_type_str("forall " + " ".join(f"r{i}" for i in range(1000)) + ". Int")
+    kinds = []
+    while isinstance(ty, ForallRow):
+        kinds.append(ty.kind)
+        ty = ty.body
+    assert kinds == [KRow(frozenset())] * 1000 and ty == INT
+    term = parse_term_str("/\\r0. /\\r1. x")
+    assert isinstance(term, PresAbs) and isinstance(term.body, PresAbs)
+    assert walked == []
+    # a binder used as a row tail is still walked for its lacks set
+    ty = parse_type_str("forall r0 r1. {A:Int; r0}")
+    assert (ty.kind, ty.body.kind) == (KRow(frozenset({"A"})), KRow(frozenset()))
+    term = parse_term_str("/\\r0. <Year 1984> : [Year:Int; r0]")
+    assert term.kind == KRow(frozenset({"Year"}))
+    assert walked == ["r0", "r0"]
 
 
 def test_parse_arrow_right_assoc():

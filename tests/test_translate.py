@@ -1,22 +1,28 @@
 """Golden and structural tests for the derivation-directed encodings."""
 
+import dataclasses
+import itertools
+import random
+
 import pytest
 
 from rowlab.config import preset
 from rowlab.dynamics import RelationSet, erase, normalize, relations_for
-from rowlab.harness import GenSpec, gen_typed_term
-from rowlab.infer import infer
+from rowlab.harness import GenSpec, _Gen, ambient_delta, check_type_preservation, gen_typed_term
+from rowlab.infer import infer, weak_sub_instance
 from rowlab.parser import parse_term_str, parse_type_str
-from rowlab.pretty import show_scheme
-from rowlab.statics import kind_check, subtype, type_check
+from rowlab.pretty import show_scheme, show_type
+from rowlab.statics import KindError, kind_check, subtype, type_check
 from rowlab.syntax import (
     App,
     Arrow,
     Base,
+    ForallPres,
     KRow,
     KType,
     Lit,
     NameSupply,
+    PresVar,
     Present,
     Record,
     Row,
@@ -26,6 +32,7 @@ from rowlab.syntax import (
     alpha_eq,
     rename_type_name,
     strip,
+    subst_type_in_type,
     type_equal,
 )
 from rowlab.translate import (
@@ -33,8 +40,8 @@ from rowlab.translate import (
     TRANSLATIONS,
     TranslationError,
     coerce,
+    inst_type,
     pres_arity,
-    pres_seq,
     run_translation,
     t1,
     t2,
@@ -49,7 +56,6 @@ from rowlab.translate import (
     type_translate2,
     type_translate4,
     type_translate6,
-    weak_sub_instance,
 )
 
 T = parse_type_str
@@ -279,7 +285,104 @@ def test_type_translate6_arrow_prefix_from_codomain():
 
 
 def test_pres_seq_constant():
-    assert pres_seq(Present(), T(CAROL_TY)) == [Present()] * 4
+    # a constant presence sequence covering the whole prefix
+    ty = T(CAROL_TY)
+    got = inst_type(ty, [Present()] * pres_arity(ty))
+    assert type_equal(got, T(CAROL_TY))
+    with pytest.raises(TranslationError):
+        inst_type(ty, [Present()] * 3)
+
+
+# t6's type map before one walk built it: each codomain and field translated
+# afresh, its prefix then peeled off by substitution, so an inner quantifier
+# may reuse an outer one's name; kept as the reference the map must agree
+# with up to renaming
+
+
+def _reference_type_translate6(ty, counter=None):
+    counter = counter or itertools.count()
+    if isinstance(ty, (TyVar, Base)):
+        return ty
+    if isinstance(ty, Arrow):
+        names = [f"q{next(counter)}" for _ in range(pres_arity(ty.cod))]
+        dom = _reference_type_translate6(ty.dom, counter)
+        body = Arrow(dom, _reference_inst_type(ty.cod, [PresVar(n) for n in names]))
+        for name in reversed(names):
+            body = ForallPres(name, body)
+        return body
+    pairs = sorted((label, a) for label, _, a in ty.row.entries)
+    heads = [f"q{next(counter)}" for _ in pairs]
+    blocks = [[f"q{next(counter)}" for _ in range(pres_arity(a))] for _, a in pairs]
+    entries = tuple(
+        (label, PresVar(head), _reference_inst_type(a, [PresVar(n) for n in block]))
+        for (label, a), head, block in zip(pairs, heads, blocks)
+    )
+    body = Record(Row(entries, None))
+    for name in reversed(heads + [n for block in blocks for n in block]):
+        body = ForallPres(name, body)
+    return body
+
+
+def _reference_inst_type(ty, presences):
+    translated = _reference_type_translate6(ty)
+    for p in presences:
+        translated = subst_type_in_type(translated.body, p, translated.var)
+    return translated
+
+
+def _sampled_types(name, count=1000):
+    gen = _Gen(random.Random(0), GenSpec(preset(name), max_size=12))
+    return [gen.sample_type(2 + i % 11) for i in range(count)]
+
+
+# every type map, with the source calculus it maps from; the scheme
+# translations' types are kind-checked under their own quantifiers
+TYPE_MAPS = [
+    (t.pairs[0][0], t.tid, t.type_map) for t in TRANSLATIONS.values() if t.type_map
+] + [("rec-sub-full-rank2", f.__name__, f) for f in (trans_a, trans_b)]
+
+
+def test_every_type_map_is_well_kinded_on_sampled_types():
+    for source in sorted({source for source, _, _ in TYPE_MAPS}):
+        types = _sampled_types(source)
+        for _, name, type_map in [m for m in TYPE_MAPS if m[0] == source]:
+            for ty in types:
+                out = type_map(ty)
+                if isinstance(out, TypeScheme):
+                    kind_check({**ambient_delta(), **dict(out.quants)}, out.body)
+                else:
+                    kind_check(ambient_delta(), out)
+
+
+def test_type_translate6_agrees_with_the_reference_on_sampled_types():
+    for ty in _sampled_types("rec-sub-co"):
+        assert type_equal(type_translate6(ty), _reference_type_translate6(ty))
+
+
+def test_t6_nested_quantifiers_take_fresh_names():
+    got = type_translate6(T("{A: {B:Int} -> Int}"))
+    want = "forall q0:Pre. {A^q0:(forall q1:Pre. {B^q1:Int}) -> Int}"
+    assert show_type(got) == want
+    kind_check({}, got)
+    with pytest.raises(KindError, match="type binder q0 shadows an outer binder"):
+        kind_check({}, _reference_type_translate6(T("{A: {B:Int} -> Int}")))
+
+
+def test_t6_type_preservation_kind_checks_the_mapped_type(monkeypatch):
+    # size 12, seed 0, index 220 has type {Name:{Year:Int} -> a1}, which the
+    # reference map sends to a type that reuses q0 inside its own scope
+    _, d = gen_typed_term(GenSpec(preset("rec-sub-co"), max_size=12, seed=0), 220)
+    assert show_type(d.type) == "{Name:{Year:Int} -> a1}"
+    rep = check_type_preservation("rec-co-to-pre", d)
+    assert (rep.cases, rep.failures) == (1, [])
+    old = dataclasses.replace(
+        TRANSLATIONS["rec-co-to-pre"], type_map=_reference_type_translate6
+    )
+    monkeypatch.setitem(TRANSLATIONS, "rec-co-to-pre", old)
+    rep = check_type_preservation("rec-co-to-pre", d)
+    assert [got for _, _, _, got in rep.failures] == [
+        "KindError: type binder q0 shadows an outer binder"
+    ]
 
 
 def test_t6_record_literal_hoists_child_quantifiers():
