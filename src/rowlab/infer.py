@@ -28,7 +28,6 @@ from .syntax import (
     Inject,
     KPre,
     KRow,
-    KType,
     Kind,
     Lam,
     Let,
@@ -301,15 +300,13 @@ def generalize(state: _State, env: dict[str, TypeScheme], ty: Type) -> TypeSchem
     taken = {name for name in names if not _is_meta(name)}
     counters = {"a": itertools.count(), "r": itertools.count(), "p": itertools.count()}
     quants: list[tuple[str, Kind]] = []
-    for name, kind_class in names.items():
+    for name, use in names.items():
         if not _is_meta(name) or name in env_names:
             continue
-        if kind_class is KRow:
+        if isinstance(use, KRow):
             kind, prefix = KRow(state.lacks.get(name, frozenset())), "r"
-        elif kind_class is KPre:
-            kind, prefix = KPre(), "p"
         else:
-            kind, prefix = KType(), "a"
+            kind, prefix = use, "p" if isinstance(use, KPre) else "a"
         while True:
             fresh = f"{prefix}{next(counters[prefix])}"
             if fresh not in taken:

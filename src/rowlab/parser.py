@@ -14,9 +14,15 @@ are counted from the offsets (``Parser.positions``).  `--` starts a line
 comment.  Files may open with `-- env: name : sig` headers declaring
 type-level names (sig = Type, Row!{...}, Pre) or term variables (sig = a
 type); the scan skips them as the comments they are, and
-``parse_file_str`` reads them line by line.  Quantifier binders may omit
-their kind; it is recovered from how the name is used in the body (row
-tail vs presence position).
+``parse_file_str`` reads them line by line.
+
+A `forall` or `/\\` binder may omit its kind.  It is recovered from the
+uses of its name in the body, as ``syntax.free_type_names`` gives them in
+one walk for a whole group (directly nested `forall`s, or `/\\`s).
+A name used as a row tail gets the `Row!{...}` lacking the labels beside
+its first use as one (a row's tail is taken before its entries).  Any
+other name gets `Pre` on a `/\\` binder; on a `forall` binder, `Pre` if it
+first occurs in a presence position and `Row!{}` if not or if unused.
 
 In presence positions the identifier `o` means absent and `*` means present.
 """
@@ -63,7 +69,6 @@ from .syntax import (
     Var,
     Variant,
     free_type_names,
-    row_use_lacks,
     type_level_names,
 )
 
@@ -212,34 +217,44 @@ class Parser:
         self.eat_ident()
         return binder, self.parse_kind() if self.accept(":") else None
 
-    def bind(self, binder: int, kind: Kind | None, body: Type | Term) -> Type | Term:
-        """Quantify a type, or abstract a term, over the binder's row or
-        presence name; an omitted kind is recovered from the body."""
-        name = self.words[binder]
+    def bind(self, binders: list[tuple[int, Kind | None]], body: Type | Term) -> Type | Term:
+        """Quantify a type, or abstract a term, over each binder, the last
+        innermost.  An omitted kind is recovered as the module says, from at
+        most one walk of the body; a name a later binder rebinds has no use."""
         term = type(body) in SHAPES
-        if kind is None and name not in type_level_names(body):
-            # the walks below would find no use and give the default
-            kind = KPre() if term else KRow(frozenset())
-        elif kind is None:
-            kind = _infer_binder_kind_term(name, body) if term else _infer_binder_kind(name, body)
-        if isinstance(kind, KRow):
-            return RowAbs(name, kind, body) if term else ForallRow(name, kind, body)
-        if isinstance(kind, KPre):
-            return PresAbs(name, body) if term else ForallPres(name, body)
-        self.fail(f"binder {name} cannot have kind Type", binder)
+        uses: dict[str, Kind] | None = None  # free_type_names(body), on first need
+        inner: set[str] = set()
+        out = body
+        for binder, kind in reversed(binders):
+            name = self.words[binder]
+            if kind is None:
+                use = None
+                if name not in inner and name in type_level_names(body):
+                    uses = free_type_names(body) if uses is None else uses
+                    use = uses.get(name)
+                if not isinstance(use, KRow):
+                    use = KPre() if term or isinstance(use, KPre) else KRow(frozenset())
+                kind = use
+            inner.add(name)
+            if isinstance(kind, KRow):
+                out = RowAbs(name, kind, out) if term else ForallRow(name, kind, out)
+            elif isinstance(kind, KPre):
+                out = PresAbs(name, out) if term else ForallPres(name, out)
+            else:
+                self.fail(f"binder {name} cannot have kind Type", binder)
+        return out
 
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> Type:
-        if self.accept("forall"):
+        if self.accept("forall"):  # directly nested quantifiers are one binder group
             binders: list[tuple[int, Kind | None]] = []
-            while not self.at("."):
-                binders.append(self.parse_binder())
-            self.eat(".")
-            body = self.parse_type()
-            for binder, kind in reversed(binders):
-                body = self.bind(binder, kind, body)
-            return body
+            while True:
+                while not self.at("."):
+                    binders.append(self.parse_binder())
+                self.eat(".")
+                if not self.accept("forall"):
+                    return self.bind(binders, self.parse_type())
         left = self.parse_atom_type()
         return Arrow(left, self.parse_type()) if self.accept("->") else left
 
@@ -300,10 +315,12 @@ class Parser:
             annot = self.parse_type() if self.accept(":") else None
             self.eat(".")
             return Lam(var, annot, self.parse_term())
-        if head == "/\\":
-            binder, kind = self.parse_binder()
-            self.eat(".")
-            return self.bind(binder, kind, self.parse_term())
+        if head == "/\\":  # a chain of them is one binder group
+            binders = []
+            while not binders or self.accept("/\\"):
+                binders.append(self.parse_binder())
+                self.eat(".")
+            return self.bind(binders, self.parse_term())
         if head == "let":
             var = self.eat_ident()
             self.eat("=")
@@ -393,50 +410,10 @@ class Parser:
 
 
 # ---------------------------------------------------------------------------
-# binder-kind recovery for omitted annotations
-
-
-def _infer_binder_kind(name: str, body: Type) -> Kind:
-    lacks = row_use_lacks(name, body)
-    if lacks is not None:
-        return KRow(lacks)
-    if free_type_names(body).get(name) is KPre:
-        return KPre()
-    return KRow(frozenset())
-
-
-def _infer_binder_kind_term(var: str, body: Term) -> Kind:
-    """A row kind lacking the labels beside the first use of ``var`` as a
-    row tail in ``body``'s annotations and arguments; Pre when there is none."""
-
-    def scan(sub: Term) -> frozenset[str] | None:
-        shape = SHAPES[type(sub)]
-        if shape.tybinder and sub.var == var:
-            return None
-        for name in shape.types:
-            part = getattr(sub, name)
-            found = row_use_lacks(var, Record(part) if isinstance(part, Row) else part)
-            if found is not None:
-                return found
-        for _, child, _ in shape.children(sub):
-            found = scan(child)
-            if found is not None:
-                return found
-        return None
-
-    try:
-        lacks = scan(body)
-    finally:
-        del scan
-    return KPre() if lacks is None else KRow(lacks)
-
-
-# ---------------------------------------------------------------------------
 # entry points
 
-def _parse_all(text: str, method: Callable[[Parser], Any]) -> Any:
-    """``method`` run on a parser over ``text``, which it must read to the end."""
-    parser = Parser(text)
+def _parse_all(parser: Parser, method: Callable[[Parser], Any]) -> Any:
+    """``method`` run on ``parser``, which it must read to the end."""
     out = method(parser)
     if parser.kinds[parser.pos] != "eof":
         parser.fail(f"trailing input {parser.text_of(parser.pos)!r}")
@@ -444,11 +421,11 @@ def _parse_all(text: str, method: Callable[[Parser], Any]) -> Any:
 
 
 def parse_type_str(text: str) -> Type:
-    return _parse_all(text, Parser.parse_type)
+    return _parse_all(Parser(text), Parser.parse_type)
 
 
 def parse_term_str(text: str) -> Term:
-    return _parse_all(text, Parser.parse_term)
+    return _parse_all(Parser(text), Parser.parse_term)
 
 
 def parse_file_str(text: str) -> tuple[dict[str, Kind], dict[str, Type], Term]:
@@ -456,7 +433,9 @@ def parse_file_str(text: str) -> tuple[dict[str, Kind], dict[str, Type], Term]:
     headers are comments to the term, which is parsed from ``text`` as is.
     A header is a line (as the tokenizer counts lines) that starts with
     `-- env:`; its signature is read to its end, and an error in it is
-    reported at its place in the file."""
+    reported at its place in the file.  The signature is a kind when it is
+    `Type` or `Pre` or its first two tokens are `Row !`, and a type
+    otherwise (a type variable may be named `Rowan`)."""
     delta: dict[str, Kind] = {}
     gamma: dict[str, Type] = {}
     for number, raw in enumerate(text.split("\n")):
@@ -470,15 +449,13 @@ def parse_file_str(text: str) -> tuple[dict[str, Kind], dict[str, Type], Term]:
             raise ParseError(f"malformed env header {raw!r}", number + 1, head + 1)
         # the signature alone, at its line and column in the file
         start = raw.index(":", head + len("-- env:")) + 1
-        at = "\n" * number + " " * start + raw[start:]
-        if sig in ("Type", "Pre") or sig.startswith("Row"):
-            delta[name] = _parse_all(at, Parser.parse_kind)
+        parser = Parser("\n" * number + " " * start + raw[start:])
+        if sig in ("Type", "Pre") or parser.words[:2] == ["Row", "!"]:
+            delta[name] = _parse_all(parser, Parser.parse_kind)
         else:
-            gamma[name] = _parse_all(at, Parser.parse_type)
+            gamma[name] = _parse_all(parser, Parser.parse_type)
 
-    def term(parser: Parser) -> Term:
-        if parser.kinds[parser.pos] == "eof":
-            raise ParseError("empty input", 1, 1)
-        return parser.parse_term()
-
-    return delta, gamma, _parse_all(text, term)
+    parser = Parser(text)
+    if parser.kinds[0] == "eof":
+        raise ParseError("empty input", 1, 1)
+    return delta, gamma, _parse_all(parser, Parser.parse_term)

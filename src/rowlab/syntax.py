@@ -17,6 +17,10 @@ Structure:
   two nodes' children with the environments they are compared under, so a
   search can descend two terms the way ``alpha_eq`` does without renaming
   either
+- ``free_type_names``, the one walk for the free type-level names of a
+  term, type, row or presence and the kind their uses give them (a row
+  tail's lacks set, or a presence), on an explicit stack; it reads the same
+  table of type parts (``_TYPE_NAMES``) as ``type_level_names``
 - capture-avoiding substitution at the term and type level
 - canonical row normalization, the row domain, alpha equivalence
 - canonical type keys (``type_key``), which type and scheme equality and the
@@ -502,20 +506,21 @@ def same_data(shape: Shape, m: Term, n: Term) -> bool:
 _PRESENCE_FORMS = (Absent, Present, PresVar)
 _NO_NAMES: frozenset[str] = frozenset()
 
-# the parts of a type or row whose names it mentions, and the names it
-# mentions itself
-_TYPE_NAMES: dict[type, Callable[[Any], tuple[list, list[str]]]] = {
-    TyVar: lambda t: ([], [t.name]),
-    Base: lambda t: ([], []),
-    Arrow: lambda t: ([t.dom, t.cod], []),
-    Variant: lambda t: ([t.row], []),
-    Record: lambda t: ([t.row], []),
-    ForallRow: lambda t: ([t.body], [t.var]),
-    ForallPres: lambda t: ([t.body], [t.var]),
+# each type-level form's parts in walk order (a row's: each entry's presence
+# and type, then its tail as a plain name) and the name it has itself: a type
+# variable's, or the one a quantifier binds over its body
+_TYPE_NAMES: dict[type, Callable[[Any], tuple[list, str | None]]] = {
+    TyVar: lambda t: ([], t.name),
+    Base: lambda t: ([], None),
+    Arrow: lambda t: ([t.dom, t.cod], None),
+    Variant: lambda t: ([t.row], None),
+    Record: lambda t: ([t.row], None),
+    ForallRow: lambda t: ([t.body], t.var),
+    ForallPres: lambda t: ([t.body], t.var),
     Row: lambda r: (
-        [t for _, _, t in r.entries],
-        ([] if r.tail is None else [r.tail])
-        + [p.name for _, p, _ in r.entries if type(p) is PresVar],
+        [part for _, p, t in r.entries for part in (p, t)]
+        + ([] if r.tail is None else [r.tail]),
+        None,
     ),
 }
 
@@ -564,24 +569,23 @@ def term_size(term: Term) -> int:
 def _visit_names(node, stack: list) -> frozenset[str]:
     shape = SHAPES.get(type(node))
     if shape is None:
-        parts, own = _TYPE_NAMES[type(node)](node)
-    else:
-        # a term: its children, its type-level parts and its type binder
+        parts, name = _TYPE_NAMES[type(node)](node)
+    else:  # a term: its children, its type-level parts and its type binder
         parts = [child for _, child, _ in shape.children(node)]
-        own = [node.var] if shape.tybinder else []
-        for name in shape.types:
-            part = getattr(node, name)
-            if type(part) is PresVar:
-                own.append(part.name)
-            elif part is not None and type(part) not in _PRESENCE_FORMS:
-                parts.append(part)
+        for field in shape.types:
+            parts.append(getattr(node, field))
+        name = node.var if shape.tybinder else None
+    own = [] if name is None else [name]
     names = _NO_NAMES
     for part in parts:
         kept = getattr(part, "_names", None)
-        if kept is None:
+        if kept is not None:
+            if not kept <= names:  # reuse a part's set where it holds them all
+                names = names | kept if names else kept
+        elif type(part) is str or type(part) is PresVar:  # a row tail or presence
+            own.append(part if type(part) is str else part.name)
+        elif part is not None and type(part) not in _PRESENCE_FORMS:
             stack.append(part)
-        elif not kept <= names:  # reuse a part's set where it holds them all
-            names = names | kept if names else kept
     return names.union(own) if own and not names.issuperset(own) else names
 
 
@@ -667,36 +671,47 @@ def free_vars(term: Term) -> frozenset[str]:
     return _keep(term, "_free", _visit_free) if free is None else free
 
 
-def free_type_names(ty: Type) -> dict[str, type]:
-    """Free type-level names in first-occurrence order (type, row and presence
-    variables share one space), each with the kind class of its first
-    occurrence: KType for a type variable, KRow for a row tail, KPre for a
-    presence variable."""
-    out: dict[str, type] = {}
-    _free_names(ty, frozenset(), out)
-    return out
+def free_type_names(x: Term | Type | Row | Presence) -> dict[str, Kind]:
+    """The free type-level names of a term, type, row or presence, in order
+    of first occurrence, with the kind their uses give them: a name used as
+    a row tail gets the ``KRow`` lacking the labels beside its first such
+    use, any other name ``KPre`` where it first occurs as a presence and
+    ``KType`` elsewhere.  A term's annotations, cast targets and row and
+    presence arguments are read, and its type abstractions bind.
 
-
-def _free_names(t: Type, bound: frozenset[str], out: dict[str, type]) -> None:
-    if isinstance(t, TyVar):
-        if t.name not in bound:
-            out.setdefault(t.name, KType)
-    elif isinstance(t, Base):
-        return
-    elif isinstance(t, (Variant, Record)):
-        for _, pres, a in t.row.entries:
-            if isinstance(pres, PresVar) and pres.name not in bound:
-                out.setdefault(pres.name, KPre)
-            _free_names(a, bound, out)
-        if t.row.tail is not None and t.row.tail not in bound:
-            out.setdefault(t.row.tail, KRow)
-    elif isinstance(t, Arrow):
-        _free_names(t.dom, bound, out)
-        _free_names(t.cod, bound, out)
-    elif isinstance(t, (ForallRow, ForallPres)):
-        _free_names(t.body, bound | {t.var}, out)
-    else:
-        raise TypeError(f"not a type: {t!r}")
+    The one walk for free names, on an explicit stack.  It takes a type's
+    parts in ``_TYPE_NAMES`` order and a term's type-level parts before its
+    children, and a row's tail as a use for the lacks set when it enters
+    the row, before the row's entries."""
+    kinds: dict[str, Kind] = {}  # at each free name's first occurrence
+    tails: dict[str, Kind] = {}  # at each free row tail's first use
+    bound: dict[str, int] = {}  # how many binders of each name enclose the walk
+    stack = [x]
+    while stack:
+        node = stack.pop()
+        form = type(node)
+        if form is tuple:  # the end of a binder's scope
+            bound[node[0]] -= 1
+        elif form is str or form is TyVar or form is PresVar:
+            name = node if form is str else node.name
+            if name not in kinds and not bound.get(name):  # a tail's is in tails
+                kinds[name] = KPre() if form is PresVar else KType()
+        elif node is not None and form is not Absent and form is not Present:
+            shape = SHAPES.get(form)
+            if shape is None:
+                parts, binder = _TYPE_NAMES[form](node)
+            else:  # a term: its type-level parts, then its children
+                parts = [getattr(node, name) for name in shape.types]
+                parts += [child for _, child, _ in shape.children(node)]
+                binder = node.var if shape.tybinder else None
+            if binder is not None:
+                bound[binder] = bound.get(binder, 0) + 1
+                stack.append((binder,))
+            tail = node.tail if form is Row else None
+            if tail is not None and tail not in tails and not bound.get(tail):
+                tails[tail] = KRow(frozenset(node.labels()))
+            stack += reversed(parts)
+    return {name: tails.get(name, kind) for name, kind in kinds.items()}
 
 
 def term_names(term: Term) -> set[str]:
@@ -712,24 +727,6 @@ def term_names(term: Term) -> set[str]:
                 out.add(binder)
             stack.append(child)
     return out
-
-
-def row_use_lacks(name: str, ty: Type) -> frozenset[str] | None:
-    """Lacks set implied by the first use of `name` as a row tail, if any."""
-    if isinstance(ty, Arrow):
-        found = row_use_lacks(name, ty.dom)
-        return found if found is not None else row_use_lacks(name, ty.cod)
-    if isinstance(ty, (Variant, Record)):
-        if ty.row.tail == name:
-            return frozenset(ty.row.labels())
-        for _, _, sub in ty.row.entries:
-            found = row_use_lacks(name, sub)
-            if found is not None:
-                return found
-        return None
-    if isinstance(ty, (ForallRow, ForallPres)):
-        return None if ty.var == name else row_use_lacks(name, ty.body)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -783,17 +780,7 @@ def subst_type_in_type(ty: Type, arg: Row | Presence | TyVar, var: str) -> Type:
     """ty[arg/var]; arg is a row (for row variables), a presence mark, or a
     type variable (for type variables).  Unchanged parts come back as the
     same objects."""
-    return _subst_type(ty, arg, var, _arg_names(arg))
-
-
-def _arg_names(arg: Row | Presence | TyVar) -> set[str]:
-    """The free type-level names of a substituted row, presence or type
-    variable."""
-    if isinstance(arg, Row):
-        return set(free_type_names(Record(arg)))
-    if isinstance(arg, (PresVar, TyVar)):
-        return {arg.name}
-    return set()
+    return _subst_type(ty, arg, var, set(free_type_names(arg)))
 
 
 def _fresh_binder(binder: str, taken: set[str]) -> str:
@@ -809,8 +796,8 @@ def _fresh_binder(binder: str, taken: set[str]) -> str:
 
 
 def _subst_type(
-    ty: Type, arg: Row | Presence | TyVar, var: str, arg_names: set[str]
-) -> Type:
+    ty: Type | Row, arg: Row | Presence | TyVar, var: str, arg_names: set[str]
+) -> Type | Row:
     def go(t: Type) -> Type:
         if isinstance(t, TyVar):
             return arg if t.name == var and isinstance(arg, TyVar) else t
@@ -836,6 +823,8 @@ def _subst_type(
             if isinstance(t, ForallRow):
                 return ForallRow(new, t.kind, body)
             return ForallPres(new, body)
+        if isinstance(t, Row):
+            return go_row(t)
         raise TypeError(f"not a type: {t!r}")
 
     def go_row(row: Row) -> Row:
@@ -880,7 +869,7 @@ def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
     renames a quantifier, so that it cannot capture."""
     if var not in type_level_names(term):
         return term
-    arg_names = _arg_names(arg)
+    arg_names = set(free_type_names(arg))
     done: dict[int, tuple] = {}  # id -> (part, its image): parts are shared
 
     def go_part(part):
@@ -891,15 +880,8 @@ def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
             return part
         hit = done.get(id(part))
         if hit is None:
-            hit = done[id(part)] = (part, subst_part(part))
+            hit = done[id(part)] = (part, _subst_type(part, arg, var, arg_names))
         return hit[1]
-
-    def subst_part(part):
-        if isinstance(part, Row):
-            record = Record(part)
-            new = _subst_type(record, arg, var, arg_names)
-            return part if new is record else new.row
-        return _subst_type(part, arg, var, arg_names)
 
     def go(sub: Term) -> Term:
         shape = SHAPES[type(sub)]

@@ -3,12 +3,13 @@ and error positions against a character-by-character reference."""
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rowlab import parser
+from rowlab import parser, syntax
 from rowlab.config import PRESETS, preset
 from rowlab.harness import GenSpec, gen_typed_term
 from rowlab.parser import (
@@ -92,12 +93,10 @@ def test_parse_forall_kind_recovery_pres():
 
 
 def test_an_unused_binder_takes_its_default_kind_without_a_walk(monkeypatch):
+    assert parser.free_type_names is syntax.free_type_names
     walked = []
-    for name in ("_infer_binder_kind", "_infer_binder_kind_term"):
-        real = getattr(parser, name)
-        monkeypatch.setattr(
-            parser, name, lambda var, body, real=real: walked.append(var) or real(var, body)
-        )
+    real = syntax.free_type_names
+    monkeypatch.setattr(parser, "free_type_names", lambda x: walked.append(x) or real(x))
     ty = parse_type_str("forall " + " ".join(f"r{i}" for i in range(1000)) + ". Int")
     kinds = []
     while isinstance(ty, ForallRow):
@@ -112,7 +111,68 @@ def test_an_unused_binder_takes_its_default_kind_without_a_walk(monkeypatch):
     assert (ty.kind, ty.body.kind) == (KRow(frozenset({"A"})), KRow(frozenset()))
     term = parse_term_str("/\\r0. <Year 1984> : [Year:Int; r0]")
     assert term.kind == KRow(frozenset({"Year"}))
-    assert walked == ["r0", "r0"]
+    assert len(walked) == 2
+    # a binder group of any size costs at most one walk
+    for n in (1, 2, 10, 300):
+        walked.clear()
+        binders = " ".join(f"p{i} r{i}" for i in range(n))
+        row = "; ".join(f"L{i}^p{i}:{{A:Int; r{i}}}" for i in range(n))
+        ty = parse_type_str(f"forall {binders} p{n}:Pre. {{{row}}}")
+        assert len(walked) == 1
+        for i in range(n):
+            assert isinstance(ty, ForallPres) and ty.body.kind == KRow(frozenset({"A"}))
+            ty = ty.body.body
+        assert isinstance(ty, ForallPres) and isinstance(ty.body, Record)
+        # and so does a chain of type abstractions
+        walked.clear()
+        binders = "".join(f"/\\p{i}. /\\r{i}. " for i in range(n))
+        term = parse_term_str(binders + "x" + "".join(f" @@ [A:Int; r{i}]" for i in range(n)))
+        assert len(walked) == 1
+        for i in range(n):
+            assert isinstance(term, PresAbs) and term.body.kind == KRow(frozenset({"A"}))
+            term = term.body.body
+
+
+def test_a_large_binder_group_parses_in_one_walk():
+    # every binder used to walk the body under it: quadratic time, and a
+    # RecursionError at 1,000 binders
+    for n in (1000, 5000):
+        binders = " ".join(f"p{i}" for i in range(n))
+        row = "; ".join(f"L{i}^p{i}:Int" for i in range(n))
+        start = time.perf_counter()
+        ty = parse_type_str(f"forall {binders}. {{{row}}}")
+        elapsed = time.perf_counter() - start
+        count = 0
+        while isinstance(ty, ForallPres):
+            count += 1
+            ty = ty.body
+        assert count == n and isinstance(ty, Record)
+        assert elapsed < 1.0, (n, elapsed)
+    # directly nested quantifiers, and a chain of type abstractions, are one
+    # group too
+    row = "{" + "; ".join(f"L{i}^p{i}:Int" for i in range(1000)) + "}"
+    presences = "".join(f" @ p{i}" for i in range(1000))
+    for parse, text, form in [
+        (parse_type_str, "".join(f"forall p{i}. " for i in range(1000)) + row, ForallPres),
+        (parse_term_str, "".join(f"/\\p{i}. " for i in range(1000)) + "x" + presences, PresAbs),
+    ]:
+        start = time.perf_counter()
+        x = parse(text)
+        elapsed = time.perf_counter() - start
+        for _ in range(1000):
+            assert isinstance(x, form)
+            x = x.body
+        assert elapsed < 1.0, elapsed
+
+
+def test_a_row_kind_header_needs_row_then_bang():
+    delta, gamma, _ = parse_file_str(
+        "-- env: x : Rowan -> Int\n-- env: y : Row\n-- env: r : Row !{A}\nx"
+    )
+    assert gamma == {"x": Arrow(TyVar("Rowan"), INT), "y": TyVar("Row")}
+    assert delta == {"r": KRow(frozenset({"A"}))}
+    with pytest.raises(ParseError, match="^1:17: expected '{'"):
+        parse_file_str("-- env: r : Row!Age\nx")
 
 
 def test_parse_arrow_right_assoc():

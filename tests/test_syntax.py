@@ -1109,9 +1109,9 @@ def _sub_types(ty):
         yield from _sub_types(ty.body)
 
 
-def _kind_of(cls):
+def _kind_of(kind):
     """A kind of the class ``free_type_names`` reports."""
-    return KRow(frozenset()) if cls is KRow else cls()
+    return KRow(frozenset()) if isinstance(kind, KRow) else kind
 
 
 def _permuted(ty):
