@@ -114,7 +114,7 @@ def _cmd_translate(args) -> int:
     src_cfg = preset(args.source)
     delta, gamma, term = parse_file_str(_read(args.file))
     deriv = type_check(src_cfg, delta, gamma, term)
-    shown = show_term(t.term(deriv, src_cfg))
+    shown = show_term(t.term(deriv))
     _emit(args, lambda: {
         "translation": t.tid, "from": args.source, "to": args.target, "term": shown,
         **({} if t.type_map is None else {"type": show_type(t.type_map(deriv.type))}),

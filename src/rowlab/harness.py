@@ -892,8 +892,8 @@ def _single(prop: str, case_id: str, term: Term, errors, expected: str, check):
 def check_type_preservation(tid: str, deriv: Derivation, case_id: str = ""):
     t = TRANSLATIONS[tid]
     if t.type_map is None:
-        return check_weak_preservation(deriv, case_id)
-    tgt_cfg = preset(t.pairs[0][1])
+        return check_weak_preservation(tid, deriv, case_id)
+    _, tgt_cfg = t.configs(deriv)
 
     def check():
         out = run_translation(tid, deriv)
@@ -912,12 +912,12 @@ def check_type_preservation(tid: str, deriv: Derivation, case_id: str = ""):
     )
 
 
-def check_weak_preservation(deriv: Derivation, case_id: str = ""):
-    """Erasing casts from a rank-2 record derivation keeps an inferable type
-    weakly below the translated bound: the typing story of the translation
-    that has no type map, on its first pair."""
-    t = next(t for t in TRANSLATIONS.values() if t.type_map is None)
-    src_cfg, tgt_cfg = map(preset, t.pairs[0])
+def check_weak_preservation(tid: str, deriv: Derivation, case_id: str = ""):
+    """Erasing casts from a rank-limited record derivation keeps an
+    inferable type weakly below the translated bound: the typing story of a
+    translation with no type map, on every pair.  Inference runs under the
+    context mapped entry by entry with the goal's bound map, ``trans_a``."""
+    src_cfg, tgt_cfg = TRANSLATIONS[tid].configs(deriv)
 
     def check():
         stripped = strip(deriv.term, (Upcast,))
@@ -931,7 +931,8 @@ def check_weak_preservation(deriv: Derivation, case_id: str = ""):
                 f"{show_type(d2.type)} vs {show_type(deriv.type)}",
             )
         bare = erase(deriv.term)
-        sigma = infer(tgt_cfg, dict(deriv.delta), dict(deriv.gamma), bare)
+        tgamma = {x: trans_a(a) for x, a in deriv.gamma.items()}
+        sigma = infer(tgt_cfg, dict(deriv.delta), tgamma, bare)
         bound = trans_a(d2.type)
         return (
             weak_sub_instance(sigma, bound),
@@ -939,7 +940,7 @@ def check_weak_preservation(deriv: Derivation, case_id: str = ""):
         )
 
     return _single(
-        f"type-preservation[{t.tid}]", case_id, deriv.term,
+        f"type-preservation[{tid}]", case_id, deriv.term,
         (StaticError, TranslationError, InferError),
         "inferred scheme weakly below the translated bound", check,
     )
@@ -953,7 +954,7 @@ def check_simulation(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
     """Every source step maps onto the target run its theorem states."""
     rep = PropertyReport(f"simulation[{tid}]")
     t = TRANSLATIONS[tid]
-    src_cfg, tgt_cfg = map(preset, t.pairs[0])
+    src_cfg, tgt_cfg = t.configs(deriv)
     src_rels, tgt_rels = relations_for(src_cfg), relations_for(tgt_cfg)
     keys = _Keys()
 
@@ -979,7 +980,7 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
     """Every target run its theorem lists reflects a source step."""
     rep = PropertyReport(f"reflection[{tid}]")
     t = TRANSLATIONS[tid]
-    src_cfg, tgt_cfg = map(preset, t.pairs[0])
+    src_cfg, tgt_cfg = t.configs(deriv)
     src_rels, tgt_rels = relations_for(src_cfg), relations_for(tgt_cfg)
     keys = _Keys()
 
@@ -1063,6 +1064,8 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
 
 
 def check_erasure(tid: str, deriv: Derivation, case_id: str = ""):
+    TRANSLATIONS[tid].configs(deriv)  # refuses a derivation from elsewhere
+
     def check():
         lhs = erase(run_translation(tid, deriv))
         rhs = erase(deriv.term)
@@ -1158,7 +1161,9 @@ def check_subst_lemma(
     tid: str, deriv_m: Derivation, deriv_n: Derivation, var: str, case_id: str = ""
 ):
     """Translating after substitution agrees with substituting translations."""
-    src_cfg = preset(TRANSLATIONS[tid].pairs[0][0])
+    t = TRANSLATIONS[tid]
+    src_cfg, _ = t.configs(deriv_m)
+    t.configs(deriv_n)  # refuses n from another calculus as well
 
     def check():
         tm = run_translation(tid, deriv_m)
@@ -1258,11 +1263,15 @@ def run_property(
                 f"no theorem covers {prop} on {translation}; "
                 f"it is checked on {', '.join(covered)}"
             )
-        spec = GenSpec(preset(t.pairs[0][0]), max_size=max_size, seed=seed)
+        # input i comes from pair i mod P: every pair is generated and checked
+        specs = [GenSpec(preset(s), max_size=max_size, seed=seed) for s, _ in t.pairs]
         stepped = {"simulation": check_simulation, "reflection": check_reflection}
         single = {"type-preservation": check_type_preservation, "erasure": check_erasure}
 
         def one(i: int, cid: str) -> PropertyReport:
+            spec = specs[i % len(specs)]
+            if len(specs) > 1:
+                cid += f" from={spec.config.name}"
             if prop == "substitution":
                 return check_subst_lemma(translation, *gen_subst_pair(spec, i), cid)
             _, deriv = gen_typed_term(spec, i)

@@ -399,6 +399,7 @@ class Derivation:
     type: Type
     premises: tuple["Derivation", ...] = ()
     evidence: SubtypeEvidence | None = field(default=None)
+    calculus: str | None = None  # on a root: the preset type_check checked it in
 
     def judgment(self) -> str:
         dd = ", ".join(f"{n}:{show_kind(k)}" for n, k in sorted(self.delta.items()))
@@ -423,6 +424,7 @@ def type_check(
     Raises TypingError (or a subclass) when the term does not check.
     """
     deriv = _Checker(config).rec(delta, gamma, term)
+    deriv.calculus = config.name
     # an annotation is its node's type or that type's domain: this checks it too
     if config.rank_limited:
         for d in derivations(deriv):

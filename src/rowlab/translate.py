@@ -1,16 +1,19 @@
 """Encodings between the calculi, defined over typing derivations.
 
-Each encoding consumes a derivation from its source configuration and emits
-a term of its target configuration.  Cast-bearing sources compile their
-casts three ways: re-tagging values (t1, t3), instantiating row or presence
-quantifiers (t2, t4, t6), or applying coercion functions built from the
-subtyping evidence (t5).  t7 simply erases casts; its typing story is weak
-and goes through the scheme translation at the bottom of this module.
+Each encoding consumes a derivation, which names the calculus it was
+checked in, and emits a term of the target that calculus is paired with
+(``Translation.configs``, which refuses any other calculus).  Cast-bearing
+sources compile their casts three ways: re-tagging values (t1, t3),
+instantiating row or presence quantifiers (t2, t4, t6), or applying
+coercion functions built from the subtyping evidence (t5).  t7 simply
+erases casts; its typing story is weak and goes through the scheme
+translation at the bottom of this module.
 
 t1-t6 give a rule only for the derivation rules they compile their own way;
 every other rule of their source family rebuilds the node from its
 translated premises (``_congruent``), and a rule from outside the family is
-a TranslationError.
+a TranslationError.  A reflexive cast translates as its operand, so t1-t4,
+whose sources have simple subtyping, see only width casts.
 
 Binder naming is deterministic: term-level quantifiers introduced by a
 translation count up left to right over the derivation (r0, r1, ... for
@@ -33,7 +36,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .config import CalculusConfig, preset
-from .statics import Derivation, SubtypeEvidence, check_rank_limit
+from .dynamics import erase
+from .statics import Derivation, SubtypeEvidence
 from .syntax import (
     SHAPES,
     Absent,
@@ -77,6 +81,20 @@ def _closed_entries(row: Row) -> list[tuple[str, Type]]:
     return sorted((label, ty) for label, _, ty in row.entries)
 
 
+def _prefix(node, body, names):
+    """``node(n0, node(n1, ... body))`` for ``names`` n0, n1, ...: a run of
+    quantifiers or abstractions."""
+    for name in reversed(names):
+        body = node(name, body)
+    return body
+
+
+def _pres_apps(term: Term, presences, origin: str) -> Term:
+    for p in presences:
+        term = PresApp(term, p, origin)
+    return term
+
+
 def _congruent(d: Derivation, go, fn=None) -> Term:
     """The node of ``d`` rebuilt from its premises, translated in order, with
     the translation's type map ``fn`` applied to its type-level parts."""
@@ -94,11 +112,14 @@ _RECORDS = ("TyRecord", "TyProject")
 def _translate(name: str, family: tuple[str, ...], rules: dict, deriv, fn=None):
     """Translate ``deriv`` by ``rules[d.rule](d, go)``, ``go`` the recursive
     translator, where there is one, and by ``_congruent`` for the other
-    rules of the source ``family``."""
+    rules of the source ``family``.  A reflexive cast translates as its
+    operand."""
 
     def go(d: Derivation) -> Term:
         rule = rules.get(d.rule)
         if rule is not None:
+            if d.evidence is not None and d.evidence.rule == "SRefl":
+                return go(d.premises[0])
             return rule(d, go)
         if d.rule not in family:
             raise TranslationError(f"unexpected rule {d.rule} for {name}")
@@ -120,10 +141,6 @@ def t1(deriv: Derivation) -> Term:
     def upcast(d: Derivation, go) -> Term:
         ev = d.evidence
         inner = go(d.premises[0])
-        if ev.rule == "SRefl":
-            return inner
-        if ev.rule != "SVariant":
-            raise TranslationError(f"unexpected evidence {ev.rule} for t1")
         branches = []
         for label, _ in _closed_entries(ev.lhs.row):
             x = supply.fresh("x")
@@ -175,10 +192,6 @@ def t2(deriv: Derivation) -> Term:
 
     def upcast(d: Derivation, go) -> Term:
         ev = d.evidence
-        if ev.rule == "SRefl":
-            return go(d.premises[0])
-        if ev.rule != "SVariant":
-            raise TranslationError(f"unexpected evidence {ev.rule} for t2")
         rho = f"r{next(counter)}"
         have = row_dom(ev.lhs.row)
         extra = tuple(
@@ -205,10 +218,6 @@ def t3(deriv: Derivation) -> Term:
     def upcast(d: Derivation, go) -> Term:
         ev = d.evidence
         inner = go(d.premises[0])
-        if ev.rule == "SRefl":
-            return inner
-        if ev.rule != "SRecord":
-            raise TranslationError(f"unexpected evidence {ev.rule} for t3")
         fields = tuple(
             (label, Project(inner, label))
             for label, _ in _closed_entries(ev.rhs.row)
@@ -238,10 +247,7 @@ def type_translate4(ty: Type, counter=None) -> Type:
             (label, PresVar(name), type_translate4(a, counter))
             for (label, a), name in zip(pairs, names)
         )
-        out: Type = Record(Row(entries, None))
-        for name in reversed(names):
-            out = ForallPres(name, out)
-        return out
+        return _prefix(ForallPres, Record(Row(entries, None)), names)
     raise TranslationError("type outside the t4 source calculus")
 
 
@@ -256,34 +262,24 @@ def t4(deriv: Derivation) -> Term:
             for label, a in _closed_entries(row)
         )
         fields = _congruent(d, go).fields
-        out: Term = RecordLit(fields, Record(Row(ann_entries, None)))
-        for label in sorted(names, reverse=True):
-            out = PresAbs(names[label], out)
-        return out
+        out = RecordLit(fields, Record(Row(ann_entries, None)))
+        return _prefix(PresAbs, out, list(names.values()))
 
     def project(d: Derivation, go) -> Term:
-        row = d.premises[0].type.row
-        out = go(d.premises[0])
-        for label, _ in _closed_entries(row):
-            pres = Present() if label == d.term.label else Absent()
-            out = PresApp(out, pres, "source")
-        return Project(out, d.term.label)
+        label = d.term.label
+        source = _closed_entries(d.premises[0].type.row)
+        args = [Present() if l == label else Absent() for l, _ in source]
+        return Project(_pres_apps(go(d.premises[0]), args, "source"), label)
 
     def upcast(d: Derivation, go) -> Term:
         ev = d.evidence
-        if ev.rule == "SRefl":
-            return go(d.premises[0])
-        if ev.rule != "SRecord":
-            raise TranslationError(f"unexpected evidence {ev.rule} for t4")
-        kept = row_dom(ev.rhs.row)
-        names = {label: f"p{next(counter)}" for label in sorted(kept)}
-        out = go(d.premises[0])
-        for label, _ in _closed_entries(ev.lhs.row):
-            pres = PresVar(names[label]) if label in kept else Absent()
-            out = PresApp(out, pres, "upcast")
-        for label in sorted(names, reverse=True):
-            out = PresAbs(names[label], out)
-        return out
+        names = {label: f"p{next(counter)}" for label in sorted(row_dom(ev.rhs.row))}
+        args = [
+            PresVar(names[label]) if label in names else Absent()
+            for label, _ in _closed_entries(ev.lhs.row)
+        ]
+        out = _pres_apps(go(d.premises[0]), args, "upcast")
+        return _prefix(PresAbs, out, list(names.values()))
 
     rules = {"TyRecord": record, "TyProject": project, "TyUpcast": upcast}
     return _translate("t4", _CORE + _RECORDS, rules, deriv, type_translate4)
@@ -298,21 +294,13 @@ def coerce(ev: SubtypeEvidence, supply: NameSupply) -> Term:
     if ev.rule in ("FVar", "FBase", "SRefl"):
         x = supply.fresh("x")
         return Lam(x, ev.lhs, Var(x))
-    if ev.rule == "FFun":
-        dom_ev, cod_ev = ev.premises
+    if ev.rule in ("FFun", "CoFun"):  # CoFun has no domain premise
+        *dom_ev, cod_ev = ev.premises
         f = supply.fresh("f")
         x = supply.fresh("x")
-        body = App(
-            coerce(cod_ev, supply),
-            App(Var(f), App(coerce(dom_ev, supply), Var(x))),
-        )
-        return Lam(f, ev.lhs, Lam(x, ev.rhs.dom, body))
-    if ev.rule == "CoFun":
-        (cod_ev,) = ev.premises
-        f = supply.fresh("f")
-        x = supply.fresh("x")
-        body = App(coerce(cod_ev, supply), App(Var(f), Var(x)))
-        return Lam(f, ev.lhs, Lam(x, ev.rhs.dom, body))
+        cod = coerce(cod_ev, supply)
+        arg = App(coerce(dom_ev[0], supply), Var(x)) if dom_ev else Var(x)
+        return Lam(f, ev.lhs, Lam(x, ev.rhs.dom, App(cod, App(Var(f), arg))))
     if ev.rule == "FVariant":
         x = supply.fresh("x")
         branches = []
@@ -384,10 +372,7 @@ def type_translate6(ty: Type, counter=None) -> Type:
     None)."""
     counter = counter or itertools.count()
     names = [f"q{next(counter)}" for _ in range(pres_arity(ty))]
-    out = _hoisted(ty, map(PresVar, names), counter)
-    for name in reversed(names):
-        out = ForallPres(name, out)
-    return out
+    return _prefix(ForallPres, _hoisted(ty, map(PresVar, names), counter), names)
 
 
 def inst_type(ty: Type, presences: list[Presence]) -> Type:
@@ -401,7 +386,7 @@ def _cast_args(ev: SubtypeEvidence, prefix) -> list[Presence]:
     """Arguments covering the source prefix of a cast, given ``prefix``, the
     target's, in order: instantiating the translated source type with them
     and then quantifying the target prefix lands on the translated target."""
-    if ev.rule in ("FVar", "FBase"):
+    if ev.rule in ("FVar", "FBase", "SRefl"):
         return []
     if ev.rule == "CoFun":
         return _cast_args(ev.premises[0], prefix)
@@ -419,18 +404,6 @@ def _cast_args(ev: SubtypeEvidence, prefix) -> list[Presence]:
     raise TranslationError(f"unexpected evidence {ev.rule} for t6")
 
 
-def _pres_apps(term: Term, presences, origin: str) -> Term:
-    for p in presences:
-        term = PresApp(term, p, origin)
-    return term
-
-
-def _pres_abs(term: Term, names: list[str]) -> Term:
-    for name in reversed(names):
-        term = PresAbs(name, term)
-    return term
-
-
 def t6(deriv: Derivation) -> Term:
     counter = itertools.count()
 
@@ -441,13 +414,13 @@ def t6(deriv: Derivation) -> Term:
     def app(d: Derivation, go) -> Term:
         names = fresh(d.premises[0].type.cod)
         fn = _pres_apps(go(d.premises[0]), map(PresVar, names), "source")
-        return _pres_abs(App(fn, go(d.premises[1])), names)
+        return _prefix(PresAbs, App(fn, go(d.premises[1])), names)
 
     def lam(d: Derivation, go) -> Term:
         t = d.term
         names = fresh(d.type.cod)
         body = _pres_apps(go(d.premises[0]), map(PresVar, names), "source")
-        return _pres_abs(Lam(t.var, type_translate6(t.annot), body), names)
+        return _prefix(PresAbs, Lam(t.var, type_translate6(t.annot), body), names)
 
     def record(d: Derivation, go) -> Term:
         names = fresh(d.type)
@@ -459,7 +432,7 @@ def t6(deriv: Derivation) -> Term:
             for (label, _), p in zip(d.term.fields, d.premises)
         )
         ann = inst_type(d.type, [PresVar(n) for n in names])
-        return _pres_abs(RecordLit(fields, ann), names)
+        return _prefix(PresAbs, RecordLit(fields, ann), names)
 
     def project(d: Derivation, go) -> Term:
         label = d.term.label
@@ -469,12 +442,12 @@ def t6(deriv: Derivation) -> Term:
         for l, a in source:
             args += map(PresVar, names) if l == label else [Absent()] * pres_arity(a)
         out = _pres_apps(go(d.premises[0]), args, "source")
-        return _pres_abs(Project(out, label), names)
+        return _prefix(PresAbs, Project(out, label), names)
 
     def upcast(d: Derivation, go) -> Term:
         names = fresh(d.evidence.rhs)
         args = _cast_args(d.evidence, map(PresVar, names))
-        return _pres_abs(_pres_apps(go(d.premises[0]), args, "upcast"), names)
+        return _prefix(PresAbs, _pres_apps(go(d.premises[0]), args, "upcast"), names)
 
     rules = {
         "TyApp": app,
@@ -487,18 +460,10 @@ def t6(deriv: Derivation) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# t7: erase casts outright (rank-limited sources)
+# t7: erase casts outright (``type_check`` refuses a source past its rank)
 
 
-def t7(deriv: Derivation, config: CalculusConfig) -> Term:
-    from .dynamics import erase
-    from .statics import derivations
-
-    for d in derivations(deriv):
-        if not check_rank_limit(config, d.type):
-            raise TranslationError(
-                "derivation contains a type beyond the rank limit"
-            )
+def t7(deriv: Derivation) -> Term:
     return erase(deriv.term)
 
 
@@ -553,9 +518,10 @@ def _open_records(ty: Type, every: bool, counter) -> TypeScheme:
 
 @dataclass(frozen=True)
 class Translation:
-    """One encoding: its (source, target) calculus pairs, the term and type
-    maps, and the properties a theorem of the paper covers for it (the only
-    ones ``harness.run_property`` checks on it).
+    """One encoding: its (source, target) calculus pairs, the term map (of
+    the derivation alone) and the type map, and the properties a theorem of
+    the paper covers on every pair it lists (the only ones
+    ``harness.run_property`` checks on it).
 
     The operational correspondence theorems are data, read by the harness's
     one matcher (its docstring has the notation).  ``simulation`` maps a
@@ -565,20 +531,31 @@ class Translation:
 
     tid: str
     pairs: tuple[tuple[str, str], ...]
-    term: Callable[[Derivation, CalculusConfig], Term]
+    term: Callable[[Derivation], Term]
     type_map: Callable[[Type], Type] | None
     properties: tuple[str, ...]
     simulation: dict[str, str] = field(default_factory=dict)
     reflection: tuple[tuple[str, set[str], str], ...] = ()
+
+    def configs(self, deriv: Derivation) -> tuple[CalculusConfig, CalculusConfig]:
+        """The (source, target) configurations of the pair whose source is
+        the calculus ``deriv`` was checked in; TranslationError if none is."""
+        for source, target in self.pairs:
+            if source == deriv.calculus:
+                return preset(source), preset(target)
+        sources = ", ".join(source for source, _ in self.pairs)
+        raise TranslationError(
+            f"{self.tid} translates from {sources}, not from {deriv.calculus}"
+        )
 
 
 def _identity_type(ty: Type) -> Type:
     return ty
 
 
-# Every translation preserves typing; t1-t4 also simulate and reflect
-# reduction and commute with substitution; the ones that add no code to the
-# erased term also preserve erasure.
+# Every translation but the variant erasure preserves typing; t1-t4 also
+# simulate and reflect reduction and commute with substitution; the ones
+# that add no code to the erased term also preserve erasure.
 _TYPED = ("type-preservation",)
 _STEPS = ("simulation", "reflection", "substitution")
 
@@ -589,7 +566,7 @@ TRANSLATIONS: dict[str, Translation] = {
         Translation(
             "var-sub-to-var",
             (("var-sub", "var"),),
-            lambda d, c: t1(d),
+            t1,
             _identity_type,
             _TYPED + _STEPS,
             {"beta": "beta", "upcast": "beta"},
@@ -598,7 +575,7 @@ TRANSLATIONS: dict[str, Translation] = {
         Translation(
             "var-sub-to-row",
             (("var-sub", "var-row"),),
-            lambda d, c: t2(d),
+            t2,
             type_translate2,
             _TYPED + _STEPS + ("erasure",),
             {"beta": "tau? beta", "upcast": "nu"},
@@ -610,7 +587,7 @@ TRANSLATIONS: dict[str, Translation] = {
         Translation(
             "rec-sub-to-rec",
             (("rec-sub", "rec"),),
-            lambda d, c: t3(d),
+            t3,
             _identity_type,
             _TYPED + _STEPS,
             {"beta": "beta*", "upcast": "beta*"},
@@ -619,7 +596,7 @@ TRANSLATIONS: dict[str, Translation] = {
         Translation(
             "rec-sub-to-pre",
             (("rec-sub", "rec-pre"),),
-            lambda d, c: t4(d),
+            t4,
             type_translate4,
             _TYPED + _STEPS + ("erasure",),
             {"beta": "tau* beta", "upcast": "nu*"},
@@ -631,48 +608,59 @@ TRANSLATIONS: dict[str, Translation] = {
         Translation(
             "full-sub-coerce",
             (("var-rec-sub-full", "var-rec"),),
-            lambda d, c: t5(d),
+            t5,
             _identity_type,
             _TYPED,
         ),
         Translation(
             "rec-co-to-pre",
             (("rec-sub-co", "rec-pre"),),
-            lambda d, c: t6(d),
+            t6,
             type_translate6,
             _TYPED + ("erasure",),
         ),
+        # rank-limited full subtyping on records erased into rank-1 row or
+        # presence polymorphism, typed weakly through trans_a
         Translation(
             "erase-upcasts",
             (
                 ("rec-sub-full-rank2", "rec-row1"),
                 ("rec-sub-full-rank1", "rec-pre1"),
-                ("var-sub-full-rank1", "var-row1"),
-                ("var-sub-full-rank2", "var-pre1"),
             ),
             t7,
             None,
             _TYPED + ("erasure",),
         ),
+        # the paper's variant duals: rank-1 full subtyping into rank-1 row
+        # polymorphism, rank-2 into rank-1 presence polymorphism.  Their
+        # typing statement waits for a variant bound map (trans_a knows
+        # records only), so only erasure is checked.
+        Translation(
+            "erase-variant-upcasts",
+            (
+                ("var-sub-full-rank1", "var-row1"),
+                ("var-sub-full-rank2", "var-pre1"),
+            ),
+            t7,
+            None,
+            ("erasure",),
+        ),
     )
-}
-
-PAIR_INDEX: dict[tuple[str, str], str] = {
-    pair: t.tid for t in TRANSLATIONS.values() for pair in t.pairs
 }
 
 
 def translation_for(source: str, target: str) -> Translation:
-    tid = PAIR_INDEX.get((source, target))
-    if tid is None:
-        known = ", ".join(f"{s}->{t}" for s, t in sorted(PAIR_INDEX))
-        raise TranslationError(
-            f"no translation from {source} to {target}; known pairs: {known}"
-        )
-    return TRANSLATIONS[tid]
+    for t in TRANSLATIONS.values():
+        if (source, target) in t.pairs:
+            return t
+    pairs = sorted(pair for t in TRANSLATIONS.values() for pair in t.pairs)
+    known = ", ".join(f"{s}->{g}" for s, g in pairs)
+    raise TranslationError(
+        f"no translation from {source} to {target}; known pairs: {known}"
+    )
 
 
 def run_translation(tid: str, deriv: Derivation) -> Term:
     t = TRANSLATIONS[tid]
-    source = preset(t.pairs[0][0])
-    return t.term(deriv, source)
+    t.configs(deriv)  # refuses a derivation from a calculus it does not start
+    return t.term(deriv)

@@ -94,6 +94,24 @@ def test_usage_errors_keep_their_text(tmp_path, capsys):
     assert capsys.readouterr().err == f"rowlab: error: {src}: not UTF-8 text (byte 4)\n"
 
 
+def test_verify_counts_the_cases_of_every_pair(capsys):
+    code = run(["verify", "--property", "type-preservation",
+                "--translation", "erase-upcasts", "--count", "4", "--json"])
+    assert code == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert (report["cases"], report["passed"]) == (4, True)
+
+
+def test_translate_stops_at_the_rank_limit(capsys):
+    # the checker's gate: a function cast of rank 2 under a rank-1 source
+    code = run(["translate", "--from", "rec-sub-full-rank1", "--to", "rec-pre1",
+                str(CORPUS / "getName_fullsub.row")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rowlab: error: type {Name:String; Age:Int} -> String ")
+    assert "exceeds the rank limit" in err
+
+
 def test_a_seed_that_is_not_an_integer_is_a_user_error(monkeypatch, capsys):
     monkeypatch.setenv("ROWLAB_SEED", "abc")
     code = run(["verify", "--property", "simulation",
@@ -209,6 +227,10 @@ PRINTED = [
      '{Name = "Alice", Age = 9}\n', 1,
      {"translation": "erase-upcasts", "from": "rec-sub-full-rank2", "to": "rec-row1",
       "term": '{Name = "Alice", Age = 9}'}),
+    (["translate", "--from", "var-sub-full-rank2", "--to", "var-pre1", "year.row"],
+     "<Year 1984>\n", 1,
+     {"translation": "erase-variant-upcasts", "from": "var-sub-full-rank2",
+      "to": "var-pre1", "term": "<Year 1984>"}),
 ]
 
 

@@ -47,7 +47,7 @@ from rowlab.harness import (
     term_size,
 )
 from rowlab.infer import infer
-from rowlab.parser import parse_term_str
+from rowlab.parser import parse_term_str, parse_type_str
 from rowlab.pretty import show_term, show_type
 from rowlab.statics import type_check
 from rowlab.syntax import (
@@ -480,8 +480,36 @@ WRONG_FAMILY = {
 
 @pytest.mark.parametrize("tid", list(WRONG_FAMILY))
 def test_mismatched_derivation_fails_loudly(tid):
+    d = deriv(*WRONG_FAMILY[tid])
     with pytest.raises(TranslationError, match="unexpected rule"):
-        check_simulation(tid, deriv(*WRONG_FAMILY[tid]))
+        TRANSLATIONS[tid].term(d)
+    with pytest.raises(TranslationError, match=f"not from {d.calculus}$"):
+        check_simulation(tid, d)
+
+
+def test_a_derivation_from_another_calculus_is_refused():
+    # var-rec-sub-full checks the cast, but no pair of erase-upcasts (or of
+    # rec-sub-to-rec, for the checks only it lists) starts there
+    d = deriv("var-rec-sub-full", RECORD_UP)
+    assert d.calculus == "var-rec-sub-full"
+    gamma = {**ambient_gamma(), "z0": parse_type_str("{Age:Int}")}
+    hole = {
+        name: type_check(preset(name), ambient_delta(), gamma, M("z0.Age"))
+        for name in ("var-rec-sub-full", "rec-sub")
+    }
+    refusals = [
+        lambda: run_translation("erase-upcasts", d),
+        lambda: check_type_preservation("erase-upcasts", d),
+        lambda: check_weak_preservation("erase-upcasts", d),
+        lambda: check_erasure("erase-upcasts", d),
+        lambda: check_simulation("rec-sub-to-rec", d),
+        lambda: check_reflection("rec-sub-to-rec", d),
+        lambda: check_subst_lemma("rec-sub-to-rec", hole["var-rec-sub-full"], d, "z0"),
+        lambda: check_subst_lemma("rec-sub-to-rec", hole["rec-sub"], d, "z0"),
+    ]
+    for refused in refusals:
+        with pytest.raises(TranslationError, match="not from var-rec-sub-full$"):
+            refused()
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +602,23 @@ def test_weak_preservation_golden():
         "rec-sub-full-rank2",
         '(\\x:{Name:String}. x.Name) ({Name = "Alice", Age = 9} :> {Name:String})',
     )
-    rep = check_weak_preservation(d)
+    rep = check_weak_preservation("erase-upcasts", d)
     assert rep.passed, rep.failures[:1]
+
+
+def test_weak_preservation_maps_the_context():
+    # inference sees y2 at its bound, forall r. {Age:Int; r} -> Int, so the
+    # wider argument left by the erased cast fits; given the source context
+    # unmapped, it fails with "label Name is present on one row but the
+    # other row cannot contain it"
+    cfg = preset("rec-sub-full-rank2")
+    delta, gamma, term = parser.parse_file_str(
+        "-- env: y2 : {Age:Int} -> Int\n"
+        'y2 ({Age = 1, Name = "Ada"} :> {Age:Int})\n'
+    )
+    d = type_check(cfg, delta, gamma, term)
+    rep = check_type_preservation("erase-upcasts", d)
+    assert (rep.cases, rep.failures) == (1, [])
 
 
 def test_subject_reduction_golden():
@@ -710,11 +753,57 @@ def test_every_pattern_is_load_bearing(tid, prop, mutant, monkeypatch):
 # Randomized sweeps (small; the acceptance suite runs the big ones)
 
 
-@pytest.mark.parametrize("tid", sorted(TRANSLATIONS))
+@pytest.mark.parametrize(
+    "tid", sorted(t.tid for t in TRANSLATIONS.values() if "type-preservation" in t.properties)
+)
 def test_type_preservation_sweep(tid):
     rep = run_property("type-preservation", translation=tid, count=10, seed=2)
     assert rep.passed, rep.failures[:2]
     assert rep.cases == 10
+
+
+@pytest.mark.parametrize(
+    "tid,prop",
+    [(tid, prop) for tid, t in sorted(TRANSLATIONS.items()) for prop in t.properties],
+)
+def test_every_pair_is_generated_from_and_checked(tid, prop, monkeypatch):
+    # at count 2P, input i comes from pair i mod P: each pair's source
+    # generates twice, and each generated input is checked
+    sources = [source for source, _ in TRANSLATIONS[tid].pairs]
+    made = []
+    for name in ("gen_typed_term", "gen_subst_pair"):
+        real = getattr(harness, name)
+
+        def recorded(spec, index, real=real):
+            made.append(spec.config.name)
+            return real(spec, index)
+
+        monkeypatch.setattr(harness, name, recorded)
+    rep = run_property(prop, translation=tid, count=2 * len(sources), seed=0, depth=1)
+    assert made == sources * 2
+    assert rep.passed, rep.failures[:1]
+    if prop in ("type-preservation", "erasure", "substitution"):
+        assert rep.cases == 2 * len(sources)
+
+
+def test_case_ids_name_the_source_when_there_are_two_pairs(monkeypatch):
+    def failing(tid, deriv, cid):
+        rep = harness.PropertyReport(f"erasure[{tid}]")
+        rep.tally(cid, deriv.term, False, "", "")
+        return rep
+
+    monkeypatch.setattr(harness, "check_erasure", failing)
+    ids = {
+        tid: [f[0] for f in run_property("erasure", translation=tid, count=2).failures]
+        for tid in ("erase-upcasts", "rec-sub-to-pre")
+    }
+    assert ids == {
+        "erase-upcasts": [
+            "seed=0 index=0 from=rec-sub-full-rank2",
+            "seed=0 index=1 from=rec-sub-full-rank1",
+        ],
+        "rec-sub-to-pre": ["seed=0 index=0", "seed=0 index=1"],
+    }
 
 
 @pytest.mark.parametrize(
@@ -735,7 +824,7 @@ def test_correspondence_sweep(prop, tid):
 
 
 @pytest.mark.parametrize(
-    "tid", ["var-sub-to-row", "rec-sub-to-pre", "rec-co-to-pre", "erase-upcasts"]
+    "tid", sorted(t.tid for t in TRANSLATIONS.values() if "erasure" in t.properties)
 )
 def test_erasure_sweep(tid):
     rep = run_property("erasure", translation=tid, count=10, seed=3)
@@ -1164,28 +1253,28 @@ def charged_sweep():
 
 
 REPORT_SHA256 = {
-    "registry": "a1b81f7d4b0186e1",
+    "registry": "38279c8a9bf3502f",
     "subject-reduction": "7b8cb4bcba9c8b64",
     "preorder": "df071665708d6576",
 }
 
 LAYER_CALLS = {
-    "dynamics.erase": 219,
+    "dynamics.erase": 279,
     "dynamics.step_all": 1202,
     "dynamics.term_preorder": 38,
-    "harness.check": 605,
-    "harness.gen": 585,
+    "harness.check": 625,
+    "harness.gen": 605,
     "infer.infer": 88,
     "pretty.show_term": 1,
-    "statics.subtype": 1973,
-    "statics.type_check": 1184,
-    "syntax.alpha_eq": 992,
+    "statics.subtype": 2024,
+    "statics.type_check": 1204,
+    "syntax.alpha_eq": 1012,
     "syntax.subst_term": 648,
-    "syntax.type_equal": 5092,
-    "translate.run_translation": 819,
+    "syntax.type_equal": 5127,
+    "translate.run_translation": 839,
 }
 
-UNITS_SPENT = 44230
+UNITS_SPENT = 44707
 
 
 # the layer functions ``tracing.install`` leaves unwrapped in their own

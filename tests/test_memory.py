@@ -17,7 +17,7 @@ from rowlab.dynamics import DynamicsError
 from rowlab.infer import InferError
 from rowlab.parser import ParseError
 from rowlab.statics import StaticError
-from rowlab.translate import PAIR_INDEX, TRANSLATIONS, TranslationError
+from rowlab.translate import TRANSLATIONS, TranslationError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 COUNT = 3  # generated inputs per (property, pair)
@@ -37,8 +37,9 @@ def _commands() -> list:
             argvs += [["check", "--calculus", cfg, f], ["eval", "--calculus", cfg, f]]
             if cfg.endswith("1"):
                 argvs.append(["infer", "--calculus", cfg, f])
-        for source, target in PAIR_INDEX:
-            argvs.append(["translate", "--from", source, "--to", target, f])
+        for t in TRANSLATIONS.values():
+            for source, target in t.pairs:
+                argvs.append(["translate", "--from", source, "--to", target, f])
     parser = build_parser()  # argparse itself makes cycles: outside the run
     return [parser.parse_args(argv) for argv in argvs]
 

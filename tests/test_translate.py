@@ -12,7 +12,7 @@ from rowlab.harness import GenSpec, _Gen, ambient_delta, check_type_preservation
 from rowlab.infer import infer, weak_sub_instance
 from rowlab.parser import parse_term_str, parse_type_str
 from rowlab.pretty import show_scheme, show_type
-from rowlab.statics import KindError, kind_check, subtype, type_check
+from rowlab.statics import KindError, RankError, kind_check, subtype, type_check
 from rowlab.syntax import (
     App,
     Arrow,
@@ -36,7 +36,6 @@ from rowlab.syntax import (
     type_equal,
 )
 from rowlab.translate import (
-    PAIR_INDEX,
     TRANSLATIONS,
     TranslationError,
     coerce,
@@ -443,11 +442,14 @@ def test_t7_erases_casts():
     assert alpha_eq(out, M('{Name = "Alice", Age = 9}'))
 
 
-def test_t7_rejects_types_beyond_rank():
-    d = deriv("var-rec-sub-full", GET_NAME)
-    with pytest.raises(TranslationError):
-        t7(d, preset("rec-sub-full-rank1"))
-    assert t7(d, preset("rec-sub-full-rank2")) is not None
+def test_types_beyond_rank_stop_at_the_checker():
+    # t7 has no rank gate of its own: type_check refuses the term under the
+    # rank-1 source, and a derivation from elsewhere has no pair to run on
+    with pytest.raises(RankError, match="exceeds the rank limit"):
+        deriv("rec-sub-full-rank1", GET_NAME)
+    assert t7(deriv("rec-sub-full-rank2", GET_NAME)) is not None
+    with pytest.raises(TranslationError, match="not from var-rec-sub-full"):
+        run_translation("erase-upcasts", deriv("var-rec-sub-full", GET_NAME))
 
 
 def test_strip_upcasts_keeps_annotations():
@@ -579,14 +581,23 @@ def test_registry_ids_and_pairs():
         "full-sub-coerce",
         "rec-co-to-pre",
         "erase-upcasts",
+        "erase-variant-upcasts",
     }
-    assert len(PAIR_INDEX) == 10
-    assert PAIR_INDEX[("rec-sub-full-rank2", "rec-row1")] == "erase-upcasts"
+    pairs = [pair for t in TRANSLATIONS.values() for pair in t.pairs]
+    assert len(pairs) == len(set(pairs)) == 10
+    for source, target in pairs:
+        t = translation_for(source, target)
+        assert (source, target) in t.pairs
+    assert translation_for("rec-sub-full-rank2", "rec-row1").tid == "erase-upcasts"
+    assert translation_for("rec-sub-full-rank1", "rec-pre1").tid == "erase-upcasts"
+    assert (
+        translation_for("var-sub-full-rank2", "var-pre1").tid == "erase-variant-upcasts"
+    )
 
 
 def test_translation_for_refuses_unknown_pairs():
     assert translation_for("var-sub", "var").tid == "var-sub-to-var"
-    with pytest.raises(TranslationError):
+    with pytest.raises(TranslationError, match="known pairs: rec-sub->rec, "):
         translation_for("var-sub", "rec")
 
 
