@@ -31,7 +31,7 @@ from .infer import InferError, infer
 from .parser import ParseError, parse_file_str
 from .pretty import show_scheme, show_term, show_type
 from .statics import StaticError, type_check
-from .translate import TranslationError, translation_for
+from .translate import TranslationError, run_translation, translation_for
 
 
 def _read(path: str) -> str:
@@ -111,13 +111,12 @@ def _cmd_erase(args) -> int:
 
 def _cmd_translate(args) -> int:
     t = translation_for(args.source, args.target)
-    src_cfg = preset(args.source)
     delta, gamma, term = parse_file_str(_read(args.file))
-    deriv = type_check(src_cfg, delta, gamma, term)
-    shown = show_term(t.term(deriv))
+    deriv = type_check(preset(args.source), delta, gamma, term)
+    shown = show_term(run_translation(t.tid, deriv))
     _emit(args, lambda: {
         "translation": t.tid, "from": args.source, "to": args.target, "term": shown,
-        **({} if t.type_map is None else {"type": show_type(t.type_map(deriv.type))}),
+        **({} if preset(args.target).rank1 else {"type": show_type(t.type_map(deriv.type))}),
     }, shown)
     return 0
 

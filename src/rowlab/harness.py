@@ -108,7 +108,6 @@ from .translate import (
     TRANSLATIONS,
     TranslationError,
     run_translation,
-    trans_a,
 )
 
 _UNTYPED = RelationSet()
@@ -891,9 +890,9 @@ def _single(prop: str, case_id: str, term: Term, errors, expected: str, check):
 
 def check_type_preservation(tid: str, deriv: Derivation, case_id: str = ""):
     t = TRANSLATIONS[tid]
-    if t.type_map is None:
-        return check_weak_preservation(tid, deriv, case_id)
     _, tgt_cfg = t.configs(deriv)
+    if tgt_cfg.rank1:
+        return check_weak_preservation(tid, deriv, case_id)
 
     def check():
         out = run_translation(tid, deriv)
@@ -913,11 +912,12 @@ def check_type_preservation(tid: str, deriv: Derivation, case_id: str = ""):
 
 
 def check_weak_preservation(tid: str, deriv: Derivation, case_id: str = ""):
-    """Erasing casts from a rank-limited record derivation keeps an
-    inferable type weakly below the translated bound: the typing story of a
-    translation with no type map, on every pair.  Inference runs under the
-    context mapped entry by entry with the goal's bound map, ``trans_a``."""
-    src_cfg, tgt_cfg = TRANSLATIONS[tid].configs(deriv)
+    """Type preservation into a rank-1 target, which only infers: the
+    translation's output has a scheme weakly below the type map's bound on
+    the cast-free source type.  Inference runs under the context mapped
+    entry by entry with the same map."""
+    t = TRANSLATIONS[tid]
+    src_cfg, tgt_cfg = t.configs(deriv)
 
     def check():
         stripped = strip(deriv.term, (Upcast,))
@@ -930,10 +930,9 @@ def check_weak_preservation(tid: str, deriv: Derivation, case_id: str = ""):
                 "cast-free type below the original",
                 f"{show_type(d2.type)} vs {show_type(deriv.type)}",
             )
-        bare = erase(deriv.term)
-        tgamma = {x: trans_a(a) for x, a in deriv.gamma.items()}
-        sigma = infer(tgt_cfg, dict(deriv.delta), tgamma, bare)
-        bound = trans_a(d2.type)
+        tgamma = {x: t.type_map(a) for x, a in deriv.gamma.items()}
+        sigma = infer(tgt_cfg, dict(deriv.delta), tgamma, run_translation(tid, deriv))
+        bound = t.type_map(d2.type)
         return (
             weak_sub_instance(sigma, bound),
             lambda: show_scheme(bound), lambda: show_scheme(sigma),

@@ -435,7 +435,8 @@ def parse_file_str(text: str) -> tuple[dict[str, Kind], dict[str, Type], Term]:
     `-- env:`; its signature is read to its end, and an error in it is
     reported at its place in the file.  The signature is a kind when it is
     `Type` or `Pre` or its first two tokens are `Row !`, and a type
-    otherwise (a type variable may be named `Rowan`)."""
+    otherwise (a type variable may be named `Rowan`).  A name has at most
+    one kind header and one type header."""
     delta: dict[str, Kind] = {}
     gamma: dict[str, Type] = {}
     for number, raw in enumerate(text.split("\n")):
@@ -450,10 +451,12 @@ def parse_file_str(text: str) -> tuple[dict[str, Kind], dict[str, Type], Term]:
         # the signature alone, at its line and column in the file
         start = raw.index(":", head + len("-- env:")) + 1
         parser = Parser("\n" * number + " " * start + raw[start:])
-        if sig in ("Type", "Pre") or parser.words[:2] == ["Row", "!"]:
-            delta[name] = _parse_all(parser, Parser.parse_kind)
-        else:
-            gamma[name] = _parse_all(parser, Parser.parse_type)
+        kind = sig in ("Type", "Pre") or parser.words[:2] == ["Row", "!"]
+        env = delta if kind else gamma
+        if name in env:
+            col = raw.index(name, head + len("-- env:")) + 1
+            raise ParseError(f"duplicate env header for {name}", number + 1, col)
+        env[name] = _parse_all(parser, Parser.parse_kind if kind else Parser.parse_type)
 
     parser = Parser(text)
     if parser.kinds[0] == "eof":

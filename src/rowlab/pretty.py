@@ -156,7 +156,9 @@ _LAYOUT: dict[type, Callable[[Any], tuple[int, list]]] = {
         " }",
     ]),
     Upcast: lambda t: (1, [(t.term, 1), f" :> {show_type(t.target)}"]),
-    Prim: lambda t: (2, [(t.args[0], 2), f" {t.op} ", (t.args[1], 3)]),
+    # a hand-built Prim of another arity than two prints as (op) a1 ... an
+    Prim: lambda t: (2, [(t.args[0], 2), f" {t.op} ", (t.args[1], 3)]) if len(t.args) == 2
+    else (3, [f"({t.op})", *(p for a in t.args for p in (" ", (a, 4)))]),
     App: lambda t: (3, [(t.fn, 3), " ", (t.arg, 4)]),
     Project: lambda t: (5, [(t.term, 4), f".{t.label}"]),
     RowApp: lambda t: (5, [(t.term, 4), f"{_sep(t.origin)}[{show_row(t.row)}]"]),

@@ -421,8 +421,11 @@ def type_check(
     costs what its distinct subterms under their contexts cost, not its tree
     unfolding, and its derivation shares them too.
 
-    Raises TypingError (or a subclass) when the term does not check.
+    Raises TypingError (or a subclass) when the term does not check, or
+    when a type in ``gamma`` fails the gate every type-level part passes.
     """
+    for ty in gamma.values():
+        check_part(config, delta, ty)
     deriv = _Checker(config).rec(delta, gamma, term)
     deriv.calculus = config.name
     # an annotation is its node's type or that type's domain: this checks it too

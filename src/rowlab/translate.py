@@ -6,8 +6,14 @@ checked in, and emits a term of the target that calculus is paired with
 sources compile their casts three ways: re-tagging values (t1, t3),
 instantiating row or presence quantifiers (t2, t4, t6), or applying
 coercion functions built from the subtyping evidence (t5).  t7 simply
-erases casts; its typing story is weak and goes through the scheme
-translation at the bottom of this module.
+erases casts.
+
+A translation's type map gives its output's type [[A]] and, applied to each
+entry of the context, the output's context [[G]].  The target picks the
+judgement: a target with a checker types the output at [[A]] under [[G]];
+a rank-1 target only infers, so the output's scheme need only be weakly
+below the map of the cast-free source type (t7's map, ``trans_a``, is the
+scheme translation at the bottom of this module).
 
 t1-t6 give a rule only for the derivation rules they compile their own way;
 every other rule of their source family rebuilds the node from its
@@ -523,6 +529,9 @@ class Translation:
     the paper covers on every pair it lists (the only ones
     ``harness.run_property`` checks on it).
 
+    The type map is set exactly when type-preservation is listed; with the
+    target's judgement (module docstring) it is that theorem's statement.
+
     The operational correspondence theorems are data, read by the harness's
     one matcher (its docstring has the notation).  ``simulation`` maps a
     source step class to the target run its theorem states; a class it does
@@ -532,7 +541,7 @@ class Translation:
     tid: str
     pairs: tuple[tuple[str, str], ...]
     term: Callable[[Derivation], Term]
-    type_map: Callable[[Type], Type] | None
+    type_map: Callable[[Type], Type | TypeScheme] | None
     properties: tuple[str, ...]
     simulation: dict[str, str] = field(default_factory=dict)
     reflection: tuple[tuple[str, set[str], str], ...] = ()
@@ -628,7 +637,7 @@ TRANSLATIONS: dict[str, Translation] = {
                 ("rec-sub-full-rank1", "rec-pre1"),
             ),
             t7,
-            None,
+            trans_a,
             _TYPED + ("erasure",),
         ),
         # the paper's variant duals: rank-1 full subtyping into rank-1 row

@@ -7,8 +7,13 @@ import pytest
 
 from rowlab import cli, harness
 from rowlab.cli import run
+from rowlab.config import preset
 from rowlab.harness import GenError
+from rowlab.parser import parse_file_str, parse_type_str
 from rowlab.pretty import show_term
+from rowlab.statics import StaticError, type_check
+from rowlab.syntax import type_equal
+from rowlab.translate import TRANSLATIONS
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -258,3 +263,62 @@ def test_t6_output_with_a_nested_quantifier_checks(tmp_path, capsys):
     translated = tmp_path / "translated.row"
     translated.write_text(out)
     assert run(["check", "--calculus", "rec-pre", str(translated)]) == 0
+
+
+@pytest.mark.parametrize("argv, header, message", [
+    (["check", "--calculus", "lam"], "x : {A:Int}",
+     "record types not available in this calculus"),
+    (["check", "--calculus", "lam"], "x : b", "unbound type variable b"),
+    (["translate", "--from", "rec-sub", "--to", "rec"], "x : {A:Int; r}",
+     "open rows not available in this calculus"),
+    (["check", "--calculus", "lam"], "x : Int\n-- env: x : String",
+     "2:9: duplicate env header for x"),
+])
+def test_a_context_the_calculus_cannot_state_is_a_user_error(
+    tmp_path, capsys, argv, header, message
+):
+    src = tmp_path / "env.row"
+    src.write_text(f"-- env: {header}\nx\n")
+    assert run([*argv, str(src)]) == 1
+    assert capsys.readouterr().err == f"rowlab: error: {message}\n"
+
+
+def _round_trips():
+    """(source, target, corpus file) for every pair of every translation and
+    every corpus file its source checks."""
+    out = []
+    for t in TRANSLATIONS.values():
+        for source, target in t.pairs:
+            for path in sorted(CORPUS.glob("*.row")):
+                try:
+                    type_check(preset(source), *parse_file_str(path.read_text()))
+                except StaticError:
+                    continue
+                out.append((source, target, path.name))
+    return out
+
+
+ROUND_TRIPS = _round_trips()
+
+
+def test_every_pair_has_a_round_trip():
+    pairs = {pair for t in TRANSLATIONS.values() for pair in t.pairs}
+    assert {(source, target) for source, target, _ in ROUND_TRIPS} == pairs
+
+
+@pytest.mark.parametrize(
+    "source, target, name", ROUND_TRIPS, ids=[f"{s}->{g}:{n}" for s, g, n in ROUND_TRIPS]
+)
+def test_translated_corpus_types_in_the_target(tmp_path, capsys, source, target, name):
+    # a rank-1 target infers; any other checks at the type translate prints,
+    # up to the names of its binders and absent entries (``type_equal``)
+    argv = ["translate", "--from", source, "--to", target, "--json", str(CORPUS / name)]
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    out = tmp_path / name
+    out.write_text(payload["term"] + "\n")
+    rank1 = preset(target).rank1
+    assert run(["infer" if rank1 else "check", "--calculus", target, str(out)]) == 0
+    shown = capsys.readouterr().out
+    if not rank1:
+        assert type_equal(parse_type_str(shown), parse_type_str(payload["type"])), shown

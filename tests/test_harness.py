@@ -48,7 +48,7 @@ from rowlab.harness import (
 )
 from rowlab.infer import infer
 from rowlab.parser import parse_term_str, parse_type_str
-from rowlab.pretty import show_term, show_type
+from rowlab.pretty import show_scheme, show_term, show_type
 from rowlab.statics import type_check
 from rowlab.syntax import (
     SHAPES,
@@ -66,7 +66,7 @@ from rowlab.syntax import (
     alpha_eq,
     children,
 )
-from rowlab.translate import TRANSLATIONS, TranslationError, run_translation
+from rowlab.translate import TRANSLATIONS, TranslationError, run_translation, trans_a, trans_b
 
 M = parse_term_str
 
@@ -406,6 +406,18 @@ def test_forced_failures_report_the_text_they_did(monkeypatch):
     assert rep.failures == [
         ("t", show_term(d.term), show_type(t.type_map(d.type)), show_type(out.type))
     ]
+    # into a rank-1 target: the output's scheme against the row's map of the
+    # cast-free type, both under the mapped context
+    monkeypatch.setattr(harness, "weak_sub_instance", lambda *args: False)
+    src = preset("rec-sub-full-rank2")
+    dw = gen_typed_term(GenSpec(src, max_size=8, seed=3), 4)[1]
+    t = TRANSLATIONS["erase-upcasts"]
+    rep = check_type_preservation("erase-upcasts", dw, "w")
+    tgamma = {x: t.type_map(a) for x, a in dw.gamma.items()}
+    sigma = infer(preset("rec-row1"), dict(dw.delta), tgamma, run_translation("erase-upcasts", dw))
+    bare = syntax.strip(dw.term, (Upcast,))
+    bound = t.type_map(type_check(src.with_app_sub(), dict(dw.delta), dw.gamma, bare).type)
+    assert rep.failures == [("w", show_term(dw.term), show_scheme(bound), show_scheme(sigma))]
     rep = check_subject_reduction(preset("rec-sub"), d, 1, "r")
     got = [
         ("r@0", show_term(d.term), show_type(d.type), show_type(nd.type))
@@ -619,6 +631,36 @@ def test_weak_preservation_maps_the_context():
     d = type_check(cfg, delta, gamma, term)
     rep = check_type_preservation("erase-upcasts", d)
     assert (rep.cases, rep.failures) == (1, [])
+
+
+def _erase_upcasts_preservation(monkeypatch, **row):
+    """type-preservation over 60 inputs of erase-upcasts with ``row``'s
+    fields replaced."""
+    t = dataclasses.replace(TRANSLATIONS["erase-upcasts"], **row)
+    monkeypatch.setitem(TRANSLATIONS, "erase-upcasts", t)
+    rep = run_property("type-preservation", translation="erase-upcasts", count=60, seed=0)
+    assert rep.cases == 60
+    return rep
+
+
+@pytest.mark.parametrize("term", [
+    lambda d: d.term,  # keeps every cast
+    lambda d: erase((d.premises or (d,))[0].term),  # erases the wrong subterm
+], ids=["keeps-casts", "first-premise"])
+def test_weak_preservation_types_the_translations_output(monkeypatch, term):
+    assert _erase_upcasts_preservation(monkeypatch, term=term).failures
+
+
+def test_weak_preservation_bounds_by_the_rows_type_map(monkeypatch):
+    # trans_b opens result records too, which a principal scheme with a
+    # closed result record is not weakly below
+    assert _erase_upcasts_preservation(monkeypatch, type_map=trans_b).failures
+    assert _erase_upcasts_preservation(monkeypatch, type_map=trans_a).passed
+
+
+def test_a_row_has_a_type_map_exactly_when_it_states_type_preservation():
+    for t in TRANSLATIONS.values():
+        assert (t.type_map is not None) == ("type-preservation" in t.properties), t.tid
 
 
 def test_subject_reduction_golden():
@@ -1271,10 +1313,10 @@ LAYER_CALLS = {
     "syntax.alpha_eq": 1012,
     "syntax.subst_term": 648,
     "syntax.type_equal": 5127,
-    "translate.run_translation": 839,
+    "translate.run_translation": 859,
 }
 
-UNITS_SPENT = 44707
+UNITS_SPENT = 44858
 
 
 # the layer functions ``tracing.install`` leaves unwrapped in their own

@@ -280,6 +280,18 @@ def test_parse_file_header_errors_are_placed_in_the_file():
         parse_file_str("x\n  -- env: y\n")
 
 
+
+def test_a_name_has_one_header_of_each_sort():
+    # Delta and Gamma are separate, so a kind and a type header may share a
+    # name; a second header of one sort is placed at its name
+    with pytest.raises(ParseError, match="^2:10: duplicate env header for x$"):
+        parse_file_str("-- env: x : Int\n-- env:  x : String\nx\n")
+    with pytest.raises(ParseError, match="^3:9: duplicate env header for a$"):
+        parse_file_str("-- env: a : Type\n-- env: x : a\n-- env: a : Pre\nx\n")
+    delta, gamma, _ = parse_file_str("-- env: x : Type\n-- env: x : x\nx\n")
+    assert (delta, gamma) == ({"x": KType()}, {"x": TyVar("x")})
+
+
 ROUND_TRIP_TERMS = [
     "\\x:[Age:Int; Year:Int]. case x { Age y -> y; Year y -> 2023 - y }",
     "(\\x:{Name:String}. x.Name) ({Name = \"Alice\", Age = 9} :> {Name:String})",

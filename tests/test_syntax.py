@@ -1164,7 +1164,8 @@ def _type_copies(ty):
 @functools.lru_cache(maxsize=1)
 def _generated_types():
     """Distinct types of every preset: sampled goal types, the types of
-    generated derivations and their images under every type translation,
+    generated derivations and their images under every type translation (a
+    scheme's body),
     and the annotations, casts and rows (as records) of the generated terms
     and their translations."""
     out = []
@@ -1181,8 +1182,9 @@ def _generated_types():
                 continue
             out.append(deriv.type)
             for t in TRANSLATIONS.values():
-                if t.type_map is not None and t.pairs[0][0] == name:
-                    out.append(t.type_map(deriv.type))
+                if t.type_map is not None and name in dict(t.pairs):
+                    image = t.type_map(deriv.type)
+                    out.append(image.body if isinstance(image, TypeScheme) else image)
     for m in _generated_term_list():
         out += _type_parts(m)
     return list(dict.fromkeys(out))
