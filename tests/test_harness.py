@@ -414,7 +414,8 @@ def test_forced_failures_report_the_text_they_did(monkeypatch):
     t = TRANSLATIONS["erase-upcasts"]
     rep = check_type_preservation("erase-upcasts", dw, "w")
     tgamma = {x: t.type_map(a) for x, a in dw.gamma.items()}
-    sigma = infer(preset("rec-row1"), dict(dw.delta), tgamma, run_translation("erase-upcasts", dw))
+    out = run_translation("erase-upcasts", dw)
+    sigma = infer(preset("rec-row1"), dict(dw.delta), tgamma, out)
     bare = syntax.strip(dw.term, (Upcast,))
     bound = t.type_map(type_check(src.with_app_sub(), dict(dw.delta), dw.gamma, bare).type)
     assert rep.failures == [("w", show_term(dw.term), show_scheme(bound), show_scheme(sigma))]
