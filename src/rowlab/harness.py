@@ -65,8 +65,8 @@ from .pretty import show_scheme, show_term, show_type
 from .statics import (
     Derivation,
     StaticError,
+    check_part,
     check_rank_limit,
-    kind_check,
     subtype,
     type_check,
 )
@@ -899,7 +899,7 @@ def check_type_preservation(tid: str, deriv: Derivation, case_id: str = ""):
         tgamma = {x: t.type_map(a) for x, a in deriv.gamma.items()}
         od = type_check(tgt_cfg, dict(deriv.delta), tgamma, out)
         want = t.type_map(deriv.type)
-        kind_check(deriv.delta, want)
+        check_part(tgt_cfg, dict(deriv.delta), want)
         return (
             type_equal(od.type, want),
             lambda: show_type(want), lambda: show_type(od.type),

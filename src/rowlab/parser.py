@@ -93,6 +93,8 @@ SYMBOLS = [
     "]", "<", ">", "(", ")", "\\", "=", "@", "*", "+", "-",
 ]
 
+_IDENT = r"[^\W\d][\w'$]*"
+
 # Each match is one token with the spaces, newlines and comments before it,
 # so a blank costs no match of its own.  The skip comes first, so that `--`
 # and `-->` stay comments; symbols go in SYMBOLS order, so that two-character
@@ -100,7 +102,7 @@ SYMBOLS = [
 _SCAN = re.compile(
     r"(?:[ \t\r\n]|--[^\n]*)*"
     r'(?:(?P<string>"[^"\\]*(?:\\[\s\S][^"\\]*)*")'
-    r"|(?P<int>\d+)|(?P<ident>[^\W\d][\w'$]*)"
+    r"|(?P<int>\d+)|(?P<ident>" + _IDENT + ")"
     r"|(?P<sym>" + "|".join(map(re.escape, SYMBOLS)) + ")"
     r"|(?P<eof>\Z)|(?P<error>[\s\S]))"
 )
@@ -435,8 +437,8 @@ def parse_file_str(text: str) -> tuple[dict[str, Kind], dict[str, Type], Term]:
     `-- env:`; its signature is read to its end, and an error in it is
     reported at its place in the file.  The signature is a kind when it is
     `Type` or `Pre` or its first two tokens are `Row !`, and a type
-    otherwise (a type variable may be named `Rowan`).  A name has at most
-    one kind header and one type header."""
+    otherwise (a type variable may be named `Rowan`).  A name is one
+    identifier, with at most one kind header and one type header."""
     delta: dict[str, Kind] = {}
     gamma: dict[str, Type] = {}
     for number, raw in enumerate(text.split("\n")):
@@ -453,8 +455,10 @@ def parse_file_str(text: str) -> tuple[dict[str, Kind], dict[str, Type], Term]:
         parser = Parser("\n" * number + " " * start + raw[start:])
         kind = sig in ("Type", "Pre") or parser.words[:2] == ["Row", "!"]
         env = delta if kind else gamma
+        col = raw.index(name, head + len("-- env:")) + 1
+        if not re.fullmatch(_IDENT, name) or name in KEYWORDS:
+            raise ParseError(f"env header name {name!r} is not an identifier", number + 1, col)
         if name in env:
-            col = raw.index(name, head + len("-- env:")) + 1
             raise ParseError(f"duplicate env header for {name}", number + 1, col)
         env[name] = _parse_all(parser, Parser.parse_kind if kind else Parser.parse_type)
 

@@ -22,11 +22,14 @@ Under Python's default limit of 1,000 frames a ``+`` chain of just under
 Which calculus has which form is said once, in ``FEATURES``: it maps each
 gated type, presence mark and term form to the switch of ``CalculusConfig``
 that turns it on and the full text that refuses it.  ``refuse_missing``
-reads it for the checker (on entry to every term node), for the annotation
-scan ``check_type_features``, and for ``infer``.  Every type-level part of a
-term (an annotation, a cast target, a row or a presence argument) passes one
-gate, ``check_part``: the calculus must have each constructor in it, and
-then it must be well kinded.
+reads it for the checker (on entry to every term node), for ``check_part``
+and for ``infer``.  ``check_part`` is the one gate on every type-level part
+of a term (an annotation, a cast target, a context entry, a row or a
+presence argument) and the kinding judgement too.  It walks the part once:
+at each node it refuses a constructor the calculus lacks, then applies the
+node's kind rule, then walks its parts (below a quantifier, under the
+extended delta).  A part with several defects is refused for the first in
+preorder, a missing constructor before a kind error at the same node.
 """
 
 from __future__ import annotations
@@ -105,77 +108,6 @@ class FeatureError(TypingError):
 
 class RankError(TypingError):
     """A type in the derivation exceeds the configured rank limit."""
-
-
-# ---------------------------------------------------------------------------
-# Kinding
-
-
-def kind_check(delta: dict[str, Kind], ty: Type) -> Kind:
-    """Kind of ``ty`` under ``delta``; raises KindError if ill formed."""
-    if isinstance(ty, TyVar):
-        k = delta.get(ty.name)
-        if k is None:
-            raise KindError(f"unbound type variable {ty.name}")
-        if not isinstance(k, KType):
-            raise KindError(f"{ty.name} has kind {show_kind(k)}, expected Type")
-        return KType()
-    if isinstance(ty, Base):
-        return KType()
-    if isinstance(ty, Arrow):
-        kind_check(delta, ty.dom)
-        kind_check(delta, ty.cod)
-        return KType()
-    if isinstance(ty, (Variant, Record)):
-        row_check(delta, ty.row, frozenset())
-        return KType()
-    if isinstance(ty, ForallRow):
-        if ty.var in delta:
-            raise KindError(f"type binder {ty.var} shadows an outer binder")
-        if not isinstance(ty.kind, KRow):
-            raise KindError(f"row binder {ty.var} must have a row kind")
-        kind_check({**delta, ty.var: ty.kind}, ty.body)
-        return KType()
-    if isinstance(ty, ForallPres):
-        if ty.var in delta:
-            raise KindError(f"type binder {ty.var} shadows an outer binder")
-        kind_check({**delta, ty.var: KPre()}, ty.body)
-        return KType()
-    raise KindError(f"unhandled type form {type(ty).__name__}")
-
-
-def row_check(delta: dict[str, Kind], row: Row, lacks: frozenset[str]) -> None:
-    """Check ``row`` against kind Row lacking ``lacks``."""
-    seen: set[str] = set()
-    for label, pres, ty in row.entries:
-        if label in seen:
-            raise KindError(f"duplicate label {label} in row")
-        if label in lacks:
-            raise KindError(f"label {label} must be absent from this row")
-        seen.add(label)
-        _presence_check(delta, pres)
-        kind_check(delta, ty)
-    if row.tail is not None:
-        k = delta.get(row.tail)
-        if k is None:
-            raise KindError(f"unbound row variable {row.tail}")
-        if not isinstance(k, KRow):
-            raise KindError(f"{row.tail} has kind {show_kind(k)}, expected a row kind")
-        want = lacks | frozenset(seen)
-        if k.lacks != want:
-            raise KindError(
-                f"row tail {row.tail} lacks {{{', '.join(sorted(k.lacks))}}}, "
-                f"needs {{{', '.join(sorted(want))}}}"
-            )
-
-
-def _presence_check(delta: dict[str, Kind], pres: Presence) -> None:
-    if isinstance(pres, PresVar):
-        k = delta.get(pres.name)
-        if k is None:
-            raise KindError(f"unbound presence variable {pres.name}")
-        if not isinstance(k, KPre):
-            raise KindError(f"{pres.name} has kind {show_kind(k)}, expected Pre")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +236,7 @@ def check_rank_limit(config: CalculusConfig, ty: Type) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Features: which calculus has which form
+# Features and kinds: which calculus has which form, and the gate on parts
 
 
 def _higher_rows(config: CalculusConfig) -> bool:
@@ -352,38 +284,68 @@ def refuse_missing(
         raise error(gate[1].format(form=form))
 
 
-def check_type_features(config: CalculusConfig, ty: Type | Row | Presence) -> None:
-    """Reject a type, row or presence that mentions constructors the
-    calculus lacks."""
-    refuse_missing(config, ty)
-    if isinstance(ty, Arrow):
-        check_type_features(config, ty.dom)
-        check_type_features(config, ty.cod)
-    elif isinstance(ty, (Variant, Record)):
-        check_type_features(config, ty.row)
-    elif isinstance(ty, Row):
-        if ty.tail is not None and not _higher_rows(config):
-            raise FeatureError("open rows not available in this calculus")
-        for _, pres, sub in ty.entries:
-            refuse_missing(config, pres)
-            check_type_features(config, sub)
-    elif isinstance(ty, (ForallRow, ForallPres)):
-        check_type_features(config, ty.body)
-    elif not isinstance(ty, (TyVar, Base, Present, Absent, PresVar)):
-        raise FeatureError(f"unhandled type form {type(ty).__name__}")
+# what a variable of each sort is called, the kind it must have, and that kind
+_SORTS = {TyVar: ("type", KType, "Type"), Row: ("row", KRow, "a row kind"),
+          PresVar: ("presence", KPre, "Pre")}
+
+
+def _kind_of(delta: dict[str, Kind], name: str, sort: type) -> Kind:
+    noun, want, shown = _SORTS[sort]
+    k = delta.get(name)
+    if k is None:
+        raise KindError(f"unbound {noun} variable {name}")
+    if not isinstance(k, want):
+        raise KindError(f"{name} has kind {show_kind(k)}, expected {shown}")
+    return k
 
 
 def check_part(config: CalculusConfig, delta: dict[str, Kind], part, lacks=frozenset()):
     """The one gate on a type-level part of a term (an annotation, a cast
-    target, or a row or presence argument, where a row must lack ``lacks``):
-    the calculus must have its constructors, and then it must be well kinded."""
-    check_type_features(config, part)
-    if isinstance(part, Row):
-        row_check(delta, part, lacks)
-    elif isinstance(part, (Present, Absent, PresVar)):
-        _presence_check(delta, part)
-    else:
-        kind_check(delta, part)
+    target, a context entry, or a row or presence argument, where a row must
+    lack ``lacks``): the calculus must have each of its constructors, and it
+    must be well kinded under ``delta``.  The parts of a type are walked with
+    ``lacks`` None: only a type may stand there."""
+    refuse_missing(config, part)
+    if isinstance(part, TyVar):
+        _kind_of(delta, part.name, TyVar)
+    elif isinstance(part, Arrow):
+        check_part(config, delta, part.dom, None)
+        check_part(config, delta, part.cod, None)
+    elif isinstance(part, (Variant, Record)):
+        check_part(config, delta, part.row)
+    elif isinstance(part, (ForallRow, ForallPres)):
+        if part.var in delta:
+            raise KindError(f"type binder {part.var} shadows an outer binder")
+        if isinstance(part, ForallRow) and not isinstance(part.kind, KRow):
+            raise KindError(f"row binder {part.var} must have a row kind")
+        kind = part.kind if isinstance(part, ForallRow) else KPre()
+        check_part(config, {**delta, part.var: kind}, part.body, None)
+    elif isinstance(part, Row) and lacks is not None:
+        if part.tail is not None and not _higher_rows(config):
+            raise FeatureError("open rows not available in this calculus")
+        seen: set[str] = set()
+        for label, pres, ty in part.entries:
+            if label in seen:
+                raise KindError(f"duplicate label {label} in row")
+            if label in lacks:
+                raise KindError(f"label {label} must be absent from this row")
+            seen.add(label)
+            check_part(config, delta, pres)
+            check_part(config, delta, ty, None)
+        if part.tail is not None:
+            have, want = _kind_of(delta, part.tail, Row).lacks, lacks | seen
+            if have != want:
+                raise KindError(
+                    f"row tail {part.tail} lacks {{{', '.join(sorted(have))}}}, "
+                    f"needs {{{', '.join(sorted(want))}}}"
+                )
+    elif isinstance(part, PresVar) and lacks is not None:
+        _kind_of(delta, part.name, PresVar)
+    elif isinstance(part, (Row, Present, Absent, PresVar)):
+        if lacks is None:  # a row or a presence where a type must be
+            raise KindError(f"unhandled type form {type(part).__name__}")
+    elif not isinstance(part, Base):
+        raise FeatureError(f"unhandled type form {type(part).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from rowlab.harness import (
 from rowlab.infer import infer
 from rowlab.parser import parse_term_str, parse_type_str
 from rowlab.pretty import show_scheme, show_term, show_type
-from rowlab.statics import type_check
+from rowlab.statics import RankError, type_check
 from rowlab.syntax import (
     SHAPES,
     Arrow,
@@ -657,6 +657,39 @@ def test_weak_preservation_bounds_by_the_rows_type_map(monkeypatch):
     # closed result record is not weakly below
     assert _erase_upcasts_preservation(monkeypatch, type_map=trans_b).failures
     assert _erase_upcasts_preservation(monkeypatch, type_map=trans_a).passed
+
+
+# Terms past record rank 2, each with the counterexample that erasing its
+# casts into rank-1 inference gives from unrestricted full subtyping: a
+# lambda-bound function used at two record widths, and one passed where a
+# wider domain is expected
+RANK3_WITNESSES = [
+    (
+        "\\g:{A:Int} -> Int. {P = g ({A = 1, B = 2} :> {A:Int}), Q = g {A = 3}}",
+        "inferred scheme weakly below the translated bound",
+        "InferError: label B is present on one row but the other row cannot "
+        "contain it (while typing g {A = 3})",
+    ),
+    (
+        "\\f:({A:Int} -> Int) -> Int. \\g:{} -> Int. f (g :> {A:Int} -> Int)",
+        "(({A:Int} -> Int) -> Int) -> ({} -> Int) -> Int",
+        "forall a0:Type a1:Type. (a0 -> a1) -> a0 -> a1",
+    ),
+]
+
+
+@pytest.mark.parametrize("src,expected,got", RANK3_WITNESSES, ids=["widths", "domain"])
+def test_rank3_witnesses_fail_weak_preservation(monkeypatch, src, expected, got):
+    term = parse_term_str(src)
+    for name in ("rec-sub-full-rank2", "rec-sub-full-rank1"):
+        with pytest.raises(RankError):
+            type_check(preset(name), {}, {}, term)
+    row = TRANSLATIONS["erase-upcasts"]
+    unlimited = dataclasses.replace(row, pairs=(("rec-sub-full", "rec-row1"),))
+    monkeypatch.setitem(TRANSLATIONS, "erase-upcasts", unlimited)
+    d = type_check(preset("rec-sub-full"), {}, {}, term)
+    rep = check_type_preservation("erase-upcasts", d, "w")
+    assert rep.failures == [("w", src, expected, got)]
 
 
 def test_a_row_has_a_type_map_exactly_when_it_states_type_preservation():

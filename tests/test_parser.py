@@ -292,6 +292,14 @@ def test_a_name_has_one_header_of_each_sort():
     assert (delta, gamma) == ({"x": KType()}, {"x": TyVar("x")})
 
 
+@pytest.mark.parametrize("name", ["x y", "let", "1x"])
+def test_a_header_name_is_one_identifier(name):
+    # no term could use such a name, so the header is refused at it
+    message = f"^2:10: env header name '{name}' is not an identifier$"
+    with pytest.raises(ParseError, match=message):
+        parse_file_str(f"-- env: y : Int\n-- env:  {name} : Int\ny\n")
+
+
 ROUND_TRIP_TERMS = [
     "\\x:[Age:Int; Year:Int]. case x { Age y -> y; Year y -> 2023 - y }",
     "(\\x:{Name:String}. x.Name) ({Name = \"Alice\", Age = 9} :> {Name:String})",

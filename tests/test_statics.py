@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rowlab.config import PRESETS, preset
+from rowlab.config import PRESETS, CalculusConfig, preset
 from rowlab.infer import RULES as INFERENCE_RULES
 from rowlab.infer import InferError, infer
 from rowlab.parser import parse_term_str, parse_type_str
@@ -18,14 +18,13 @@ from rowlab.statics import (
     FeatureError,
     KindError,
     RankError,
+    StaticError,
     TypingError,
+    check_part,
     check_rank_limit,
-    check_type_features,
     derivations,
-    kind_check,
     rank_ok,
     refuse_missing,
-    row_check,
     subtype,
     type_check,
 )
@@ -48,6 +47,7 @@ from rowlab.syntax import (
     PresAbs,
     PresApp,
     Present,
+    PresVar,
     Prim,
     Project,
     Record,
@@ -60,6 +60,7 @@ from rowlab.syntax import (
     Var,
     Variant,
     children,
+    free_type_names,
     rebuild,
     term_size,
     type_equal,
@@ -78,58 +79,66 @@ def check(cfg_name, src, delta=None, gamma=None):
 # Kinding
 
 
+# a calculus with every constructor: the gate is then the kinding judgement
+KINDS = CalculusConfig("kinds", variants=True, records=True, row_poly="higher", pres_poly="higher")
+
+
+def kinded(delta, part, lacks=frozenset()):
+    check_part(KINDS, delta, part, lacks)
+
+
 def test_kind_closed_variant():
-    assert kind_check({}, T("[Age:Int; Year:Int]")) == KType()
+    kinded({}, T("[Age:Int; Year:Int]"))
 
 
 def test_kind_open_row_needs_matching_lacks():
     delta = {"r0": KRow(frozenset({"l"})), "a0": KType()}
-    assert kind_check(delta, T("[l:a0; r0]")) == KType()
+    kinded(delta, T("[l:a0; r0]"))
 
 
 def test_kind_open_row_wrong_lacks():
     delta = {"r0": KRow(frozenset()), "a0": KType()}
     with pytest.raises(KindError):
-        kind_check(delta, T("[l:a0; r0]"))
+        kinded(delta, T("[l:a0; r0]"))
 
 
 def test_kind_duplicate_label():
     with pytest.raises(KindError):
-        kind_check({}, T("{Age:Int; Age:String}"))
+        kinded({}, T("{Age:Int; Age:String}"))
 
 
 def test_kind_unbound_tail():
     with pytest.raises(KindError):
-        kind_check({}, T("[Year:Int; r9]"))
+        kinded({}, T("[Year:Int; r9]"))
 
 
 def test_kind_unbound_type_var():
     with pytest.raises(KindError):
-        kind_check({}, T("a0 -> a0"))
+        kinded({}, T("a0 -> a0"))
 
 
 def test_kind_presence_var():
-    assert kind_check({"p0": KPre()}, T("{Name^p0:String}")) == KType()
+    kinded({"p0": KPre()}, T("{Name^p0:String}"))
     with pytest.raises(KindError):
-        kind_check({}, T("{Name^p0:String}"))
+        kinded({}, T("{Name^p0:String}"))
 
 
 def test_kind_quantifiers():
-    assert kind_check({}, T("forall r0:Row!{Year}. [Year:Int; r0] -> Int")) == KType()
-    assert kind_check({}, T("forall p0:Pre. {l^p0:Int}")) == KType()
+    kinded({}, T("forall r0:Row!{Year}. [Year:Int; r0] -> Int"))
+    kinded({}, T("forall p0:Pre. {l^p0:Int}"))
 
 
 def test_kind_shadowed_quantifier():
     with pytest.raises(KindError):
-        kind_check({"r0": KRow(frozenset())}, T("forall r0:Row!{}. [l:Int; r0]"))
+        kinded({"r0": KRow(frozenset())}, T("forall r0:Row!{}. [l:Int; r0]"))
 
 
-def test_row_check_closed_row_any_disjoint_lacks():
+def test_row_part_closed_row_any_disjoint_lacks():
     row = T("{Age:Int}").row
-    row_check({}, row, frozenset())
-    row_check({}, row, frozenset({"Name"}))
+    kinded({}, row, frozenset())
+    kinded({}, row, frozenset({"Name"}))
     with pytest.raises(KindError):
-        row_check({}, row, frozenset({"Age"}))
+        kinded({}, row, frozenset({"Age"}))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +208,7 @@ def test_full_variant_depth_and_width():
 def test_subtype_rejects_open_rows():
     delta = {"r0": KRow(frozenset({"Year"}))}
     a = T("[Year:Int; r0]")
-    kind_check(delta, a)
+    kinded(delta, a)
     b = T("[Age:Int; Year:Int]")
     assert subtype("simple", a, b) is None
     assert subtype("covariant", a, b) is None
@@ -639,7 +648,7 @@ _RENAMED = {
 
 GATED_TYPES = [
     "Int", "a0", "[A:Int]", "{A:Int}", "{A:Int; r0}", "{A^o:Int}", "{A^p0:Int}",
-    "Int -> {A:Int}", "forall r0:Row!{}. {A:Int; r0}", "forall p0. {A^p0:Int}",
+    "Int -> {A:Int}", "forall r0:Row!{A}. {A:Int; r0}", "forall p0. {A^p0:Int}",
 ]
 ONE = Lit(1)
 REC = RecordLit((("A", ONE),))
@@ -676,7 +685,8 @@ def test_feature_table_refuses_as_the_inline_gates_did(config):
     for src in GATED_TYPES:
         ty = T(src)
         want = _refusal(lambda: _reference_type_features(config, ty), FeatureError)
-        assert _refusal(lambda: check_type_features(config, ty), FeatureError) == want
+        got = _refusal(lambda: check_part(config, free_type_names(ty), ty), FeatureError)
+        assert got == want
     gamma = {"x": Base("Int")}
     for term in CHECKED:
         want = _reference_check_gate(config, term)
@@ -902,6 +912,88 @@ def test_inference_messages_are_pinned(name, src, message):
         infer(preset(name), {}, {}, term)
     assert type(e.value) is InferError
     assert str(e.value) == f"{message} (while typing {show_term(term)})"
+
+
+_NONE: frozenset[str] = frozenset()
+_ROW = KRow(_NONE)
+
+# (calculus, delta, part, lacks, class, message): every refusal of the gate on
+# type-level parts; a part is type source text or a built type, row, presence
+# or (outside the syntax of types) term
+GATE_MESSAGES = [
+    ("rec", {}, "[A:Int]", _NONE, FeatureError, "variant types not available in this calculus"),
+    ("var", {}, "{A:Int}", _NONE, FeatureError, "record types not available in this calculus"),
+    ("rec", {}, "forall r0:Row!{}. Int", _NONE, FeatureError,
+     "row quantifiers not available in this calculus"),
+    ("rec", {}, "forall p0:Pre. Int", _NONE, FeatureError,
+     "presence quantifiers not available in this calculus"),
+    ("rec", {}, "{A^o:Int}", _NONE, FeatureError,
+     "presence annotations not available in this calculus"),
+    ("rec", {"p0": KPre()}, "{A^p0:Int}", _NONE, FeatureError,
+     "presence annotations not available in this calculus"),
+    ("rec", {}, Absent(), _NONE, FeatureError,
+     "presence annotations not available in this calculus"),
+    ("rec", {"r0": KRow(frozenset({"A"}))}, "{A:Int; r0}", _NONE, FeatureError,
+     "open rows not available in this calculus"),
+    ("rec", {}, Inject("A", ONE, None), _NONE, FeatureError,
+     "variant injection not available in this calculus"),
+    ("rec", {}, Case(Var("v"), ()), _NONE, FeatureError,
+     "case analysis not available in this calculus"),
+    ("var", {}, REC, _NONE, FeatureError, "record literals not available in this calculus"),
+    ("var", {}, Project(REC, "A"), _NONE, FeatureError,
+     "record projection not available in this calculus"),
+    ("rec", {}, Upcast(ONE, Base("Int")), _NONE, FeatureError,
+     "upcasts not available in this calculus"),
+    ("rec", {}, RowAbs("r0", _ROW, ONE), _NONE, FeatureError,
+     "row abstraction not available in this calculus"),
+    ("rec", {}, RowApp(Var("f"), Row((), None)), _NONE, FeatureError,
+     "row application not available in this calculus"),
+    ("rec", {}, PresAbs("p0", ONE), _NONE, FeatureError,
+     "presence abstraction not available in this calculus"),
+    ("rec", {}, PresApp(Var("f"), Present()), _NONE, FeatureError,
+     "presence application not available in this calculus"),
+    ("rec", {}, M("let x = 1 in x"), _NONE, FeatureError,
+     "let bindings not available in this calculus"),
+    ("rec-sub", {}, ONE, _NONE, FeatureError, "unhandled type form Lit"),
+    ("rec", {}, Arrow(Row((), None), Base("Int")), _NONE, KindError, "unhandled type form Row"),
+    ("lam", {}, "b", _NONE, KindError, "unbound type variable b"),
+    ("lam", {"b": KPre()}, "b", _NONE, KindError, "b has kind Pre, expected Type"),
+    ("rec-row", {"r0": _ROW}, "forall r0:Row!{}. Int", _NONE, KindError,
+     "type binder r0 shadows an outer binder"),
+    ("rec-row", {}, ForallRow("r0", KType(), Base("Int")), _NONE, KindError,
+     "row binder r0 must have a row kind"),
+    ("rec", {}, "{A:Int; A:String}", _NONE, KindError, "duplicate label A in row"),
+    ("rec", {}, T("{A:Int}").row, frozenset({"A"}), KindError,
+     "label A must be absent from this row"),
+    ("rec-row", {}, "{A:Int; r0}", _NONE, KindError, "unbound row variable r0"),
+    ("rec-row", {"r0": KType()}, "{A:Int; r0}", _NONE, KindError,
+     "r0 has kind Type, expected a row kind"),
+    ("rec-row", {"r0": _ROW}, "{A:Int; r0}", _NONE, KindError, "row tail r0 lacks {}, needs {A}"),
+    ("rec-pre", {}, "{A^p0:Int}", _NONE, KindError, "unbound presence variable p0"),
+    ("rec-pre", {"p0": KType()}, PresVar("p0"), _NONE, KindError,
+     "p0 has kind Type, expected Pre"),
+    # two defects: the first in preorder, a missing constructor first at one node
+    ("rec", {}, "b -> [A:Int]", _NONE, KindError, "unbound type variable b"),
+    ("rec", {}, "[A:Int] -> b", _NONE, FeatureError,
+     "variant types not available in this calculus"),
+    ("rec", {"r0": _ROW}, "forall r0:Row!{}. Int", _NONE, FeatureError,
+     "row quantifiers not available in this calculus"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,delta,part,lacks,error,message", GATE_MESSAGES, ids=range(len(GATE_MESSAGES))
+)
+def test_gate_messages_are_pinned(name, delta, part, lacks, error, message):
+    with pytest.raises(StaticError) as e:
+        check_part(preset(name), delta, T(part) if isinstance(part, str) else part, lacks)
+    assert type(e.value) is error
+    assert str(e.value) == message
+
+
+def test_every_feature_text_is_pinned():
+    texts = {text for _, _, _, _, _, text in GATE_MESSAGES}
+    assert {text for _, text in statics.FEATURES.values()} <= texts
 
 
 # A row argument is a type-level part like an annotation: the calculus must

@@ -6,13 +6,13 @@ import random
 
 import pytest
 
-from rowlab.config import preset
+from rowlab.config import CalculusConfig, preset
 from rowlab.dynamics import RelationSet, erase, normalize, relations_for
 from rowlab.harness import GenSpec, _Gen, ambient_delta, check_type_preservation, gen_typed_term
 from rowlab.infer import infer, weak_sub_instance
 from rowlab.parser import parse_term_str, parse_type_str
 from rowlab.pretty import show_scheme, show_type
-from rowlab.statics import KindError, RankError, kind_check, subtype, type_check
+from rowlab.statics import KindError, RankError, check_part, subtype, type_check
 from rowlab.syntax import (
     App,
     Arrow,
@@ -340,6 +340,14 @@ TYPE_MAPS = [
 ] + [("rec-sub-full-rank2", "trans_b", trans_b)]
 
 
+# a calculus with every constructor: the gate is then the kinding judgement
+KINDS = CalculusConfig("kinds", variants=True, records=True, row_poly="higher", pres_poly="higher")
+
+
+def kinded(delta, ty):
+    check_part(KINDS, dict(delta), ty)
+
+
 def test_every_type_map_is_well_kinded_on_sampled_types():
     for source in sorted({source for source, _, _ in TYPE_MAPS}):
         types = _sampled_types(source)
@@ -347,9 +355,9 @@ def test_every_type_map_is_well_kinded_on_sampled_types():
             for ty in types:
                 out = type_map(ty)
                 if isinstance(out, TypeScheme):
-                    kind_check({**ambient_delta(), **dict(out.quants)}, out.body)
+                    kinded({**ambient_delta(), **dict(out.quants)}, out.body)
                 else:
-                    kind_check(ambient_delta(), out)
+                    kinded(ambient_delta(), out)
 
 
 def test_type_translate6_agrees_with_the_reference_on_sampled_types():
@@ -361,9 +369,9 @@ def test_t6_nested_quantifiers_take_fresh_names():
     got = type_translate6(T("{A: {B:Int} -> Int}"))
     want = "forall q0:Pre. {A^q0:(forall q1:Pre. {B^q1:Int}) -> Int}"
     assert show_type(got) == want
-    kind_check({}, got)
+    kinded({}, got)
     with pytest.raises(KindError, match="type binder q0 shadows an outer binder"):
-        kind_check({}, _reference_type_translate6(T("{A: {B:Int} -> Int}")))
+        kinded({}, _reference_type_translate6(T("{A: {B:Int} -> Int}")))
 
 
 def test_t6_type_preservation_kind_checks_the_mapped_type(monkeypatch):
@@ -501,7 +509,7 @@ def test_trans_a_gives_every_tail_its_own_well_kinded_name():
     # two tails in one field's scheme: renaming a sub-scheme's names one
     # after another onto a later block would merge them
     s = trans_a(T("{A:{B:Int} -> Int; C:{X:Int} -> {Y:Int} -> Int}"))
-    kind_check(dict(s.quants), s.body)
+    kinded(s.quants, s.body)
     assert show_scheme(s) == (
         "forall r0:Row!{B} r1:Row!{X} r2:Row!{Y}. "
         "{A:{B:Int; r0} -> Int; C:{X:Int; r1} -> {Y:Int; r2} -> Int}"
