@@ -8,6 +8,18 @@ at the top level; lambda-bound variables stay monomorphic.
 
 Metavariable names start with '?' so they can never collide with source
 names; skolem names used by the instance check start with '!'.
+
+Each rule is said once.  ``_resolve`` follows a type or presence
+metavariable through the substitution, and ``unify_type`` and
+``unify_pres`` each bind a metavariable by one rule, the left side first.
+Instantiation, generalization and the instance check's skolems rename a
+scheme's quantifiers by inference's own substitution: one ``zonk_type``
+under a ``_State`` that binds only the renamed names.
+
+``infer`` passes each entry of its context through the checker's gate,
+``statics.check_part`` (a scheme's body under delta and its quantifiers),
+so a context the calculus cannot state is refused as ``type_check``
+refuses it.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .config import CalculusConfig
 from .pretty import show_presence, show_term, show_type
-from .statics import check_distinct, lit_type, prim_sig, refuse_missing
+from .statics import check_distinct, check_part, lit_type, prim_sig, refuse_missing
 from .syntax import (
     SHAPES,
     Absent,
@@ -47,7 +59,6 @@ from .syntax import (
     Var,
     Variant,
     free_type_names,
-    rename_type_name,
     type_level_names,
 )
 
@@ -77,17 +88,25 @@ class _State:
         self.lacks[name] = frozenset(lacks)
         return name
 
+    def fresh(self, kind: Kind) -> TyVar | Row | PresVar:
+        """A metavariable for a quantifier of ``kind``, as a renaming's image."""
+        if isinstance(kind, KRow):
+            return Row((), self.fresh_row_tail(kind.lacks))
+        return self.fresh_pres() if isinstance(kind, KPre) else self.fresh_type()
 
-def _resolve_type(state: _State, ty: Type) -> Type:
-    while isinstance(ty, TyVar) and ty.name in state.subst:
-        ty = state.subst[ty.name]
-    return ty
+
+def _named(kind: Kind, name: str) -> TyVar | Row | PresVar:
+    """``name`` as the image of a quantifier of ``kind`` in a renaming."""
+    if isinstance(kind, KRow):
+        return Row((), name)
+    return PresVar(name) if isinstance(kind, KPre) else TyVar(name)
 
 
-def _resolve_pres(state: _State, p: Presence) -> Presence:
-    while isinstance(p, PresVar) and p.name in state.subst:
-        p = state.subst[p.name]
-    return p
+def _resolve(state: _State, x: Type | Presence) -> Type | Presence:
+    """``x`` with the metavariables it starts with followed while bound."""
+    while isinstance(x, (TyVar, PresVar)) and x.name in state.subst:
+        x = state.subst[x.name]
+    return x
 
 
 def _expand_row(
@@ -99,7 +118,7 @@ def _expand_row(
     pending = list(row.entries)
     while True:
         for label, pres, ty in pending:
-            pres = _resolve_pres(state, pres)
+            pres = _resolve(state, pres)
             if isinstance(pres, Absent):
                 continue
             entries[label] = (pres, ty)
@@ -116,13 +135,9 @@ def _occurs(state: _State, name: str, obj) -> bool:
         if tail == name:
             return True
         return any(_occurs(state, name, t) for _, t in entries.values())
-    if isinstance(obj, PresVar):
-        return _resolve_pres(state, obj) == PresVar(name)
-    ty = _resolve_type(state, obj)
-    if isinstance(ty, TyVar):
+    ty = _resolve(state, obj)
+    if isinstance(ty, (TyVar, PresVar)):
         return ty.name == name
-    if isinstance(ty, Base):
-        return False
     if isinstance(ty, Arrow):
         return _occurs(state, name, ty.dom) or _occurs(state, name, ty.cod)
     if isinstance(ty, (Record, Variant)):
@@ -130,26 +145,25 @@ def _occurs(state: _State, name: str, obj) -> bool:
     return False
 
 
+def _bind(state: _State, a, b) -> bool:
+    """Bind whichever of ``a`` and ``b``, left first, is a type or presence
+    metavariable to the other, after the occurs check; False when neither
+    is one."""
+    for meta, other in ((a, b), (b, a)):
+        if isinstance(meta, (TyVar, PresVar)) and _is_meta(meta.name):
+            if _occurs(state, meta.name, other):
+                raise InferError(f"occurs check failed on {meta.name}")
+            state.subst[meta.name] = other
+            return True
+    return False
+
+
 def unify_pres(state: _State, a: Presence, b: Presence) -> None:
-    a, b = _resolve_pres(state, a), _resolve_pres(state, b)
-    if a == b:
-        return
-    if isinstance(a, PresVar) and _is_meta(a.name):
-        state.subst[a.name] = b
-        return
-    if isinstance(b, PresVar) and _is_meta(b.name):
-        state.subst[b.name] = a
-        return
-    raise InferError(
-        f"presence mismatch: {show_presence(a)} vs {show_presence(b)}"
-    )
-
-
-def _force_absent(state: _State, pres: Presence, reason: str) -> None:
-    try:
-        unify_pres(state, pres, Absent())
-    except InferError:
-        raise InferError(reason) from None
+    a, b = _resolve(state, a), _resolve(state, b)
+    if a != b and not _bind(state, a, b):
+        raise InferError(
+            f"presence mismatch: {show_presence(a)} vs {show_presence(b)}"
+        )
 
 
 def _settle_extras(
@@ -160,22 +174,25 @@ def _settle_extras(
     """Split one-sided entries: those the tail can absorb, the rest absent."""
     fits: dict[str, tuple[Presence, Type]] = {}
     for label, (pres, ty) in extras.items():
-        if tail is None or not _is_meta(tail):
-            _force_absent(
-                state,
-                pres,
+        if not _is_meta(tail):
+            reason = (
                 f"label {label} is present on one row but the other row "
-                "cannot contain it",
+                "cannot contain it"
             )
         elif label in state.lacks.get(tail, frozenset()):
-            _force_absent(
-                state,
-                pres,
-                f"label {label} is forbidden by the lacks constraint on {tail}",
-            )
+            reason = f"label {label} is forbidden by the lacks constraint on {tail}"
         else:
             fits[label] = (pres, ty)
+            continue
+        try:
+            unify_pres(state, pres, Absent())
+        except InferError:
+            raise InferError(reason) from None
     return fits
+
+
+def _sorted_row(entries: dict[str, tuple[Presence, Type]], tail: str | None) -> Row:
+    return Row(tuple((l, p, t) for l, (p, t) in sorted(entries.items())), tail)
 
 
 def unify_rows(state: _State, ra: Row, rb: Row) -> None:
@@ -184,30 +201,20 @@ def unify_rows(state: _State, ra: Row, rb: Row) -> None:
     common = set(ea) & set(eb)
     extra_a = {l: ea[l] for l in ea if l not in eb}
     extra_b = {l: eb[l] for l in eb if l not in ea}
-
-    if ta == tb:
-        # identical tails absorb nothing new
-        _settle_extras(state, extra_a, None)
-        _settle_extras(state, extra_b, None)
-    else:
-        into_b = _settle_extras(state, extra_a, tb)
-        into_a = _settle_extras(state, extra_b, ta)
-        for label, (_, ty) in into_b.items():
-            if _occurs(state, tb, ty):
-                raise InferError(f"occurs check failed on row {tb}")
-        for label, (_, ty) in into_a.items():
-            if _occurs(state, ta, ty):
-                raise InferError(f"occurs check failed on row {ta}")
+    same = ta == tb  # identical tails absorb nothing new
+    into_b = _settle_extras(state, extra_a, None if same else tb)
+    into_a = _settle_extras(state, extra_b, None if same else ta)
+    for tail, into in ((tb, into_b), (ta, into_a)):
+        for _, ty in into.values():
+            if _occurs(state, tail, ty):
+                raise InferError(f"occurs check failed on row {tail}")
+    if not same:
         if _is_meta(ta) and _is_meta(tb):
             shared = state.fresh_row_tail(
                 state.lacks[ta] | state.lacks[tb] | set(ea) | set(eb)
             )
-            state.subst[ta] = Row(
-                tuple((l, p, t) for l, (p, t) in sorted(into_a.items())), shared
-            )
-            state.subst[tb] = Row(
-                tuple((l, p, t) for l, (p, t) in sorted(into_b.items())), shared
-            )
+            state.subst[ta] = _sorted_row(into_a, shared)
+            state.subst[tb] = _sorted_row(into_b, shared)
         elif _is_meta(ta) or _is_meta(tb):
             meta, other, into = (ta, tb, into_a) if _is_meta(ta) else (tb, ta, into_b)
             # the rest of the row must lack every label the meta lacks
@@ -218,9 +225,7 @@ def unify_rows(state: _State, ra: Row, rb: Row) -> None:
                         f"row {other} does not lack {', '.join(sorted(missing))} "
                         f"as {meta} must"
                     )
-            state.subst[meta] = Row(
-                tuple((l, p, t) for l, (p, t) in sorted(into.items())), other
-            )
+            state.subst[meta] = _sorted_row(into, other)
         else:
             # two distinct rigid tails (or one rigid, one closed)
             raise InferError(
@@ -234,36 +239,20 @@ def unify_rows(state: _State, ra: Row, rb: Row) -> None:
 
 
 def unify_type(state: _State, a: Type, b: Type) -> None:
-    a, b = _resolve_type(state, a), _resolve_type(state, b)
-    if isinstance(a, TyVar) and isinstance(b, TyVar) and a.name == b.name:
-        return
-    if isinstance(a, TyVar) and _is_meta(a.name):
-        if _occurs(state, a.name, b):
-            raise InferError(f"occurs check failed on {a.name}")
-        state.subst[a.name] = b
-        return
-    if isinstance(b, TyVar) and _is_meta(b.name):
-        if _occurs(state, b.name, a):
-            raise InferError(f"occurs check failed on {b.name}")
-        state.subst[b.name] = a
-        return
-    if isinstance(a, Base) and isinstance(b, Base) and a.tag == b.tag:
+    a, b = _resolve(state, a), _resolve(state, b)
+    if isinstance(a, (TyVar, Base)) and a == b or _bind(state, a, b):
         return
     if isinstance(a, Arrow) and isinstance(b, Arrow):
         unify_type(state, a.dom, b.dom)
         unify_type(state, a.cod, b.cod)
-        return
-    if isinstance(a, Record) and isinstance(b, Record):
+    elif isinstance(a, (Record, Variant)) and type(a) is type(b):
         unify_rows(state, a.row, b.row)
-        return
-    if isinstance(a, Variant) and isinstance(b, Variant):
-        unify_rows(state, a.row, b.row)
-        return
-    raise InferError(f"cannot unify {show_type(a)} with {show_type(b)}")
+    else:
+        raise InferError(f"cannot unify {show_type(a)} with {show_type(b)}")
 
 
 def zonk_type(state: _State, ty: Type) -> Type:
-    ty = _resolve_type(state, ty)
+    ty = _resolve(state, ty)
     if isinstance(ty, (TyVar, Base)):
         return ty
     if isinstance(ty, Arrow):
@@ -275,17 +264,15 @@ def zonk_type(state: _State, ty: Type) -> Type:
     raise InferError(f"unexpected type form {type(ty).__name__}")
 
 
+def _rename(ty: Type, images: dict[str, TyVar | Row | PresVar]) -> Type:
+    """``ty`` with each name in ``images`` replaced by its image: a zonk
+    under a substitution that binds those names alone."""
+    return zonk_type(_State(images), ty) if images else ty
+
+
 def instantiate(state: _State, scheme: TypeScheme) -> Type:
-    body = scheme.body
-    for name, kind in scheme.quants:
-        if isinstance(kind, KRow):
-            meta = state.fresh_row_tail(kind.lacks)
-        elif isinstance(kind, KPre):
-            meta = state.fresh_pres().name
-        else:
-            meta = state.fresh_type().name
-        body = rename_type_name(body, name, kind, meta)
-    return body
+    metas = {name: state.fresh(kind) for name, kind in scheme.quants}
+    return _rename(scheme.body, metas)
 
 
 def generalize(state: _State, env: dict[str, TypeScheme], ty: Type) -> TypeScheme:
@@ -300,6 +287,7 @@ def generalize(state: _State, env: dict[str, TypeScheme], ty: Type) -> TypeSchem
     taken = {name for name in names if not _is_meta(name)}
     counters = {"a": itertools.count(), "r": itertools.count(), "p": itertools.count()}
     quants: list[tuple[str, Kind]] = []
+    images: dict[str, TyVar | Row | PresVar] = {}
     for name, use in names.items():
         if not _is_meta(name) or name in env_names:
             continue
@@ -311,9 +299,9 @@ def generalize(state: _State, env: dict[str, TypeScheme], ty: Type) -> TypeSchem
             fresh = f"{prefix}{next(counters[prefix])}"
             if fresh not in taken:
                 break
-        body = rename_type_name(body, name, kind, fresh)
+        images[name] = _named(kind, fresh)
         quants.append((fresh, kind))
-    return TypeScheme(tuple(quants), body)
+    return TypeScheme(tuple(quants), _rename(body, images))
 
 
 def infer(
@@ -322,7 +310,11 @@ def infer(
     gamma: dict[str, TypeScheme | Type],
     term: Term,
 ) -> TypeScheme:
-    """Principal scheme of a bare term in a rank-1 calculus."""
+    """Principal scheme of a bare term in a rank-1 calculus.
+
+    Raises InferError when the term has no type, and what ``type_check``'s
+    gate raises (``StaticError``) for an entry of ``gamma`` the calculus
+    cannot state."""
     if not config.rank1:
         raise InferError(f"calculus {config.name} does not support inference")
     run = _Inference(config)
@@ -331,7 +323,9 @@ def infer(
             run.state.lacks[name] = kind.lacks
     env: dict[str, TypeScheme] = {}
     for name, entry in gamma.items():
-        env[name] = entry if isinstance(entry, TypeScheme) else TypeScheme((), entry)
+        scheme = entry if isinstance(entry, TypeScheme) else TypeScheme((), entry)
+        check_part(config, {**delta, **dict(scheme.quants)}, scheme.body)
+        env[name] = scheme
     ty = run.rec(term, env)
     return generalize(run.state, env, ty)
 
@@ -454,12 +448,12 @@ RULES = {
 def scheme_instance(general: TypeScheme, specific: TypeScheme) -> bool:
     """True when ``specific`` is an instance of ``general`` up to renaming."""
     state = _State()
-    body_s = specific.body
+    skolems = {}
     for i, (name, kind) in enumerate(specific.quants):
-        skolem = f"!s{i}"
+        skolems[name] = _named(kind, f"!s{i}")
         if isinstance(kind, KRow):
-            state.lacks[skolem] = kind.lacks
-        body_s = rename_type_name(body_s, name, kind, skolem)
+            state.lacks[f"!s{i}"] = kind.lacks
+    body_s = _rename(specific.body, skolems)
     body_g = instantiate(state, general)
     try:
         unify_type(state, body_g, body_s)
@@ -482,7 +476,7 @@ def weak_sub_instance(principal: TypeScheme, goal: TypeScheme) -> bool:
 def _weak_match(state: _State, a: Type, b: Type, weaken: bool) -> bool:
     """``a``'s instance equals ``b``, up to open tails ``a`` may drop while
     ``weaken`` holds: in result positions of a closed goal."""
-    a, b = _resolve_type(state, a), _resolve_type(state, b)
+    a, b = _resolve(state, a), _resolve(state, b)
     if isinstance(a, TyVar) and _is_meta(a.name):
         state.subst[a.name] = b
         return True

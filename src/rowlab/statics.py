@@ -30,6 +30,14 @@ at each node it refuses a constructor the calculus lacks, then applies the
 node's kind rule, then walks its parts (below a quantifier, under the
 extended delta).  A part with several defects is refused for the first in
 preorder, a missing constructor before a kind error at the same node.
+
+Rank-1 monotypes have open tails and presence marks, so a calculus with
+any row polymorphism has open rows and one with any presence polymorphism
+has presence marks; quantifiers and type abstractions stay higher-rank
+only.  A row's tail must lack exactly the labels the row needs, except in a
+rank-1 calculus, where it may lack more: a rigid row variable of an
+inferred scheme keeps the lacks set unification gave it, and unification
+demands only that it lack at least those labels.
 """
 
 from __future__ import annotations
@@ -247,6 +255,10 @@ def _higher_pres(config: CalculusConfig) -> bool:
     return config.pres_poly == "higher"
 
 
+def _pres_marks(config: CalculusConfig) -> bool:
+    return config.pres_poly != "none"
+
+
 _variants = attrgetter("variants")
 _records = attrgetter("records")
 _PRESENCE_MARKS = "presence annotations not available in this calculus"
@@ -256,8 +268,8 @@ FEATURES: dict[type, tuple[Callable[[CalculusConfig], bool], str]] = {
     Record: (_records, "record types not available in this calculus"),
     ForallRow: (_higher_rows, "row quantifiers not available in this calculus"),
     ForallPres: (_higher_pres, "presence quantifiers not available in this calculus"),
-    Absent: (_higher_pres, _PRESENCE_MARKS),
-    PresVar: (_higher_pres, _PRESENCE_MARKS),
+    Absent: (_pres_marks, _PRESENCE_MARKS),
+    PresVar: (_pres_marks, _PRESENCE_MARKS),
     Inject: (_variants, "variant injection not available in this calculus"),
     Case: (_variants, "case analysis not available in this calculus"),
     RecordLit: (_records, "record literals not available in this calculus"),
@@ -321,7 +333,7 @@ def check_part(config: CalculusConfig, delta: dict[str, Kind], part, lacks=froze
         kind = part.kind if isinstance(part, ForallRow) else KPre()
         check_part(config, {**delta, part.var: kind}, part.body, None)
     elif isinstance(part, Row) and lacks is not None:
-        if part.tail is not None and not _higher_rows(config):
+        if part.tail is not None and config.row_poly == "none":
             raise FeatureError("open rows not available in this calculus")
         seen: set[str] = set()
         for label, pres, ty in part.entries:
@@ -334,7 +346,7 @@ def check_part(config: CalculusConfig, delta: dict[str, Kind], part, lacks=froze
             check_part(config, delta, ty, None)
         if part.tail is not None:
             have, want = _kind_of(delta, part.tail, Row).lacks, lacks | seen
-            if have != want:
+            if have != want and not (config.rank1 and have > want):
                 raise KindError(
                     f"row tail {part.tail} lacks {{{', '.join(sorted(have))}}}, "
                     f"needs {{{', '.join(sorted(want))}}}"

@@ -633,7 +633,9 @@ def same_name(env: Names, x: str, y: str) -> bool:
 
 @dataclass
 class NameSupply:
-    """Deterministic fresh-name source; never returns a name in `avoid`."""
+    """Deterministic fresh-name source; never returns a name in `avoid`.
+    A substitution renames a binder that would capture by a new supply that
+    avoids the names in scope: the first ``base$n`` none of them takes."""
 
     avoid: set[str] = field(default_factory=set)
     counter: int = 0
@@ -765,7 +767,7 @@ def subst_term(body: Term, replacement: Term, var: str) -> Term:
             if binder in fvs and binder != var:
                 # the binder would capture a free name of the replacement
                 names = names or [b for _, _, b in parts]
-                names[i] = _fresh_binder(binder, fvs | {var} | term_names(child))
+                names[i] = NameSupply({*fvs, var, *term_names(child)}).fresh(binder)
                 renamed = subst_term(child, Var(names[i]), binder)
                 kids[i] = subst_term(renamed, replacement, var)
         return shape.rebuild(sub, kids, names)
@@ -781,18 +783,6 @@ def subst_type_in_type(ty: Type, arg: Row | Presence | TyVar, var: str) -> Type:
     type variable (for type variables).  Unchanged parts come back as the
     same objects."""
     return _subst_type(ty, arg, var, set(free_type_names(arg)))
-
-
-def _fresh_binder(binder: str, taken: set[str]) -> str:
-    """The first of ``base$0``, ``base$1``, ... (``base`` the binder's name
-    before any ``$``, or ``x`` when that is empty, as ``NameSupply`` has it)
-    that is not taken: the name every substitution gives a binder it renames
-    so that it cannot capture."""
-    base = binder.split("$", 1)[0] or "x"
-    n = 0
-    while f"{base}${n}" in taken:
-        n += 1
-    return f"{base}${n}"
 
 
 def _subst_type(
@@ -814,7 +804,7 @@ def _subst_type(
                 return t
             new, body = t.var, t.body
             if t.var in arg_names:
-                new = _fresh_binder(t.var, arg_names | {var} | type_level_names(t.body))
+                new = NameSupply(arg_names | {var} | type_level_names(t.body)).fresh(t.var)
                 fresh = Row((), new) if isinstance(t, ForallRow) else PresVar(new)
                 body = subst_type_in_type(body, fresh, t.var)
             body = go(body)
@@ -851,15 +841,6 @@ def _subst_type(
         del go, go_row
 
 
-def rename_type_name(ty: Type, old: str, kind: Kind, new: str) -> Type:
-    """ty with the type-level name ``old``, of kind ``kind``, renamed ``new``."""
-    if isinstance(kind, KRow):
-        return subst_type_in_type(ty, Row((), new), old)
-    if isinstance(kind, KPre):
-        return subst_type_in_type(ty, PresVar(new), old)
-    return subst_type_in_type(ty, TyVar(new), old)
-
-
 def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
     """Substitute a type-level name throughout a term's annotations and
     arguments; unchanged subterms and types come back as the same objects.
@@ -888,7 +869,7 @@ def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
         if shape.tybinder and sub.var == var:
             return sub
         if shape.tybinder and sub.var in arg_names:
-            new = _fresh_binder(sub.var, arg_names | {var} | type_level_names(sub.body))
+            new = NameSupply(arg_names | {var} | type_level_names(sub.body)).fresh(sub.var)
             body = subst_type_in_term(sub.body, shape.tybinder(new), sub.var)
             return replace(sub, var=new, body=subst_type_in_term(body, arg, var))
         kids: list[Term] = []

@@ -283,6 +283,32 @@ def test_a_context_the_calculus_cannot_state_is_a_user_error(
     assert capsys.readouterr().err == f"rowlab: error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["check", "infer"])
+@pytest.mark.parametrize("calculus, header, message", [
+    ("var-row1", "x : {A:Int}", "record types not available in this calculus"),
+    ("rec-row1", "x : {A^p:Int}", "presence annotations not available in this calculus"),
+    ("rec-row1", "x : forall r0. {A:Int; r0}",
+     "row quantifiers not available in this calculus"),
+    ("rec-pre1", "r : Row!{A}\n-- env: x : {A:Int; r}",
+     "open rows not available in this calculus"),
+])
+def test_inference_refuses_a_context_the_calculus_cannot_state(
+    tmp_path, capsys, command, calculus, header, message
+):
+    src = tmp_path / "env.row"
+    src.write_text(f"-- env: {header}\nx\n")
+    assert run([command, "--calculus", calculus, str(src)]) == 1
+    assert capsys.readouterr().err == f"rowlab: error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "infer"])
+def test_inference_takes_an_open_row_of_a_rank1_context(tmp_path, capsys, command):
+    src = tmp_path / "env.row"
+    src.write_text("-- env: r : Row!{A}\n-- env: x : {A:Int; r}\nx\n")
+    assert run([command, "--calculus", "rec-row1", str(src)]) == 0
+    assert capsys.readouterr().out == "{A:Int; r}\n"
+
+
 def _round_trips():
     """(source, target, corpus file) for every pair of every translation and
     every corpus file its source checks."""

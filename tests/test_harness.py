@@ -65,6 +65,7 @@ from rowlab.syntax import (
     Variant,
     alpha_eq,
     children,
+    match_node,
 )
 from rowlab.translate import TRANSLATIONS, TranslationError, run_translation, trans_a, trans_b
 
@@ -1005,6 +1006,40 @@ def test_search_pairs_only_the_live_fields_of_a_record():
     assert not alpha_eq(x, g)
     assert [alpha_eq(s.term, g) for s in step_all(x, rels)] == [True]
     assert _Reach(rels, {"beta"}, _Keys()).go(x, g)
+
+
+# states that do not reach their goals under rec's beta: a search that says
+# yes too easily answers yes here.  A unit check of the search, not a verdict
+# test (ROADMAP 10)
+NO_REACH = [
+    ("{A = (\\y:Int. y) 1, B = 2}", "{A = 1, B = 3}", False),
+    ("{A = 1}", "{A = 1}", True),
+    ("(\\y:Int. {A = y, B = 2}) 1", "{A = 1, B = 3}", False),
+]
+
+
+def _no_reach_answers():
+    rels = relations_for(preset("rec"))
+    return [_Reach(rels, {"beta"}, _Keys()).go(M(x), M(g), need_beta)
+            for x, g, need_beta in NO_REACH]
+
+
+def test_search_refuses_a_goal_it_cannot_reach(monkeypatch):
+    assert _no_reach_answers() == [False, False, False]
+    # mutant A: a descent accepts when any child reaches its goal
+    with monkeypatch.context() as m:
+        m.setattr(_Reach, "_descend", lambda self, pairs, need_beta: any(
+            self.go(a, b, need_beta, e, t) for a, b, e, t in pairs))
+        assert _no_reach_answers() == [True, False, True]
+    # mutant B: the search says yes as soon as the two heads pair
+    go = _Reach.go
+
+    def yes_on_heads(self, x, g, need_beta=False, env=(), tyenv=((), ())):
+        return match_node(x, g, env, tyenv) is not None or go(
+            self, x, g, need_beta, env, tyenv)
+
+    monkeypatch.setattr(_Reach, "go", yes_on_heads)
+    assert _no_reach_answers() == [True, True, True]
 
 
 def same_steps(got, want):

@@ -1,6 +1,8 @@
 """Principal type inference for the rank-1 calculi."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -9,17 +11,19 @@ from hypothesis import strategies as st
 from rowlab import infer as infer_module
 from rowlab.config import preset
 from rowlab.dynamics import erase
+from rowlab.harness import GenError, GenSpec, ambient_delta, ambient_gamma, gen_typed_term
 from rowlab.infer import (
     InferError,
-    _resolve_pres,
-    _resolve_type,
+    _resolve,
     _State,
     infer,
     scheme_instance,
     unify_type,
     zonk_type,
 )
-from rowlab.parser import parse_term_str, parse_type_str
+from rowlab.parser import parse_file_str, parse_term_str, parse_type_str
+from rowlab.pretty import show_scheme
+from rowlab.statics import StaticError
 from rowlab.syntax import (
     Absent,
     Arrow,
@@ -552,7 +556,7 @@ def test_unification_is_stable_under_reapplication(seed):
 
 
 def _reference_zonk(state, ty):
-    ty = _resolve_type(state, ty)
+    ty = _resolve(state, ty)
     if isinstance(ty, (TyVar, Base)):
         return ty
     if isinstance(ty, Arrow):
@@ -566,7 +570,7 @@ def _reference_zonk_row(state, row):
     pending = list(row.entries)
     while True:
         for label, pres, ty in pending:
-            pres = _resolve_pres(state, pres)
+            pres = _resolve(state, pres)
             if isinstance(pres, Absent):
                 continue
             out.append((label, pres, _reference_zonk(state, ty)))
@@ -589,3 +593,45 @@ def test_zonking_agrees_with_the_reference_row_walk():
         for ty in (a, b):
             assert zonk_type(state, ty) == _reference_zonk(state, ty)
     assert solved > 50
+
+
+# ---------------------------------------------------------------------------
+# inferred schemes, pinned: a change that moves the scheme (or the error) of
+# any generated term or corpus file under a rank-1 preset fails here and must
+# update the hash on purpose
+
+INFERRED_SHA256 = "0204d2fbf05606b1"
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+RANK1 = ("rec-row1", "rec-pre1", "var-row1", "var-pre1")
+
+
+def _inferred_lines():
+    """``show_scheme`` of each inferred scheme, or the error's class and
+    text: the first 40 generated terms of each rank-1 preset at sizes 8 and
+    12, seed 0, under the ambient context, then every corpus file under each
+    rank-1 preset."""
+    for name in RANK1:
+        for size in (8, 12):
+            spec = GenSpec(preset(name), max_size=size, seed=0)
+            for i in range(40):
+                try:
+                    term, _ = gen_typed_term(spec, i)
+                    yield show_scheme(
+                        infer(spec.config, ambient_delta(), ambient_gamma(), term)
+                    )
+                except (GenError, InferError, StaticError) as e:
+                    yield f"{type(e).__name__}: {e}"
+    for path in sorted(CORPUS.glob("*.row")):
+        delta, gamma, term = parse_file_str(path.read_text())
+        for name in RANK1:
+            try:
+                yield show_scheme(infer(preset(name), delta, gamma, term))
+            except (InferError, StaticError) as e:
+                yield f"{type(e).__name__}: {e}"
+
+
+def test_inferred_schemes_are_pinned():
+    digest = hashlib.sha256()
+    for line in _inferred_lines():
+        digest.update(line.encode("utf-8") + b"\n")
+    assert digest.hexdigest()[:16] == INFERRED_SHA256

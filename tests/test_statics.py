@@ -592,10 +592,11 @@ def _reference_type_features(config, ty):
 
 
 def _reference_row_features(config, row):
-    if row.tail is not None and config.row_poly != "higher":
+    # rank-1 monotypes have open tails and presence marks too
+    if row.tail is not None and config.row_poly == "none":
         raise FeatureError("open rows not available in this calculus")
     for _, pres, ty in row.entries:
-        if not isinstance(pres, Present) and config.pres_poly != "higher":
+        if not isinstance(pres, Present) and config.pres_poly == "none":
             raise FeatureError("presence annotations not available in this calculus")
         _reference_type_features(config, ty)
 

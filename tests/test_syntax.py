@@ -63,7 +63,6 @@ from rowlab.syntax import (
     normalize_row,
     rebuild,
     record,
-    rename_type_name,
     row_dom,
     same_name,
     subst_term,
@@ -78,6 +77,16 @@ from rowlab.syntax import (
 from rowlab.translate import TRANSLATIONS, run_translation
 
 A0 = TyVar("a0")
+
+
+def rename_type_name(ty, old, kind, new):
+    """``ty`` with the type-level name ``old``, of kind ``kind``, renamed
+    ``new`` by the capture-avoiding substitution."""
+    if isinstance(kind, KRow):
+        return subst_type_in_type(ty, Row((), new), old)
+    if isinstance(kind, KPre):
+        return subst_type_in_type(ty, PresVar(new), old)
+    return subst_type_in_type(ty, TyVar(new), old)
 
 
 def scheme_alpha_eq(a: TypeScheme, b: TypeScheme) -> bool:

@@ -30,7 +30,6 @@ from rowlab.syntax import (
     TyVar,
     Upcast,
     alpha_eq,
-    rename_type_name,
     strip,
     subst_type_in_type,
     type_equal,
@@ -56,6 +55,7 @@ from rowlab.translate import (
     type_translate4,
     type_translate6,
 )
+from test_syntax import rename_type_name
 
 T = parse_type_str
 M = parse_term_str
