@@ -26,7 +26,7 @@ from .dynamics import (
     reduction_trace,
     relations_for,
 )
-from .harness import BY_TRANSLATION, PROPERTIES, GenError, run_property
+from .harness import CALCULUS_CHECKS, PROPERTIES, ROW_CHECKS, GenError, run_property
 from .infer import InferError, infer
 from .parser import ParseError, parse_file_str
 from .pretty import show_scheme, show_term, show_type
@@ -83,13 +83,9 @@ def _cmd_eval(args) -> int:
         infer(cfg, delta, gamma, term)
     else:
         type_check(cfg, delta, gamma, term)
-    if args.casts:
-        rels = relations_for(cfg, full_upcast=True)
-        subject = term
-    else:
-        rels = relations_for(cfg)
-        # covariant and full configurations evaluate under erasure semantics
-        subject = erase(term) if cfg.subtyping in ("covariant", "full") else term
+    # without --casts, a calculus with structural subtyping evaluates by erasure
+    rels = relations_for(cfg, full_upcast=args.casts)
+    subject = term if args.casts or not cfg.structural_subtyping else erase(term)
     result, steps = reduction_trace(subject, rels, args.fuel)
     shown = show_term(result)
     _emit(
@@ -122,11 +118,11 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    for option, value, users in (
-        ("--translation", args.translation, BY_TRANSLATION),
-        ("--calculus", args.calculus, ("subject-reduction",)),
+    for option, value, table in (
+        ("--translation", args.translation, ROW_CHECKS),
+        ("--calculus", args.calculus, CALCULUS_CHECKS),
     ):
-        if value is not None and not set(users) & set(args.properties):
+        if value is not None and not table.keys() & set(args.properties):
             raise UsageError(f"{option} is used by none of {', '.join(args.properties)}")
     seed = args.seed
     if seed is None:
@@ -135,19 +131,13 @@ def _cmd_verify(args) -> int:
             seed = int(text)
         except ValueError:
             raise UsageError(f"ROWLAB_SEED must be an integer, not {text!r}") from None
-    reports = []
-    for prop in args.properties:
-        reports.append(
-            run_property(
-                prop,
-                translation=args.translation,
-                config=args.calculus,
-                count=args.count,
-                seed=seed,
-                depth=args.depth,
-                max_size=args.max_size,
-            )
+    reports = [
+        run_property(
+            prop, translation=args.translation, config=args.calculus, count=args.count,
+            seed=seed, depth=args.depth, max_size=args.max_size,
         )
+        for prop in args.properties
+    ]
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:
@@ -208,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     with_common(p, calculus=False)
     p.set_defaults(fn=_cmd_translate)
 
-    p = sub.add_parser("verify", help="run generated-term property checks")
+    p = sub.add_parser("verify", help="check properties on generated terms")
     p.add_argument(
         "--property",
         dest="properties",
@@ -217,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=PROPERTIES,
         help="repeatable",
     )
-    p.add_argument("--translation", metavar="TID")
-    p.add_argument("--calculus", metavar="ID")
+    p.add_argument("--translation", metavar="TID", help="registry row: check each pair")
+    p.add_argument("--calculus", metavar="ID", help="calculus to check a property on")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=None, help="default ROWLAB_SEED or 0")
     p.add_argument("--depth", type=int, default=2)

@@ -32,6 +32,10 @@ class CalculusConfig:
         return self.record_rank_limit is not None or self.variant_rank_limit is not None
 
     @property
+    def structural_subtyping(self) -> bool:  # evaluated by erasure
+        return self.subtyping in ("covariant", "full")
+
+    @property
     def allows_let(self) -> bool:
         return self.rank1 or self.rank_limited
 

@@ -92,7 +92,7 @@ def relations_for(config: CalculusConfig, *, full_upcast: bool = False) -> Relat
     their cast rules stay off unless ``full_upcast`` is requested.
     """
     simple_casts = config.subtyping == "simple"
-    structural = full_upcast and config.subtyping in ("covariant", "full")
+    structural = full_upcast and config.structural_subtyping
     return RelationSet(
         upcast=simple_casts or structural,
         full_upcast=structural,

@@ -18,8 +18,8 @@ and compares no types, and a dead end's text ("no production inhabits T")
 is formatted only when it is read.
 
 Each check_* function verifies one theorem-shaped property on one input and
-returns a PropertyReport; reports merge associatively so large runs can be
-split and recombined.
+returns a PropertyReport; reports merge associatively to split and join runs.
+``run_property`` runs the checks from ``ROW_CHECKS`` and ``CALCULUS_CHECKS``.
 
 The step shapes of the operational correspondence theorems are data on each
 ``translate.Translation``, read by one matcher.  A pattern is a run of step
@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, get_args
 
-from .config import CalculusConfig, UsageError, preset
+from .config import PRESETS, CalculusConfig, UsageError, preset
 from .dynamics import RelationSet, Step, erase, relations_for, step_all, term_preorder
 from .infer import InferError, infer, scheme_instance, weak_sub_instance
 from .pretty import show_scheme, show_term, show_type
@@ -252,14 +252,13 @@ class _Gen:
 
     def _widen(self, goal: Type, size: int) -> Type:
         rng = self.rng
-        deep = self.config.subtyping in ("covariant", "full")
         if isinstance(goal, Record):
             entries = list(goal.row.entries)
             spare = [l for l in _LABELS if all(l != e[0] for e in entries)]
             rng.shuffle(spare)
             for label in spare[: rng.randint(1, 2) if spare else 0]:
                 entries.append((label, Present(), self.sample_type(2)))
-            if deep and entries and rng.random() < 0.4:
+            if self.config.structural_subtyping and entries and rng.random() < 0.4:
                 i = rng.randrange(len(entries))
                 label, pres, a = entries[i]
                 entries[i] = (label, pres, self._widen(a, max(1, size - 1)))
@@ -271,7 +270,7 @@ class _Gen:
             keep = sorted(
                 rng.sample(pres, rng.randint(1, len(pres))), key=lambda e: e[0]
             )
-            if deep and rng.random() < 0.4:
+            if self.config.structural_subtyping and rng.random() < 0.4:
                 i = rng.randrange(len(keep))
                 label, p, a = keep[i]
                 keep[i] = (label, p, self._widen(a, max(1, size - 1)))
@@ -417,8 +416,6 @@ class _Gen:
         sub_ty = self._widen(goal, max(1, min(4, size // 2)))
         if self.config.rank_limited and not check_rank_limit(self.config, sub_ty):
             raise GenError("widened type beyond the rank limit")
-        if subtype(self.config.subtyping, sub_ty, goal) is None:
-            raise GenError("widening produced no evidence")
         return Upcast(self.term_for(sub_ty, max(1, size - 1), gamma), goal)
 
 
@@ -1084,16 +1081,16 @@ def check_preorder_correspondence(
     u is the erasure |M| of M, except that u's record literals may carry
     fields that a cast in M has dropped.
 
-    The paper runs full subtyping by erasure and relates the two semantics
-    by this preorder, in both directions (its operational correspondence
-    for the erasure of upcasts).  For M in var-rec-sub-full and u ⊑ |M|:
+    A calculus with structural subtyping runs by erasure, and the paper
+    relates its two semantics by this preorder, both ways (its operational
+    correspondence for upcast erasure).  For M in deriv's calculus, u ⊑ |M|:
     - simulation: a cast step M -> M' keeps u ⊑ |M'|, and a beta step
       M -> M' has an untyped beta step u -> u' with u' ⊑ |M'|;
     - reflection: u -> u' implies M ->* M' with u' ⊑ |M'|.  M' is sought
       among the beta reducts of the cast-normal form v of M, then v itself:
       u's step may lie inside a field that a cast of M drops."""
     rep = PropertyReport("preorder-correspondence")
-    cfg = preset("var-rec-sub-full")
+    cfg = preset(deriv.calculus)
     rels = relations_for(cfg, full_upcast=True)
     keys = _Keys()
 
@@ -1228,12 +1225,35 @@ def check_subject_reduction(
 # Batch driver
 
 
-# every property run_property checks: the ones a theorem covers for some
-# translation, then the two checked on a calculus
-BY_TRANSLATION = tuple(
-    dict.fromkeys(p for t in TRANSLATIONS.values() for p in t.properties)
-)
-PROPERTIES = BY_TRANSLATION + ("subject-reduction", "preorder-correspondence")
+def _input(spec: GenSpec, i: int):
+    """Input i of ``spec``: its derivation, or its term where it is bare."""
+    term, deriv = gen_typed_term(spec, i)
+    return term if deriv is None else deriv
+
+
+# The two check tables: each property's check, on subject t, of input i of
+# spec s at depth n, with case id c: on each pair of a registry row that
+# lists it (``Translation.properties``), or on a calculus its test accepts.
+# Each looks up its check and generator when it runs, so wrappers are called.
+ROW_CHECKS: dict[str, Callable[..., PropertyReport]] = {
+    "type-preservation": lambda t, s, i, n, c: check_type_preservation(t, _input(s, i), c),
+    "simulation": lambda t, s, i, n, c: check_simulation(t, _input(s, i), n, c),
+    "reflection": lambda t, s, i, n, c: check_reflection(t, _input(s, i), n, c),
+    "substitution": lambda t, s, i, n, c: check_subst_lemma(t, *gen_subst_pair(s, i), c),
+    "erasure": lambda t, s, i, n, c: check_erasure(t, _input(s, i), c),
+    "preorder-correspondence":
+        lambda t, s, i, n, c: check_preorder_correspondence(_input(s, i), n, c),
+}
+CALCULUS_CHECKS: dict[str, tuple[Callable, Callable[..., PropertyReport]]] = {
+    "subject-reduction": (
+        lambda cfg: True,
+        lambda t, s, i, n, c: check_subject_reduction(s.config, _input(s, i), n, c),
+    ),
+    "preorder-correspondence": (  # on the calculi that evaluate by erasure
+        lambda cfg: cfg.structural_subtyping, ROW_CHECKS["preorder-correspondence"]
+    ),
+}
+PROPERTIES = tuple(dict.fromkeys([*ROW_CHECKS, *CALCULUS_CHECKS]))
 
 
 def run_property(
@@ -1246,60 +1266,43 @@ def run_property(
     depth: int = 2,
     max_size: int = 8,
 ) -> PropertyReport:
-    """Generate inputs and fold one property's report over them."""
+    """Generate inputs on one subject and fold one property's report over
+    them; a row's input i comes from its pair i mod P."""
     if count < 1:
         raise UsageError(f"count must be at least 1, got {count}")
     if depth < 1:
         raise UsageError(f"depth must be at least 1, got {depth}")
     start = time.perf_counter()
-    if prop in BY_TRANSLATION:
-        if translation is None:
-            raise UsageError(f"property {prop} needs a translation id")
-        t = TRANSLATIONS.get(translation)
-        if t is None or prop not in t.properties:
-            covered = [tid for tid, u in TRANSLATIONS.items() if prop in u.properties]
-            raise UsageError(
-                f"no theorem covers {prop} on {translation}; "
-                f"it is checked on {', '.join(covered)}"
-            )
-        # input i comes from pair i mod P: every pair is generated and checked
-        specs = [GenSpec(preset(s), max_size=max_size, seed=seed) for s, _ in t.pairs]
-        stepped = {"simulation": check_simulation, "reflection": check_reflection}
-        single = {"type-preservation": check_type_preservation, "erasure": check_erasure}
-
-        def one(i: int, cid: str) -> PropertyReport:
-            spec = specs[i % len(specs)]
-            if len(specs) > 1:
-                cid += f" from={spec.config.name}"
-            if prop == "substitution":
-                return check_subst_lemma(translation, *gen_subst_pair(spec, i), cid)
-            _, deriv = gen_typed_term(spec, i)
-            if prop in stepped:
-                return stepped[prop](translation, deriv, depth, cid)
-            return single[prop](translation, deriv, cid)
-
-    elif prop == "subject-reduction":
-        if config is None:
-            raise UsageError("subject-reduction needs a calculus id")
-        cfg = preset(config)
-        spec = GenSpec(cfg, max_size=max_size, seed=seed)
-
-        def one(i: int, cid: str) -> PropertyReport:
-            term, deriv = gen_typed_term(spec, i)
-            subject = deriv if deriv is not None else term
-            return check_subject_reduction(cfg, subject, depth, cid)
-
-    elif prop == "preorder-correspondence":
-        spec = GenSpec(preset("var-rec-sub-full"), max_size=max_size, seed=seed)
-
-        def one(i: int, cid: str) -> PropertyReport:
-            _, deriv = gen_typed_term(spec, i)
-            return check_preorder_correspondence(deriv, depth, cid)
-
+    by_row = prop in ROW_CHECKS and translation is not None
+    if by_row == (prop in CALCULUS_CHECKS and config is not None):
+        needs = [kind for kind, table in (
+            ("a translation id", ROW_CHECKS), ("a calculus id", CALCULUS_CHECKS)
+        ) if prop in table]
+        if not needs:
+            raise UsageError(f"unknown property {prop}")
+        both = ", not both" if by_row else ""
+        raise UsageError(f"property {prop} needs {' or '.join(needs)}{both}")
+    if by_row:
+        subject, check = translation, ROW_CHECKS[prop]
+        covered = [tid for tid, t in TRANSLATIONS.items() if prop in t.properties]
     else:
-        raise UsageError(f"unknown property {prop}")
-    merged = functools.reduce(
-        PropertyReport.merge, (one(i, f"seed={seed} index={i}") for i in range(count))
-    )
+        accepts, check = CALCULUS_CHECKS[prop]
+        subject = preset(config).name  # refuses an unknown calculus
+        covered = [name for name, cfg in PRESETS.items() if accepts(cfg)]
+    if subject not in covered:
+        raise UsageError(
+            f"no theorem covers {prop} on {subject}; "
+            f"it is checked on {', '.join(covered)}"
+        )
+    sources = [s for s, _ in TRANSLATIONS[subject].pairs] if by_row else [subject]
+    specs = [GenSpec(preset(s), max_size=max_size, seed=seed) for s in sources]
+
+    def one(i: int) -> PropertyReport:
+        spec, cid = specs[i % len(specs)], f"seed={seed} index={i}"
+        if len(specs) > 1:
+            cid += f" from={spec.config.name}"
+        return check(subject, spec, i, depth, cid)
+
+    merged = functools.reduce(PropertyReport.merge, map(one, range(count)))
     merged.elapsed = time.perf_counter() - start
     return merged

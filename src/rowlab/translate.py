@@ -562,11 +562,14 @@ def _identity_type(ty: Type) -> Type:
     return ty
 
 
-# Every translation but the variant erasure preserves typing; t1-t4 also
-# simulate and reflect reduction and commute with substitution; the ones
-# that add no code to the erased term also preserve erasure.
+# Every translation commutes with substitution, and every one but the
+# variant erasure preserves typing.  t1-t4 also simulate and reflect
+# reduction; t7's erasure tracks cast evaluation through the record-width
+# preorder; the ones that add no code to the erased term preserve erasure.
 _TYPED = ("type-preservation",)
-_STEPS = ("simulation", "reflection", "substitution")
+_STEPS = ("simulation", "reflection")
+_SUBST = ("substitution",)
+_ERASES_UPCASTS = ("erasure", "preorder-correspondence")
 
 
 TRANSLATIONS: dict[str, Translation] = {
@@ -577,7 +580,7 @@ TRANSLATIONS: dict[str, Translation] = {
             (("var-sub", "var"),),
             t1,
             _identity_type,
-            _TYPED + _STEPS,
+            _TYPED + _STEPS + _SUBST,
             {"beta": "beta", "upcast": "beta"},
             (("beta", {"beta", "upcast"}, "exact"),),
         ),
@@ -586,7 +589,7 @@ TRANSLATIONS: dict[str, Translation] = {
             (("var-sub", "var-row"),),
             t2,
             type_translate2,
-            _TYPED + _STEPS + ("erasure",),
+            _TYPED + _STEPS + _SUBST + ("erasure",),
             {"beta": "tau? beta", "upcast": "nu"},
             (
                 ("tau? beta", {"beta"}, "tau"),
@@ -598,7 +601,7 @@ TRANSLATIONS: dict[str, Translation] = {
             (("rec-sub", "rec"),),
             t3,
             _identity_type,
-            _TYPED + _STEPS,
+            _TYPED + _STEPS + _SUBST,
             {"beta": "beta*", "upcast": "beta*"},
             (("beta", {"beta", "upcast", "nested"}, "fwd"),),
         ),
@@ -607,7 +610,7 @@ TRANSLATIONS: dict[str, Translation] = {
             (("rec-sub", "rec-pre"),),
             t4,
             type_translate4,
-            _TYPED + _STEPS + ("erasure",),
+            _TYPED + _STEPS + _SUBST + ("erasure",),
             {"beta": "tau* beta", "upcast": "nu*"},
             (
                 ("tau* beta", {"beta"}, "tau"),
@@ -619,14 +622,14 @@ TRANSLATIONS: dict[str, Translation] = {
             (("var-rec-sub-full", "var-rec"),),
             t5,
             _identity_type,
-            _TYPED,
+            _TYPED + _SUBST,
         ),
         Translation(
             "rec-co-to-pre",
             (("rec-sub-co", "rec-pre"),),
             t6,
             type_translate6,
-            _TYPED + ("erasure",),
+            _TYPED + _SUBST + ("erasure",),
         ),
         # rank-limited full subtyping on records erased into rank-1 row or
         # presence polymorphism, typed weakly through trans_a
@@ -638,12 +641,12 @@ TRANSLATIONS: dict[str, Translation] = {
             ),
             t7,
             trans_a,
-            _TYPED + ("erasure",),
+            _TYPED + _SUBST + _ERASES_UPCASTS,
         ),
         # the paper's variant duals: rank-1 full subtyping into rank-1 row
         # polymorphism, rank-2 into rank-1 presence polymorphism.  Their
         # typing statement waits for a variant bound map (trans_a knows
-        # records only), so only erasure is checked.
+        # records only), so type preservation is not checked.
         Translation(
             "erase-variant-upcasts",
             (
@@ -652,7 +655,7 @@ TRANSLATIONS: dict[str, Translation] = {
             ),
             t7,
             None,
-            ("erasure",),
+            _SUBST + _ERASES_UPCASTS,
         ),
     )
 }

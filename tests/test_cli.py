@@ -154,8 +154,7 @@ def test_verify_refuses_options_no_requested_property_uses(capsys):
     for argv, option in (
         (["--property", "simulation", "--translation", "rec-sub-to-rec",
           "--calculus", "var-sub"], "--calculus"),
-        (["--property", "preorder-correspondence", "--calculus", "rec-sub"],
-         "--calculus"),
+        (["--property", "erasure", "--calculus", "rec-sub"], "--calculus"),
         (["--property", "subject-reduction", "--calculus", "rec-sub",
           "--translation", "rec-sub-to-rec"], "--translation"),
     ):
@@ -170,6 +169,32 @@ def test_verify_refuses_options_no_requested_property_uses(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "simulation[rec-sub-to-rec]" in out and "subject-reduction[rec-sub]" in out
+
+
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        ([], "needs a translation id or a calculus id"),
+        (["--translation", "erase-upcasts", "--calculus", "var-rec-sub-full"], "not both"),
+        (["--calculus", "rec-row1"], "no theorem covers preorder-correspondence on rec-row1"),
+        (["--calculus", "rec-sub"], "no theorem covers preorder-correspondence on rec-sub"),
+    ],
+)
+def test_verify_preorder_refuses_a_missing_double_or_unstructural_subject(
+    capsys, options, message
+):
+    code = run(["verify", "--property", "preorder-correspondence", *options, "--count", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("rowlab: error: ") and message in err, err
+    assert "internal error" not in err
+
+
+def test_verify_preorder_on_a_calculus(capsys):
+    argv = ["verify", "--property", "preorder-correspondence", "--calculus",
+            "var-rec-sub-full", "--count", "100"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "preorder-correspondence: 681 cases, pass\n"
 
 
 def test_eval_negative_fuel_is_a_user_error(tmp_path, capsys):

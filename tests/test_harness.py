@@ -456,7 +456,7 @@ def test_run_property_argument_checks():
         ("erasure", "full-sub-coerce"),
         ("simulation", "full-sub-coerce"),
         ("reflection", "rec-co-to-pre"),
-        ("substitution", "erase-upcasts"),
+        ("preorder-correspondence", "rec-sub-to-rec"),
         ("simulation", "no-such-translation"),
     ],
 )
@@ -693,6 +693,52 @@ def test_rank3_witnesses_fail_weak_preservation(monkeypatch, src, expected, got)
     assert rep.failures == [("w", src, expected, got)]
 
 
+def test_every_row_states_substitution_and_t7_its_behaviour_theorem():
+    assert all("substitution" in t.properties for t in TRANSLATIONS.values())
+    assert sorted(
+        tid for tid, t in TRANSLATIONS.items() if "preorder-correspondence" in t.properties
+    ) == ["erase-upcasts", "erase-variant-upcasts"]
+
+
+def test_the_check_tables_cover_exactly_what_the_registry_and_calculi_state():
+    listed = {p for t in TRANSLATIONS.values() for p in t.properties}
+    assert set(harness.ROW_CHECKS) == listed
+    assert set(harness.CALCULUS_CHECKS) == {"subject-reduction", "preorder-correspondence"}
+
+
+STRUCTURAL = sorted(n for n, c in PRESETS.items() if c.subtyping in ("covariant", "full"))
+
+
+def test_the_structural_calculi_are_the_covariant_and_full_presets():
+    assert STRUCTURAL == sorted(n for n, c in PRESETS.items() if c.structural_subtyping)
+    assert len(STRUCTURAL) == 9 and "var-rec-sub-full" in STRUCTURAL
+
+
+@pytest.mark.parametrize("name", STRUCTURAL)
+def test_preorder_runs_on_every_structural_calculus(name):
+    rep = run_property("preorder-correspondence", config=name, count=4, seed=0)
+    assert rep.passed and rep.prop == "preorder-correspondence", rep.failures[:1]
+
+
+@pytest.mark.parametrize("name", sorted(set(PRESETS) - set(STRUCTURAL)))
+def test_preorder_refuses_every_other_calculus(name):
+    with pytest.raises(UsageError, match=f"no theorem covers preorder-correspondence on {name}"):
+        run_property("preorder-correspondence", config=name, count=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({}, "needs a translation id or a calculus id$"),
+        ({"translation": "erase-upcasts", "config": "var-rec-sub-full"},
+         "needs a translation id or a calculus id, not both"),
+    ],
+)
+def test_preorder_takes_exactly_one_subject(kwargs, message):
+    with pytest.raises(UsageError, match=message):
+        run_property("preorder-correspondence", count=1, **kwargs)
+
+
 def test_a_row_has_a_type_map_exactly_when_it_states_type_preservation():
     for t in TRANSLATIONS.values():
         assert (t.type_map is not None) == ("type-preservation" in t.properties), t.tid
@@ -924,7 +970,9 @@ def test_subject_reduction_sweep(cfg):
 
 
 def test_preorder_sweep():
-    rep = run_property("preorder-correspondence", count=10, seed=2, depth=2)
+    rep = run_property(
+        "preorder-correspondence", config="var-rec-sub-full", count=10, seed=2, depth=2
+    )
     assert rep.passed, rep.failures[:2]
 
 
@@ -1364,28 +1412,28 @@ def charged_sweep():
 
 
 REPORT_SHA256 = {
-    "registry": "38279c8a9bf3502f",
+    "registry": "56ce409cce4554cc",
     "subject-reduction": "7b8cb4bcba9c8b64",
     "preorder": "df071665708d6576",
 }
 
 LAYER_CALLS = {
-    "dynamics.erase": 279,
-    "dynamics.step_all": 1202,
-    "dynamics.term_preorder": 38,
-    "harness.check": 625,
-    "harness.gen": 605,
+    "dynamics.erase": 588,
+    "dynamics.step_all": 1477,
+    "dynamics.term_preorder": 492,
+    "harness.check": 745,
+    "harness.gen": 725,
     "infer.infer": 88,
     "pretty.show_term": 1,
-    "statics.subtype": 2024,
-    "statics.type_check": 1204,
-    "syntax.alpha_eq": 1012,
-    "syntax.subst_term": 648,
-    "syntax.type_equal": 5127,
-    "translate.run_translation": 859,
+    "statics.subtype": 950,
+    "statics.type_check": 1619,
+    "syntax.alpha_eq": 1092,
+    "syntax.subst_term": 1014,
+    "syntax.type_equal": 2773,
+    "translate.run_translation": 1099,
 }
 
-UNITS_SPENT = 44858
+UNITS_SPENT = 50744
 
 
 # the layer functions ``tracing.install`` leaves unwrapped in their own

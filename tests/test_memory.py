@@ -50,7 +50,7 @@ def _checks() -> None:
             harness.run_property(prop, translation=tid, count=COUNT)
     for name in PRESETS:
         harness.run_property("subject-reduction", config=name, count=COUNT)
-    harness.run_property("preorder-correspondence", count=COUNT)
+    harness.run_property("preorder-correspondence", config="var-rec-sub-full", count=COUNT)
 
 
 def test_entry_points_leave_no_cyclic_garbage(monkeypatch, capsys):
