@@ -34,8 +34,8 @@ from typing import Any, Callable
 from .config import CalculusConfig
 from .pretty import show_term
 from .syntax import (
-    NO_NAMES,
     SHAPES,
+    TYPE_LEVEL,
     App,
     Arrow,
     Base,
@@ -44,7 +44,6 @@ from .syntax import (
     Lam,
     Let,
     Lit,
-    Names,
     PresAbs,
     PresApp,
     Prim,
@@ -58,10 +57,8 @@ from .syntax import (
     Upcast,
     Var,
     Variant,
-    bind,
+    agree,
     rebuild,
-    same_data,
-    same_name,
     strip,
     subst_term,
     subst_type_in_term,
@@ -375,39 +372,17 @@ def reduction_trace(
 # Erasure
 
 
-# The forms erasure removes, keeping their one child.
-_TYPE_LEVEL = (Upcast, RowAbs, RowApp, PresAbs, PresApp)
-
-
 def erase(term: Term) -> Term:
     """Strip annotations, casts, and type-level abstraction/application."""
-    return strip(term, _TYPE_LEVEL, lambda annotation: None)
+    return strip(term, TYPE_LEVEL, lambda annotation: None)
 
 
 # ---------------------------------------------------------------------------
-# Term approximation: m approximates n when they agree up to the left side
-# carrying extra record fields.
+# Term approximation
 
 
 def term_preorder(m: Term, n: Term) -> bool:
-    return _approx(m, n, NO_NAMES)
-
-
-def _approx(m: Term, n: Term, env: Names) -> bool:
-    # annotations are ignored; casts and type-level forms are never related
-    if type(m) is not type(n) or isinstance(m, _TYPE_LEVEL):
-        return False
-    if type(m) is Var:
-        return same_name(env, m.name, n.name)
-    shape = SHAPES[type(m)]
-    if not same_data(shape, m, n):
-        return False
-    mk = {slot: (child, x) for slot, child, x in shape.children(m)}
-    nk = {slot: (child, y) for slot, child, y in shape.children(n)}
-    if not (nk.keys() <= mk.keys() if type(m) is RecordLit else nk.keys() == mk.keys()):
-        return False
-    for slot, (b, y) in nk.items():
-        a, x = mk[slot]
-        if not _approx(a, b, env if x is None else bind(env, x, y)):
-            return False
-    return True
+    """``m`` is below ``n`` in the record-width preorder on erased terms:
+    they are alpha-equivalent except that ``m``'s record literals may carry
+    fields ``n``'s lack.  A cast or other type-level form is below nothing."""
+    return agree(m, n, wider=True)

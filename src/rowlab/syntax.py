@@ -9,14 +9,15 @@ Structure:
   with their slot names, the term variable each child binds, the way to
   rebuild the node, its type-level parts and binder, and the fields two
   nodes of the form must agree on; free variables, substitution, erasure,
-  reduction, the equality and preorder walkers and the translations' default
-  rule all read it instead of matching on the forms themselves
+  reduction, the comparison of terms and the translations' default rule
+  all read it instead of matching on the forms themselves
 - a two-sided binder environment (``bind``, ``same_name``), a hashable
   tuple of (left, right) binder pairs, that every comparison of terms up to
-  renaming shares, and ``match_node``, one node of ``alpha_eq``: it pairs
-  two nodes' children with the environments they are compared under, so a
-  search can descend two terms the way ``alpha_eq`` does without renaming
-  either
+  renaming shares, and ``match_node``, the one place two terms' children
+  are paired, with the environments they are compared under: up to alpha
+  equivalence or, with ``wider``, the record-width preorder.  ``agree``
+  applies it at every node pair, for ``alpha_eq`` and ``term_preorder``; a
+  search descends two terms the same way without renaming either
 - ``free_type_names``, the one walk for the free type-level names of a
   term, type, row or presence and the kind their uses give them (a row
   tail's lacks set, or a presence), on an explicit stack; it reads the same
@@ -449,6 +450,10 @@ SHAPES: dict[type, Shape] = {
 }
 
 
+# The one-child type-level forms: erasure removes them, the preorder relates none.
+TYPE_LEVEL = (Upcast, RowAbs, RowApp, PresAbs, PresApp)
+
+
 def children(term: Term) -> list[tuple[str, Term, str | None]]:
     """The term's (slot, child, binder) triples; see Shape."""
     return SHAPES[type(term)].children(term)
@@ -485,15 +490,6 @@ def strip(term: Term, forms: tuple[type, ...], fn: Callable | None = None) -> Te
         else:
             done.append(shape.rebuild(node, kids, None, fn))
     return done[0]
-
-
-def same_data(shape: Shape, m: Term, n: Term) -> bool:
-    """The two nodes of ``shape``'s form agree on every ``data`` field."""
-    for name in shape.data:
-        a, b = getattr(m, name), getattr(n, name)
-        if type(a) is not type(b) or a != b:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -989,7 +985,7 @@ def _same_key(a, left: tuple[str, ...], b, right: tuple[str, ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# alpha equivalence of terms
+# comparing terms: alpha equivalence and the record-width preorder
 
 
 def alpha_eq(m: Term, n: Term, env: Names = NO_NAMES, tyenv: tuple = ((), ())) -> bool:
@@ -997,11 +993,19 @@ def alpha_eq(m: Term, n: Term, env: Names = NO_NAMES, tyenv: tuple = ((), ())) -
     order of case branches and record fields, and record fields marked absent
     by their annotation; ``m`` and ``n`` are compared under the term binder
     pairs ``env`` and the type binders ``tyenv`` (see ``match_node``)."""
-    pairs = match_node(m, n, env, tyenv)
+    return agree(m, n, env, tyenv)
+
+
+def agree(
+    m: Term, n: Term, env: Names = NO_NAMES, tyenv: tuple = ((), ()), wider: bool = False
+) -> bool:
+    """``match_node`` holds at every node pair of ``m`` and ``n``: alpha
+    equivalence, or with ``wider`` the record-width preorder."""
+    pairs = match_node(m, n, env, tyenv, wider)
     if pairs is None:
         return False
     for a, b, inner, tyinner in pairs:
-        if not alpha_eq(a, b, inner, tyinner):
+        if not agree(a, b, inner, tyinner, wider):
             return False
     return True
 
@@ -1018,8 +1022,8 @@ def _slot(part: tuple) -> str:
     return part[0]
 
 
-def match_node(m: Term, n: Term, env: Names, tyenv: tuple) -> list | None:
-    """One node of ``alpha_eq``: the children of ``m`` and ``n`` paired by
+def match_node(m: Term, n: Term, env: Names, tyenv: tuple, wider=False) -> list | None:
+    """One node of ``agree``: the children of ``m`` and ``n`` paired by
     slot, each pair as ``(child of m, child of n, env, tyenv)`` with the
     environments it is compared under, or None when the nodes differ.
 
@@ -1028,22 +1032,33 @@ def match_node(m: Term, n: Term, env: Names, tyenv: tuple) -> list | None:
     type-level parts are compared by key (``type_key``).  Two nodes differ in
     form, in a ``data`` field, in a type-level part, in the slots of their
     children (record fields that the annotation marks absent left out), or,
-    for two variables, in what they name (``same_name``)."""
-    if type(m) is not type(n):
+    for two variables, in what they name (``same_name``).
+
+    With ``wider``, the record-width preorder on erased terms: a record
+    literal on the left may carry fields the right lacks, type-level parts
+    are not compared, and a node of a ``TYPE_LEVEL`` form matches nothing."""
+    if type(m) is not type(n) or wider and isinstance(m, TYPE_LEVEL):
         return None
     if type(m) is Var:
         return [] if same_name(env, m.name, n.name) else None
     shape = SHAPES[type(m)]
-    if shape.data and not same_data(shape, m, n):
-        return None
-    for name in shape.types:
-        if not _part_eq(getattr(m, name), getattr(n, name), tyenv):
+    for name in shape.data:
+        a, b = getattr(m, name), getattr(n, name)
+        if type(a) is not type(b) or a != b:
             return None
-    if shape.tybinder:
-        tyenv = ((m.var, *tyenv[0]), (n.var, *tyenv[1]))
+    if not wider:
+        for name in shape.types:
+            if not _part_eq(getattr(m, name), getattr(n, name), tyenv):
+                return None
+        if shape.tybinder:
+            tyenv = ((m.var, *tyenv[0]), (n.var, *tyenv[1]))
     mk, nk = shape.children(m), shape.children(n)
     if type(m) is RecordLit:
-        mk, nk = _live_fields(m, mk), _live_fields(n, nk)
+        if wider:
+            slots = {k[0] for k in nk}
+            mk = [k for k in mk if k[0] in slots]
+        else:
+            mk, nk = _live_fields(m, mk), _live_fields(n, nk)
     if len(mk) != len(nk):
         return None
     # children pair up by slot; sort only when the two orders differ

@@ -26,7 +26,8 @@ translation count up left to right over the derivation (r0, r1, ... for
 rows, p0, p1, ... for presence), while quantifiers inside translated type
 annotations use a q prefix so they can never shadow a term-level binder.
 Each type map draws all its q names from one counter, so no q shadows
-another.
+another.  A premise shared by several nodes of a derivation is translated
+once, where it is first met, so its image and the names in it are shared.
 
 No closure outlives its call holding itself, so a translation leaves no
 reference cycle behind: a rule gets the recursive translator as an
@@ -119,17 +120,24 @@ def _translate(name: str, family: tuple[str, ...], rules: dict, deriv, fn=None):
     """Translate ``deriv`` by ``rules[d.rule](d, go)``, ``go`` the recursive
     translator, where there is one, and by ``_congruent`` for the other
     rules of the source ``family``.  A reflexive cast translates as its
-    operand."""
+    operand, and a shared premise translates once."""
+    images: dict[int, Term] = {}  # id of a derivation -> its image
 
     def go(d: Derivation) -> Term:
+        image = images.get(id(d))
+        if image is not None:
+            return image
         rule = rules.get(d.rule)
-        if rule is not None:
-            if d.evidence is not None and d.evidence.rule == "SRefl":
-                return go(d.premises[0])
-            return rule(d, go)
-        if d.rule not in family:
-            raise TranslationError(f"unexpected rule {d.rule} for {name}")
-        return _congruent(d, go, fn)
+        if rule is None:
+            if d.rule not in family:
+                raise TranslationError(f"unexpected rule {d.rule} for {name}")
+            image = _congruent(d, go, fn)
+        elif d.evidence is not None and d.evidence.rule == "SRefl":
+            image = go(d.premises[0])
+        else:
+            image = rule(d, go)
+        images[id(d)] = image
+        return image
 
     try:
         return go(deriv)

@@ -1,5 +1,6 @@
 """Reduction, cast evaluation, erasure, and the approximation preorder."""
 
+import itertools
 import sys
 import tracemalloc
 
@@ -23,7 +24,26 @@ from rowlab.infer import infer
 from rowlab.parser import parse_term_str
 from rowlab.pretty import show_term, show_type
 from rowlab.statics import type_check
-from rowlab.syntax import App, Base, Lam, Lit, Prim, Upcast, Var, alpha_eq, children
+from rowlab.syntax import (
+    NO_NAMES,
+    SHAPES,
+    App,
+    Base,
+    Lam,
+    Lit,
+    PresAbs,
+    PresApp,
+    Prim,
+    RecordLit,
+    RowAbs,
+    RowApp,
+    Upcast,
+    Var,
+    alpha_eq,
+    bind,
+    children,
+    same_name,
+)
 from rowlab.translate import TRANSLATIONS, run_translation
 
 M = parse_term_str
@@ -439,6 +459,72 @@ def test_preorder_is_false_on_casts_and_type_level_forms():
     assert not term_preorder(M("x :> {A:Int}"), M("x :> {A:Int}"))
     src = "(/\\r:Row!{Name}. \\x:{Name:String; r}. x.Name) @ [Age:Int]"
     assert not term_preorder(M(src), M(src))
+
+
+# The preorder's own walk before it ran on ``syntax.match_node``, kept as
+# the reference the shared walk must agree with.
+_TYPE_LEVEL = (Upcast, RowAbs, RowApp, PresAbs, PresApp)
+
+
+def same_data(shape, m, n):
+    """The two nodes of ``shape``'s form agree on every ``data`` field."""
+    for name in shape.data:
+        a, b = getattr(m, name), getattr(n, name)
+        if type(a) is not type(b) or a != b:
+            return False
+    return True
+
+
+def _approx(m, n, env):
+    # annotations are ignored; casts and type-level forms are never related
+    if type(m) is not type(n) or isinstance(m, _TYPE_LEVEL):
+        return False
+    if type(m) is Var:
+        return same_name(env, m.name, n.name)
+    shape = SHAPES[type(m)]
+    if not same_data(shape, m, n):
+        return False
+    mk = {slot: (child, x) for slot, child, x in shape.children(m)}
+    nk = {slot: (child, y) for slot, child, y in shape.children(n)}
+    if not (nk.keys() <= mk.keys() if type(m) is RecordLit else nk.keys() == mk.keys()):
+        return False
+    for slot, (b, y) in nk.items():
+        a, x = mk[slot]
+        if not _approx(a, b, env if x is None else bind(env, x, y)):
+            return False
+    return True
+
+
+def _erased_pairs():
+    """Every two erased terms among a generated term, its reducts and their
+    reducts, under the cast rules, from 60 terms of each structural calculus
+    with variants or records."""
+    pairs = []
+    for name in ("var-rec-sub-full", "rec-sub-full"):
+        cfg = preset(name)
+        rels = relations_for(cfg, full_upcast=True)
+        spec = GenSpec(cfg, max_size=12, seed=0)
+        for i in range(60):
+            try:
+                t = gen_typed_term(spec, i)[1].term
+            except GenError:
+                continue
+            family = [t] + [s.term for s in step_all(t, rels)]
+            family += [s.term for u in family[1:] for s in step_all(u, rels)]
+            pairs += itertools.combinations([erase(u) for u in family], 2)
+    return pairs
+
+
+def test_preorder_agrees_with_its_reference_walk_on_generated_pairs():
+    pairs = _erased_pairs()
+    assert len(pairs) >= 5000
+    related = 0
+    for a, b in pairs:
+        for m, n in ((a, b), (b, a)):
+            want = _approx(m, n, NO_NAMES)
+            assert term_preorder(m, n) == want, (show_term(m), show_term(n))
+            related += want
+    assert related >= 0.2 * 2 * len(pairs)
 
 
 def _stack_depth():

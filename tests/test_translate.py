@@ -25,6 +25,7 @@ from rowlab.syntax import (
     PresVar,
     Present,
     Record,
+    RecordLit,
     Row,
     TypeScheme,
     TyVar,
@@ -55,6 +56,7 @@ from rowlab.translate import (
     type_translate4,
     type_translate6,
 )
+from test_statics import _distinct, _t3_stack
 from test_syntax import rename_type_name
 
 T = parse_type_str
@@ -65,6 +67,10 @@ BETA = RelationSet()
 
 def deriv(cfg_name, src, delta=None, gamma=None):
     return type_check(preset(cfg_name), delta or {}, gamma or {}, M(src))
+
+
+def deriv_of(cfg_name, term):
+    return type_check(preset(cfg_name), {}, {}, term)
 
 
 def translated(tid, src, delta=None, gamma=None):
@@ -573,6 +579,33 @@ def test_t4_substitution_commutes():
     lhs = subst_term(t4(open_d), t4(arg_d), "x")
     closed_d = deriv("rec-sub", ALICE_UP)
     assert alpha_eq(lhs, t4(closed_d))
+
+
+# ---------------------------------------------------------------------------
+# shared premises: a derivation of a shared term shares its premises, and a
+# translation keeps that sharing
+
+
+def test_the_images_of_one_shared_premise_are_one_object():
+    up = M(YEAR_UP)
+    fn = M("\\a:[Age:Int; Year:Int]. \\b:[Age:Int; Year:Int]. a")
+    d = type_check(preset("var-sub"), {}, {}, App(App(fn, up), up))
+    assert d.premises[1] is d.premises[0].premises[1]
+    for tid in ("var-sub-to-var", "var-sub-to-row"):
+        out = run_translation(tid, d)
+        assert out.arg is out.fn.arg, tid
+    up = M(ALICE_UP)
+    out = run_translation("rec-sub-to-rec", deriv_of("rec-sub", RecordLit((("A", up), ("B", up)))))
+    assert out.fields[0][1] is out.fields[1][1]
+
+
+def test_a_shared_derivation_translates_in_its_distinct_premises():
+    # the t3 output of 12 stacked casts is a tree of more than 7e9 nodes
+    for k in (5, 12):
+        out = _t3_stack(k)
+        again = run_translation("rec-sub-to-rec", deriv_of("rec-sub", out))
+        assert _distinct(again) == _distinct(out), k
+        assert k > 5 or alpha_eq(again, out)  # small enough to compare as a tree
 
 
 # ---------------------------------------------------------------------------
