@@ -5,7 +5,10 @@ verification harness can match exact step patterns.  ``REDEXES`` maps each
 form that can head a redex to its head slot and its rule, which gives the
 contractum and its tag, or None.  ``step_all`` is the reference relation:
 it enumerates every redex in leftmost-outermost order together with its
-position path and the whole term after firing it.
+position path and the whole term after firing it.  A row or presence
+application that meets its binder keeps its contractum and tag on itself
+(``_type_app``, a kept fact as in ``syntax``), so a redex that several
+terms share, or that a search steps again, is substituted into once.
 
 ``step_once``, ``normalize`` and ``reduction_trace`` fire the first of those
 redexes again and again, but without searching from the root each time.
@@ -18,7 +21,8 @@ immediate children, so after a contraction only the parent of the
 contractum can have become a redex: the machine re-checks that parent and
 then the contractum itself, and never revisits anything to the left.  A
 changed ancestor is rebuilt once, when the machine leaves it.  ``erase``
-rebuilds on an explicit stack (``syntax.strip``), so any depth is fine.
+rebuilds on an explicit stack (``syntax.strip``), so any depth is fine, and
+each node object once, so the erasure shares what the term shares.
 
 No closure outlives its call holding itself: ``step_all`` deletes its
 recursive walker when the walk returns, so the walk leaves no reference
@@ -172,10 +176,15 @@ def _upcast(t: Upcast, rels: RelationSet):
 
 def _type_app(t, rels: RelationSet, form: type, arg, kind: str):
     """A row or presence application meeting its binder: tau for a written
-    one, nu for one a cast translation introduced."""
+    one, nu for one a cast translation introduced.  The redex keeps its
+    (contractum, tag) as ``_contractum``: both depend on it alone."""
     if rels.type_redex and isinstance(t.term, form):
-        tag = ("tau-" if t.origin == "source" else "nu-") + kind
-        return subst_type_in_term(t.term.body, arg, t.term.var), tag
+        hit = getattr(t, "_contractum", None)
+        if hit is None:
+            tag = ("tau-" if t.origin == "source" else "nu-") + kind
+            hit = (subst_type_in_term(t.term.body, arg, t.term.var), tag)
+            object.__setattr__(t, "_contractum", hit)
+        return hit
     return None
 
 

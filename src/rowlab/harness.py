@@ -37,15 +37,19 @@ Each stepping check makes one ``_Keys`` table, its memo for as long as it
 runs and freed, by reference counting, when it returns (``_Keys`` says
 how).  The table keys terms by structure, never by their printed text: the
 seen sets of ``_explore`` and ``_closure`` and the ``_Reach`` memo hold its
-ints.  It also makes every call the check makes into the stepper
-(``step_all``, keyed by term, relation set and spine mode), the checker
-(a reduct, keyed by term and context objects) and the translator
+ints, and a type-level part enters a term's key as the number the table
+gives its object, once.  It also makes every call the check makes into the
+stepper (``step_all``, keyed by term, relation set and spine mode), the
+checker (a reduct, keyed by term and context objects) and the translator
 (``run_translation``, keyed by derivation), so a term reached twice, say as
 a reduct's image and again as the next level's root, is stepped,
-re-typechecked and translated once.  Report text is rendered only for a
-failed case (``PropertyReport.tally``).  The search compares a state with
-its goal as ``alpha_eq`` does, under the binder pairs of the nodes above
-them (``syntax.match_node``), so it renames neither.
+re-typechecked and translated once.  It holds one memo of settled search
+questions per (relation set, step classes), which every ``_Reach`` search
+of the check reads and adds to, so no search settles a question an earlier
+one settled.  Report text is rendered only for a failed case
+(``PropertyReport.tally``).  The search compares a state with its goal as
+``alpha_eq`` does, under the binder pairs of the nodes above them
+(``syntax.match_node``), so it renames neither.
 """
 
 from __future__ import annotations
@@ -585,7 +589,7 @@ class PropertyReport:
 # with what it has found so far, as if it were complete.
 _CLOSURE_NODES = 300  # terms _closure collects
 _CAST_FUEL = 400  # cast contractions _cast_normal makes
-_REACH_MEMO = 6000  # (state, goal) pairs _Reach settles
+_REACH_MEMO = 6000  # questions one _Reach search asks
 # The generator's bound is not silent: an attempt that makes more than this
 # many term_for calls per unit of max_size ends (_Overrun) and is retried
 # with the next attempt seed.  At 100, the benchmark's verify-sweep at seed
@@ -692,7 +696,10 @@ class _Keys:
     reduct once per (term key, context objects, configuration), so a term
     that two runs reach gets one derivation object, ``image`` keys
     ``run_translation`` by (translation, derivation object) and ``erased``
-    keys ``erase`` by term key.  Objects keyed by ``id`` are held, so their
+    keys ``erase`` by term key; ``settled`` holds the searches' answers.  A
+    node's type-level parts enter its key as numbers (``_part``), one per
+    part equal as a dataclass, so a type is hashed once per object, not
+    once per node that holds it.  Objects keyed by ``id`` are held, so their
     ids cannot be recycled.  Each check makes one table for all its searches
     and seen sets, and the table is freed when the check returns: nothing
     the check leaves refers back to it, as ``_explore`` deletes its
@@ -702,6 +709,9 @@ class _Keys:
     def __init__(self):
         self._keys: dict[int, tuple[Term, int]] = {}  # id -> (term, key)
         self._interned: dict[tuple, int] = {}
+        self._part_ids: dict[int, tuple[object, int]] = {}  # id -> (part, number)
+        self._parts: dict[object, int] = {}
+        self._settled: dict[tuple, dict] = {}
         self._steps: dict[tuple, list[Step]] = {}
         self._typed: dict[tuple, tuple[Derivation, Derivation | StaticError]] = {}
         self._images: dict[tuple, tuple[Derivation, Term]] = {}
@@ -716,7 +726,7 @@ class _Keys:
         parts: list = [type(t)]
         # the value's type too: Lit(True) == Lit(1) as Python values
         parts += [(type(v), v) for v in (getattr(t, f) for f in shape.data)]
-        parts += [getattr(t, f) for f in shape.types]
+        parts += [self._part(getattr(t, f)) for f in shape.types]
         if type(t) is Var or shape.tybinder:
             parts.append(t.name if type(t) is Var else t.var)
         for slot, child, binder in shape.children(t):
@@ -724,6 +734,20 @@ class _Keys:
         key = self._interned.setdefault(tuple(parts), len(self._interned))
         self._keys[id(t)] = (t, key)
         return key
+
+    def _part(self, part) -> int:
+        """A type-level part's number (or None's): parts equal as dataclasses
+        get one, and each object is hashed once."""
+        hit = self._part_ids.get(id(part))
+        if hit is None:
+            number = self._parts.setdefault(part, len(self._parts))
+            hit = self._part_ids[id(part)] = (part, number)
+        return hit[1]
+
+    def settled(self, rels: RelationSet, classes: set[str]) -> dict:
+        """The answers every ``_Reach`` search of the check by steps of
+        ``classes`` under ``rels`` has settled, by question."""
+        return self._settled.setdefault((rels, frozenset(classes)), {})
 
     def steps(self, t: Term, rels: RelationSet, spine: bool = False) -> list[Step]:
         """What ``step_all`` lists for ``t``; the list is shared, so it is
@@ -780,12 +804,23 @@ class _Reach:
     memo keys (state, goal) pairs by structure (``_Keys``) with their
     environments, so that the search costs what the distinct subterms cost.
     need_beta threads the 'exactly one beta somewhere' obligation through
-    the descent.  ``keys`` is the table of the check that searches."""
+    the descent.  ``keys`` is the table of the check that searches.
+
+    One object is one search.  Its own memo holds the questions it has
+    asked, open or settled, and ``_REACH_MEMO`` bounds their number: past
+    it, a new question is answered False.  Every answer settled before
+    that is exact (the target calculi have no rewrite cycle) and goes to
+    the check's memo for the same relations and classes
+    (``_Keys.settled``), which later searches read first; once the search
+    has met the bound it adds nothing there, so no later search reads an
+    answer it gave up on."""
 
     def __init__(self, rels: RelationSet, classes: set[str], keys: _Keys):
         self.rels = rels
         self.classes = classes
-        self.memo: dict = {}
+        self.memo: dict = {}  # this search's questions, settled or open
+        self.known = keys.settled(rels, classes)
+        self.full = False  # this search met _REACH_MEMO
         self._key = keys
 
     def go(
@@ -793,16 +828,18 @@ class _Reach:
         tyenv: tuple = ((), ()),
     ) -> bool:
         key = (self._key(x), self._key(g), need_beta, env, tyenv)
+        out = self.known.get(key)
+        if out is not None:
+            return out
         if key in self.memo:
             return self.memo[key]
         if len(self.memo) > _REACH_MEMO:
+            self.full = True
             return False
         self.memo[key] = False
         if alpha_eq(x, g, env, tyenv):
             # no rewrite cycle can return here, so this is definitive
-            out = not need_beta
-            self.memo[key] = out
-            return out
+            return self._settle(key, not need_beta)
         out = False
         # contract the root, or a head-spine position that can expose it
         for s in self._key.steps(x, self.rels, spine=True):
@@ -817,7 +854,12 @@ class _Reach:
             pairs = match_node(x, g, env, tyenv)
             if pairs is not None:
                 out = self._descend(pairs, need_beta)
+        return self._settle(key, out)
+
+    def _settle(self, key: tuple, out: bool) -> bool:
         self.memo[key] = out
+        if not self.full:  # settled within the bound: exact
+            self.known[key] = out
         return out
 
     def _descend(self, pairs, need_beta: bool) -> bool:
@@ -987,7 +1029,6 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
             (_step_class(s.tag), nd, keys.image(tid, nd))
             for s, nd in _reducts(rep, keys, src_cfg, d, src_rels, cid)
         ]
-        reach_by = {c: _Reach(tgt_rels, {c}, keys) for c in ("beta", "nu", "tau")}
         # translated source reducts two or more steps away, breadth first,
         # and the queue of source reducts not yet stepped
         deeper: list[Term] = []
@@ -1034,14 +1075,15 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
                 ok = any(cls in allowed and alpha_eq(tk, u) for cls, _, tk in sources)
             elif mode == "tau":
                 ok = any(
-                    cls in allowed and reach_by["tau"].go(tk, u)
+                    cls in allowed and _Reach(tgt_rels, {"tau"}, keys).go(tk, u)
                     for cls, _, tk in sources
                 )
             elif mode == "fwd":
-                reach = reach_by[run.rstrip("?*")]
+                by = {run.rstrip("?*")}
                 ok = any(
-                    cls in allowed and reach.go(u, tk) for cls, _, tk in sources
-                ) or any(reach.go(u, tk) for tk in deeper_images())
+                    cls in allowed and _Reach(tgt_rels, by, keys).go(u, tk)
+                    for cls, _, tk in sources
+                ) or any(_Reach(tgt_rels, by, keys).go(u, tk) for tk in deeper_images())
             else:
                 raise ValueError(f"unknown match mode {mode!r}")
             rep.tally(

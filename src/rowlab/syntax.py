@@ -27,15 +27,24 @@ Structure:
 - canonical type keys (``type_key``), which type and scheme equality and the
   annotations of alpha equivalence compare
 
-Frozen nodes keep facts computed once from their parts' copies: a type or
-row its key ``_key`` and printed text ``_text`` (``pretty.show_type``), a
-term its tree size ``_size`` (``term_size``) and its free term variables
-``_free`` (``free_vars``), and a term, type or row the set ``_names`` of
-every type-level name it mentions (``type_level_names``).  The name sets let
-``subst_term`` and ``subst_type_in_term`` return untouched subterms without
-a walk.  They are stored with ``object.__setattr__``, outside the dataclass
-fields, and read with ``getattr(node, name, None)``, never through
-``__dict__``.
+``agree`` walks two terms as trees; a comparison that grows past
+``_TREE_PAIRS`` node pairs starts over and remembers the pairs it has
+proven, so that terms that share subterms (a cast stack's translation is a
+tree exponential in its casts) cost what their distinct pairs cost.
+``strip``, and so erasure, rebuilds each node object once and keeps the
+sharing.
+
+Frozen nodes keep facts computed once from their parts' copies: a type,
+row or presence its key ``_key`` and its keys under binder stacks ``_keys``
+(``type_key``), a type or row its printed text ``_text``
+(``pretty.show_type``), a term its tree size ``_size`` (``term_size``) and
+its free term variables ``_free`` (``free_vars``), a term, type or row the
+set ``_names`` of every type-level name it mentions (``type_level_names``),
+and a row or presence application that meets its binder its contractum
+(``dynamics``).  The name sets let ``subst_term`` and
+``subst_type_in_term`` return untouched subterms without a walk.  They are
+stored with ``object.__setattr__``, outside the dataclass fields, and read
+with ``getattr(node, name, None)``, never through ``__dict__``.
 
 Rows are stored in source order; comparisons normalize. Names are plain
 strings; fresh names come from a NameSupply and look like "x$3".
@@ -468,13 +477,19 @@ def strip(term: Term, forms: tuple[type, ...], fn: Callable | None = None) -> Te
     """``term`` with every node of ``forms`` (one-child forms) replaced by its
     child, and ``fn`` applied to each type-level part of the rest when it is
     given.  The rebuild runs bottom-up on an explicit stack, so a term of
-    any depth is fine."""
+    any depth is fine, and once per node object, so a subterm shared in
+    ``term`` is shared in the result."""
     done: list[Term] = []  # the rebuilt subterms not yet used, in postorder
+    images: dict[int, Term] = {}  # id of a node -> its image; term holds them
     # (node, its shape once its children are rebuilt, where they start in done)
     stack: list = [(term, None, 0)]
     while stack:
         node, shape, start = stack.pop()
         if shape is None:
+            image = images.get(id(node))
+            if image is not None:
+                done.append(image)
+                continue
             shape = SHAPES[type(node)]
             kids = shape.children(node)
             if not kids:
@@ -485,10 +500,9 @@ def strip(term: Term, forms: tuple[type, ...], fn: Callable | None = None) -> Te
             continue
         kids = done[start:]
         del done[start:]
-        if isinstance(node, forms):
-            done.append(kids[0])
-        else:
-            done.append(shape.rebuild(node, kids, None, fn))
+        image = kids[0] if isinstance(node, forms) else shape.rebuild(node, kids, None, fn)
+        images[id(node)] = image
+        done.append(image)
     return done[0]
 
 
@@ -553,11 +567,13 @@ def term_size(term: Term) -> int:
     """The number of nodes of the term as a tree, kept on each node as
     ``_size``: after the first call on a term, a read of one attribute.
 
-    The facts a frozen node keeps are ``_key`` and ``_text`` (types and
-    rows: ``type_key`` and ``pretty.show_type``), ``_size`` (terms),
-    ``_free`` (terms: ``free_vars``) and ``_names`` (terms, types and rows:
-    ``type_level_names``).  They are read with ``getattr``, never through
-    ``__dict__``."""
+    The facts a frozen node keeps are ``_key`` and ``_keys`` (types, rows
+    and presences: ``type_key`` outside every binder and per binder stack),
+    ``_text`` (types and rows: ``pretty.show_type``), ``_size`` (terms),
+    ``_free`` (terms: ``free_vars``), ``_names`` (terms, types and rows:
+    ``type_level_names``) and ``_contractum`` (a row or presence
+    application that meets its binder: ``dynamics._type_app``).  They are
+    read with ``getattr``, never through ``__dict__``."""
     size = getattr(term, "_size", None)
     return _keep(term, "_size", _visit_size) if size is None else size
 
@@ -950,17 +966,33 @@ def type_key(t: Type | Row | Presence, names: tuple[str, ...] = ()) -> tuple:
     itself, and rows normalized as ``normalize_row`` does.  A duplicate label
     raises MalformedRowError, and what is not a type raises TypeError.
 
-    Types and rows are frozen, so a key computed outside every binder is
-    kept on the object and can never go stale; one under binders is not."""
-    key = None if names else getattr(t, "_key", None)
-    if key is None:
-        form = _KEY_FORMS.get(type(t))
-        if form is None:
-            raise TypeError(f"not a type: {t!r}")
-        key = form(t, names)
-        if not names:
+    Types, rows and presences are frozen, so a key can never go stale: the
+    key outside every binder is kept on the object as ``_key``, and one
+    under binders in the dict ``_keys``, by binder stack.  A part that
+    mentions none of the stack's names has its key outside every binder,
+    and keeps nothing for the stack."""
+    if not names:
+        key = getattr(t, "_key", None)
+        if key is None:
+            key = _key_form(t)(t, names)
             object.__setattr__(t, "_key", key)
+        return key
+    kept = getattr(t, "_keys", None) or {}
+    if names in kept:
+        return kept[names]
+    form = _key_form(t)
+    if type_level_names(t).isdisjoint(names):
+        return type_key(t)
+    key = kept[names] = form(t, names)
+    object.__setattr__(t, "_keys", kept)
     return key
+
+
+def _key_form(t) -> Callable[[Any, tuple[str, ...]], tuple]:
+    form = _KEY_FORMS.get(type(t))
+    if form is None:
+        raise TypeError(f"not a type: {t!r}")
+    return form
 
 
 def type_equal(a: Type, b: Type) -> bool:
@@ -1000,13 +1032,52 @@ def agree(
     m: Term, n: Term, env: Names = NO_NAMES, tyenv: tuple = ((), ()), wider: bool = False
 ) -> bool:
     """``match_node`` holds at every node pair of ``m`` and ``n``: alpha
-    equivalence, or with ``wider`` the record-width preorder."""
+    equivalence, or with ``wider`` the record-width preorder.
+
+    The walk is over the two trees, so a subterm pair that sharing reaches
+    again is compared again.  A walk that passes ``_TREE_PAIRS`` node pairs
+    (only terms whose trees are that large can repeat pairs to any cost)
+    starts over and remembers the pairs it has proven, by object and
+    environments, so that it costs what the distinct pairs cost."""
+    left = _tree_agree(m, n, env, tyenv, wider, _TREE_PAIRS)
+    if left == _RAN_OUT:
+        return _dag_agree(m, n, env, tyenv, wider, set())
+    return left >= 0
+
+
+_TREE_PAIRS = 1024  # verify-search's comparisons walk at most 182 (seed 0)
+_DIFFER, _RAN_OUT = -1, -2
+
+
+def _tree_agree(m, n, env, tyenv, wider: bool, left: int) -> int:
+    """How many of ``left`` node pairs are left once ``m`` and ``n`` agree;
+    ``_DIFFER`` when they do not, ``_RAN_OUT`` when the walk needs more."""
+    pairs = match_node(m, n, env, tyenv, wider)
+    if pairs is None:
+        return _DIFFER
+    if left == 0:
+        return _RAN_OUT
+    left -= 1
+    for a, b, inner, tyinner in pairs:
+        left = _tree_agree(a, b, inner, tyinner, wider, left)
+        if left < 0:
+            return left
+    return left
+
+
+def _dag_agree(m, n, env, tyenv, wider: bool, proven: set) -> bool:
+    """``agree``, skipping the pairs in ``proven`` and adding each it proves;
+    the two terms hold every node alive, so ids are not reused meanwhile."""
+    key = (id(m), id(n), env, tyenv)
+    if key in proven:
+        return True
     pairs = match_node(m, n, env, tyenv, wider)
     if pairs is None:
         return False
     for a, b, inner, tyinner in pairs:
-        if not agree(a, b, inner, tyinner, wider):
+        if not _dag_agree(a, b, inner, tyinner, wider, proven):
             return False
+    proven.add(key)
     return True
 
 

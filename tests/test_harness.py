@@ -1100,6 +1100,86 @@ def test_search_refuses_a_goal_it_cannot_reach(monkeypatch):
     assert _no_reach_answers() == [True, True, True]
 
 
+def test_a_search_that_meets_the_bound_leaves_no_answer(monkeypatch):
+    # field A needs a beta step to meet its goal.  Under a bound of one
+    # question, the search of the whole record gives up while it settles
+    # field A; a later search of field A alone, in the same check, finds it,
+    # and with that answer known the whole record is reached within the bound
+    monkeypatch.setattr(harness, "_REACH_MEMO", 1)
+    rels, keys = relations_for(preset("rec")), _Keys()
+    x, g = M("{A = (\\y:Int. y) 1, B = 2}"), M("{A = 1, B = 2}")
+    assert not _Reach(rels, {"beta"}, keys).go(x, g)
+    assert _Reach(rels, {"beta"}, keys).go(x.field("A"), g.field("A"))
+    assert _Reach(rels, {"beta"}, keys).go(x, g)
+
+
+# the slowest verify-search inputs at seed 0, all rec-sub-to-pre
+SLOWEST_SEARCH_INPUTS = (1063, 2975, 2207, 87, 3237)
+
+
+def test_search_checks_do_their_type_level_work_once(monkeypatch):
+    """A deterministic work guard, with no timing: in each simulation and
+    reflection check of the slowest verify-search inputs, no type-level part
+    is keyed twice under one binder stack, no type redex is contracted twice
+    and no search question is settled twice."""
+    keyed, contracted, settled = [], [], []
+    for form, key in list(syntax._KEY_FORMS.items()):
+        monkeypatch.setitem(
+            syntax._KEY_FORMS, form,
+            lambda t, names, key=key: keyed.append((t, names)) or key(t, names),
+        )
+    redexes = []
+    type_app, subst = dynamics._type_app, dynamics.subst_type_in_term
+
+    def app(t, *rest):
+        redexes.append(t)
+        try:
+            return type_app(t, *rest)
+        finally:
+            redexes.pop()
+
+    monkeypatch.setattr(dynamics, "_type_app", app)
+    monkeypatch.setattr(
+        dynamics, "subst_type_in_term",
+        lambda *args: contracted.append(redexes[-1]) or subst(*args),
+    )
+    searches = []  # [search, question, whether it compared] per open go call
+    go, compare = _Reach.go, harness.alpha_eq
+
+    def counted_go(self, x, g, need_beta=False, env=(), tyenv=((), ())):
+        searches.append([self, (x, g, need_beta, env, tyenv), False])
+        try:
+            return go(self, x, g, need_beta, env, tyenv)
+        finally:
+            searches.pop()
+
+    def counted_alpha_eq(*args):
+        if searches and not searches[-1][2]:  # the comparison that settles
+            searches[-1][2] = True
+            reach, (x, g, need_beta, env, tyenv), _ = searches[-1]
+            settled.append((
+                reach.rels, frozenset(reach.classes), reach._key(x), reach._key(g),
+                need_beta, env, tyenv,
+            ))
+        return compare(*args)
+
+    monkeypatch.setattr(_Reach, "go", counted_go)
+    monkeypatch.setattr(harness, "alpha_eq", counted_alpha_eq)
+    spec = GenSpec(preset("rec-sub"), max_size=8, seed=0)
+    for index in SLOWEST_SEARCH_INPUTS:
+        d = gen_typed_term(spec, index)[1]
+        for check in (check_simulation, check_reflection):
+            for log in (keyed, contracted, settled):
+                log.clear()
+            assert check("rec-sub-to-pre", d, 2).passed
+            case = (index, check.__name__)
+            assert keyed and contracted and settled, case
+            twice = collections.Counter((id(t), names) for t, names in keyed)
+            assert max(twice.values()) == 1, case
+            assert max(collections.Counter(map(id, contracted)).values()) == 1, case
+            assert max(collections.Counter(settled).values()) == 1, case
+
+
 def same_steps(got, want):
     return [(s.tag, s.path) for s in got] == [(s.tag, s.path) for s in want] and all(
         alpha_eq(a.term, b.term) for a, b in zip(got, want)
@@ -1437,13 +1517,13 @@ LAYER_CALLS = {
     "pretty.show_term": 1,
     "statics.subtype": 950,
     "statics.type_check": 1619,
-    "syntax.alpha_eq": 1092,
+    "syntax.alpha_eq": 1030,
     "syntax.subst_term": 1014,
     "syntax.type_equal": 2773,
     "translate.run_translation": 1099,
 }
 
-UNITS_SPENT = 50744
+UNITS_SPENT = 50682
 
 
 # the layer functions ``tracing.install`` leaves unwrapped in their own

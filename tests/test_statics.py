@@ -715,11 +715,12 @@ def test_feature_table_refuses_as_the_inline_gates_did(config):
 INT = Base("Int")
 
 
-def _t3_stack(k):
+def _t3_stack(k, last=None):
     """The t3 translation of ``({L0 = 1, ..., Lk = k+1} :> ... ).L0`` with k
-    casts, each dropping the last field."""
+    casts, each dropping the last field; ``last`` is another value of Lk."""
     labels = [f"L{i}" for i in range(k + 1)]
-    src = "{" + ", ".join(f"{l} = {i + 1}" for i, l in enumerate(labels)) + "}"
+    values = [i + 1 for i in range(k)] + [k + 1 if last is None else last]
+    src = "{" + ", ".join(f"{l} = {v}" for l, v in zip(labels, values)) + "}"
     for kept in range(k, 0, -1):
         src += " :> {" + "; ".join(f"{l}:Int" for l in labels[:kept]) + "}"
     return run_translation("rec-sub-to-rec", check("rec-sub", f"({src}).L0"))

@@ -1287,7 +1287,7 @@ def test_keys_kept_on_objects_equal_fresh_ones():
     assert type_key(Record(row)) == (Record, type_key(row))
 
 
-def test_keys_under_binders_are_not_kept():
+def test_keys_under_and_outside_binders_are_kept_apart():
     # the same body object, keyed under its binder and outside it, in both orders
     r0 = KRow(frozenset())
     for binder_first in (True, False):
@@ -1434,6 +1434,50 @@ def _terms_and_reducts():
     return out
 
 
+_TYPE_RULES = (
+    RelationSet(upcast=True, type_redex=True),
+    RelationSet(upcast=True, full_upcast=True, type_redex=True),
+)
+
+
+def _typed_parts(term):
+    """Each type-level part of ``term`` that is not None, with the stack of
+    type binders it is under, innermost first, as ``alpha_eq`` keys it."""
+    stack = [(term, ())]
+    while stack:
+        sub, names = stack.pop()
+        shape = SHAPES[type(sub)]
+        for name in shape.types:
+            if getattr(sub, name) is not None:
+                yield getattr(sub, name), names
+        if shape.tybinder:
+            names = (sub.var, *names)
+        stack += [(child, names) for _, child, _ in shape.children(sub)]
+
+
+def _type_redexes(term):
+    """The row and presence applications in ``term`` that meet their binder."""
+    return [
+        sub for sub in _subterms(term)
+        if isinstance(sub, RowApp) and isinstance(sub.term, RowAbs)
+        or isinstance(sub, PresApp) and isinstance(sub.term, PresAbs)
+    ]
+
+
+def _keep_every_fact(term):
+    """Make ``term`` keep every fact a node can keep: its size, names and
+    free variables, each type part's key under its binder stack, and, on a
+    term of at most 500 nodes, each type redex's contractum."""
+    term_size(term), type_level_names(term), free_vars(term)
+    for part, names in _typed_parts(term) if term_size(term) <= 500 else []:
+        try:
+            type_key(part, names)
+        except MalformedRowError:
+            pass
+    for rels in _TYPE_RULES if term_size(term) <= 500 else []:
+        step_all(term, rels)
+
+
 def test_kept_size_and_names_equal_the_reference_walks():
     generated = set(map(id, _generated_term_list()))
     reducts = 0
@@ -1443,6 +1487,8 @@ def test_kept_size_and_names_equal_the_reference_walks():
         assert getattr(cold, "_size", None) is None
         assert term_size(cold) == _reference_size(m)
         assert type_level_names(cold) == _reference_names(m)
+        _keep_every_fact(cold)
+        _keep_every_fact(m)
         # warm: the same kept objects come back, and nothing else moved
         assert term_size(m) == term_size(m) == _reference_size(m)
         assert type_level_names(m) is type_level_names(m)
@@ -1486,6 +1532,58 @@ def _term_parts(x):
             yield from _term_parts(y)
     elif type(x) in get_args(Term):
         yield x
+
+
+def test_keys_kept_under_binders_equal_those_of_uncached_copies():
+    kept = closed = 0
+    for m in _terms_and_reducts():
+        for part, names in _typed_parts(m) if term_size(m) <= 500 else []:
+            try:
+                key = type_key(part, names)
+            except MalformedRowError:
+                continue
+            assert type_key(_fresh(part), names) == key
+            assert type_key(part, names) is key
+            if type_level_names(part).isdisjoint(names):
+                # a part that mentions no binder of the stack keeps nothing for it
+                assert key is type_key(part)
+                assert names not in (getattr(part, "_keys", None) or {})
+                closed += bool(names)
+            elif names:
+                assert part._keys[names] is key
+                kept += 1
+    assert kept > 100 and closed > 100
+
+
+def test_keys_under_binders_are_kept_per_stack():
+    a0 = TyVar("a0")
+    body = Record(Row((("A", PresVar("p"), a0),), "r"))
+    inner, outer = ("r", "p"), ("r", "q", "p")
+    assert type_key(body, inner) == (Record, (Row, (("A", (PresVar, 1), (TyVar, "a0")),), 0))
+    assert type_key(body, outer) == (Record, (Row, (("A", (PresVar, 2), (TyVar, "a0")),), 0))
+    assert set(body._keys) == {inner, outer}
+    assert type_key(body) == (Record, (Row, (("A", (PresVar, "p"), (TyVar, "a0")),), "r"))
+    assert type_key(a0, inner) is type_key(a0) and getattr(a0, "_keys", None) is None
+
+
+def test_kept_contracta_equal_fresh_substitutions():
+    contracted = 0
+    for m in _terms_and_reducts():
+        for sub in _type_redexes(m) if term_size(m) <= 500 else []:
+            for rels in _TYPE_RULES:
+                hit = dynamics._rewrite_here(sub, rels)
+                assert dynamics._rewrite_here(sub, rels) is hit is sub._contractum
+            arg = sub.row if isinstance(sub, RowApp) else sub.presence
+            fresh = subst_type_in_term(sub.term.body, arg, sub.term.var)
+            assert hit[0] == fresh
+            kind = "row" if isinstance(sub, RowApp) else "pres"
+            assert hit[1] == ("tau-" if sub.origin == "source" else "nu-") + kind
+            contracted += 1
+    assert contracted > 50
+    # no contractum is kept where the rules give no step
+    cold = _fresh(next(r for m in _terms_and_reducts() for r in _type_redexes(m)))
+    assert dynamics._rewrite_here(cold, RelationSet(upcast=True)) is None
+    assert getattr(cold, "_contractum", None) is None
 
 
 def test_kept_free_variables_equal_the_reference_walk():

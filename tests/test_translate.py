@@ -3,11 +3,12 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
 from rowlab.config import CalculusConfig, preset
-from rowlab.dynamics import RelationSet, erase, normalize, relations_for
+from rowlab.dynamics import RelationSet, erase, normalize, relations_for, term_preorder
 from rowlab.harness import GenSpec, _Gen, ambient_delta, check_type_preservation, gen_typed_term
 from rowlab.infer import infer, weak_sub_instance
 from rowlab.parser import parse_term_str, parse_type_str
@@ -605,7 +606,20 @@ def test_a_shared_derivation_translates_in_its_distinct_premises():
         out = _t3_stack(k)
         again = run_translation("rec-sub-to-rec", deriv_of("rec-sub", out))
         assert _distinct(again) == _distinct(out), k
-        assert k > 5 or alpha_eq(again, out)  # small enough to compare as a tree
+        assert alpha_eq(again, out), k
+
+
+def test_independent_translations_of_cast_stacks_compare_in_their_distinct_pairs():
+    # two translations made apart share no node, and each is a tree
+    # exponential in k; the comparisons, erasure included, cost what the
+    # distinct node pairs cost.  Lk differs in the third term, in the
+    # innermost record, which the first cast drops
+    for k in (5, 12):
+        a, b, c = _t3_stack(k), _t3_stack(k), _t3_stack(k, last=0)
+        built = time.perf_counter()
+        assert alpha_eq(a, b) and term_preorder(erase(a), erase(b))
+        assert not alpha_eq(a, c) and not term_preorder(erase(a), erase(c))
+        assert time.perf_counter() - built < 1.0, k
 
 
 # ---------------------------------------------------------------------------
