@@ -5,8 +5,9 @@ between calculi, or verify metatheory properties on generated terms.
 
 Exit codes: 0 success, 1 user error (parse, type, kind, rank, unknown
 calculus, missing translation, an option out of range) or a generator that
-found no term in its ten attempts ("generation budget exhausted"), 2
-property failure.  A user error prints "rowlab: error: <message>".  Any
+found no term in its ten attempts ("generation budget exhausted"), 2 a
+property failure, which always names a concrete counterexample: no check
+gives up early.  A user error prints "rowlab: error: <message>".  Any
 other exception is a defect in rowlab: it prints "rowlab: internal error:
 <Type>: <message>", without a traceback, and exits 1 too.
 """

@@ -50,6 +50,12 @@ one settled.  Report text is rendered only for a failed case
 (``PropertyReport.tally``).  The search compares a state with its goal as
 ``alpha_eq`` does, under the binder pairs of the nodes above them
 (``syntax.match_node``), so it renames neither.
+
+No search, closure or cast normalisation has a bound of its own: each runs
+to its fixpoint, so a fail is a counterexample.  Each stops, as the calculi
+have no recursion and reduction, cast steps included, is strongly
+normalising and finitely branching: every reduct graph, closure and search
+memo is finite.
 """
 
 from __future__ import annotations
@@ -585,11 +591,6 @@ class PropertyReport:
 # Step bookkeeping
 
 
-# Silent bounds on the searches below: one that reaches its bound answers
-# with what it has found so far, as if it were complete.
-_CLOSURE_NODES = 300  # terms _closure collects
-_CAST_FUEL = 400  # cast contractions _cast_normal makes
-_REACH_MEMO = 6000  # questions one _Reach search asks
 # The generator's bound is not silent: an attempt that makes more than this
 # many term_for calls per unit of max_size ends (_Overrun) and is retried
 # with the next attempt seed.  At 100, the benchmark's verify-sweep at seed
@@ -626,7 +627,7 @@ def _closure(
     seen = {keys(term)}
     out = [term]
     queue = [term]
-    while queue and len(out) < _CLOSURE_NODES:
+    while queue:
         u = queue.pop()
         for s in keys.steps(u, rels):
             if _step_class(s.tag) not in classes:
@@ -669,17 +670,16 @@ def _simulates(
 
 
 def _cast_normal(term: Term, rels: RelationSet, keys: _Keys) -> Term:
-    """Contract cast redexes until none remain.  Cast rules only collapse,
-    narrow, or push casts inward, so this terminates and (the system being
-    orthogonal) the result does not depend on the contraction order."""
-    for _ in range(_CAST_FUEL):
+    """Contract cast redexes until none remain.  This stops (the module says
+    why) and, the system being orthogonal, the result does not depend on the
+    contraction order."""
+    while True:
         for s in keys.steps(term, rels):
             if _step_class(s.tag) in ("upcast", "nested"):
                 term = s.term
                 break
         else:
             return term
-    return term
 
 
 class _Keys:
@@ -696,7 +696,7 @@ class _Keys:
     reduct once per (term key, context objects, configuration), so a term
     that two runs reach gets one derivation object, ``image`` keys
     ``run_translation`` by (translation, derivation object) and ``erased``
-    keys ``erase`` by term key; ``settled`` holds the searches' answers.  A
+    keys ``erase`` by term key; ``settled`` keeps every exact search answer.  A
     node's type-level parts enter its key as numbers (``_part``), one per
     part equal as a dataclass, so a type is hashed once per object, not
     once per node that holds it.  Objects keyed by ``id`` are held, so their
@@ -711,7 +711,7 @@ class _Keys:
         self._interned: dict[tuple, int] = {}
         self._part_ids: dict[int, tuple[object, int]] = {}  # id -> (part, number)
         self._parts: dict[object, int] = {}
-        self._settled: dict[tuple, dict] = {}
+        self._memos: dict[tuple, dict] = {}
         self._steps: dict[tuple, list[Step]] = {}
         self._typed: dict[tuple, tuple[Derivation, Derivation | StaticError]] = {}
         self._images: dict[tuple, tuple[Derivation, Term]] = {}
@@ -745,9 +745,9 @@ class _Keys:
         return hit[1]
 
     def settled(self, rels: RelationSet, classes: set[str]) -> dict:
-        """The answers every ``_Reach`` search of the check by steps of
-        ``classes`` under ``rels`` has settled, by question."""
-        return self._settled.setdefault((rels, frozenset(classes)), {})
+        """The one memo, by question, of every ``_Reach`` search of the
+        check by steps of ``classes`` under ``rels``."""
+        return self._memos.setdefault((rels, frozenset(classes)), {})
 
     def steps(self, t: Term, rels: RelationSet, spine: bool = False) -> list[Step]:
         """What ``step_all`` lists for ``t``; the list is shared, so it is
@@ -806,21 +806,17 @@ class _Reach:
     need_beta threads the 'exactly one beta somewhere' obligation through
     the descent.  ``keys`` is the table of the check that searches.
 
-    One object is one search.  Its own memo holds the questions it has
-    asked, open or settled, and ``_REACH_MEMO`` bounds their number: past
-    it, a new question is answered False.  Every answer settled before
-    that is exact (the target calculi have no rewrite cycle) and goes to
-    the check's memo for the same relations and classes
-    (``_Keys.settled``), which later searches read first; once the search
-    has met the bound it adds nothing there, so no later search reads an
-    answer it gave up on."""
+    One object is one search.  Its memo is the check's memo for the same
+    relations and classes (``_Keys.settled``), which holds every answer a
+    search of the check has settled, and each answer is exact: the search
+    runs to its end.  A question is marked False while it is open, which
+    guards against cycles; none can close, as a question leads only to
+    questions on a reduct of its state or on a pair of children."""
 
     def __init__(self, rels: RelationSet, classes: set[str], keys: _Keys):
         self.rels = rels
         self.classes = classes
-        self.memo: dict = {}  # this search's questions, settled or open
-        self.known = keys.settled(rels, classes)
-        self.full = False  # this search met _REACH_MEMO
+        self.memo = keys.settled(rels, classes)
         self._key = keys
 
     def go(
@@ -828,18 +824,14 @@ class _Reach:
         tyenv: tuple = ((), ()),
     ) -> bool:
         key = (self._key(x), self._key(g), need_beta, env, tyenv)
-        out = self.known.get(key)
+        out = self.memo.get(key)
         if out is not None:
             return out
-        if key in self.memo:
-            return self.memo[key]
-        if len(self.memo) > _REACH_MEMO:
-            self.full = True
-            return False
         self.memo[key] = False
         if alpha_eq(x, g, env, tyenv):
             # no rewrite cycle can return here, so this is definitive
-            return self._settle(key, not need_beta)
+            self.memo[key] = not need_beta
+            return not need_beta
         out = False
         # contract the root, or a head-spine position that can expose it
         for s in self._key.steps(x, self.rels, spine=True):
@@ -852,14 +844,8 @@ class _Reach:
                 break
         if not out:
             pairs = match_node(x, g, env, tyenv)
-            if pairs is not None:
-                out = self._descend(pairs, need_beta)
-        return self._settle(key, out)
-
-    def _settle(self, key: tuple, out: bool) -> bool:
+            out = pairs is not None and self._descend(pairs, need_beta)
         self.memo[key] = out
-        if not self.full:  # settled within the bound: exact
-            self.known[key] = out
         return out
 
     def _descend(self, pairs, need_beta: bool) -> bool:

@@ -166,7 +166,7 @@ def unify_pres(state: _State, a: Presence, b: Presence) -> None:
         )
 
 
-def _settle_extras(
+def _split_extras(
     state: _State,
     extras: dict[str, tuple[Presence, Type]],
     tail: str | None,
@@ -202,8 +202,8 @@ def unify_rows(state: _State, ra: Row, rb: Row) -> None:
     extra_a = {l: ea[l] for l in ea if l not in eb}
     extra_b = {l: eb[l] for l in eb if l not in ea}
     same = ta == tb  # identical tails absorb nothing new
-    into_b = _settle_extras(state, extra_a, None if same else tb)
-    into_a = _settle_extras(state, extra_b, None if same else ta)
+    into_b = _split_extras(state, extra_a, None if same else tb)
+    into_a = _split_extras(state, extra_b, None if same else ta)
     for tail, into in ((tb, into_b), (ta, into_a)):
         for _, ty in into.values():
             if _occurs(state, tail, ty):

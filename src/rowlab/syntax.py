@@ -27,12 +27,10 @@ Structure:
 - canonical type keys (``type_key``), which type and scheme equality and the
   annotations of alpha equivalence compare
 
-``agree`` walks two terms as trees; a comparison that grows past
-``_TREE_PAIRS`` node pairs starts over and remembers the pairs it has
-proven, so that terms that share subterms (a cast stack's translation is a
-tree exponential in its casts) cost what their distinct pairs cost.
-``strip``, and so erasure, rebuilds each node object once and keeps the
-sharing.
+``agree`` remembers the node pairs it has proven, so that terms that share
+subterms (a cast stack's translation is a tree exponential in its casts)
+cost what their distinct pairs cost.  ``strip``, and so erasure, rebuilds
+each node object once and keeps the sharing.
 
 Frozen nodes keep facts computed once from their parts' copies: a type,
 row or presence its key ``_key`` and its keys under binder stacks ``_keys``
@@ -1032,40 +1030,13 @@ def agree(
     m: Term, n: Term, env: Names = NO_NAMES, tyenv: tuple = ((), ()), wider: bool = False
 ) -> bool:
     """``match_node`` holds at every node pair of ``m`` and ``n``: alpha
-    equivalence, or with ``wider`` the record-width preorder.
-
-    The walk is over the two trees, so a subterm pair that sharing reaches
-    again is compared again.  A walk that passes ``_TREE_PAIRS`` node pairs
-    (only terms whose trees are that large can repeat pairs to any cost)
-    starts over and remembers the pairs it has proven, by object and
-    environments, so that it costs what the distinct pairs cost."""
-    left = _tree_agree(m, n, env, tyenv, wider, _TREE_PAIRS)
-    if left == _RAN_OUT:
-        return _dag_agree(m, n, env, tyenv, wider, set())
-    return left >= 0
+    equivalence, or with ``wider`` the record-width preorder.  The walk
+    remembers the pairs it has proven, by object and environments, so terms
+    that share subterms cost what their distinct pairs cost."""
+    return _agree(m, n, env, tyenv, wider, set())
 
 
-_TREE_PAIRS = 1024  # verify-search's comparisons walk at most 182 (seed 0)
-_DIFFER, _RAN_OUT = -1, -2
-
-
-def _tree_agree(m, n, env, tyenv, wider: bool, left: int) -> int:
-    """How many of ``left`` node pairs are left once ``m`` and ``n`` agree;
-    ``_DIFFER`` when they do not, ``_RAN_OUT`` when the walk needs more."""
-    pairs = match_node(m, n, env, tyenv, wider)
-    if pairs is None:
-        return _DIFFER
-    if left == 0:
-        return _RAN_OUT
-    left -= 1
-    for a, b, inner, tyinner in pairs:
-        left = _tree_agree(a, b, inner, tyinner, wider, left)
-        if left < 0:
-            return left
-    return left
-
-
-def _dag_agree(m, n, env, tyenv, wider: bool, proven: set) -> bool:
+def _agree(m, n, env, tyenv, wider: bool, proven: set) -> bool:
     """``agree``, skipping the pairs in ``proven`` and adding each it proves;
     the two terms hold every node alive, so ids are not reused meanwhile."""
     key = (id(m), id(n), env, tyenv)
@@ -1075,7 +1046,7 @@ def _dag_agree(m, n, env, tyenv, wider: bool, proven: set) -> bool:
     if pairs is None:
         return False
     for a, b, inner, tyinner in pairs:
-        if not _dag_agree(a, b, inner, tyinner, wider, proven):
+        if not _agree(a, b, inner, tyinner, wider, proven):
             return False
     proven.add(key)
     return True

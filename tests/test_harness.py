@@ -1100,17 +1100,37 @@ def test_search_refuses_a_goal_it_cannot_reach(monkeypatch):
     assert _no_reach_answers() == [True, True, True]
 
 
-def test_a_search_that_meets_the_bound_leaves_no_answer(monkeypatch):
-    # field A needs a beta step to meet its goal.  Under a bound of one
-    # question, the search of the whole record gives up while it settles
-    # field A; a later search of field A alone, in the same check, finds it,
-    # and with that answer known the whole record is reached within the bound
-    monkeypatch.setattr(harness, "_REACH_MEMO", 1)
+def test_a_search_runs_to_its_end_and_later_searches_read_its_answers():
+    # every field needs a beta step to meet its goal: the search settles two
+    # questions per field and one for the record, 6,003 in all, and a search
+    # that gave up after 6,000 would answer False
+    ident = syntax.Lam("y", Base("Int"), syntax.Var("y"))
+    x = syntax.RecordLit(tuple(
+        (f"L{i}", syntax.App(ident, Lit(i))) for i in range(3001)))
+    g = syntax.RecordLit(tuple((f"L{i}", Lit(i)) for i in range(3001)))
     rels, keys = relations_for(preset("rec")), _Keys()
-    x, g = M("{A = (\\y:Int. y) 1, B = 2}"), M("{A = 1, B = 2}")
-    assert not _Reach(rels, {"beta"}, keys).go(x, g)
-    assert _Reach(rels, {"beta"}, keys).go(x.field("A"), g.field("A"))
     assert _Reach(rels, {"beta"}, keys).go(x, g)
+    memo = keys.settled(rels, {"beta"})
+    assert len(memo) == 6003 and all(memo.values())
+    # a later search of the check reads those answers: field A is field L1's
+    # question and field B field L2's last, so the record adds only itself
+    x, g = M("{A = (\\y:Int. y) 1, B = 2}"), M("{A = 1, B = 2}")
+    assert _Reach(rels, {"beta"}, keys).go(x.field("A"), g.field("A"))
+    assert len(memo) == 6003
+    assert _Reach(rels, {"beta"}, keys).go(x, g)
+    assert len(memo) == 6004
+
+
+def test_closure_collects_every_reduct():
+    # each of the nine fields steps by tau on its own, so the closure holds
+    # every choice of fields stepped: 2^9 terms
+    fields = ", ".join(f"L{i} = (/\\p. 1) @ *" for i in range(9))
+    keys = _Keys()
+    out = harness._closure(
+        M("{" + fields + "}"), relations_for(preset("rec-pre")), {"tau"}, keys)
+    assert len(out) == len(set(map(keys, out))) == 2 ** 9
+    normal = M("{" + ", ".join(f"L{i} = 1" for i in range(9)) + "}")
+    assert any(alpha_eq(u, normal) for u in out)
 
 
 # the slowest verify-search inputs at seed 0, all rec-sub-to-pre
