@@ -177,13 +177,14 @@ def _upcast(t: Upcast, rels: RelationSet):
 def _type_app(t, rels: RelationSet, form: type, arg, kind: str):
     """A row or presence application meeting its binder: tau for a written
     one, nu for one a cast translation introduced.  The redex keeps its
-    (contractum, tag) as ``_contractum``: both depend on it alone."""
+    (contractum, tag) in its slot ``_contractum``, which both depend on
+    alone; an application made anew has none yet."""
     if rels.type_redex and isinstance(t.term, form):
-        hit = getattr(t, "_contractum", None)
+        hit = t._contractum
         if hit is None:
             tag = ("tau-" if t.origin == "source" else "nu-") + kind
             hit = (subst_type_in_term(t.term.body, arg, t.term.var), tag)
-            object.__setattr__(t, "_contractum", hit)
+            t._contractum = hit
         return hit
     return None
 

@@ -697,20 +697,18 @@ class _Keys:
     that two runs reach gets one derivation object, ``image`` keys
     ``run_translation`` by (translation, derivation object) and ``erased``
     keys ``erase`` by term key; ``settled`` keeps every exact search answer.  A
-    node's type-level parts enter its key as numbers (``_part``), one per
-    part equal as a dataclass, so a type is hashed once per object, not
-    once per node that holds it.  Objects keyed by ``id`` are held, so their
-    ids cannot be recycled.  Each check makes one table for all its searches
-    and seen sets, and the table is freed when the check returns: nothing
-    the check leaves refers back to it, as ``_explore`` deletes its
-    recursive walker and a kept ``StaticError`` has no traceback, whose
-    frames would hold the table (``_frameless``)."""
+    node's type-level parts enter its key as themselves: a part keeps its
+    hash in its slot ``_hash``, so a part made anew is hashed once, and then
+    read.  Objects keyed by ``id`` are held, so their ids cannot be
+    recycled.  Each check makes one table for all its searches and seen
+    sets, and the table is freed when the check returns: nothing the check
+    leaves refers back to it, as ``_explore`` deletes its recursive walker
+    and a kept ``StaticError`` has no traceback, whose frames would hold the
+    table (``_frameless``)."""
 
     def __init__(self):
         self._keys: dict[int, tuple[Term, int]] = {}  # id -> (term, key)
         self._interned: dict[tuple, int] = {}
-        self._part_ids: dict[int, tuple[object, int]] = {}  # id -> (part, number)
-        self._parts: dict[object, int] = {}
         self._memos: dict[tuple, dict] = {}
         self._steps: dict[tuple, list[Step]] = {}
         self._typed: dict[tuple, tuple[Derivation, Derivation | StaticError]] = {}
@@ -726,7 +724,7 @@ class _Keys:
         parts: list = [type(t)]
         # the value's type too: Lit(True) == Lit(1) as Python values
         parts += [(type(v), v) for v in (getattr(t, f) for f in shape.data)]
-        parts += [self._part(getattr(t, f)) for f in shape.types]
+        parts += [getattr(t, f) for f in shape.types]
         if type(t) is Var or shape.tybinder:
             parts.append(t.name if type(t) is Var else t.var)
         for slot, child, binder in shape.children(t):
@@ -734,15 +732,6 @@ class _Keys:
         key = self._interned.setdefault(tuple(parts), len(self._interned))
         self._keys[id(t)] = (t, key)
         return key
-
-    def _part(self, part) -> int:
-        """A type-level part's number (or None's): parts equal as dataclasses
-        get one, and each object is hashed once."""
-        hit = self._part_ids.get(id(part))
-        if hit is None:
-            number = self._parts.setdefault(part, len(self._parts))
-            hit = self._part_ids[id(part)] = (part, number)
-        return hit[1]
 
     def settled(self, rels: RelationSet, classes: set[str]) -> dict:
         """The one memo, by question, of every ``_Reach`` search of the

@@ -64,7 +64,7 @@ from .syntax import (
 
 
 class InferError(Exception):
-    pass
+    site = None  # the innermost term being typed, set where the error passes it
 
 
 def _is_meta(name: str | None) -> bool:
@@ -355,7 +355,7 @@ class _Inference:
                     raise InferError("inference input must not carry annotations")
             return rule(self, t, env)
         except InferError as e:
-            if not getattr(e, "site", None):
+            if e.site is None:
                 e.site = t
                 e.args = (f"{e.args[0]} (while typing {show_term(t)})",)
             raise

@@ -90,8 +90,12 @@ _PREC = {ForallRow: 0, ForallPres: 0, Arrow: 1}
 
 def show_type(ty: Type, prec: int = 0) -> str:
     """The type's text at ``prec`` (0: quantifiers, 1: arrows, 2: atoms).
-    Types are frozen, so the bare text is kept on the object (``_text``)."""
-    out = getattr(ty, "_text", None)
+    The bare text is kept in the type's slot ``_text``; a type made anew
+    has none until it is first shown."""
+    try:
+        out = ty._text
+    except AttributeError:  # no row or type: no such slot
+        raise TypeError(f"not a type: {ty!r}") from None
     if out is None:
         if isinstance(ty, (ForallRow, ForallPres)):
             binders = []
@@ -113,7 +117,7 @@ def show_type(ty: Type, prec: int = 0) -> str:
             out = "{" + show_row(ty.row) + "}"
         else:
             raise TypeError(f"not a type: {ty!r}")
-        object.__setattr__(ty, "_text", out)
+        ty._text = out
     return f"({out})" if prec > _PREC.get(type(ty), 2) else out
 
 

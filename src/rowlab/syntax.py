@@ -32,17 +32,16 @@ subterms (a cast stack's translation is a tree exponential in its casts)
 cost what their distinct pairs cost.  ``strip``, and so erasure, rebuilds
 each node object once and keeps the sharing.
 
-Frozen nodes keep facts computed once from their parts' copies: a type,
-row or presence its key ``_key`` and its keys under binder stacks ``_keys``
-(``type_key``), a type or row its printed text ``_text``
+Each node keeps facts computed once from its parts' facts, each in a slot
+of its own that is None in a node made anew: every node its hash
+``_hash``, a type, row or presence its key ``_key`` and its keys under
+binder stacks ``_keys`` (``type_key``), a type its printed text ``_text``
 (``pretty.show_type``), a term its tree size ``_size`` (``term_size``) and
 its free term variables ``_free`` (``free_vars``), a term, type or row the
 set ``_names`` of every type-level name it mentions (``type_level_names``),
 and a row or presence application that meets its binder its contractum
-(``dynamics``).  The name sets let ``subst_term`` and
-``subst_type_in_term`` return untouched subterms without a walk.  They are
-stored with ``object.__setattr__``, outside the dataclass fields, and read
-with ``getattr(node, name, None)``, never through ``__dict__``.
+``_contractum`` (``dynamics``).  The name sets let ``subst_term`` and
+``subst_type_in_term`` return untouched subterms without a walk.
 
 Rows are stored in source order; comparisons normalize. Names are plain
 strings; fresh names come from a NameSupply and look like "x$3".
@@ -56,7 +55,7 @@ is freed by reference counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, get_args
 
 
@@ -65,41 +64,85 @@ class MalformedRowError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# the node base
+
+
+def _slotted(name: str, bases: tuple, ns: dict, facts: tuple[str, ...] = ()) -> type:
+    """Each node class's metaclass.  A node class lists its fields as
+    annotations, in order, with any default, and in ``facts`` the facts it
+    keeps beyond its base's.  Fields and facts are slots, and the class gets
+    ``_fields``, ``_facts`` and an ``__init__``, made once, that sets each
+    field from its argument and each fact to None.  The class is a plain
+    ``type``: ``isinstance`` against one whose type is not costs twice as much."""
+    fields = tuple(ns.get("__annotations__", ()))
+    defaults = tuple(ns.pop(f) for f in fields if f in ns)
+    ns["__slots__"] = fields + facts
+    cls = type(name, bases, ns)
+    cls._fields, cls._facts = fields, (bases[0]._facts if bases else ()) + facts
+    sets = "".join(f"self.{f} = {f}; " for f in fields)
+    scope: dict = {}
+    exec(f"def __init__(self{''.join(', ' + f for f in fields)}): {sets}"
+         f"self.{' = self.'.join(cls._facts)} = None", scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__defaults__ = defaults or None
+    return cls
+
+
+class Node(metaclass=_slotted, facts=("_hash",)):
+    """A kind, presence, row, type, type scheme or term.  Equality and the
+    repr are a frozen dataclass's: of one class, with equal fields.  No code
+    changes a field after ``__init__`` (``tests/test_immutable_nodes.py``),
+    so the hash is a fact, kept once made on an explicit stack (``_keep``)."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = [getattr(self, f) for f in self._fields]
+        return mine == [getattr(other, f) for f in self._fields]
+
+    def __hash__(self):
+        kept = self._hash
+        return _keep(self, "_hash", _visit_hash) if kept is None else kept
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # kinds and presence marks
 
 
-@dataclass(frozen=True)
-class KType:
+class KType(Node, metaclass=_slotted):
     """Kind of value types."""
 
 
-@dataclass(frozen=True)
-class KRow:
+class KRow(Node, metaclass=_slotted):
     """Kind of rows that must not mention the labels in `lacks`."""
 
     lacks: frozenset[str]
 
 
-@dataclass(frozen=True)
-class KPre:
+class KPre(Node, metaclass=_slotted):
     """Kind of presence annotations."""
 
 
 Kind = KType | KRow | KPre
 
 
-@dataclass(frozen=True)
-class Absent:
+class _Part(Node, metaclass=_slotted, facts=("_key", "_keys", "_text", "_names")):
+    """A presence, row or type: what a term's type-level parts are made of."""
+
+
+class Absent(_Part, metaclass=_slotted):
     """Presence mark for a label hidden from the row."""
 
 
-@dataclass(frozen=True)
-class Present:
+class Present(_Part, metaclass=_slotted):
     """Presence mark for a label usable in the row."""
 
 
-@dataclass(frozen=True)
-class PresVar:
+class PresVar(_Part, metaclass=_slotted):
     """Presence variable."""
 
     name: str
@@ -112,8 +155,7 @@ Presence = Absent | Present | PresVar
 # rows and types
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(_Part, metaclass=_slotted):
     """Ordered label/presence/type entries with an optional row-variable tail."""
 
     entries: tuple[tuple[str, Presence, "Type"], ...]
@@ -123,38 +165,32 @@ class Row:
         return tuple(label for label, _, _ in self.entries)
 
 
-@dataclass(frozen=True)
-class TyVar:
+class TyVar(_Part, metaclass=_slotted):
     """Type variable."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Base:
+class Base(_Part, metaclass=_slotted):
     """Builtin base type, tag 'Int' or 'String'."""
 
     tag: str
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(_Part, metaclass=_slotted):
     dom: "Type"
     cod: "Type"
 
 
-@dataclass(frozen=True)
-class Variant:
+class Variant(_Part, metaclass=_slotted):
     row: Row
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(_Part, metaclass=_slotted):
     row: Row
 
 
-@dataclass(frozen=True)
-class ForallRow:
+class ForallRow(_Part, metaclass=_slotted):
     """Row quantifier; kind is always a KRow."""
 
     var: str
@@ -162,8 +198,7 @@ class ForallRow:
     body: "Type"
 
 
-@dataclass(frozen=True)
-class ForallPres:
+class ForallPres(_Part, metaclass=_slotted):
     var: str
     body: "Type"
 
@@ -171,8 +206,7 @@ class ForallPres:
 Type = TyVar | Base | Arrow | Variant | Record | ForallRow | ForallPres
 
 
-@dataclass(frozen=True)
-class TypeScheme:
+class TypeScheme(Node, metaclass=_slotted):
     """Prenex scheme: quantified (name, kind) pairs over a body type."""
 
     quants: tuple[tuple[str, Kind], ...]
@@ -183,13 +217,15 @@ class TypeScheme:
 # terms
 
 
-@dataclass(frozen=True)
-class Var:
+class Term(Node, metaclass=_slotted, facts=("_size", "_free", "_names")):
+    """A term: one of the forms below, ``Var`` to ``Prim``."""
+
+
+class Var(Term, metaclass=_slotted):
     name: str
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(Term, metaclass=_slotted):
     """Annotation is None only in rank-1 calculi and untyped terms."""
 
     var: str
@@ -197,27 +233,23 @@ class Lam:
     body: "Term"
 
 
-@dataclass(frozen=True)
-class App:
+class App(Term, metaclass=_slotted):
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Inject:
+class Inject(Term, metaclass=_slotted):
     label: str
     payload: "Term"
     annot: Type | None
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(Term, metaclass=_slotted):
     scrutinee: "Term"
     branches: tuple[tuple[str, str, "Term"], ...]
 
 
-@dataclass(frozen=True)
-class RecordLit:
+class RecordLit(Term, metaclass=_slotted):
     """Annotation is required in presence-typed record calculi."""
 
     fields: tuple[tuple[str, "Term"], ...]
@@ -230,27 +262,23 @@ class RecordLit:
         return None
 
 
-@dataclass(frozen=True)
-class Project:
+class Project(Term, metaclass=_slotted):
     term: "Term"
     label: str
 
 
-@dataclass(frozen=True)
-class Upcast:
+class Upcast(Term, metaclass=_slotted):
     term: "Term"
     target: Type
 
 
-@dataclass(frozen=True)
-class RowAbs:
+class RowAbs(Term, metaclass=_slotted):
     var: str
     kind: KRow
     body: "Term"
 
 
-@dataclass(frozen=True)
-class RowApp:
+class RowApp(Term, metaclass=_slotted, facts=("_contractum",)):
     """origin is 'source' for written applications, 'upcast' for the ones
     introduced by upcast translation (they reduce by a separate relation)."""
 
@@ -259,56 +287,32 @@ class RowApp:
     origin: str = "source"
 
 
-@dataclass(frozen=True)
-class PresAbs:
+class PresAbs(Term, metaclass=_slotted):
     var: str
     body: "Term"
 
 
-@dataclass(frozen=True)
-class PresApp:
+class PresApp(Term, metaclass=_slotted, facts=("_contractum",)):
     term: "Term"
     presence: Presence
     origin: str = "source"
 
 
-@dataclass(frozen=True)
-class Let:
+class Let(Term, metaclass=_slotted):
     var: str
     bound: "Term"
     body: "Term"
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Term, metaclass=_slotted):
     value: int | str
 
 
-@dataclass(frozen=True)
-class Prim:
+class Prim(Term, metaclass=_slotted):
     """Builtin operator application; op is '-', '+' or '++'."""
 
     op: str
     args: tuple["Term", ...]
-
-
-Term = (
-    Var
-    | Lam
-    | App
-    | Inject
-    | Case
-    | RecordLit
-    | Project
-    | Upcast
-    | RowAbs
-    | RowApp
-    | PresAbs
-    | PresApp
-    | Let
-    | Lit
-    | Prim
-)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +509,9 @@ def strip(term: Term, forms: tuple[type, ...], fn: Callable | None = None) -> Te
 
 
 # ---------------------------------------------------------------------------
-# kept facts (see the module docstring): outside the dataclass fields they
-# never join ==, hash or repr, and a node made anew (by rebuild or
-# dataclasses.replace) starts without them; reading them through __dict__
-# would make every attribute read of the node slower
+# kept facts (see the module docstring): each is a slot of its node beside
+# the fields, None until it is first asked for, and never part of ==, hash
+# or repr; a node made anew (by a constructor or ``rebuild``) has none yet
 
 
 _PRESENCE_FORMS = (Absent, Present, PresVar)
@@ -545,15 +548,27 @@ def _keep(top, attr: str, visit: Callable):
         node = stack[-1]
         fact = visit(node, stack)
         if stack[-1] is node:  # it pushed no part
-            object.__setattr__(node, attr, fact)
+            setattr(node, attr, fact)
             stack.pop()
     return getattr(top, attr)
+
+
+def _visit_hash(node: Node, stack: list) -> int:
+    values = tuple([getattr(node, f) for f in node._fields])
+    tuples = [values]  # the field values, then the tuples among them
+    while tuples:
+        for value in tuples.pop():
+            if type(value) is tuple:
+                tuples.append(value)
+            elif isinstance(value, Node) and value._hash is None:
+                stack.append(value)
+    return hash((type(node), values)) if stack[-1] is node else 0
 
 
 def _visit_size(term: Term, stack: list) -> int:
     size = 1
     for _, child, _ in SHAPES[type(term)].children(term):
-        kept = getattr(child, "_size", None)
+        kept = child._size
         if kept is None:
             stack.append(child)
         else:
@@ -562,17 +577,11 @@ def _visit_size(term: Term, stack: list) -> int:
 
 
 def term_size(term: Term) -> int:
-    """The number of nodes of the term as a tree, kept on each node as
-    ``_size``: after the first call on a term, a read of one attribute.
-
-    The facts a frozen node keeps are ``_key`` and ``_keys`` (types, rows
-    and presences: ``type_key`` outside every binder and per binder stack),
-    ``_text`` (types and rows: ``pretty.show_type``), ``_size`` (terms),
-    ``_free`` (terms: ``free_vars``), ``_names`` (terms, types and rows:
-    ``type_level_names``) and ``_contractum`` (a row or presence
-    application that meets its binder: ``dynamics._type_app``).  They are
-    read with ``getattr``, never through ``__dict__``."""
-    size = getattr(term, "_size", None)
+    """The number of nodes of the term as a tree, kept in each node's slot
+    ``_size`` (the module docstring lists every fact slot): after the first
+    call on a term, a read of one attribute.  A node made anew has no
+    kept fact until something asks for it."""
+    size = term._size
     return _keep(term, "_size", _visit_size) if size is None else size
 
 
@@ -588,14 +597,14 @@ def _visit_names(node, stack: list) -> frozenset[str]:
     own = [] if name is None else [name]
     names = _NO_NAMES
     for part in parts:
-        kept = getattr(part, "_names", None)
-        if kept is not None:
-            if not kept <= names:  # reuse a part's set where it holds them all
-                names = names | kept if names else kept
-        elif type(part) is str or type(part) is PresVar:  # a row tail or presence
+        if type(part) is str or type(part) is PresVar:  # a row tail or presence
             own.append(part if type(part) is str else part.name)
         elif part is not None and type(part) not in _PRESENCE_FORMS:
-            stack.append(part)
+            kept = part._names
+            if kept is None:
+                stack.append(part)
+            elif not kept <= names:  # reuse a part's set where it holds them all
+                names = names | kept if names else kept
     return names.union(own) if own and not names.issuperset(own) else names
 
 
@@ -604,11 +613,11 @@ def type_level_names(x: Term | Type | Row | Presence) -> frozenset[str]:
     bound or free: type variables, row tails, presence variables, the names
     quantifiers and type abstractions bind, and those in a term's
     annotations, cast targets and row and presence arguments.  Terms, types
-    and rows keep it as ``_names`` (see ``term_size``); a presence's is read
-    off it."""
+    and rows keep it in the slot ``_names`` (see ``term_size``); a
+    presence's is read off it."""
     if isinstance(x, _PRESENCE_FORMS):
         return frozenset((x.name,)) if type(x) is PresVar else _NO_NAMES
-    names = getattr(x, "_names", None)
+    names = x._names
     return _keep(x, "_names", _visit_names) if names is None else names
 
 
@@ -665,7 +674,7 @@ def _visit_free(term: Term, stack: list) -> frozenset[str]:
         return frozenset((term.name,))
     free = _NO_NAMES
     for _, child, binder in SHAPES[type(term)].children(term):
-        kept = getattr(child, "_free", None)
+        kept = child._free
         if kept is None:
             stack.append(child)
             continue
@@ -677,9 +686,9 @@ def _visit_free(term: Term, stack: list) -> frozenset[str]:
 
 
 def free_vars(term: Term) -> frozenset[str]:
-    """The free term variables, kept on each node as ``_free`` (see
+    """The free term variables, kept in each node's slot ``_free`` (see
     ``term_size``)."""
-    free = getattr(term, "_free", None)
+    free = term._free
     return _keep(term, "_free", _visit_free) if free is None else free
 
 
@@ -881,7 +890,9 @@ def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
         if shape.tybinder and sub.var in arg_names:
             new = NameSupply(arg_names | {var} | type_level_names(sub.body)).fresh(sub.var)
             body = subst_type_in_term(sub.body, shape.tybinder(new), sub.var)
-            return replace(sub, var=new, body=subst_type_in_term(body, arg, var))
+            body = subst_type_in_term(body, arg, var)
+            return (RowAbs(new, sub.kind, body) if type(sub) is RowAbs
+                    else PresAbs(new, body))
         kids: list[Term] = []
         same = True
         for _, child, _ in shape.children(sub):
@@ -964,43 +975,38 @@ def type_key(t: Type | Row | Presence, names: tuple[str, ...] = ()) -> tuple:
     itself, and rows normalized as ``normalize_row`` does.  A duplicate label
     raises MalformedRowError, and what is not a type raises TypeError.
 
-    Types, rows and presences are frozen, so a key can never go stale: the
-    key outside every binder is kept on the object as ``_key``, and one
-    under binders in the dict ``_keys``, by binder stack.  A part that
-    mentions none of the stack's names has its key outside every binder,
-    and keeps nothing for the stack."""
-    if not names:
-        key = getattr(t, "_key", None)
-        if key is None:
-            key = _key_form(t)(t, names)
-            object.__setattr__(t, "_key", key)
-        return key
-    kept = getattr(t, "_keys", None) or {}
-    if names in kept:
-        return kept[names]
-    form = _key_form(t)
-    if type_level_names(t).isdisjoint(names):
-        return type_key(t)
-    key = kept[names] = form(t, names)
-    object.__setattr__(t, "_keys", kept)
-    return key
-
-
-def _key_form(t) -> Callable[[Any, tuple[str, ...]], tuple]:
+    No code changes a node's fields, so a key can never go stale: the key
+    outside every binder is kept in the slot ``_key``, and those under
+    binders in the dict ``_keys``, by binder stack.  A part that mentions
+    none of the stack's names has its key outside every binder, and keeps
+    nothing for the stack.  A part made anew has neither."""
     form = _KEY_FORMS.get(type(t))
     if form is None:
         raise TypeError(f"not a type: {t!r}")
-    return form
+    if not names:
+        key = t._key
+        if key is None:
+            key = t._key = form(t, names)
+        return key
+    kept = t._keys
+    if kept is not None and names in kept:
+        return kept[names]
+    if type_level_names(t).isdisjoint(names):
+        return type_key(t)
+    if kept is None:
+        kept = t._keys = {}
+    key = kept[names] = form(t, names)
+    return key
 
 
 def type_equal(a: Type, b: Type) -> bool:
     """Equality modulo alpha-renaming and row normalization: the types have
     the same ``type_key`` (bound names as de Bruijn indices, rows sorted).
-    Types are frozen, so each keeps its key once computed.  A duplicate label
-    or a non-type (a row included) makes them unequal."""
+    Each type keeps its key once computed (``_key``).  A duplicate label or
+    a non-type (a row included) makes them unequal."""
     if type(a) is not type(b) or type(a) not in _TYPE_FORMS:
         return False
-    ka, kb = getattr(a, "_key", None), getattr(b, "_key", None)
+    ka, kb = a._key, b._key
     if ka is None or kb is None:
         return _same_key(a, (), b, ())
     return ka == kb

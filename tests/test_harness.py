@@ -1002,7 +1002,7 @@ def unshared(term):
     shape = SHAPES[type(term)]
     parts = shape.children(term)
     if not parts:
-        return dataclasses.replace(term)
+        return type(term)(*(getattr(term, f) for f in term._fields))
     return shape.rebuild(term, [unshared(child) for _, child, _ in parts])
 
 

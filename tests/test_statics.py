@@ -1,7 +1,6 @@
 """Kinding, subtyping, rank predicates, and the type checker."""
 
 import collections
-import dataclasses
 import random
 
 import pytest
@@ -729,7 +728,7 @@ def _t3_stack(k, last=None):
 def _unshared(term):
     """An equal copy in which no node object occurs twice."""
     kids = [_unshared(child) for _, child, _ in children(term)]
-    return rebuild(term, kids) if kids else dataclasses.replace(term)
+    return rebuild(term, kids) if kids else type(term)(*(getattr(term, f) for f in term._fields))
 
 
 def _distinct(term):

@@ -7,7 +7,6 @@ import dataclasses
 import functools
 import random
 import sys
-from typing import get_args
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +35,7 @@ from rowlab.syntax import (
     NO_NAMES,
     MalformedRowError,
     NameSupply,
+    Node,
     PresAbs,
     PresApp,
     PresVar,
@@ -334,7 +334,7 @@ ROW_KIND = KRow(frozenset())
 
 
 def test_every_term_form_has_a_shape():
-    assert set(get_args(Term)) == set(SHAPES)
+    assert set(Term.__subclasses__()) == set(SHAPES)
 
 
 def _generated_terms():
@@ -576,14 +576,14 @@ def test_every_term_field_is_in_the_shape_table():
     only if the table names it: as a child, a type-level part, the binder or
     a data field (a Var's name goes through the binder environment)."""
     for cls, shape in SHAPES.items():
-        names = {f.name for f in dataclasses.fields(cls)}
+        names = set(cls._fields)
         assert set(shape.types) <= names and set(shape.data) <= names, cls
-        for f in dataclasses.fields(cls):
-            child = "Term" in f.type
-            binder = f.name == "var" and (shape.tybinder or cls in (Lam, Let))
-            own = cls is Var and f.name == "name"
-            listed = f.name in shape.types or f.name in shape.data
-            assert child or binder or own or listed, (cls.__name__, f.name)
+        for name in cls._fields:
+            child = "Term" in cls.__annotations__[name]
+            binder = name == "var" and (shape.tybinder or cls in (Lam, Let))
+            own = cls is Var and name == "name"
+            listed = name in shape.types or name in shape.data
+            assert child or binder or own or listed, (cls.__name__, name)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +696,7 @@ def _rename_binders(term, suffix):
     if shape.tybinder:
         new = term.var + suffix
         body = subst_type_in_term(kids[0], shape.tybinder(new), term.var)
-        return dataclasses.replace(term, var=new, body=body)
+        return _with(term, var=new, body=body)
     return shape.rebuild(term, kids, names)
 
 
@@ -1088,9 +1088,15 @@ def _fresh(x):
     """An equal copy built from new objects, so nothing kept on ``x`` is."""
     if isinstance(x, tuple):
         return tuple(_fresh(y) for y in x)
-    if dataclasses.is_dataclass(x):
-        return type(x)(*(_fresh(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    if isinstance(x, Node):
+        return type(x)(*(_fresh(getattr(x, f)) for f in x._fields))
     return x
+
+
+def _with(node, **changes):
+    """``node`` made anew by its class's constructor, with ``changes`` to
+    its fields."""
+    return type(node)(*(changes.get(f, getattr(node, f)) for f in node._fields))
 
 
 def _map_type(ty, fn):
@@ -1102,7 +1108,7 @@ def _map_type(ty, fn):
         entries = tuple((l, p, _map_type(a, fn)) for l, p, a in row.entries)
         ty = type(ty)(fn(Row(entries, row.tail)))
     elif isinstance(ty, (ForallRow, ForallPres)):
-        ty = dataclasses.replace(ty, body=_map_type(ty.body, fn))
+        ty = _with(ty, body=_map_type(ty.body, fn))
     return fn(ty)
 
 
@@ -1144,7 +1150,7 @@ def _binders_renamed(ty, suffix="'"):
         if isinstance(t, (ForallRow, ForallPres)):
             kind = t.kind if isinstance(t, ForallRow) else KPre()
             body = _renamed(t.body, t.var, kind, t.var + suffix)
-            return t if body is None else dataclasses.replace(t, var=t.var + suffix, body=body)
+            return t if body is None else _with(t, var=t.var + suffix, body=body)
         return t
     return _map_type(ty, go)
 
@@ -1153,7 +1159,7 @@ def _captured(ty, free):
     """``ty`` with its outermost quantifier renamed ``free`` naively, so that
     it captures the free occurrences of ``free`` in its body."""
     if isinstance(ty, (ForallRow, ForallPres)):
-        return dataclasses.replace(ty, var=free)
+        return _with(ty, var=free)
     return ty
 
 
@@ -1399,11 +1405,11 @@ def _reference_size(term):
 
 
 def _reference_names(x):
-    """Every type-level name in ``x``, read off its dataclass fields rather
+    """Every type-level name in ``x``, read off its fields (``_fields``) rather
     than the shape table."""
     if isinstance(x, tuple):
         return set().union(*map(_reference_names, x))
-    if not dataclasses.is_dataclass(x) or isinstance(x, (KType, KRow, KPre)):
+    if not isinstance(x, Node) or isinstance(x, (KType, KRow, KPre)):
         return set()
     if isinstance(x, (TyVar, PresVar)):
         return {x.name}
@@ -1412,8 +1418,8 @@ def _reference_names(x):
         out.add(x.var)
     if isinstance(x, Row) and x.tail is not None:
         out.add(x.tail)
-    for f in dataclasses.fields(x):
-        out |= _reference_names(getattr(x, f.name))
+    for f in x._fields:
+        out |= _reference_names(getattr(x, f))
     return out
 
 
@@ -1484,7 +1490,7 @@ def test_kept_size_and_names_equal_the_reference_walks():
     for m in _terms_and_reducts():
         cold = _fresh(m)
         before = hash(cold), repr(cold)
-        assert getattr(cold, "_size", None) is None
+        assert cold._size is None
         assert term_size(cold) == _reference_size(m)
         assert type_level_names(cold) == _reference_names(m)
         _keep_every_fact(cold)
@@ -1506,7 +1512,7 @@ def test_kept_size_and_names_equal_the_reference_walks():
 
 
 def _reference_free(term):
-    """The free term variables of ``term``, read off its dataclass fields
+    """The free term variables of ``term``, read off its fields (``_fields``)
     rather than the shape table."""
     if isinstance(term, Var):
         return {term.name}
@@ -1520,8 +1526,8 @@ def _reference_free(term):
             out |= _reference_free(body) - {binder}
         return out
     out = set()
-    for f in dataclasses.fields(term):
-        for part in _term_parts(getattr(term, f.name)):
+    for f in term._fields:
+        for part in _term_parts(getattr(term, f)):
             out |= _reference_free(part)
     return out
 
@@ -1530,7 +1536,7 @@ def _term_parts(x):
     if isinstance(x, tuple):
         for y in x:
             yield from _term_parts(y)
-    elif type(x) in get_args(Term):
+    elif isinstance(x, Term):
         yield x
 
 
@@ -1547,7 +1553,7 @@ def test_keys_kept_under_binders_equal_those_of_uncached_copies():
             if type_level_names(part).isdisjoint(names):
                 # a part that mentions no binder of the stack keeps nothing for it
                 assert key is type_key(part)
-                assert names not in (getattr(part, "_keys", None) or {})
+                assert names not in (part._keys or {})
                 closed += bool(names)
             elif names:
                 assert part._keys[names] is key
@@ -1563,7 +1569,7 @@ def test_keys_under_binders_are_kept_per_stack():
     assert type_key(body, outer) == (Record, (Row, (("A", (PresVar, 2), (TyVar, "a0")),), 0))
     assert set(body._keys) == {inner, outer}
     assert type_key(body) == (Record, (Row, (("A", (PresVar, "p"), (TyVar, "a0")),), "r"))
-    assert type_key(a0, inner) is type_key(a0) and getattr(a0, "_keys", None) is None
+    assert type_key(a0, inner) is type_key(a0) and a0._keys is None
 
 
 def test_kept_contracta_equal_fresh_substitutions():
@@ -1583,14 +1589,14 @@ def test_kept_contracta_equal_fresh_substitutions():
     # no contractum is kept where the rules give no step
     cold = _fresh(next(r for m in _terms_and_reducts() for r in _type_redexes(m)))
     assert dynamics._rewrite_here(cold, RelationSet(upcast=True)) is None
-    assert getattr(cold, "_contractum", None) is None
+    assert cold._contractum is None
 
 
 def test_kept_free_variables_equal_the_reference_walk():
     bound = 0
     for m in _terms_and_reducts():
         cold = _fresh(m)
-        assert getattr(cold, "_free", None) is None
+        assert cold._free is None
         assert free_vars(cold) == _reference_free(m)
         # warm: the same kept object comes back
         assert free_vars(m) is free_vars(m)
@@ -1626,8 +1632,8 @@ def test_new_nodes_start_without_kept_facts():
             kids = [Lit(7) for _ in children(sub)]
             if kids:
                 new = rebuild(sub, kids)
-                assert getattr(new, "_size", None) is None
-                assert getattr(new, "_free", None) is None
+                assert new._size is None
+                assert new._free is None
                 assert term_size(new) == 1 + len(kids)
                 assert type_level_names(new) == _reference_names(new)
                 assert free_vars(new) == set()
@@ -1635,9 +1641,9 @@ def test_new_nodes_start_without_kept_facts():
                 if getattr(sub, name) is None or isinstance(sub, PresApp):
                     continue
                 part = Record(Row((), "fresh")) if name != "row" else Row((), "fresh")
-                new = dataclasses.replace(sub, **{name: part})
-                assert getattr(new, "_names", None) is None
-                assert getattr(new, "_free", None) is None
+                new = _with(sub, **{name: part})
+                assert new._names is None
+                assert new._free is None
                 assert free_vars(new) == _reference_free(sub)
                 assert "fresh" in type_level_names(new)
                 assert type_level_names(new) == _reference_names(new)
@@ -1722,3 +1728,102 @@ def test_let_chain_substitutions_enter_linearly_many_nodes(monkeypatch):
         assert normalize(_let_chain(n), RelationSet()) == Lit(7)
         counts.append(len(entered))
     assert counts[0] > 50 and counts[1] <= 2.2 * counts[0], counts
+
+
+# ---------------------------------------------------------------------------
+# the node base: equality, hash and repr as frozen dataclasses had them, a
+# hash of any depth, and facts that a node made anew does not share
+
+
+def _node_parts(node):
+    """The nodes among ``node``'s field values, those in tuples included: a
+    term's children, type-level parts and kinds, or a part's own parts."""
+    values, out = [getattr(node, f) for f in node._fields], []
+    while values:
+        value = values.pop()
+        if type(value) is tuple:
+            values += value
+        elif isinstance(value, Node):
+            out.append(value)
+    return out
+
+
+def test_nodes_rebuilt_from_their_fields_are_equal_copies_without_facts():
+    # a scheme brings in the kinds no term holds
+    scheme = TypeScheme((("a", KType()), ("p", KPre())), Arrow(TyVar("a"), INT))
+    seen, stack = {}, [*_terms_and_reducts(), scheme]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and (not isinstance(node, Term) or term_size(node) <= 300):
+            seen[id(node)] = node
+            stack += _node_parts(node)
+    forms = set()
+    for node in seen.values():
+        hash(node)
+        if isinstance(node, Term):
+            free_vars(node), type_level_names(node)
+        copy = type(node)(*(getattr(node, f) for f in node._fields))
+        assert [getattr(copy, fact) for fact in copy._facts] == [None] * len(copy._facts)
+        assert copy == node and node == copy and copy is not node
+        assert hash(copy) == hash(node) and repr(copy) == repr(node)
+        forms.add(type(node))
+    parts = {Absent, Present, PresVar, Row, TyVar, Base, Arrow, Variant, Record, ForallRow}
+    assert forms == set(SHAPES) | parts | {ForallPres, KType, KRow, KPre, TypeScheme}
+    assert len(seen) > 2000
+
+
+def test_node_equality_keeps_the_class_and_the_python_values():
+    assert Absent() != Present() and Absent() == Absent()
+    assert TyVar("a") != PresVar("a") and TyVar("a") != Var("a")
+    assert KType() != KPre() and KRow(frozenset()) != KRow(frozenset("A"))
+    # equal as Python values, as the dataclasses had them: the search's
+    # structural keys tell the two literals apart themselves
+    assert Lit(True) == Lit(1) and hash(Lit(True)) == hash(Lit(1))
+    assert Lit(1) != Lit("1") and Lam("x", None, Lit(1)) != Lam("y", None, Lit(1))
+    assert (Var("x") == "x") is False and Var("x") != ("x",)
+
+
+def test_node_reprs_are_the_dataclass_ones():
+    # these texts appear in messages such as TypeError("not a type: ...")
+    pins = {
+        KType(): "KType()",
+        KRow(frozenset({"A"})): "KRow(lacks=frozenset({'A'}))",
+        Absent(): "Absent()",
+        PresVar("p"): "PresVar(name='p')",
+        Row((("A", Present(), INT),), "r"):
+            "Row(entries=(('A', Present(), Base(tag='Int')),), tail='r')",
+        Arrow(TyVar("a"), INT): "Arrow(dom=TyVar(name='a'), cod=Base(tag='Int'))",
+        ForallRow("r", KRow(frozenset()), Record(Row((), "r"))):
+            "ForallRow(var='r', kind=KRow(lacks=frozenset()), "
+            "body=Record(row=Row(entries=(), tail='r')))",
+        TypeScheme((("a", KType()),), TyVar("a")):
+            "TypeScheme(quants=(('a', KType()),), body=TyVar(name='a'))",
+        Lam("x", None, Var("x")): "Lam(var='x', annot=None, body=Var(name='x'))",
+        RowApp(Var("f"), Row(())):
+            "RowApp(term=Var(name='f'), row=Row(entries=(), tail=None), origin='source')",
+        RecordLit((("A", Lit(1)),)): "RecordLit(fields=(('A', Lit(value=1)),), annot=None)",
+        Case(Var("s"), (("A", "a", Lit("s")),)):
+            "Case(scrutinee=Var(name='s'), branches=(('A', 'a', Lit(value='s')),))",
+        Prim("+", (Lit(1), Lit(2))): "Prim(op='+', args=(Lit(value=1), Lit(value=2)))",
+    }
+    for node, text in pins.items():
+        assert repr(node) == text
+    with pytest.raises(TypeError, match=r"^not a type: Lam\(var='x', annot=None"):
+        type_key(Lam("x", None, Var("x")))
+
+
+def test_hash_of_a_deep_lambda_nest_returns():
+    a, b = Var("x"), Var("x")
+    for i in range(100_000):
+        a, b = Lam(f"x{i % 7}", None, a), Lam(f"x{i % 7}", None, b)
+    assert hash(a) == hash(b) and hash(a) == a._hash
+    assert hash(Lam("x", None, a)) != hash(Lam("x", INT, a))
+
+
+def test_hash_of_a_deep_arrow_type_returns():
+    a, b = INT, INT
+    for i in range(100_000):
+        a, b = Arrow(a, TyVar(f"a{i % 5}")), Arrow(b, TyVar(f"a{i % 5}"))
+    assert hash(a) == hash(b) and hash(Record(Row((("A", Present(), a),)))) == hash(
+        Record(Row((("A", Present(), b),)))
+    )
