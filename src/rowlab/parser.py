@@ -5,7 +5,7 @@ Types:   a0, Int, String, A -> B, [l1:A1; l2:A2; r0], {l^o:A; l2^p:B},
 Terms:   \\x:A. M, M N, <l M> : T, case M { l x -> N; ... },
          {l1 = M1, l2 = M2} : T, M.l, M :> A, /\\r0:Row!{}. M, M @ [R],
          M @@ [R], /\\p0. M, M @ o, M @ *, M @ p0, let x = M in N,
-         integer and string literals, M - N, M + N, M ++ N
+         integer (-2 too) and string literals, M - N, M + N, M ++ N
 
 The text is scanned once, by one pattern (``_SCAN``), into flat lists of
 token kinds, words and start and end offsets; the parser reads the words.
@@ -378,6 +378,9 @@ class Parser:
     def parse_atom(self, brace_stop: bool) -> Term:
         i = self.pos
         kind, word = self.kinds[i], self.words[i]
+        if word == "-" and self.kinds[i + 1] == "int" and self.ends[i] == self.starts[i + 1]:
+            self.pos = i + 1  # a negative literal: "-" directly before the digits
+            return Lit(-self.parse_atom(brace_stop).value)
         if kind == "int":
             try:
                 value = int(word)

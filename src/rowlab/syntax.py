@@ -27,16 +27,15 @@ Structure:
 - canonical type keys (``type_key``), which type and scheme equality and the
   annotations of alpha equivalence compare
 
-``agree`` remembers the node pairs it has proven, so that terms that share
-subterms (a cast stack's translation is a tree exponential in its casts)
-cost what their distinct pairs cost.  ``strip``, and so erasure, rebuilds
-each node object once and keeps the sharing.
+``agree`` and ``==`` meet each node pair once, on an explicit stack, so
+terms that share subterms (a cast stack's translation is a tree
+exponential in its casts) cost what their distinct pairs cost.  ``strip``,
+and so erasure, rebuilds each node object once and keeps the sharing.
 
-Each node keeps facts computed once from its parts' facts, each in a slot
-of its own that is None in a node made anew: every node its hash
-``_hash``, a type, row or presence its key ``_key`` and its keys under
-binder stacks ``_keys`` (``type_key``), a type its printed text ``_text``
-(``pretty.show_type``), a term its tree size ``_size`` (``term_size``) and
+Each node keeps facts computed once from its parts' facts, each in a slot of
+its own that is None in a node made anew: every node its hash ``_hash``, a
+type, row or presence its key ``_key`` and its keys under binder stacks
+``_keys`` (``type_key``), a term its tree size ``_size`` (``term_size``) and
 its free term variables ``_free`` (``free_vars``), a term, type or row the
 set ``_names`` of every type-level name it mentions (``type_level_names``),
 and a row or presence application that meets its binder its contractum
@@ -89,16 +88,31 @@ def _slotted(name: str, bases: tuple, ns: dict, facts: tuple[str, ...] = ()) -> 
 
 
 class Node(metaclass=_slotted, facts=("_hash",)):
-    """A kind, presence, row, type, type scheme or term.  Equality and the
-    repr are a frozen dataclass's: of one class, with equal fields.  No code
-    changes a field after ``__init__`` (``tests/test_immutable_nodes.py``),
-    so the hash is a fact, kept once made on an explicit stack (``_keep``)."""
+    """A kind, presence, row, type, type scheme or term, with a frozen
+    dataclass's repr.  No code changes a field after ``__init__``
+    (``tests/test_immutable_nodes.py``), so the hash is a fact, kept once
+    made on an explicit stack (``_keep``)."""
 
     def __eq__(self, other):
+        """Of one class with equal fields, each leaf value of one type
+        (``Lit(True) != Lit(1)``); a walk that meets each node pair once."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        mine = [getattr(self, f) for f in self._fields]
-        return mine == [getattr(other, f) for f in self._fields]
+        met = set()
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if type(x) is not type(y):
+                return False
+            if isinstance(x, Node):
+                if x is not y and (id(x), id(y)) not in met:
+                    met.add((id(x), id(y)))
+                    stack += [(getattr(x, f), getattr(y, f)) for f in x._fields]
+            elif type(x) is tuple and len(x) == len(y):
+                stack += zip(x, y)
+            elif x != y:  # tuples of two lengths included
+                return False
+        return True
 
     def __hash__(self):
         kept = self._hash
@@ -130,7 +144,7 @@ class KPre(Node, metaclass=_slotted):
 Kind = KType | KRow | KPre
 
 
-class _Part(Node, metaclass=_slotted, facts=("_key", "_keys", "_text", "_names")):
+class _Part(Node, metaclass=_slotted, facts=("_key", "_keys", "_names")):
     """A presence, row or type: what a term's type-level parts are made of."""
 
 
@@ -1036,25 +1050,20 @@ def agree(
     m: Term, n: Term, env: Names = NO_NAMES, tyenv: tuple = ((), ()), wider: bool = False
 ) -> bool:
     """``match_node`` holds at every node pair of ``m`` and ``n``: alpha
-    equivalence, or with ``wider`` the record-width preorder.  The walk
-    remembers the pairs it has proven, by object and environments, so terms
-    that share subterms cost what their distinct pairs cost."""
-    return _agree(m, n, env, tyenv, wider, set())
-
-
-def _agree(m, n, env, tyenv, wider: bool, proven: set) -> bool:
-    """``agree``, skipping the pairs in ``proven`` and adding each it proves;
-    the two terms hold every node alive, so ids are not reused meanwhile."""
-    key = (id(m), id(n), env, tyenv)
-    if key in proven:
-        return True
-    pairs = match_node(m, n, env, tyenv, wider)
-    if pairs is None:
-        return False
-    for a, b, inner, tyinner in pairs:
-        if not _agree(a, b, inner, tyinner, wider, proven):
-            return False
-    proven.add(key)
+    equivalence, or with ``wider`` the record-width preorder.  Each pair is
+    matched once, by object and environments, on an explicit stack; the
+    terms hold every node alive, so no id is reused meanwhile."""
+    met = set()
+    stack = [(m, n, env, tyenv)]
+    while stack:
+        a, b, env, tyenv = stack.pop()
+        key = (id(a), id(b), env, tyenv)
+        if key not in met:
+            met.add(key)
+            pairs = match_node(a, b, env, tyenv, wider)
+            if pairs is None:
+                return False
+            stack += reversed(pairs)
     return True
 
 

@@ -455,6 +455,14 @@ def test_preorder_free_name_never_matches_a_bound_one():
     assert term_preorder(M("\\x. y"), M("\\z. y"))
 
 
+def test_preorder_of_deep_nests_returns():
+    m, n = Var("x0"), Var("y0")
+    for i in range(3_000):
+        m = Lam(f"x{i}", None, RecordLit((("A", m), ("B", Lit(i)))))
+        n = Lam(f"y{i}", None, RecordLit((("A", n),)))
+    assert term_preorder(m, n) and not term_preorder(n, m)
+
+
 def test_preorder_is_false_on_casts_and_type_level_forms():
     assert not term_preorder(M("x :> {A:Int}"), M("x :> {A:Int}"))
     src = "(/\\r:Row!{Name}. \\x:{Name:String; r}. x.Name) @ [Age:Int]"

@@ -148,4 +148,4 @@ def test_no_node_class_is_a_dataclass():
     classes = _node_classes()
     assert len(classes) > 30
     assert not any(dataclasses.is_dataclass(cls) for cls in classes)
-    assert {"_hash", "_key", "_keys", "_text", "_size", "_free", "_names", "_contractum"} == FACTS
+    assert {"_hash", "_key", "_keys", "_size", "_free", "_names", "_contractum"} == FACTS

@@ -1776,9 +1776,8 @@ def test_node_equality_keeps_the_class_and_the_python_values():
     assert Absent() != Present() and Absent() == Absent()
     assert TyVar("a") != PresVar("a") and TyVar("a") != Var("a")
     assert KType() != KPre() and KRow(frozenset()) != KRow(frozenset("A"))
-    # equal as Python values, as the dataclasses had them: the search's
-    # structural keys tell the two literals apart themselves
-    assert Lit(True) == Lit(1) and hash(Lit(True)) == hash(Lit(1))
+    # leaf values are equal only of one type, as the search's keys have them
+    assert Lit(True) != Lit(1) and Lit(1) == Lit(1)
     assert Lit(1) != Lit("1") and Lam("x", None, Lit(1)) != Lam("y", None, Lit(1))
     assert (Var("x") == "x") is False and Var("x") != ("x",)
 
@@ -1818,6 +1817,17 @@ def test_hash_of_a_deep_lambda_nest_returns():
         a, b = Lam(f"x{i % 7}", None, a), Lam(f"x{i % 7}", None, b)
     assert hash(a) == hash(b) and hash(a) == a._hash
     assert hash(Lam("x", None, a)) != hash(Lam("x", INT, a))
+
+
+def test_equality_of_deep_nests_returns():
+    a, b = Var("x"), Var("x")
+    for i in range(100_000):
+        a, b = Lam(f"x{i % 7}", None, a), Lam(f"x{i % 7}", None, b)
+    assert a == b and not a != b and Lam("x", None, a) != Lam("x", None, Lam("x", None, b))
+    m, n = Var("x0"), Var("y0")
+    for i in range(3_000):
+        m, n = Lam(f"x{i}", INT, m), Lam(f"y{i}", INT, n)
+    assert alpha_eq(m, n) and not alpha_eq(m, Lam("z", INT, n))
 
 
 def test_hash_of_a_deep_arrow_type_returns():

@@ -617,8 +617,8 @@ def test_independent_translations_of_cast_stacks_compare_in_their_distinct_pairs
     for k in (5, 12):
         a, b, c = _t3_stack(k), _t3_stack(k), _t3_stack(k, last=0)
         built = time.perf_counter()
-        assert alpha_eq(a, b) and term_preorder(erase(a), erase(b))
-        assert not alpha_eq(a, c) and not term_preorder(erase(a), erase(c))
+        assert alpha_eq(a, b) and term_preorder(erase(a), erase(b)) and a == b
+        assert not alpha_eq(a, c) and not term_preorder(erase(a), erase(c)) and a != c
         assert time.perf_counter() - built < 1.0, k
 
 
