@@ -35,21 +35,21 @@ seen set and descends, ``_reducts`` steps and re-typechecks.
 
 Each stepping check makes one ``_Keys`` table, its memo for as long as it
 runs and freed, by reference counting, when it returns (``_Keys`` says
-how).  The table keys terms by structure, never by their printed text: the
-seen sets of ``_explore`` and ``_closure`` and the ``_Reach`` memo hold its
-ints, and a type-level part enters a term's key as the number the table
-gives its object, once.  It also makes every call the check makes into the
-stepper (``step_all``, keyed by term, relation set and spine mode), the
-checker (a reduct, keyed by term and context objects) and the translator
-(``run_translation``, keyed by derivation), so a term reached twice, say as
-a reduct's image and again as the next level's root, is stepped,
-re-typechecked and translated once.  It holds one memo of settled search
-questions per (relation set, step classes), which every ``_Reach`` search
-of the check reads and adds to, so no search settles a question an earlier
-one settled.  Report text is rendered only for a failed case
-(``PropertyReport.tally``).  The search compares a state with its goal as
-``alpha_eq`` does, under the binder pairs of the nodes above them
-(``syntax.match_node``), so it renames neither.
+how).  Terms are their own keys, never their printed text: the seen sets
+of ``_explore`` and ``_closure`` and the ``_Reach`` memo hold the terms
+themselves and compare them by ``==``, which a node keeps its hash for.
+The table makes every call the check makes into the stepper (``step_all``,
+keyed by term, relation set and spine mode), the checker (a reduct, keyed
+by term and context objects) and the translator (``run_translation``,
+keyed by derivation), so a term reached twice, say as a reduct's image and
+again as the next level's root, is stepped, re-typechecked and translated
+once.  It holds one memo of settled search questions per (relation set,
+step classes), which every ``_Reach`` search of the check reads and adds
+to, so no search settles a question an earlier one settled.  Report text
+is rendered only for a failed case (``PropertyReport.tally``).  The search
+compares a state with its goal as ``alpha_eq`` does, under the binder
+pairs of the nodes above them (``syntax.match_node``), so it renames
+neither.
 
 No search, closure or cast normalisation has a bound of its own: each runs
 to its fixpoint, so a fail is a counterexample.  Each stops, as the calculi
@@ -82,7 +82,6 @@ from .statics import (
 )
 from .syntax import (
     NO_NAMES,
-    SHAPES,
     App,
     Arrow,
     Base,
@@ -624,18 +623,15 @@ def _closure(
     term: Term, rels: RelationSet, classes: set[str], keys: _Keys
 ) -> list[Term]:
     """Terms reachable through steps from the given classes, incl. the start."""
-    seen = {keys(term)}
+    seen = {term}
     out = [term]
     queue = [term]
     while queue:
         u = queue.pop()
         for s in keys.steps(u, rels):
-            if _step_class(s.tag) not in classes:
+            if _step_class(s.tag) not in classes or s.term in seen:
                 continue
-            key = keys(s.term)
-            if key in seen:
-                continue
-            seen.add(key)
+            seen.add(s.term)
             out.append(s.term)
             queue.append(s.term)
     return out
@@ -683,55 +679,29 @@ def _cast_normal(term: Term, rels: RelationSet, keys: _Keys) -> Term:
 
 
 class _Keys:
-    """One stepping check's memo.  Calling it gives a term's structural key:
-    an int interned from a node's form, its fields, its binder names and its
-    children's keys, computed once per object.  Two terms get the same key
-    exactly when they are equal (a literal's type included), however their
-    nodes are shared, and keying a term costs what its distinct subterms
-    cost, not its tree unfolding.
-
-    The table also makes every call the check makes into the stepper and
-    the translator, once per distinct question: ``steps`` keys ``step_all``
-    by (term key, relation set, spine mode), ``reducts`` re-typechecks a
-    reduct once per (term key, context objects, configuration), so a term
-    that two runs reach gets one derivation object, ``image`` keys
+    """One stepping check's memo.  It makes every call the check makes into
+    the stepper and the translator, once per distinct question: ``steps``
+    keys ``step_all`` by (term, relation set, spine mode), ``reducts``
+    re-typechecks a reduct once per (term, context objects, configuration),
+    so a term that two runs reach gets one derivation object, ``image`` keys
     ``run_translation`` by (translation, derivation object) and ``erased``
-    keys ``erase`` by term key; ``settled`` keeps every exact search answer.  A
-    node's type-level parts enter its key as themselves: a part keeps its
-    hash in its slot ``_hash``, so a part made anew is hashed once, and then
-    read.  Objects keyed by ``id`` are held, so their ids cannot be
-    recycled.  Each check makes one table for all its searches and seen
-    sets, and the table is freed when the check returns: nothing the check
-    leaves refers back to it, as ``_explore`` deletes its recursive walker
-    and a kept ``StaticError`` has no traceback, whose frames would hold the
-    table (``_frameless``)."""
+    keys ``erase`` by term; ``settled`` keeps every exact search answer.  A
+    term is its own key: two are one key exactly when they are ``==`` (a
+    literal's type included), however their nodes are shared, and a node
+    keeps its hash, so a term made anew is hashed once, and then read.
+    Objects keyed by ``id`` are held, so their ids cannot be recycled.  Each
+    check makes one table for all its searches and seen sets, and the table
+    is freed when the check returns: nothing the check leaves refers back to
+    it, as ``_explore`` deletes its recursive walker and a kept
+    ``StaticError`` has no traceback, whose frames would hold the table
+    (``_frameless``)."""
 
     def __init__(self):
-        self._keys: dict[int, tuple[Term, int]] = {}  # id -> (term, key)
-        self._interned: dict[tuple, int] = {}
         self._memos: dict[tuple, dict] = {}
         self._steps: dict[tuple, list[Step]] = {}
         self._typed: dict[tuple, tuple[Derivation, Derivation | StaticError]] = {}
         self._images: dict[tuple, tuple[Derivation, Term]] = {}
-        self._erased: dict[int, Term] = {}
-
-    def __call__(self, t: Term) -> int:
-        # hold the term itself so ids cannot be recycled under us
-        hit = self._keys.get(id(t))
-        if hit is not None:
-            return hit[1]
-        shape = SHAPES[type(t)]
-        parts: list = [type(t)]
-        # the value's type too: Lit(True) == Lit(1) as Python values
-        parts += [(type(v), v) for v in (getattr(t, f) for f in shape.data)]
-        parts += [getattr(t, f) for f in shape.types]
-        if type(t) is Var or shape.tybinder:
-            parts.append(t.name if type(t) is Var else t.var)
-        for slot, child, binder in shape.children(t):
-            parts += (slot, binder, self(child))
-        key = self._interned.setdefault(tuple(parts), len(self._interned))
-        self._keys[id(t)] = (t, key)
-        return key
+        self._erased: dict[Term, Term] = {}
 
     def settled(self, rels: RelationSet, classes: set[str]) -> dict:
         """The one memo, by question, of every ``_Reach`` search of the
@@ -741,7 +711,7 @@ class _Keys:
     def steps(self, t: Term, rels: RelationSet, spine: bool = False) -> list[Step]:
         """What ``step_all`` lists for ``t``; the list is shared, so it is
         not to be changed."""
-        key = (self(t), rels, spine)
+        key = (t, rels, spine)
         hit = self._steps.get(key)
         if hit is None:
             hit = self._steps[key] = step_all(t, rels, spine=spine)
@@ -749,10 +719,10 @@ class _Keys:
 
     def erased(self, t: Term) -> Term:
         """``erase(t)``, taken once per distinct term."""
-        key = self(t)
-        if key not in self._erased:
-            self._erased[key] = erase(t)
-        return self._erased[key]
+        hit = self._erased.get(t)
+        if hit is None:
+            hit = self._erased[t] = erase(t)
+        return hit
 
     def image(self, tid: str, d: Derivation) -> Term:
         """``d``'s translation by ``tid``, as ``run_translation`` gives it."""
@@ -768,7 +738,7 @@ class _Keys:
         error that re-typechecking the reduct raised."""
         out: list[tuple[Step, Derivation | StaticError]] = []
         for s in self.steps(d.term, rels):
-            key = (self(s.term), id(d.delta), id(d.gamma), cfg)
+            key = (s.term, id(d.delta), id(d.gamma), cfg)
             hit = self._typed.get(key)
             if hit is None:
                 try:
@@ -790,7 +760,7 @@ class _Reach:
     ``match_node``, as ``alpha_eq`` does: a state and its goal are compared
     under the binder pairs of the nodes above them (independently produced
     translations pick different fresh names), so nothing is renamed.  The
-    memo keys (state, goal) pairs by structure (``_Keys``) with their
+    memo keys (state, goal) pairs, compared by ``==``, with their
     environments, so that the search costs what the distinct subterms cost.
     need_beta threads the 'exactly one beta somewhere' obligation through
     the descent.  ``keys`` is the table of the check that searches.
@@ -806,13 +776,13 @@ class _Reach:
         self.rels = rels
         self.classes = classes
         self.memo = keys.settled(rels, classes)
-        self._key = keys
+        self._table = keys
 
     def go(
         self, x: Term, g: Term, need_beta: bool = False, env: Names = NO_NAMES,
         tyenv: tuple = ((), ()),
     ) -> bool:
-        key = (self._key(x), self._key(g), need_beta, env, tyenv)
+        key = (x, g, need_beta, env, tyenv)
         out = self.memo.get(key)
         if out is not None:
             return out
@@ -823,7 +793,7 @@ class _Reach:
             return not need_beta
         out = False
         # contract the root, or a head-spine position that can expose it
-        for s in self._key.steps(x, self.rels, spine=True):
+        for s in self._table.steps(x, self.rels, spine=True):
             cls = _step_class(s.tag)
             if cls in self.classes and self.go(s.term, g, need_beta, env, tyenv):
                 out = True
@@ -852,15 +822,15 @@ class _Reach:
 # The one walk and the one-case checks
 
 
-def _explore(root, depth: int, expand, keys: _Keys, terms=lambda d: (d.term,)) -> None:
+def _explore(root, depth: int, expand, terms=lambda d: (d.term,)) -> None:
     """Expand ``root`` and, depth first, each node that ``expand(node,
     level)`` yields, as soon as it yields it, down to ``depth`` levels; a
     node whose terms (``terms(node)``, a tuple) were seen together before is
-    not expanded again.  Terms are told apart by structure (``keys``)."""
+    not expanded again.  Terms are compared by ``==``."""
     seen = set()
 
     def visit(node, level: int):
-        k = tuple(map(keys, terms(node)))
+        k = terms(node)
         if k in seen:
             return
         seen.add(k)
@@ -985,7 +955,7 @@ def check_simulation(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
                 )
             yield nd
 
-    _explore(deriv, depth, expand, keys)
+    _explore(deriv, depth, expand)
     return rep
 
 
@@ -1008,7 +978,7 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
         # and the queue of source reducts not yet stepped
         deeper: list[Term] = []
         queue = collections.deque(nd for _, nd, _ in sources)
-        known = {keys(nd.term) for nd in queue}
+        known = {nd.term for nd in queue}
 
         def deeper_images() -> Iterator[Term]:
             # when a cast expansion lets the target contract an outer redex
@@ -1025,10 +995,9 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
                     return
                 fd = queue.popleft()
                 for s, fnd in keys.reducts(src_cfg, fd, src_rels):
-                    k = keys(s.term)
-                    if k in known:
+                    if s.term in known:
                         continue
-                    known.add(k)
+                    known.add(s.term)
                     if isinstance(fnd, StaticError):
                         continue
                     queue.append(fnd)
@@ -1039,12 +1008,11 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
             for i, (run, _, _) in enumerate(t.reflection)
             for u in _pattern_steps(run, tm, tgt_rels, keys)
         ]
-        done: set[tuple[int, int]] = set()
+        done: set[tuple[int, Term]] = set()
         for i, u in obligations:
-            key_u = (i, keys(u))
-            if key_u in done:
+            if (i, u) in done:
                 continue
-            done.add(key_u)
+            done.add((i, u))
             run, allowed, mode = t.reflection[i]
             if mode == "exact":
                 ok = any(cls in allowed and alpha_eq(tk, u) for cls, _, tk in sources)
@@ -1068,7 +1036,7 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
         for _, nd, _ in sources:
             yield nd
 
-    _explore(deriv, depth, expand, keys)
+    _explore(deriv, depth, expand)
     return rep
 
 
@@ -1160,7 +1128,7 @@ def check_preorder_correspondence(
             )
 
     _explore(
-        (deriv, keys.erased(deriv.term)), depth, expand, keys,
+        (deriv, keys.erased(deriv.term)), depth, expand,
         lambda node: (node[0].term, node[1]),
     )
     return rep
@@ -1232,9 +1200,9 @@ def check_subject_reduction(
     if config.rank1:
         term = subject.term if isinstance(subject, Derivation) else subject
         root = (term, infer(config, ambient_delta(), ambient_gamma(), term))
-        _explore(root, depth, expand_bare, keys, lambda node: node[:1])
+        _explore(root, depth, expand_bare, lambda node: node[:1])
     else:
-        _explore(subject, depth, expand, keys)
+        _explore(subject, depth, expand)
     return rep
 
 

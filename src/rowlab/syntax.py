@@ -119,8 +119,25 @@ class Node(metaclass=_slotted, facts=("_hash",)):
         return _keep(self, "_hash", _visit_hash) if kept is None else kept
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        """``Class(field=value, ...)``, built on an explicit stack of text
+        (a str) and of nodes and tuples still to show."""
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                out.append(x)
+                continue
+            if type(x) is tuple:
+                head, pairs, end = "(", [("", v) for v in x], ",)" if len(x) == 1 else ")"
+            else:
+                head, end = type(x).__qualname__ + "(", ")"
+                pairs = [(f + "=", getattr(x, f)) for f in x._fields]
+            items = [head]
+            for i, (name, v) in enumerate(pairs):
+                shown = v if type(v) is tuple or isinstance(v, Node) else repr(v)
+                items += (", " if i else "") + name, shown
+            stack += reversed([*items, end])
+        return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """The command-line frontend: output and exit codes on edge inputs."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ from rowlab.syntax import type_equal
 from rowlab.translate import TRANSLATIONS
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_eval_normal_form_on_last_fuel_step(capsys):
@@ -373,3 +378,31 @@ def test_translated_corpus_types_in_the_target(tmp_path, capsys, source, target,
     shown = capsys.readouterr().out
     if not rank1:
         assert type_equal(parse_type_str(shown), parse_type_str(payload["type"])), shown
+
+
+# a search row and a sweep row, each with every property it lists
+HASH_SEED_RUNS = (
+    ["--translation", "rec-sub-to-pre", "--property", "simulation", "--property", "reflection"],
+    ["--translation", "erase-upcasts", "--max-size", "12"]
+    + [a for p in TRANSLATIONS["erase-upcasts"].properties for a in ("--property", p)],
+)
+
+
+def _verify_text(hash_seed: str, args: list) -> str:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-m", "rowlab.cli", "verify", *args, "--count", "50",
+         "--seed", "0", "--json"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return re.sub(r'"elapsed": [0-9.e+-]+', '"elapsed": 0', out)
+
+
+@pytest.mark.parametrize("args", HASH_SEED_RUNS, ids=["search", "sweep"])
+def test_verify_output_does_not_depend_on_string_hashing(args):
+    # the checks' memos and seen sets hash terms, and a term's hash mixes in
+    # its strings' hashes, which change with PYTHONHASHSEED
+    first = _verify_text("0", args)
+    assert json.loads(first) and all(r["passed"] and r["cases"] for r in json.loads(first))
+    assert _verify_text("1", args) == first

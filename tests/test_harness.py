@@ -57,6 +57,7 @@ from rowlab.syntax import (
     ForallRow,
     KRow,
     Lit,
+    Node,
     Present,
     Record,
     Row,
@@ -1031,17 +1032,30 @@ def key_pool():
     return [sub for t in pool for sub in subterms(t) if term_size(sub) <= 300]
 
 
+def structure(x):
+    """A reference for node equality: ``x`` as nested tuples, a node as its
+    class and its fields, each leaf value with its type."""
+    if isinstance(x, Node):
+        return (type(x), *(structure(getattr(x, f)) for f in x._fields))
+    if type(x) is tuple:
+        return (tuple, *map(structure, x))
+    return (type(x), x)
+
+
 def test_search_keys_are_equal_exactly_when_the_terms_are():
-    reach = _Reach(relations_for(preset("rec")), {"beta"}, _Keys())
+    # the memos and seen sets of a check key terms by themselves: ``==`` and
+    # ``hash`` must tell terms apart exactly as their structure does
+    assert "__call__" not in vars(_Keys)
     pool = key_pool()
-    keys = [reach._key(t) for t in pool]
+    keys = [structure(t) for t in pool]
     equal_pairs = 0
     for i, (a, ka) in enumerate(zip(pool, keys)):
         for b, kb in zip(pool[i + 1:], keys[i + 1:]):
             assert (ka == kb) == (a == b), (a, b)
+            assert ka != kb or hash(a) == hash(b), (a, b)
             equal_pairs += ka == kb
-    assert equal_pairs > 100 and len(set(keys)) > 200
-    assert reach._key(Lit(True)) != reach._key(Lit(1))
+    assert equal_pairs > 100 and len(set(pool)) == len(set(keys)) > 200
+    assert Lit(True) != Lit(1) and len({Lit(True), Lit(1)}) == 2
 
 
 def test_search_keys_do_not_depend_on_sharing():
@@ -1050,8 +1064,20 @@ def test_search_keys_do_not_depend_on_sharing():
     copy = unshared(tm)
     assert term_size(tm) > 2000 and len({id(t) for t in subterms(tm)}) < 40
     assert len({id(t) for t in subterms(copy)}) == term_size(copy)
-    reach = _Reach(relations_for(preset("rec")), {"beta"}, _Keys())
-    assert reach._key(copy) == reach._key(tm)
+    assert copy._hash is None  # hashed anew, not read from tm
+    assert copy == tm and hash(copy) == hash(tm) and len({tm, copy}) == 1
+
+
+def test_deep_terms_go_through_a_checks_table():
+    # two distinct 10,000-deep application chains, equal: the search's memo
+    # key, its comparison and the erasure memo walk no term recursively
+    a, b = Lit(0), Lit(0)
+    for i in range(10_000):
+        a, b = syntax.App(a, Lit(i)), syntax.App(b, Lit(i))
+    keys = _Keys()
+    assert a is not b and _Reach(relations_for(preset("rec")), {"beta"}, keys).go(a, b)
+    erased = keys.erased(a)
+    assert erased == a and keys.erased(b) is erased  # b is a's key
 
 
 def test_search_pairs_only_the_live_fields_of_a_record():
@@ -1124,10 +1150,9 @@ def test_closure_collects_every_reduct():
     # each of the nine fields steps by tau on its own, so the closure holds
     # every choice of fields stepped: 2^9 terms
     fields = ", ".join(f"L{i} = (/\\p. 1) @ *" for i in range(9))
-    keys = _Keys()
     out = harness._closure(
-        M("{" + fields + "}"), relations_for(preset("rec-pre")), {"tau"}, keys)
-    assert len(out) == len(set(map(keys, out))) == 2 ** 9
+        M("{" + fields + "}"), relations_for(preset("rec-pre")), {"tau"}, _Keys())
+    assert len(out) == len(set(out)) == 2 ** 9
     normal = M("{" + ", ".join(f"L{i} = 1" for i in range(9)) + "}")
     assert any(alpha_eq(u, normal) for u in out)
 
@@ -1177,8 +1202,7 @@ def test_search_checks_do_their_type_level_work_once(monkeypatch):
             searches[-1][2] = True
             reach, (x, g, need_beta, env, tyenv), _ = searches[-1]
             settled.append((
-                reach.rels, frozenset(reach.classes), reach._key(x), reach._key(g),
-                need_beta, env, tyenv,
+                reach.rels, frozenset(reach.classes), x, g, need_beta, env, tyenv,
             ))
         return compare(*args)
 
@@ -1242,11 +1266,11 @@ REC_SUB_86_CASES = {"rec-sub-to-rec": [3, 384], "rec-sub-to-pre": [3, 10]}
 @pytest.mark.parametrize("tid", ["rec-sub-to-rec", "rec-sub-to-pre"])
 def test_passing_search_checks_render_and_rename_nothing(tid, monkeypatch):
     """A work guard on index 86: passing simulation and reflection checks
-    key the terms they explore by structure, so they render none; the
-    search compares a state with its goal under their binder pairs, so it
-    substitutes nothing of its own; and each check steps a term under a
-    relation set and mode once, and re-typechecks and translates it once
-    under the same contexts."""
+    key the terms they explore by the terms themselves, so they render
+    none; the search compares a state with its goal under their binder
+    pairs, so it substitutes nothing of its own; and each check steps a term
+    under a relation set and mode once, and re-typechecks and translates it
+    once under the same contexts."""
     calls = collections.Counter()
     for module, name in (
         (pretty, "show_term"), (syntax, "subst_term"), (syntax, "subst_type_in_term")
@@ -1259,23 +1283,22 @@ def test_passing_search_checks_render_and_rename_nothing(tid, monkeypatch):
 
         monkeypatch.setattr(harness, name, counted, raising=False)
     # each check's calls into the stepper, the checker and the translator,
-    # by the term (keyed apart from the check's own table) and contexts
+    # by the term and contexts
     work = collections.Counter()
-    keyed = _Keys()
     step, check_, translate_ = (
         harness.step_all, harness.type_check, harness.run_translation
     )
 
     def recorded_step_all(term, rels, spine=False):
-        work["step", keyed(term), rels, spine] += 1
+        work["step", term, rels, spine] += 1
         return step(term, rels, spine=spine)
 
     def recorded_type_check(cfg, delta, gamma, term):
-        work["check", keyed(term), id(delta), id(gamma), cfg] += 1
+        work["check", term, id(delta), id(gamma), cfg] += 1
         return check_(cfg, delta, gamma, term)
 
     def recorded_translation(tid, d):
-        work["translate", keyed(d.term), id(d.delta), id(d.gamma)] += 1
+        work["translate", d.term, id(d.delta), id(d.gamma)] += 1
         return translate_(tid, d)
 
     monkeypatch.setattr(harness, "step_all", recorded_step_all)

@@ -2,9 +2,10 @@
 
 No recursive walker outlives its call holding itself, and no stored error
 keeps the frames it was raised through, so a run leaves no reference cycle
-for the garbage collector to find, and a check's ``_Keys`` memo dies when
-the check returns.  The garbage check sees only the paths it runs; a static
-check covers every nested function in ``src/``.
+for the garbage collector to find, and a check's ``_Keys`` memo, with the
+terms that its memos and seen sets key by themselves, dies when the check
+returns.  The garbage check sees only the paths it runs; a static check
+covers every nested function in ``src/``.
 """
 
 import ast

@@ -5,6 +5,7 @@ it (without the text they kept on each type)."""
 from __future__ import annotations
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from rowlab.dynamics import relations_for, step_all
 from rowlab.harness import (
     GenError,
     GenSpec,
+    _Gen,
     ambient_delta,
     ambient_gamma,
     gen_subst_pair,
@@ -313,9 +315,12 @@ def _check_types(tops):
 
 def _generated_types(name):
     """The types, rows, presences and schemes of the preset's generated terms
-    and their translations: annotations, cast targets, row and presence
-    arguments, derivation types, translated types and inferred schemes."""
+    and their translations: sampled goal types, annotations, cast targets,
+    row and presence arguments, derivation types, translated types and
+    inferred schemes."""
     cfg = preset(name)
+    gen = _Gen(random.Random(0), GenSpec(cfg, max_size=10, seed=4))
+    yield from (gen.sample_type(size) for size in range(1, 8))
     for term in _generated(name):
         for sub in _subterms(term):
             for field in SHAPES[type(sub)].types:
@@ -351,6 +356,14 @@ _HAND_TYPES = [
     Record(Row((("A", Present(), ForallPres("p", Record(Row((("B", PresVar("p"), INT),))))),
                 ("C", Absent(), Variant(Row((), None)))), "r")),
     ForallPres("p", Arrow(ForallPres("q", Record(Row((("A", PresVar("q"), INT),)))), INT)),
+    # a duplicate label inside an absent entry, a shadowed quantifier and a
+    # free name next to a bound one: printed as written
+    Record(Row((
+        ("m", Present(), Base("String")),
+        ("l", Absent(), Record(Row((("l", Present(), INT), ("l", Present(), INT))))),
+    ), "r")),
+    ForallRow("r", KRow(frozenset()), ForallRow("r", KRow(frozenset()), Record(Row((), "r")))),
+    ForallPres("q", Arrow(TyVar("q"), Record(Row((("A", PresVar("p"), INT),), "q")))),
     TypeScheme((), Arrow(INT, INT)),
     TypeScheme((("a", KType()), ("p", KPre()), ("r", KRow(frozenset({"A"})))),
                ForallRow("s", KRow(frozenset()), Arrow(TyVar("a"), Record(Row((), "r"))))),
