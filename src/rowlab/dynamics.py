@@ -23,10 +23,6 @@ then the contractum itself, and never revisits anything to the left.  A
 changed ancestor is rebuilt once, when the machine leaves it.  ``erase``
 rebuilds on an explicit stack (``syntax.strip``), so any depth is fine, and
 each node object once, so the erasure shares what the term shares.
-
-No closure outlives its call holding itself: ``step_all`` deletes its
-recursive walker when the walk returns, so the walk leaves no reference
-cycle behind.
 """
 
 from __future__ import annotations
@@ -223,31 +219,29 @@ def step_all(term: Term, rels: RelationSet, spine: bool = False) -> list[Step]:
 
     With ``spine``, the walk enters only head slots and the arguments of a
     primitive, so it lists exactly the redexes on the head spine, in the
-    same order, without visiting the rest of the term."""
+    same order, without visiting the rest of the term.  The walk keeps an
+    explicit stack, so a term of any depth is fine."""
     out: list[Step] = []
-    context: list[tuple[Term, list, int]] = []  # (ancestor, its children, index)
-
-    def walk(node: Term, path: Path) -> None:
+    # (node, its context): a context is None at the root, and otherwise
+    # (parent, the parent's children, the node's index, the parent's context)
+    stack: list[tuple[Term, tuple | None]] = [(term, None)]
+    while stack:
+        node, context = stack.pop()
         hit = _rewrite_here(node, rels)
-        if hit is not None:
+        if hit is not None:  # rebuild the ancestors and read the path off the context
             new, tag = hit
-            for parent, parts, i in reversed(context):
+            slots, up = [], context
+            while up is not None:
+                parent, parts, i, up = up
                 kids = [child for _, child, _ in parts]
                 kids[i] = new
                 new = rebuild(parent, kids)
-            out.append(Step(new, tag, path))
+                slots.append(parts[i][0])
+            out.append(Step(new, tag, tuple(reversed(slots))))
         parts = SHAPES[type(node)].children(node)
-        for i, (slot, child, _) in enumerate(parts):
-            if spine and not on_spine(node, slot):
-                continue
-            context.append((node, parts, i))
-            walk(child, path + (slot,))
-            context.pop()
-
-    try:
-        walk(term, ())
-    finally:
-        del walk
+        for i in range(len(parts) - 1, -1, -1):
+            if not spine or on_spine(node, parts[i][0]):
+                stack.append((parts[i][1], (node, parts, i, context)))
     return out
 
 

@@ -33,8 +33,8 @@ translated reduct, any number of source steps away, by steps of the run's
 one class.  Every stepping check runs on one walk: ``_explore`` keeps the
 seen set and descends, ``_reducts`` steps and re-typechecks.
 
-Each stepping check makes one ``_Keys`` table, its memo for as long as it
-runs and freed, by reference counting, when it returns (``_Keys`` says
+Each stepping check makes one ``_Memo`` table, its memo for as long as it
+runs and freed, by reference counting, when it returns (``_Memo`` says
 how).  Terms are their own keys, never their printed text: the seen sets
 of ``_explore`` and ``_closure`` and the ``_Reach`` memo hold the terms
 themselves and compare them by ``==``, which a node keeps its hash for.
@@ -615,12 +615,12 @@ def _step_class(tag: str) -> str:
     return tag.split("-", 1)[0]
 
 
-def _class_steps(term: Term, rels: RelationSet, cls: str, keys: _Keys) -> list[Term]:
-    return [s.term for s in keys.steps(term, rels) if _step_class(s.tag) == cls]
+def _class_steps(term: Term, rels: RelationSet, cls: str, memo: _Memo) -> list[Term]:
+    return [s.term for s in memo.steps(term, rels) if _step_class(s.tag) == cls]
 
 
 def _closure(
-    term: Term, rels: RelationSet, classes: set[str], keys: _Keys
+    term: Term, rels: RelationSet, classes: set[str], memo: _Memo
 ) -> list[Term]:
     """Terms reachable through steps from the given classes, incl. the start."""
     seen = {term}
@@ -628,7 +628,7 @@ def _closure(
     queue = [term]
     while queue:
         u = queue.pop()
-        for s in keys.steps(u, rels):
+        for s in memo.steps(u, rels):
             if _step_class(s.tag) not in classes or s.term in seen:
                 continue
             seen.add(s.term)
@@ -638,39 +638,39 @@ def _closure(
 
 
 def _pattern_steps(
-    pattern: str, term: Term, rels: RelationSet, keys: _Keys
+    pattern: str, term: Term, rels: RelationSet, memo: _Memo
 ) -> list[Term]:
     """The ends of the runs from ``term`` that the pattern spells, in order."""
     ends = [term]
     for token in pattern.split():
         cls = token.rstrip("?*")
         if token.endswith("*"):
-            ends = [v for u in ends for v in _closure(u, rels, {cls}, keys)]
+            ends = [v for u in ends for v in _closure(u, rels, {cls}, memo)]
         else:
-            stepped = [v for u in ends for v in _class_steps(u, rels, cls, keys)]
+            stepped = [v for u in ends for v in _class_steps(u, rels, cls, memo)]
             ends = ends + stepped if token.endswith("?") else stepped
     return ends
 
 
 def _simulates(
-    pattern: str, tm: Term, tn: Term, rels: RelationSet, keys: _Keys
+    pattern: str, tm: Term, tn: Term, rels: RelationSet, memo: _Memo
 ) -> bool:
     """Whether ``tm`` reaches ``tn`` by a run the pattern spells: ``c*`` and
     ``c* beta`` by the search, a finite pattern by listing its ends."""
     first, *rest = pattern.split()
     if not first.endswith("*"):
-        return any(alpha_eq(u, tn) for u in _pattern_steps(pattern, tm, rels, keys))
+        return any(alpha_eq(u, tn) for u in _pattern_steps(pattern, tm, rels, memo))
     if rest not in ([], ["beta"]):
         raise ValueError(f"no search for the pattern {pattern!r}")
-    return _Reach(rels, {first[:-1]}, keys).go(tm, tn, need_beta=bool(rest))
+    return _Reach(rels, {first[:-1]}, memo).go(tm, tn, need_beta=bool(rest))
 
 
-def _cast_normal(term: Term, rels: RelationSet, keys: _Keys) -> Term:
+def _cast_normal(term: Term, rels: RelationSet, memo: _Memo) -> Term:
     """Contract cast redexes until none remain.  This stops (the module says
     why) and, the system being orthogonal, the result does not depend on the
     contraction order."""
     while True:
-        for s in keys.steps(term, rels):
+        for s in memo.steps(term, rels):
             if _step_class(s.tag) in ("upcast", "nested"):
                 term = s.term
                 break
@@ -678,7 +678,7 @@ def _cast_normal(term: Term, rels: RelationSet, keys: _Keys) -> Term:
             return term
 
 
-class _Keys:
+class _Memo:
     """One stepping check's memo.  It makes every call the check makes into
     the stepper and the translator, once per distinct question: ``steps``
     keys ``step_all`` by (term, relation set, spine mode), ``reducts``
@@ -692,9 +692,8 @@ class _Keys:
     Objects keyed by ``id`` are held, so their ids cannot be recycled.  Each
     check makes one table for all its searches and seen sets, and the table
     is freed when the check returns: nothing the check leaves refers back to
-    it, as ``_explore`` deletes its recursive walker and a kept
-    ``StaticError`` has no traceback, whose frames would hold the table
-    (``_frameless``)."""
+    it, as no walker holds itself and a kept ``StaticError`` has no
+    traceback, whose frames would hold the table (``_frameless``)."""
 
     def __init__(self):
         self._memos: dict[tuple, dict] = {}
@@ -763,37 +762,37 @@ class _Reach:
     memo keys (state, goal) pairs, compared by ``==``, with their
     environments, so that the search costs what the distinct subterms cost.
     need_beta threads the 'exactly one beta somewhere' obligation through
-    the descent.  ``keys`` is the table of the check that searches.
+    the descent.  ``memo`` is the table of the check that searches.
 
     One object is one search.  Its memo is the check's memo for the same
-    relations and classes (``_Keys.settled``), which holds every answer a
+    relations and classes (``_Memo.settled``), which holds every answer a
     search of the check has settled, and each answer is exact: the search
     runs to its end.  A question is marked False while it is open, which
     guards against cycles; none can close, as a question leads only to
     questions on a reduct of its state or on a pair of children."""
 
-    def __init__(self, rels: RelationSet, classes: set[str], keys: _Keys):
+    def __init__(self, rels: RelationSet, classes: set[str], memo: _Memo):
         self.rels = rels
         self.classes = classes
-        self.memo = keys.settled(rels, classes)
-        self._table = keys
+        self.settled = memo.settled(rels, classes)
+        self._memo = memo
 
     def go(
         self, x: Term, g: Term, need_beta: bool = False, env: Names = NO_NAMES,
         tyenv: tuple = ((), ()),
     ) -> bool:
         key = (x, g, need_beta, env, tyenv)
-        out = self.memo.get(key)
+        out = self.settled.get(key)
         if out is not None:
             return out
-        self.memo[key] = False
+        self.settled[key] = False
         if alpha_eq(x, g, env, tyenv):
             # no rewrite cycle can return here, so this is definitive
-            self.memo[key] = not need_beta
+            self.settled[key] = not need_beta
             return not need_beta
         out = False
         # contract the root, or a head-spine position that can expose it
-        for s in self._table.steps(x, self.rels, spine=True):
+        for s in self._memo.steps(x, self.rels, spine=True):
             cls = _step_class(s.tag)
             if cls in self.classes and self.go(s.term, g, need_beta, env, tyenv):
                 out = True
@@ -804,7 +803,7 @@ class _Reach:
         if not out:
             pairs = match_node(x, g, env, tyenv)
             out = pairs is not None and self._descend(pairs, need_beta)
-        self.memo[key] = out
+        self.settled[key] = out
         return out
 
     def _descend(self, pairs, need_beta: bool) -> bool:
@@ -826,30 +825,26 @@ def _explore(root, depth: int, expand, terms=lambda d: (d.term,)) -> None:
     """Expand ``root`` and, depth first, each node that ``expand(node,
     level)`` yields, as soon as it yields it, down to ``depth`` levels; a
     node whose terms (``terms(node)``, a tuple) were seen together before is
-    not expanded again.  Terms are compared by ``==``."""
-    seen = set()
-
-    def visit(node, level: int):
-        k = terms(node)
-        if k in seen:
-            return
-        seen.add(k)
-        for child in expand(node, level):
-            if level + 1 < depth:
-                visit(child, level + 1)
-
-    try:
-        visit(root, 0)
-    finally:
-        del visit
+    not expanded again.  Terms are compared by ``==``, and no node is None."""
+    seen = {terms(root)}
+    running = [expand(root, 0)]  # the expansions under way, innermost last
+    while running:
+        child = next(running[-1], None)
+        if child is None:
+            running.pop()
+        elif len(running) < depth:  # the child's level
+            k = terms(child)
+            if k not in seen:
+                seen.add(k)
+                running.append(expand(child, len(running)))
 
 
 def _reducts(
-    rep: PropertyReport, keys: _Keys, cfg: CalculusConfig, d: Derivation, rels, cid
+    rep: PropertyReport, memo: _Memo, cfg: CalculusConfig, d: Derivation, rels, cid
 ):
     """(step, derivation) for each reduct of ``d`` that re-typechecks; one
     that does not is a failed case, tallied on each walk over it."""
-    for s, nd in keys.reducts(cfg, d, rels):
+    for s, nd in memo.reducts(cfg, d, rels):
         if isinstance(nd, StaticError):
             got = f"{type(nd).__name__}: {nd}"
             rep.tally(cid, d.term, False, "reduct re-typechecks", got)
@@ -939,15 +934,15 @@ def check_simulation(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
     t = TRANSLATIONS[tid]
     src_cfg, tgt_cfg = t.configs(deriv)
     src_rels, tgt_rels = relations_for(src_cfg), relations_for(tgt_cfg)
-    keys = _Keys()
+    memo = _Memo()
 
     def expand(d: Derivation, level: int):
         cid = f"{case_id}@{level}"
-        tm = keys.image(tid, d)
-        for s, nd in _reducts(rep, keys, src_cfg, d, src_rels, cid):
+        tm = memo.image(tid, d)
+        for s, nd in _reducts(rep, memo, src_cfg, d, src_rels, cid):
             pattern = t.simulation.get(_step_class(s.tag))
             if pattern is not None:
-                ok = _simulates(pattern, tm, keys.image(tid, nd), tgt_rels, keys)
+                ok = _simulates(pattern, tm, memo.image(tid, nd), tgt_rels, memo)
                 rep.tally(
                     cid, d.term, ok,
                     f"target steps {pattern} reaching the translated reduct",
@@ -965,14 +960,14 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
     t = TRANSLATIONS[tid]
     src_cfg, tgt_cfg = t.configs(deriv)
     src_rels, tgt_rels = relations_for(src_cfg), relations_for(tgt_cfg)
-    keys = _Keys()
+    memo = _Memo()
 
     def expand(d: Derivation, level: int):
         cid = f"{case_id}@{level}"
-        tm = keys.image(tid, d)
+        tm = memo.image(tid, d)
         sources = [
-            (_step_class(s.tag), nd, keys.image(tid, nd))
-            for s, nd in _reducts(rep, keys, src_cfg, d, src_rels, cid)
+            (_step_class(s.tag), nd, memo.image(tid, nd))
+            for s, nd in _reducts(rep, memo, src_cfg, d, src_rels, cid)
         ]
         # translated source reducts two or more steps away, breadth first,
         # and the queue of source reducts not yet stepped
@@ -994,19 +989,19 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
                 if not queue:
                     return
                 fd = queue.popleft()
-                for s, fnd in keys.reducts(src_cfg, fd, src_rels):
+                for s, fnd in memo.reducts(src_cfg, fd, src_rels):
                     if s.term in known:
                         continue
                     known.add(s.term)
                     if isinstance(fnd, StaticError):
                         continue
                     queue.append(fnd)
-                    deeper.append(keys.image(tid, fnd))
+                    deeper.append(memo.image(tid, fnd))
 
         obligations = [
             (i, u)
             for i, (run, _, _) in enumerate(t.reflection)
-            for u in _pattern_steps(run, tm, tgt_rels, keys)
+            for u in _pattern_steps(run, tm, tgt_rels, memo)
         ]
         done: set[tuple[int, Term]] = set()
         for i, u in obligations:
@@ -1018,15 +1013,15 @@ def check_reflection(tid: str, deriv: Derivation, depth: int = 1, case_id: str =
                 ok = any(cls in allowed and alpha_eq(tk, u) for cls, _, tk in sources)
             elif mode == "tau":
                 ok = any(
-                    cls in allowed and _Reach(tgt_rels, {"tau"}, keys).go(tk, u)
+                    cls in allowed and _Reach(tgt_rels, {"tau"}, memo).go(tk, u)
                     for cls, _, tk in sources
                 )
             elif mode == "fwd":
                 by = {run.rstrip("?*")}
                 ok = any(
-                    cls in allowed and _Reach(tgt_rels, by, keys).go(u, tk)
+                    cls in allowed and _Reach(tgt_rels, by, memo).go(u, tk)
                     for cls, _, tk in sources
-                ) or any(_Reach(tgt_rels, by, keys).go(u, tk) for tk in deeper_images())
+                ) or any(_Reach(tgt_rels, by, memo).go(u, tk) for tk in deeper_images())
             else:
                 raise ValueError(f"unknown match mode {mode!r}")
             rep.tally(
@@ -1077,24 +1072,24 @@ def check_preorder_correspondence(
     rep = PropertyReport("preorder-correspondence")
     cfg = preset(deriv.calculus)
     rels = relations_for(cfg, full_upcast=True)
-    keys = _Keys()
+    memo = _Memo()
 
     def expand(node, level: int):
         d, u = node
         cid = f"{case_id}@{level}"
-        if not term_preorder(u, keys.erased(d.term)):
+        if not term_preorder(u, memo.erased(d.term)):
             rep.tally(
                 cid, d.term, False, "untyped side stays below the erasure",
                 show_term(u),
             )
             return
         # simulation direction
-        for s, nd in _reducts(rep, keys, cfg, d, rels, cid):
+        for s, nd in _reducts(rep, memo, cfg, d, rels, cid):
             if _step_class(s.tag) == "beta":
                 matches = [
                     n2
-                    for n2 in _class_steps(u, _UNTYPED, "beta", keys)
-                    if term_preorder(n2, keys.erased(nd.term))
+                    for n2 in _class_steps(u, _UNTYPED, "beta", memo)
+                    if term_preorder(n2, memo.erased(nd.term))
                 ]
                 rep.tally(
                     cid, d.term, bool(matches),
@@ -1104,7 +1099,7 @@ def check_preorder_correspondence(
                 if matches:
                     yield nd, matches[0]
             else:
-                ok = term_preorder(u, keys.erased(nd.term))
+                ok = term_preorder(u, memo.erased(nd.term))
                 rep.tally(
                     cid, d.term, ok,
                     "cast steps leave the untyped side below the erasure",
@@ -1115,12 +1110,12 @@ def check_preorder_correspondence(
         # reflection direction: contracting every cast can only narrow the
         # erasure further and never destroys a beta redex, so the cast-normal
         # form is the one candidate worth checking.
-        v = _cast_normal(d.term, rels, keys)
-        for n_prime in _class_steps(u, _UNTYPED, "beta", keys):
+        v = _cast_normal(d.term, rels, memo)
+        for n_prime in _class_steps(u, _UNTYPED, "beta", memo):
             found = any(
-                term_preorder(n_prime, keys.erased(w))
-                for w in _class_steps(v, rels, "beta", keys)
-            ) or term_preorder(n_prime, keys.erased(v))
+                term_preorder(n_prime, memo.erased(w))
+                for w in _class_steps(v, rels, "beta", memo)
+            ) or term_preorder(n_prime, memo.erased(v))
             rep.tally(
                 cid, d.term, found,
                 "cast steps and at most one beta step covering the untyped reduct",
@@ -1128,7 +1123,7 @@ def check_preorder_correspondence(
             )
 
     _explore(
-        (deriv, keys.erased(deriv.term)), depth, expand,
+        (deriv, memo.erased(deriv.term)), depth, expand,
         lambda node: (node[0].term, node[1]),
     )
     return rep
@@ -1169,11 +1164,11 @@ def check_subject_reduction(
     """Stepping preserves the type (or keeps the principal scheme as general)."""
     rep = PropertyReport(f"subject-reduction[{config.name}]")
     rels = relations_for(config)
-    keys = _Keys()
+    memo = _Memo()
 
     def expand(d: Derivation, level: int):
         cid = f"{case_id}@{level}"
-        for _, nd in _reducts(rep, keys, config, d, rels, cid):
+        for _, nd in _reducts(rep, memo, config, d, rels, cid):
             rep.tally(
                 cid, d.term, type_equal(nd.type, d.type),
                 lambda: show_type(d.type), lambda: show_type(nd.type),
@@ -1183,7 +1178,7 @@ def check_subject_reduction(
     def expand_bare(node, level: int):
         term, scheme = node
         cid = f"{case_id}@{level}"
-        for s in keys.steps(term, rels):
+        for s in memo.steps(term, rels):
             try:
                 ns = infer(config, ambient_delta(), ambient_gamma(), s.term)
             except InferError as e:

@@ -29,8 +29,9 @@ Structure:
 
 ``agree`` and ``==`` meet each node pair once, on an explicit stack, so
 terms that share subterms (a cast stack's translation is a tree
-exponential in its casts) cost what their distinct pairs cost.  ``strip``,
-and so erasure, rebuilds each node object once and keeps the sharing.
+exponential in its casts) cost what their distinct pairs cost.  ``strip``
+(so erasure) and the substitutions rebuild each node object once, and keep
+the sharing.
 
 Each node keeps facts computed once from its parts' facts, each in a slot of
 its own that is None in a node made anew: every node its hash ``_hash``, a
@@ -44,12 +45,6 @@ and a row or presence application that meets its binder its contractum
 
 Rows are stored in source order; comparisons normalize. Names are plain
 strings; fresh names come from a NameSupply and look like "x$3".
-
-No closure outlives its call holding itself.  A recursive walker nested in
-a function refers to itself through its cell, a reference cycle that only
-the garbage collector frees, so the function deletes it when the outermost
-call returns (``try: return go(x) finally: del go``) and what the walk made
-is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -792,40 +787,45 @@ def subst_term(body: Term, replacement: Term, var: str) -> Term:
     object, the whole body included when ``var`` is not free in it.  A
     subterm whose kept free variables (``free_vars``) lack ``var`` is
     returned without a walk, so the substitution enters only the nodes on
-    the paths from the root to the free occurrences of ``var``: a shared
-    subterm once per such path, and nothing of the rest of the body."""
+    the paths from the root to the free occurrences of ``var``, each node
+    object once: a subterm shared in ``body`` is shared in the result."""
     if var not in free_vars(body):
         return body
-    fvs = free_vars(replacement)
+    return _subst(body, replacement, var, free_vars(replacement), {})
 
-    def go(sub: Term) -> Term:
-        if type(sub) is Var:  # ``var`` is free in ``sub``: an occurrence
-            return replacement
-        shape = SHAPES[type(sub)]
-        parts = shape.children(sub)
-        kids: list[Term] = []
-        same = True
-        for _, child, binder in parts:
-            # a child under a binder of `var` itself is left alone
-            new = go(child) if binder != var and var in child._free else child
-            same = same and new is child
-            kids.append(new)
-        if same:
-            return sub
+
+def _subst(sub: Term, replacement: Term, var: str, fvs, images: dict) -> Term:
+    """``subst_term``'s walk of a ``sub`` whose kept free variables hold
+    ``var``: ``fvs`` are the replacement's, ``images`` the call's memo by id."""
+    if type(sub) is Var:  # an occurrence
+        return replacement
+    image = images.get(id(sub))
+    if image is not None:
+        return image
+    shape = SHAPES[type(sub)]
+    parts = shape.children(sub)
+    kids: list[Term] = []
+    for _, child, binder in parts:
+        # a child under a binder of `var` itself is left alone
+        enter = binder != var and var in child._free
+        kids.append(_subst(child, replacement, var, fvs, images) if enter else child)
+    image = sub
+    if any(new is not child for new, (_, child, _) in zip(kids, parts)):
         names = None  # the binder names, once one of them changes
         for i, (_, child, binder) in enumerate(parts):
             if binder in fvs and binder != var:
-                # the binder would capture a free name of the replacement
+                # the binder would capture a free name of the replacement:
+                # rename it, with a memo per walk, as the renamed child is new
                 names = names or [b for _, _, b in parts]
-                names[i] = NameSupply({*fvs, var, *term_names(child)}).fresh(binder)
-                renamed = subst_term(child, Var(names[i]), binder)
-                kids[i] = subst_term(renamed, replacement, var)
-        return shape.rebuild(sub, kids, names)
-
-    try:
-        return go(body)
-    finally:
-        del go
+                name = NameSupply({*fvs, var, *term_names(child)}).fresh(binder)
+                if binder in child._free:
+                    child = _subst(child, Var(name), binder, {name}, {})
+                if var in free_vars(child):
+                    child = _subst(child, replacement, var, fvs, {})
+                names[i], kids[i] = name, child
+        image = shape.rebuild(sub, kids, names)
+    images[id(sub)] = image
+    return image
 
 
 def subst_type_in_type(ty: Type, arg: Row | Presence | TyVar, var: str) -> Type:
@@ -836,68 +836,62 @@ def subst_type_in_type(ty: Type, arg: Row | Presence | TyVar, var: str) -> Type:
 
 
 def _subst_type(
-    ty: Type | Row, arg: Row | Presence | TyVar, var: str, arg_names: set[str]
+    t: Type | Row, arg: Row | Presence | TyVar, var: str, arg_names: set[str]
 ) -> Type | Row:
-    def go(t: Type) -> Type:
-        if isinstance(t, TyVar):
-            return arg if t.name == var and isinstance(arg, TyVar) else t
-        if isinstance(t, Base):
+    """``t[arg/var]`` for a type or row ``t``, ``arg_names`` the free names of ``arg``."""
+    if isinstance(t, TyVar):
+        return arg if t.name == var and isinstance(arg, TyVar) else t
+    if isinstance(t, Base):
+        return t
+    if isinstance(t, Arrow):
+        dom = _subst_type(t.dom, arg, var, arg_names)
+        cod = _subst_type(t.cod, arg, var, arg_names)
+        return t if dom is t.dom and cod is t.cod else Arrow(dom, cod)
+    if isinstance(t, (Variant, Record)):
+        row = _subst_type(t.row, arg, var, arg_names)
+        return t if row is t.row else type(t)(row)
+    if isinstance(t, (ForallRow, ForallPres)):
+        if t.var == var:
             return t
-        if isinstance(t, Arrow):
-            dom, cod = go(t.dom), go(t.cod)
-            return t if dom is t.dom and cod is t.cod else Arrow(dom, cod)
-        if isinstance(t, (Variant, Record)):
-            row = go_row(t.row)
-            return t if row is t.row else type(t)(row)
-        if isinstance(t, (ForallRow, ForallPres)):
-            if t.var == var:
-                return t
-            new, body = t.var, t.body
-            if t.var in arg_names:
-                new = NameSupply(arg_names | {var} | type_level_names(t.body)).fresh(t.var)
-                fresh = Row((), new) if isinstance(t, ForallRow) else PresVar(new)
-                body = subst_type_in_type(body, fresh, t.var)
-            body = go(body)
-            if new == t.var and body is t.body:
-                return t
-            if isinstance(t, ForallRow):
-                return ForallRow(new, t.kind, body)
-            return ForallPres(new, body)
-        if isinstance(t, Row):
-            return go_row(t)
+        new, body = t.var, t.body
+        if t.var in arg_names:
+            new = NameSupply(arg_names | {var} | type_level_names(t.body)).fresh(t.var)
+            fresh = Row((), new) if isinstance(t, ForallRow) else PresVar(new)
+            body = subst_type_in_type(body, fresh, t.var)
+        body = _subst_type(body, arg, var, arg_names)
+        if new == t.var and body is t.body:
+            return t
+        if isinstance(t, ForallRow):
+            return ForallRow(new, t.kind, body)
+        return ForallPres(new, body)
+    if not isinstance(t, Row):
         raise TypeError(f"not a type: {t!r}")
-
-    def go_row(row: Row) -> Row:
-        entries = []
-        same = True
-        for entry in row.entries:
-            label, pres, t = entry
-            if isinstance(pres, PresVar) and pres.name == var and isinstance(arg, (Absent, Present, PresVar)):
-                pres = arg
-            new = go(t)
-            if pres is not entry[1] or new is not t:
-                same = False
-                entry = (label, pres, new)
-            entries.append(entry)
-        if row.tail == var:
-            if not isinstance(arg, Row):
-                raise TypeError("row variable substituted with what is not a row")
-            return Row(tuple(entries) + arg.entries, arg.tail)
-        return row if same else Row(tuple(entries), row.tail)
-
-    try:
-        return go(ty)
-    finally:
-        del go, go_row
+    entries = []
+    same = True
+    for entry in t.entries:
+        label, pres, ty = entry
+        if isinstance(pres, PresVar) and pres.name == var and isinstance(arg, _PRESENCE_FORMS):
+            pres = arg
+        new = _subst_type(ty, arg, var, arg_names)
+        if pres is not entry[1] or new is not ty:
+            same = False
+            entry = (label, pres, new)
+        entries.append(entry)
+    if t.tail == var:
+        if not isinstance(arg, Row):
+            raise TypeError("row variable substituted with what is not a row")
+        return Row(tuple(entries) + arg.entries, arg.tail)
+    return t if same else Row(tuple(entries), t.tail)
 
 
 def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
     """Substitute a type-level name throughout a term's annotations and
     arguments; unchanged subterms and types come back as the same objects.
     A subterm or type part whose kept names (``type_level_names``) do not
-    include ``var`` is returned as it is, without a walk.  A type abstraction
-    whose binder is free in ``arg`` is renamed, as ``subst_type_in_type``
-    renames a quantifier, so that it cannot capture."""
+    include ``var`` is returned as it is, without a walk, and every other
+    node object is entered once.  A type abstraction whose binder is free in
+    ``arg`` is renamed, as ``subst_type_in_type`` renames a quantifier, so
+    that it cannot capture."""
     if var not in type_level_names(term):
         return term
     arg_names = set(free_type_names(arg))
@@ -914,32 +908,44 @@ def subst_type_in_term(term: Term, arg: Row | Presence, var: str) -> Term:
             hit = done[id(part)] = (part, _subst_type(part, arg, var, arg_names))
         return hit[1]
 
-    def go(sub: Term) -> Term:
-        shape = SHAPES[type(sub)]
-        if shape.tybinder and sub.var == var:
-            return sub
-        if shape.tybinder and sub.var in arg_names:
-            new = NameSupply(arg_names | {var} | type_level_names(sub.body)).fresh(sub.var)
-            body = subst_type_in_term(sub.body, shape.tybinder(new), sub.var)
-            body = subst_type_in_term(body, arg, var)
-            return (RowAbs(new, sub.kind, body) if type(sub) is RowAbs
-                    else PresAbs(new, body))
+    return _subst_types(term, arg, var, arg_names, go_part, {})
+
+
+def _subst_types(
+    sub: Term, arg: Row | Presence, var: str, arg_names: set[str], go_part, images: dict
+) -> Term:
+    """``subst_type_in_term``'s walk of a ``sub`` whose kept names include
+    ``var``: ``go_part`` maps a type-level part, and ``images`` is the call's
+    memo, by the id of a node ``sub`` holds."""
+    image = images.get(id(sub))
+    if image is not None:
+        return image
+    shape = SHAPES[type(sub)]
+    if shape.tybinder and sub.var == var:
+        image = sub
+    elif shape.tybinder and sub.var in arg_names:
+        new = NameSupply(arg_names | {var} | type_level_names(sub.body)).fresh(sub.var)
+        body = subst_type_in_term(sub.body, shape.tybinder(new), sub.var)
+        body = subst_type_in_term(body, arg, var)
+        image = RowAbs(new, sub.kind, body) if type(sub) is RowAbs else PresAbs(new, body)
+    else:
         kids: list[Term] = []
         same = True
         for _, child, _ in shape.children(sub):
-            new = go(child) if var in child._names else child
-            same = same and new is child
-            kids.append(new)
+            if var in child._names:
+                new = _subst_types(child, arg, var, arg_names, go_part, images)
+                same = same and new is child
+                kids.append(new)
+            else:
+                kids.append(child)
         if same and all(
             go_part(getattr(sub, name)) is getattr(sub, name) for name in shape.types
         ):
-            return sub
-        return shape.rebuild(sub, kids, None, go_part)
-
-    try:
-        return go(term)
-    finally:
-        del go
+            image = sub
+        else:
+            image = shape.rebuild(sub, kids, None, go_part)
+    images[id(sub)] = image
+    return image
 
 
 # ---------------------------------------------------------------------------

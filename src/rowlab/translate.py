@@ -28,12 +28,6 @@ annotations use a q prefix so they can never shadow a term-level binder.
 Each type map draws all its q names from one counter, so no q shadows
 another.  A premise shared by several nodes of a derivation is translated
 once, where it is first met, so its image and the names in it are shared.
-
-No closure outlives its call holding itself, so a translation leaves no
-reference cycle behind: a rule gets the recursive translator as an
-argument, a type map passes its counter down its own recursion, and the
-one walker that calls itself, ``_translate``'s ``go``, is deleted when it
-returns.
 """
 
 from __future__ import annotations
@@ -121,28 +115,37 @@ def _translate(name: str, family: tuple[str, ...], rules: dict, deriv, fn=None):
     translator, where there is one, and by ``_congruent`` for the other
     rules of the source ``family``.  A reflexive cast translates as its
     operand, and a shared premise translates once."""
-    images: dict[int, Term] = {}  # id of a derivation -> its image
+    return _Translator(name, family, rules, fn).go(deriv)
 
-    def go(d: Derivation) -> Term:
-        image = images.get(id(d))
+
+class _Translator:
+    """One translation: ``go`` translates a derivation and keeps its image
+    by the derivation's id.  No attribute is named like a node field, as the
+    scan for writes to node fields (``tests/test_immutable_nodes.py``) reads
+    names alone."""
+
+    def __init__(self, tid: str, family: tuple[str, ...], rules: dict, type_map):
+        self.tid = tid
+        self.family = family
+        self.rules = rules
+        self.type_map = type_map
+        self.images: dict[int, Term] = {}  # id of a derivation -> its image
+
+    def go(self, d: Derivation) -> Term:
+        image = self.images.get(id(d))
         if image is not None:
             return image
-        rule = rules.get(d.rule)
+        rule = self.rules.get(d.rule)
         if rule is None:
-            if d.rule not in family:
-                raise TranslationError(f"unexpected rule {d.rule} for {name}")
-            image = _congruent(d, go, fn)
+            if d.rule not in self.family:
+                raise TranslationError(f"unexpected rule {d.rule} for {self.tid}")
+            image = _congruent(d, self.go, self.type_map)
         elif d.evidence is not None and d.evidence.rule == "SRefl":
-            image = go(d.premises[0])
+            image = self.go(d.premises[0])
         else:
-            image = rule(d, go)
-        images[id(d)] = image
+            image = rule(d, self.go)
+        self.images[id(d)] = image
         return image
-
-    try:
-        return go(deriv)
-    finally:
-        del go
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from rowlab.config import PRESETS, preset
 from rowlab.dynamics import (
     OutOfFuel,
     RelationSet,
+    _rewrite_here,
     erase,
     normalize,
     on_spine,
@@ -42,6 +43,7 @@ from rowlab.syntax import (
     alpha_eq,
     bind,
     children,
+    rebuild,
     same_name,
 )
 from rowlab.translate import TRANSLATIONS, run_translation
@@ -373,6 +375,66 @@ def test_spine_mode_is_the_reference_filtered_to_the_spine(name):
         assert got == want, show_term(term)
         listed += len(got)
     assert listed > 0
+
+
+# ---------------------------------------------------------------------------
+# step_all against the recursive walk it replaced, kept here as the reference
+
+
+def _step_all_reference(term, rels, spine=False):
+    """The recursive ``step_all``: each redex with its path and whole term."""
+    out, context = [], []  # context: (ancestor, its children, index)
+
+    def walk(node, path):
+        hit = _rewrite_here(node, rels)
+        if hit is not None:
+            new, tag = hit
+            for parent, parts, i in reversed(context):
+                kids = [child for _, child, _ in parts]
+                kids[i] = new
+                new = rebuild(parent, kids)
+            out.append((tag, path, new))
+        parts = children(node)
+        for i, (slot, child, _) in enumerate(parts):
+            if not spine or on_spine(node, slot):
+                context.append((node, parts, i))
+                walk(child, path + (slot,))
+                context.pop()
+
+    walk(term, ())
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_step_all_is_the_recursive_reference(name):
+    listed = 0
+    for term, rels in _spine_cases(name):
+        for spine in (False, True):
+            got = [(s.tag, s.path, s.term) for s in step_all(term, rels, spine)]
+            assert got == _step_all_reference(term, rels, spine), show_term(term)
+            listed += len(got)
+    assert listed > 0
+
+
+@pytest.mark.parametrize("slot", ["body", "fn"])
+def test_step_all_at_any_depth(slot):
+    # one beta redex under 100,000 lambdas or 100,000 applications on the head
+    # spine: the walk keeps no frame per node and no path per node
+    redex, nest = App(Lam("y", None, Var("y")), Lit(1)), 100_000
+    term, want = redex, Lit(1)
+    for _ in range(nest):
+        if slot == "body":
+            term, want = Lam("x", None, term), Lam("x", None, want)
+        else:
+            term, want = App(term, Lit(0)), App(want, Lit(0))
+    for spine in (False, True):
+        steps = step_all(term, BETA, spine)
+        if spine and slot == "body":  # a body is no head slot
+            assert steps == []
+            continue
+        [step] = steps
+        assert step.tag == "beta-lam" and step.path == (slot,) * nest
+        assert step.term == want
 
 
 # ---------------------------------------------------------------------------

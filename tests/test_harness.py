@@ -29,7 +29,7 @@ from rowlab.harness import (
     GenError,
     GenSpec,
     PropertyReport,
-    _Keys,
+    _Memo,
     _Reach,
     ambient_delta,
     ambient_gamma,
@@ -1045,7 +1045,7 @@ def structure(x):
 def test_search_keys_are_equal_exactly_when_the_terms_are():
     # the memos and seen sets of a check key terms by themselves: ``==`` and
     # ``hash`` must tell terms apart exactly as their structure does
-    assert "__call__" not in vars(_Keys)
+    assert "__call__" not in vars(_Memo)
     pool = key_pool()
     keys = [structure(t) for t in pool]
     equal_pairs = 0
@@ -1074,10 +1074,10 @@ def test_deep_terms_go_through_a_checks_table():
     a, b = Lit(0), Lit(0)
     for i in range(10_000):
         a, b = syntax.App(a, Lit(i)), syntax.App(b, Lit(i))
-    keys = _Keys()
-    assert a is not b and _Reach(relations_for(preset("rec")), {"beta"}, keys).go(a, b)
-    erased = keys.erased(a)
-    assert erased == a and keys.erased(b) is erased  # b is a's key
+    memo = _Memo()
+    assert a is not b and _Reach(relations_for(preset("rec")), {"beta"}, memo).go(a, b)
+    erased = memo.erased(a)
+    assert erased == a and memo.erased(b) is erased  # b is a's key
 
 
 def test_search_pairs_only_the_live_fields_of_a_record():
@@ -1088,7 +1088,7 @@ def test_search_pairs_only_the_live_fields_of_a_record():
     rels = relations_for(preset("rec-pre"))
     assert not alpha_eq(x, g)
     assert [alpha_eq(s.term, g) for s in step_all(x, rels)] == [True]
-    assert _Reach(rels, {"beta"}, _Keys()).go(x, g)
+    assert _Reach(rels, {"beta"}, _Memo()).go(x, g)
 
 
 # states that do not reach their goals under rec's beta: a search that says
@@ -1103,7 +1103,7 @@ NO_REACH = [
 
 def _no_reach_answers():
     rels = relations_for(preset("rec"))
-    return [_Reach(rels, {"beta"}, _Keys()).go(M(x), M(g), need_beta)
+    return [_Reach(rels, {"beta"}, _Memo()).go(M(x), M(g), need_beta)
             for x, g, need_beta in NO_REACH]
 
 
@@ -1133,17 +1133,17 @@ def test_a_search_runs_to_its_end_and_later_searches_read_its_answers():
     x = syntax.RecordLit(tuple(
         (f"L{i}", syntax.App(ident, Lit(i))) for i in range(3001)))
     g = syntax.RecordLit(tuple((f"L{i}", Lit(i)) for i in range(3001)))
-    rels, keys = relations_for(preset("rec")), _Keys()
-    assert _Reach(rels, {"beta"}, keys).go(x, g)
-    memo = keys.settled(rels, {"beta"})
-    assert len(memo) == 6003 and all(memo.values())
+    rels, memo = relations_for(preset("rec")), _Memo()
+    assert _Reach(rels, {"beta"}, memo).go(x, g)
+    settled = memo.settled(rels, {"beta"})
+    assert len(settled) == 6003 and all(settled.values())
     # a later search of the check reads those answers: field A is field L1's
     # question and field B field L2's last, so the record adds only itself
     x, g = M("{A = (\\y:Int. y) 1, B = 2}"), M("{A = 1, B = 2}")
-    assert _Reach(rels, {"beta"}, keys).go(x.field("A"), g.field("A"))
-    assert len(memo) == 6003
-    assert _Reach(rels, {"beta"}, keys).go(x, g)
-    assert len(memo) == 6004
+    assert _Reach(rels, {"beta"}, memo).go(x.field("A"), g.field("A"))
+    assert len(settled) == 6003
+    assert _Reach(rels, {"beta"}, memo).go(x, g)
+    assert len(settled) == 6004
 
 
 def test_closure_collects_every_reduct():
@@ -1151,7 +1151,7 @@ def test_closure_collects_every_reduct():
     # every choice of fields stepped: 2^9 terms
     fields = ", ".join(f"L{i} = (/\\p. 1) @ *" for i in range(9))
     out = harness._closure(
-        M("{" + fields + "}"), relations_for(preset("rec-pre")), {"tau"}, _Keys())
+        M("{" + fields + "}"), relations_for(preset("rec-pre")), {"tau"}, _Memo())
     assert len(out) == len(set(out)) == 2 ** 9
     normal = M("{" + ", ".join(f"L{i} = 1" for i in range(9)) + "}")
     assert any(alpha_eq(u, normal) for u in out)
@@ -1238,7 +1238,7 @@ def test_memoized_steps_agree_with_step_all():
         for src, tgt in t.pairs:
             all_rels = [relations_for(preset(src)), relations_for(preset(tgt))]
             for name in (src, tgt):
-                keys = _Keys()
+                memo = _Memo()
                 spec = GenSpec(preset(name), max_size=8, seed=5)
                 for i in range(6):
                     term, d = gen_typed_term(spec, i)
@@ -1249,7 +1249,7 @@ def test_memoized_steps_agree_with_step_all():
                         answers = []
                         for rels in all_rels:
                             for spine in (False, True):
-                                got = keys.steps(u, rels, spine)
+                                got = memo.steps(u, rels, spine)
                                 want = step_all(u, rels, spine=spine)
                                 assert same_steps(got, want), (tid, name, i)
                                 answers.append(want)
@@ -1571,8 +1571,9 @@ UNITS_SPENT = 50682
 # the layer functions ``tracing.install`` leaves unwrapped in their own
 # module, because they call themselves by name: their inner calls are not
 # counted.  A refactor that makes one recursive, or stops it being so,
-# changes how its layer is charged and shows up here by name.
-SELF_RECURSIVE_LAYERS = {"syntax.subst_term"}
+# changes how its layer is charged and shows up here by name.  None is:
+# ``subst_term`` recurses through ``syntax._subst``, which no layer wraps.
+SELF_RECURSIVE_LAYERS = set()
 
 
 def test_every_benchmark_layer_is_a_rowlab_function():

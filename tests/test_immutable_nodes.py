@@ -11,8 +11,9 @@ runtime does not stop a write; this scan of the source does.  It finds:
 - ``object.__setattr__``, the way past a frozen dataclass;
 - a three-argument ``getattr`` of a private name, a fact read that would
   hide a missing slot;
-- a node class that is a dataclass, and the ``_Keys`` part numbering
-  (``_part``, ``_part_ids``, ``_parts``) that cheap kept hashes replaced.
+- a node class that is a dataclass, and the part numbering of the memo
+  that is now ``harness._Memo`` (``_part``, ``_part_ids``, ``_parts``),
+  which cheap kept hashes replaced.
 
 An attribute of an exception bound by ``except ... as e`` (``e.args``) is
 no node field, and the scan leaves it alone."""

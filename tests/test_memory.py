@@ -1,11 +1,11 @@
 """Every rowlab entry point frees what it made by reference counting.
 
-No recursive walker outlives its call holding itself, and no stored error
-keeps the frames it was raised through, so a run leaves no reference cycle
-for the garbage collector to find, and a check's ``_Keys`` memo, with the
-terms that its memos and seen sets key by themselves, dies when the check
-returns.  The garbage check sees only the paths it runs; a static check
-covers every nested function in ``src/``.
+No nested function in ``src/`` reaches itself, so none holds itself in its
+closure cells, and no stored error keeps the frames it was raised through:
+a run leaves no reference cycle for the garbage collector to find, and a
+check's ``_Memo``, with the terms that its memos and seen sets key by
+themselves, dies when the check returns.  The garbage check sees only the
+paths it runs; a static check covers every nested function in ``src/``.
 """
 
 import ast
@@ -60,12 +60,12 @@ def _checks() -> None:
 def test_entry_points_leave_no_cyclic_garbage(monkeypatch, capsys):
     tables = []
 
-    class Recorded(harness._Keys):
+    class Recorded(harness._Memo):
         def __init__(self):
             super().__init__()
             tables.append(weakref.ref(self))
 
-    monkeypatch.setattr(harness, "_Keys", Recorded)
+    monkeypatch.setattr(harness, "_Memo", Recorded)
     commands = _commands()
     gc.collect()
     gc.disable()
@@ -90,8 +90,9 @@ def test_entry_points_leave_no_cyclic_garbage(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # Closure cycles, found statically: a nested function that reaches itself
 # through the names it uses, directly or through a sibling nested function,
-# holds itself in its closure cells, so the function that defines it must
-# ``del`` it in a ``finally``.
+# holds itself in its closure cells, a cycle that only the garbage collector
+# frees.  ``src/`` has none: a walker that recurses is a plain function or a
+# method, or keeps an explicit stack.
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -137,22 +138,13 @@ def _cyclic_closures(source: str) -> list[tuple[str, bool]]:
     return out
 
 
-def test_every_cyclic_closure_in_src_is_deleted_in_a_finally():
+def test_no_nested_function_in_src_reaches_itself():
     found = {
         f"{path.stem}.{where}": deleted
         for path in sorted((ROOT / "src" / "rowlab").glob("*.py"))
         for where, deleted in _cyclic_closures(path.read_text())
     }
-    assert sorted(found) == [
-        "dynamics.step_all.walk",
-        "harness._explore.visit",
-        "syntax._subst_type.go",
-        "syntax._subst_type.go_row",
-        "syntax.subst_term.go",
-        "syntax.subst_type_in_term.go",
-        "translate._translate.go",
-    ]
-    assert all(found.values())
+    assert found == {}
 
 
 PLANTED = """

@@ -15,7 +15,9 @@ from rowlab.config import PRESETS, preset
 from rowlab import dynamics
 from rowlab.dynamics import RelationSet, normalize, step_all
 from rowlab.harness import GenError, GenSpec, _Gen, gen_typed_term, term_size
+from rowlab.parser import parse_term_str
 from rowlab.pretty import show_term, show_type
+from rowlab.statics import type_check
 from rowlab.syntax import (
     SHAPES,
     Absent,
@@ -1628,6 +1630,52 @@ def test_type_substitution_enters_only_the_paths_to_the_name(monkeypatch):
         assert all(var in type_level_names(node) for node in entered), (body, var)
         walked += len(entered)
     assert walked > 100
+
+
+def _distinct(term):
+    """The node objects of ``term``, each once, however it is shared."""
+    seen, stack = {}, [term]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack += [child for _, child, _ in children(node)]
+    return list(seen.values())
+
+
+def test_substitution_enters_each_node_object_once(monkeypatch):
+    # t3 copies a cast's operand into every field, so the image of twelve
+    # stacked casts is a DAG of a few dozen nodes and a tree of 16,000: a
+    # substitution that keeps the sharing enters each node object once
+    src = "\\x:{A:Int; B:Int}. (x" + " :> {A:Int; B:Int}" * 12 + ").A"
+    d = type_check(preset("rec-sub"), {}, {}, parse_term_str(src))
+    body = run_translation("rec-sub-to-rec", d).body
+    replacement = RecordLit((("A", Lit(1)), ("B", Lit(2))))
+    assert len(_distinct(body)) < 50 and term_size(body) > 16_000
+    # a shared part with a row variable in its annotation, doubled twenty times
+    shared = Lam("x", Record(Row((), "r")), Var("x"))
+    for _ in range(20):
+        shared = App(shared, shared)
+    for t in (body, replacement, shared):
+        free_vars(t), type_level_names(t)  # kept before the walks are counted
+    entered = []
+    for cls, shape in list(SHAPES.items()):
+        counted = lambda node, real=shape.children: entered.append(node) or real(node)
+        monkeypatch.setitem(SHAPES, cls, dataclasses.replace(shape, children=counted))
+    out = subst_term(body, replacement, "x")
+    assert len(entered) == len({id(node) for node in entered}) <= len(_distinct(body))
+    assert len(_distinct(out)) <= len(_distinct(body)) + len(_distinct(replacement))
+    # as a tree the body holds x 2**12 times, and each becomes the record
+    assert term_size(out) == term_size(body) + 2**12 * (term_size(replacement) - 1)
+    entered.clear()
+    out = subst_type_in_term(shared, closed_row(("B", STR)), "r")
+    # every node but the variable, whose names lack r, and no more in the image
+    assert (len(entered), len(_distinct(shared)), len(_distinct(out))) == (21, 22, 22)
+    lam = out
+    while type(lam) is App:
+        assert lam.fn is lam.arg
+        lam = lam.fn
+    assert lam.annot == record(("B", STR))
 
 
 def _let_chain(n):
