@@ -688,7 +688,9 @@ class _Memo:
     keys ``erase`` by term; ``settled`` keeps every exact search answer.  A
     term is its own key: two are one key exactly when they are ``==`` (a
     literal's type included), however their nodes are shared, and a node
-    keeps its hash, so a term made anew is hashed once, and then read.
+    keeps its hash, so a term made anew is hashed once, and then read.  A
+    term's hash leaves out names (``Term.__hash__``), so alpha-variants share
+    a bucket, and ``==`` separates them.
     Objects keyed by ``id`` are held, so their ids cannot be recycled.  Each
     check makes one table for all its searches and seen sets, and the table
     is freed when the check returns: nothing the check leaves refers back to

@@ -34,13 +34,14 @@ exponential in its casts) cost what their distinct pairs cost.  ``strip``
 the sharing.
 
 Each node keeps facts computed once from its parts' facts, each in a slot of
-its own that is None in a node made anew: every node its hash ``_hash``, a
-type, row or presence its key ``_key`` and its keys under binder stacks
-``_keys`` (``type_key``), a term its tree size ``_size`` (``term_size``) and
-its free term variables ``_free`` (``free_vars``), a term, type or row the
-set ``_names`` of every type-level name it mentions (``type_level_names``),
-and a row or presence application that meets its binder its contractum
-``_contractum`` (``dynamics``).  The name sets let ``subst_term`` and
+its own that is None in a node made anew: every node its hash ``_hash`` (a
+term's leaves out every name, so ``alpha_eq`` rejects terms of two hashes
+with no walk), a type, row or presence its key ``_key`` and its keys under
+binder stacks ``_keys`` (``type_key``), a term its tree size ``_size``
+(``term_size``) and its free term variables ``_free`` (``free_vars``), a
+term, type or row the set ``_names`` of every type-level name it mentions
+(``type_level_names``), and a row or presence application that meets its
+binder its contractum ``_contractum`` (``dynamics``).  The name sets let ``subst_term`` and
 ``subst_type_in_term`` return untouched subterms without a walk.
 
 Rows are stored in source order; comparisons normalize. Names are plain
@@ -86,7 +87,9 @@ class Node(metaclass=_slotted, facts=("_hash",)):
     """A kind, presence, row, type, type scheme or term, with a frozen
     dataclass's repr.  No code changes a field after ``__init__``
     (``tests/test_immutable_nodes.py``), so the hash is a fact, kept once
-    made on an explicit stack (``_keep``)."""
+    made on an explicit stack (``_keep``): a kind's, type's, row's,
+    presence's or scheme's from all its fields, a term's from its shape
+    alone (``Term.__hash__``)."""
 
     def __eq__(self, other):
         """Of one class with equal fields, each leaf value of one type
@@ -102,7 +105,12 @@ class Node(metaclass=_slotted, facts=("_hash",)):
             if isinstance(x, Node):
                 if x is not y and (id(x), id(y)) not in met:
                     met.add((id(x), id(y)))
-                    stack += [(getattr(x, f), getattr(y, f)) for f in x._fields]
+                    for f in x._fields:  # plain values before any walk below
+                        u, v = getattr(x, f), getattr(y, f)
+                        if type(u) is tuple or isinstance(u, Node):
+                            stack.append((u, v))
+                        elif type(u) is not type(v) or u != v:
+                            return False
             elif type(x) is tuple and len(x) == len(y):
                 stack += zip(x, y)
             elif x != y:  # tuples of two lengths included
@@ -245,6 +253,16 @@ class TypeScheme(Node, metaclass=_slotted):
 
 class Term(Node, metaclass=_slotted, facts=("_size", "_free", "_names")):
     """A term: one of the forms below, ``Var`` to ``Prim``."""
+
+    def __hash__(self):
+        """The term's shape hash, kept once made (``_visit_shape``): its
+        form, its ``data`` fields, the form class of each type-level part
+        and its children's hashes by slot.  It leaves out every name (a
+        variable's, a binder's, a type variable's) and what the type-level
+        parts hold, so alpha-equal terms hash alike, and so do ``==``-equal
+        ones: ``==`` tells apart the alpha-variants that share a hash."""
+        kept = self._hash
+        return _keep(self, "_hash", _visit_shape) if kept is None else kept
 
 
 class Var(Term, metaclass=_slotted):
@@ -589,6 +607,26 @@ def _visit_hash(node: Node, stack: list) -> int:
             elif isinstance(value, Node) and value._hash is None:
                 stack.append(value)
     return hash((type(node), values)) if stack[-1] is node else 0
+
+
+def _visit_shape(term: Term, stack: list) -> int:
+    shape = SHAPES[type(term)]
+    kids = shape.children(term)
+    for _, child, _ in kids:
+        if child._hash is None:
+            stack.append(child)
+    if stack[-1] is not term:
+        return 0
+    if type(term) is RecordLit or type(term) is Case:  # slots named by labels
+        if type(term) is RecordLit:
+            kids = _live_fields(term, kids)
+        kids = sorted(kids, key=_slot)
+        hashes = [(slot, child._hash) for slot, child, _ in kids]
+    else:  # slots fixed by the form, in its order
+        hashes = [child._hash for _, child, _ in kids]
+    data = [getattr(term, f) for f in shape.data]
+    forms = [type(getattr(term, f)) for f in shape.types]
+    return hash((type(term), *data, *forms, *hashes))
 
 
 def _visit_size(term: Term, stack: list) -> int:
@@ -1065,8 +1103,14 @@ def alpha_eq(m: Term, n: Term, env: Names = NO_NAMES, tyenv: tuple = ((), ())) -
     """Equality modulo bound renaming, row normalization in annotations, the
     order of case branches and record fields, and record fields marked absent
     by their annotation; ``m`` and ``n`` are compared under the term binder
-    pairs ``env`` and the type binders ``tyenv`` (see ``match_node``)."""
-    return agree(m, n, env, tyenv)
+    pairs ``env`` and the type binders ``tyenv`` (see ``match_node``).
+
+    Terms of two hashes (``Term.__hash__``) are unequal, with no walk.  That
+    is sound: the hash reads no name, only what ``match_node`` requires two
+    matching nodes to share (form, ``data`` fields, each type-level part's
+    form class, and the slots of the children it pairs, which must match in
+    turn), so alpha-equal terms hash alike under any environments."""
+    return hash(m) == hash(n) and agree(m, n, env, tyenv)
 
 
 def agree(

@@ -1018,7 +1018,8 @@ def key_pool():
     small terms that differ only in a binder name, an origin mark or a
     literal's type."""
     pool = [Lit(1), Lit(0), Lit("1"), Lit(True)]
-    pool += [M("(\\x:Int. x) 1"), M("(\\y:Int. y) 1"), M("\\x. x")]
+    pool += [M("(\\x:Int. x) 1"), M("(\\y:Int. y) 1"), M("\\x. x"), M("\\y. y")]
+    pool += [M("\\x:{A:Int}. \\y:Int. x"), M("\\y:{A:Int}. \\x:Int. y")]
     pool += [M("f @ [A:Int]"), M("f @@ [A:Int]"), M("f @ *"), M("f @@ *")]
     pool += [M("/\\r:Row!{}. x"), M("/\\s:Row!{}. x")]
     for name in ("rec-sub", "var-sub"):
@@ -1056,6 +1057,24 @@ def test_search_keys_are_equal_exactly_when_the_terms_are():
             equal_pairs += ka == kb
     assert equal_pairs > 100 and len(set(pool)) == len(set(keys)) > 200
     assert Lit(True) != Lit(1) and len({Lit(True), Lit(1)}) == 2
+
+
+def test_alpha_variants_share_a_hash_and_stay_distinct_keys():
+    # a term's hash leaves out names: alpha-variants share a bucket of a
+    # memo, and ``==`` keeps them apart
+    pool = key_pool()
+    buckets = collections.defaultdict(list)
+    for t in pool:
+        buckets[hash(t)].append(t)
+    variants = 0
+    for a in pool:
+        for b in buckets[hash(a)]:
+            if a != b and alpha_eq(a, b):
+                assert len({a, b}) == 2 and {a: 1, b: 2}[a] == 1, (a, b)
+                variants += 1
+    assert variants >= 6
+    # and an alpha-equal pair is never in two buckets
+    assert all(hash(a) == hash(b) for a, b in zip(pool, pool[1:]) if alpha_eq(a, b))
 
 
 def test_search_keys_do_not_depend_on_sharing():

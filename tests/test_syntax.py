@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rowlab.config import PRESETS, preset
-from rowlab import dynamics
+from rowlab import dynamics, syntax
 from rowlab.dynamics import RelationSet, normalize, step_all
 from rowlab.harness import GenError, GenSpec, _Gen, gen_typed_term, term_size
 from rowlab.parser import parse_term_str
@@ -754,9 +754,41 @@ def test_alpha_eq_matches_the_locally_nameless_reference():
             want = ln_m == _ln(n)
             assert alpha_eq(m, n) == want, (m, n)
             assert alpha_eq(n, m) == want, (n, m)
+            assert not want or hash(m) == hash(n), (m, n)
             outcomes[want] += 1
     # both answers are exercised, the captured copies included
     assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+
+
+def test_renamed_copies_of_every_preset_share_a_hash():
+    # every term and type binder renamed fresh: alpha-equal, one shape hash
+    presets = set()
+    for name in sorted(PRESETS):
+        spec = GenSpec(preset(name), max_size=10, seed=4)
+        for i in range(4):
+            try:
+                term, _ = gen_typed_term(spec, i)
+            except GenError:
+                continue
+            copy = _rename_binders(term, "'")
+            assert alpha_eq(term, copy) and hash(term) == hash(copy), term
+            presets.add(name)
+    assert presets == set(PRESETS)
+
+
+def test_alpha_eq_of_hashed_terms_of_two_shapes_walks_nothing(monkeypatch):
+    a, b = Var("x"), Lit(0)
+    for i in range(100_000):
+        a, b = Lam(f"x{i}", None, a), Lam(f"x{i}", None, b)
+    hash(a), hash(b)
+    calls = []
+    real = syntax.match_node
+    monkeypatch.setattr(syntax, "match_node", lambda *args: calls.append(1) or real(*args))
+    assert not alpha_eq(a, b) and calls == []
+    m, n = Var("x0"), Var("y0")
+    for i in range(100_000):
+        m, n = Lam(f"x{i}", None, m), Lam(f"y{i}", None, n)
+    assert hash(m) == hash(n) and m != n
 
 
 def test_binder_renamed_copies_are_alpha_equal():
