@@ -1,7 +1,9 @@
 """Command-line frontend.
 
 One command per process: parse, check, infer, evaluate, erase, translate
-between calculi, or verify metatheory properties on generated terms.
+between calculi, or verify metatheory properties on generated terms.  Only
+verify loads the term generator and the property checks, when it runs, so
+the other commands start without them.
 
 Exit codes: 0 success, 1 user error (parse, type, kind, rank, unknown
 calculus, missing translation, an option out of range) or a generator that
@@ -20,19 +22,18 @@ import os
 import sys
 from typing import Callable
 
-from .config import PRESETS, UsageError, preset
+from .config import PRESETS, GenError, UsageError, preset
 from .dynamics import (
     DynamicsError,
     erase,
     reduction_trace,
     relations_for,
 )
-from .harness import CALCULUS_CHECKS, PROPERTIES, ROW_CHECKS, GenError, run_property
 from .infer import InferError, infer
 from .parser import ParseError, parse_file_str
 from .pretty import show_scheme, show_term, show_type
 from .statics import StaticError, type_check
-from .translate import TranslationError, run_translation, translation_for
+from .translate import PROPERTIES, TranslationError, run_translation, translation_for
 
 
 def _read(path: str) -> str:
@@ -119,6 +120,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import CALCULUS_CHECKS, ROW_CHECKS, run_property
+
     for option, value, table in (
         ("--translation", args.translation, ROW_CHECKS),
         ("--calculus", args.calculus, CALCULUS_CHECKS),
@@ -234,7 +237,10 @@ def run(argv: list[str] | None = None) -> int:
         UsageError,
         OSError,
     ) as e:
-        msg = e.args[0] if e.args else str(e)
+        if isinstance(e, OSError):  # a file that cannot be read: its path and why
+            msg = f"{e.filename}: {e.strerror}" if e.filename else str(e)
+        else:
+            msg = e.args[0] if e.args else str(e)
         print(f"rowlab: error: {msg}", file=sys.stderr)
         return 1
     except RecursionError:

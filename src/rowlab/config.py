@@ -85,6 +85,12 @@ class UsageError(Exception):
     together.  The CLI reports it as the user's error."""
 
 
+class GenError(Exception):
+    """The term generator found no term.  It is defined here, not in
+    ``harness``, so that the CLI catches it without loading the generator,
+    which only ``verify`` loads."""
+
+
 def preset(name: str) -> CalculusConfig:
     try:
         return PRESETS[name]

@@ -68,7 +68,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, get_args
 
-from .config import PRESETS, CalculusConfig, UsageError, preset
+from .config import PRESETS, CalculusConfig, GenError, UsageError, preset
 from .dynamics import RelationSet, Step, erase, relations_for, step_all, term_preorder
 from .infer import InferError, infer, scheme_instance, weak_sub_instance
 from .pretty import show_scheme, show_term, show_type
@@ -114,6 +114,7 @@ from .syntax import (
     type_key,
 )
 from .translate import (
+    PROPERTIES,  # the check tables' keys, kept where the CLI reads them
     TRANSLATIONS,
     TranslationError,
     run_translation,
@@ -124,10 +125,6 @@ Text = str | Callable[[], str]  # report text, or a function that renders it
 _WORDS = ("Ada", "Alice", "Bob", "Carol", "Dan")
 _LABELS = ("Age", "Name", "Size", "Year")
 _LEAF_TYPES = (TyVar("a0"), TyVar("a1"), Base("Int"), Base("String"), Base("Int"))
-
-
-class GenError(Exception):
-    pass
 
 
 class _NoProduction(GenError):
@@ -1217,6 +1214,8 @@ def _input(spec: GenSpec, i: int):
 # spec s at depth n, with case id c: on each pair of a registry row that
 # lists it (``Translation.properties``), or on a calculus its test accepts.
 # Each looks up its check and generator when it runs, so wrappers are called.
+# Their keys, row table first, are ``PROPERTIES`` in its order, which the CLI
+# reads from ``translate`` so as not to load this module for other commands.
 ROW_CHECKS: dict[str, Callable[..., PropertyReport]] = {
     "type-preservation": lambda t, s, i, n, c: check_type_preservation(t, _input(s, i), c),
     "simulation": lambda t, s, i, n, c: check_simulation(t, _input(s, i), n, c),
@@ -1235,7 +1234,6 @@ CALCULUS_CHECKS: dict[str, tuple[Callable, Callable[..., PropertyReport]]] = {
         lambda cfg: cfg.structural_subtyping, ROW_CHECKS["preorder-correspondence"]
     ),
 }
-PROPERTIES = tuple(dict.fromkeys([*ROW_CHECKS, *CALCULUS_CHECKS]))
 
 
 def run_property(

@@ -35,9 +35,9 @@ the sharing.
 
 Each node keeps facts computed once from its parts' facts, each in a slot of
 its own that is None in a node made anew: every node its hash ``_hash`` (a
-term's leaves out every name, so ``alpha_eq`` rejects terms of two hashes
-with no walk), a type, row or presence its key ``_key`` and its keys under
-binder stacks ``_keys`` (``type_key``), a term its tree size ``_size``
+term's leaves out every name, so ``alpha_eq`` rejects terms that keep two
+hashes with no walk), a type, row or presence its key ``_key`` and its keys
+under binder stacks ``_keys`` (``type_key``), a term its tree size ``_size``
 (``term_size``) and its free term variables ``_free`` (``free_vars``), a
 term, type or row the set ``_names`` of every type-level name it mentions
 (``type_level_names``), and a row or presence application that meets its
@@ -1105,12 +1105,17 @@ def alpha_eq(m: Term, n: Term, env: Names = NO_NAMES, tyenv: tuple = ((), ())) -
     by their annotation; ``m`` and ``n`` are compared under the term binder
     pairs ``env`` and the type binders ``tyenv`` (see ``match_node``).
 
-    Terms of two hashes (``Term.__hash__``) are unequal, with no walk.  That
-    is sound: the hash reads no name, only what ``match_node`` requires two
-    matching nodes to share (form, ``data`` fields, each type-level part's
-    form class, and the slots of the children it pairs, which must match in
-    turn), so alpha-equal terms hash alike under any environments."""
-    return hash(m) == hash(n) and agree(m, n, env, tyenv)
+    Terms that both keep a hash (``Term.__hash__``), and keep two, are
+    unequal, with no walk.  That is sound: the hash reads no name, only what
+    ``match_node`` requires two matching nodes to share (form, ``data``
+    fields, each type-level part's form class, and the slots of the children
+    it pairs, which must match in turn), so alpha-equal terms hash alike
+    under any environments.  A hash not yet kept is not made here: making it
+    walks the term, so a comparison that answers True would walk it twice."""
+    hm, hn = m._hash, n._hash
+    if hm is not None and hn is not None and hm != hn:
+        return False
+    return agree(m, n, env, tyenv)
 
 
 def agree(

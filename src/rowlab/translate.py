@@ -581,6 +581,9 @@ _TYPED = ("type-preservation",)
 _STEPS = ("simulation", "reflection")
 _SUBST = ("substitution",)
 _ERASES_UPCASTS = ("erasure", "preorder-correspondence")
+# Every property the harness checks, in the order ``rowlab verify`` offers
+# them: the registry's, then the one checked on a calculus alone.
+PROPERTIES = _TYPED + _STEPS + _SUBST + _ERASES_UPCASTS + ("subject-reduction",)
 
 
 TRANSLATIONS: dict[str, Translation] = {

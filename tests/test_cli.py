@@ -141,18 +141,32 @@ def test_a_literal_too_long_to_convert_is_a_parse_error(tmp_path, capsys):
     )
 
 
-def test_verify_offers_each_property_once():
-    from rowlab.cli import PROPERTIES
-
-    assert sorted(PROPERTIES) == [
+def test_verify_offers_each_property_once(capsys):
+    order = (
+        "type-preservation",
+        "simulation",
+        "reflection",
+        "substitution",
         "erasure",
         "preorder-correspondence",
-        "reflection",
-        "simulation",
         "subject-reduction",
-        "substitution",
-        "type-preservation",
-    ]
+    )
+    with pytest.raises(SystemExit) as done:
+        run(["verify", "--help"])
+    assert done.value.code == 0
+    assert "--property {" + ",".join(order) + "}" in capsys.readouterr().out
+    # the CLI offers, without loading the harness, the keys of its tables
+    assert cli.PROPERTIES == harness.PROPERTIES == order
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda tmp: tmp / "missing.row", "No such file or directory"),
+    (lambda tmp: tmp, "Is a directory"),
+], ids=["missing", "directory"])
+def test_an_unreadable_file_is_a_user_error(tmp_path, capsys, make, reason):
+    path = make(tmp_path)
+    assert run(["check", "--calculus", "rec-sub", str(path)]) == 1
+    assert capsys.readouterr().err == f"rowlab: error: {path}: {reason}\n"
 
 
 def test_verify_refuses_options_no_requested_property_uses(capsys):
@@ -406,3 +420,29 @@ def test_verify_output_does_not_depend_on_string_hashing(args):
     first = _verify_text("0", args)
     assert json.loads(first) and all(r["passed"] and r["cases"] for r in json.loads(first))
     assert _verify_text("1", args) == first
+
+
+# Run by a fresh interpreter started with -S, so no site package has loaded
+# modules (``random`` among them) before rowlab does.
+_COLD_START = """
+import json, sys
+from rowlab import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.run(argv) == 0, argv
+assert "rowlab.harness" not in sys.modules and "random" not in sys.modules
+assert cli.run(["verify", "--property", "subject-reduction", "--calculus", "rec-sub",
+                "--count", "1"]) == 0
+assert "rowlab.harness" in sys.modules
+"""
+
+
+def test_only_verify_loads_the_harness():
+    # the tests have imported the harness already, hence the new process
+    argv = [[*argv[:-1], str(CORPUS / argv[-1])] for argv, *_ in PRINTED]
+    assert {a[0] for a in argv} == {"check", "infer", "eval", "erase", "translate"}
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _COLD_START, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -717,6 +717,12 @@ def test_the_check_tables_cover_exactly_what_the_registry_and_calculi_state():
     assert set(harness.CALCULUS_CHECKS) == {"subject-reduction", "preorder-correspondence"}
 
 
+def test_the_check_tables_are_keyed_by_the_properties_in_their_order():
+    # the CLI offers translate.PROPERTIES so that it need not load the harness
+    keys = [*harness.ROW_CHECKS, *harness.CALCULUS_CHECKS]
+    assert tuple(dict.fromkeys(keys)) == translate.PROPERTIES == harness.PROPERTIES
+
+
 STRUCTURAL = sorted(n for n, c in PRESETS.items() if c.subtyping in ("covariant", "full"))
 
 

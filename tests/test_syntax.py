@@ -791,6 +791,26 @@ def test_alpha_eq_of_hashed_terms_of_two_shapes_walks_nothing(monkeypatch):
     assert hash(m) == hash(n) and m != n
 
 
+def test_alpha_eq_makes_no_hash():
+    # a one-off comparison that answers True walks each term once, not twice
+    m = parse_term_str(r'(\x:{A:Int}. x.A) ({A = 1, B = "b"} :> {A:Int})')
+    n = parse_term_str(r'(\y:{A:Int}. y.A) ({B = "b", A = 1} :> {A:Int})')
+    assert alpha_eq(m, n)
+    assert [y for y in _nodes(m, n) if y._hash is not None] == []
+
+
+def test_alpha_eq_of_two_kept_hashes_calls_no_agree(monkeypatch):
+    m, n, fresh = parse_term_str("1 + 2"), parse_term_str("1"), parse_term_str("1")
+    hash(m), hash(n)
+    calls = []
+    real = syntax.agree
+    monkeypatch.setattr(syntax, "agree", lambda *args: calls.append(1) or real(*args))
+    assert not alpha_eq(m, n) and calls == []
+    # a hash kept on one side only: the walk decides, and makes no hash
+    assert alpha_eq(n, fresh) and not alpha_eq(m, fresh) and len(calls) == 2
+    assert fresh._hash is None
+
+
 def test_binder_renamed_copies_are_alpha_equal():
     renamed = 0
     for m in _generated_term_list():
